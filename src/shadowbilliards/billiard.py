@@ -18,9 +18,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import dls as dlsmod
-from .bvp import CollisionOrbit
-from .dynamics import ClassicalHamiltonian, PhaseState, _verlet_steps
-from .scatterer import BoundaryPoint, Scatterer, SphereChart
+from .bvp import CollisionOrbit, ConjugateError, ConnectError
+from .dynamics import (ClassicalHamiltonian, DomainError, PhaseState,
+                       StepUnderflowError, _verlet_steps, central_diff)
+from .kepler import FeasibilityError
+from .scatterer import BoundaryPoint, FrameRankError, Scatterer, SphereChart
 
 
 class GrazingEventError(RuntimeError):
@@ -445,15 +447,12 @@ class _SiteChart:
     def jacobian(self, u) -> np.ndarray:
         d = self.scat.space.dim
         J = np.empty((d, self.dim))
-        _, sigma = self.split(u)
+        dx, sigma = self.split(u)
         x = self.base_point(u)
         _, nor = self.scat.frames(x)
         if self.x_dim:
-            h = 1e-7
-            for i in range(self.x_dim):
-                e = np.zeros(self.dim)
-                e[i] = h
-                J[:, i] = (self.ambient(u + e) - self.ambient(u - e)) / (2 * h)
+            J[:, :self.x_dim] = central_diff(
+                lambda v: self.ambient(np.concatenate([v, sigma])), dx, 1e-7)
         J[:, self.x_dim:] = self.eps * nor @ self.sphere.jacobian(sigma)
         return J
 
@@ -482,15 +481,15 @@ class TwoPointLink(dlsmod.LinkEvaluator):
     gradient once by central differences.
     """
 
-    def __init__(self, connector: Callable, left, right, eps: float,
-                 fd_step: float = 1e-7):
+    fd_step = 1e-7
+
+    def __init__(self, connector: Callable, left, right, eps: float):
         self.connector = connector
         self.left = left
         self.right = right
         self.eps = eps
         self.dim_minus = left.dim
         self.dim_plus = right.dim
-        self.fd_step = fd_step
 
     def _orbit(self, um, up) -> CollisionOrbit:
         return self.connector(self.left.ambient(um), self.right.ambient(up), self.eps)
@@ -511,25 +510,7 @@ class TwoPointLink(dlsmod.LinkEvaluator):
         return orb.p_minus, orb.p_plus
 
     def hess(self, um, up):
-        um = np.asarray(um, dtype=float)
-        up = np.asarray(up, dtype=float)
-        nm, npl = um.size, up.size
-        J = np.empty((nm + npl, nm + npl))
-        h = self.fd_step
-
-        def pair(a, b):
-            return np.concatenate([self.grad_minus(a, b), self.grad_plus(a, b)])
-
-        for i in range(nm):
-            e = np.zeros(nm)
-            e[i] = h
-            J[i] = (pair(um + e, up) - pair(um - e, up)) / (2 * h)
-        for i in range(npl):
-            e = np.zeros(npl)
-            e[i] = h
-            J[nm + i] = (pair(um, up + e) - pair(um, up - e)) / (2 * h)
-        J = 0.5 * (J + J.T)
-        return J[:nm, :nm], J[:nm, nm:], J[nm:, nm:]
+        return self._blocks(self._grad_jacobian(um, up, self.fd_step), um)
 
 
 @dataclass
@@ -652,7 +633,10 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
             try:
                 res_t = dlsmod.residual(jdl_t, jc_t)
                 rn_t = dlsmod.residual_norm(res_t)
-            except Exception:
+            except (ConnectError, ConjugateError, StepUnderflowError, FeasibilityError,
+                    DomainError, dlsmod.ChainDomainError, FrameRankError,
+                    np.linalg.LinAlgError):
+                # the trial point has no connecting orbit or chart: halve the step
                 rn_t = np.inf
             if rn_t < rn:
                 charts, jdl, jc, res, rn = charts_t, jdl_t, jc_t, res_t, rn_t

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import kepler as kp
 from .dynamics import (ClassicalHamiltonian, DomainError, KeplerPotential,
-                       PhaseState, Trajectory, _verlet_steps, flow_segment,
-                       jacobi_action)
+                       PhaseState, Trajectory, _verlet_steps, central_diff,
+                       flow_segment, jacobi_action)
 
 
 class ConnectError(RuntimeError):
@@ -174,6 +174,30 @@ def _flow_to(h: ClassicalHamiltonian, q0, p0, tau, steps_per_unit: float):
     return q, p
 
 
+def _shooting_jacobian(h: ClassicalHamiltonian, qm, p, tau, fd_step: float,
+                       steps_per_unit: float) -> np.ndarray:
+    """Sensitivity of (endpoint, energy) to (initial momentum, travel time).
+
+    Batched central differences in p (all 2d perturbed flights in one Verlet
+    call) and the analytic tau column, the endpoint velocity.
+    """
+    d = h.dim
+    P = np.repeat(p[None, :], 2 * d, axis=0)
+    for i in range(d):
+        P[2 * i, i] += fd_step
+        P[2 * i + 1, i] -= fd_step
+    Q0 = np.repeat(qm[None, :], 2 * d, axis=0)
+    nsteps = max(8, int(np.ceil(abs(tau) * steps_per_unit)))
+    Qe, _, _, _ = _verlet_steps(h, Q0, P, tau / nsteps, nsteps, sample_every=nsteps)
+    J = np.zeros((d + 1, d + 1))
+    for i in range(d):
+        J[:d, i] = (Qe[2 * i] - Qe[2 * i + 1]) / (2 * fd_step)
+        J[d, i] = (h.energy(qm, P[2 * i]) - h.energy(qm, P[2 * i + 1])) / (2 * fd_step)
+    q_end, p_end = _flow_to(h, qm, p, tau, steps_per_unit)
+    J[:d, d] = h.velocity(q_end, p_end)
+    return J
+
+
 def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess, label=None,
                       tol: float = 1e-10, max_iter: int = 60,
                       steps_per_unit: float = 2000.0, fd_step: float = 1e-6,
@@ -219,20 +243,7 @@ def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess, label=None,
     for _ in range(max_iter):
         if np.linalg.norm(r[:d]) <= tol * scale and abs(r[d]) <= tol * max(1.0, abs(E)):
             break
-        # Jacobian: batched finite differences in p-, analytic tau column
-        P = np.repeat(p[None, :], 2 * d, axis=0)
-        for i in range(d):
-            P[2 * i, i] += fd_step
-            P[2 * i + 1, i] -= fd_step
-        Q0 = np.repeat(qm[None, :], 2 * d, axis=0)
-        nsteps = max(8, int(np.ceil(abs(tau) * steps_per_unit)))
-        Qe, Pe, _, _ = _verlet_steps(h, Q0, P, tau / nsteps, nsteps, sample_every=nsteps)
-        J = np.zeros((d + 1, d + 1))
-        for i in range(d):
-            J[:d, i] = (Qe[2 * i] - Qe[2 * i + 1]) / (2 * fd_step)
-            J[d, i] = (h.energy(qm, P[2 * i]) - h.energy(qm, P[2 * i + 1])) / (2 * fd_step)
-        q_end, p_end = _flow_to(h, qm, p, tau, steps_per_unit)
-        J[:d, d] = h.velocity(q_end, p_end)
+        J = _shooting_jacobian(h, qm, p, tau, fd_step, steps_per_unit)
         try:
             step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as exc:
@@ -307,16 +318,10 @@ def boundary_momenta_check(orbit: CollisionOrbit, fd_step: float = 1e-6) -> Mome
     """Central differences of the action in the endpoints against -p-, +p+."""
     if orbit.reconnect is None:
         raise ValueError("orbit does not carry a reconnect closure")
-    d = orbit.q_minus.size
-    gm = np.zeros(d)
-    gp = np.zeros(d)
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = fd_step
-        gm[i] = (orbit.reconnect(orbit.q_minus + e, orbit.q_plus).action
-                 - orbit.reconnect(orbit.q_minus - e, orbit.q_plus).action) / (2 * fd_step)
-        gp[i] = (orbit.reconnect(orbit.q_minus, orbit.q_plus + e).action
-                 - orbit.reconnect(orbit.q_minus, orbit.q_plus - e).action) / (2 * fd_step)
+    gm = central_diff(lambda q: orbit.reconnect(q, orbit.q_plus).action, orbit.q_minus,
+                      fd_step)
+    gp = central_diff(lambda q: orbit.reconnect(orbit.q_minus, q).action, orbit.q_plus,
+                      fd_step)
     scale = max(np.linalg.norm(orbit.p_minus), np.linalg.norm(orbit.p_plus), 1e-30)
     dev = max(np.linalg.norm(gm + orbit.p_minus), np.linalg.norm(gp - orbit.p_plus))
     return MomentaReport(float(dev / scale), gm, gp)
@@ -391,24 +396,7 @@ def conjugate_test(orbit: CollisionOrbit, conj_tol: float = 1e-8,
     (initial momentum, travel time); a small sigma_min signals conjugate
     endpoints. The flow is re-integrated, so the test is backend independent.
     """
-    h = orbit.h
-    d = h.dim
-    qm = orbit.path[0]
-    p = orbit.p_minus
-    tau = orbit.tau
-
-    P = np.repeat(p[None, :], 2 * d, axis=0)
-    for i in range(d):
-        P[2 * i, i] += fd_step
-        P[2 * i + 1, i] -= fd_step
-    nsteps = max(8, int(np.ceil(tau * steps_per_unit)))
-    Q0 = np.repeat(qm[None, :], 2 * d, axis=0)
-    Qe, _, _, _ = _verlet_steps(h, Q0, P, tau / nsteps, nsteps, sample_every=nsteps)
-    J = np.zeros((d + 1, d + 1))
-    for i in range(d):
-        J[:d, i] = (Qe[2 * i] - Qe[2 * i + 1]) / (2 * fd_step)
-        J[d, i] = (h.energy(qm, P[2 * i]) - h.energy(qm, P[2 * i + 1])) / (2 * fd_step)
-    q_end, p_end, _, _ = _verlet_steps(h, qm, p, tau / nsteps, nsteps, sample_every=nsteps)
-    J[:d, d] = h.velocity(q_end, p_end)
+    J = _shooting_jacobian(orbit.h, orbit.path[0], orbit.p_minus, orbit.tau, fd_step,
+                           steps_per_unit)
     sig = np.linalg.svd(J, compute_uv=False)
     return ConjugateReport(bool(sig[-1] > conj_tol * sig[0]), float(sig[-1]), float(sig[0]))

@@ -40,6 +40,8 @@ def _get(obj, path: str, typ, required: bool = True, default=None):
             return default
         cur = cur[part]
         trail += f".{part}"
+    if typ in (int, float) and isinstance(cur, bool):
+        raise ScenarioError(f"{trail}: expected {typ.__name__}, got bool")
     if typ is float and isinstance(cur, int):
         cur = float(cur)
     if typ is not None and not isinstance(cur, typ):
@@ -51,9 +53,11 @@ def _num_list(obj, path: str, required: bool = True, default=None) -> Optional[L
     v = _get(obj, path, list, required, default)
     if v is None:
         return default
+    if not v and v is not default:
+        raise ScenarioError(f"scenario.{path}: expected a nonempty list")
     out = []
     for i, x in enumerate(v):
-        if not isinstance(x, (int, float)):
+        if not isinstance(x, (int, float)) or isinstance(x, bool):
             raise ScenarioError(f"scenario.{path}[{i}]: expected number")
         out.append(float(x))
     return out

@@ -19,6 +19,7 @@ import numpy as np
 from .blocktri import (BlockTridiagonalFactor, SingularBlockError,
                        assemble_dense, inverse_inf_norm, solve_window,
                        split_blocks)
+from .dynamics import central_diff
 
 
 class ChainDomainError(ValueError):
@@ -36,15 +37,6 @@ class RouthError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Link evaluators
 # ---------------------------------------------------------------------------
-
-def _fd_grad(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
-    g = np.empty(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2 * h)
-    return g
-
 
 class LinkEvaluator:
     """Two-point Lagrangian branch; chart dimensions may differ per slot.
@@ -65,35 +57,32 @@ class LinkEvaluator:
         return True
 
     def grad_minus(self, xm, xp) -> np.ndarray:
-        return _fd_grad(lambda x: self.value(x, xp), np.asarray(xm, dtype=float), self.fd_step)
+        return central_diff(lambda x: self.value(x, xp), xm, self.fd_step)
 
     def grad_plus(self, xm, xp) -> np.ndarray:
-        return _fd_grad(lambda x: self.value(xm, x), np.asarray(xp, dtype=float), self.fd_step)
+        return central_diff(lambda x: self.value(xm, x), xp, self.fd_step)
 
     def _grad_pair(self, xm, xp) -> np.ndarray:
         return np.concatenate([self.grad_minus(xm, xp), self.grad_plus(xm, xp)])
 
-    def hess(self, xm, xp) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(D--, D-+, D++) second derivative blocks."""
+    def _grad_jacobian(self, xm, xp, h: float) -> np.ndarray:
+        """Central differences of (D-, D+) in the joint coordinates (xm, xp)."""
         xm = np.asarray(xm, dtype=float)
-        xp = np.asarray(xp, dtype=float)
-        nm, npl = xm.size, xp.size
+        z = np.concatenate([xm, np.asarray(xp, dtype=float)])
+        J = central_diff(lambda v: self._grad_pair(v[:xm.size], v[xm.size:]), z, h)
+        return J.reshape(z.size, z.size)
 
-        def stacked(h):
-            J = np.empty((nm + npl, nm + npl))
-            for i in range(nm):
-                e = np.zeros(nm)
-                e[i] = h
-                J[i] = (self._grad_pair(xm + e, xp) - self._grad_pair(xm - e, xp)) / (2 * h)
-            for i in range(npl):
-                e = np.zeros(npl)
-                e[i] = h
-                J[nm + i] = (self._grad_pair(xm, xp + e) - self._grad_pair(xm, xp - e)) / (2 * h)
-            return J
-
+    def hess(self, xm, xp) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(D--, D-+, D++) second derivative blocks, one Richardson step."""
         h = self.fd_step * 16
-        J = (4.0 * stacked(h / 2) - stacked(h)) / 3.0
+        J = (4.0 * self._grad_jacobian(xm, xp, h / 2) - self._grad_jacobian(xm, xp, h)) / 3.0
+        return self._blocks(J, xm)
+
+    @staticmethod
+    def _blocks(J: np.ndarray, xm) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(D--, D-+, D++) blocks of the symmetrised joint second derivative J."""
         J = 0.5 * (J + J.T)
+        nm = np.asarray(xm).size
         return J[:nm, :nm], J[:nm, nm:], J[nm:, nm:]
 
     def momenta(self, xm, xp) -> Tuple[np.ndarray, np.ndarray]:
@@ -110,15 +99,13 @@ class FunctionLink(LinkEvaluator):
                  dim_minus: int, dim_plus: int,
                  grads: Optional[Callable] = None,
                  momenta_fn: Optional[Callable] = None,
-                 domain: Optional[Callable] = None,
-                 fd_step: float = 1e-6):
+                 domain: Optional[Callable] = None):
         self.fn = fn
         self.dim_minus = dim_minus
         self.dim_plus = dim_plus
         self._grads = grads
         self._momenta = momenta_fn
         self._domain = domain
-        self.fd_step = fd_step
 
     def value(self, xm, xp):
         return float(self.fn(np.asarray(xm, dtype=float), np.asarray(xp, dtype=float)))
@@ -165,6 +152,19 @@ class DiscreteLagrangian:
             return self.links[k]
         except (KeyError, TypeError):
             return self.links[_key(k)]
+
+
+class LazyLinks(dict):
+    """Symbol table creating branch evaluators on first use."""
+
+    def __init__(self, factory: Callable):
+        super().__init__()
+        self.factory = factory
+
+    def __missing__(self, key):
+        link = self.factory(key)
+        self[key] = link
+        return link
 
 
 def _key(k):
@@ -626,12 +626,11 @@ class RouthLink(LinkEvaluator):
     def __init__(self, base: LinkEvaluator, symmetry: ChartSymmetry, G: float,
                  section_point: Optional[np.ndarray] = None,
                  section_basis: Optional[np.ndarray] = None,
-                 theta0: float = 0.0, fd_step: float = 1e-6):
+                 theta0: float = 0.0):
         self.base = base
         self.sym = symmetry
         self.G = float(G)
         self.theta0 = float(theta0)
-        self.fd_step = fd_step
         self._x0 = section_point
         self._basis = section_basis
         if section_basis is not None:
@@ -706,29 +705,11 @@ class RouthLink(LinkEvaluator):
         y = self.sym.act(theta, self._lift(xp))
         g = self.base.grad_plus(self._lift(xm), y)
         # chain rule through the shifted point at the critical theta (envelope)
-        h = 1e-7
-        d = self._lift(xp).size
-        Dact = np.empty((d, self.dim_plus))
-        basis = self._basis if self._basis is not None else np.eye(d)
-        for i in range(self.dim_plus):
-            e = basis[:, i] * h
-            Dact[:, i] = (self.sym.act(theta, self._lift(xp) + e)
-                          - self.sym.act(theta, self._lift(xp) - e)) / (2 * h)
+        y0 = self._lift(xp)
+        B = self._basis if self._basis is not None else np.eye(y0.size)
+        Dact = central_diff(lambda c: self.sym.act(theta, y0 + B @ c), np.zeros(B.shape[1]),
+                            1e-7)
         return Dact.T @ g
-
-
-class _WrappedLinks(dict):
-    """Lazy view applying a wrapper to another Lagrangian's branches."""
-
-    def __init__(self, base: DiscreteLagrangian, wrap: Callable):
-        super().__init__()
-        self.base = base
-        self.wrap = wrap
-
-    def __missing__(self, key):
-        link = self.wrap(self.base.link(key))
-        self[key] = link
-        return link
 
 
 def routh_reduce(dl: DiscreteLagrangian, symmetry: ChartSymmetry, G: float,
@@ -741,8 +722,8 @@ def routh_reduce(dl: DiscreteLagrangian, symmetry: ChartSymmetry, G: float,
     generator to keep residual coordinates. Requires the group-shift Hessian
     of each branch to be nonzero where evaluated.
     """
-    reduced = _WrappedLinks(dl, lambda link: RouthLink(link, symmetry, G,
-                                                       section_point, section_basis))
+    reduced = LazyLinks(lambda k: RouthLink(dl.link(k), symmetry, G,
+                                            section_point, section_basis))
     return DiscreteLagrangian(reduced, energy=dl.energy, scatterer=dl.scatterer,
                               name=(dl.name + "/routh") if dl.name else "routh")
 

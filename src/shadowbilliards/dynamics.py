@@ -22,6 +22,24 @@ class StepUnderflowError(RuntimeError):
     """Integrator step control failed to meet the energy tolerance."""
 
 
+def central_diff(f: Callable, x, h: float) -> np.ndarray:
+    """Central differences of f at x along each coordinate axis.
+
+    Entry i of the last axis is (f(x + h e_i) - f(x - h e_i)) / (2 h): the
+    gradient of a scalar f, the Jacobian of a vector f; empty for empty x.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(0)
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = h
+        col = (f(x + e) - f(x - e)) / (2 * h)
+        if i == 0:
+            out = np.empty(np.shape(col) + (x.size,))
+        out[..., i] = col
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Ambient space
 # ---------------------------------------------------------------------------
@@ -177,10 +195,9 @@ class KeplerPotential(Potential):
 class CallablePotential(Potential):
     """Wrap plain callables; gradient by central differences if not supplied."""
 
-    def __init__(self, fn: Callable[[np.ndarray], float], grad=None, h: float = 1e-6):
+    def __init__(self, fn: Callable[[np.ndarray], float], grad=None):
         self.fn = fn
         self._grad = grad
-        self.h = h
 
     def value(self, q):
         return float(self.fn(np.asarray(q, dtype=float)))
@@ -189,23 +206,16 @@ class CallablePotential(Potential):
         q = np.asarray(q, dtype=float)
         if self._grad is not None:
             return np.asarray(self._grad(q), dtype=float)
-        g = np.empty_like(q)
-        for i in range(q.size):
-            e = np.zeros_like(q)
-            e[i] = self.h
-            g[i] = (self.fn(q + e) - self.fn(q - e)) / (2 * self.h)
-        return g
+        return central_diff(self.fn, q, 1e-6)
 
 
 class MagneticField:
     """Covector field w(q) with Jacobian Dw(q) (rows: components, cols: d/dq)."""
 
     def __init__(self, w: Callable[[np.ndarray], np.ndarray],
-                 jac: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 h: float = 1e-6):
+                 jac: Optional[Callable[[np.ndarray], np.ndarray]] = None):
         self._w = w
         self._jac = jac
-        self.h = h
 
     def value(self, q):
         return np.asarray(self._w(np.asarray(q, dtype=float)), dtype=float)
@@ -214,13 +224,7 @@ class MagneticField:
         q = np.asarray(q, dtype=float)
         if self._jac is not None:
             return np.asarray(self._jac(q), dtype=float)
-        d = q.size
-        J = np.empty((d, d))
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = self.h
-            J[:, i] = (self.value(q + e) - self.value(q - e)) / (2 * self.h)
-        return J
+        return central_diff(self.value, q, 1e-6)
 
 
 # ---------------------------------------------------------------------------

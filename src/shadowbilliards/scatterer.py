@@ -14,7 +14,7 @@ from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
-from .dynamics import AmbientSpace
+from .dynamics import AmbientSpace, central_diff
 
 ChartPoint = Union[int, np.ndarray]
 
@@ -49,17 +49,6 @@ class SphereSection:
 
     def contains(self, s: np.ndarray, tol: float = 1e-12) -> bool:
         return abs(np.linalg.norm(s) - 1.0) <= tol
-
-    def support_point(self, u: np.ndarray) -> np.ndarray:
-        """argmax over the section of <u, s>; unique for u != 0."""
-        u = np.asarray(u, dtype=float)
-        nu = np.linalg.norm(u)
-        if nu == 0:
-            raise ValueError("support direction must be nonzero")
-        return u / nu
-
-    def chart(self, center: np.ndarray) -> "SphereChart":
-        return SphereChart(center)
 
 
 class SphereChart:
@@ -213,7 +202,7 @@ class ChartScatterer(Scatterer):
 
     def __init__(self, space: AmbientSpace, psi: Callable[[np.ndarray], np.ndarray],
                  jac: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 dim: int = 1, tube_radius: float = np.inf, fd_step: float = 1e-7):
+                 dim: int = 1, tube_radius: float = np.inf):
         self.space = space
         self._psi = psi
         self._jac = jac
@@ -223,7 +212,6 @@ class ChartScatterer(Scatterer):
             raise ValueError("scatterer must have positive codimension")
         self.section = SphereSection()
         self._tube_radius = float(tube_radius)
-        self.fd_step = fd_step
 
     def embed(self, x: ChartPoint) -> np.ndarray:
         return np.asarray(self._psi(np.atleast_1d(np.asarray(x, dtype=float))), dtype=float)
@@ -232,13 +220,7 @@ class ChartScatterer(Scatterer):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if self._jac is not None:
             return np.asarray(self._jac(x), dtype=float)
-        d = self.space.dim
-        J = np.empty((d, self.dim))
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = self.fd_step
-            J[:, i] = (self.embed(x + e) - self.embed(x - e)) / (2 * self.fd_step)
-        return J
+        return central_diff(self.embed, x, 1e-7)
 
     def frames(self, x: ChartPoint):
         J = self.jacobian(x)
@@ -306,15 +288,3 @@ class DiagonalScatterer(ChartScatterer):
         if self.space.is_torus:
             return float(np.min(self.space.periods)) / (2 * np.sqrt(2.0))
         return self._tube_radius
-
-
-def frames(scat: Scatterer, x: ChartPoint):
-    return scat.frames(x)
-
-
-def tube_point(scat: Scatterer, x: ChartPoint, s: np.ndarray, eps: float) -> np.ndarray:
-    return scat.tube_point(x, s, eps)
-
-
-def nearest(scat: Scatterer, q: np.ndarray, x0=None) -> NearestResult:
-    return scat.nearest(q, x0)

@@ -18,37 +18,28 @@ from .dynamics import ClassicalHamiltonian, euclidean, flat_torus
 from .scatterer import DiagonalScatterer, PointScatterer
 
 
-class _LazyLinks(dict):
-    """Symbol table creating branch evaluators on first use."""
-
-    def __init__(self, factory):
-        super().__init__()
-        self.factory = factory
-
-    def __missing__(self, key):
-        link = self.factory(key)
-        self[key] = link
-        return link
-
-
 # ---------------------------------------------------------------------------
-# Torus point scatterer
+# Straight chords between points of a zero-dimensional scatterer
 # ---------------------------------------------------------------------------
 
-class TorusPointLink(dlsmod.LinkEvaluator):
-    """Collision orbit of a point scatterer on the flat torus, one winding class."""
+class ChordLink(dlsmod.LinkEvaluator):
+    """Straight collision orbit from a scatterer point along a fixed displacement.
 
-    def __init__(self, h: ClassicalHamiltonian, E: float, winding: Tuple[int, ...]):
+    Zero-dimensional on both slots: constant action and momenta. The label
+    (torus winding, or None) selects the branch in bvp.connect.
+    """
+
+    def __init__(self, h: ClassicalHamiltonian, E: float, start: np.ndarray,
+                 disp: np.ndarray, label=None):
         self.h = h
         self.E = E
-        self.k = np.asarray(winding, dtype=int)
-        if np.all(self.k == 0):
-            raise ValueError("zero winding has no collision orbit")
+        self.label = label
         self.dim_minus = self.dim_plus = 0
-        self._disp = self.k * h.space.periods
-        ell = h.mass_norm(self._disp)
+        self._start = start
+        self._disp = disp
+        ell = h.mass_norm(disp)
         self._speed = np.sqrt(2.0 * E)
-        self._p = h.mass @ (self._speed * self._disp / ell)
+        self._p = h.mass @ (self._speed * disp / ell)
         self._action = self._speed * ell
 
     def value(self, xm, xp):
@@ -68,11 +59,30 @@ class TorusPointLink(dlsmod.LinkEvaluator):
         return self._p.copy(), self._p.copy()
 
     def ambient_connect(self, qm, qp, eps):
-        return bvp.connect(self.h, qm, qp, self.E, label=tuple(int(v) for v in self.k))
+        return bvp.connect(self.h, qm, qp, self.E, label=self.label)
 
     def reference_path(self, xm, xp, num: int = 33):
         ts = np.linspace(0.0, 1.0, num)
-        return ts[:, None] * self._disp[None, :]
+        return self._start[None, :] + ts[:, None] * self._disp[None, :]
+
+    @classmethod
+    def torus(cls, h: ClassicalHamiltonian, E: float, winding) -> "ChordLink":
+        """Orbit of the point at the origin of the flat torus, one winding class."""
+        k = np.asarray(winding, dtype=int)
+        if np.all(k == 0):
+            raise ValueError("zero winding has no collision orbit")
+        return cls(h, E, np.zeros(h.dim), k * h.space.periods,
+                   label=tuple(int(v) for v in k))
+
+    @classmethod
+    def segment(cls, h: ClassicalHamiltonian, E: float, scat: PointScatterer,
+                pair: Tuple[int, int]) -> "ChordLink":
+        """Orbit between two labeled centers of a Euclidean point scatterer."""
+        i, j = pair
+        if i == j:
+            raise ValueError("a segment needs distinct centers")
+        a = scat.embed(i)
+        return cls(h, E, a, scat.embed(j) - a)
 
 
 @dataclass
@@ -97,7 +107,7 @@ def torus_point_scenario(dim: int = 2, periods: Optional[Sequence[float]] = None
     space = flat_torus(periods)
     h = ClassicalHamiltonian(space)
     scat = PointScatterer(space, [np.zeros(dim)])
-    links = _LazyLinks(lambda k: TorusPointLink(h, E, k))
+    links = dlsmod.LazyLinks(lambda k: ChordLink.torus(h, E, k))
     dl = dlsmod.DiscreteLagrangian(links, energy=E, scatterer=scat,
                                    name="torus_point",
                                    site_bases=lambda c, i: 0)
@@ -186,7 +196,7 @@ def two_ball_torus_scenario(masses=(1.0, 1.0), E: float = 0.5,
     m = np.asarray(masses, dtype=float)
     h = ClassicalHamiltonian(space, mass=np.diag(m))
     scat = DiagonalScatterer(space)
-    links = _LazyLinks(lambda k: TwoBallTorusLink(h, E, m, period, k))
+    links = dlsmod.LazyLinks(lambda k: TwoBallTorusLink(h, E, m, period, k))
     dl = dlsmod.DiscreteLagrangian(links, energy=E, scatterer=scat,
                                    name="two_ball_torus")
     dl.hamiltonian = h
@@ -218,26 +228,30 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
     The symbol (m1, m2) counts signed wall reflections of each ball between
     consecutive pair collisions; the connecting orbit is the straight chord
     in the unfolded cover. wall_margin shifts the walls inward (tube billiard
-    geometry); the limiting chain uses margin zero.
+    geometry); the limiting chain uses margin zero. The end links of a fixed
+    chain freeze a slot at an ambient pair position (left or right anchor);
+    that slot then has no chart coordinates.
     """
 
     def __init__(self, h: ClassicalHamiltonian, E: float, masses,
                  box: Tuple[float, float], pattern: Tuple[int, int],
-                 wall_margin: float = 0.0):
+                 wall_margin: float = 0.0, left: Optional[np.ndarray] = None,
+                 right: Optional[np.ndarray] = None):
         self.h = h
         self.E = E
         self.m = np.asarray(masses, dtype=float)
         self.box = box
         self.pattern = (int(pattern[0]), int(pattern[1]))
         self.margin = float(wall_margin)
-        self.dim_minus = self.dim_plus = 1
+        self.left = None if left is None else np.asarray(left, dtype=float)
+        self.right = None if right is None else np.asarray(right, dtype=float)
+        self.dim_minus = 0 if left is not None else 1
+        self.dim_plus = 0 if right is not None else 1
         self._speed = np.sqrt(2.0 * E)
 
-    def _walls(self):
-        return self.box[0] + self.margin, self.box[1] - self.margin
-
-    def _geometry(self, ym: np.ndarray, yp: np.ndarray):
-        lo, hi = self._walls()
+    def _geometry(self, ym: np.ndarray, yp: np.ndarray, margin: float):
+        """Unfolded displacements and wall parities of the chord."""
+        lo, hi = self.box[0] + margin, self.box[1] - margin
         ell = np.empty(2)
         par = np.empty(2)
         for i in range(2):
@@ -246,52 +260,57 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
             par[i] = pr
         return ell, par
 
+    def _chord(self, xm, xp):
+        """Displacements, parities and kinetic length of the link's chord."""
+        ell, par = self._geometry(*self._resolve(xm, xp), self.margin)
+        return ell, par, np.sqrt(np.sum(self.m * ell**2))
+
+    def _resolve(self, xm, xp):
+        """Ambient pair positions of both slots, anchors taking precedence."""
+        ym = self.left if self.left is not None else self._pair_positions(xm)
+        yp = self.right if self.right is not None else self._pair_positions(xp)
+        return ym, yp
+
     def _pair_positions(self, x):
         c = float(np.atleast_1d(x)[0])
         return np.array([c, c])
 
     def value(self, xm, xp):
-        ell, _ = self._geometry(self._pair_positions(xm), self._pair_positions(xp))
-        return float(self._speed * np.sqrt(np.sum(self.m * ell**2)))
+        _, _, g = self._chord(xm, xp)
+        return float(self._speed * g)
 
     def grad_minus(self, xm, xp):
-        ell, _ = self._geometry(self._pair_positions(xm), self._pair_positions(xp))
-        g = np.sqrt(np.sum(self.m * ell**2))
+        if self.left is not None:
+            return np.zeros(0)
+        ell, _, g = self._chord(xm, xp)
         return np.array([-self._speed * np.sum(self.m * ell) / g])
 
     def grad_plus(self, xm, xp):
-        ell, par = self._geometry(self._pair_positions(xm), self._pair_positions(xp))
-        g = np.sqrt(np.sum(self.m * ell**2))
+        if self.right is not None:
+            return np.zeros(0)
+        ell, par, g = self._chord(xm, xp)
         return np.array([self._speed * np.sum(self.m * ell * par) / g])
 
     def momenta(self, xm, xp):
-        ell, par = self._geometry(self._pair_positions(xm), self._pair_positions(xp))
-        g = np.sqrt(np.sum(self.m * ell**2))
-        p_minus = self._speed * self.m * ell / g
-        p_plus = self._speed * self.m * ell * par / g
-        return p_minus, p_plus
+        ell, par, g = self._chord(xm, xp)
+        return self._speed * self.m * ell / g, self._speed * self.m * ell * par / g
 
     def in_domain(self, xm, xp):
-        ym = self._pair_positions(xm)
-        yp = self._pair_positions(xp)
-        lo, hi = self._walls()
-        if not (lo < ym[0] < hi and lo < yp[0] < hi):
+        ym, yp = self._resolve(xm, xp)
+        lo, hi = self.box[0] + self.margin, self.box[1] - self.margin
+        if not (lo < ym[0] < hi and lo < ym[1] < hi and lo < yp[0] < hi and lo < yp[1] < hi):
             return False
-        ell, _ = self._geometry(ym, yp)
+        ell, _ = self._geometry(ym, yp, self.margin)
         return bool(np.all(np.abs(ell) > 1e-12))
 
     def ambient_connect(self, qm, qp, eps):
-        return self._connect_ambient(np.asarray(qm, dtype=float),
-                                     np.asarray(qp, dtype=float), eps)
+        qm = self.left if self.left is not None else np.asarray(qm, dtype=float)
+        qp = self.right if self.right is not None else np.asarray(qp, dtype=float)
+        return self._connect_ambient(qm, qp, eps)
 
     def _connect_ambient(self, qm, qp, eps, samples: int = 129):
         lo, hi = self.box[0] + eps, self.box[1] - eps
-        ell = np.empty(2)
-        par = np.empty(2)
-        for i in range(2):
-            img, pr = _unfolded_image(float(qp[i]), self.pattern[i], lo, hi)
-            ell[i] = img - float(qm[i])
-            par[i] = pr
+        ell, par = self._geometry(qm, qp, eps)
         g = np.sqrt(np.sum(self.m * ell**2))
         action = self._speed * g
         tau = g / self._speed
@@ -307,9 +326,7 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
                                   backend="unfolded")
 
     def reference_path(self, xm, xp, num: int = 129):
-        orb = self._connect_ambient(self._pair_positions(xm),
-                                    self._pair_positions(xp), 0.0, samples=num)
-        return orb.path
+        return self._connect_ambient(*self._resolve(xm, xp), 0.0, samples=num).path
 
 
 @dataclass
@@ -322,8 +339,8 @@ class TwoBallBoxScenario:
 
     def lagrangian(self, wall_margin: float = 0.0,
                    endpoints: Optional[Tuple[np.ndarray, np.ndarray]] = None):
-        links = _LazyLinks(lambda k: TwoBallBoxLink(self.h, self.E, self.masses,
-                                                    self.box, k, wall_margin))
+        links = dlsmod.LazyLinks(lambda k: TwoBallBoxLink(self.h, self.E, self.masses,
+                                                          self.box, k, wall_margin))
         ends = None
         if endpoints is not None:
             a = np.asarray(endpoints[0], dtype=float)
@@ -355,69 +372,6 @@ def two_ball_box_scenario(masses=(1.0, 1.0), E: float = 0.5,
     return TwoBallBoxScenario(h, scat, E, m, box)
 
 
-class BoxBoundaryLink(TwoBallBoxLink):
-    """End link of a fixed chain: one slot frozen at an ambient pair position."""
-
-    def __init__(self, base: TwoBallBoxLink, side: str, anchor: np.ndarray):
-        self.__dict__.update(base.__dict__)
-        self.side = side
-        self.anchor = np.asarray(anchor, dtype=float)
-        if side == "left":
-            self.dim_minus = 0
-        else:
-            self.dim_plus = 0
-
-    def _resolve(self, xm, xp):
-        ym = self.anchor if self.side == "left" else self._pair_positions(xm)
-        yp = self.anchor if self.side == "right" else self._pair_positions(xp)
-        return ym, yp
-
-    def value(self, xm, xp):
-        ym, yp = self._resolve(xm, xp)
-        ell, _ = self._geometry(ym, yp)
-        return float(self._speed * np.sqrt(np.sum(self.m * ell**2)))
-
-    def grad_minus(self, xm, xp):
-        if self.side == "left":
-            return np.zeros(0)
-        ym, yp = self._resolve(xm, xp)
-        ell, _ = self._geometry(ym, yp)
-        g = np.sqrt(np.sum(self.m * ell**2))
-        return np.array([-self._speed * np.sum(self.m * ell) / g])
-
-    def grad_plus(self, xm, xp):
-        if self.side == "right":
-            return np.zeros(0)
-        ym, yp = self._resolve(xm, xp)
-        ell, par = self._geometry(ym, yp)
-        g = np.sqrt(np.sum(self.m * ell**2))
-        return np.array([self._speed * np.sum(self.m * ell * par) / g])
-
-    def momenta(self, xm, xp):
-        ym, yp = self._resolve(xm, xp)
-        ell, par = self._geometry(ym, yp)
-        g = np.sqrt(np.sum(self.m * ell**2))
-        return self._speed * self.m * ell / g, self._speed * self.m * ell * par / g
-
-    def in_domain(self, xm, xp):
-        ym, yp = self._resolve(xm, xp)
-        lo, hi = self._walls()
-        ok = lo < ym[0] < hi and lo < ym[1] < hi and lo < yp[0] < hi and lo < yp[1] < hi
-        if not ok:
-            return False
-        ell, _ = self._geometry(ym, yp)
-        return bool(np.all(np.abs(ell) > 1e-12))
-
-    def ambient_connect(self, qm, qp, eps):
-        qm = self.anchor if self.side == "left" else np.asarray(qm, dtype=float)
-        qp = self.anchor if self.side == "right" else np.asarray(qp, dtype=float)
-        return self._connect_ambient(qm, qp, eps)
-
-    def reference_path(self, xm, xp, num: int = 129):
-        ym, yp = self._resolve(xm, xp)
-        return self._connect_ambient(ym, yp, 0.0, samples=num).path
-
-
 def box_fixed_lagrangian(scn: TwoBallBoxScenario, a, b, code,
                          wall_margin: float = 0.0) -> dlsmod.DiscreteLagrangian:
     """Symbol table for a fixed chain a -> ... -> b with the given code.
@@ -430,13 +384,10 @@ def box_fixed_lagrangian(scn: TwoBallBoxScenario, a, b, code,
     links: Dict[object, dlsmod.LinkEvaluator] = {}
     code = [tuple(int(v) for v in k) for k in code]
     for j, k in enumerate(code):
-        base = TwoBallBoxLink(scn.h, scn.E, scn.masses, scn.box, k, wall_margin)
-        if j == 0:
-            links[("end", j, k)] = BoxBoundaryLink(base, "left", a)
-        elif j == len(code) - 1:
-            links[("end", j, k)] = BoxBoundaryLink(base, "right", b)
-        else:
-            links[("mid", j, k)] = base
+        first, last = j == 0, j == len(code) - 1
+        link = TwoBallBoxLink(scn.h, scn.E, scn.masses, scn.box, k, wall_margin,
+                              left=a if first else None, right=b if last else None)
+        links[("end" if first or last else "mid", j, k)] = link
     dl = dlsmod.DiscreteLagrangian(links, energy=scn.E, scatterer=scn.scatterer,
                                    name="two_ball_box_fixed",
                                    ambient_endpoints=lambda c: (a, b))
@@ -459,50 +410,6 @@ def box_fixed_chain(code, points) -> dlsmod.ChainConfiguration:
 # ---------------------------------------------------------------------------
 # Planar n-center polygons
 # ---------------------------------------------------------------------------
-
-class SegmentLink(dlsmod.LinkEvaluator):
-    """Straight collision orbit between two labeled centers."""
-
-    def __init__(self, h: ClassicalHamiltonian, E: float, scat: PointScatterer,
-                 pair: Tuple[int, int]):
-        i, j = pair
-        if i == j:
-            raise ValueError("a segment needs distinct centers")
-        self.h = h
-        self.E = E
-        self.pair = (int(i), int(j))
-        self.a = scat.embed(i)
-        self.b = scat.embed(j)
-        self.dim_minus = self.dim_plus = 0
-        disp = self.b - self.a
-        ell = np.linalg.norm(disp)
-        self._speed = np.sqrt(2.0 * E)
-        self._p = self._speed * disp / ell
-        self._action = self._speed * ell
-
-    def value(self, xm, xp):
-        return float(self._action)
-
-    def grad_minus(self, xm, xp):
-        return np.zeros(0)
-
-    def grad_plus(self, xm, xp):
-        return np.zeros(0)
-
-    def hess(self, xm, xp):
-        z = np.zeros((0, 0))
-        return z, z, z
-
-    def momenta(self, xm, xp):
-        return self._p.copy(), self._p.copy()
-
-    def ambient_connect(self, qm, qp, eps):
-        return bvp.connect(self.h, qm, qp, self.E)
-
-    def reference_path(self, xm, xp, num: int = 33):
-        ts = np.linspace(0.0, 1.0, num)
-        return self.a[None, :] + ts[:, None] * (self.b - self.a)[None, :]
-
 
 @dataclass
 class NCenterScenario:
@@ -539,7 +446,7 @@ def ncenter_scenario(centers, alphas=None, E: float = 0.5) -> NCenterScenario:
     h = ClassicalHamiltonian(space)
     scat = PointScatterer(space, centers)
     alphas = np.ones(len(centers)) if alphas is None else np.asarray(alphas, dtype=float)
-    links = _LazyLinks(lambda pair: SegmentLink(h, E, scat, pair))
+    links = dlsmod.LazyLinks(lambda pair: ChordLink.segment(h, E, scat, pair))
 
     def site_bases(c, i):
         return c.code[i][0] if c.bc == "periodic" else c.code[i][1]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dls as dlsmod
 from .dynamics import (ClassicalHamiltonian, DomainError, PhaseState,
-                       StepUnderflowError, Trajectory)
+                       StepUnderflowError, Trajectory, central_diff)
 from .scatterer import PointScatterer, Scatterer
 
 
@@ -76,7 +76,7 @@ class SingularPerturbation:
             raise DomainError("evaluation on the singular set")
         return -self.phi(q, self.mu) / d
 
-    def potential_gradient(self, q, fd_step: float = 1e-7) -> np.ndarray:
+    def potential_gradient(self, q) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         if isinstance(self.scatterer, PointScatterer):
             rel = self.base.space.centered(q[None, :] - self.scatterer.points)
@@ -84,12 +84,7 @@ class SingularPerturbation:
             if np.any(r <= 0):
                 raise DomainError("evaluation on the singular set")
             return (self.alphas / r**3) @ rel
-        g = np.empty_like(q)
-        for i in range(q.size):
-            e = np.zeros_like(q)
-            e[i] = fd_step
-            g[i] = (self.potential(q + e) - self.potential(q - e)) / (2 * fd_step)
-        return g
+        return central_diff(self.potential, q, 1e-7)
 
     def energy(self, q, p) -> float:
         return self.base.energy(q, p) + self.mu * self.potential(q)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shadowbilliards import billiard, dls, scenarios
+from shadowbilliards import billiard, bvp, dls, scenarios
 from shadowbilliards.billiard import (BilliardDomain, BoxWalls,
                                       GrazingEventError, ShadowSolveError,
                                       billiard_trajectory, expansion_residual,
@@ -145,6 +145,31 @@ class TestShadowSolve:
         scn = scenarios.torus_point_scenario()
         chain = scn.chain([(1, 0), (2, 0)])
         with pytest.raises(ShadowSolveError):
+            shadow_solve(scn.dl, chain, 1e-3)
+
+    @pytest.mark.parametrize("error, expected, message", [
+        (bvp.ConnectError, ShadowSolveError, "stalled"),
+        (TypeError, TypeError, "trial connect failed")])
+    def test_trial_step_failures(self, monkeypatch, error, expected, message):
+        # every connect after the first Hessian fails: a connector failure halves
+        # the step until the line search stalls, a programming error propagates
+        scn, chain = torus_setup(((1, 0), (0, 1), (1, 1)))  # needs a Newton step
+        state = {"hessian_done": False}
+        connect, hessian = bvp.connect, dls.hessian
+
+        def flaky_connect(*args, **kwargs):
+            if state["hessian_done"]:
+                raise error("trial connect failed")
+            return connect(*args, **kwargs)
+
+        def marking_hessian(*args):
+            H = hessian(*args)
+            state["hessian_done"] = True
+            return H
+
+        monkeypatch.setattr(bvp, "connect", flaky_connect)
+        monkeypatch.setattr(dls, "hessian", marking_hessian)
+        with pytest.raises(expected, match=message):
             shadow_solve(scn.dl, chain, 1e-3)
 
     def test_box_fixed_endpoints_preserved(self):

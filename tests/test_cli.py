@@ -45,6 +45,38 @@ class TestValidation:
         assert rc == 2
         assert "sweeps.eps[1]" in capsys.readouterr().err
 
+    def test_boolean_number_rejected(self, tmp_path, capsys):
+        cfg = json.loads((SCENARIOS / "two_balls_box.json").read_text())
+        cfg["params"]["eps"] = True
+        path = write(tmp_path, "bad.json", cfg)
+        rc = cli.main(["scenario", "run", "--scenario", path,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "scenario.params.eps" in capsys.readouterr().err
+
+    def test_boolean_list_entry_rejected(self, tmp_path, capsys):
+        path = write(tmp_path, "bad.json", {
+            "name": "x", "family": "torus_point",
+            "params": {"code": [[1, 0], [0, 1]]},
+            "sweeps": {"eps": [1e-2, True]},
+        })
+        rc = cli.main(["scenario", "run", "--scenario", path,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "sweeps.eps[1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shipped, sweep", [("torus_point", "eps"),
+                                                ("torus_point", "windows"),
+                                                ("ncenter_square", "mu")])
+    def test_empty_sweep_rejected(self, tmp_path, capsys, shipped, sweep):
+        cfg = json.loads((SCENARIOS / f"{shipped}.json").read_text())
+        cfg.setdefault("sweeps", {})[sweep] = []
+        path = write(tmp_path, "bad.json", cfg)
+        rc = cli.main(["scenario", "run", "--scenario", path,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"scenario.sweeps.{sweep}" in capsys.readouterr().err
+
     def test_inadmissible_code_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "bad.json", {
             "name": "x", "family": "torus_point",

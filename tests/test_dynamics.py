@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
-from shadowbilliards.dynamics import (AmbientSpace, ClassicalHamiltonian,
-                                      ConstantPotential, DomainError,
-                                      HarmonicPotential, KeplerPotential,
+from shadowbilliards.dynamics import (AmbientSpace, CallablePotential,
+                                      ClassicalHamiltonian, ConstantPotential,
+                                      DomainError, HarmonicPotential, KeplerPotential,
                                       MagneticField, PhaseState, ZeroPotential,
                                       euclidean, eval_energy, flat_torus,
                                       flow_segment, in_domain, jacobi_action)
@@ -86,6 +87,34 @@ class TestFlowSegment:
     def test_duration_must_be_positive(self):
         with pytest.raises(ValueError):
             flow_segment(free_h(), PhaseState(np.zeros(2), np.ones(2)), 0.0)
+
+
+POINTS = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3).map(np.array)
+
+
+class TestCentralDifferenceFallbacks:
+    """Derivatives taken by central differences match the analytic ones."""
+
+    @seed(20160617)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(POINTS)
+    def test_callable_potential_grad(self, q):
+        pot = CallablePotential(lambda x: np.sin(x[0]) * np.cos(x[1]) + 0.3 * x[2] ** 3)
+        exact = np.array([np.cos(q[0]) * np.cos(q[1]), -np.sin(q[0]) * np.sin(q[1]),
+                          0.9 * q[2] ** 2])
+        assert np.allclose(pot.grad(q), exact, rtol=0, atol=1e-8)
+
+    @seed(20160617)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(POINTS)
+    def test_magnetic_jacobian(self, q):
+        w = MagneticField(lambda x: np.array([np.sin(x[1]) * x[2], x[0] ** 2,
+                                              np.cos(x[0] * x[1])]))
+        s = np.sin(q[0] * q[1])
+        exact = np.array([[0.0, np.cos(q[1]) * q[2], np.sin(q[1])],
+                          [2 * q[0], 0.0, 0.0],
+                          [-q[1] * s, -q[0] * s, 0.0]])
+        assert np.allclose(w.jac(q), exact, rtol=0, atol=1e-8)
 
 
 class TestJacobiAction:

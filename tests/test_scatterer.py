@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from shadowbilliards.dynamics import euclidean, flat_torus
 from shadowbilliards.scatterer import (ChartScatterer, DiagonalScatterer,
@@ -149,3 +150,18 @@ class TestSphereChart:
         J = chart.jacobian(np.array([0.1]))
         s = chart.value(np.array([0.1]))
         assert abs(s @ J[:, 0]) < 1e-12
+
+
+class TestChartJacobianFallback:
+    @seed(20160617)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2).map(np.array))
+    def test_central_differences_match_analytic(self, u):
+        # surface psi(u) = (cos u0, sin u0, u1 / 2, u0 u1) in R^4, no jac given
+        scat = ChartScatterer(
+            euclidean(4),
+            lambda x: np.array([np.cos(x[0]), np.sin(x[0]), 0.5 * x[1], x[0] * x[1]]),
+            dim=2)
+        exact = np.array([[-np.sin(u[0]), 0.0], [np.cos(u[0]), 0.0],
+                          [0.0, 0.5], [u[1], u[0]]])
+        assert np.allclose(scat.jacobian(u), exact, rtol=0, atol=1e-7)
