@@ -371,8 +371,10 @@ def run_ncenter(cfg: dict, out: Path, jobs: int, seed: int,
         report.update({"converged": [bool(r.converged) for r in rows],
                        "error_slope": slope,
                        "min_distance_ratios": [float(r) for r in ratios]})
-        if not all(r.converged for r in rows):
-            failures.append("shadow experiment failed to converge at some mu")
+        failed = [f"mu={r.mu:.3e}: {r.reason}" for r in rows if not r.converged]
+        if failed:
+            failures.append("shadow experiment failed to converge at some mu ("
+                            + "; ".join(failed) + ")")
         if not (slope >= cfg.get("gates", {}).get("min_slope", 0.8)):
             failures.append(f"error slope {slope:.3f} below gate")
         if ratios and not all(1 / 3 <= r <= 3 for r in ratios):

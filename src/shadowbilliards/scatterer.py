@@ -267,6 +267,10 @@ class DiagonalScatterer(ChartScatterer):
             raise ValueError("product space must have even dimension")
         self.factor_dim = space.dim // 2
         super().__init__(space, self._embed_diag, self._jac_diag, dim=self.factor_dim)
+        # the chart is linear, so its frames are the same at every point
+        self._frames = super().frames(np.zeros(self.factor_dim))
+        for frame in self._frames:
+            frame.flags.writeable = False
 
     def _embed_diag(self, c):
         return np.concatenate([c, c])
@@ -274,6 +278,9 @@ class DiagonalScatterer(ChartScatterer):
     def _jac_diag(self, c):
         d = self.factor_dim
         return np.vstack([np.eye(d), np.eye(d)])
+
+    def frames(self, x: ChartPoint):
+        return self._frames
 
     def nearest(self, q, x0=None) -> NearestResult:
         q = np.asarray(q, dtype=float)

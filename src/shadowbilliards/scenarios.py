@@ -216,12 +216,6 @@ def _unfolded_image(y: float, m: int, lo: float, hi: float) -> Tuple[float, floa
     return lo + (m + 1) * h - xi, -1.0
 
 
-def _fold(y: float, lo: float, hi: float) -> float:
-    h = hi - lo
-    z = (y - lo) % (2 * h)
-    return lo + (z if z <= h else 2 * h - z)
-
-
 class TwoBallBoxLink(dlsmod.LinkEvaluator):
     """Pair passage on the interval with a per-ball wall-bounce pattern.
 
@@ -317,10 +311,10 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
         p_minus = self._speed * self.m * ell / g
         p_plus = self._speed * self.m * ell * par / g
         ts = np.linspace(0.0, 1.0, samples)
-        path = np.empty((samples, 2))
-        for i in range(2):
-            unfolded = qm[i] + ts * ell[i]
-            path[:, i] = [_fold(u, lo, hi) for u in unfolded]
+        unfolded = qm + ts[:, None] * ell
+        width = hi - lo
+        z = np.remainder(unfolded - lo, 2 * width)
+        path = lo + np.where(z <= width, z, 2 * width - z)
         return bvp.CollisionOrbit(self.h, self.E, qm, qp, float(action), float(tau),
                                   p_minus, p_plus, path, label=self.pattern,
                                   backend="unfolded")

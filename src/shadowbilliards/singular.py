@@ -7,6 +7,12 @@ step like d^{3/2}; no regularization is performed, and approaches inside the
 exclusion radius abort the run. The shadowing experiment is a multiple
 shooting Newton over the chain with one section plane per collision, seeded
 by the two-body deflection that matches the chain's momentum jumps.
+
+All integration goes through one RK4 kernel on (B, d) rows with a step per
+row. The shooting flies every link of a residual, and every perturbed link
+of a central-difference Jacobian, in one lockstep call; each row keeps its
+own section, time budget, minimum distance and outcome, and its numbers are
+bit-equal to the row flown alone. flow_singular flies one row.
 """
 
 from __future__ import annotations
@@ -106,66 +112,53 @@ def eval_singular(sp: SingularPerturbation, q, r_floor: Optional[float] = None):
 # Adaptive integration near the singular set
 # ---------------------------------------------------------------------------
 
-def _rk4_step(sp: SingularPerturbation, q, p, dt):
-    minv = sp.base.mass_inv
-
-    def rhs(qq, pp):
-        return minv @ pp, sp.force(qq)
-
-    k1q, k1p = rhs(q, p)
-    k2q, k2p = rhs(q + 0.5 * dt * k1q, p + 0.5 * dt * k1p)
-    k3q, k3p = rhs(q + 0.5 * dt * k2q, p + 0.5 * dt * k2p)
-    k4q, k4p = rhs(q + dt * k3q, p + dt * k3p)
-    return (q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q),
-            p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p))
-
-
 class _PointCenterKernel:
-    """Fused distance/force evaluation for the classical point-center case.
+    """Lockstep RK4 step of the singular flow on (B, d) rows, one dt per row.
 
-    The RK4 inner loop dominates the shadow experiments; keeping it free of
-    per-center Python loops and of redundant nearest-point searches matters
-    more than elegance here.
+    For free flight among point centers the distance and the force are fused
+    array expressions over rows and centers; any other perturbation falls
+    back to sp.distance and sp.force row by row. A row of a B-row call is
+    bit-equal to the same row flown alone: the sums over centers and over the
+    inverse mass go through matmul, which reduces each row as the one-row
+    product does (einsum and a transposed product sum in another order).
     """
 
     def __init__(self, sp: SingularPerturbation):
-        if not isinstance(sp.scatterer, PointScatterer) or not sp.base.potential.is_zero:
-            raise ValueError("kernel applies to free flight among point centers")
-        self.centers = sp.scatterer.points
-        self.mu_alphas = sp.mu * sp.alphas
+        self.sp = sp
         self.minv = sp.base.mass_inv
         self.identity_mass = bool(np.allclose(self.minv, np.eye(self.minv.shape[0])))
         self.centered = sp.base.space.centered
+        self.fused = isinstance(sp.scatterer, PointScatterer) and sp.base.potential.is_zero
+        if self.fused:
+            self.centers = sp.scatterer.points
+            self.mu_alphas = sp.mu * sp.alphas
 
-    def distance(self, q):
-        rel = self.centered(q[None, :] - self.centers)
-        return float(np.min(np.sqrt(np.einsum("ij,ij->i", rel, rel))))
+    def distance(self, Q):
+        """Distance of each row of Q to the singular set, shape (B,)."""
+        if not self.fused:
+            return np.array([self.sp.distance(q) for q in Q])
+        rel = self.centered(Q[:, None, :] - self.centers)
+        return np.sqrt(np.einsum("bij,bij->bi", rel, rel)).min(axis=1)
 
-    def force(self, q):
-        rel = self.centered(q[None, :] - self.centers)
-        r2 = np.einsum("ij,ij->i", rel, rel)
-        return -(self.mu_alphas / (r2 * np.sqrt(r2))) @ rel
+    def force(self, Q):
+        if not self.fused:
+            return np.array([self.sp.force(q) for q in Q])
+        rel = self.centered(Q[:, None, :] - self.centers)
+        r2 = np.einsum("bij,bij->bi", rel, rel)
+        w = -(self.mu_alphas / (r2 * np.sqrt(r2)))
+        return (w[:, None, :] @ rel)[:, 0, :]
 
-    def rk4(self, q, p, dt):
-        if self.identity_mass:
-            k1q, k1p = p, self.force(q)
-            k2q = p + 0.5 * dt * k1p
-            k2p = self.force(q + 0.5 * dt * k1q)
-            k3q = p + 0.5 * dt * k2p
-            k3p = self.force(q + 0.5 * dt * k2q)
-            k4q = p + dt * k3p
-            k4p = self.force(q + dt * k3q)
-        else:
-            minv = self.minv
-            k1q, k1p = minv @ p, self.force(q)
-            k2p = self.force(q + 0.5 * dt * k1q)
-            k2q = minv @ (p + 0.5 * dt * k1p)
-            k3p = self.force(q + 0.5 * dt * k2q)
-            k3q = minv @ (p + 0.5 * dt * k2p)
-            k4p = self.force(q + dt * k3q)
-            k4q = minv @ (p + dt * k3p)
-        return (q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q),
-                p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p))
+    def velocity(self, P):
+        return P if self.identity_mass else (self.minv @ P[:, :, None])[:, :, 0]
+
+    def rk4(self, Q, P, dt):
+        dt = dt[:, None]
+        k1q, k1p = self.velocity(P), self.force(Q)
+        k2q, k2p = self.velocity(P + 0.5 * dt * k1p), self.force(Q + 0.5 * dt * k1q)
+        k3q, k3p = self.velocity(P + 0.5 * dt * k2p), self.force(Q + 0.5 * dt * k2q)
+        k4q, k4p = self.velocity(P + dt * k3p), self.force(Q + dt * k3q)
+        return (Q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q),
+                P + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p))
 
 
 @dataclass
@@ -176,31 +169,24 @@ class SingularFlowResult:
 
 
 class _SingularStepper:
-    """RK4 with step shrinking like d(q, N)^{3/2} near the tube."""
+    """RK4 rows with the step shrinking like d(q, N)^{3/2} near the tube."""
 
     def __init__(self, sp: SingularPerturbation, h_far: float, k_near: float = 0.08):
         self.sp = sp
         self.h_far = h_far
         self.k_near = k_near
-        try:
-            self.kernel = _PointCenterKernel(sp)
-        except ValueError:
-            self.kernel = None
+        self.kernel = _PointCenterKernel(sp)
 
-    def distance(self, q) -> float:
-        return self.kernel.distance(q) if self.kernel is not None else self.sp.distance(q)
+    def step_sizes(self, D) -> np.ndarray:
+        """Step of each row from its distance D to N.
 
-    def step_size(self, q) -> float:
-        d = self.distance(q)
-        if d <= self.sp.r_min:
-            raise ExclusionRadiusError(
-                f"approach {d:.3e} inside exclusion radius {self.sp.r_min:.3e}")
-        return min(self.h_far, self.k_near * d**1.5)
+        Python's float power per row: np.power rounds d**1.5 differently.
+        """
+        return np.array([min(self.h_far, self.k_near * d**1.5) for d in D.tolist()])
 
-    def advance(self, q, p, dt):
-        if self.kernel is not None:
-            return self.kernel.rk4(q, p, dt)
-        return _rk4_step(self.sp, q, p, dt)
+    def exclusion_error(self, d: float) -> ExclusionRadiusError:
+        return ExclusionRadiusError(
+            f"approach {d:.3e} inside exclusion radius {self.sp.r_min:.3e}")
 
 
 def flow_singular(sp: SingularPerturbation, s0: PhaseState, duration: float,
@@ -221,23 +207,28 @@ def flow_singular(sp: SingularPerturbation, s0: PhaseState, duration: float,
     scaleE = max(1.0, abs(E0))
     for attempt in range(max_retries + 1):
         stepper = _SingularStepper(sp, h_far / 2**attempt, k_near / 2**attempt)
-        q, p, t = s0.q.copy(), s0.p.copy(), 0.0
-        ts, qs, ps = [0.0], [q.copy()], [p.copy()]
-        dmin = stepper.distance(q)
+        kernel = stepper.kernel
+        Q, P, t = s0.q[None, :], s0.p[None, :], 0.0
+        ts, qs, ps = [0.0], [Q[0]], [P[0]]
+        D = kernel.distance(Q)
+        dmin = float(D[0])
         nstep = 0
         while t < duration:
             nstep += 1
             if nstep > max_steps:
                 raise StepUnderflowError("singular flow exceeded the step budget")
-            dt = min(stepper.step_size(q), duration - t)
-            q, p = stepper.advance(q, p, dt)
+            if D[0] <= sp.r_min:
+                raise stepper.exclusion_error(float(D[0]))
+            dt = min(float(stepper.step_sizes(D)[0]), duration - t)
+            Q, P = kernel.rk4(Q, P, np.array([dt]))
             t += dt
-            dmin = min(dmin, stepper.distance(q))
+            D = kernel.distance(Q)
+            dmin = min(dmin, float(D[0]))
             if nstep % record_every == 0 or t >= duration:
                 ts.append(t)
-                qs.append(q.copy())
-                ps.append(p.copy())
-        drift = abs(sp.energy(q, p) - E0) / scaleE
+                qs.append(Q[0])
+                ps.append(P[0])
+        drift = abs(sp.energy(Q[0], P[0]) - E0) / scaleE
         if drift <= energy_tol:
             traj = Trajectory(np.asarray(ts) + s0.t, np.asarray(qs), np.asarray(ps))
             return SingularFlowResult(traj, float(dmin), float(drift))
@@ -301,6 +292,7 @@ class SingularShadowRow:
     predicted_r_p: float
     residual: float
     iterations: int
+    reason: str = ""            # why the row failed; empty when it converged
 
 
 def _plane_basis(normal: np.ndarray) -> np.ndarray:
@@ -421,74 +413,162 @@ class _ChainShooting:
                 xi[j] = self.bases[j].T @ (R @ peri - peri)
         return self.pack(xi, p)
 
-    def fly_link(self, j, xi, p, collect=False):
-        """Flow from node j until the crossing of section j+1 near its center."""
-        sp = self.sp
-        q = self.node_state(j, xi).copy()
-        p = np.asarray(p, dtype=float).copy()
-        jn = (j + 1) % self.n
-        a_next = self.points[jn]
-        n_next = self.normals[jn]
+    def _section(self, Q, A, N):
+        """Signed offset of each row past its section plane (A, N), and
+        whether the row is within r_detect of the section's center A."""
+        rel = self.sp.base.space.centered(Q - A)
+        phi = (rel[:, None, :] @ N[:, :, None])[:, 0, 0]
+        near = np.sqrt((rel[:, None, :] @ rel[:, :, None])[:, 0, 0]) < self.r_detect
+        return phi, near
+
+    def fly_link(self, rows, collect=False):
+        """Flow each row (start node j, xi, p) from node j until it crosses
+        section j+1 near its center; all rows step in lockstep.
+
+        Returns one outcome per row: (q_hit, p_hit, dmin, path), where path
+        holds the samples if collect and is None otherwise, or the
+        SingularShadowError / ExclusionRadiusError that ended the row.
+        """
+        space = self.sp.base.space
         stepper = self._stepper
-        t = 0.0
-        t_budget = 4.0 * (np.linalg.norm(
-            sp.base.space.centered(a_next - self.points[j])) / self.speed + 1.0)
-        samples = [q.copy()] if collect else None
-        dmin = stepper.distance(q)
+        kernel = stepper.kernel
+        r_min = self.sp.r_min
+        starts = [j for j, _, _ in rows]
+        targets = [(j + 1) % self.n for j in starts]
+        Q = np.array([self.node_state(j, xi) for j, xi, _ in rows])
+        P = np.array([np.asarray(p, dtype=float) for _, _, p in rows])
+        A = np.array([self.points[jn] for jn in targets])
+        N = np.array([self.normals[jn] for jn in targets])
+        budget = np.array([4.0 * (np.linalg.norm(space.centered(
+            self.points[jn] - self.points[j])) / self.speed + 1.0)
+            for j, jn in zip(starts, targets)])
+        T = np.zeros(len(rows))
+        D = kernel.distance(Q)
+        dmin = D.copy()
+        phi, near = self._section(Q, A, N)
+        samples = [[q] for q in Q] if collect else None
+        out = [None] * len(rows)
+        live = np.arange(len(rows))
 
-        def phi(qq):
-            return float(sp.base.space.centered(qq - a_next) @ n_next)
+        def drop(mask):
+            nonlocal live, Q, P, A, N, budget, T, D, dmin, phi, near
+            keep = ~mask
+            live, Q, P, A, N, budget, T, D, dmin, phi, near = (
+                x[keep] for x in (live, Q, P, A, N, budget, T, D, dmin, phi, near))
 
-        prev_phi = phi(q)
-        prev_near = np.linalg.norm(sp.base.space.centered(q - a_next)) < self.r_detect
-        while t < t_budget:
-            dt = stepper.step_size(q)
-            q2, p2 = stepper.advance(q, p, dt)
-            dmin = min(dmin, stepper.distance(q2))
-            near = np.linalg.norm(sp.base.space.centered(q2 - a_next)) < self.r_detect
-            cur_phi = phi(q2)
-            if near and prev_near and prev_phi < 0.0 <= cur_phi:
-                lo, hi = 0.0, dt
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    qm, pm = stepper.advance(q, p, mid)
-                    if phi(qm) < 0:
-                        lo = mid
-                    else:
-                        hi = mid
-                    if hi - lo < 1e-15 * max(dt, 1.0):
-                        break
-                q_hit, p_hit = stepper.advance(q, p, 0.5 * (lo + hi))
-                if collect:
-                    samples.append(q_hit.copy())
-                return q_hit, p_hit, dmin, (np.asarray(samples) if collect else None)
-            q, p, t = q2, p2, t + dt
-            prev_phi, prev_near = cur_phi, near
+        while live.size:
+            stop = (T >= budget) | (D <= r_min)
+            if stop.any():
+                for k in np.flatnonzero(stop):
+                    i = live[k]
+                    out[i] = (SingularShadowError(f"link {starts[i]} missed section {targets[i]}")
+                              if T[k] >= budget[k] else stepper.exclusion_error(float(D[k])))
+                drop(stop)
+                continue
+            dt = stepper.step_sizes(D)
+            Q2, P2 = kernel.rk4(Q, P, dt)
+            D2 = kernel.distance(Q2)
+            dmin = np.minimum(dmin, D2)
+            phi2, near2 = self._section(Q2, A, N)
+            hit = near2 & near & (phi < 0.0) & (phi2 >= 0.0)
+            if hit.any():
+                k = np.flatnonzero(hit)
+                q_hit, p_hit = self._bisect(Q[k], P[k], dt[k], A[k], N[k])
+                for m, kk in enumerate(k):
+                    i = live[kk]
+                    path = None
+                    if collect:
+                        samples[i].append(q_hit[m])
+                        path = np.asarray(samples[i])
+                    out[i] = (q_hit[m], p_hit[m], float(dmin[kk]), path)
+            Q, P, T, D, phi, near = Q2, P2, T + dt, D2, phi2, near2
             if collect:
-                samples.append(q.copy())
-        raise SingularShadowError(f"link {j} missed section {jn}")
+                for k in np.flatnonzero(~hit):
+                    samples[live[k]].append(Q[k])
+            if hit.any():
+                drop(hit)
+        return out
+
+    def _bisect(self, Q, P, dt, A, N):
+        """Section crossing of each row inside its step [0, dt], in lockstep."""
+        kernel = self._stepper.kernel
+        lo, hi = np.zeros(len(dt)), dt.copy()
+        tol = 1e-15 * np.maximum(dt, 1.0)
+        act = np.arange(len(dt))
+        for _ in range(80):
+            mid = 0.5 * (lo[act] + hi[act])
+            qm, _ = kernel.rk4(Q[act], P[act], mid)
+            below = self._section(qm, A[act], N[act])[0] < 0
+            lo[act] = np.where(below, mid, lo[act])
+            hi[act] = np.where(below, hi[act], mid)
+            act = act[~(hi[act] - lo[act] < tol[act])]
+            if not act.size:
+                break
+        return kernel.rk4(Q, P, 0.5 * (lo + hi))
 
     def residual(self, U, collect=False):
-        d = self.sp.base.dim
         xi_list, p_list = self.unpack(U)
+        flights = self.fly_link([(j, xi_list[j], p_list[j]) for j in range(self.n)], collect)
         res = []
         dmin = np.inf
-        paths = [] if collect else None
-        for j in range(self.n):
+        for j, flight in enumerate(flights):
+            if isinstance(flight, Exception):
+                raise flight
+            q_hit, p_hit, dm, _ = flight
             jn = (j + 1) % self.n
-            q_hit, p_hit, dm, path = self.fly_link(j, xi_list[j], p_list[j], collect)
             dmin = min(dmin, dm)
             rel = self.sp.base.space.centered(q_hit - self.defl[jn].periapsis)
             res.append(self.bases[jn].T @ rel - xi_list[jn])
             res.append(p_hit - p_list[jn])
-            if collect:
-                paths.append(path)
+        paths = [flight[3] for flight in flights] if collect else None
         return np.concatenate(res), float(dmin), paths
 
-    def solve(self, tol: float = 1e-8, max_iter: int = 30, fd_rel: float = 1e-7):
+    def jacobian(self, U, fd_rel: float = 1e-7) -> np.ndarray:
+        """Shooting Jacobian at U: -I couplings plus central differences.
+
+        All 2 (2d - 1) n perturbed links fly in one lockstep call. A column
+        with a failed flight is flown again at a quarter of its step, at most
+        four times in all.
+        """
         d = self.sp.base.dim
         per = (d - 1) + d
-        N = per * self.n
+        J = np.zeros((per * self.n, per * self.n))
+        # analytic coupling of residual block j to node j+1: -I
+        for j in range(self.n):
+            jn = (j + 1) % self.n
+            J[j * per:(j + 1) * per, jn * per:(jn + 1) * per] -= np.eye(per)
+        cols = [(j, a) for j in range(self.n) for a in range(per)]
+        hs = [fd_rel * max(1.0, np.linalg.norm(U[j * per:(j + 1) * per])) for j, _ in cols]
+        pending = list(range(len(cols)))
+        for _ in range(4):
+            rows = []
+            for c in pending:
+                j, a = cols[c]
+                for sign in (1.0, -1.0):
+                    blk = U[j * per:(j + 1) * per].copy()
+                    blk[a] += sign * hs[c]
+                    rows.append((j, blk[:d - 1], blk[d - 1:]))
+            flights = self.fly_link(rows)
+            failed = []
+            for m, c in enumerate(pending):
+                plus, minus = flights[2 * m], flights[2 * m + 1]
+                if isinstance(plus, Exception) or isinstance(minus, Exception):
+                    hs[c] *= 0.25
+                    failed.append(c)
+                    continue
+                j, a = cols[c]
+                jn = (j + 1) % self.n
+                h = hs[c]
+                drel = self.sp.base.space.centered(plus[0] - minus[0]) / (2 * h)
+                dcol = np.concatenate([self.bases[jn].T @ drel, (plus[1] - minus[1]) / (2 * h)])
+                J[j * per:(j + 1) * per, j * per + a] += dcol
+            pending = failed
+            if not pending:
+                return J
+        raise SingularShadowError(
+            f"finite differences infeasible at node {cols[pending[0]][0]}")
+
+    def solve(self, tol: float = 1e-8, max_iter: int = 30, fd_rel: float = 1e-7):
         U = self.predictor()
         R, dmin, _ = self.residual(U)
         rn = np.linalg.norm(R, ord=np.inf)
@@ -496,35 +576,7 @@ class _ChainShooting:
         dmin_floor = min(dd.r_p for dd in self.defl) / 5.0
         it = 0
         while rn > tol * scale and it < max_iter:
-            J = np.zeros((N, N))
-            # analytic coupling of residual block j to node j+1: -I
-            for j in range(self.n):
-                jn = (j + 1) % self.n
-                J[j * per:(j + 1) * per, jn * per:(jn + 1) * per] -= np.eye(per)
-            # finite differences of each link flow in its start node
-            for j in range(self.n):
-                for a in range(per):
-                    h = fd_rel * max(1.0, np.linalg.norm(U[j * per:(j + 1) * per]))
-                    for _ in range(4):
-                        Up = U.copy()
-                        Um = U.copy()
-                        Up[j * per + a] += h
-                        Um[j * per + a] -= h
-                        xp_, pp_ = self.unpack(Up)
-                        xm_, pm_ = self.unpack(Um)
-                        try:
-                            qh_p, ph_p, _, _ = self.fly_link(j, xp_[j], pp_[j])
-                            qh_m, ph_m, _, _ = self.fly_link(j, xm_[j], pm_[j])
-                            break
-                        except (SingularShadowError, ExclusionRadiusError):
-                            h *= 0.25
-                    else:
-                        raise SingularShadowError(
-                            f"finite differences infeasible at node {j}")
-                    jn = (j + 1) % self.n
-                    drel = self.sp.base.space.centered(qh_p - qh_m) / (2 * h)
-                    dcol = np.concatenate([self.bases[jn].T @ drel, (ph_p - ph_m) / (2 * h)])
-                    J[j * per:(j + 1) * per, j * per + a] += dcol
+            J = self.jacobian(U, fd_rel)
             try:
                 step = np.linalg.solve(J, -R)
             except np.linalg.LinAlgError as exc:
@@ -614,7 +666,8 @@ def shadow_experiment(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguratio
                                           predicted, float(rn), it))
         except (SingularShadowError, ExclusionRadiusError, StepUnderflowError) as exc:
             rows.append(SingularShadowRow(float(mu), False, np.nan, np.nan,
-                                          predicted, np.nan, 0))
+                                          predicted, np.nan, 0,
+                                          f"{type(exc).__name__}: {exc}"))
     return rows
 
 

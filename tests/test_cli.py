@@ -164,3 +164,21 @@ class TestRuns:
         cli.main(["scenario", "run", "--scenario", src, "--out", str(out2)])
         for name in ("shadow_errors.csv", "lyapunov.csv", "certificate.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_ncenter_failure_reason_in_report(self, tmp_path, monkeypatch):
+        from shadowbilliards import singular
+
+        def fail(self, *args, **kwargs):
+            raise singular.SingularShadowError("no descent (|R| = 1.00e-03)")
+
+        monkeypatch.setattr(singular._ChainShooting, "solve", fail)
+        cfg = json.loads((SCENARIOS / "ncenter_square.json").read_text())
+        cfg["sweeps"]["mu"] = [1e-3]
+        out = tmp_path / "nc"
+        rc = cli.main(["scenario", "run", "--scenario", write(tmp_path, "nc.json", cfg),
+                       "--out", str(out)])
+        assert rc == 1
+        failures = json.loads((out / "report.json").read_text())["failures"]
+        assert failures[0] == ("shadow experiment failed to converge at some mu "
+                               "(mu=1.000e-03: SingularShadowError: no descent "
+                               "(|R| = 1.00e-03))")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from shadowbilliards import dls, scenarios
 from shadowbilliards.dls import (ChainConfiguration, ChartSymmetry,
@@ -312,3 +313,25 @@ class TestNoether:
         assert res.converged
         vals = noether_values(scn.dl, res.chain, scn.symmetry().generator)
         assert np.ptp(vals) <= 1e-9
+
+
+class TestBoxPathFold:
+    @seed(20161018)
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(st.integers(-3, 3), st.integers(-3, 3), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 0.2))
+    def test_path_matches_scalar_fold(self, m1, m2, fa, fb, fc, eps):
+        # the reflected chord sample by sample with Python's float %, walls included
+        scn = scenarios.two_ball_box_scenario(masses=(1.0, 2.0))
+        link = scenarios.TwoBallBoxLink(scn.h, scn.E, scn.masses, scn.box, (m1, m2))
+        lo, hi = eps, 1.0 - eps
+        qm = lo + (hi - lo) * np.array([fa, fb])
+        qp = lo + (hi - lo) * np.array([fc, fc])
+        ell, _ = link._geometry(qm, qp, eps)
+        assume(np.sum(np.abs(ell)) > 1e-6)
+        path = link.ambient_connect(qm, qp, eps).path
+        width = hi - lo
+        for i in range(2):
+            for t, got in zip(np.linspace(0.0, 1.0, 129), path[:, i]):
+                z = (qm[i] + t * ell[i] - lo) % (2 * width)
+                assert got == lo + (z if z <= width else 2 * width - z)

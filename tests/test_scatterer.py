@@ -33,6 +33,14 @@ class TestFrames:
         assert np.allclose(tan, expect_tan, atol=1e-12)
         assert np.allclose(nor, expect_nor, atol=1e-12)
 
+    def test_diagonal_frames_shared_and_read_only(self):
+        scat = DiagonalScatterer(euclidean(4))
+        tan, nor = scat.frames(np.array([0.3, 0.7]))
+        assert scat.frames(np.array([-2.0, 5.0]))[1] is nor
+        with pytest.raises(ValueError):
+            nor[0, 0] = 1.0
+        assert not tan.flags.writeable
+
     def test_curve_chart_frames(self):
         # Gram-Schmidt oracle at u = 0: tangent (0,1,0); normals (1,0,0), (0,0,1)
         scat = circle_chart()

@@ -1,5 +1,8 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from shadowbilliards import dls, scenarios, singular
 from shadowbilliards.dynamics import (ClassicalHamiltonian, PhaseState,
@@ -125,8 +128,188 @@ class TestShadowExperiment:
         for r in rows:
             assert 1 / 3 <= r.min_distance / r.predicted_r_p <= 3
 
+    def test_square_golden_rows(self):
+        # values of the one-link-at-a-time shooting that preceded the lockstep
+        # flights; every digit must survive the batching
+        scn = scenarios.ncenter_scenario(scenarios.square_centers(), E=0.5)
+        chain = scn.chain([(0, 1), (1, 2), (2, 3), (3, 0)])
+        (row,) = shadow_experiment(scn.dl, chain, [10**-2.85], alphas=scn.alphas)
+        assert row.converged and row.reason == ""
+        assert repr(row.sup_error) == "0.0016522705353819254"
+        assert repr(row.min_distance) == "0.0005839325767471941"
+        assert repr(row.residual) == "1.8628276698962054e-09"
+        assert row.iterations == 3
+
+    def test_failed_row_keeps_reason(self, monkeypatch):
+        def fail(self, *args, **kwargs):
+            raise singular.SingularShadowError("no descent (|R| = 1.00e-03)")
+
+        monkeypatch.setattr(singular._ChainShooting, "solve", fail)
+        scn = scenarios.ncenter_scenario(scenarios.square_centers(), E=0.5)
+        chain = scn.chain([(0, 1), (1, 2), (2, 3), (3, 0)])
+        (row,) = shadow_experiment(scn.dl, chain, [1e-3], alphas=scn.alphas)
+        assert not row.converged and np.isnan(row.sup_error)
+        assert row.reason == "SingularShadowError: no descent (|R| = 1.00e-03)"
+
     def test_collinear_head_on_rejected(self):
         scn = scenarios.ncenter_scenario([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], E=0.5)
         chain = scn.chain([(0, 1), (1, 0)])  # go and come straight back
         with pytest.raises(singular.SingularShadowError):
             shadow_experiment(scn.dl, chain, [1e-3], alphas=scn.alphas)
+
+
+# ---------------------------------------------------------------------------
+# Lockstep kernel and flights
+# ---------------------------------------------------------------------------
+
+SQUARE_DIRS = [np.array(u, dtype=float) for u in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+
+
+def square_perturbation(mu, mass=None):
+    space = euclidean(2)
+    return SingularPerturbation(ClassicalHamiltonian(space, mass=mass),
+                                PointScatterer(space, scenarios.square_centers()), mu)
+
+
+def square_shooter(mu):
+    return singular._ChainShooting(square_perturbation(mu), [0, 1, 2, 3], SQUARE_DIRS, 0.5)
+
+
+def reference_rk4(sp, q, p, dt):
+    """One-row RK4 step among point centers, written with one-row products."""
+    centers, mu_alphas, minv = sp.scatterer.points, sp.mu * sp.alphas, sp.base.mass_inv
+
+    def force(x):
+        rel = x[None, :] - centers
+        r2 = np.einsum("ij,ij->i", rel, rel)
+        return -(mu_alphas / (r2 * np.sqrt(r2))) @ rel
+
+    def vel(y):
+        return y if np.allclose(minv, np.eye(2)) else minv @ y
+
+    k1q, k1p = vel(p), force(q)
+    k2q, k2p = vel(p + 0.5 * dt * k1p), force(q + 0.5 * dt * k1q)
+    k3q, k3p = vel(p + 0.5 * dt * k2p), force(q + 0.5 * dt * k2q)
+    k4q, k4p = vel(p + dt * k3p), force(q + dt * k3q)
+    return (q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q),
+            p + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p))
+
+
+@st.composite
+def kernel_rows(draw):
+    """Rows near the square's centers (the first within 1e-3 of one), each with its own dt."""
+    n = draw(st.integers(1, 12))
+    Q, P, dt = [], [], []
+    for i in range(n):
+        center = scenarios.square_centers()[draw(st.integers(0, 3))]
+        r = 10 ** draw(st.floats(-5, -3) if i == 0 else st.floats(-5, 0))
+        ang = draw(st.floats(0, 2 * np.pi))
+        Q.append(center + r * np.array([np.cos(ang), np.sin(ang)]))
+        P.append(draw(st.lists(st.floats(-2, 2), min_size=2, max_size=2)))
+        dt.append(10 ** draw(st.floats(-9, -1)))
+    return np.array(Q), np.array(P), np.array(dt)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestLockstepKernel:
+    @seed(20161018)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(kernel_rows(), st.sampled_from([None, [[2.0, 0.3], [0.3, 1.0]]]))
+    def test_batched_rows_equal_one_row_steps(self, rows, mass):
+        Q, P, dt = rows
+        sp = square_perturbation(1e-3, mass)
+        kernel = singular._PointCenterKernel(sp)
+        Qb, Pb = kernel.rk4(Q, P, dt)
+        Db = kernel.distance(Q)
+        for i in range(len(dt)):
+            q1, p1 = kernel.rk4(Q[i:i + 1], P[i:i + 1], dt[i:i + 1])
+            assert same_bits(Qb[i], q1[0]) and same_bits(Pb[i], p1[0])
+            q_ref, p_ref = reference_rk4(sp, Q[i], P[i], float(dt[i]))
+            assert same_bits(Qb[i], q_ref) and same_bits(Pb[i], p_ref)
+            rel = Q[i][None, :] - sp.scatterer.points
+            assert Db[i] == float(np.min(np.sqrt(np.einsum("ij,ij->i", rel, rel))))
+
+    @pytest.mark.parametrize("kind", ["exclusion", "miss"])
+    @seed(20161018)
+    @settings(max_examples=2, deadline=None, database=None)
+    @given(at=st.integers(0, 4))
+    def test_failing_row_leaves_the_others_bit_equal(self, kind, at):
+        shooter = square_shooter(1e-2)
+        xi, p = shooter.unpack(shooter.predictor())
+        good = [(j, xi[j], p[j]) for j in range(4)]
+        # start on section 0 (the line x = y) outside the square's corner
+        offset = -0.01 if kind == "exclusion" else -0.3
+        q_bad = shooter.points[0] + offset * np.sqrt(0.5) * np.ones(2)
+        xi_bad = shooter.bases[0].T @ (q_bad - shooter.defl[0].periapsis)
+        # at rest: a near-radial fall into center 0; or moving away from the square
+        p_bad = np.zeros(2) if kind == "exclusion" else -np.sqrt(0.5) * np.ones(2)
+        bad = (0, xi_bad, p_bad)
+        rows = good[:at] + [bad] + good[at:]
+        out = shooter.fly_link(rows)
+        ref = shooter.fly_link(good)
+        failed = out.pop(at)
+        if kind == "exclusion":
+            assert isinstance(failed, singular.ExclusionRadiusError)
+            assert "inside exclusion radius" in str(failed)
+        else:
+            assert isinstance(failed, singular.SingularShadowError)
+            assert str(failed) == "link 0 missed section 1"
+        for hit, hit_ref in zip(out, ref):
+            q, pp, dmin, path = hit
+            assert same_bits(q, hit_ref[0]) and same_bits(pp, hit_ref[1])
+            assert dmin == hit_ref[2] and path is None
+
+    def test_flown_path_samples_end_at_the_hit(self):
+        shooter = square_shooter(1e-2)
+        xi, p = shooter.unpack(shooter.predictor())
+        rows = [(j, xi[j], p[j]) for j in range(4)]
+        plain = shooter.fly_link(rows)
+        for (q, pp, dmin, path), (j, xj, _), ref in zip(shooter.fly_link(rows, collect=True),
+                                                        rows, plain):
+            assert same_bits(path[0], shooter.node_state(j, xj))
+            assert same_bits(path[-1], q) and same_bits(q, ref[0]) and dmin == ref[2]
+
+
+def flaky_flights(failures, column):
+    """fly_link that fails the plus row of one Jacobian column in its first calls."""
+    orig = singular._ChainShooting.fly_link
+    calls = []
+
+    def fly(self, rows, collect=False):
+        out = orig(self, rows, collect)
+        if len(calls) < failures:
+            # the first call flies every column; later calls only this one
+            out[2 * column if not calls else 0] = singular.SingularShadowError("injected")
+        calls.append(len(rows))
+        return out
+
+    return mock.patch.object(singular._ChainShooting, "fly_link", fly), calls
+
+
+class TestJacobianRetry:
+    @seed(20161018)
+    @settings(max_examples=2, deadline=None, database=None)
+    @given(st.integers(0, 11), st.integers(1, 3))
+    def test_retry_yields_the_quarter_step_column(self, column, failures):
+        shooter = square_shooter(1e-2)
+        U = shooter.predictor()
+        J_ref = shooter.jacobian(U)
+        J_small = shooter.jacobian(U, fd_rel=1e-7 * 0.25**failures)
+        patch, calls = flaky_flights(failures, column)
+        with patch:
+            J = shooter.jacobian(U)
+        assert calls == [24] + [2] * failures
+        others = np.arange(12) != column
+        assert same_bits(J[:, column], J_small[:, column])
+        assert same_bits(J[:, others], J_ref[:, others])
+
+    def test_four_failures_give_up(self):
+        shooter = square_shooter(1e-2)
+        patch, calls = flaky_flights(4, 7)
+        with patch, pytest.raises(singular.SingularShadowError,
+                                  match="finite differences infeasible at node 2"):
+            shooter.jacobian(shooter.predictor())
+        assert calls == [24, 2, 2, 2]
