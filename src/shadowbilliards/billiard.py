@@ -673,24 +673,6 @@ def _ambient_endpoint(dl, c, side):
 # Shadowing error and Lyapunov estimates
 # ---------------------------------------------------------------------------
 
-def _point_segment_distance(space, pt, a, b) -> float:
-    ab = b - a
-    ap = space.centered(pt - a)
-    denom = float(ab @ ab)
-    t = np.clip(ap @ ab / denom, 0.0, 1.0) if denom > 0 else 0.0
-    return float(np.linalg.norm(ap - t * ab))
-
-
-def _path_deviation(space, path, ref_path) -> float:
-    worst = 0.0
-    for pt in path:
-        best = np.inf
-        for a, b in zip(ref_path[:-1], ref_path[1:]):
-            best = min(best, _point_segment_distance(space, pt, a, b))
-        worst = max(worst, best)
-    return worst
-
-
 def shadow_error(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
                  sc: ShadowChain) -> float:
     """Sup distance between the shadow chain and the limiting collision chain.
@@ -714,7 +696,7 @@ def shadow_error(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
     for j in range(c.n_links):
         xm, xp = c.link_endpoints(j)
         ref = dl.link(c.code[j]).reference_path(xm, xp)
-        dev = max(dev, _path_deviation(space, sc.orbits[j].path, ref))
+        dev = max(dev, space.sup_segment_distance(sc.orbits[j].path, ref[:-1], ref[1:]))
     return float(base_err + dev)
 
 

@@ -4,7 +4,10 @@ Scenario files are JSON; the `family` field selects a shipped configuration,
 `params` feeds it, optional `sweeps`, `tolerances` and `gates` control the
 pipeline. Reports are CSV tables with named-and-united header rows plus a
 JSON summary; output is byte-identical for identical files and seeds.
-Exit codes: 0 success, 1 gate failure, 2 invalid scenario.
+
+Commands: `scenario run` runs the family's whole pipeline; `graph entropy`
+writes only the collision graph and its entropy of an ncenter scenario.
+Exit codes: 0 success, 1 gate failure, 2 invalid scenario or command line.
 """
 
 from __future__ import annotations
@@ -78,6 +81,8 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError(f"scenario.family: unknown family {family!r}; "
                             f"known: {sorted(FAMILIES)}")
     _get(data, "params", dict)
+    _get(data, "out", str, False)
+    _get(data, "gates", dict, False)
     return data
 
 
@@ -103,28 +108,11 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> No
 
 
 def loglog_slope(xs, ys):
+    """Slope of log ys against log xs, and the R^2 of that fit."""
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    pred = A @ coef
-    ss_res = float(np.sum((ly - pred) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[0]), float(coef[1]), r2
-
-
-def linfit_against(xs, ys):
-    """Fit ys = a + b * xs; returns (a, b, r_squared)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    A = np.vstack([np.ones_like(xs), xs]).T
-    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
-    pred = A @ coef
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[0]), float(coef[1]), r2
+    coef, r2 = dlsmod.linear_fit(np.vstack([lx, np.ones_like(lx)]).T, ly)
+    return float(coef[0]), r2
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +127,12 @@ def run_torus_point(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
     code = [tuple(int(v) for v in k) for k in code_raw]
     eps_list = _num_list(cfg, "sweeps.eps", False, [1e-2, 10**-2.5, 1e-3, 10**-3.5])
     windows = [int(w) for w in _num_list(cfg, "sweeps.windows", False, [1, 2, 4, 8, 16])]
+    slope_gate = _num_list(cfg, "gates.error_slope", False, [0.9, 1.1])
+    if len(slope_gate) != 2:
+        raise ScenarioError("scenario.gates.error_slope: expected [low, high]")
+    lyap_gate = _get(cfg, "gates.lyapunov", bool, False, True)
+    lyap_r2_gate = _get(cfg, "gates.lyap_r2", float, False, 0.98)
+    cert_gate = _get(cfg, "gates.certificate", bool, False, True)
 
     scn = scenarios.torus_point_scenario(dim, periods, E)
     chain = scn.chain(code)
@@ -159,7 +153,7 @@ def run_torus_point(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
     rows = [(eps, err) for eps, err, _, _ in results]
     write_csv(out / "shadow_errors.csv",
               ["eps[tube radius]", "sup_error[length]"], rows)
-    slope, _, slope_r2 = loglog_slope([r[0] for r in rows], [r[1] for r in rows])
+    slope, slope_r2 = loglog_slope([r[0] for r in rows], [r[1] for r in rows])
 
     lrows = [(eps, *exps) for eps, _, exps, _ in results]
     nex = len(results[0][2])
@@ -167,7 +161,9 @@ def run_torus_point(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
               ["eps[tube radius]"] + [f"exponent_{i}[per bounce]" for i in range(nex)],
               lrows)
     lam_max = [float(np.max(e)) for _, _, e, _ in results]
-    a_fit, b_fit, lyap_r2 = linfit_against(np.log(1.0 / np.asarray(eps_list)), lam_max)
+    lx = np.log(1.0 / np.asarray(eps_list))
+    (a_fit, b_fit), lyap_r2 = dlsmod.linear_fit(np.vstack([np.ones_like(lx), lx]).T,
+                                                np.asarray(lam_max))
     big = [int(np.sum(np.abs(e) >= 0.5 * np.max(np.abs(e)))) for _, _, e, _ in results]
 
     sc0 = results[0][3]
@@ -193,21 +189,18 @@ def run_torus_point(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
 
     report = {
         "error_slope": slope, "error_slope_r2": slope_r2,
-        "lyapunov_fit": {"a": a_fit, "b": b_fit, "r2": lyap_r2},
+        "lyapunov_fit": {"a": float(a_fit), "b": float(b_fit), "r2": lyap_r2},
         "large_exponent_counts": big,
         "certificate": {"windows": list(cert.windows), "norms": list(cert.norms),
                         "stabilized": cert.stabilized, "rel_change": cert.rel_change},
         "green": {"lambda": green.lam, "r2": green.r_squared},
     }
-    gates = cfg.get("gates", {})
     failures = []
-    lohi = gates.get("error_slope", [0.9, 1.1])
-    if not (lohi[0] <= slope <= lohi[1]):
-        failures.append(f"error slope {slope:.3f} outside {lohi}")
-    if gates.get("lyapunov", True):
-        if not (b_fit > 0 and lyap_r2 >= gates.get("lyap_r2", 0.98)):
-            failures.append(f"lyapunov fit b={b_fit:.3f}, r2={lyap_r2:.4f}")
-    if gates.get("certificate", True) and not cert.stabilized:
+    if not (slope_gate[0] <= slope <= slope_gate[1]):
+        failures.append(f"error slope {slope:.3f} outside {slope_gate}")
+    if lyap_gate and not (b_fit > 0 and lyap_r2 >= lyap_r2_gate):
+        failures.append(f"lyapunov fit b={b_fit:.3f}, r2={lyap_r2:.4f}")
+    if cert_gate and not cert.stabilized:
         failures.append("certificate did not stabilize")
     report["failures"] = failures
     return report
@@ -220,6 +213,7 @@ def run_two_ball_torus(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
     code = [tuple(int(v) for v in k) for k in _get(cfg, "params.code", list)]
     pts = _num_list(cfg, "params.points", False, [0.0] * len(code))
     windows = [int(w) for w in _num_list(cfg, "sweeps.windows", False, [1, 2, 4, 8, 16])]
+    expect_divergent = _get(cfg, "gates.expect_divergent_certificate", bool, False, True)
 
     scn = scenarios.two_ball_torus_scenario(masses, E, period)
     chain = scn.chain(code, [np.array([c]) for c in pts])
@@ -251,7 +245,7 @@ def run_two_ball_torus(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
         "green_lambda": green.lam,
     }
     failures = []
-    if cfg.get("gates", {}).get("expect_divergent_certificate", True):
+    if expect_divergent:
         if cert.stabilized:
             failures.append("certificate stabilized despite unreduced symmetry")
         if kernel_defect > 1e-8:
@@ -343,6 +337,7 @@ def run_ncenter(cfg: dict, out: Path, jobs: int, seed: int,
     E = _get(cfg, "params.energy", float, False, 0.5)
     code = [tuple(int(v) for v in pair) for pair in _get(cfg, "params.code", list)]
     mu_list = _num_list(cfg, "sweeps.mu", False, [1e-3, 10**-3.5, 1e-4])
+    min_slope = _get(cfg, "gates.min_slope", float, False, 0.8)
 
     scn = scenarios.ncenter_scenario(centers, alphas, E)
     chain = scn.chain(code)
@@ -366,7 +361,7 @@ def run_ncenter(cfg: dict, out: Path, jobs: int, seed: int,
         ok = [r for r in rows if r.converged]
         slope = float("nan")
         if len(ok) >= 2:
-            slope, _, _ = loglog_slope([r.mu for r in ok], [r.sup_error for r in ok])
+            slope, _ = loglog_slope([r.mu for r in ok], [r.sup_error for r in ok])
         ratios = [r.min_distance / r.predicted_r_p for r in ok]
         report.update({"converged": [bool(r.converged) for r in rows],
                        "error_slope": slope,
@@ -375,7 +370,7 @@ def run_ncenter(cfg: dict, out: Path, jobs: int, seed: int,
         if failed:
             failures.append("shadow experiment failed to converge at some mu ("
                             + "; ".join(failed) + ")")
-        if not (slope >= cfg.get("gates", {}).get("min_slope", 0.8)):
+        if not (slope >= min_slope):
             failures.append(f"error slope {slope:.3f} below gate")
         if ratios and not all(1 / 3 <= r <= 3 for r in ratios):
             failures.append("minimum approach distance off the predicted scale")
@@ -414,20 +409,18 @@ FAMILIES = {
     "kepler_grid": run_kepler_grid,
 }
 
-_STAGE_FAMILIES = {
-    "chain": {"two_ball_torus", "two_ball_box", "torus_point"},
-    "billiard": {"torus_point", "two_ball_box"},
-    "ncenter": {"ncenter"},
-    "kepler": {"kepler_grid"},
-    "graph": {"ncenter"},
-}
-
 
 def run_scenario(path: str, out_dir: Optional[str] = None, jobs: int = 1,
                  seed: int = 0, stage: Optional[str] = None) -> int:
-    """Execute a scenario file; returns the process exit code."""
+    """Execute a scenario file; returns the process exit code.
+
+    stage "graph" runs only the collision-graph part of an ncenter scenario.
+    """
     try:
         cfg = load_scenario(path)
+        if stage == "graph" and cfg["family"] != "ncenter":
+            raise ScenarioError(f"family {cfg['family']!r} does not support this "
+                                f"subcommand")
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
@@ -455,21 +448,6 @@ def run_scenario(path: str, out_dir: Optional[str] = None, jobs: int = 1,
     return 1 if failures else 0
 
 
-def _stage_command(stage: str, args) -> int:
-    try:
-        cfg = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    fam = cfg["family"]
-    allowed = _STAGE_FAMILIES.get(stage)
-    if allowed is not None and fam not in allowed:
-        print(f"scenario error: family {fam!r} does not support this subcommand",
-              file=sys.stderr)
-        return 2
-    return run_scenario(args.scenario, args.out, args.jobs, args.seed, stage=stage)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="shadowbilliards",
@@ -486,33 +464,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     sc_sub = p_sc.add_subparsers(dest="action", required=True)
     add_common(sc_sub.add_parser("run", help="run the declared pipeline"))
 
-    p_chain = sub.add_parser("chain", help="chain solving and certificates")
-    ch_sub = p_chain.add_subparsers(dest="action", required=True)
-    add_common(ch_sub.add_parser("solve", help="solve the chain of the scenario"))
-    add_common(ch_sub.add_parser("certify", help="window certificates of the chain"))
-
-    p_bill = sub.add_parser("billiard", help="tube-billiard shadowing")
-    bl_sub = p_bill.add_subparsers(dest="action", required=True)
-    add_common(bl_sub.add_parser("shadow", help="shadow sweep of the scenario"))
-
-    p_nc = sub.add_parser("ncenter", help="singular-flow shadowing")
-    nc_sub = p_nc.add_subparsers(dest="action", required=True)
-    add_common(nc_sub.add_parser("shadow", help="mu sweep of the scenario"))
-
-    p_kep = sub.add_parser("kepler", help="binary-passage tables")
-    kp_sub = p_kep.add_subparsers(dest="action", required=True)
-    add_common(kp_sub.add_parser("table", help="Lagrangian table over the grid"))
-
     p_gr = sub.add_parser("graph", help="collision graph tools")
     gr_sub = p_gr.add_subparsers(dest="action", required=True)
     add_common(gr_sub.add_parser("entropy", help="graph dump and entropy"))
 
     args = parser.parse_args(argv)
-    stage = {"scenario": None, "chain": "chain", "billiard": "billiard",
-             "ncenter": "ncenter", "kepler": "kepler", "graph": "graph"}[args.command]
-    if stage is None:
-        return run_scenario(args.scenario, args.out, args.jobs, args.seed)
-    return _stage_command(stage, args)
+    stage = "graph" if args.command == "graph" else None
+    return run_scenario(args.scenario, args.out, args.jobs, args.seed, stage=stage)
 
 
 if __name__ == "__main__":

@@ -482,6 +482,15 @@ def hyperbolicity_certificate(dl: DiscreteLagrangian, c: ChainConfiguration,
                              norms[-1] if stab else None, float(rel))
 
 
+def linear_fit(A: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, float]:
+    """Least-squares coefficients of y ~ A @ coef, and the R^2 of the fit."""
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    ss_res = float(np.sum((y - A @ coef) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return coef, r2
+
+
 @dataclass
 class GreenDecayFit:
     C: float
@@ -519,12 +528,7 @@ def green_decay(dl: DiscreteLagrangian, c: ChainConfiguration, j: int = 0,
     ys = np.log(responses[keep])
     if xs.size < 3 or np.ptp(xs) == 0:
         return GreenDecayFit(float("nan"), 0.0, 0.0, offsets, responses)
-    A = np.vstack([np.ones_like(xs), -xs]).T
-    coef, res_, *_ = np.linalg.lstsq(A, ys, rcond=None)
-    pred = A @ coef
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    coef, r2 = linear_fit(np.vstack([np.ones_like(xs), -xs]).T, ys)
     return GreenDecayFit(float(np.exp(coef[0])), float(coef[1]), r2, offsets, responses)
 
 

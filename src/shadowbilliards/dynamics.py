@@ -96,6 +96,27 @@ class AmbientSpace:
     def distance(self, qa, qb) -> float:
         return float(np.linalg.norm(self.displacement(qa, qb)))
 
+    def sup_segment_distance(self, points, a, b) -> float:
+        """Largest distance from one of `points` to its nearest segment [a_k, b_k].
+
+        points has shape (P, dim); a and b hold the segment ends, shape
+        (S, dim). The offset of a point from a_k is centered, the segment
+        b_k - a_k is not; a zero-length segment measures the distance to a_k.
+        Every dot product is a batched matmul, which rounds like the
+        one-pair `ap @ ab` and `np.linalg.norm` (einsum and sums do not).
+        """
+        pts = np.asarray(points, dtype=float)
+        a = np.asarray(a, dtype=float)
+        ab = np.asarray(b, dtype=float) - a
+        ap = self.centered(pts[:, None, :] - a)                  # (P, S, dim)
+        denom = (ab[:, None, :] @ ab[:, :, None])[:, 0, 0]       # (S,)
+        proj = (ap[..., None, :] @ ab[:, :, None])[..., 0, 0]    # (P, S)
+        t = np.clip(np.divide(proj, denom, out=np.zeros_like(proj), where=denom > 0),
+                    0.0, 1.0)
+        r = ap - t[..., None] * ab
+        dist = np.sqrt((r[..., None, :] @ r[..., :, None])[..., 0, 0])
+        return float(np.max(np.min(dist, axis=1, initial=np.inf), initial=0.0))
+
 
 def euclidean(dim: int) -> AmbientSpace:
     return AmbientSpace(dim)
@@ -301,13 +322,6 @@ class ClassicalHamiltonian:
 
     def grad_W(self, q) -> np.ndarray:
         return self.potential.grad(q)
-
-    def jacobi_speed(self, q, E: float) -> float:
-        """sqrt(2 (E - W(q))), the kinetic-metric speed at energy E."""
-        gap = E - self.potential.value(q)
-        if gap <= 0:
-            raise DomainError(f"E <= W at q={np.asarray(q)}")
-        return float(np.sqrt(2.0 * gap))
 
 
 def eval_energy(h: ClassicalHamiltonian, state: PhaseState) -> float:

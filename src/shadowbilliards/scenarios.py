@@ -350,12 +350,6 @@ class TwoBallBoxScenario:
         return dlsmod.ChainConfiguration(code, [np.atleast_1d(p) for p in points],
                                          "periodic")
 
-    def fixed_chain(self, code, points):
-        """Fixed ambient endpoints; the boundary branches close over them."""
-        code = [tuple(int(v) for v in k) for k in code]
-        return dlsmod.ChainConfiguration(code, [np.atleast_1d(p) for p in points],
-                                         "fixed", left=np.zeros(0), right=np.zeros(0))
-
 
 def two_ball_box_scenario(masses=(1.0, 1.0), E: float = 0.5,
                           box: Tuple[float, float] = (0.0, 1.0)) -> TwoBallBoxScenario:

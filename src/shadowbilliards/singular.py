@@ -605,22 +605,10 @@ class _ChainShooting:
     def sup_error_to_chain(self, U) -> Tuple[float, float]:
         """Sup distance of the solved orbit to the chain polygon, min distance to N."""
         _, dmin, paths = self.residual(U, collect=True)
-        segs = []
-        for j in range(self.n):
-            a = self.points[j]
-            b = a + self.sp.base.space.centered(self.points[(j + 1) % self.n] - a)
-            segs.append((a, b))
-        worst = 0.0
-        for path in paths:
-            for pt in path:
-                best = np.inf
-                for a, b in segs:
-                    ab = b - a
-                    ap = self.sp.base.space.centered(pt - a)
-                    tt = np.clip(ap @ ab / (ab @ ab), 0.0, 1.0)
-                    best = min(best, np.linalg.norm(ap - tt * ab))
-                worst = max(worst, best)
-        return float(worst), float(dmin)
+        space = self.sp.base.space
+        a = np.asarray(self.points, dtype=float)
+        b = a + space.centered(np.roll(a, -1, axis=0) - a)
+        return space.sup_segment_distance(np.concatenate(paths), a, b), float(dmin)
 
 
 def shadow_experiment(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,

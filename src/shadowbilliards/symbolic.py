@@ -45,12 +45,6 @@ class CollisionGraph:
     def labels(self) -> List[object]:
         return [v.label for v in self.vertices]
 
-    def index_of(self, label) -> int:
-        for i, v in enumerate(self.vertices):
-            if v.label == label:
-                return i
-        raise KeyError(label)
-
     def edges(self) -> List[Tuple[object, object]]:
         out = []
         n = len(self.vertices)

@@ -219,6 +219,12 @@ class TestShadowError:
         sc.eps = 0.0
         assert shadow_error(scn.dl, chain, sc) == 0.0
 
+    def test_shipped_torus_point_golden(self):
+        # recorded with the per-pair scalar loop that sup_segment_distance reproduces
+        scn, chain = torus_setup()
+        sc = shadow_solve(scn.dl, chain, 1e-3)
+        assert repr(shadow_error(scn.dl, chain, sc)) == "0.0007071067811865476"
+
 
 class TestReplayConsistency:
     def test_torus_replay(self):

@@ -92,30 +92,78 @@ class TestValidation:
             "params": {"revolutions": [[1, 1]],
                        "endpoints": [[[0.3, 0.0], [0.0, 0.35]]]},
         })
-        rc = cli.main(["billiard", "shadow", "--scenario", path])
+        rc = cli.main(["graph", "entropy", "--scenario", path])
         assert rc == 2
+        assert "does not support this subcommand" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["chain", "solve"], ["chain", "certify"],
+                                         ["billiard", "shadow"], ["ncenter", "shadow"],
+                                         ["kepler", "table"]])
+    def test_removed_alias_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--scenario", str(SCENARIOS / "kepler_grid.json")])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_out_must_be_a_string(self, tmp_path, capsys):
+        cfg = json.loads((SCENARIOS / "kepler_grid.json").read_text())
+        cfg["out"] = 5
+        rc = cli.main(["scenario", "run", "--scenario", write(tmp_path, "bad.json", cfg)])
+        assert rc == 2
+        assert "scenario.out: expected str, got int" in capsys.readouterr().err
+
+    def test_gates_must_be_an_object(self, tmp_path, capsys):
+        cfg = json.loads((SCENARIOS / "two_balls_torus.json").read_text())
+        cfg["gates"] = [1]
+        rc = cli.main(["scenario", "run", "--scenario", write(tmp_path, "bad.json", cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "scenario.gates: expected dict, got list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shipped, field, value", [
+        ("torus_point", "error_slope", [0.9]),
+        ("torus_point", "error_slope", "wide"),
+        ("torus_point", "lyap_r2", "high"),
+        ("torus_point", "lyapunov", 1),
+        ("two_balls_torus", "expect_divergent_certificate", "yes"),
+        ("ncenter_square", "min_slope", [0.8]),
+    ])
+    def test_gate_field_checked_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                               shipped, field, value):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the pipeline ran before the gates were read")
+
+        for name in ("torus_point_scenario", "two_ball_torus_scenario",
+                     "ncenter_scenario"):
+            monkeypatch.setattr(cli.scenarios, name, no_run)
+        cfg = json.loads((SCENARIOS / f"{shipped}.json").read_text())
+        cfg.setdefault("gates", {})[field] = value
+        rc = cli.main(["scenario", "run", "--scenario", write(tmp_path, "bad.json", cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"scenario.gates.{field}" in capsys.readouterr().err
 
 
 class TestRuns:
     def test_kepler_table_deterministic(self, tmp_path):
         src = str(SCENARIOS / "kepler_grid.json")
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert cli.main(["kepler", "table", "--scenario", src, "--out", str(out1)]) == 0
-        assert cli.main(["kepler", "table", "--scenario", src, "--out", str(out2)]) == 0
+        assert cli.main(["scenario", "run", "--scenario", src, "--out", str(out1)]) == 0
+        assert cli.main(["scenario", "run", "--scenario", src, "--out", str(out2)]) == 0
         assert (out1 / "kepler_table.csv").read_bytes() == \
             (out2 / "kepler_table.csv").read_bytes()
 
     def test_headers_present(self, tmp_path):
         src = str(SCENARIOS / "kepler_grid.json")
         out = tmp_path / "k"
-        cli.main(["kepler", "table", "--scenario", src, "--out", str(out)])
+        cli.main(["scenario", "run", "--scenario", src, "--out", str(out)])
         header = (out / "kepler_table.csv").read_text().splitlines()[0]
         assert "[" in header and "]" in header  # units annotated
 
     def test_two_ball_torus_report(self, tmp_path):
         src = str(SCENARIOS / "two_balls_torus.json")
         out = tmp_path / "tbt"
-        rc = cli.main(["chain", "certify", "--scenario", src, "--out", str(out)])
+        rc = cli.main(["scenario", "run", "--scenario", src, "--out", str(out)])
         assert rc == 0
         report = json.loads((out / "report.json").read_text())
         assert not report["certificate"]["stabilized"]

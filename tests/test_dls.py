@@ -219,6 +219,51 @@ class TestGreenDecay:
         assert abs(fit.lam) < 0.15
 
 
+def _old_fit(A, ys):
+    """The lstsq + R^2 block that cli and green_decay each carried."""
+    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
+    pred = A @ coef
+    ss_res = float(np.sum((ys - pred) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(coef[0]), float(coef[1]), r2
+
+
+_SAMPLES = st.integers(3, 10).flatmap(lambda n: st.tuples(
+    st.lists(st.floats(1e-5, 1e2), min_size=n, max_size=n),
+    st.lists(st.floats(1e-6, 1e1), min_size=n, max_size=n)))
+
+
+class TestLinearFit:
+    """dls.linear_fit reproduces the three fits it replaced, bit for bit."""
+
+    @seed(20160617)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_SAMPLES)
+    def test_equals_the_old_fits(self, sample):
+        from shadowbilliards import cli
+        xs, ys = np.asarray(sample[0]), np.asarray(sample[1])
+        # cli.loglog_slope: columns [log x, 1]
+        lx, ly = np.log(xs), np.log(ys)
+        slope, _, r2 = _old_fit(np.vstack([lx, np.ones_like(lx)]).T, ly)
+        assert repr(cli.loglog_slope(xs, ys)) == repr((slope, r2))
+        # the Lyapunov fit of the torus_point runner: columns [1, x]
+        A = np.vstack([np.ones_like(xs), xs]).T
+        coef, r2 = dls.linear_fit(A, ys)
+        assert repr((float(coef[0]), float(coef[1]), r2)) == repr(_old_fit(A, ys))
+        # green_decay: columns [1, -x]
+        A = np.vstack([np.ones_like(xs), -xs]).T
+        coef, r2 = dls.linear_fit(A, ly)
+        assert repr((float(coef[0]), float(coef[1]), r2)) == repr(_old_fit(A, ly))
+
+    def test_exact_line_and_flat_data(self):
+        xs = np.array([0.0, 1.0, 2.0])
+        coef, r2 = dls.linear_fit(np.vstack([np.ones_like(xs), xs]).T, 1.0 + 2.0 * xs)
+        assert np.allclose(coef, [1.0, 2.0]) and r2 == pytest.approx(1.0)
+        _, r2 = dls.linear_fit(np.vstack([np.ones_like(xs), xs]).T, np.full(3, 4.0))
+        assert r2 == 1.0
+
+
 class TestAdmissible:
     def test_parallel_windings_rejected(self):
         scn = scenarios.torus_point_scenario()

@@ -178,3 +178,69 @@ class TestAmbientSpace:
 
     def test_euclidean_distance(self):
         assert euclidean(2).distance([0, 0], [3, 4]) == pytest.approx(5.0)
+
+
+def _scalar_sup_segment_distance(space, path, a_s, b_s):
+    """The per-pair loop `sup_segment_distance` replaced, kept as its reference."""
+    worst = 0.0
+    for pt in path:
+        best = np.inf
+        for a, b in zip(a_s, b_s):
+            ab = b - a
+            ap = space.centered(pt - a)
+            denom = float(ab @ ab)
+            t = np.clip(ap @ ab / denom, 0.0, 1.0) if denom > 0 else 0.0
+            best = min(best, float(np.linalg.norm(ap - t * ab)))
+        worst = max(worst, best)
+    return worst
+
+
+@st.composite
+def _polylines(draw):
+    dim = draw(st.integers(1, 3))
+    torus = draw(st.booleans())
+    coord = st.floats(-3.0, 3.0, allow_subnormal=False)
+    space = (flat_torus([draw(st.floats(0.25, 4.0)) for _ in range(dim)])
+             if torus else euclidean(dim))
+    n_pts = draw(st.integers(1, 12))
+    n_verts = draw(st.integers(2, 6))
+    path = np.array(draw(st.lists(coord, min_size=n_pts * dim, max_size=n_pts * dim)))
+    verts = np.array(draw(st.lists(coord, min_size=n_verts * dim,
+                                   max_size=n_verts * dim))).reshape(n_verts, dim)
+    if draw(st.booleans()):  # a zero-length segment
+        k = draw(st.integers(0, n_verts - 2))
+        verts[k + 1] = verts[k]
+    return space, path.reshape(n_pts, dim), verts
+
+
+class TestSupSegmentDistance:
+    @seed(20160617)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_polylines())
+    def test_equals_the_scalar_loop_bit_for_bit(self, case):
+        space, path, verts = case
+        got = space.sup_segment_distance(path, verts[:-1], verts[1:])
+        assert got == _scalar_sup_segment_distance(space, path, verts[:-1], verts[1:])
+
+    @seed(20160617)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_polylines())
+    def test_closed_polygon_on_the_torus(self, case):
+        # segment ends as the ncenter chain builds them: b = a + centered(next - a)
+        space, path, verts = case
+        a = verts
+        b = a + space.centered(np.roll(a, -1, axis=0) - a)
+        assert space.sup_segment_distance(path, a, b) == \
+            _scalar_sup_segment_distance(space, path, a, b)
+
+    def test_single_point_and_single_segment(self):
+        space = euclidean(2)
+        a, b = np.array([[0.0, 0.0]]), np.array([[2.0, 0.0]])
+        assert space.sup_segment_distance([[1.0, 3.0]], a, b) == 3.0
+        assert space.sup_segment_distance([[-3.0, 4.0]], a, b) == 5.0
+        assert space.sup_segment_distance([[1.0, 1.0]], a, a) == np.sqrt(2.0)
+
+    def test_torus_offsets_are_centered(self):
+        space = flat_torus([1.0, 1.0])
+        d = space.sup_segment_distance([[0.95, 0.5]], [[0.0, 0.0]], [[0.0, 1.0]])
+        assert d == pytest.approx(0.05)
