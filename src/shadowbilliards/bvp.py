@@ -178,23 +178,20 @@ def _shooting_jacobian(h: ClassicalHamiltonian, qm, p, tau, fd_step: float,
                        steps_per_unit: float) -> np.ndarray:
     """Sensitivity of (endpoint, energy) to (initial momentum, travel time).
 
-    Batched central differences in p (all 2d perturbed flights in one Verlet
-    call) and the analytic tau column, the endpoint velocity.
+    Batched central differences in p and the analytic tau column (endpoint
+    velocity): the 2d perturbed rows and the unperturbed row 2d fly in one call.
     """
     d = h.dim
-    P = np.repeat(p[None, :], 2 * d, axis=0)
+    P = np.repeat(p[None, :], 2 * d + 1, axis=0)
     for i in range(d):
         P[2 * i, i] += fd_step
         P[2 * i + 1, i] -= fd_step
-    Q0 = np.repeat(qm[None, :], 2 * d, axis=0)
-    nsteps = max(8, int(np.ceil(abs(tau) * steps_per_unit)))
-    Qe, _, _, _ = _verlet_steps(h, Q0, P, tau / nsteps, nsteps, sample_every=nsteps)
+    Qe, Pe = _flow_to(h, np.repeat(qm[None, :], 2 * d + 1, axis=0), P, tau, steps_per_unit)
     J = np.zeros((d + 1, d + 1))
     for i in range(d):
         J[:d, i] = (Qe[2 * i] - Qe[2 * i + 1]) / (2 * fd_step)
         J[d, i] = (h.energy(qm, P[2 * i]) - h.energy(qm, P[2 * i + 1])) / (2 * fd_step)
-    q_end, p_end = _flow_to(h, qm, p, tau, steps_per_unit)
-    J[:d, d] = h.velocity(q_end, p_end)
+    J[:d, d] = h.velocity(Qe[2 * d], Pe[2 * d])
     return J
 
 

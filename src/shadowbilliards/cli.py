@@ -1,9 +1,10 @@
 """Scenario runner and report emitter.
 
 Scenario files are JSON; the `family` field selects a shipped configuration,
-`params` feeds it, optional `sweeps`, `tolerances` and `gates` control the
-pipeline. Reports are CSV tables with named-and-united header rows plus a
-JSON summary; output is byte-identical for identical files and seeds.
+`params` feeds it, optional `sweeps`, `gates` and `out` (no other top-level
+field) control the pipeline. Reports are CSV tables with named-and-united
+header rows plus a JSON summary; output is byte-identical for identical files
+and seeds.
 
 Commands: `scenario run` runs the family's whole pipeline; `graph entropy`
 writes only the collision graph and its entropy of an ncenter scenario.
@@ -33,11 +34,20 @@ class ScenarioError(ValueError):
 # Validation helpers
 # ---------------------------------------------------------------------------
 
+SECTIONS = ("name", "family", "params", "sweeps", "gates", "out")
+
+
+def _json_type(t) -> str:
+    return "object" if t is dict else t.__name__
+
+
 def _get(obj, path: str, typ, required: bool = True, default=None):
     cur = obj
     trail = "scenario"
     for part in path.split("."):
-        if not isinstance(cur, dict) or part not in cur:
+        if not isinstance(cur, dict):
+            raise ScenarioError(f"{trail}: expected object, got {type(cur).__name__}")
+        if part not in cur:
             if required:
                 raise ScenarioError(f"{trail}.{part}: missing required field")
             return default
@@ -48,7 +58,8 @@ def _get(obj, path: str, typ, required: bool = True, default=None):
     if typ is float and isinstance(cur, int):
         cur = float(cur)
     if typ is not None and not isinstance(cur, typ):
-        raise ScenarioError(f"{trail}: expected {typ.__name__}, got {type(cur).__name__}")
+        raise ScenarioError(f"{trail}: expected {_json_type(typ)}, "
+                            f"got {_json_type(type(cur))}")
     return cur
 
 
@@ -76,13 +87,17 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
                             f"{exc.msg}") from exc
     _get(data, "name", str)
+    extra = [key for key in data if key not in SECTIONS]
+    if extra:
+        raise ScenarioError(f"scenario.{extra[0]}: unknown field; allowed: {', '.join(SECTIONS)}")
     family = _get(data, "family", str)
     if family not in FAMILIES:
         raise ScenarioError(f"scenario.family: unknown family {family!r}; "
                             f"known: {sorted(FAMILIES)}")
     _get(data, "params", dict)
-    _get(data, "out", str, False)
+    _get(data, "sweeps", dict, False)
     _get(data, "gates", dict, False)
+    _get(data, "out", str, False)
     return data
 
 
@@ -331,8 +346,7 @@ def run_two_ball_box(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
 
 def run_ncenter(cfg: dict, out: Path, jobs: int, seed: int,
                 stage: Optional[str] = None) -> Dict:
-    centers = _get(cfg, "params.centers", list)
-    centers = np.asarray(centers, dtype=float)
+    centers = np.asarray(_get(cfg, "params.centers", list), dtype=float)
     alphas = _num_list(cfg, "params.alphas", False, [1.0] * len(centers))
     E = _get(cfg, "params.energy", float, False, 0.5)
     code = [tuple(int(v) for v in pair) for pair in _get(cfg, "params.code", list)]
@@ -346,7 +360,6 @@ def run_ncenter(cfg: dict, out: Path, jobs: int, seed: int,
 
     g = symbolic.build_graph(scn.graph_vertices())
     ent = symbolic.entropy(g)
-    (out / "graph.txt").parent.mkdir(parents=True, exist_ok=True)
     (out / "graph.txt").write_text(g.dump() + "\n")
     report["entropy"] = ent.value
 
@@ -421,17 +434,10 @@ def run_scenario(path: str, out_dir: Optional[str] = None, jobs: int = 1,
         if stage == "graph" and cfg["family"] != "ncenter":
             raise ScenarioError(f"family {cfg['family']!r} does not support this "
                                 f"subcommand")
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    out = Path(out_dir if out_dir is not None else cfg.get("out", "out/" + cfg["name"]))
-    out.mkdir(parents=True, exist_ok=True)
-    runner = FAMILIES[cfg["family"]]
-    try:
-        if cfg["family"] == "ncenter":
-            report = runner(cfg, out, jobs, seed, stage=stage)
-        else:
-            report = runner(cfg, out, jobs, seed)
+        out = Path(out_dir if out_dir is not None else cfg.get("out", "out/" + cfg["name"]))
+        out.mkdir(parents=True, exist_ok=True)
+        kw = {"stage": stage} if cfg["family"] == "ncenter" else {}
+        report = FAMILIES[cfg["family"]](cfg, out, jobs, seed, **kw)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2

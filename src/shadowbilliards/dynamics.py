@@ -134,27 +134,19 @@ def flat_torus(periods: Sequence[float]) -> AmbientSpace:
 class Potential:
     """Scalar potential with gradient; subclasses may declare a singular set."""
 
+    is_zero = False
+    center: Optional[np.ndarray] = None
+
     def value(self, q: np.ndarray) -> float:
         raise NotImplementedError
 
     def grad(self, q: np.ndarray) -> np.ndarray:
+        """Gradient at q of shape (d,) or (B, d); a row is bit-equal to its lone gradient."""
         raise NotImplementedError
 
-    @property
-    def is_zero(self) -> bool:
-        return False
-
-
-class ZeroPotential(Potential):
-    def value(self, q):
-        return 0.0
-
-    def grad(self, q):
-        return np.zeros_like(np.asarray(q, dtype=float))
-
-    @property
-    def is_zero(self):
-        return True
+    def _rel(self, q):
+        q = np.asarray(q, dtype=float)
+        return q if self.center is None else q - self.center
 
 
 class ConstantPotential(Potential):
@@ -168,16 +160,19 @@ class ConstantPotential(Potential):
         return np.zeros_like(np.asarray(q, dtype=float))
 
 
+class ZeroPotential(ConstantPotential):
+    is_zero = True
+
+    def __init__(self):
+        super().__init__(0.0)
+
+
 class HarmonicPotential(Potential):
     """W(q) = (k/2) |q - center|^2."""
 
     def __init__(self, k: float = 1.0, center=None):
         self.k = float(k)
         self.center = None if center is None else np.asarray(center, dtype=float)
-
-    def _rel(self, q):
-        q = np.asarray(q, dtype=float)
-        return q if self.center is None else q - self.center
 
     def value(self, q):
         r = self._rel(q)
@@ -192,12 +187,8 @@ class KeplerPotential(Potential):
 
     def __init__(self, mu: float = 1.0, center=None, r_min: float = 1e-12):
         self.mu = float(mu)
-        self.center = center
+        self.center = None if center is None else np.asarray(center, dtype=float)
         self.r_min = float(r_min)
-
-    def _rel(self, q):
-        q = np.asarray(q, dtype=float)
-        return q if self.center is None else q - np.asarray(self.center, dtype=float)
 
     def value(self, q):
         r = np.linalg.norm(self._rel(q))
@@ -206,11 +197,14 @@ class KeplerPotential(Potential):
         return -self.mu / r
 
     def grad(self, q):
+        # |rel| as a batched matmul and r**3 as Python's float power per row:
+        # both round like the one-row np.linalg.norm and r**3 (np.power does not)
         rel = self._rel(q)
-        r = np.linalg.norm(rel)
-        if r <= self.r_min:
+        r = np.sqrt((rel[..., None, :] @ rel[..., :, None])[..., 0, 0])
+        rows = r.ravel().tolist()
+        if any(x <= self.r_min for x in rows):
             raise DomainError(f"point within {self.r_min} of the Kepler center")
-        return self.mu * rel / r**3
+        return self.mu * rel / np.array([x**3 for x in rows]).reshape(r.shape + (1,))
 
 
 class CallablePotential(Potential):
@@ -225,6 +219,8 @@ class CallablePotential(Potential):
 
     def grad(self, q):
         q = np.asarray(q, dtype=float)
+        if q.ndim == 2:   # the user functions take one point: apply them per row
+            return np.stack([self.grad(row) for row in q])
         if self._grad is not None:
             return np.asarray(self._grad(q), dtype=float)
         return central_diff(self.fn, q, 1e-6)
@@ -369,23 +365,23 @@ DEFAULT_STEPS_PER_UNIT_TIME = 10_000
 
 def _verlet_steps(h: ClassicalHamiltonian, q, p, dt: float, nsteps: int,
                   sample_every: int = 1):
-    """Stormer-Verlet (kick-drift-kick) for w == 0; q, p may be batched (B, d)."""
+    """Stormer-Verlet (kick-drift-kick) for w == 0; q, p may be batched (B, d).
+
+    A step's closing half-kick force opens the next step: nsteps + 1 gradient
+    calls. `minv @ p[..., None]` rounds each row like the one-row `minv @ p`.
+    """
     q = np.array(q, dtype=float)
     p = np.array(p, dtype=float)
     minv = h.mass_inv
     grad = h.grad_W
-    batched = q.ndim == 2
     qs, ps = [q.copy()], [p.copy()]
-
-    def g(x):
-        if not batched:
-            return grad(x)
-        return np.stack([grad(row) for row in x])
-
+    half = 0.5 * dt
+    g = grad(q)
     for n in range(nsteps):
-        p = p - 0.5 * dt * g(q)
-        q = q + dt * (p @ minv.T if batched else minv @ p)
-        p = p - 0.5 * dt * g(q)
+        p = p - half * g
+        q = q + dt * (minv @ p[..., None])[..., 0]
+        g = grad(q)
+        p = p - half * g
         if (n + 1) % sample_every == 0 or n == nsteps - 1:
             qs.append(q.copy())
             ps.append(p.copy())

@@ -100,7 +100,9 @@ class EllipseGeometry:
     def center(self) -> np.ndarray:
         return 0.5 * self.vacant_focus
 
-    def point(self, u: float) -> np.ndarray:
+    def point(self, u) -> np.ndarray:
+        """Point at eccentric anomaly u; an array of anomalies gives one row each."""
+        u = np.asarray(u, dtype=float)[..., None]
         return self.center + np.cos(u) * self.periapsis_dir + self.b * np.sin(u) * self.minor_dir
 
     def radius(self, u: float) -> float:
@@ -131,8 +133,7 @@ class SimpleArc:
     def sample(self, num: int = 129, extra_revolutions: int = 0) -> np.ndarray:
         span = self.direction * ((self.u_plus - self.u_minus) * self.direction % (2 * np.pi))
         span += self.direction * 2 * np.pi * extra_revolutions
-        us = self.u_minus + np.linspace(0.0, span, num)
-        return np.array([self.ellipse.point(u) for u in us])
+        return self.ellipse.point(self.u_minus + np.linspace(0.0, span, num))
 
     def velocity(self, u: float) -> np.ndarray:
         el = self.ellipse
@@ -312,8 +313,7 @@ def sample_orbit(h: float, z, n: int, arc: Union[str, int, None] = "short",
     a = 1.0 / (-2.0 * h)
     if np.linalg.norm(zp - zm) < _DEGENERATE_CHORD:
         el, u0 = _gauge_ellipse_through(zm)
-        us = u0 + np.sign(n) * np.linspace(0, 2 * np.pi * abs(n), num)
-        return a * np.array([el.point(u) for u in us])
+        return a * el.point(u0 + np.sign(n) * np.linspace(0, 2 * np.pi * abs(n), num))
     chosen = select_arc(simple_arc_candidates(zm, zp), arc)
     if n > 0:
         return a * chosen.sample(num, extra_revolutions=n)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from shadowbilliards import bvp
-from shadowbilliards.dynamics import (ClassicalHamiltonian, HarmonicPotential,
-                                      KeplerPotential, euclidean, flat_torus)
+from shadowbilliards.dynamics import (CallablePotential, ClassicalHamiltonian,
+                                      HarmonicPotential, KeplerPotential, euclidean,
+                                      flat_torus)
 
 
 def free_h(dim=2, mass=None):
@@ -46,6 +47,25 @@ class TestConnect:
         orb = bvp.connect(h, [1.0, 0.0], [0.0, 1.0], 1.0, backend="shooting",
                           guess={"direction": np.array([-0.2, 1.0]), "tau0": np.pi / 2})
         assert np.linalg.norm(orb.path[-1] - [0.0, 1.0]) < 1e-9
+
+    def test_shooting_callable_potential(self):
+        # the harmonic quarter orbit again, through a user potential applied per row
+        pot = CallablePotential(lambda x: 0.5 * float(x @ x), grad=lambda x: x)
+        h = ClassicalHamiltonian(euclidean(2), pot)
+        orb = bvp.connect(h, [1.0, 0.0], [0.0, 1.0], 1.0, backend="shooting",
+                          guess={"direction": np.array([-0.2, 1.0]), "tau0": np.pi / 2})
+        assert np.linalg.norm(orb.path[-1] - [0.0, 1.0]) < 1e-9
+        assert orb.tau == pytest.approx(np.pi / 2, rel=1e-3)
+
+    def test_shooting_kepler_golden(self):
+        # repr of the action computed before the Verlet force reuse and the
+        # one-call shooting Jacobian; identity mass keeps it bit for bit
+        h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
+        z = ([0.5, 0.0], [0.0, 0.6])
+        arc = bvp.connect(h, z[0], z[1], -1.0, label=(1, "short"))
+        shot = bvp.connect(h, z[0], z[1], -1.0, label=(1, "short"), backend="shooting",
+                           guess={"p0": arc.p_minus, "tau0": arc.tau})
+        assert repr(shot.action) == "5.551627280019622"
 
     def test_action_additivity(self):
         orb = bvp.connect(free_h(), [0, 0], [2.0, 1.0], 0.5)
@@ -149,3 +169,9 @@ class TestConjugate:
         orb = bvp.connect(h, [1.0, 0.0], [1.0, 0.0], -0.5, label=(1, "short"))
         rep = bvp.conjugate_test(orb, conj_tol=1e-4)
         assert not rep.nondegenerate
+
+    def test_kepler_sigma_min_golden(self):
+        # repr of the value computed with a separate unperturbed flight
+        h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
+        orb = bvp.connect(h, [0.5, 0.0], [0.0, 0.6], -1.0, label=(1, "short"))
+        assert repr(bvp.conjugate_test(orb).sigma_min) == "0.2333192541129915"

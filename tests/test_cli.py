@@ -118,7 +118,32 @@ class TestValidation:
         rc = cli.main(["scenario", "run", "--scenario", write(tmp_path, "bad.json", cfg),
                        "--out", str(tmp_path / "out")])
         assert rc == 2
-        assert "scenario.gates: expected dict, got list" in capsys.readouterr().err
+        assert "scenario.gates: expected object, got list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shipped", ["torus_point", "two_balls_torus", "two_balls_box",
+                                         "ncenter_square", "kepler_grid"])
+    def test_sweeps_must_be_an_object(self, tmp_path, capsys, shipped):
+        cfg = json.loads((SCENARIOS / f"{shipped}.json").read_text())
+        cfg["sweeps"] = 5
+        rc = cli.main(["scenario", "run", "--scenario", write(tmp_path, "bad.json", cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "scenario.sweeps: expected object, got int" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_scenario_must_be_an_object(self, tmp_path, capsys):
+        rc = cli.main(["scenario", "run", "--scenario", write(tmp_path, "bad.json", "[1]")])
+        assert rc == 2
+        assert "scenario: expected object, got list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["tolerances", "sweep"])
+    def test_unknown_top_level_field_rejected(self, tmp_path, capsys, key):
+        cfg = json.loads((SCENARIOS / "kepler_grid.json").read_text())
+        cfg[key] = {"newton": 1e-10}
+        rc = cli.main(["scenario", "run", "--scenario", write(tmp_path, "bad.json", cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"scenario.{key}: unknown field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("shipped, field, value", [
         ("torus_point", "error_slope", [0.9]),

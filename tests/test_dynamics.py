@@ -5,8 +5,8 @@ from hypothesis import given, seed, settings, strategies as st
 from shadowbilliards.dynamics import (AmbientSpace, CallablePotential,
                                       ClassicalHamiltonian, ConstantPotential,
                                       DomainError, HarmonicPotential, KeplerPotential,
-                                      MagneticField, PhaseState, ZeroPotential,
-                                      euclidean, eval_energy, flat_torus,
+                                      MagneticField, PhaseState, Potential, ZeroPotential,
+                                      _verlet_steps, euclidean, eval_energy, flat_torus,
                                       flow_segment, in_domain, jacobi_action)
 
 
@@ -244,3 +244,139 @@ class TestSupSegmentDistance:
         space = flat_torus([1.0, 1.0])
         d = space.sup_segment_distance([[0.95, 0.5]], [[0.0, 0.0]], [[0.0, 1.0]])
         assert d == pytest.approx(0.05)
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def reference_kepler_grad(pot, q):
+    """One-row Kepler gradient written with np.linalg.norm and float powers."""
+    rel = q if pot.center is None else q - np.asarray(pot.center, dtype=float)
+    return pot.mu * rel / np.linalg.norm(rel) ** 3
+
+
+def reference_verlet(h, q, p, dt, nsteps):
+    """One-row kick-drift-kick with two gradient calls per step and minv @ p."""
+    q = np.array(q, dtype=float)
+    p = np.array(p, dtype=float)
+    for _ in range(nsteps):
+        p = p - 0.5 * dt * h.grad_W(q)
+        q = q + dt * (h.mass_inv @ p)
+        p = p - 0.5 * dt * h.grad_W(q)
+    return q, p
+
+
+class CountingPotential(Potential):
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def value(self, q):
+        return self.inner.value(q)
+
+    def grad(self, q):
+        self.calls += 1
+        return self.inner.grad(q)
+
+
+POTENTIALS = {
+    "kepler": lambda: KeplerPotential(1.3),
+    "kepler_center": lambda: KeplerPotential(0.7, center=[0.25, -0.5]),
+    "harmonic": lambda: HarmonicPotential(0.8, center=[0.1, 0.2]),
+    "callable": lambda: CallablePotential(lambda x: np.sin(x[0]) * x[1] + 0.2 * x[1] ** 2),
+    "callable_grad": lambda: CallablePotential(
+        lambda x: 0.5 * float(x @ x), grad=lambda x: np.array([x[0], 3.0 * x[1]])),
+}
+MASSES = [None, [[2.0, 0.3], [0.3, 1.5]]]
+
+
+@st.composite
+def verlet_batches(draw):
+    """Rows 0.6..2 away from the origin and both Kepler centers, small steps."""
+    B = draw(st.integers(1, 5))
+    radius = st.floats(0.6, 2.0)
+    angle = st.floats(0.0, 2 * np.pi)
+    polar = draw(st.lists(st.tuples(radius, angle), min_size=B, max_size=B))
+    Q = np.array([[r * np.cos(t), r * np.sin(t)] for r, t in polar]) + [0.25, -0.5]
+    P = np.array(draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+                               min_size=B, max_size=B)))
+    dt = draw(st.floats(1e-3, 2e-2))
+    nsteps = draw(st.integers(1, 12))
+    return Q, P, dt, nsteps
+
+
+class TestBatchedVerlet:
+    """A B-row Verlet call is B one-row calls, bit for bit, with one force per step."""
+
+    @seed(20161103)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(verlet_batches(), st.sampled_from(sorted(POTENTIALS)), st.sampled_from(MASSES))
+    def test_rows_equal_one_row_calls(self, batch, kind, mass):
+        Q, P, dt, nsteps = batch
+        h = ClassicalHamiltonian(euclidean(2), POTENTIALS[kind](), mass=mass)
+        every = max(1, nsteps // 3)
+        qb, pb, qs, ps = _verlet_steps(h, Q, P, dt, nsteps, sample_every=every)
+        for i in range(len(Q)):
+            q1, p1, qs1, ps1 = _verlet_steps(h, Q[i], P[i], dt, nsteps, sample_every=every)
+            assert same_bits(qb[i], q1) and same_bits(pb[i], p1)
+            assert same_bits(np.asarray(qs)[:, i], qs1) and same_bits(np.asarray(ps)[:, i], ps1)
+            q_ref, p_ref = reference_verlet(h, Q[i], P[i], dt, nsteps)
+            assert same_bits(q1, q_ref) and same_bits(p1, p_ref)
+
+    @pytest.mark.parametrize("rows", [None, 1, 4])
+    @pytest.mark.parametrize("nsteps", [1, 7])
+    def test_one_gradient_call_per_step(self, rows, nsteps):
+        pot = CountingPotential(KeplerPotential())
+        h = ClassicalHamiltonian(euclidean(2), pot)
+        q, p = np.array([1.0, 0.2]), np.array([0.1, 0.9])
+        if rows is not None:
+            q, p = np.tile(q, (rows, 1)), np.tile(p, (rows, 1))
+        _verlet_steps(h, q, p, 0.01, nsteps)
+        assert pot.calls == nsteps + 1
+
+
+@st.composite
+def kepler_rows(draw):
+    """Offsets from the center with radius 1e-3..3 (exponent drawn uniformly)."""
+    B = draw(st.integers(1, 6))
+    polar = draw(st.lists(st.tuples(st.floats(-3.0, 0.5), st.floats(0.0, 2 * np.pi)),
+                          min_size=B, max_size=B))
+    return np.array([[10.0**e * np.cos(t), 10.0**e * np.sin(t)] for e, t in polar])
+
+
+class TestBatchedPotentials:
+    @seed(20161103)
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(kepler_rows(), st.sampled_from([None, [0.3, -0.1]]))
+    def test_kepler_grad_rows_equal_one_row_results(self, Q, center):
+        pot = KeplerPotential(0.9, center=center, r_min=1e-12)
+        Q = Q + (center or 0.0)
+        G = pot.grad(Q)
+        assert G.shape == Q.shape
+        for i, q in enumerate(Q):
+            assert same_bits(G[i], pot.grad(q))
+            assert same_bits(G[i], reference_kepler_grad(pot, q))
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_kepler_grad_raises_when_any_row_is_inside_r_min(self, at):
+        pot = KeplerPotential(center=[0.5, 0.5], r_min=1e-6)
+        Q = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.3], [0.2, 2.0], [3.0, 1.0]])
+        Q[at] = [0.5, 0.5 + 5e-7]
+        with pytest.raises(DomainError):
+            pot.grad(Q)
+        with pytest.raises(DomainError):
+            pot.grad(Q[at])
+
+    @pytest.mark.parametrize("pot", [ZeroPotential(), ConstantPotential(2.0),
+                                     HarmonicPotential(1.7, center=[0.2, -0.3]),
+                                     CallablePotential(lambda x: x[0] ** 2 * np.cos(x[1])),
+                                     CallablePotential(lambda x: 0.0,
+                                                       grad=lambda x: np.array([x[1], x[0]]))],
+                             ids=["zero", "constant", "harmonic", "callable", "callable_grad"])
+    def test_grad_broadcasts_over_rows(self, pot):
+        Q = np.array([[0.3, 0.4], [-1.2, 0.7], [2.0, -0.1]])
+        G = pot.grad(Q)
+        assert G.shape == Q.shape
+        for i, q in enumerate(Q):
+            assert same_bits(G[i], pot.grad(q))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from shadowbilliards import kepler as kp
 
@@ -247,3 +248,73 @@ class TestCommensurability:
         rep = kp.commensurability_check((1, 1), -0.5, -0.9)
         assert not rep.risk
         assert rep.hits == ()
+
+
+def scalar_point(el, u):
+    """The one-anomaly ellipse point that sampling evaluated once per sample."""
+    return el.center + np.cos(u) * el.periapsis_dir + el.b * np.sin(u) * el.minor_dir
+
+
+def scalar_arc_sample(arc, num, extra_revolutions=0):
+    span = arc.direction * ((arc.u_plus - arc.u_minus) * arc.direction % (2 * np.pi))
+    span += arc.direction * 2 * np.pi * extra_revolutions
+    us = arc.u_minus + np.linspace(0.0, span, num)
+    return np.array([scalar_point(arc.ellipse, u) for u in us])
+
+
+def scalar_sample_orbit(h, z, n, arc="short", num=513):
+    zm, zp = kp._scaled_endpoints(h, z)
+    a = 1.0 / (-2.0 * h)
+    if np.linalg.norm(zp - zm) < kp._DEGENERATE_CHORD:
+        el, u0 = kp._gauge_ellipse_through(zm)
+        us = u0 + np.sign(n) * np.linspace(0, 2 * np.pi * abs(n), num)
+        return a * np.array([scalar_point(el, u) for u in us])
+    chosen = kp.select_arc(kp.simple_arc_candidates(zm, zp), arc)
+    if n > 0:
+        return a * scalar_arc_sample(chosen, num, n)
+    flipped = kp.SimpleArc(chosen.ellipse, chosen.u_minus, chosen.u_plus,
+                           -chosen.direction, 2 * np.pi - chosen.action,
+                           2 * np.pi - chosen.mean_span)
+    return a * scalar_arc_sample(flipped, num, abs(n) - 1)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+POINT = st.tuples(st.floats(0.05, 0.45), st.floats(0.0, 2 * np.pi)).map(
+    lambda rt: np.array([rt[0] * np.cos(rt[1]), rt[0] * np.sin(rt[1])]))
+
+
+class TestVectorizedSampling:
+    """One array call per sampled path equals the old loop over anomalies, bit for bit."""
+
+    @seed(20161103)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(POINT, POINT, st.floats(-2.0, -0.1), st.sampled_from([-3, -1, 1, 2]),
+           st.sampled_from(["short", "long"]), st.booleans())
+    def test_sample_orbit_equals_the_scalar_loop(self, xm, xp, h, n, arc, degenerate):
+        z = (xm, xm.copy() if degenerate else xp)
+        try:
+            ref = scalar_sample_orbit(h, z, n, arc, num=97)
+        except kp.FeasibilityError:
+            assume(False)
+        assert same_bits(kp.sample_orbit(h, z, n, arc, num=97), ref)
+
+    @seed(20161103)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(POINT, POINT, st.integers(0, 2), st.integers(2, 300))
+    def test_simple_arc_sample_equals_the_scalar_loop(self, xm, xp, extra, num):
+        try:
+            arcs = kp.simple_arc_candidates(2.0 * xm, 2.0 * xp)
+        except kp.FeasibilityError:
+            assume(False)
+        for arc in arcs:
+            assert same_bits(arc.sample(num, extra), scalar_arc_sample(arc, num, extra))
+
+    def test_point_keeps_the_one_anomaly_shape(self):
+        el = kp.simple_arc_candidates([0.4, 0.1], [-0.2, 0.5])[0].ellipse
+        assert el.point(0.7).shape == (2,)
+        assert same_bits(el.point(0.7), scalar_point(el, 0.7))
+        us = np.linspace(-1.0, 5.0, 11)
+        assert same_bits(el.point(us), np.array([scalar_point(el, u) for u in us]))
