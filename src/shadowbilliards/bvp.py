@@ -78,6 +78,17 @@ class CollisionOrbit:
 # Straight-chord backend (free flight on Euclidean space or flat torus)
 # ---------------------------------------------------------------------------
 
+def chord_hessian(mass: np.ndarray, disp: np.ndarray, speed: float) -> np.ndarray:
+    """Second derivative of speed * |disp|_M in the displacement disp.
+
+    speed (M / g - M disp disp^T M / g^3) with g = |disp|_M: the Hessian of a
+    free-flight action along a straight chord of displacement disp.
+    """
+    g = np.sqrt(disp @ mass @ disp)
+    Md = mass @ disp
+    return speed * (mass / g - np.outer(Md, Md) / g**3)
+
+
 def _straight_connect(h: ClassicalHamiltonian, qm, qp, E, winding=None,
                       label=None, cross_check: bool = True,
                       samples: int = 65) -> CollisionOrbit:
@@ -341,12 +352,8 @@ def twist(orbit: CollisionOrbit, left_basis=None, right_basis=None,
     """
     d = orbit.q_minus.size
     if orbit.backend == "straight":
-        h = orbit.h
         disp = orbit.path[-1] - orbit.path[0]
-        ell = h.mass_norm(disp)
-        u = disp / ell
-        Mu = h.mass @ u
-        B = np.sqrt(2.0 * orbit.E) * (np.outer(Mu, Mu) - h.mass) / ell
+        B = -chord_hessian(orbit.h.mass, disp, np.sqrt(2.0 * orbit.E))
     else:
         if orbit.reconnect is None:
             raise ValueError("orbit does not carry a reconnect closure")

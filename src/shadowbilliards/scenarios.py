@@ -285,6 +285,18 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
         ell, par, g = self._chord(xm, xp)
         return np.array([self._speed * np.sum(self.m * ell * par) / g])
 
+    def hess(self, xm, xp):
+        """Closed form: the chord is affine in the free slots, so the Hessian
+        is D^T K D with K the chord Hessian and D = d(chord)/d(free slots),
+        whose columns are -(1, 1) for the minus slot and the parities for the
+        plus slot."""
+        ell, par, _ = self._chord(xm, xp)
+        cols = ([] if self.left is not None else [-np.ones(2)]) + \
+            ([] if self.right is not None else [par])
+        D = np.array(cols).reshape(-1, 2).T
+        K = bvp.chord_hessian(np.diag(self.m), ell, self._speed)
+        return self._blocks(D.T @ K @ D, xm)
+
     def momenta(self, xm, xp):
         ell, par, g = self._chord(xm, xp)
         return self._speed * self.m * ell / g, self._speed * self.m * ell * par / g

@@ -133,27 +133,35 @@ class _PointCenterKernel:
             self.centers = sp.scatterer.points
             self.mu_alphas = sp.mu * sp.alphas
 
-    def distance(self, Q):
-        """Distance of each row of Q to the singular set, shape (B,)."""
-        if not self.fused:
-            return np.array([self.sp.distance(q) for q in Q])
+    def _pull(self, Q):
+        """Force on each row and its distances to every center, (B, d), (B, n)."""
         rel = self.centered(Q[:, None, :] - self.centers)
-        return np.sqrt(np.einsum("bij,bij->bi", rel, rel)).min(axis=1)
+        r2 = np.einsum("bij,bij->bi", rel, rel)
+        r = np.sqrt(r2)
+        w = -(self.mu_alphas / (r2 * r))
+        return (w[:, None, :] @ rel)[:, 0, :], r
 
     def force(self, Q):
         if not self.fused:
             return np.array([self.sp.force(q) for q in Q])
-        rel = self.centered(Q[:, None, :] - self.centers)
-        r2 = np.einsum("bij,bij->bi", rel, rel)
-        w = -(self.mu_alphas / (r2 * np.sqrt(r2)))
-        return (w[:, None, :] @ rel)[:, 0, :]
+        return self._pull(Q)[0]
+
+    def force_distance(self, Q):
+        """force(Q) and the distance of each row of Q to the singular set,
+        shape (B,), from one set of center offsets."""
+        if not self.fused:
+            return self.force(Q), np.array([self.sp.distance(q) for q in Q])
+        F, r = self._pull(Q)
+        return F, r.min(axis=1)
 
     def velocity(self, P):
         return P if self.identity_mass else (self.minv @ P[:, :, None])[:, :, 0]
 
-    def rk4(self, Q, P, dt):
+    def rk4(self, Q, P, dt, F):
+        """One step of each row; F = force(Q), which the caller already has
+        from the distance check at Q."""
         dt = dt[:, None]
-        k1q, k1p = self.velocity(P), self.force(Q)
+        k1q, k1p = self.velocity(P), F
         k2q, k2p = self.velocity(P + 0.5 * dt * k1p), self.force(Q + 0.5 * dt * k1q)
         k3q, k3p = self.velocity(P + 0.5 * dt * k2p), self.force(Q + 0.5 * dt * k2q)
         k4q, k4p = self.velocity(P + dt * k3p), self.force(Q + dt * k3q)
@@ -210,7 +218,7 @@ def flow_singular(sp: SingularPerturbation, s0: PhaseState, duration: float,
         kernel = stepper.kernel
         Q, P, t = s0.q[None, :], s0.p[None, :], 0.0
         ts, qs, ps = [0.0], [Q[0]], [P[0]]
-        D = kernel.distance(Q)
+        F, D = kernel.force_distance(Q)
         dmin = float(D[0])
         nstep = 0
         while t < duration:
@@ -220,9 +228,9 @@ def flow_singular(sp: SingularPerturbation, s0: PhaseState, duration: float,
             if D[0] <= sp.r_min:
                 raise stepper.exclusion_error(float(D[0]))
             dt = min(float(stepper.step_sizes(D)[0]), duration - t)
-            Q, P = kernel.rk4(Q, P, np.array([dt]))
+            Q, P = kernel.rk4(Q, P, np.array([dt]), F)
             t += dt
-            D = kernel.distance(Q)
+            F, D = kernel.force_distance(Q)
             dmin = min(dmin, float(D[0]))
             if nstep % record_every == 0 or t >= duration:
                 ts.append(t)
@@ -443,7 +451,7 @@ class _ChainShooting:
             self.points[jn] - self.points[j])) / self.speed + 1.0)
             for j, jn in zip(starts, targets)])
         T = np.zeros(len(rows))
-        D = kernel.distance(Q)
+        F, D = kernel.force_distance(Q)
         dmin = D.copy()
         phi, near = self._section(Q, A, N)
         samples = [[q] for q in Q] if collect else None
@@ -451,10 +459,10 @@ class _ChainShooting:
         live = np.arange(len(rows))
 
         def drop(mask):
-            nonlocal live, Q, P, A, N, budget, T, D, dmin, phi, near
+            nonlocal live, Q, P, F, A, N, budget, T, D, dmin, phi, near
             keep = ~mask
-            live, Q, P, A, N, budget, T, D, dmin, phi, near = (
-                x[keep] for x in (live, Q, P, A, N, budget, T, D, dmin, phi, near))
+            live, Q, P, F, A, N, budget, T, D, dmin, phi, near = (
+                x[keep] for x in (live, Q, P, F, A, N, budget, T, D, dmin, phi, near))
 
         while live.size:
             stop = (T >= budget) | (D <= r_min)
@@ -466,14 +474,14 @@ class _ChainShooting:
                 drop(stop)
                 continue
             dt = stepper.step_sizes(D)
-            Q2, P2 = kernel.rk4(Q, P, dt)
-            D2 = kernel.distance(Q2)
+            Q2, P2 = kernel.rk4(Q, P, dt, F)
+            F2, D2 = kernel.force_distance(Q2)
             dmin = np.minimum(dmin, D2)
             phi2, near2 = self._section(Q2, A, N)
             hit = near2 & near & (phi < 0.0) & (phi2 >= 0.0)
             if hit.any():
                 k = np.flatnonzero(hit)
-                q_hit, p_hit = self._bisect(Q[k], P[k], dt[k], A[k], N[k])
+                q_hit, p_hit = self._bisect(Q[k], P[k], F[k], dt[k], A[k], N[k])
                 for m, kk in enumerate(k):
                     i = live[kk]
                     path = None
@@ -481,7 +489,7 @@ class _ChainShooting:
                         samples[i].append(q_hit[m])
                         path = np.asarray(samples[i])
                     out[i] = (q_hit[m], p_hit[m], float(dmin[kk]), path)
-            Q, P, T, D, phi, near = Q2, P2, T + dt, D2, phi2, near2
+            Q, P, F, T, D, phi, near = Q2, P2, F2, T + dt, D2, phi2, near2
             if collect:
                 for k in np.flatnonzero(~hit):
                     samples[live[k]].append(Q[k])
@@ -489,22 +497,23 @@ class _ChainShooting:
                 drop(hit)
         return out
 
-    def _bisect(self, Q, P, dt, A, N):
-        """Section crossing of each row inside its step [0, dt], in lockstep."""
+    def _bisect(self, Q, P, F, dt, A, N):
+        """Section crossing of each row inside its step [0, dt], in lockstep;
+        F is the force at Q."""
         kernel = self._stepper.kernel
         lo, hi = np.zeros(len(dt)), dt.copy()
         tol = 1e-15 * np.maximum(dt, 1.0)
         act = np.arange(len(dt))
         for _ in range(80):
             mid = 0.5 * (lo[act] + hi[act])
-            qm, _ = kernel.rk4(Q[act], P[act], mid)
+            qm, _ = kernel.rk4(Q[act], P[act], mid, F[act])
             below = self._section(qm, A[act], N[act])[0] < 0
             lo[act] = np.where(below, mid, lo[act])
             hi[act] = np.where(below, hi[act], mid)
             act = act[~(hi[act] - lo[act] < tol[act])]
             if not act.size:
                 break
-        return kernel.rk4(Q, P, 0.5 * (lo + hi))
+        return kernel.rk4(Q, P, 0.5 * (lo + hi), F)
 
     def residual(self, U, collect=False):
         xi_list, p_list = self.unpack(U)

@@ -112,6 +112,32 @@ class TestHessian:
         assert np.allclose(M, M.T)
 
 
+class TestBoxHessian:
+    @seed(20161018)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(st.integers(-3, 3), st.integers(-3, 3), st.booleans(), st.booleans(),
+           st.lists(st.floats(0.02, 0.98), min_size=6, max_size=6),
+           st.sampled_from([0.0, 0.01]))
+    def test_closed_form_matches_differences(self, m1, m2, left, right, u, margin):
+        # odd wall counts flip the parity of a coordinate; anchors drop slots
+        scn = scenarios.two_ball_box_scenario(masses=(1.0, 2.0))
+        lo, hi = margin, 1.0 - margin
+        a, b = lo + (hi - lo) * np.array(u[:2]), lo + (hi - lo) * np.array(u[2:4])
+        link = scenarios.TwoBallBoxLink(scn.h, scn.E, scn.masses, scn.box, (m1, m2),
+                                        margin, left=a if left else None,
+                                        right=b if right else None)
+        xm = np.zeros(0) if left else np.array([lo + (hi - lo) * u[4]])
+        xp = np.zeros(0) if right else np.array([lo + (hi - lo) * u[5]])
+        ell, _, g = link._chord(xm, xp)
+        assume(np.min(np.abs(ell)) > 1e-3 and g > 0.05)
+        exact = link.hess(xm, xp)
+        fd = dls.LinkEvaluator.hess(link, xm, xp)
+        assert [h.shape for h in exact] == [h.shape for h in fd]
+        for he, hf in zip(exact, fd):
+            # equal patterns give an exactly zero Hessian; differences read ~1e-11
+            assert np.allclose(he, hf, rtol=1e-6, atol=1e-8)
+
+
 class TestNewton:
     def test_two_ball_box_odd_count_nondegenerate(self):
         # segment case: periodic codes with an odd number of pair collisions
@@ -212,6 +238,28 @@ class TestGreenDecay:
         rhs[20] = 1.0
         v = np.linalg.solve(M, rhs)
         assert fit.norms[25] == pytest.approx(abs(v[25]), rel=1e-9)
+
+    def test_vector_sites_take_the_largest_unit_load_response(self):
+        # two chart coordinates per site: the block response is the largest
+        # over the unit loads at the centre, each solved densely on its own
+        Adiag = np.array([[2.0, 0.4], [0.4, 1.5]])
+        C = np.array([[-0.3, 0.1], [0.05, -0.2]])
+        link = FunctionLink(lambda x, y: 0.5 * x @ Adiag @ x + 0.5 * y @ Adiag @ y + x @ C @ y,
+                            2, 2)
+        dl = DiscreteLagrangian({"q": link}, energy=0.5)
+        chain = ChainConfiguration(["q"] * 3, [np.zeros(2) for _ in range(3)], "periodic")
+        fit = green_decay(dl, chain, 0, half_width=8)
+        from shadowbilliards.blocktri import assemble_dense, split_blocks
+        from shadowbilliards.dls import _periodic_window_blocks
+        diag, off = _periodic_window_blocks(dl, chain, 0, 8)
+        M = assemble_dense(diag, off)
+        ref = np.zeros(len(diag))
+        for a in range(2):
+            rhs = np.zeros(M.shape[0])
+            rhs[2 * 8 + a] = 1.0
+            x = split_blocks(np.linalg.solve(M, rhs), [2] * len(diag))
+            ref = np.maximum(ref, [np.linalg.norm(xi) for xi in x])
+        assert np.allclose(fit.norms, ref, rtol=1e-12, atol=0.0)
 
     def test_symmetric_chain_no_decay(self):
         scn, chain = two_ball_critical()

@@ -222,10 +222,11 @@ class TestLockstepKernel:
         Q, P, dt = rows
         sp = square_perturbation(1e-3, mass)
         kernel = singular._PointCenterKernel(sp)
-        Qb, Pb = kernel.rk4(Q, P, dt)
-        Db = kernel.distance(Q)
+        Fb, Db = kernel.force_distance(Q)
+        assert same_bits(Fb, kernel.force(Q))
+        Qb, Pb = kernel.rk4(Q, P, dt, Fb)
         for i in range(len(dt)):
-            q1, p1 = kernel.rk4(Q[i:i + 1], P[i:i + 1], dt[i:i + 1])
+            q1, p1 = kernel.rk4(Q[i:i + 1], P[i:i + 1], dt[i:i + 1], kernel.force(Q[i:i + 1]))
             assert same_bits(Qb[i], q1[0]) and same_bits(Pb[i], p1[0])
             q_ref, p_ref = reference_rk4(sp, Q[i], P[i], float(dt[i]))
             assert same_bits(Qb[i], q_ref) and same_bits(Pb[i], p_ref)
