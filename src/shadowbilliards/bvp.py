@@ -260,7 +260,7 @@ def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess, label=None,
         for _ in range(30):
             p_new = p + lam * step[:d]
             tau_new = tau + lam * step[d]
-            if tau_new > 0:
+            if 0 < tau_new <= 2 * tau:   # no trial flight longer than twice the last
                 r_new = residual(p_new, tau_new)
                 if np.linalg.norm(r_new) < np.linalg.norm(r):
                     break

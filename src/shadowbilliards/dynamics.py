@@ -197,9 +197,14 @@ class KeplerPotential(Potential):
         return -self.mu / r
 
     def grad(self, q):
-        # |rel| as a batched matmul and r**3 as Python's float power per row:
-        # both round like the one-row np.linalg.norm and r**3 (np.power does not)
+        # |rel| as a matmul and r**3 as Python's float power per row: both round
+        # like the one-row np.linalg.norm and r**3 (np.power does not)
         rel = self._rel(q)
+        if rel.ndim == 1:
+            r = float(np.sqrt(rel @ rel))
+            if r <= self.r_min:
+                raise DomainError(f"point within {self.r_min} of the Kepler center")
+            return self.mu * rel / r**3
         r = np.sqrt((rel[..., None, :] @ rel[..., :, None])[..., 0, 0])
         rows = r.ravel().tolist()
         if any(x <= self.r_min for x in rows):
@@ -281,6 +286,7 @@ class ClassicalHamiltonian:
                 raise ValueError("mass matrix must be positive definite")
         self.mass = M
         self.mass_inv = np.linalg.inv(M)
+        self.unit_mass = bool(np.array_equal(self.mass_inv, np.eye(d)))
         self.magnetic = magnetic
 
     @property
@@ -367,21 +373,23 @@ def _verlet_steps(h: ClassicalHamiltonian, q, p, dt: float, nsteps: int,
                   sample_every: int = 1):
     """Stormer-Verlet (kick-drift-kick) for w == 0; q, p may be batched (B, d).
 
-    A step's closing half-kick force opens the next step: nsteps + 1 gradient
-    calls. `minv @ p[..., None]` rounds each row like the one-row `minv @ p`.
+    A step's closing force opens the next step: nsteps + 1 gradient calls, and
+    one `half * g` product serves both half-kicks around it. With unit mass the
+    drift is by p itself; otherwise `minv @ p[..., None]` rounds each row like
+    the one-row `minv @ p`.
     """
     q = np.array(q, dtype=float)
     p = np.array(p, dtype=float)
-    minv = h.mass_inv
+    minv = None if h.unit_mass else h.mass_inv
     grad = h.grad_W
     qs, ps = [q.copy()], [p.copy()]
     half = 0.5 * dt
-    g = grad(q)
+    kick = half * grad(q)
     for n in range(nsteps):
-        p = p - half * g
-        q = q + dt * (minv @ p[..., None])[..., 0]
-        g = grad(q)
-        p = p - half * g
+        p = p - kick
+        q = q + dt * (p if minv is None else (minv @ p[..., None])[..., 0])
+        kick = half * grad(q)
+        p = p - kick
         if (n + 1) % sample_every == 0 or n == nsteps - 1:
             qs.append(q.copy())
             ps.append(p.copy())
@@ -426,10 +434,17 @@ def flow_segment(h: ClassicalHamiltonian, s0: PhaseState, duration: float,
     """Integrate the Hamiltonian flow for the given duration.
 
     Stormer-Verlet splitting when the magnetic covector vanishes, implicit
-    midpoint otherwise. The step is halved until the terminal energy drift
-    meets energy_tol (relative to max(1, |H|)); StepUnderflowError if the
-    halving budget runs out. Free flight is sampled exactly: with W == 0 and
-    w == 0 every Verlet step is an exact translation.
+    midpoint otherwise. Rung k of the step ladder flies n0 * 2**k steps,
+    n0 = ceil(duration * steps_per_unit_time), and passes when its terminal
+    energy drift meets energy_tol (relative to max(1, |H|)). Both schemes are
+    second order, so the drift falls like dt**2: when rung 0 fails with drift
+    d0, the next flight is the first rung k with d0 / 4**k <= 1.5 * energy_tol,
+    and the ladder climbs one rung at a time from there. That is the rung a
+    climb from rung 0 accepts unless a skipped rung beats the dt**2 law by
+    more than 1.5x. Skipped rungs count against max_step_halvings:
+    StepUnderflowError when rung max_step_halvings fails. Free flight is
+    sampled exactly: with W == 0 and w == 0 every Verlet step is an exact
+    translation.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -443,8 +458,10 @@ def flow_segment(h: ClassicalHamiltonian, s0: PhaseState, duration: float,
         ps = np.repeat(s0.p[None, :], n + 1, axis=0)
         return Trajectory(ts + s0.t, qs, ps)
 
-    nsteps = max(1, int(np.ceil(duration * steps_per_unit_time)))
-    for attempt in range(max_step_halvings + 1):
+    n0 = max(1, int(np.ceil(duration * steps_per_unit_time)))
+    rung = 0
+    while True:
+        nsteps = n0 * 2**rung
         dt = duration / nsteps
         sample_every = max(1, nsteps // max_samples)
         if h.magnetic is None:
@@ -460,10 +477,14 @@ def flow_segment(h: ClassicalHamiltonian, s0: PhaseState, duration: float,
             ts[:-1] = np.arange(k - 1) * (dt * sample_every)
             ts[-1] = duration
             return Trajectory(ts + s0.t, qs, ps)
-        nsteps *= 2
-    raise StepUnderflowError(
-        f"energy drift {drift:.3e} above tolerance {energy_tol:.1e} "
-        f"after {max_step_halvings} step halvings")
+        if rung >= max_step_halvings:
+            raise StepUnderflowError(
+                f"energy drift {drift:.3e} above tolerance {energy_tol:.1e} "
+                f"after {max_step_halvings} step halvings")
+        if rung == 0:
+            while rung + 1 < max_step_halvings and drift / 4**(rung + 1) > 1.5 * energy_tol:
+                rung += 1
+        rung += 1
 
 
 def jacobi_action(h: ClassicalHamiltonian, curve: np.ndarray, E: float) -> float:

@@ -232,11 +232,15 @@ def arc_action_f(xm, xp, arc: Union[str, int, None] = None) -> float:
 # ---------------------------------------------------------------------------
 
 def _scaled_endpoints(h: float, z) -> Tuple[np.ndarray, np.ndarray]:
+    """Endpoints scaled to a = 1; both must lie in the Hill region 0 < r < 2."""
     if h >= 0:
         raise FeasibilityError("elliptic action needs h < 0")
     xm, xp = z
     s = -2.0 * h
-    return s * np.asarray(xm, dtype=float), s * np.asarray(xp, dtype=float)
+    zm, zp = s * np.asarray(xm, dtype=float), s * np.asarray(xp, dtype=float)
+    if not (0 < np.linalg.norm(zm) < 2 and 0 < np.linalg.norm(zp) < 2):
+        raise FeasibilityError("endpoint radius must lie in (0, 2) for a = 1")
+    return zm, zp
 
 
 def J_n(h: float, z, n: int, arc: Union[str, int, None] = "short") -> float:
@@ -289,8 +293,6 @@ def _gauge_ellipse_through(zm: np.ndarray) -> Tuple[EllipseGeometry, float]:
     serves for sampling and velocity directions.
     """
     r = float(np.linalg.norm(zm))
-    if not (0 < r < 2):
-        raise FeasibilityError("endpoint radius must lie in (0, 2) for a = 1")
     e = min(abs(1.0 - r) + 0.2, 0.5 * (1.0 + abs(1.0 - r)))
     u0 = float(np.arccos(np.clip((1.0 - r) / e, -1.0, 1.0)))
     A = np.cos(u0) - e

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from shadowbilliards import bvp
 from shadowbilliards.dynamics import (CallablePotential, ClassicalHamiltonian,
-                                      HarmonicPotential, KeplerPotential, euclidean,
-                                      flat_torus)
+                                      HarmonicPotential, KeplerPotential,
+                                      StepUnderflowError, euclidean, flat_torus)
 
 
 def free_h(dim=2, mass=None):
@@ -79,6 +80,49 @@ class TestConnect:
         rev = orb.reversed()
         assert rev.action == pytest.approx(orb.action, rel=1e-14)
         assert np.allclose(rev.p_minus, -orb.p_plus)
+
+
+POINT = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2).map(np.array)
+
+
+class TestShootingConvergence:
+    """A shooting connect that returns meets its tolerance when (p-, tau) is re-flown."""
+
+    @seed(20161103)
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(st.floats(0.3, 3.0), POINT, POINT, st.floats(0.02, 1.5),
+           st.sampled_from([None, [[2.0, 0.3], [0.3, 1.5]]]))
+    def test_returned_connect_meets_tol(self, k, qm, qp, excess, mass):
+        h = ClassicalHamiltonian(euclidean(2), HarmonicPotential(k), mass=mass)
+        E = max(h.potential.value(qm), h.potential.value(qp)) + excess
+        tol, spu = 1e-10, 200.0
+        try:
+            orb = bvp.connect(h, qm, qp, E, backend="shooting", tol=tol, steps_per_unit=spu)
+        except (bvp.ConnectError, bvp.ConjugateError, StepUnderflowError):
+            return
+        q_end, _ = bvp._flow_to(h, qm, orb.p_minus, orb.tau, spu)
+        assert np.linalg.norm(q_end - qp) <= tol * max(1.0, np.linalg.norm(qp - qm))
+        assert abs(h.energy(qm, orb.p_minus) - E) <= tol * max(1.0, abs(E))
+
+    def test_trial_flights_at_most_double_the_travel_time(self, monkeypatch):
+        # 0.05 above the potential at q-: Newton steps here proposed travel
+        # times over 30x the current one, flights of up to 10^5 steps
+        fly, flown = bvp._flow_to, []
+
+        def capped(h, q0, p0, tau, spu):
+            assert not flown or tau <= 2 * max(flown), (tau, max(flown))
+            flown.append(tau)
+            return fly(h, q0, p0, tau, spu)
+
+        monkeypatch.setattr(bvp, "_flow_to", capped)
+        h = ClassicalHamiltonian(euclidean(2), HarmonicPotential(2.0))
+        qm, qp = np.array([-0.125, 0.628]), np.array([0.402, 0.0])
+        E = h.potential.value(qm) + 0.05
+        try:
+            bvp.connect(h, qm, qp, E, backend="shooting", steps_per_unit=50.0)
+        except bvp.ConnectError:
+            pass
+        assert len(flown) > 2
 
 
 class TestBoundaryMomenta:

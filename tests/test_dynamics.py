@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from shadowbilliards import dynamics
 from shadowbilliards.dynamics import (AmbientSpace, CallablePotential,
                                       ClassicalHamiltonian, ConstantPotential,
                                       DomainError, HarmonicPotential, KeplerPotential,
-                                      MagneticField, PhaseState, Potential, ZeroPotential,
-                                      _verlet_steps, euclidean, eval_energy, flat_torus,
+                                      MagneticField, PhaseState, Potential,
+                                      StepUnderflowError, Trajectory, ZeroPotential,
+                                      _midpoint_steps, _verlet_steps, euclidean,
+                                      eval_energy, flat_torus,
                                       flow_segment, in_domain, jacobi_action)
 
 
@@ -380,3 +383,108 @@ class TestBatchedPotentials:
         assert G.shape == Q.shape
         for i, q in enumerate(Q):
             assert same_bits(G[i], pot.grad(q))
+
+
+def reference_ladder(h, s0, duration, spu, energy_tol, max_step_halvings=6,
+                     max_samples=4096):
+    """flow_segment as a plain doubling ladder: every rung flown from t = 0.
+
+    Returns the accepted Trajectory (None if no rung passes) and the terminal
+    drift of every rung flown.
+    """
+    E0 = h.energy(s0.q, s0.p)
+    nsteps = max(1, int(np.ceil(duration * spu)))
+    drifts = []
+    for _ in range(max_step_halvings + 1):
+        dt = duration / nsteps
+        every = max(1, nsteps // max_samples)
+        _, _, qs, ps = _verlet_steps(h, s0.q, s0.p, dt, nsteps, every)
+        qs, ps = np.asarray(qs), np.asarray(ps)
+        drifts.append(abs(h.energy(qs[-1], ps[-1]) - E0) / max(1.0, abs(E0)))
+        if drifts[-1] <= energy_tol:
+            ts = np.empty(len(qs))
+            ts[:-1] = np.arange(len(qs) - 1) * (dt * every)
+            ts[-1] = duration
+            return Trajectory(ts + s0.t, qs, ps), drifts
+        nsteps *= 2
+    return None, drifts
+
+
+class StepLog(list):
+    """Step counts of _verlet_steps calls; a call above `limit` steps fails unflown."""
+
+    limit = None
+
+
+@pytest.fixture
+def flown(monkeypatch):
+    steps = StepLog()
+
+    def counting(h, q, p, dt, nsteps, sample_every=1):
+        assert steps.limit is None or nsteps <= steps.limit, nsteps
+        steps.append(nsteps)
+        return _verlet_steps(h, q, p, dt, nsteps, sample_every)
+
+    monkeypatch.setattr(dynamics, "_verlet_steps", counting)
+    return steps
+
+
+class TestRungJump:
+    """flow_segment flies rung 0, then the rung the dt**2 drift law predicts."""
+
+    # an eccentric Kepler arc, 60 steps at rung 0; its drift falls slightly
+    # faster than 4x per halving, so the 1.5x margin decides where it lands
+    h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
+    s0 = PhaseState(np.array([1.5, 0.0]), np.array([0.2, 0.7]), 0.25)
+    duration, spu = 3.0, 20
+
+    def test_predicted_rung_flies_second_and_matches_the_ladder(self, flown):
+        _, drifts = reference_ladder(self.h, self.s0, self.duration, self.spu, 0.0)
+        predicted = drifts[0] / 4**3
+        tol = np.sqrt(drifts[3] * predicted)
+        # rung 3 passes with its predicted drift above tol (margin needed), rung 2 fails
+        assert drifts[3] < tol < predicted <= 1.5 * tol and drifts[2] > tol
+        ref, _ = reference_ladder(self.h, self.s0, self.duration, self.spu, tol)
+        traj = flow_segment(self.h, self.s0, self.duration, self.spu, energy_tol=tol)
+        assert flown == [60, 480]
+        for name in ("ts", "qs", "ps"):
+            assert same_bits(getattr(traj, name), getattr(ref, name))
+
+    def test_rung_zero_pass_flies_once(self, flown):
+        ref, drifts = reference_ladder(self.h, self.s0, self.duration, self.spu, 1e-6)
+        assert len(drifts) == 1
+        traj = flow_segment(self.h, self.s0, self.duration, self.spu, energy_tol=1e-6)
+        assert flown == [60]
+        assert same_bits(traj.qs, ref.qs) and same_bits(traj.ps, ref.ps)
+
+    @pytest.mark.parametrize("halvings", [0, 2, 6])
+    def test_budget_counts_skipped_rungs(self, flown, halvings):
+        flown.limit = 60 * 2**halvings
+        with pytest.raises(StepUnderflowError, match=f"after {halvings} step halvings"):
+            flow_segment(self.h, self.s0, self.duration, self.spu, energy_tol=1e-20,
+                         max_step_halvings=halvings)
+        assert flown == ([60] if halvings == 0 else [60, 60 * 2**halvings])
+
+    def test_midpoint_branch_jumps_too(self, monkeypatch):
+        # Kepler with a constant magnetic field: implicit midpoint, also second order
+        w = MagneticField(lambda q: np.array([-q[1], q[0]]),
+                          lambda q: np.array([[0.0, -1.0], [1.0, 0.0]]))
+        h = ClassicalHamiltonian(euclidean(2), KeplerPotential(), magnetic=w)
+        q0 = np.array([1.0, 0.0])
+        s0 = PhaseState(q0, np.array([0.3, 1.0]) + w.value(q0))
+        E0 = h.energy(s0.q, s0.p)
+        drifts = []
+        for n in (30, 60, 120, 240):
+            qn, pn, _, _ = _midpoint_steps(h, s0.q, s0.p, 2.0 / n, n, n)
+            drifts.append(abs(h.energy(qn, pn) - E0) / max(1.0, abs(E0)))
+        tol = np.sqrt(drifts[2] * drifts[3])
+        flown = []
+
+        def counting(h, q, p, dt, nsteps, sample_every=1):
+            flown.append(nsteps)
+            return _midpoint_steps(h, q, p, dt, nsteps, sample_every)
+
+        monkeypatch.setattr(dynamics, "_midpoint_steps", counting)
+        traj = flow_segment(h, s0, 2.0, steps_per_unit_time=15, energy_tol=tol)
+        assert flown == [30, 240]
+        assert same_bits(traj.final.q, qn) and same_bits(traj.final.p, pn)

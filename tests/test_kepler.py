@@ -7,7 +7,10 @@ from shadowbilliards import kepler as kp
 
 def quad_action(h, z, n, arc, num=200_001):
     """Independent oracle: trapezoid quadrature of sqrt(2/|x| + 2h) |dx|."""
-    path = kp.sample_orbit(h, z, n, arc, num=num)
+    return trapezoid_action(kp.sample_orbit(h, z, n, arc, num=num), h)
+
+
+def trapezoid_action(path, h):
     r = np.linalg.norm(path, axis=1)
     integrand = np.sqrt(2.0 / r + 2.0 * h)
     seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
@@ -135,6 +138,35 @@ class TestJn:
                 J = kp.J_n(h, (xm, xp), n, "short")
                 Q = quad_action(h, (xm, xp), n, "short")
                 assert abs(J - Q) / abs(J) <= 1e-6
+
+    @seed(20161103)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.floats(-1.5, 0.5), st.floats(0.0, 2.0), st.floats(0.0, 2.0),
+           st.floats(0.0, 2 * np.pi), st.floats(0.0, 2 * np.pi),
+           st.sampled_from([-3, -2, -1, 1, 2, 3]), st.sampled_from(["short", "long"]))
+    def test_random_endpoints_match_quadrature(self, log_h, s1, s2, t1, t2, n, arc):
+        # s1, s2: endpoint radii in units of the semi-major axis a = -1/(2h)
+        h = -10.0**log_h
+        a = -0.5 / h
+        z = (a * s1 * np.array([np.cos(t1), np.sin(t1)]),
+             a * s2 * np.array([np.cos(t2), np.sin(t2)]))
+        try:
+            J = kp.J_n(h, z, n, arc)
+        except kp.FeasibilityError:
+            assume(False)
+        path = kp.sample_orbit(h, z, n, arc, num=20_001)
+        # near a collision the 20,001-point trapezoid rule itself misses by
+        # more than 1e-6 (its error falls like num**-2 towards J_n there too)
+        assume(np.linalg.norm(path, axis=1).min() >= 1e-2 * a)
+        assert abs(J - trapezoid_action(path, h)) <= 1e-6 * abs(J)
+
+    @pytest.mark.parametrize("x", [[0.0, 0.0], [2.0, 0.0], [0.0, -3.5]])
+    def test_degenerate_chord_outside_hill_region_rejected(self, x):
+        # at h = -0.5 (a = 1) no orbit reaches r = 0 or r >= 2
+        z = (np.array(x), np.array(x))
+        for fn in (kp.J_n, kp.travel_time, kp.sample_orbit):
+            with pytest.raises(kp.FeasibilityError):
+                fn(-0.5, z, 1)
 
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError):
