@@ -46,7 +46,8 @@ def reflect(h: ClassicalHamiltonian, q, p, normal, tangency_floor: float = 1e-12
 
     p' = p - 2 <p - w, n> n / ||n||^2 with inner products of the inverse-mass
     metric; conserves H exactly and jumps the momentum parallel to n.
-    Supports batched inputs broadcast along the leading axis.
+    Supports batched inputs broadcast along the leading axis; a grazing row
+    raises GrazingEventError in either form.
     """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -64,9 +65,13 @@ def reflect(h: ClassicalHamiltonian, q, p, normal, tangency_floor: float = 1e-12
     w = np.zeros_like(p)
     if h.magnetic is not None:
         w = np.stack([h.magnetic.value(row) for row in q])
-    pk = p - w
+    v = (p - w) @ minv.T                      # H_p of each row
+    pn = np.einsum("bi,bi->b", v, n)
+    graze = np.abs(pn) <= tangency_floor * np.maximum(
+        1.0, np.linalg.norm(v, axis=1) * np.linalg.norm(n, axis=1))
+    if graze.any():
+        raise GrazingEventError(f"tangential incidence at row {np.argmax(graze)}: <H_p, n> = 0")
     nn = np.einsum("bi,ij,bj->b", n, minv, n)
-    pn = np.einsum("bi,ij,bj->b", pk, minv, n)
     return p - (2.0 * pn / nn)[:, None] * n
 
 

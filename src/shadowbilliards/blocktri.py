@@ -7,16 +7,21 @@ solved with a pivoted LU, which is exact and cheap at chain sizes used here.
 A right-hand side block may be a vector (d_i,) or a matrix (d_i, k): one
 forward/backward sweep then solves all k columns, so the sup norm of a window
 inverse takes one factorization and one sweep against the block identity,
-O(W) Python calls with the O(W^2) flops left to LAPACK.
+O(W) Python calls with the O(W^2) flops left to LAPACK (getrf/getrs, called
+without the scipy.linalg wrappers).
 """
 
 from __future__ import annotations
 
-import warnings
+import os
 from typing import List, Optional, Sequence
 
-import numpy as np
-import scipy.linalg as sla
+# these solves are small and OpenBLAS threads on a busy CPU slow them several
+# times; scipy's OpenBLAS reads this once, as it loads: a user's value wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+from scipy.linalg.lapack import dgetrf, dgetrs  # noqa: E402
 
 
 class SingularBlockError(np.linalg.LinAlgError):
@@ -39,18 +44,14 @@ class BlockTridiagonalFactor:
             if i > 0:
                 Bi = self.B[i - 1]
                 D = self.A[i] - Bi.T @ self._solve_pivot(i - 1, Bi)
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error", sla.LinAlgWarning)
-                    self._pivots.append(sla.lu_factor(D))
-            except (ValueError, np.linalg.LinAlgError, sla.LinAlgWarning) as exc:
-                raise SingularBlockError(f"singular pivot at block {i}") from exc
-            piv = self._pivots[-1]
-            if not np.all(np.isfinite(piv[0])) or np.any(np.abs(np.diag(piv[0])) < 1e-300):
+            lu, piv, info = dgetrf(D)
+            if (info != 0 or not (np.all(np.isfinite(D)) and np.all(np.isfinite(lu)))
+                    or np.any(np.abs(np.diag(lu)) < 1e-300)):
                 raise SingularBlockError(f"singular pivot at block {i}")
+            self._pivots.append((lu, piv))
 
     def _solve_pivot(self, i: int, rhs: np.ndarray) -> np.ndarray:
-        return sla.lu_solve(self._pivots[i], rhs)
+        return dgetrs(*self._pivots[i], rhs)[0]
 
     def solve(self, rhs_blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
         n = len(self.A)

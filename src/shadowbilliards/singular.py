@@ -9,16 +9,16 @@ shooting Newton over the chain with one section plane per collision, seeded
 by the two-body deflection that matches the chain's momentum jumps.
 
 All integration goes through one RK4 kernel on (B, d) rows with a step per
-row. The shooting flies every link of a residual, and every perturbed link
-of a central-difference Jacobian, in one lockstep call; each row keeps its
-own section, time budget, minimum distance and outcome, and its numbers are
-bit-equal to the row flown alone. flow_singular flies one row.
+row. A Newton step of the shooting is one lockstep call: the links of a
+full-step trial fly with every perturbed link of the central-difference
+Jacobian there; each row keeps its own section, time budget, minimum distance
+and outcome, and its numbers are bit-equal to the row flown alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -351,13 +351,8 @@ class _ChainShooting:
 
     def unpack(self, U):
         d = self.sp.base.dim
-        per = (d - 1) + d
-        xi_list, p_list = [], []
-        for j in range(self.n):
-            blk = U[j * per:(j + 1) * per]
-            xi_list.append(blk[:d - 1])
-            p_list.append(blk[d - 1:])
-        return xi_list, p_list
+        blocks = U.reshape(self.n, 2 * d - 1)
+        return list(blocks[:, :d - 1]), list(blocks[:, d - 1:])
 
     def node_state(self, j, xi):
         return self.defl[j].periapsis + self.bases[j] @ xi
@@ -429,13 +424,13 @@ class _ChainShooting:
         near = np.sqrt((rel[:, None, :] @ rel[:, :, None])[:, 0, 0]) < self.r_detect
         return phi, near
 
-    def fly_link(self, rows, collect=False):
+    def fly_link(self, rows, collect=0):
         """Flow each row (start node j, xi, p) from node j until it crosses
         section j+1 near its center; all rows step in lockstep.
 
         Returns one outcome per row: (q_hit, p_hit, dmin, path), where path
-        holds the samples if collect and is None otherwise, or the
-        SingularShadowError / ExclusionRadiusError that ended the row.
+        holds the samples of the first `collect` rows and is None otherwise,
+        or the SingularShadowError / ExclusionRadiusError that ended the row.
         """
         space = self.sp.base.space
         stepper = self._stepper
@@ -454,9 +449,9 @@ class _ChainShooting:
         F, D = kernel.force_distance(Q)
         dmin = D.copy()
         phi, near = self._section(Q, A, N)
-        samples = [[q] for q in Q] if collect else None
         out = [None] * len(rows)
         live = np.arange(len(rows))
+        trail = [(live, Q)]             # the live rows and their positions, step by step
 
         def drop(mask):
             nonlocal live, Q, P, F, A, N, budget, T, D, dmin, phi, near
@@ -483,18 +478,18 @@ class _ChainShooting:
                 k = np.flatnonzero(hit)
                 q_hit, p_hit = self._bisect(Q[k], P[k], F[k], dt[k], A[k], N[k])
                 for m, kk in enumerate(k):
-                    i = live[kk]
-                    path = None
-                    if collect:
-                        samples[i].append(q_hit[m])
-                        path = np.asarray(samples[i])
-                    out[i] = (q_hit[m], p_hit[m], float(dmin[kk]), path)
+                    out[live[kk]] = (q_hit[m], p_hit[m], float(dmin[kk]), None)
             Q, P, F, T, D, phi, near = Q2, P2, F2, T + dt, D2, phi2, near2
-            if collect:
-                for k in np.flatnonzero(~hit):
-                    samples[live[k]].append(Q[k])
             if hit.any():
                 drop(hit)
+            if collect:
+                trail.append((live, Q))
+        if collect:
+            ids = np.concatenate([ids for ids, _ in trail])
+            pts = np.concatenate([q for _, q in trail])
+            for i in range(collect):
+                if not isinstance(out[i], Exception):
+                    out[i] = out[i][:3] + (np.vstack([pts[ids == i], out[i][0]]),)
         return out
 
     def _bisect(self, Q, P, F, dt, A, N):
@@ -515,12 +510,17 @@ class _ChainShooting:
                 break
         return kernel.rk4(Q, P, 0.5 * (lo + hi), F)
 
-    def residual(self, U, collect=False):
+    def residual(self, U, fd_rel=None):
+        """Residual at U, least distance to N and each link's path, from one
+        lockstep call. With fd_rel the stencil rows of the Jacobian at U fly
+        in the same call; their outcomes come fourth (None without fd_rel)."""
         xi_list, p_list = self.unpack(U)
-        flights = self.fly_link([(j, xi_list[j], p_list[j]) for j in range(self.n)], collect)
+        stencil = self._stencil_rows(U, self._fd_steps(U, fd_rel)) if fd_rel else []
+        flights = self.fly_link([(j, xi_list[j], p_list[j]) for j in range(self.n)] + stencil,
+                                collect=self.n)
         res = []
         dmin = np.inf
-        for j, flight in enumerate(flights):
+        for j, flight in enumerate(flights[:self.n]):
             if isinstance(flight, Exception):
                 raise flight
             q_hit, p_hit, dm, _ = flight
@@ -529,35 +529,44 @@ class _ChainShooting:
             rel = self.sp.base.space.centered(q_hit - self.defl[jn].periapsis)
             res.append(self.bases[jn].T @ rel - xi_list[jn])
             res.append(p_hit - p_list[jn])
-        paths = [flight[3] for flight in flights] if collect else None
-        return np.concatenate(res), float(dmin), paths
+        return (np.concatenate(res), float(dmin), [flight[3] for flight in flights[:self.n]],
+                flights[self.n:] if fd_rel else None)
 
-    def jacobian(self, U, fd_rel: float = 1e-7) -> np.ndarray:
+    def _fd_steps(self, U, fd_rel):
+        """Central-difference step of every unknown, scaled by its node's block."""
+        per = 2 * self.sp.base.dim - 1
+        return [fd_rel * max(1.0, np.linalg.norm(U[j * per:(j + 1) * per]))
+                for j in range(self.n) for _ in range(per)]
+
+    def _stencil_rows(self, U, hs, cols=None):
+        """The (+h, -h) perturbed link of each column (all columns by default)."""
+        d = self.sp.base.dim
+        per = 2 * d - 1
+        rows = []
+        for c in range(per * self.n) if cols is None else cols:
+            j = c // per
+            for sign in (1.0, -1.0):
+                blk = U[j * per:(j + 1) * per].copy()
+                blk[c % per] += sign * hs[c]
+                rows.append((j, blk[:d - 1], blk[d - 1:]))
+        return rows
+
+    def jacobian(self, U, fd_rel: float = 1e-7, flights=None) -> np.ndarray:
         """Shooting Jacobian at U: -I couplings plus central differences.
 
-        All 2 (2d - 1) n perturbed links fly in one lockstep call. A column
-        with a failed flight is flown again at a quarter of its step, at most
-        four times in all.
+        All 2 (2d - 1) n perturbed links fly in one lockstep call, unless
+        their outcomes are given as flights (flown with the residual at U).
+        A column with a failed flight is flown again at a quarter of its
+        step, at most four times in all.
         """
-        d = self.sp.base.dim
-        per = (d - 1) + d
-        J = np.zeros((per * self.n, per * self.n))
-        # analytic coupling of residual block j to node j+1: -I
-        for j in range(self.n):
-            jn = (j + 1) % self.n
-            J[j * per:(j + 1) * per, jn * per:(jn + 1) * per] -= np.eye(per)
-        cols = [(j, a) for j in range(self.n) for a in range(per)]
-        hs = [fd_rel * max(1.0, np.linalg.norm(U[j * per:(j + 1) * per])) for j, _ in cols]
-        pending = list(range(len(cols)))
+        per = 2 * self.sp.base.dim - 1
+        size = per * self.n  # analytic coupling of residual block j to node j+1: -I
+        J = np.zeros((size, size)) - np.roll(np.eye(size), per, axis=1)
+        hs = self._fd_steps(U, fd_rel)
+        pending = list(range(size))
         for _ in range(4):
-            rows = []
-            for c in pending:
-                j, a = cols[c]
-                for sign in (1.0, -1.0):
-                    blk = U[j * per:(j + 1) * per].copy()
-                    blk[a] += sign * hs[c]
-                    rows.append((j, blk[:d - 1], blk[d - 1:]))
-            flights = self.fly_link(rows)
+            if flights is None:
+                flights = self.fly_link(self._stencil_rows(U, hs, pending))
             failed = []
             for m, c in enumerate(pending):
                 plus, minus = flights[2 * m], flights[2 * m + 1]
@@ -565,27 +574,30 @@ class _ChainShooting:
                     hs[c] *= 0.25
                     failed.append(c)
                     continue
-                j, a = cols[c]
+                j = c // per
                 jn = (j + 1) % self.n
                 h = hs[c]
                 drel = self.sp.base.space.centered(plus[0] - minus[0]) / (2 * h)
                 dcol = np.concatenate([self.bases[jn].T @ drel, (plus[1] - minus[1]) / (2 * h)])
-                J[j * per:(j + 1) * per, j * per + a] += dcol
-            pending = failed
+                J[j * per:(j + 1) * per, c] += dcol
+            pending, flights = failed, None
             if not pending:
                 return J
         raise SingularShadowError(
-            f"finite differences infeasible at node {cols[pending[0]][0]}")
+            f"finite differences infeasible at node {pending[0] // per}")
 
     def solve(self, tol: float = 1e-8, max_iter: int = 30, fd_rel: float = 1e-7):
+        """Newton with a halving line search: (U, |R|, iterations, dmin, paths).
+
+        A full-step trial flies its Jacobian's stencil too, kept if accepted."""
         U = self.predictor()
-        R, dmin, _ = self.residual(U)
+        R, dmin, paths, stencil = self.residual(U, fd_rel)
         rn = np.linalg.norm(R, ord=np.inf)
         scale = self.speed
         dmin_floor = min(dd.r_p for dd in self.defl) / 5.0
         it = 0
         while rn > tol * scale and it < max_iter:
-            J = self.jacobian(U, fd_rel)
+            J = self.jacobian(U, fd_rel, stencil)
             try:
                 step = np.linalg.solve(J, -R)
             except np.linalg.LinAlgError as exc:
@@ -593,31 +605,30 @@ class _ChainShooting:
             lam = 1.0
             for _ in range(25):
                 try:
-                    R_t, dmin_t, _ = self.residual(U + lam * step)
+                    flown = self.residual(U + lam * step, fd_rel if lam == 1.0 else None)
                 except (SingularShadowError, ExclusionRadiusError):
                     lam *= 0.5
                     continue
-                rn_t = np.linalg.norm(R_t, ord=np.inf)
-                if rn_t < rn and dmin_t >= dmin_floor:
+                rn_t = np.linalg.norm(flown[0], ord=np.inf)
+                if rn_t < rn and flown[1] >= dmin_floor:
                     break
                 lam *= 0.5
             else:
                 if rn <= 30 * tol * scale:
                     break  # stalled at the finite-difference noise floor
                 raise SingularShadowError(f"no descent (|R| = {rn:.2e})")
-            U, R, rn, dmin = U + lam * step, R_t, rn_t, dmin_t
+            U, rn, (R, dmin, paths, stencil) = U + lam * step, rn_t, flown
             it += 1
         if rn > 30 * tol * scale:
             raise SingularShadowError(f"Newton did not converge: |R| = {rn:.2e}")
-        return U, rn, it
+        return U, rn, it, dmin, paths
 
-    def sup_error_to_chain(self, U) -> Tuple[float, float]:
-        """Sup distance of the solved orbit to the chain polygon, min distance to N."""
-        _, dmin, paths = self.residual(U, collect=True)
+    def sup_error_to_chain(self, paths) -> float:
+        """Sup distance of the flown link paths to the chain polygon."""
         space = self.sp.base.space
         a = np.asarray(self.points, dtype=float)
         b = a + space.centered(np.roll(a, -1, axis=0) - a)
-        return space.sup_segment_distance(np.concatenate(paths), a, b), float(dmin)
+        return space.sup_segment_distance(np.concatenate(paths), a, b)
 
 
 def shadow_experiment(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
@@ -657,10 +668,9 @@ def shadow_experiment(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguratio
         shooter = _ChainShooting(sp, centers, dirs, E)
         predicted = min(d.r_p for d in shooter.defl)
         try:
-            U, rn, it = shooter.solve(tol=tol)
-            sup_err, dmin = shooter.sup_error_to_chain(U)
-            rows.append(SingularShadowRow(float(mu), True, sup_err, dmin,
-                                          predicted, float(rn), it))
+            _, rn, it, dmin, paths = shooter.solve(tol=tol)
+            rows.append(SingularShadowRow(float(mu), True, shooter.sup_error_to_chain(paths),
+                                          dmin, predicted, float(rn), it))
         except (SingularShadowError, ExclusionRadiusError, StepUnderflowError) as exc:
             rows.append(SingularShadowRow(float(mu), False, np.nan, np.nan,
                                           predicted, np.nan, 0,

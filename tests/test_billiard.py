@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from shadowbilliards import billiard, bvp, dls, scenarios
 from shadowbilliards.billiard import (BilliardDomain, BoxWalls,
@@ -57,6 +58,47 @@ class TestReflect:
         h = ClassicalHamiltonian(euclidean(2))
         with pytest.raises(GrazingEventError):
             reflect(h, np.zeros(2), np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+
+
+@st.composite
+def reflection_rows(draw):
+    """Random SPD mass (eigenvalues in [1/4, 4]), rows (q, p, n), and one row
+    index with a grazing momentum: M^{-1} p orthogonal to n."""
+    d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Qm, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    M = (Qm * rng.uniform(0.25, 4.0, d)) @ Qm.T
+    M = 0.5 * (M + M.T)
+    q, p, n = rng.normal(size=(3, draw(st.integers(1, 8)), d))
+    k = draw(st.integers(0, len(p) - 1))
+    t = rng.normal(size=d)
+    p_graze = p.copy()
+    p_graze[k] = M @ (t - (t @ n[k]) / (n[k] @ n[k]) * n[k])
+    return M, q, p, n, k, p_graze
+
+
+class TestReflectRows:
+    @seed(20161018)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(reflection_rows())
+    def test_batched_rows_match_one_row(self, case):
+        M, q, p, n, k, p_graze = case
+        h = ClassicalHamiltonian(euclidean(len(M)), mass=M)
+        minv = h.mass_inv
+        p1 = reflect(h, q, p, n)
+        e0 = 0.5 * np.einsum("bi,ij,bj->b", p, minv, p)
+        e1 = 0.5 * np.einsum("bi,ij,bj->b", p1, minv, p1)
+        assert np.max(np.abs(e1 - e0) / e0) <= 1e-12
+        for i in range(len(p)):
+            one = reflect(h, q[i], p[i], n[i])
+            assert np.linalg.norm(p1[i] - one) <= 1e-14 * np.linalg.norm(one)
+            dp = p1[i] - p[i]
+            nn = n[i] / np.linalg.norm(n[i])
+            assert np.linalg.norm(dp - (dp @ nn) * nn) <= 1e-10 * np.linalg.norm(dp)
+        with pytest.raises(GrazingEventError, match=f"at row {k}"):
+            reflect(h, q, p_graze, n)
+        with pytest.raises(GrazingEventError):
+            reflect(h, q[k], p_graze[k], n[k])
 
 
 class TestTrajectory:

@@ -1,8 +1,14 @@
 """Block Thomas solves and window inverse norms against dense linear algebra."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
+import scipy.linalg as sla
 from hypothesis import given, seed, settings, strategies as st
 
 from shadowbilliards import blocktri
@@ -75,3 +81,51 @@ class TestBlockTridiagonal:
             pass
         x = np.concatenate(solve_window(A, B, rhs))
         assert np.allclose(assemble_dense(A, B) @ x, np.concatenate(rhs), atol=1e-14)
+
+    @seed(20161018)
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(windows(), st.integers(1, 4))
+    def test_pivot_solves_equal_the_scipy_wrappers(self, win, k):
+        A, B, rng = win
+        fac = BlockTridiagonalFactor(A, B)
+        for rhs in (rng.uniform(-1.0, 1.0, sum(fac.dims)),
+                    rng.uniform(-1.0, 1.0, (sum(fac.dims), k))):
+            rhs_blocks = split_blocks(rhs, fac.dims)
+            for x, ref in zip(fac.solve(rhs_blocks), wrapper_thomas(A, B, rhs_blocks)):
+                assert x.tobytes() == ref.tobytes()
+
+    def test_nan_block_is_singular(self):
+        A = [np.eye(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(2)]
+        B = [0.1 * np.eye(2)] * 2
+        with pytest.raises(blocktri.SingularBlockError, match="at block 1"):
+            BlockTridiagonalFactor(A, B)
+
+
+def wrapper_thomas(A, B, rhs_blocks):
+    """Block Thomas solve through scipy.linalg.lu_factor / lu_solve."""
+    n = len(A)
+    pivots = [sla.lu_factor(A[0])]
+    for i in range(1, n):
+        pivots.append(sla.lu_factor(A[i] - B[i - 1].T @ sla.lu_solve(pivots[i - 1], B[i - 1])))
+    y = [np.asarray(r, dtype=float).copy() for r in rhs_blocks]
+    for i in range(1, n):
+        y[i] = y[i] - B[i - 1].T @ sla.lu_solve(pivots[i - 1], y[i - 1])
+    x = [None] * n
+    x[n - 1] = sla.lu_solve(pivots[n - 1], y[n - 1])
+    for i in range(n - 2, -1, -1):
+        x[i] = sla.lu_solve(pivots[i], y[i] - B[i] @ x[i + 1])
+    return x
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+    def test_one_openblas_thread_unless_set(self, preset, expected):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import os, shadowbilliards; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == expected

@@ -268,7 +268,7 @@ class TestLockstepKernel:
         xi, p = shooter.unpack(shooter.predictor())
         rows = [(j, xi[j], p[j]) for j in range(4)]
         plain = shooter.fly_link(rows)
-        for (q, pp, dmin, path), (j, xj, _), ref in zip(shooter.fly_link(rows, collect=True),
+        for (q, pp, dmin, path), (j, xj, _), ref in zip(shooter.fly_link(rows, collect=len(rows)),
                                                         rows, plain):
             assert same_bits(path[0], shooter.node_state(j, xj))
             assert same_bits(path[-1], q) and same_bits(q, ref[0]) and dmin == ref[2]
@@ -314,3 +314,89 @@ class TestJacobianRetry:
                                   match="finite differences infeasible at node 2"):
             shooter.jacobian(shooter.predictor())
         assert calls == [24, 2, 2, 2]
+
+
+def recorded_flights(fail_call=None):
+    """fly_link that records the row count of each call; call number
+    fail_call (from 1) reports its first row as failed."""
+    orig = singular._ChainShooting.fly_link
+    calls = []
+
+    def fly(self, rows, collect=0):
+        out = orig(self, rows, collect)
+        calls.append(len(rows))
+        if len(calls) == fail_call:
+            out[0] = singular.SingularShadowError("injected")
+        return out
+
+    return mock.patch.object(singular._ChainShooting, "fly_link", fly), calls
+
+
+def unfused_newton(shooter, tol=1e-8, fd_rel=1e-7):
+    """Newton with a Jacobian flight of its own at every step and a re-flight
+    of the solution for its paths: (U, |R|, iterations, dmin, sup error)."""
+    U = shooter.predictor()
+    R, dmin, _, _ = shooter.residual(U)
+    rn = np.linalg.norm(R, ord=np.inf)
+    floor = min(dd.r_p for dd in shooter.defl) / 5.0
+    it = 0
+    while rn > tol * shooter.speed:
+        step = np.linalg.solve(shooter.jacobian(U, fd_rel), -R)
+        lam = 1.0
+        for _ in range(25):
+            try:
+                R_t, dmin_t, _, _ = shooter.residual(U + lam * step)
+            except singular.SingularShadowError:
+                lam *= 0.5
+                continue
+            rn_t = np.linalg.norm(R_t, ord=np.inf)
+            if rn_t < rn and dmin_t >= floor:
+                break
+            lam *= 0.5
+        else:
+            raise AssertionError("no descent")
+        U, R, rn, dmin = U + lam * step, R_t, rn_t, dmin_t
+        it += 1
+    _, dmin, paths, _ = shooter.residual(U)
+    return U, rn, it, dmin, shooter.sup_error_to_chain(paths)
+
+
+class TestOneFlightPerNewtonStep:
+    # every line search of this solve accepts the full step
+    MU = 10**-2.85
+
+    def fused(self, fail_call=None):
+        shooter = square_shooter(self.MU)
+        patch, calls = recorded_flights(fail_call)
+        with patch:
+            U, rn, it, dmin, paths = shooter.solve()
+            sup = shooter.sup_error_to_chain(paths)
+        return (U, rn, it, dmin, sup), calls
+
+    def unfused(self, fail_call=None):
+        patch, calls = recorded_flights(fail_call)
+        with patch:
+            return unfused_newton(square_shooter(self.MU)), calls
+
+    @staticmethod
+    def assert_same(got, ref):
+        assert same_bits(got[0], ref[0])
+        assert got[1:] == ref[1:]
+
+    def test_full_steps_fly_once_per_iteration(self):
+        got, calls = self.fused()
+        ref, ref_calls = self.unfused()
+        it = got[2]
+        assert it >= 2 and calls == [4 + 24] * (1 + it)
+        assert ref_calls == [4] + [24, 4] * it + [4]
+        self.assert_same(got, ref)
+
+    def test_short_step_flies_its_jacobian_alone(self):
+        # the first full-step trial fails, so the step is accepted at 1/2
+        # and the next Jacobian flies on its own
+        got, calls = self.fused(fail_call=2)
+        ref, ref_calls = self.unfused(fail_call=3)
+        it = got[2]
+        assert calls == [4 + 24, 4 + 24, 4, 24] + [4 + 24] * (it - 1)
+        assert ref_calls == [4, 24, 4, 4] + [24, 4] * (it - 1) + [4]
+        self.assert_same(got, ref)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from shadowbilliards import scenarios, symbolic
 from shadowbilliards.symbolic import NEG_INF, OrbitVertex, build_graph, entropy, paths
@@ -76,6 +78,44 @@ class TestEntropy:
         g = build_graph([a, b])
         rep = entropy(g)
         assert rep.value == NEG_INF
+
+
+@st.composite
+def random_graphs(draw):
+    """0/1 adjacency on 2-40 vertices, mean out-degree up to 3; every other
+    draw keeps only the edges along a random vertex order (a DAG)."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = (rng.random((n, n)) < draw(st.floats(0.0, 3.0)) / n).astype(np.int64)
+    if draw(st.booleans()):
+        rank = rng.permutation(n)
+        A[rank[:, None] >= rank[None, :]] = 0
+    return A
+
+
+class TestEntropyRandomGraphs:
+    @seed(20161018)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(random_graphs())
+    def test_radius_is_the_largest_component_radius(self, A):
+        rep = entropy(symbolic.CollisionGraph([None] * len(A), A))
+        ncomp, labels = connected_components(A, directed=True, connection="strong")
+        radii = []
+        for c in range(ncomp):
+            idx = np.flatnonzero(labels == c)
+            B = A[np.ix_(idx, idx)]
+            if B.any():  # a component carries a cycle iff it has an inner edge
+                radii.append(float(np.max(np.abs(np.linalg.eigvals(B.astype(float))))))
+        if not radii:
+            assert rep.value == NEG_INF and rep.spectral_radius == 0.0
+            assert rep.iterations == 0
+        else:
+            assert rep.spectral_radius == pytest.approx(max(radii), rel=1e-8, abs=0)
+
+    def test_long_path_is_acyclic(self):
+        A = np.diag(np.ones(12, dtype=np.int64), 1)
+        rep = entropy(symbolic.CollisionGraph([None] * 13, A))
+        assert rep.value == NEG_INF and rep.iterations == 0
 
 
 class TestPaths:
