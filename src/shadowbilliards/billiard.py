@@ -41,7 +41,10 @@ class ShadowSolveError(RuntimeError):
 # Elastic reflection
 # ---------------------------------------------------------------------------
 
-def reflect(h: ClassicalHamiltonian, q, p, normal, tangency_floor: float = 1e-12):
+_TANGENCY_FLOOR = 1e-12     # |<H_p, n>| at or below this (relative) is a grazing row
+
+
+def reflect(h: ClassicalHamiltonian, q, p, normal):
     """Elastic reflection of the momentum at a surface with conormal `normal`.
 
     p' = p - 2 <p - w, n> n / ||n||^2 with inner products of the inverse-mass
@@ -59,7 +62,7 @@ def reflect(h: ClassicalHamiltonian, q, p, normal, tangency_floor: float = 1e-12
         pn = float(pk @ minv @ n)
         v = minv @ pk
         vnorm = np.linalg.norm(v)
-        if abs(v @ n) <= tangency_floor * max(1.0, vnorm * np.linalg.norm(n)):
+        if abs(v @ n) <= _TANGENCY_FLOOR * max(1.0, vnorm * np.linalg.norm(n)):
             raise GrazingEventError("tangential incidence: <H_p, n> = 0")
         return p - (2.0 * pn / nn) * n
     w = np.zeros_like(p)
@@ -67,7 +70,7 @@ def reflect(h: ClassicalHamiltonian, q, p, normal, tangency_floor: float = 1e-12
         w = np.stack([h.magnetic.value(row) for row in q])
     v = (p - w) @ minv.T                      # H_p of each row
     pn = np.einsum("bi,bi->b", v, n)
-    graze = np.abs(pn) <= tangency_floor * np.maximum(
+    graze = np.abs(pn) <= _TANGENCY_FLOOR * np.maximum(
         1.0, np.linalg.norm(v, axis=1) * np.linalg.norm(n, axis=1))
     if graze.any():
         raise GrazingEventError(f"tangential incidence at row {np.argmax(graze)}: <H_p, n> = 0")
@@ -230,16 +233,19 @@ class _VerletFlight:
         return PhaseState(q, p, state.t + dt)
 
 
+_ARM_GAP = 1e-9     # a surface is armed for crossings once the gap to it exceeds this
+
+
 def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int,
-                        t_max: Optional[float] = None, grazing_tol: float = 1e-4,
-                        locate_tol: float = 1e-12, record_samples: bool = True,
-                        arm_gap: float = 1e-9, max_steps: int = 2_000_000) -> BilliardRun:
+                        t_max: Optional[float] = None,
+                        record_samples: bool = True) -> BilliardRun:
     """Flow-with-reflections for a fixed number of boundary events.
 
     Bracketing uses the global speed bound: the boundary gap is 1-Lipschitz in
     the position, so a step below gap / v_max cannot skip a crossing; near the
     boundary the step is floored at eps/10 path length, and each sign change
-    is then bisected on the gap function.
+    is then bisected on the gap function. An event whose velocity makes an
+    angle with the surface of sine below 1e-4 raises GrazingEventError.
     """
     h = dom.h
     analytic = False
@@ -265,12 +271,12 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int,
 
     events: List[BilliardEvent] = []
     ts, qs, ps = [state.t], [state.q.copy()], [state.p.copy()]
-    armed = gaps > arm_gap
+    armed = gaps > _ARM_GAP
 
     def bisect_on_surface(idx, lo, hi):
         """Polish the crossing of surface idx inside [lo, hi] (gap sign change).
 
-        Runs to machine-width intervals; locate_tol is the guaranteed minimum.
+        Runs to machine-width intervals with the gap at most 1e-12.
         """
         for _ in range(200):
             mid = 0.5 * (lo + hi)
@@ -279,14 +285,14 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int,
                 hi = mid
             else:
                 lo = mid
-            if hi - lo <= 2 * np.spacing(max(abs(hi), 1.0)) and abs(g) <= locate_tol:
+            if hi - lo <= 2 * np.spacing(max(abs(hi), 1.0)) and abs(g) <= 1e-12:
                 return mid
         return 0.5 * (lo + hi)
 
     steps = 0
     while len(events) < n_bounces:
         steps += 1
-        if steps > max_steps:
+        if steps > 2_000_000:
             raise EventSearchError("step budget exhausted before the requested events")
         if t_max is not None and state.t - s0.t > t_max:
             break
@@ -322,7 +328,7 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int,
             hit = flight.advance(state, t_hit)
         else:
             gap_now = dom.surface_gaps(state.q)
-            armed = armed | (gap_now > arm_gap)
+            armed = armed | (gap_now > _ARM_GAP)
             dt = max(floor, 0.8 * float(np.min(gap_now[armed])) / v2max
                      if np.any(armed) else floor)
             dt = min(dt, step_cap)
@@ -354,7 +360,7 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int,
             hit = flight.advance(state, t_hit)
         normal, near = dom.surface_normal(hit.q, idx)
         v = h.velocity(hit.q, hit.p)
-        if abs(v @ normal) < grazing_tol * np.linalg.norm(v) * np.linalg.norm(normal):
+        if abs(v @ normal) < 1e-4 * np.linalg.norm(v) * np.linalg.norm(normal):
             raise GrazingEventError(f"grazing event at t = {hit.t:.6f} on surface {idx}")
         p_new = reflect(h, hit.q, hit.p, normal)
         boundary = None
@@ -364,7 +370,7 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int,
         events.append(BilliardEvent(hit.t, hit.q.copy(), hit.p.copy(), p_new.copy(),
                                     idx, boundary))
         state = PhaseState(hit.q, p_new, hit.t)
-        armed = dom.surface_gaps(state.q) > arm_gap  # re-arm away from this surface
+        armed = dom.surface_gaps(state.q) > _ARM_GAP  # re-arm away from this surface
         if record_samples:
             ts.append(state.t)
             qs.append(state.q.copy())
@@ -557,14 +563,14 @@ def _site_base(dl, c, i):
 
 def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
                  eps: float, tol_factor: float = 1e-10, max_iter: int = 60,
-                 initial_directions: Optional[Sequence[np.ndarray]] = None,
-                 newton_tol: Optional[float] = None) -> ShadowChain:
+                 initial_directions: Optional[Sequence[np.ndarray]] = None) -> ShadowChain:
     """Critical chain of the tube billiard near a critical chain of the limit.
 
     Starts from the convex predictor (tube directions aligned with the
     momentum jumps), then runs a damped Newton on the joint residual in the
     variables (base point, tube direction), re-centering the sphere charts at
-    every step. Terminal sup-norm residual is tol_factor * sqrt(2E).
+    every step. Terminal sup-norm residual is tol_factor * sqrt(2E), reached
+    within max_iter Newton steps.
     """
     scat = dl.scatterer
     if scat is None:
@@ -575,7 +581,7 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
         raise ShadowSolveError(f"inadmissible code at sites {bad}: momentum jump below tolerance")
 
     E = dl.energy if dl.energy is not None else 0.5
-    tol = newton_tol if newton_tol is not None else tol_factor * np.sqrt(2.0 * E)
+    tol = tol_factor * np.sqrt(2.0 * E)
 
     s_list = [np.asarray(s, dtype=float) for s in
               (initial_directions if initial_directions is not None
@@ -614,9 +620,10 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
     jdl, jc = build(charts)
     res = dlsmod.residual(jdl, jc)
     rn = dlsmod.residual_norm(res)
-    for it in range(max_iter):
-        if rn <= tol:
-            break
+    it = 0
+    while rn > tol:
+        if it == max_iter:
+            raise ShadowSolveError(f"shadow Newton did not converge: |r| = {rn:.3e}")
         H = dlsmod.hessian(jdl, jc)
         try:
             step = H.solve([-r for r in res])
@@ -651,8 +658,7 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
             lam *= 0.5
         if not accepted:
             raise ShadowSolveError(f"shadow Newton stalled at |r| = {rn:.3e}")
-    else:
-        raise ShadowSolveError(f"shadow Newton did not converge: |r| = {rn:.3e}")
+        it += 1
 
     boundary = []
     for i in range(c.n_free):
@@ -705,21 +711,21 @@ def shadow_error(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
     return float(base_err + dev)
 
 
-def replay(sc: ShadowChain, dom: BilliardDomain, n_events: Optional[int] = None,
-           t_margin: float = 0.5) -> BilliardRun:
+def replay(sc: ShadowChain, dom: BilliardDomain,
+           n_events: Optional[int] = None) -> BilliardRun:
     """Re-run the shadow chain as an actual billiard trajectory.
 
     Starts at the first physical point of the chain (a tube point for
     periodic chains, the frozen endpoint for fixed ones) with the outgoing
     momentum of the first link and plays the events forward over the chain's
-    total flight time.
+    total flight time, with half of it again as margin.
     """
     q0 = sc.orbits[0].path[0]
     p0 = sc.orbits[0].p_minus
     total_tau = float(sum(orb.tau for orb in sc.orbits))
     n = n_events if n_events is not None else 64 * len(sc.orbits)
     return billiard_trajectory(dom, PhaseState(q0, p0, 0.0), n,
-                               t_max=total_tau * (1.0 + t_margin) if n_events is None else None,
+                               t_max=total_tau * 1.5 if n_events is None else None,
                                record_samples=False)
 
 
@@ -765,8 +771,7 @@ def _section_project(dom: BilliardDomain, chart: _SiteChart, q: np.ndarray,
     return xi, y
 
 
-def lyapunov_estimate(sc: ShadowChain, dom: BilliardDomain,
-                      fd_rel: float = 3e-3, closure_tol: float = 1e-6) -> np.ndarray:
+def lyapunov_estimate(sc: ShadowChain, dom: BilliardDomain) -> np.ndarray:
     """Per-bounce Lyapunov exponents of a periodic shadow orbit.
 
     Assembles the monodromy of the period map from finite differences of the
@@ -808,7 +813,7 @@ def lyapunov_estimate(sc: ShadowChain, dom: BilliardDomain,
         xi_c, y_c = bounce_map(i, xi_c, y_c)
     closure = np.linalg.norm(xi_c - xs[0]) + np.linalg.norm(y_c - ys[0]) / max(
         1.0, np.linalg.norm(ys[0]))
-    if closure > closure_tol:
+    if closure > 1e-6:
         raise EventSearchError(f"periodic orbit does not close: defect {closure:.2e}")
 
     # work in similarity-scaled coordinates (xi, y/eps) so both blocks are O(1)
@@ -825,7 +830,7 @@ def lyapunov_estimate(sc: ShadowChain, dom: BilliardDomain,
 
         for a in range(2 * dim):
             # calibrate the step so the map's expansion stays in the linear range
-            h = fd_rel * yscale
+            h = 3e-3 * yscale
             delta = None
             for _ in range(60):
                 e = np.zeros(2 * dim)

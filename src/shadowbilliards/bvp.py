@@ -90,8 +90,7 @@ def chord_hessian(mass: np.ndarray, disp: np.ndarray, speed: float) -> np.ndarra
 
 
 def _straight_connect(h: ClassicalHamiltonian, qm, qp, E, winding=None,
-                      label=None, cross_check: bool = True,
-                      samples: int = 65) -> CollisionOrbit:
+                      label=None, cross_check: bool = True) -> CollisionOrbit:
     if E <= 0:
         raise DomainError("free flight needs E > 0")
     qm = np.asarray(qm, dtype=float)
@@ -104,7 +103,7 @@ def _straight_connect(h: ClassicalHamiltonian, qm, qp, E, winding=None,
     v = speed * disp / ell
     p = h.mass @ v
     tau = ell / speed
-    ts = np.linspace(0.0, tau, samples)
+    ts = np.linspace(0.0, tau, 65)
     path = qm[None, :] + ts[:, None] * v[None, :]
     action = speed * ell
 
@@ -115,8 +114,7 @@ def _straight_connect(h: ClassicalHamiltonian, qm, qp, E, winding=None,
             raise ConnectError(f"integrator cross-check failed: endpoint error {err:.2e}")
 
     def redo(qm2, qp2):
-        return _straight_connect(h, qm2, qp2, E, winding, label, cross_check=False,
-                                 samples=samples)
+        return _straight_connect(h, qm2, qp2, E, winding, label, cross_check=False)
 
     return CollisionOrbit(h, E, qm, qp, action, tau, p, p, path, label=label,
                           winding=None if winding is None else np.asarray(winding),
@@ -127,8 +125,10 @@ def _straight_connect(h: ClassicalHamiltonian, qm, qp, E, winding=None,
 # Kepler backend (planar, attracting center at the origin, mu = 1)
 # ---------------------------------------------------------------------------
 
-def _kepler_connect(h: ClassicalHamiltonian, qm, qp, E, label,
-                    samples: int = 513) -> CollisionOrbit:
+_KEPLER_SAMPLES = 513       # path samples of a Kepler arc
+
+
+def _kepler_connect(h: ClassicalHamiltonian, qm, qp, E, label) -> CollisionOrbit:
     pot = h.potential
     if not isinstance(pot, KeplerPotential) or abs(pot.mu - 1.0) > 1e-14:
         raise ConnectError("Kepler backend needs the unit-mu Kepler potential")
@@ -154,11 +154,11 @@ def _kepler_connect(h: ClassicalHamiltonian, qm, qp, E, label,
         vscale = np.sqrt(-2.0 * E)
         vm, vp = vscale * chosen.v_minus, vscale * chosen.v_plus
         a = 1.0 / (-2.0 * E)
-        path = a * chosen.sample(samples)
+        path = a * chosen.sample(_KEPLER_SAMPLES)
     else:
         action = kp.J_n(E, z, n, arc)
         tau = kp.travel_time(E, z, n, arc)
-        path = kp.sample_orbit(E, z, n, arc, num=samples)
+        path = kp.sample_orbit(E, z, n, arc, num=_KEPLER_SAMPLES)
         if degenerate:
             # Laplace-degenerate family: gauge velocity from the sampled ellipse
             vm = (path[1] - path[0])
@@ -169,7 +169,7 @@ def _kepler_connect(h: ClassicalHamiltonian, qm, qp, E, label,
             vm, vp = kp.arc_endpoint_velocities(E, z, n, arc)
 
     def redo(qm2, qp2):
-        return _kepler_connect(h, qm2, qp2, E, label, samples)
+        return _kepler_connect(h, qm2, qp2, E, label)
 
     return CollisionOrbit(h, E, qm, qp, float(action), float(tau), vm, vp, path,
                           label=label, backend="kepler", reconnect=redo)
@@ -185,13 +185,15 @@ def _flow_to(h: ClassicalHamiltonian, q0, p0, tau, steps_per_unit: float):
     return q, p
 
 
-def _shooting_jacobian(h: ClassicalHamiltonian, qm, p, tau, fd_step: float,
+def _shooting_jacobian(h: ClassicalHamiltonian, qm, p, tau,
                        steps_per_unit: float) -> np.ndarray:
     """Sensitivity of (endpoint, energy) to (initial momentum, travel time).
 
     Batched central differences in p and the analytic tau column (endpoint
-    velocity): the 2d perturbed rows and the unperturbed row 2d fly in one call.
+    velocity, step 1e-6): the 2d perturbed rows and the unperturbed row 2d fly
+    in one call.
     """
+    fd_step = 1e-6
     d = h.dim
     P = np.repeat(p[None, :], 2 * d + 1, axis=0)
     for i in range(d):
@@ -208,9 +210,9 @@ def _shooting_jacobian(h: ClassicalHamiltonian, qm, p, tau, fd_step: float,
 
 def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess, label=None,
                       tol: float = 1e-10, max_iter: int = 60,
-                      steps_per_unit: float = 2000.0, fd_step: float = 1e-6,
-                      samples: int = 257) -> CollisionOrbit:
-    """Newton on (p-, tau): reach the lifted endpoint on the energy shell."""
+                      steps_per_unit: float = 2000.0) -> CollisionOrbit:
+    """Newton on (p-, tau): reach the lifted endpoint on the energy shell
+    within max_iter steps."""
     qm = np.asarray(qm, dtype=float)
     qp = np.asarray(qp, dtype=float)
     d = h.dim
@@ -247,11 +249,15 @@ def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess, label=None,
         q_end, _ = _flow_to(h, qm, p, tau, steps_per_unit)
         return np.concatenate([q_end - target, [h.energy(qm, p) - E]])
 
+    def converged(r):
+        return np.linalg.norm(r[:d]) <= tol * scale and abs(r[d]) <= tol * max(1.0, abs(E))
+
     r = residual(p, tau)
-    for _ in range(max_iter):
-        if np.linalg.norm(r[:d]) <= tol * scale and abs(r[d]) <= tol * max(1.0, abs(E)):
-            break
-        J = _shooting_jacobian(h, qm, p, tau, fd_step, steps_per_unit)
+    it = 0
+    while not converged(r):
+        if it == max_iter:
+            raise ConnectError(f"shooting Newton did not converge: |r| = {np.linalg.norm(r):.2e}")
+        J = _shooting_jacobian(h, qm, p, tau, steps_per_unit)
         try:
             step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as exc:
@@ -268,19 +274,18 @@ def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess, label=None,
         else:
             raise ConnectError("shooting Newton stalled (no descent step)")
         p, tau, r = p_new, tau_new, r_new
-    else:
-        raise ConnectError(f"shooting Newton did not converge: |r| = {np.linalg.norm(r):.2e}")
+        it += 1
 
     traj = flow_segment(h, PhaseState(qm, p), tau,
                         steps_per_unit_time=max(steps_per_unit, 2000.0))
-    idx = np.linspace(0, len(traj.qs) - 1, min(samples, len(traj.qs))).astype(int)
+    idx = np.linspace(0, len(traj.qs) - 1, min(257, len(traj.qs))).astype(int)
     path = traj.qs[idx]
     p_plus = traj.ps[-1]
     action = jacobi_action(h, traj.qs, E)
 
     def redo(qm2, qp2):
         return _shooting_connect(h, qm2, qp2, E, {"p0": p, "tau0": tau}, label,
-                                 tol, max_iter, steps_per_unit, fd_step, samples)
+                                 tol, max_iter, steps_per_unit)
 
     return CollisionOrbit(h, E, qm, qp, float(action), float(tau), p, p_plus, path,
                           label=label, backend="shooting", reconnect=redo)
@@ -342,14 +347,14 @@ class TwistResult:
     det_restricted: Optional[float]
 
 
-def twist(orbit: CollisionOrbit, left_basis=None, right_basis=None,
-          fd_step: float = 1e-5) -> TwistResult:
+def twist(orbit: CollisionOrbit, left_basis=None, right_basis=None) -> TwistResult:
     """Mixed second derivative B = D_{q-} D_{q+} S, optionally restricted.
 
     Analytic for straight chords; otherwise second-order central differences
-    of the reconnect action. Restriction bases are (d, k) column matrices of
-    tangent directions at the endpoints.
+    of the reconnect action with step 1e-5. Restriction bases are (d, k)
+    column matrices of tangent directions at the endpoints.
     """
+    fd_step = 1e-5
     d = orbit.q_minus.size
     if orbit.backend == "straight":
         disp = orbit.path[-1] - orbit.path[0]
@@ -391,16 +396,14 @@ class ConjugateReport:
     sigma_scale: float
 
 
-def conjugate_test(orbit: CollisionOrbit, conj_tol: float = 1e-8,
-                   fd_step: float = 1e-6,
-                   steps_per_unit: float = 4000.0) -> ConjugateReport:
+def conjugate_test(orbit: CollisionOrbit, conj_tol: float = 1e-8) -> ConjugateReport:
     """Smallest singular value of the shooting sensitivity at the orbit.
 
     The sensitivity is the Jacobian of (endpoint, energy) with respect to
-    (initial momentum, travel time); a small sigma_min signals conjugate
-    endpoints. The flow is re-integrated, so the test is backend independent.
+    (initial momentum, travel time), flown at 4000 steps per unit time; a
+    small sigma_min signals conjugate endpoints. The flow is re-integrated,
+    so the test is backend independent.
     """
-    J = _shooting_jacobian(orbit.h, orbit.path[0], orbit.p_minus, orbit.tau, fd_step,
-                           steps_per_unit)
+    J = _shooting_jacobian(orbit.h, orbit.path[0], orbit.p_minus, orbit.tau, 4000.0)
     sig = np.linalg.svd(J, compute_uv=False)
     return ConjugateReport(bool(sig[-1] > conj_tol * sig[0]), float(sig[-1]), float(sig[0]))

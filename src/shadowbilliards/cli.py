@@ -77,6 +77,23 @@ def _num_list(obj, path: str, required: bool = True, default=None) -> Optional[L
     return out
 
 
+def _int_lists(obj, path: str, width: int, default=None) -> List[tuple]:
+    """A nonempty list of lists of `width` JSON integers (chain codes,
+    revolution pairs), each as a tuple; required unless a default is given."""
+    v = _get(obj, path, list, default is None, default)
+    if not v:
+        raise ScenarioError(f"scenario.{path}: expected a nonempty list")
+    out = []
+    for i, k in enumerate(v):
+        if not isinstance(k, list) or len(k) != width:
+            raise ScenarioError(f"scenario.{path}[{i}]: expected a list of {width} integers")
+        for j, x in enumerate(k):
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ScenarioError(f"scenario.{path}[{i}][{j}]: expected integer")
+        out.append(tuple(k))
+    return out
+
+
 def load_scenario(path: str) -> dict:
     p = Path(path)
     if not p.exists():
@@ -138,8 +155,7 @@ def run_torus_point(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
     dim = int(_get(cfg, "params.dim", int, False, 2))
     periods = _num_list(cfg, "params.periods", False, [1.0] * dim)
     E = _get(cfg, "params.energy", float, False, 0.5)
-    code_raw = _get(cfg, "params.code", list)
-    code = [tuple(int(v) for v in k) for k in code_raw]
+    code = _int_lists(cfg, "params.code", dim)
     eps_list = _num_list(cfg, "sweeps.eps", False, [1e-2, 10**-2.5, 1e-3, 10**-3.5])
     windows = [int(w) for w in _num_list(cfg, "sweeps.windows", False, [1, 2, 4, 8, 16])]
     slope_gate = _num_list(cfg, "gates.error_slope", False, [0.9, 1.1])
@@ -225,7 +241,7 @@ def run_two_ball_torus(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
     masses = _num_list(cfg, "params.masses", False, [1.0, 1.0])
     E = _get(cfg, "params.energy", float, False, 0.5)
     period = _get(cfg, "params.period", float, False, 1.0)
-    code = [tuple(int(v) for v in k) for k in _get(cfg, "params.code", list)]
+    code = _int_lists(cfg, "params.code", 2)
     pts = _num_list(cfg, "params.points", False, [0.0] * len(code))
     windows = [int(w) for w in _num_list(cfg, "sweeps.windows", False, [1, 2, 4, 8, 16])]
     expect_divergent = _get(cfg, "gates.expect_divergent_certificate", bool, False, True)
@@ -272,11 +288,12 @@ def run_two_ball_torus(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
 def run_two_ball_box(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
     masses = _num_list(cfg, "params.masses", False, [1.0, 1.0])
     E = _get(cfg, "params.energy", float, False, 0.5)
-    code = [tuple(int(v) for v in k) for k in _get(cfg, "params.code", list)]
+    code = _int_lists(cfg, "params.code", 2)
     a = np.asarray(_num_list(cfg, "params.endpoint_a", True), dtype=float)
     b = np.asarray(_num_list(cfg, "params.endpoint_b", True), dtype=float)
     eps = _get(cfg, "params.eps", float, False, 1e-3)
     n_starts = int(_get(cfg, "params.random_starts", int, False, 3))
+    per_code = _int_lists(cfg, "params.periodic_code", 2, [[-1, 1], [-1, 1], [-1, 1]])
 
     scn = scenarios.two_ball_box_scenario(masses, E)
     dl = scenarios.box_fixed_lagrangian(scn, a, b, code)
@@ -299,9 +316,6 @@ def run_two_ball_box(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
                      float(np.linalg.norm(sc.orbits[-1].path[-1] - b)))
 
     # periodic pair-collision chain: odd collision counts are nondegenerate
-    per_code_raw = _get(cfg, "params.periodic_code", list, False,
-                        [[-1, 1], [-1, 1], [-1, 1]])
-    per_code = [tuple(int(v) for v in k) for k in per_code_raw]
     dl_per = scn.lagrangian()
     per_chain = scn.periodic_chain(per_code,
                                    [np.array([0.55 + 0.02 * i])
@@ -349,7 +363,7 @@ def run_ncenter(cfg: dict, out: Path, jobs: int, seed: int,
     centers = np.asarray(_get(cfg, "params.centers", list), dtype=float)
     alphas = _num_list(cfg, "params.alphas", False, [1.0] * len(centers))
     E = _get(cfg, "params.energy", float, False, 0.5)
-    code = [tuple(int(v) for v in pair) for pair in _get(cfg, "params.code", list)]
+    code = _int_lists(cfg, "params.code", 2)
     mu_list = _num_list(cfg, "sweeps.mu", False, [1e-3, 10**-3.5, 1e-4])
     min_slope = _get(cfg, "gates.min_slope", float, False, 0.8)
 
@@ -395,7 +409,7 @@ def run_kepler_grid(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
     E = _get(cfg, "params.energy", float, False, -0.7)
     a1 = _get(cfg, "params.alpha1", float, False, 0.5)
     a2 = _get(cfg, "params.alpha2", float, False, 0.5)
-    ks = [tuple(int(v) for v in k) for k in _get(cfg, "params.revolutions", list)]
+    ks = _int_lists(cfg, "params.revolutions", 2)
     zs = _get(cfg, "params.endpoints", list)
     rows = []
     for k in ks:

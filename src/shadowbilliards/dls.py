@@ -96,38 +96,13 @@ class FunctionLink(LinkEvaluator):
     """Plain-function branch, mostly for synthetic systems in tests."""
 
     def __init__(self, fn: Callable[[np.ndarray, np.ndarray], float],
-                 dim_minus: int, dim_plus: int,
-                 grads: Optional[Callable] = None,
-                 momenta_fn: Optional[Callable] = None,
-                 domain: Optional[Callable] = None):
+                 dim_minus: int, dim_plus: int):
         self.fn = fn
         self.dim_minus = dim_minus
         self.dim_plus = dim_plus
-        self._grads = grads
-        self._momenta = momenta_fn
-        self._domain = domain
 
     def value(self, xm, xp):
         return float(self.fn(np.asarray(xm, dtype=float), np.asarray(xp, dtype=float)))
-
-    def in_domain(self, xm, xp):
-        return True if self._domain is None else bool(self._domain(xm, xp))
-
-    def grad_minus(self, xm, xp):
-        if self._grads is not None:
-            return np.asarray(self._grads(xm, xp)[0], dtype=float)
-        return super().grad_minus(xm, xp)
-
-    def grad_plus(self, xm, xp):
-        if self._grads is not None:
-            return np.asarray(self._grads(xm, xp)[1], dtype=float)
-        return super().grad_plus(xm, xp)
-
-    def momenta(self, xm, xp):
-        if self._momenta is None:
-            raise NotImplementedError("no momenta on this branch")
-        pm, pp = self._momenta(xm, xp)
-        return np.asarray(pm, dtype=float), np.asarray(pp, dtype=float)
 
 
 @dataclass
@@ -372,12 +347,15 @@ class NewtonResult:
     converged: bool
 
 
+_NEWTON_HALVINGS = 40      # step halvings per Newton iteration before NewtonError
+
+
 def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
-                 tol: float = 1e-10, max_iter: int = 60,
-                 max_halvings: int = 40, allow_singular: bool = False) -> NewtonResult:
+                 tol: float = 1e-10, allow_singular: bool = False) -> NewtonResult:
     """Damped Newton on the chain residual using the block structure.
 
-    The step is halved until the sup-norm of the residual decreases. A chain
+    At most 60 iterations; the step is halved until the sup-norm of the
+    residual decreases, at most 40 times per iteration. A chain
     without free coordinates is already critical and is returned unchanged.
     A singular Hessian raises unless allow_singular is set, in which case the
     minimal-norm step is taken (useful on unreduced symmetric systems, whose
@@ -390,7 +368,7 @@ def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
     res = residual(dl, c)
     rn = residual_norm(res)
     it = 0
-    while rn > tol and it < max_iter:
+    while rn > tol and it < 60:
         H = hessian(dl, c)
         try:
             step = H.solve([-r for r in res])
@@ -401,7 +379,7 @@ def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
                                        -np.concatenate([r for r in res]), rcond=None)
             step = split_blocks(flat, H.dims)
         lam = 1.0
-        for _ in range(max_halvings + 1):
+        for _ in range(_NEWTON_HALVINGS + 1):
             trial = c.with_points([x + lam * s for x, s in zip(c.points, step)])
             try:
                 res_t = residual(dl, trial)
@@ -413,7 +391,7 @@ def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
                 break
             lam *= 0.5
         else:
-            raise NewtonError(f"no descent after {max_halvings} halvings (|r| = {rn:.2e})")
+            raise NewtonError(f"no descent after {_NEWTON_HALVINGS} halvings (|r| = {rn:.2e})")
         c, res, rn = trial, res_t, rn_t
         it += 1
     sigma = hessian(dl, c).smallest_singular_value()
@@ -464,20 +442,20 @@ class CertificateResult:
 
 
 def hyperbolicity_certificate(dl: DiscreteLagrangian, c: ChainConfiguration,
-                              windows: Sequence[int] = (1, 2, 4, 8, 16),
-                              center: int = 0, stab_tol: float = 0.05) -> CertificateResult:
-    """Sup-norm bounds C_W of inverses of centered Dirichlet windows.
+                              windows: Sequence[int] = (1, 2, 4, 8, 16)) -> CertificateResult:
+    """Sup-norm bounds C_W of inverses of Dirichlet windows centered at site 0.
 
     The certificate is the stabilized value of C_W over a geometric range of
-    half-widths W; growth without stabilization signals a kernel direction
-    (an unreduced symmetry) or non-hyperbolicity.
+    half-widths W: the last two bounds agree to 5% relative. Growth without
+    stabilization signals a kernel direction (an unreduced symmetry) or
+    non-hyperbolicity.
     """
     norms = []
     for W in windows:
-        diag, off = _periodic_window_blocks(dl, c, center, int(W))
+        diag, off = _periodic_window_blocks(dl, c, 0, int(W))
         norms.append(inverse_inf_norm(diag, off))
     rel = abs(norms[-1] - norms[-2]) / max(norms[-2], 1e-300) if len(norms) > 1 else np.inf
-    stab = rel <= stab_tol
+    stab = rel <= 0.05
     return CertificateResult(tuple(int(w) for w in windows), tuple(norms), stab,
                              norms[-1] if stab else None, float(rel))
 
@@ -501,14 +479,15 @@ class GreenDecayFit:
 
 
 def green_decay(dl: DiscreteLagrangian, c: ChainConfiguration, j: int = 0,
-                half_width: int = 24, floor: float = 1e-14) -> GreenDecayFit:
+                half_width: int = 24) -> GreenDecayFit:
     """Exponential decay fit of the window Green function at block j.
 
     Solves the window system once against all unit loads at the center block
     (an identity block there, zeros elsewhere), records for each block the
     largest column norm of its response, and fits log-norm against distance on
-    the inner half of the window (edge effects excluded). lam > 0 with a good
-    fit supports the hyperbolic verdict.
+    the inner half of the window (edge effects excluded), leaving out
+    responses at or below 1e-14 of the largest (round-off). lam > 0 with a
+    good fit supports the hyperbolic verdict.
     """
     diag, off = _periodic_window_blocks(dl, c, j, half_width)
     nwin = len(diag)
@@ -520,7 +499,7 @@ def green_decay(dl: DiscreteLagrangian, c: ChainConfiguration, j: int = 0,
     responses = np.array([np.linalg.norm(xi, axis=0).max(initial=0.0) for xi in x])
     offsets = np.abs(np.arange(nwin) - centre)
     inner = offsets <= half_width // 2
-    keep = inner & (responses > floor * max(responses.max(), 1e-300))
+    keep = inner & (responses > 1e-14 * max(responses.max(), 1e-300))
     xs = offsets[keep].astype(float)
     ys = np.log(responses[keep])
     if xs.size < 3 or np.ptp(xs) == 0:
@@ -556,16 +535,15 @@ def momentum_jumps(dl: DiscreteLagrangian, c: ChainConfiguration) -> List[Tuple[
 
 
 def admissible(dl: DiscreteLagrangian, c: ChainConfiguration,
-               jump_tol: Optional[float] = None, angle_tol: float = 1e-6,
                attracting: bool = False) -> List[CollisionReport]:
     """Per-collision jump condition, with the head-on filter for attracting flows.
 
-    The jump condition needs ||p^- - p^+|| above tolerance; attracting
-    singular scenarios additionally reject straight reflections, where the
-    normal projections of the velocities satisfy u^+ = -u^-.
+    The jump condition needs ||p^- - p^+|| at or above 1e-6 sqrt(2E) (1e-6
+    without an energy); attracting singular scenarios additionally reject
+    straight reflections, where the normal projections of the velocities
+    satisfy u^+ = -u^- to within an angle of 1e-6.
     """
-    if jump_tol is None:
-        jump_tol = 1e-6 * np.sqrt(2.0 * dl.energy) if dl.energy else 1e-6
+    jump_tol = 1e-6 * np.sqrt(2.0 * dl.energy) if dl.energy else 1e-6
     reports = []
     for i, p_minus, p_plus in momentum_jumps(dl, c):
         dp = p_minus - p_plus
@@ -581,7 +559,7 @@ def admissible(dl: DiscreteLagrangian, c: ChainConfiguration,
             num = float(np.linalg.norm(um)) * float(np.linalg.norm(up))
             if num > 0:
                 cosang = float(um @ up) / num
-                straight = bool(np.arccos(np.clip(-cosang, -1.0, 1.0)) < angle_tol)
+                straight = bool(np.arccos(np.clip(-cosang, -1.0, 1.0)) < 1e-6)
         ok = jn >= jump_tol and not (attracting and straight)
         reports.append(CollisionReport(i, jn, ok, straight, dp))
     return reports
@@ -625,28 +603,21 @@ class RouthLink(LinkEvaluator):
     """Reduced branch: Legendre transform of the group shift at fixed level G."""
 
     def __init__(self, base: LinkEvaluator, symmetry: ChartSymmetry, G: float,
-                 section_point: Optional[np.ndarray] = None,
-                 section_basis: Optional[np.ndarray] = None,
-                 theta0: float = 0.0):
+                 section_point: Optional[np.ndarray] = None):
         self.base = base
         self.sym = symmetry
         self.G = float(G)
-        self.theta0 = float(theta0)
         self._x0 = section_point
-        self._basis = section_basis
-        if section_basis is not None:
-            self.dim_minus = self.dim_plus = section_basis.shape[1]
-        else:
-            self.dim_minus = self.dim_plus = 0 if section_point is not None else base.dim_minus
+        self.dim_minus = self.dim_plus = 0 if section_point is not None else base.dim_minus
 
     def _lift(self, x: np.ndarray) -> np.ndarray:
         if self._x0 is None:
             return np.asarray(x, dtype=float)
-        if self._basis is None:
-            return np.asarray(self._x0, dtype=float)
-        return np.asarray(self._x0, dtype=float) + self._basis @ np.asarray(x, dtype=float)
+        return np.asarray(self._x0, dtype=float)
 
-    def critical_theta(self, xm, xp, tol: float = 1e-12, max_iter: int = 120) -> float:
+    def critical_theta(self, xm, xp) -> float:
+        """Group shift theta of xp at which the shifted branch has momentum
+        level G, bracketed outward from theta = 0 and polished by brentq."""
         xm = self._lift(xm)
         xp = self._lift(xp)
 
@@ -657,34 +628,34 @@ class RouthLink(LinkEvaluator):
             return float(g @ u) - self.G
 
         # flat group direction with G = 0: every shift is critical
-        f0 = dphi(self.theta0)
+        f0 = dphi(0.0)
         flat_tol = 1e-12 * max(1.0, abs(self.G))
-        if abs(f0) <= flat_tol and abs(dphi(self.theta0 + 0.37)) <= flat_tol:
+        if abs(f0) <= flat_tol and abs(dphi(0.37)) <= flat_tol:
             if abs(self.G) > flat_tol:
                 raise RouthError("flat group direction with nonzero level")
-            return float(self.theta0)
+            return 0.0
         if f0 == 0.0:
-            return float(self.theta0)
+            return 0.0
         span = 0.25
         lo = hi = None
         for _ in range(60):
-            a, b = self.theta0 - span, self.theta0 + span
+            a, b = -span, span
             fa, fb = dphi(a), dphi(b)
             if fa == 0.0:
                 return float(a)
             if fb == 0.0:
                 return float(b)
             if fa * f0 < 0:
-                lo, hi = a, self.theta0
+                lo, hi = a, 0.0
                 break
             if fb * f0 < 0:
-                lo, hi = self.theta0, b
+                lo, hi = 0.0, b
                 break
             span *= 1.6
         if lo is None:
             raise RouthError("no critical group shift found in the bracket")
         from scipy.optimize import brentq
-        theta = brentq(dphi, lo, hi, xtol=tol, rtol=1e-15, maxiter=max_iter)
+        theta = brentq(dphi, lo, hi, xtol=1e-12, rtol=1e-15, maxiter=120)
         return float(theta)
 
     def value(self, xm, xp):
@@ -696,8 +667,7 @@ class RouthLink(LinkEvaluator):
         if self.dim_minus == 0:
             return np.zeros(0)
         theta = self.critical_theta(xm, xp)
-        g = self.base.grad_minus(self._lift(xm), self.sym.act(theta, self._lift(xp)))
-        return g if self._basis is None else self._basis.T @ g
+        return self.base.grad_minus(self._lift(xm), self.sym.act(theta, self._lift(xp)))
 
     def grad_plus(self, xm, xp):
         if self.dim_plus == 0:
@@ -707,34 +677,31 @@ class RouthLink(LinkEvaluator):
         g = self.base.grad_plus(self._lift(xm), y)
         # chain rule through the shifted point at the critical theta (envelope)
         y0 = self._lift(xp)
-        B = self._basis if self._basis is not None else np.eye(y0.size)
-        Dact = central_diff(lambda c: self.sym.act(theta, y0 + B @ c), np.zeros(B.shape[1]),
-                            1e-7)
+        Dact = central_diff(lambda c: self.sym.act(theta, y0 + c), np.zeros(y0.size), 1e-7)
         return Dact.T @ g
 
 
 def routh_reduce(dl: DiscreteLagrangian, symmetry: ChartSymmetry, G: float,
-                 section_point: Optional[np.ndarray] = None,
-                 section_basis: Optional[np.ndarray] = None) -> DiscreteLagrangian:
+                 section_point: Optional[np.ndarray] = None) -> DiscreteLagrangian:
     """Reduced Lagrangian family on a cross-section of the group action.
 
-    The cross-section defaults to a frozen reference point (orbit of the
-    action covers the scatterer); pass a basis of the complement of the
-    generator to keep residual coordinates. Requires the group-shift Hessian
-    of each branch to be nonzero where evaluated.
+    With a section point the cross-section is that frozen reference point
+    (orbit of the action covers the scatterer); without one, the chart
+    coordinates are kept. Requires the group-shift Hessian of each branch to
+    be nonzero where evaluated.
     """
-    reduced = LazyLinks(lambda k: RouthLink(dl.link(k), symmetry, G,
-                                            section_point, section_basis))
+    reduced = LazyLinks(lambda k: RouthLink(dl.link(k), symmetry, G, section_point))
     return DiscreteLagrangian(reduced, energy=dl.energy, scatterer=dl.scatterer,
                               name=(dl.name + "/routh") if dl.name else "routh")
 
 
-def variational_consistency(dl: DiscreteLagrangian, c: ChainConfiguration,
-                            fd_step: float = 1e-6) -> Dict[str, float]:
+def variational_consistency(dl: DiscreteLagrangian, c: ChainConfiguration) -> Dict[str, float]:
     """Compare residual and Hessian against finite differences of chain_action.
 
-    Returns relative errors and structural checks; used by scenario gates.
+    Steps are 1e-6 for the gradient and 4e-5 for the Hessian. Returns
+    relative errors and structural checks; used by scenario gates.
     """
+    fd_step = 1e-6
     res = residual(dl, c)
     n = c.n_free
     dims = [x.size for x in c.points]

@@ -12,7 +12,7 @@ reduces every elliptic arc to that normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -25,18 +25,21 @@ class AmbiguousArcError(ValueError):
     """Several simple arcs exist and no discriminator was given."""
 
 
-def solve_kepler(M: float, e: float, tol: float = 1e-14, max_iter: int = 60) -> float:
+_ANOMALY_STEP = 1e-14   # Newton step at which the anomaly solvers stop
+
+
+def solve_kepler(M: float, e: float) -> float:
     """Eccentric anomaly u with u - e sin(u) = M, for 0 <= e < 1.
 
-    Newton iteration with bisection fallback; the root is unique and lies in
-    [M - pi, M + pi]. Residual at return is below 1e-13.
+    Newton iteration with bisection fallback, at most 60 steps; the root is
+    unique and lies in [M - pi, M + pi]. Residual at return is below 1e-13.
     """
     if not (0.0 <= e < 1.0):
         raise ValueError("solve_kepler expects elliptic eccentricity 0 <= e < 1")
     M = float(M)
     u = M if e < 0.8 else M + np.sign(np.sin(M)) * 0.85 * e
     lo, hi = M - np.pi, M + np.pi
-    for _ in range(max_iter):
+    for _ in range(60):
         f = u - e * np.sin(u) - M
         if f > 0:
             hi = min(hi, u)
@@ -47,7 +50,7 @@ def solve_kepler(M: float, e: float, tol: float = 1e-14, max_iter: int = 60) -> 
         u_new = u - step
         if not (lo <= u_new <= hi):
             u_new = 0.5 * (lo + hi)
-        if abs(u_new - u) < tol:
+        if abs(u_new - u) < _ANOMALY_STEP:
             u = u_new
             break
         u = u_new
@@ -56,9 +59,9 @@ def solve_kepler(M: float, e: float, tol: float = 1e-14, max_iter: int = 60) -> 
     return float(u)
 
 
-def solve_kepler_hyperbolic(M: float, e: float, tol: float = 1e-14,
-                            max_iter: int = 100) -> float:
-    """Hyperbolic anomaly F with e sinh(F) - F = M, for e > 1.
+def solve_kepler_hyperbolic(M: float, e: float) -> float:
+    """Hyperbolic anomaly F with e sinh(F) - F = M, for e > 1, by at most 100
+    Newton steps.
 
     Used only for near-collision diagnostics of singular flows.
     """
@@ -66,12 +69,12 @@ def solve_kepler_hyperbolic(M: float, e: float, tol: float = 1e-14,
         raise ValueError("hyperbolic variant expects e > 1")
     M = float(M)
     F = np.arcsinh(M / e) if abs(M) < 6 else np.sign(M) * np.log(2 * abs(M) / e + 1.8)
-    for _ in range(max_iter):
+    for _ in range(100):
         f = e * np.sinh(F) - F - M
         fp = e * np.cosh(F) - 1.0
         step = f / fp
         F -= step
-        if abs(step) < tol:
+        if abs(step) < _ANOMALY_STEP:
             break
     return float(F)
 
@@ -370,14 +373,14 @@ def split_feasible_interval(k: Tuple[int, int], z, alpha1: float, alpha2: float,
 
 
 def three_body_lagrangian(k: Tuple[int, int], z, alpha1: float, alpha2: float,
-                          E: float, arc: Union[str, int, None] = "short",
-                          tol: float = 1e-11) -> ThreeBodyLagrangianResult:
+                          E: float) -> ThreeBodyLagrangianResult:
     """Discrete Lagrangian of a binary passage: minimize the weighted actions.
 
     L_k(z) = min over alpha1 h1 + alpha2 h2 = E of alpha1 J_{k1}(h1, z)
-    + alpha2 J_{k2}(h2, z). Golden-section bracketing followed by a Newton
-    polish on the synchronization equation tau1 = tau2. Endpoint derivatives
-    come from the envelope theorem: weighted endpoint velocities.
+    + alpha2 J_{k2}(h2, z), both on short arcs. Golden-section bracketing
+    followed by a Newton polish on the synchronization equation tau1 = tau2,
+    to a step of 1e-11. Endpoint derivatives come from the envelope theorem:
+    weighted endpoint velocities.
     """
     k1, k2 = k
     if k1 == 0 or k2 == 0:
@@ -390,7 +393,7 @@ def three_body_lagrangian(k: Tuple[int, int], z, alpha1: float, alpha2: float,
         return (E - alpha1 * t) / alpha2
 
     def g(t):
-        return alpha1 * J_n(t, z, k1, arc) + alpha2 * J_n(h2_of(t), z, k2, arc)
+        return alpha1 * J_n(t, z, k1) + alpha2 * J_n(h2_of(t), z, k2)
 
     # golden-section bracketing
     invphi = (np.sqrt(5.0) - 1) / 2
@@ -413,7 +416,7 @@ def three_body_lagrangian(k: Tuple[int, int], z, alpha1: float, alpha2: float,
 
     # Newton polish on tau1(h1) - tau2(h2) = 0 (stationarity of the split)
     def sync(t):
-        return travel_time(t, z, k1, arc) - travel_time(h2_of(t), z, k2, arc)
+        return travel_time(t, z, k1) - travel_time(h2_of(t), z, k2)
 
     dt = max(1e-8 * (hi - lo), 1e-13)
     for _ in range(60):
@@ -423,7 +426,7 @@ def three_body_lagrangian(k: Tuple[int, int], z, alpha1: float, alpha2: float,
             break
         t_new = t - s0 / ds
         t_new = min(max(t_new, lo), hi)
-        if abs(t_new - t) < tol:
+        if abs(t_new - t) < 1e-11:
             t = t_new
             break
         t = t_new
@@ -431,9 +434,9 @@ def three_body_lagrangian(k: Tuple[int, int], z, alpha1: float, alpha2: float,
         raise FeasibilityError("energy-split minimization left the feasible interval")
 
     h1, h2 = float(t), float(h2_of(t))
-    tau = travel_time(h1, z, k1, arc)
-    v1m, v1p = arc_endpoint_velocities(h1, z, k1, arc)
-    v2m, v2p = arc_endpoint_velocities(h2, z, k2, arc)
+    tau = travel_time(h1, z, k1)
+    v1m, v1p = arc_endpoint_velocities(h1, z, k1)
+    v2m, v2p = arc_endpoint_velocities(h2, z, k2)
     d_xm = -(alpha1 * v1m + alpha2 * v2m)
     d_xp = alpha1 * v1p + alpha2 * v2p
     split = EnergySplit(h1, h2, alpha1, alpha2, E)
@@ -457,16 +460,15 @@ def kepler_period(h: float) -> float:
     return float(2 * np.pi * (-2.0 * h) ** (-1.5))
 
 
-def commensurability_check(k: Tuple[int, int], h1: float, h2: float,
-                           early_tol: Optional[float] = None) -> CommensurabilityReport:
-    """Scan for near-commensurable periods n1 T1 = n2 T2 with 0 < n_i < |k_i|.
+def commensurability_check(k: Tuple[int, int], h1: float, h2: float) -> CommensurabilityReport:
+    """Scan for near-commensurable periods n1 T1 = n2 T2 with 0 < n_i < |k_i|,
+    to within 1e-3 of the shorter period.
 
     A hit flags early-collision risk for the binary passage; the scan reports
     rather than excludes.
     """
     T1, T2 = kepler_period(h1), kepler_period(h2)
-    if early_tol is None:
-        early_tol = 1e-3 * min(T1, T2)
+    early_tol = 1e-3 * min(T1, T2)
     hits = []
     for n1 in range(1, abs(k[0])):
         for n2 in range(1, abs(k[1])):

@@ -47,8 +47,8 @@ class BoundaryPoint:
 class SphereSection:
     """Unit sphere of the normal space: the default convex cross-section."""
 
-    def contains(self, s: np.ndarray, tol: float = 1e-12) -> bool:
-        return abs(np.linalg.norm(s) - 1.0) <= tol
+    def contains(self, s: np.ndarray) -> bool:
+        return abs(np.linalg.norm(s) - 1.0) <= 1e-12
 
 
 class SphereChart:
@@ -87,9 +87,9 @@ class SphereChart:
         return (self.basis.T @ s) / c
 
 
-def _gram_schmidt(cols: np.ndarray, against: Optional[np.ndarray] = None,
-                  tol: float = 1e-10) -> np.ndarray:
-    """Orthonormalize columns in order; drop columns below the rank tolerance."""
+def _gram_schmidt(cols: np.ndarray, against: Optional[np.ndarray] = None) -> np.ndarray:
+    """Orthonormalize columns in order; drop a column whose remainder is at
+    most 1e-10 of its norm (rank tolerance)."""
     out = [] if against is None else [against[:, i] for i in range(against.shape[1])]
     kept = []
     for j in range(cols.shape[1]):
@@ -98,7 +98,7 @@ def _gram_schmidt(cols: np.ndarray, against: Optional[np.ndarray] = None,
         for u in out:
             v -= (u @ v) * u
         n = np.linalg.norm(v)
-        if n <= tol * max(1.0, norm0):
+        if n <= 1e-10 * max(1.0, norm0):
             continue
         v /= n
         out.append(v)
@@ -230,12 +230,14 @@ class ChartScatterer(Scatterer):
         nor = _complete_orthonormal(tan)
         return tan, nor
 
-    def nearest(self, q, x0=None, tol: float = 1e-12, max_iter: int = 80) -> NearestResult:
-        """Gauss-Newton on the squared distance; needs a seed for curved charts."""
+    def nearest(self, q, x0=None) -> NearestResult:
+        """Gauss-Newton on the squared distance; needs a seed for curved charts.
+
+        Stops when the step is below 1e-12 relative, or after 80 steps."""
         q = np.asarray(q, dtype=float)
         x = np.zeros(self.dim) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
         ambiguous = False
-        for _ in range(max_iter):
+        for _ in range(80):
             r = self.space.centered(q - self.embed(x))
             J = self.jacobian(x)
             g = J.T @ r
@@ -246,7 +248,7 @@ class ChartScatterer(Scatterer):
                 ambiguous = True
                 break
             x = x + step
-            if np.linalg.norm(step) < tol * max(1.0, np.linalg.norm(x)):
+            if np.linalg.norm(step) < 1e-12 * max(1.0, np.linalg.norm(x)):
                 break
         r = self.space.centered(q - self.embed(x))
         return NearestResult(x, float(np.linalg.norm(r)), ambiguous)

@@ -61,8 +61,8 @@ class ChordLink(dlsmod.LinkEvaluator):
     def ambient_connect(self, qm, qp, eps):
         return bvp.connect(self.h, qm, qp, self.E, label=self.label)
 
-    def reference_path(self, xm, xp, num: int = 33):
-        ts = np.linspace(0.0, 1.0, num)
+    def reference_path(self, xm, xp):
+        ts = np.linspace(0.0, 1.0, 33)
         return self._start[None, :] + ts[:, None] * self._disp[None, :]
 
     @classmethod
@@ -111,7 +111,6 @@ def torus_point_scenario(dim: int = 2, periods: Optional[Sequence[float]] = None
     dl = dlsmod.DiscreteLagrangian(links, energy=E, scatterer=scat,
                                    name="torus_point",
                                    site_bases=lambda c, i: 0)
-    dl.hamiltonian = h
     return TorusPointScenario(h, scat, dl, E)
 
 
@@ -160,11 +159,11 @@ class TwoBallTorusLink(dlsmod.LinkEvaluator):
         return bvp.connect(self.h, qm, qp, self.E,
                            label=(int(self.n[0]), int(self.n[1])))
 
-    def reference_path(self, xm, xp, num: int = 33):
+    def reference_path(self, xm, xp):
         c0 = float(np.atleast_1d(xm)[0])
         ell = self._lengths(xm, xp)
         start = np.array([c0, c0])
-        ts = np.linspace(0.0, 1.0, num)
+        ts = np.linspace(0.0, 1.0, 33)
         return start[None, :] + ts[:, None] * ell[None, :]
 
 
@@ -199,7 +198,6 @@ def two_ball_torus_scenario(masses=(1.0, 1.0), E: float = 0.5,
     links = dlsmod.LazyLinks(lambda k: TwoBallTorusLink(h, E, m, period, k))
     dl = dlsmod.DiscreteLagrangian(links, energy=E, scatterer=scat,
                                    name="two_ball_torus")
-    dl.hamiltonian = h
     return TwoBallTorusScenario(h, scat, dl, E, m, period)
 
 
@@ -314,7 +312,7 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
         qp = self.right if self.right is not None else np.asarray(qp, dtype=float)
         return self._connect_ambient(qm, qp, eps)
 
-    def _connect_ambient(self, qm, qp, eps, samples: int = 129):
+    def _connect_ambient(self, qm, qp, eps):
         lo, hi = self.box[0] + eps, self.box[1] - eps
         ell, par = self._geometry(qm, qp, eps)
         g = np.sqrt(np.sum(self.m * ell**2))
@@ -322,7 +320,7 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
         tau = g / self._speed
         p_minus = self._speed * self.m * ell / g
         p_plus = self._speed * self.m * ell * par / g
-        ts = np.linspace(0.0, 1.0, samples)
+        ts = np.linspace(0.0, 1.0, 129)
         unfolded = qm + ts[:, None] * ell
         width = hi - lo
         z = np.remainder(unfolded - lo, 2 * width)
@@ -331,8 +329,8 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
                                   p_minus, p_plus, path, label=self.pattern,
                                   backend="unfolded")
 
-    def reference_path(self, xm, xp, num: int = 129):
-        return self._connect_ambient(*self._resolve(xm, xp), 0.0, samples=num).path
+    def reference_path(self, xm, xp):
+        return self._connect_ambient(*self._resolve(xm, xp), 0.0).path
 
 
 @dataclass
@@ -343,19 +341,12 @@ class TwoBallBoxScenario:
     masses: np.ndarray
     box: Tuple[float, float]
 
-    def lagrangian(self, wall_margin: float = 0.0,
-                   endpoints: Optional[Tuple[np.ndarray, np.ndarray]] = None):
+    def lagrangian(self):
+        """Periodic-chain branches of the limiting billiard (walls at margin zero)."""
         links = dlsmod.LazyLinks(lambda k: TwoBallBoxLink(self.h, self.E, self.masses,
-                                                          self.box, k, wall_margin))
-        ends = None
-        if endpoints is not None:
-            a = np.asarray(endpoints[0], dtype=float)
-            b = np.asarray(endpoints[1], dtype=float)
-            ends = lambda c: (a, b)
-        dl = dlsmod.DiscreteLagrangian(links, energy=self.E, scatterer=self.scatterer,
-                                       name="two_ball_box", ambient_endpoints=ends)
-        dl.hamiltonian = self.h
-        return dl
+                                                          self.box, k))
+        return dlsmod.DiscreteLagrangian(links, energy=self.E, scatterer=self.scatterer,
+                                         name="two_ball_box")
 
     def periodic_chain(self, code, points):
         code = [tuple(int(v) for v in k) for k in code]
@@ -391,7 +382,6 @@ def box_fixed_lagrangian(scn: TwoBallBoxScenario, a, b, code,
     dl = dlsmod.DiscreteLagrangian(links, energy=scn.E, scatterer=scn.scatterer,
                                    name="two_ball_box_fixed",
                                    ambient_endpoints=lambda c: (a, b))
-    dl.hamiltonian = scn.h
     return dl
 
 
@@ -453,7 +443,6 @@ def ncenter_scenario(centers, alphas=None, E: float = 0.5) -> NCenterScenario:
 
     dl = dlsmod.DiscreteLagrangian(links, energy=E, scatterer=scat,
                                    name="ncenter", site_bases=site_bases)
-    dl.hamiltonian = h
     return NCenterScenario(h, scat, dl, E, alphas)
 
 

@@ -41,7 +41,8 @@ class SingularPerturbation:
     """H_mu = H_base + mu V with V = -phi(q, mu) / d(q, N).
 
     For a point scatterer the classical form V = -sum_i alpha_i / |q - a_i|
-    is used (alphas positive: attracting force).
+    is used (alphas positive: attracting force). Approaches within the
+    exclusion radius r_min = mu^2 abort a flight.
     """
 
     base: ClassicalHamiltonian
@@ -49,7 +50,6 @@ class SingularPerturbation:
     mu: float
     alphas: Optional[np.ndarray] = None
     phi: Optional[Callable[[np.ndarray, float], float]] = None
-    exclusion_guard: float = 1.0
 
     def __post_init__(self):
         if isinstance(self.scatterer, PointScatterer):
@@ -64,7 +64,7 @@ class SingularPerturbation:
 
     @property
     def r_min(self) -> float:
-        return self.exclusion_guard * self.mu**2
+        return self.mu**2
 
     def distance(self, q) -> float:
         return self.scatterer.distance(np.asarray(q, dtype=float))
@@ -179,7 +179,7 @@ class SingularFlowResult:
 class _SingularStepper:
     """RK4 rows with the step shrinking like d(q, N)^{3/2} near the tube."""
 
-    def __init__(self, sp: SingularPerturbation, h_far: float, k_near: float = 0.08):
+    def __init__(self, sp: SingularPerturbation, h_far: float, k_near: float):
         self.sp = sp
         self.h_far = h_far
         self.k_near = k_near
@@ -197,24 +197,26 @@ class _SingularStepper:
             f"approach {d:.3e} inside exclusion radius {self.sp.r_min:.3e}")
 
 
-def flow_singular(sp: SingularPerturbation, s0: PhaseState, duration: float,
-                  h_far: Optional[float] = None, k_near: float = 0.08,
-                  energy_tol: float = 1e-6, max_retries: int = 3,
-                  record_every: int = 1, max_steps: int = 5_000_000) -> SingularFlowResult:
-    """Integrate the singular flow for the given duration.
+_FLOW_ENERGY_TOL = 1e-6     # relative energy drift flow_singular accepts
+_FLOW_RETRIES = 3           # halvings of both step constants before giving up
 
-    The step follows min(h_far, k d^{3/2}); the run aborts if the trajectory
-    enters the exclusion radius, and the step constants are tightened until
-    the relative energy drift meets energy_tol.
+
+def flow_singular(sp: SingularPerturbation, s0: PhaseState,
+                  duration: float) -> SingularFlowResult:
+    """Integrate the singular flow for the given duration, sampled every step.
+
+    The step follows min(h_far, k d^{3/2}) with h_far = duration / 400 and
+    k = 0.08; the run aborts if the trajectory enters the exclusion radius,
+    and both step constants are halved, at most three times, until the
+    relative energy drift is at most 1e-6.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
-    if h_far is None:
-        h_far = duration / 400.0
+    h_far = duration / 400.0
     E0 = sp.energy(s0.q, s0.p)
     scaleE = max(1.0, abs(E0))
-    for attempt in range(max_retries + 1):
-        stepper = _SingularStepper(sp, h_far / 2**attempt, k_near / 2**attempt)
+    for attempt in range(_FLOW_RETRIES + 1):
+        stepper = _SingularStepper(sp, h_far / 2**attempt, 0.08 / 2**attempt)
         kernel = stepper.kernel
         Q, P, t = s0.q[None, :], s0.p[None, :], 0.0
         ts, qs, ps = [0.0], [Q[0]], [P[0]]
@@ -223,7 +225,7 @@ def flow_singular(sp: SingularPerturbation, s0: PhaseState, duration: float,
         nstep = 0
         while t < duration:
             nstep += 1
-            if nstep > max_steps:
+            if nstep > 5_000_000:
                 raise StepUnderflowError("singular flow exceeded the step budget")
             if D[0] <= sp.r_min:
                 raise stepper.exclusion_error(float(D[0]))
@@ -232,16 +234,15 @@ def flow_singular(sp: SingularPerturbation, s0: PhaseState, duration: float,
             t += dt
             F, D = kernel.force_distance(Q)
             dmin = min(dmin, float(D[0]))
-            if nstep % record_every == 0 or t >= duration:
-                ts.append(t)
-                qs.append(Q[0])
-                ps.append(P[0])
+            ts.append(t)
+            qs.append(Q[0])
+            ps.append(P[0])
         drift = abs(sp.energy(Q[0], P[0]) - E0) / scaleE
-        if drift <= energy_tol:
+        if drift <= _FLOW_ENERGY_TOL:
             traj = Trajectory(np.asarray(ts) + s0.t, np.asarray(qs), np.asarray(ps))
             return SingularFlowResult(traj, float(dmin), float(drift))
-    raise StepUnderflowError(f"energy drift {drift:.2e} above {energy_tol:.1e} "
-                             f"after {max_retries} refinements")
+    raise StepUnderflowError(f"energy drift {drift:.2e} above {_FLOW_ENERGY_TOL:.1e} "
+                             f"after {_FLOW_RETRIES} refinements")
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +312,15 @@ def _plane_basis(normal: np.ndarray) -> np.ndarray:
     return np.column_stack(cols[:d - 1])
 
 
+_FD_REL = 1e-7      # central-difference step of the shooting Jacobian, relative to
+                    # the norm of each node's unknowns
+
+
 class _ChainShooting:
     """One mu-value multiple-shooting problem over a periodic polygon chain."""
 
     def __init__(self, sp: SingularPerturbation, centers: List[int],
-                 directions: List[np.ndarray], E: float, k_near: float = 0.2):
+                 directions: List[np.ndarray], E: float):
         self.sp = sp
         self.centers = centers          # point ids, one per collision
         self.dirs = directions          # unit outgoing directions, one per link
@@ -323,7 +328,6 @@ class _ChainShooting:
         self.n = len(centers)
         self.points = [sp.scatterer.embed(i) for i in centers]
         self.speed = np.sqrt(2.0 * E)
-        self.k_near = k_near
         self.normals = []
         self.bases = []
         self.defl = []
@@ -342,7 +346,7 @@ class _ChainShooting:
                 sp.base.space.centered(self.points[(j + 1) % self.n] - self.points[j])))
         self.r_detect = 0.45 * min(link_lengths)
         self.h_far = 0.02 * min(link_lengths) / self.speed
-        self._stepper = _SingularStepper(sp, self.h_far, self.k_near)
+        self._stepper = _SingularStepper(sp, self.h_far, 0.2)
 
     # --- unknown packing: per node, d-1 plane coordinates and d momentum ---
 
@@ -357,17 +361,16 @@ class _ChainShooting:
     def node_state(self, j, xi):
         return self.defl[j].periapsis + self.bases[j] @ xi
 
-    def _ballistic_correction(self, samples: int = 256):
+    def _ballistic_correction(self):
         """First-order mean-field correction of the two-body predictor.
 
         Far centers bend each link by an angle comparable to the local impact
         parameter over inverse energy, so the raw two-body periapsis states sit
         at the edge of the Newton basin. Integrating the background force along
         the straight links gives the asymptote-offset defect of every passage;
-        rotating each local hyperbola about its focus cancels it.
+        rotating each local hyperbola about its focus cancels it. Planar
+        chains only.
         """
-        if self.sp.base.dim != 2:
-            return [0.0] * self.n
         space = self.sp.base.space
         pts = self.sp.scatterer.points
         rot90 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -379,8 +382,8 @@ class _ChainShooting:
             L = np.linalg.norm(disp)
             tau = L / self.speed
             others = [i for i in range(len(pts)) if i not in (cj, cn)]
-            ts = np.linspace(0.0, 1.0, samples)
-            F = np.zeros((samples, 2))
+            ts = np.linspace(0.0, 1.0, 256)
+            F = np.zeros((ts.size, 2))
             for i in others:
                 rel = space.centered(a0[None, :] + ts[:, None] * disp[None, :] - pts[i])
                 r2 = np.einsum("kj,kj->k", rel, rel)
@@ -551,7 +554,7 @@ class _ChainShooting:
                 rows.append((j, blk[:d - 1], blk[d - 1:]))
         return rows
 
-    def jacobian(self, U, fd_rel: float = 1e-7, flights=None) -> np.ndarray:
+    def jacobian(self, U, fd_rel: float = _FD_REL, flights=None) -> np.ndarray:
         """Shooting Jacobian at U: -I couplings plus central differences.
 
         All 2 (2d - 1) n perturbed links fly in one lockstep call, unless
@@ -586,18 +589,20 @@ class _ChainShooting:
         raise SingularShadowError(
             f"finite differences infeasible at node {pending[0] // per}")
 
-    def solve(self, tol: float = 1e-8, max_iter: int = 30, fd_rel: float = 1e-7):
+    def solve(self):
         """Newton with a halving line search: (U, |R|, iterations, dmin, paths).
 
-        A full-step trial flies its Jacobian's stencil too, kept if accepted."""
+        Stops at |R| <= 1e-8 sqrt(2E) or after 30 iterations, and accepts up
+        to 30 times that residual. A full-step trial flies its Jacobian's
+        stencil too, kept if accepted."""
+        tol, scale = 1e-8, self.speed
         U = self.predictor()
-        R, dmin, paths, stencil = self.residual(U, fd_rel)
+        R, dmin, paths, stencil = self.residual(U, _FD_REL)
         rn = np.linalg.norm(R, ord=np.inf)
-        scale = self.speed
         dmin_floor = min(dd.r_p for dd in self.defl) / 5.0
         it = 0
-        while rn > tol * scale and it < max_iter:
-            J = self.jacobian(U, fd_rel, stencil)
+        while rn > tol * scale and it < 30:
+            J = self.jacobian(U, _FD_REL, stencil)
             try:
                 step = np.linalg.solve(J, -R)
             except np.linalg.LinAlgError as exc:
@@ -605,7 +610,7 @@ class _ChainShooting:
             lam = 1.0
             for _ in range(25):
                 try:
-                    flown = self.residual(U + lam * step, fd_rel if lam == 1.0 else None)
+                    flown = self.residual(U + lam * step, _FD_REL if lam == 1.0 else None)
                 except (SingularShadowError, ExclusionRadiusError):
                     lam *= 0.5
                     continue
@@ -632,9 +637,8 @@ class _ChainShooting:
 
 
 def shadow_experiment(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
-                      mu_list: Sequence[float], alphas: Optional[np.ndarray] = None,
-                      exclusion_guard: float = 1.0,
-                      tol: float = 1e-8) -> List[SingularShadowRow]:
+                      mu_list: Sequence[float],
+                      alphas: Optional[np.ndarray] = None) -> List[SingularShadowRow]:
     """Near-collision shadowing of a polygon chain under a mu-sweep.
 
     For each mu, a multiple-shooting Newton matches the local two-body
@@ -661,14 +665,14 @@ def shadow_experiment(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguratio
         v = np.asarray(pm, dtype=float)
         dirs.append(v / np.linalg.norm(v))
 
+    base = ClassicalHamiltonian(scat.space)     # free flight among the centers
     rows: List[SingularShadowRow] = []
     for mu in mu_list:
-        sp = SingularPerturbation(_base_hamiltonian(dl), scat, float(mu),
-                                  alphas=alphas, exclusion_guard=exclusion_guard)
+        sp = SingularPerturbation(base, scat, float(mu), alphas=alphas)
         shooter = _ChainShooting(sp, centers, dirs, E)
         predicted = min(d.r_p for d in shooter.defl)
         try:
-            _, rn, it, dmin, paths = shooter.solve(tol=tol)
+            _, rn, it, dmin, paths = shooter.solve()
             rows.append(SingularShadowRow(float(mu), True, shooter.sup_error_to_chain(paths),
                                           dmin, predicted, float(rn), it))
         except (SingularShadowError, ExclusionRadiusError, StepUnderflowError) as exc:
@@ -677,10 +681,3 @@ def shadow_experiment(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguratio
                                           f"{type(exc).__name__}: {exc}"))
     return rows
 
-
-def _base_hamiltonian(dl: dlsmod.DiscreteLagrangian) -> ClassicalHamiltonian:
-    """Base Hamiltonian of the unperturbed chain (free flight on the same space)."""
-    h = getattr(dl, "hamiltonian", None)
-    if h is not None:
-        return h
-    return ClassicalHamiltonian(dl.scatterer.space)

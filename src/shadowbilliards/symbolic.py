@@ -63,15 +63,14 @@ class CollisionGraph:
         return "\n".join(lines)
 
 
-def build_graph(orbits: Sequence[OrbitVertex], jump_tol: float = 1e-9,
-                no_straight_reflection: bool = False,
-                angle_tol: float = 1e-6) -> CollisionGraph:
+def build_graph(orbits: Sequence[OrbitVertex],
+                no_straight_reflection: bool = False) -> CollisionGraph:
     """Adjacency by endpoint matching plus the momentum-jump condition.
 
     Edge k -> k' iff end(k) == start(k') (exact id comparison) and
-    p_plus(k) != p_minus(k') beyond jump_tol. With no_straight_reflection,
-    head-on continuations v_plus(k) = -v_minus(k') are removed as well
-    (needed when the limit is an attracting singular flow).
+    |p_plus(k) - p_minus(k')| > 1e-9. With no_straight_reflection, head-on
+    continuations v_plus(k) = -v_minus(k') (to within an angle of 1e-6) are
+    removed as well (needed when the limit is an attracting singular flow).
     """
     n = len(orbits)
     A = np.zeros((n, n), dtype=np.int64)
@@ -79,7 +78,7 @@ def build_graph(orbits: Sequence[OrbitVertex], jump_tol: float = 1e-9,
         for j, b in enumerate(orbits):
             if a.end != b.start:
                 continue
-            if np.linalg.norm(a.p_plus - b.p_minus) <= jump_tol:
+            if np.linalg.norm(a.p_plus - b.p_minus) <= 1e-9:
                 continue
             if no_straight_reflection:
                 va = a.v_plus if a.v_plus is not None else a.p_plus
@@ -87,7 +86,7 @@ def build_graph(orbits: Sequence[OrbitVertex], jump_tol: float = 1e-9,
                 den = np.linalg.norm(va) * np.linalg.norm(vb)
                 if den > 0:
                     cosang = float(va @ vb) / den
-                    if np.arccos(np.clip(-cosang, -1.0, 1.0)) < angle_tol:
+                    if np.arccos(np.clip(-cosang, -1.0, 1.0)) < 1e-6:
                         continue
             A[i, j] = 1
     return CollisionGraph(list(orbits), A)
@@ -101,7 +100,10 @@ class EntropyReport:
     iterations: int
 
 
-def _power_iteration(A: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000):
+_TOL = 1e-10        # power-iteration convergence, and the radius below which rho is 0
+
+
+def _power_iteration(A: np.ndarray):
     n = A.shape[0]
     x = np.full(n, 1.0 / np.sqrt(n))
     lam = 0.0
@@ -109,20 +111,20 @@ def _power_iteration(A: np.ndarray, tol: float = 1e-10, max_iter: int = 100_000)
     shift = 0.5
     Bs = A.astype(float) + shift * np.eye(n)
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, 100_001):
         y = Bs @ x
         lam_new = float(np.linalg.norm(y))
         if lam_new == 0:
             return 0.0, it
         y /= lam_new
-        if abs(lam_new - lam) < tol * max(1.0, abs(lam_new)) and it > 3:
+        if abs(lam_new - lam) < _TOL * max(1.0, abs(lam_new)) and it > 3:
             lam, x = lam_new, y
             break
         lam, x = lam_new, y
     return max(lam - shift, 0.0), it
 
 
-def entropy(g: CollisionGraph, tol: float = 1e-10) -> EntropyReport:
+def entropy(g: CollisionGraph) -> EntropyReport:
     """Topological entropy: log of the adjacency spectral radius.
 
     The radius is the largest over the strongly connected components that
@@ -147,18 +149,21 @@ def entropy(g: CollisionGraph, tol: float = 1e-10) -> EntropyReport:
         if comp[0] != i:
             continue                            # component done at its first vertex
         B = A[np.ix_(comp, comp)]
-        rho_c, it_c = _power_iteration(B, tol)
+        rho_c, it_c = _power_iteration(B)
         rho_dense = float(np.max(np.abs(np.linalg.eigvals(B.astype(float)))))
         if abs(rho_c - rho_dense) > 1e-9 * max(1.0, rho_dense):
             rho_c = rho_dense
         rho, it = max(rho, rho_c), it + it_c
-    if rho <= tol:
+    if rho <= _TOL:
         return EntropyReport(NEG_INF, 0.0, reducible, it)
     return EntropyReport(float(np.log(rho)), float(rho), reducible, it)
 
 
 class PathBudgetError(RuntimeError):
-    """Enumeration would exceed the configured path budget."""
+    """Enumeration would exceed the path budget."""
+
+
+_PATH_BUDGET = 2_000_000    # most codes paths() materializes
 
 
 def count_paths(g: CollisionGraph, n: int) -> int:
@@ -169,12 +174,12 @@ def count_paths(g: CollisionGraph, n: int) -> int:
 
 
 def paths(g: CollisionGraph, length: Optional[int] = None,
-          periodic: Optional[int] = None, budget: int = 2_000_000) -> List[Tuple]:
+          periodic: Optional[int] = None) -> List[Tuple]:
     """Exhaustive enumeration of codes: paths of a given edge length, or
     periodic codes of a given period (closed walks, counted with phase).
 
     Deterministic output order (lexicographic in vertex indices); raises
-    PathBudgetError before materializing more than `budget` codes.
+    PathBudgetError before materializing more than _PATH_BUDGET codes.
     """
     if (length is None) == (periodic is None):
         raise ValueError("pass exactly one of length or periodic")
@@ -186,8 +191,8 @@ def paths(g: CollisionGraph, length: Optional[int] = None,
         expected = count_paths(g, n)
     else:
         expected = int(np.trace(np.linalg.matrix_power(A.astype(object), n)))
-    if expected > budget:
-        raise PathBudgetError(f"{expected} codes exceed the budget {budget}")
+    if expected > _PATH_BUDGET:
+        raise PathBudgetError(f"{expected} codes exceed the budget {_PATH_BUDGET}")
 
     nv = len(g.vertices)
     out: List[Tuple] = []

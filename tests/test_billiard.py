@@ -8,7 +8,9 @@ from shadowbilliards.billiard import (BilliardDomain, BoxWalls,
                                       billiard_trajectory, expansion_residual,
                                       generating_eps, lyapunov_estimate, reflect,
                                       replay, shadow_error, shadow_solve)
-from shadowbilliards.dynamics import ClassicalHamiltonian, PhaseState, euclidean
+from shadowbilliards.dynamics import (ClassicalHamiltonian, HarmonicPotential, PhaseState,
+                                      euclidean)
+from shadowbilliards.scatterer import ChartScatterer, DiagonalScatterer, PointScatterer
 
 
 def torus_setup(code=((1, 0), (0, 1))):
@@ -145,6 +147,57 @@ class TestTrajectory:
         assert run.events[0].surface != 0
         assert run.events[0].p_after[1] == pytest.approx(-s0.p[1])
 
+    def test_line_in_space_matches_the_cylinder_hit(self):
+        # a chart scatterer has no exact entry times: bracketed stepping on
+        # the gap, here in free flight around the x-axis of R^3
+        space = euclidean(3)
+        line = ChartScatterer(space, lambda x: np.array([x[0], 0.0, 0.0]),
+                              lambda x: np.array([[1.0], [0.0], [0.0]]), dim=1)
+        eps = 0.05
+        q0, p0 = np.array([0.2, 0.6, 0.3]), np.array([0.3, -0.8, -0.35])
+        run = billiard_trajectory(BilliardDomain(ClassicalHamiltonian(space), line, eps),
+                                  PhaseState(q0, p0), 1)
+        a = p0[1:] @ p0[1:]
+        b = 2.0 * q0[1:] @ p0[1:]
+        c = q0[1:] @ q0[1:] - eps**2
+        t = (-b - np.sqrt(b * b - 4 * a * c)) / (2 * a)
+        n = np.concatenate([[0.0], (q0 + t * p0)[1:] / eps])
+        ev = run.events[0]
+        assert ev.t == pytest.approx(t, abs=1e-10)
+        assert np.abs(ev.p_after - (p0 - 2 * (p0 @ n) * n)).max() <= 1e-10
+
+    def test_harmonic_point_billiard_conserves_energy(self):
+        # a potential force needs the Verlet flight between events
+        space = euclidean(2)
+        h = ClassicalHamiltonian(space, HarmonicPotential(1.0))
+        centre, eps = np.array([0.5, 0.0]), 0.02
+        q0, p0 = np.array([-0.5, 0.005]), np.array([0.8, 0.0])
+        run = billiard_trajectory(BilliardDomain(h, PointScatterer(space, [centre]), eps),
+                                  PhaseState(q0, p0), 4)
+        E0 = h.energy(q0, p0)
+        assert len(run.events) == 4
+        for ev in run.events:
+            assert abs(h.energy(ev.q, ev.p_after) - E0) <= 1e-8
+            assert abs(np.linalg.norm(ev.q - centre) - eps) <= 1e-10
+        assert abs(h.energy(run.final.q, run.final.p) - E0) <= 1e-8
+
+    def test_two_balls_on_a_line_collide_on_time(self):
+        # q1 = 0.2 and q2 = 0.8 close at speed 0.8 until |q1 - q2| = sqrt(2) eps
+        m = np.array([1.0, 2.0])
+        space = euclidean(2)
+        eps = 0.01
+        v0 = np.array([0.5, -0.3])
+        dom = BilliardDomain(ClassicalHamiltonian(space, mass=np.diag(m)),
+                             DiagonalScatterer(space), eps)
+        run = billiard_trajectory(dom, PhaseState(np.array([0.2, 0.8]), m * v0), 1)
+        ev = run.events[0]
+        assert ev.surface == 0
+        assert ev.t == pytest.approx((0.6 - np.sqrt(2.0) * eps) / 0.8, abs=1e-12)
+        # one-dimensional elastic collision of the two masses
+        v1 = ((m[0] - m[1]) * v0[0] + 2 * m[1] * v0[1]) / m.sum()
+        v2 = ((m[1] - m[0]) * v0[1] + 2 * m[0] * v0[0]) / m.sum()
+        assert np.allclose(ev.p_after, m * [v1, v2], atol=1e-12)
+
 
 class TestGeneratingFunction:
     def test_exact_chord(self):
@@ -188,6 +241,14 @@ class TestShadowSolve:
         chain = scn.chain([(1, 0), (2, 0)])
         with pytest.raises(ShadowSolveError):
             shadow_solve(scn.dl, chain, 1e-3)
+
+    def test_critical_predictor_needs_no_iteration(self):
+        # the convex predictor of this chain is already critical, so a budget
+        # of zero Newton steps suffices
+        scn, chain = torus_setup()
+        sc = shadow_solve(scn.dl, chain, 1e-3, max_iter=0)
+        assert sc.diagnostics["iterations"] == 0
+        assert sc.residual_inf <= 1e-10 * np.sqrt(2 * scn.E)
 
     @pytest.mark.parametrize("error, expected, message", [
         (bvp.ConnectError, ShadowSolveError, "stalled"),

@@ -104,6 +104,19 @@ class TestShootingConvergence:
         assert np.linalg.norm(q_end - qp) <= tol * max(1.0, np.linalg.norm(qp - qm))
         assert abs(h.energy(qm, orb.p_minus) - E) <= tol * max(1.0, abs(E))
 
+    def test_converges_on_the_last_allowed_step(self):
+        # from 1.001 x the closed-form momentum Newton needs exactly 5 steps
+        h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
+        qm, qp, E = [0.3, 0.0], [0.0, 0.31], -0.9
+        arc = bvp.connect(h, qm, qp, E, label=(1, "short"))
+        guess = {"p0": 1.001 * arc.p_minus, "tau0": arc.tau}
+        shot = bvp.connect(h, qm, qp, E, label=(1, "short"), backend="shooting",
+                           guess=guess, max_iter=5)
+        assert np.linalg.norm(shot.path[-1] - qp) < 1e-4
+        with pytest.raises(bvp.ConnectError, match="did not converge"):
+            bvp.connect(h, qm, qp, E, label=(1, "short"), backend="shooting",
+                        guess=guess, max_iter=4)
+
     def test_trial_flights_at_most_double_the_travel_time(self, monkeypatch):
         # 0.05 above the potential at q-: Newton steps here proposed travel
         # times over 30x the current one, flights of up to 10^5 steps

@@ -168,6 +168,39 @@ class TestValidation:
         assert rc == 2
         assert f"scenario.gates.{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shipped, field, value, message", [
+        ("torus_point", "code", [[1, "a"], [0, 1]], "code[0][1]: expected integer"),
+        ("torus_point", "code", [1, 0], "code[0]: expected a list of 2 integers"),
+        ("torus_point", "code", [[1, 0, 0], [0, 1]], "code[0]: expected a list of 2 integers"),
+        ("torus_point", "code", [[1.5, 0], [0, 1]], "code[0][0]: expected integer"),
+        ("torus_point", "code", [], "code: expected a nonempty list"),
+        ("two_balls_torus", "code", [[1, 0], [0, True]], "code[1][1]: expected integer"),
+        ("two_balls_box", "code", [[0, 0], [-1, 1.0], [0, 0]], "code[1][1]: expected integer"),
+        ("two_balls_box", "periodic_code", [[-1, 1], "x"],
+         "periodic_code[1]: expected a list of 2 integers"),
+        ("ncenter_square", "code", [[0, 1], [1, "2"], [2, 3], [3, 0]],
+         "code[1][1]: expected integer"),
+        ("ncenter_square", "code", [[0, 1, 2], [1, 2], [2, 3], [3, 0]],
+         "code[0]: expected a list of 2 integers"),
+        ("kepler_grid", "revolutions", [[1, 1], [1, 2.0]], "revolutions[1][1]: expected integer"),
+    ], ids=["string", "flat", "length", "float", "empty", "two_balls_torus", "two_balls_box",
+            "periodic_code", "ncenter", "ncenter_length", "revolutions"])
+    def test_integer_list_field_checked_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                      shipped, field, value, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the pipeline ran on a malformed integer list")
+
+        for name in ("torus_point_scenario", "two_ball_torus_scenario",
+                     "two_ball_box_scenario", "ncenter_scenario"):
+            monkeypatch.setattr(cli.scenarios, name, no_run)
+        monkeypatch.setattr(cli.kpmod, "three_body_lagrangian", no_run)
+        cfg = json.loads((SCENARIOS / f"{shipped}.json").read_text())
+        cfg["params"][field] = value
+        rc = cli.main(["scenario", "run", "--scenario", write(tmp_path, "bad.json", cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"scenario.params.{message}" in capsys.readouterr().err
+
 
 class TestRuns:
     def test_kepler_table_deterministic(self, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from shadowbilliards import dls, scenarios, singular
-from shadowbilliards.dynamics import (ClassicalHamiltonian, PhaseState,
+from shadowbilliards.dynamics import (ClassicalHamiltonian, HarmonicPotential, PhaseState,
                                       euclidean, flow_segment)
 from shadowbilliards.scatterer import DiagonalScatterer, PointScatterer
 from shadowbilliards.singular import (ExclusionRadiusError, SingularPerturbation,
@@ -90,6 +90,22 @@ class TestFlowSingular:
             res = flow_singular(sp, s0, 0.45 / np.sqrt(2 * 0.5))
             dev = np.max(np.abs(res.trajectory.qs[:, 1]))
             assert dev <= 5.0 * mu ** 0.8
+
+    def test_harmonic_base_retraces_under_time_reversal(self):
+        # a base potential takes the kernel's row-by-row force and distance
+        space = euclidean(2)
+        sp = SingularPerturbation(ClassicalHamiltonian(space, HarmonicPotential(1.0)),
+                                  PointScatterer(space, [[0.5, 0.0]]), 1e-2)
+        assert not singular._PointCenterKernel(sp).fused
+        q0, p0 = np.array([-0.5, 0.02]), np.array([0.8, 0.0])
+        fwd = flow_singular(sp, PhaseState(q0, p0), 3.0)
+        assert fwd.energy_drift <= 1e-6
+        assert fwd.min_distance < 0.01             # a near passage of the center
+        back = flow_singular(sp, PhaseState(fwd.trajectory.qs[-1], -fwd.trajectory.ps[-1]),
+                             3.0)
+        assert back.energy_drift <= 1e-6
+        assert np.abs(back.trajectory.qs[-1] - q0).max() <= 1e-7
+        assert np.abs(back.trajectory.ps[-1] + p0).max() <= 1e-7
 
 
 class TestDeflection:

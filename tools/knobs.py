@@ -1,0 +1,193 @@
+"""List the parameters with a default in src/ and which code passes them.
+
+A parameter with a default that no caller passes is a setting nobody uses or
+tests. This script scans the package with `ast`, using the standard library
+only:
+
+    python3 tools/knobs.py
+
+It prints one line per parameter with a default of a function or method
+under src/ (dataclass fields are not parameters here), naming which of
+src/, tests/ and perfbench/ pass it, and ends with the count of parameters
+that none of them passes.
+
+A call counts for every function of the same name, since the scan does not
+resolve types; a call of a class reaches its __init__. It passes a parameter
+by keyword, or by position when it has more positional arguments than the
+parameters before it, not counting self or cls; a `*args` argument passes
+every positional parameter. A function that hands its own parameter on to
+itself (a recursive or re-connecting call) does not count as passing it. A
+call that passes `**kw` passes nothing by itself, but the keywords given to
+a function are also given to each function it calls with its own `**kw`. A
+call through anything but a name or an attribute, say a dict lookup,
+reaches nothing.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import defaultdict
+from pathlib import Path
+from typing import NamedTuple, Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+CALLERS = ("src", "tests", "perfbench")
+
+
+def _files(root: Path, top: str):
+    return sorted((root / top).rglob("*.py"))
+
+
+def _callee(call: ast.Call):
+    """The name a call's target ends in, or None."""
+    f = call.func
+    if isinstance(f, ast.Name):
+        return f.id
+    if isinstance(f, ast.Attribute):
+        return f.attr
+    return None
+
+
+class _Defs(ast.NodeVisitor):
+    """Every function under src/ with its parameters that have a default."""
+
+    def __init__(self, module: str):
+        self.module = module
+        self.scope: list = []
+        self.found: list = []
+
+    def visit_ClassDef(self, node):
+        self.scope.append((node.name, True))
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_FunctionDef(self, node):
+        a = node.args
+        positional = a.posonlyargs + a.args
+        in_class = bool(self.scope) and self.scope[-1][1]
+        name = node.name
+        if name == "__init__" and in_class:
+            name = self.scope[-1][0]     # reached by calling the class
+        first = len(positional) - len(a.defaults)
+        params = [(p.arg, i) for i, p in enumerate(positional) if i >= first]
+        params += [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+        forwards = []
+        if a.kwarg is not None:
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call) and _callee(call)
+                        and any(k.arg is None and isinstance(k.value, ast.Name)
+                                and k.value.id == a.kwarg.arg for k in call.keywords)):
+                    forwards.append(_callee(call))
+        qual = ".".join([s for s, _ in self.scope] + [node.name])
+        bound = in_class and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        self.found.append({"module": self.module, "qual": qual, "name": name,
+                           "bound": bound, "params": params, "forwards": forwards})
+        self.scope.append((node.name, False))
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+
+def definitions(root: Path = ROOT) -> list:
+    defs = []
+    for path in _files(root, "src"):
+        v = _Defs(path.stem)
+        v.visit(ast.parse(path.read_text()))
+        defs += v.found
+    return defs
+
+
+class Site(NamedTuple):
+    """One call: where it is, its keywords and positional arguments (each the
+    name it passes when that is a plain variable, else None), whether it
+    unpacks *args, and the functions it sits in."""
+
+    top: str
+    keywords: dict
+    positional: tuple
+    star: bool
+    inside: tuple
+
+    def passes(self, fn: str, param: str, at: Optional[int]) -> bool:
+        """Does this call of fn set param (at position `at`, None if keyword-only)?
+        A call of fn from inside fn that hands on fn's own param sets nothing."""
+        recursive = fn in self.inside
+        if param in self.keywords:
+            return not (recursive and self.keywords[param] == param)
+        if at is None:
+            return False
+        if at < len(self.positional):
+            return not (recursive and self.positional[at] == param)
+        return self.star
+
+
+def _name(node) -> Optional[str]:
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _sites(tree, top: str, out: dict, cls=None, inside=()) -> None:
+    """Add every call under tree to out; cls(...) inside a class calls that class."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call) and _callee(node):
+            name = _callee(node)
+            if name == "cls" and cls is not None:
+                name = cls
+            out[name].append(Site(
+                top, {k.arg: _name(k.value) for k in node.keywords if k.arg is not None},
+                tuple(_name(x) for x in node.args if not isinstance(x, ast.Starred)),
+                any(isinstance(x, ast.Starred) for x in node.args), inside))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _sites(node, top, out, cls, inside + (node.name,))
+        else:
+            _sites(node, top, out, node.name if isinstance(node, ast.ClassDef) else cls, inside)
+
+
+def calls(root: Path = ROOT) -> dict:
+    """Function name -> every Site that calls a function of that name."""
+    out = defaultdict(list)
+    for top in CALLERS:
+        for path in _files(root, top):
+            _sites(ast.parse(path.read_text()), top, out)
+    return out
+
+
+def scan(root: Path = ROOT) -> list:
+    """[(module.qualname, parameter, sorted caller dirs that pass it)]."""
+    defs = definitions(root)
+    sites = calls(root)
+    # keywords reaching a function through the **kw of the functions that call it
+    changed = True
+    while changed:
+        changed = False
+        for d in defs:
+            for target in d["forwards"]:
+                for site in list(sites[d["name"]]):
+                    entry = site._replace(positional=(), star=False)
+                    if site.keywords and entry not in sites[target]:
+                        sites[target].append(entry)
+                        changed = True
+    rows = []
+    for d in defs:
+        for param, index in d["params"]:
+            at = None if index is None else index - d["bound"]   # self or cls
+            who = {s.top for s in sites[d["name"]] if s.passes(d["name"], param, at)}
+            rows.append((f"{d['module']}.{d['qual']}", param, sorted(who)))
+    return rows
+
+
+def never_passed(root: Path = ROOT) -> list:
+    return [f"{qual}({param})" for qual, param, who in scan(root) if not who]
+
+
+def main() -> int:
+    rows = scan()
+    for qual, param, who in rows:
+        print(f"{qual}({param}): {', '.join(who) if who else 'never passed'}")
+    print(f"never passed: {sum(not who for _, _, who in rows)}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
