@@ -13,7 +13,7 @@ charts, which realizes the shadowing construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -146,9 +146,6 @@ class BilliardEvent:
 @dataclass
 class BilliardRun:
     events: List[BilliardEvent]
-    samples_t: np.ndarray
-    samples_q: np.ndarray
-    samples_p: np.ndarray
     final: PhaseState
 
 
@@ -237,8 +234,7 @@ _ARM_GAP = 1e-9     # a surface is armed for crossings once the gap to it exceed
 
 
 def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int,
-                        t_max: Optional[float] = None,
-                        record_samples: bool = True) -> BilliardRun:
+                        t_max: Optional[float] = None) -> BilliardRun:
     """Flow-with-reflections for a fixed number of boundary events.
 
     Bracketing uses the global speed bound: the boundary gap is 1-Lipschitz in
@@ -270,7 +266,6 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int,
         raise ValueError("initial state outside the billiard domain")
 
     events: List[BilliardEvent] = []
-    ts, qs, ps = [state.t], [state.q.copy()], [state.p.copy()]
     armed = gaps > _ARM_GAP
 
     def bisect_on_surface(idx, lo, hi):
@@ -304,10 +299,6 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int,
             found = _entry_times_free(dom, state.q, v, budget, 1e-12)
             if found is None:
                 state = flight.advance(state, budget)
-                if record_samples:
-                    ts.append(state.t)
-                    qs.append(state.q.copy())
-                    ps.append(state.p.copy())
                 continue
             idx, t_entry = found
             lo = t_entry
@@ -337,10 +328,6 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int,
             crossing = np.where(armed & (gap_next < 0))[0]
             if crossing.size == 0:
                 state = nxt
-                if record_samples:
-                    ts.append(state.t)
-                    qs.append(state.q.copy())
-                    ps.append(state.p.copy())
                 continue
 
             lo, hi = 0.0, dt
@@ -371,12 +358,8 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int,
                                     idx, boundary))
         state = PhaseState(hit.q, p_new, hit.t)
         armed = dom.surface_gaps(state.q) > _ARM_GAP  # re-arm away from this surface
-        if record_samples:
-            ts.append(state.t)
-            qs.append(state.q.copy())
-            ps.append(state.p.copy())
 
-    return BilliardRun(events, np.asarray(ts), np.asarray(qs), np.asarray(ps), state)
+    return BilliardRun(events, state)
 
 
 # ---------------------------------------------------------------------------
@@ -711,22 +694,17 @@ def shadow_error(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
     return float(base_err + dev)
 
 
-def replay(sc: ShadowChain, dom: BilliardDomain,
-           n_events: Optional[int] = None) -> BilliardRun:
+def replay(sc: ShadowChain, dom: BilliardDomain) -> BilliardRun:
     """Re-run the shadow chain as an actual billiard trajectory.
 
     Starts at the first physical point of the chain (a tube point for
     periodic chains, the frozen endpoint for fixed ones) with the outgoing
-    momentum of the first link and plays the events forward over the chain's
-    total flight time, with half of it again as margin.
+    momentum of the first link and plays the chain's collisions, one event
+    per link.
     """
     q0 = sc.orbits[0].path[0]
     p0 = sc.orbits[0].p_minus
-    total_tau = float(sum(orb.tau for orb in sc.orbits))
-    n = n_events if n_events is not None else 64 * len(sc.orbits)
-    return billiard_trajectory(dom, PhaseState(q0, p0, 0.0), n,
-                               t_max=total_tau * 1.5 if n_events is None else None,
-                               record_samples=False)
+    return billiard_trajectory(dom, PhaseState(q0, p0, 0.0), len(sc.orbits))
 
 
 def _section_lift(dom: BilliardDomain, chart: _SiteChart, xi: np.ndarray,
@@ -800,7 +778,7 @@ def lyapunov_estimate(sc: ShadowChain, dom: BilliardDomain) -> np.ndarray:
 
     def bounce_map(i, xi, y):
         state = _section_lift(dom, charts[i], xi, y, E)
-        run = billiard_trajectory(dom, state, 1, record_samples=False)
+        run = billiard_trajectory(dom, state, 1)
         if not run.events or run.events[-1].surface != 0:
             raise EventSearchError("bounce map left the tube section")
         ev = run.events[-1]

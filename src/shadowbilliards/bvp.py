@@ -12,14 +12,14 @@ Kepler revolution count and arc branch).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import kepler as kp
 from .dynamics import (ClassicalHamiltonian, DomainError, KeplerPotential,
-                       PhaseState, Trajectory, _verlet_steps, central_diff,
+                       PhaseState, _verlet_steps, central_diff,
                        flow_segment, jacobi_action)
 
 
@@ -65,13 +65,6 @@ class CollisionOrbit:
     @property
     def v_plus(self) -> np.ndarray:
         return self.h.velocity(self.path[-1], self.p_plus)
-
-    def reversed(self) -> "CollisionOrbit":
-        """Time-reversed orbit (valid for w == 0)."""
-        wind = None if self.winding is None else -self.winding
-        return CollisionOrbit(self.h, self.E, self.q_plus, self.q_minus,
-                              self.action, self.tau, -self.p_plus, -self.p_minus,
-                              self.path[::-1].copy(), self.label, wind, self.backend)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,7 @@ field) control the pipeline. Reports are CSV tables with named-and-united
 header rows plus a JSON summary; output is byte-identical for identical files
 and seeds.
 
-Commands: `scenario run` runs the family's whole pipeline; `graph entropy`
-writes only the collision graph and its entropy of an ncenter scenario.
+The one command, `scenario run`, runs the family's whole pipeline.
 Exit codes: 0 success, 1 gate failure, 2 invalid scenario or command line.
 """
 
@@ -69,6 +68,10 @@ def _num_list(obj, path: str, required: bool = True, default=None) -> Optional[L
         return default
     if not v and v is not default:
         raise ScenarioError(f"scenario.{path}: expected a nonempty list")
+    return _numbers(v, path)
+
+
+def _numbers(v: list, path: str) -> List[float]:
     out = []
     for i, x in enumerate(v):
         if not isinstance(x, (int, float)) or isinstance(x, bool):
@@ -92,6 +95,38 @@ def _int_lists(obj, path: str, width: int, default=None) -> List[tuple]:
                 raise ScenarioError(f"scenario.{path}[{i}][{j}]: expected integer")
         out.append(tuple(k))
     return out
+
+
+def _require(ok: bool, path: str, expected: str) -> None:
+    """A value the field's type admits but no run can use; exit 2 naming it."""
+    if not ok:
+        raise ScenarioError(f"scenario.{path}: expected {expected}")
+
+
+def _positive(values: Sequence[float], path: str) -> None:
+    for i, x in enumerate(values):
+        _require(x > 0, f"{path}[{i}]", "a positive number")
+
+
+def _point(v, path: str) -> np.ndarray:
+    """A planar position: a list of 2 JSON numbers, as a float array."""
+    _require(isinstance(v, list) and len(v) == 2, path, "a list of 2 numbers")
+    return np.asarray(_numbers(v, path))
+
+
+def _two_masses(cfg) -> List[float]:
+    masses = _num_list(cfg, "params.masses", False, [1.0, 1.0])
+    _require(len(masses) == 2, "params.masses", "2 entries, one per ball")
+    _positive(masses, "params.masses")
+    return masses
+
+
+def _windows(cfg) -> List[int]:
+    """sweeps.windows: certificate half-widths, nonnegative integers."""
+    windows = _num_list(cfg, "sweeps.windows", False, [1, 2, 4, 8, 16])
+    for i, w in enumerate(windows):
+        _require(w >= 0 and w == int(w), f"sweeps.windows[{i}]", "a nonnegative integer")
+    return [int(w) for w in windows]
 
 
 def load_scenario(path: str) -> dict:
@@ -153,11 +188,21 @@ def loglog_slope(xs, ys):
 
 def run_torus_point(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
     dim = int(_get(cfg, "params.dim", int, False, 2))
+    _require(dim >= 1, "params.dim", "a positive integer")
     periods = _num_list(cfg, "params.periods", False, [1.0] * dim)
+    _require(len(periods) == dim, "params.periods", f"{dim} entries, one per dimension")
+    _positive(periods, "params.periods")
     E = _get(cfg, "params.energy", float, False, 0.5)
+    _require(E > 0, "params.energy", "a positive number")
     code = _int_lists(cfg, "params.code", dim)
+    for i, k in enumerate(code):
+        _require(any(k), f"params.code[{i}]", "a nonzero winding")
     eps_list = _num_list(cfg, "sweeps.eps", False, [1e-2, 10**-2.5, 1e-3, 10**-3.5])
-    windows = [int(w) for w in _num_list(cfg, "sweeps.windows", False, [1, 2, 4, 8, 16])]
+    tube = min(periods) / 2
+    for i, eps in enumerate(eps_list):
+        _require(0 < eps < tube, f"sweeps.eps[{i}]",
+                 f"a positive number below the tube radius min(periods)/2 = {tube:g}")
+    windows = _windows(cfg)
     slope_gate = _num_list(cfg, "gates.error_slope", False, [0.9, 1.1])
     if len(slope_gate) != 2:
         raise ScenarioError("scenario.gates.error_slope: expected [low, high]")
@@ -206,7 +251,7 @@ def run_torus_point(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
               list(zip(green.offsets.tolist(), green.norms.tolist())))
 
     dom0 = BilliardDomain(scn.h, scn.scatterer, eps_list[0])
-    run0 = billiard.replay(sc0, dom0, n_events=len(sc0.orbits))
+    run0 = billiard.replay(sc0, dom0)
     ev_rows = []
     for ev in run0.events:
         ev_rows.append((ev.t, *ev.q.tolist(), *ev.p_before.tolist(),
@@ -238,12 +283,18 @@ def run_torus_point(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
 
 
 def run_two_ball_torus(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
-    masses = _num_list(cfg, "params.masses", False, [1.0, 1.0])
+    masses = _two_masses(cfg)
     E = _get(cfg, "params.energy", float, False, 0.5)
+    _require(E > 0, "params.energy", "a positive number")
     period = _get(cfg, "params.period", float, False, 1.0)
+    _require(period > 0, "params.period", "a positive number")
     code = _int_lists(cfg, "params.code", 2)
+    for i, k in enumerate(code):
+        _require(k[0] != k[1], f"params.code[{i}]", "two different windings")
     pts = _num_list(cfg, "params.points", False, [0.0] * len(code))
-    windows = [int(w) for w in _num_list(cfg, "sweeps.windows", False, [1, 2, 4, 8, 16])]
+    _require(len(pts) == len(code), "params.points",
+             f"{len(code)} entries, one per code entry")
+    windows = _windows(cfg)
     expect_divergent = _get(cfg, "gates.expect_divergent_certificate", bool, False, True)
 
     scn = scenarios.two_ball_torus_scenario(masses, E, period)
@@ -286,20 +337,33 @@ def run_two_ball_torus(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
 
 
 def run_two_ball_box(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
-    masses = _num_list(cfg, "params.masses", False, [1.0, 1.0])
+    masses = _two_masses(cfg)
     E = _get(cfg, "params.energy", float, False, 0.5)
+    _require(E > 0, "params.energy", "a positive number")
     code = _int_lists(cfg, "params.code", 2)
-    a = np.asarray(_num_list(cfg, "params.endpoint_a", True), dtype=float)
-    b = np.asarray(_num_list(cfg, "params.endpoint_b", True), dtype=float)
-    eps = _get(cfg, "params.eps", float, False, 1e-3)
-    n_starts = int(_get(cfg, "params.random_starts", int, False, 3))
     per_code = _int_lists(cfg, "params.periodic_code", 2, [[-1, 1], [-1, 1], [-1, 1]])
+    n_starts = int(_get(cfg, "params.random_starts", int, False, 3))
+    _require(n_starts >= 1, "params.random_starts", "a positive integer")
 
     scn = scenarios.two_ball_box_scenario(masses, E)
+    lo, hi = scn.box
+    ends = []
+    for name in ("endpoint_a", "endpoint_b"):
+        x = _point(_get(cfg, f"params.{name}", list), f"params.{name}")
+        for i in range(2):
+            _require(lo < x[i] < hi, f"params.{name}[{i}]", f"a position inside the box "
+                     f"({lo:g}, {hi:g})")
+        ends.append(x)
+    a, b = ends
+    eps = _get(cfg, "params.eps", float, False, 1e-3)
+    room = min(min(x.min() - lo, hi - x.max()) for x in ends)
+    _require(0 < eps < room, "params.eps",
+             f"a positive number below {room:g}, the endpoints' distance to the walls")
+
     dl = scenarios.box_fixed_lagrangian(scn, a, b, code)
     rng = np.random.default_rng(seed)
     solutions = []
-    for _ in range(max(1, n_starts)):
+    for _ in range(n_starts):
         pts = np.sort(rng.uniform(0.25, 0.75, size=len(code) - 1))
         chain = scenarios.box_fixed_chain(code, [np.array([c]) for c in pts])
         res = dlsmod.newton_chain(dl, chain)
@@ -358,13 +422,26 @@ def run_two_ball_box(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
     return report
 
 
-def run_ncenter(cfg: dict, out: Path, jobs: int, seed: int,
-                stage: Optional[str] = None) -> Dict:
-    centers = np.asarray(_get(cfg, "params.centers", list), dtype=float)
-    alphas = _num_list(cfg, "params.alphas", False, [1.0] * len(centers))
+def run_ncenter(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
+    raw = _get(cfg, "params.centers", list)
+    _require(bool(raw), "params.centers", "a nonempty list")
+    centers = np.array([_point(c, f"params.centers[{i}]") for i, c in enumerate(raw)])
+    n = len(centers)
+    alphas = _num_list(cfg, "params.alphas", False, [1.0] * n)
+    _require(len(alphas) == n, "params.alphas", f"{n} entries, one per center")
+    _positive(alphas, "params.alphas")
     E = _get(cfg, "params.energy", float, False, 0.5)
+    _require(E > 0, "params.energy", "a positive number")
     code = _int_lists(cfg, "params.code", 2)
+    for i, k in enumerate(code):
+        for j in range(2):
+            _require(0 <= k[j] < n, f"params.code[{i}][{j}]", f"a center index in 0..{n - 1}")
+        _require(k[0] != k[1], f"params.code[{i}]", "a link between two different centers")
+        end = code[i - 1][1]
+        _require(k[0] == end, f"params.code[{i}][0]",
+                 f"{end}, the center where the previous link ends")
     mu_list = _num_list(cfg, "sweeps.mu", False, [1e-3, 10**-3.5, 1e-4])
+    _positive(mu_list, "sweeps.mu")
     min_slope = _get(cfg, "gates.min_slope", float, False, 0.8)
 
     scn = scenarios.ncenter_scenario(centers, alphas, E)
@@ -377,44 +454,53 @@ def run_ncenter(cfg: dict, out: Path, jobs: int, seed: int,
     (out / "graph.txt").write_text(g.dump() + "\n")
     report["entropy"] = ent.value
 
-    if stage != "graph":
-        rows = singular.shadow_experiment(scn.dl, chain, mu_list,
-                                          alphas=np.asarray(alphas))
-        write_csv(out / "mu_table.csv",
-                  ["mu[perturbation]", "sup_error[length]", "converged[0/1]",
-                   "min_distance[length]", "predicted_r_p[length]"],
-                  [(r.mu, r.sup_error, int(r.converged), r.min_distance,
-                    r.predicted_r_p) for r in rows])
-        ok = [r for r in rows if r.converged]
-        slope = float("nan")
-        if len(ok) >= 2:
-            slope, _ = loglog_slope([r.mu for r in ok], [r.sup_error for r in ok])
-        ratios = [r.min_distance / r.predicted_r_p for r in ok]
-        report.update({"converged": [bool(r.converged) for r in rows],
-                       "error_slope": slope,
-                       "min_distance_ratios": [float(r) for r in ratios]})
-        failed = [f"mu={r.mu:.3e}: {r.reason}" for r in rows if not r.converged]
-        if failed:
-            failures.append("shadow experiment failed to converge at some mu ("
-                            + "; ".join(failed) + ")")
-        if not (slope >= min_slope):
-            failures.append(f"error slope {slope:.3f} below gate")
-        if ratios and not all(1 / 3 <= r <= 3 for r in ratios):
-            failures.append("minimum approach distance off the predicted scale")
+    rows = singular.shadow_experiment(scn.dl, chain, mu_list, alphas=np.asarray(alphas))
+    write_csv(out / "mu_table.csv",
+              ["mu[perturbation]", "sup_error[length]", "converged[0/1]",
+               "min_distance[length]", "predicted_r_p[length]"],
+              [(r.mu, r.sup_error, int(r.converged), r.min_distance,
+                r.predicted_r_p) for r in rows])
+    ok = [r for r in rows if r.converged]
+    slope = float("nan")
+    if len(ok) >= 2:
+        slope, _ = loglog_slope([r.mu for r in ok], [r.sup_error for r in ok])
+    ratios = [r.min_distance / r.predicted_r_p for r in ok]
+    report.update({"converged": [bool(r.converged) for r in rows],
+                   "error_slope": slope,
+                   "min_distance_ratios": [float(r) for r in ratios]})
+    failed = [f"mu={r.mu:.3e}: {r.reason}" for r in rows if not r.converged]
+    if failed:
+        failures.append("shadow experiment failed to converge at some mu ("
+                        + "; ".join(failed) + ")")
+    if not (slope >= min_slope):
+        failures.append(f"error slope {slope:.3f} below gate")
+    if ratios and not all(1 / 3 <= r <= 3 for r in ratios):
+        failures.append("minimum approach distance off the predicted scale")
     report["failures"] = failures
     return report
 
 
 def run_kepler_grid(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
     E = _get(cfg, "params.energy", float, False, -0.7)
+    _require(E < 0, "params.energy", "a negative number")
     a1 = _get(cfg, "params.alpha1", float, False, 0.5)
     a2 = _get(cfg, "params.alpha2", float, False, 0.5)
+    _require(a1 > 0, "params.alpha1", "a positive number")
+    _require(a2 > 0, "params.alpha2", "a positive number")
+    _require(abs(a1 + a2 - 1.0) <= 1e-12, "params.alpha2", "1 - alpha1: mass fractions sum to 1")
     ks = _int_lists(cfg, "params.revolutions", 2)
-    zs = _get(cfg, "params.endpoints", list)
+    for i, k in enumerate(ks):
+        for j in range(2):
+            _require(k[j] != 0, f"params.revolutions[{i}][{j}]", "a nonzero integer")
+    zs = []
+    for i, pair in enumerate(_get(cfg, "params.endpoints", list)):
+        path = f"params.endpoints[{i}]"
+        _require(isinstance(pair, list) and len(pair) == 2, path, "a pair of points")
+        zs.append((_point(pair[0], path + "[0]"), _point(pair[1], path + "[1]")))
+    _require(bool(zs), "params.endpoints", "a nonempty list")
     rows = []
     for k in ks:
-        for pair in zs:
-            z = (np.asarray(pair[0], dtype=float), np.asarray(pair[1], dtype=float))
+        for z in zs:
             res = kpmod.three_body_lagrangian(k, z, a1, a2, E)
             com = kpmod.commensurability_check(k, res.split.h1, res.split.h2)
             rows.append((k[0], k[1], z[0][0], z[0][1], z[1][0], z[1][1],
@@ -438,20 +524,13 @@ FAMILIES = {
 
 
 def run_scenario(path: str, out_dir: Optional[str] = None, jobs: int = 1,
-                 seed: int = 0, stage: Optional[str] = None) -> int:
-    """Execute a scenario file; returns the process exit code.
-
-    stage "graph" runs only the collision-graph part of an ncenter scenario.
-    """
+                 seed: int = 0) -> int:
+    """Execute a scenario file; returns the process exit code."""
     try:
         cfg = load_scenario(path)
-        if stage == "graph" and cfg["family"] != "ncenter":
-            raise ScenarioError(f"family {cfg['family']!r} does not support this "
-                                f"subcommand")
         out = Path(out_dir if out_dir is not None else cfg.get("out", "out/" + cfg["name"]))
         out.mkdir(parents=True, exist_ok=True)
-        kw = {"stage": stage} if cfg["family"] == "ncenter" else {}
-        report = FAMILIES[cfg["family"]](cfg, out, jobs, seed, **kw)
+        report = FAMILIES[cfg["family"]](cfg, out, jobs, seed)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
@@ -473,24 +552,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="shadowbilliards",
         description="Collision chains, certificates and shadowing experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--jobs", type=int, default=1, help="worker pool size")
-        p.add_argument("--seed", type=int, default=0, help="seed for random starts")
-
     p_sc = sub.add_parser("scenario", help="full scenario pipelines")
     sc_sub = p_sc.add_subparsers(dest="action", required=True)
-    add_common(sc_sub.add_parser("run", help="run the declared pipeline"))
-
-    p_gr = sub.add_parser("graph", help="collision graph tools")
-    gr_sub = p_gr.add_subparsers(dest="action", required=True)
-    add_common(gr_sub.add_parser("entropy", help="graph dump and entropy"))
+    p = sc_sub.add_parser("run", help="run the declared pipeline")
+    p.add_argument("--scenario", required=True, help="scenario JSON file")
+    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--jobs", type=int, default=1, help="worker pool size")
+    p.add_argument("--seed", type=int, default=0, help="seed for random starts")
 
     args = parser.parse_args(argv)
-    stage = "graph" if args.command == "graph" else None
-    return run_scenario(args.scenario, args.out, args.jobs, args.seed, stage=stage)
+    return run_scenario(args.scenario, args.out, args.jobs, args.seed)
 
 
 if __name__ == "__main__":

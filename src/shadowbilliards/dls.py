@@ -11,14 +11,13 @@ with the Green-function decay rate fitted as a cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocktri import (BlockTridiagonalFactor, SingularBlockError,
-                       assemble_dense, inverse_inf_norm, solve_window,
-                       split_blocks)
+from .blocktri import (SingularBlockError, assemble_dense, inverse_inf_norm,
+                       solve_window, split_blocks)
 from .dynamics import central_diff
 
 
@@ -87,9 +86,6 @@ class LinkEvaluator:
 
     def momenta(self, xm, xp) -> Tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError("this branch does not expose ambient momenta")
-
-    def velocities(self, xm, xp) -> Tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
 
 
 class FunctionLink(LinkEvaluator):

@@ -8,7 +8,7 @@ sampled paths carry their winding explicitly and never wrap mid-flight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -65,13 +65,6 @@ class AmbientSpace:
     @property
     def is_torus(self) -> bool:
         return self.periods is not None
-
-    def wrap(self, q: np.ndarray) -> np.ndarray:
-        """Representative in [0, L) per coordinate (identity on Euclidean space)."""
-        q = np.asarray(q, dtype=float)
-        if self.periods is None:
-            return q
-        return np.mod(q, self.periods)
 
     def centered(self, dq: np.ndarray) -> np.ndarray:
         """Shortest displacement representative, in [-L/2, L/2) per coordinate."""
@@ -326,16 +319,6 @@ class ClassicalHamiltonian:
         return self.potential.grad(q)
 
 
-def eval_energy(h: ClassicalHamiltonian, state: PhaseState) -> float:
-    """Total energy of a phase state; raises DomainError on the singular set."""
-    return h.energy(state.q, state.p)
-
-
-def in_domain(h: ClassicalHamiltonian, q, E: float) -> bool:
-    """Strict membership W(q) < E in the domain of possible motion."""
-    return h.potential.value(q) < E
-
-
 # ---------------------------------------------------------------------------
 # Trajectories and symplectic integration
 # ---------------------------------------------------------------------------
@@ -352,18 +335,8 @@ class Trajectory:
         return PhaseState(self.qs[i], self.ps[i], float(self.ts[i]))
 
     @property
-    def initial(self) -> PhaseState:
-        return self.state(0)
-
-    @property
     def final(self) -> PhaseState:
         return self.state(-1)
-
-    def momentum_path_integral(self) -> float:
-        """Midpoint-rule evaluation of the Maupertuis integral of p dq."""
-        dq = np.diff(self.qs, axis=0)
-        pm = 0.5 * (self.ps[1:] + self.ps[:-1])
-        return float(np.sum(pm * dq))
 
 
 DEFAULT_STEPS_PER_UNIT_TIME = 10_000

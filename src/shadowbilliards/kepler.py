@@ -1,4 +1,4 @@
-"""Closed-form Kepler machinery: Kepler's equation, fixed-energy arcs, actions.
+"""Closed-form Kepler machinery: fixed-energy arcs and their actions.
 
 All planar, attracting center at the origin, gravitational parameter 1 unless
 stated. A fixed-energy two-point arc is located through the vacant focus: it
@@ -23,60 +23,6 @@ class FeasibilityError(ValueError):
 
 class AmbiguousArcError(ValueError):
     """Several simple arcs exist and no discriminator was given."""
-
-
-_ANOMALY_STEP = 1e-14   # Newton step at which the anomaly solvers stop
-
-
-def solve_kepler(M: float, e: float) -> float:
-    """Eccentric anomaly u with u - e sin(u) = M, for 0 <= e < 1.
-
-    Newton iteration with bisection fallback, at most 60 steps; the root is
-    unique and lies in [M - pi, M + pi]. Residual at return is below 1e-13.
-    """
-    if not (0.0 <= e < 1.0):
-        raise ValueError("solve_kepler expects elliptic eccentricity 0 <= e < 1")
-    M = float(M)
-    u = M if e < 0.8 else M + np.sign(np.sin(M)) * 0.85 * e
-    lo, hi = M - np.pi, M + np.pi
-    for _ in range(60):
-        f = u - e * np.sin(u) - M
-        if f > 0:
-            hi = min(hi, u)
-        else:
-            lo = max(lo, u)
-        fp = 1.0 - e * np.cos(u)
-        step = f / fp
-        u_new = u - step
-        if not (lo <= u_new <= hi):
-            u_new = 0.5 * (lo + hi)
-        if abs(u_new - u) < _ANOMALY_STEP:
-            u = u_new
-            break
-        u = u_new
-    if abs(u - e * np.sin(u) - M) > 1e-13:
-        raise RuntimeError("Kepler solve did not reach residual tolerance")
-    return float(u)
-
-
-def solve_kepler_hyperbolic(M: float, e: float) -> float:
-    """Hyperbolic anomaly F with e sinh(F) - F = M, for e > 1, by at most 100
-    Newton steps.
-
-    Used only for near-collision diagnostics of singular flows.
-    """
-    if e <= 1.0:
-        raise ValueError("hyperbolic variant expects e > 1")
-    M = float(M)
-    F = np.arcsinh(M / e) if abs(M) < 6 else np.sign(M) * np.log(2 * abs(M) / e + 1.8)
-    for _ in range(100):
-        f = e * np.sinh(F) - F - M
-        fp = e * np.cosh(F) - 1.0
-        step = f / fp
-        F -= step
-        if abs(step) < _ANOMALY_STEP:
-            break
-    return float(F)
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +164,6 @@ def select_arc(arcs: Sequence[SimpleArc], arc: Union[str, int, None]) -> SimpleA
     return arcs[int(arc)]
 
 
-def arc_action_f(xm, xp, arc: Union[str, int, None] = None) -> float:
-    """Action of a simple Kepler arc with semimajor axis 1 joining the endpoints.
-
-    Degenerate endpoints (zero chord) give the zero-length arc with action 0.
-    """
-    xm = np.asarray(xm, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    if np.linalg.norm(xp - xm) < _DEGENERATE_CHORD:
-        return 0.0
-    return select_arc(simple_arc_candidates(xm, xp), arc).action
-
-
 # ---------------------------------------------------------------------------
 # Multi-revolution actions at energy h < 0
 # ---------------------------------------------------------------------------
@@ -254,7 +188,8 @@ def J_n(h: float, z, n: int, arc: Union[str, int, None] = "short") -> float:
     own sense plus n full loops; negative n runs the complementary way.
     """
     if n == 0:
-        raise ValueError("n = 0 is the simple arc; call arc_action_f directly")
+        raise ValueError("n = 0 is the simple arc; take "
+                         "select_arc(simple_arc_candidates(...)).action")
     zm, zp = _scaled_endpoints(h, z)
     if np.linalg.norm(zp - zm) < _DEGENERATE_CHORD:
         f = 0.0

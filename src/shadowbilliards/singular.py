@@ -17,7 +17,7 @@ and outcome, and its numbers are bit-equal to the row flown alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -100,20 +100,13 @@ class SingularPerturbation:
         return -(self.base.grad_W(q) + self.mu * self.potential_gradient(q))
 
 
-def eval_singular(sp: SingularPerturbation, q, r_floor: Optional[float] = None):
-    """(V, grad V) at q; raises inside the exclusion radius."""
-    floor = sp.r_min if r_floor is None else r_floor
-    if sp.distance(q) <= floor:
-        raise ExclusionRadiusError(f"point within the exclusion radius {floor:.3e}")
-    return sp.potential(q), sp.potential_gradient(q)
-
-
 # ---------------------------------------------------------------------------
 # Adaptive integration near the singular set
 # ---------------------------------------------------------------------------
 
 class _PointCenterKernel:
-    """Lockstep RK4 step of the singular flow on (B, d) rows, one dt per row.
+    """Lockstep RK4 step of the singular flow on (B, d) rows, one dt per row,
+    with the step shrinking like d(q, N)^{3/2} near the tube.
 
     For free flight among point centers the distance and the force are fused
     array expressions over rows and centers; any other perturbation falls
@@ -154,6 +147,18 @@ class _PointCenterKernel:
         F, r = self._pull(Q)
         return F, r.min(axis=1)
 
+    @staticmethod
+    def step_sizes(D, h_far: float, k_near: float) -> np.ndarray:
+        """Step min(h_far, k_near d^{3/2}) of each row from its distance D to N.
+
+        Python's float power per row: np.power rounds d**1.5 differently.
+        """
+        return np.array([min(h_far, k_near * d**1.5) for d in D.tolist()])
+
+    def exclusion_error(self, d: float) -> ExclusionRadiusError:
+        return ExclusionRadiusError(
+            f"approach {d:.3e} inside exclusion radius {self.sp.r_min:.3e}")
+
     def velocity(self, P):
         return P if self.identity_mass else (self.minv @ P[:, :, None])[:, :, 0]
 
@@ -176,27 +181,6 @@ class SingularFlowResult:
     energy_drift: float
 
 
-class _SingularStepper:
-    """RK4 rows with the step shrinking like d(q, N)^{3/2} near the tube."""
-
-    def __init__(self, sp: SingularPerturbation, h_far: float, k_near: float):
-        self.sp = sp
-        self.h_far = h_far
-        self.k_near = k_near
-        self.kernel = _PointCenterKernel(sp)
-
-    def step_sizes(self, D) -> np.ndarray:
-        """Step of each row from its distance D to N.
-
-        Python's float power per row: np.power rounds d**1.5 differently.
-        """
-        return np.array([min(self.h_far, self.k_near * d**1.5) for d in D.tolist()])
-
-    def exclusion_error(self, d: float) -> ExclusionRadiusError:
-        return ExclusionRadiusError(
-            f"approach {d:.3e} inside exclusion radius {self.sp.r_min:.3e}")
-
-
 _FLOW_ENERGY_TOL = 1e-6     # relative energy drift flow_singular accepts
 _FLOW_RETRIES = 3           # halvings of both step constants before giving up
 
@@ -215,9 +199,9 @@ def flow_singular(sp: SingularPerturbation, s0: PhaseState,
     h_far = duration / 400.0
     E0 = sp.energy(s0.q, s0.p)
     scaleE = max(1.0, abs(E0))
+    kernel = _PointCenterKernel(sp)
     for attempt in range(_FLOW_RETRIES + 1):
-        stepper = _SingularStepper(sp, h_far / 2**attempt, 0.08 / 2**attempt)
-        kernel = stepper.kernel
+        h_try, k_try = h_far / 2**attempt, 0.08 / 2**attempt
         Q, P, t = s0.q[None, :], s0.p[None, :], 0.0
         ts, qs, ps = [0.0], [Q[0]], [P[0]]
         F, D = kernel.force_distance(Q)
@@ -228,8 +212,8 @@ def flow_singular(sp: SingularPerturbation, s0: PhaseState,
             if nstep > 5_000_000:
                 raise StepUnderflowError("singular flow exceeded the step budget")
             if D[0] <= sp.r_min:
-                raise stepper.exclusion_error(float(D[0]))
-            dt = min(float(stepper.step_sizes(D)[0]), duration - t)
+                raise kernel.exclusion_error(float(D[0]))
+            dt = min(float(kernel.step_sizes(D, h_try, k_try)[0]), duration - t)
             Q, P = kernel.rk4(Q, P, np.array([dt]), F)
             t += dt
             F, D = kernel.force_distance(Q)
@@ -346,7 +330,7 @@ class _ChainShooting:
                 sp.base.space.centered(self.points[(j + 1) % self.n] - self.points[j])))
         self.r_detect = 0.45 * min(link_lengths)
         self.h_far = 0.02 * min(link_lengths) / self.speed
-        self._stepper = _SingularStepper(sp, self.h_far, 0.2)
+        self.kernel = _PointCenterKernel(sp)
 
     # --- unknown packing: per node, d-1 plane coordinates and d momentum ---
 
@@ -436,8 +420,7 @@ class _ChainShooting:
         or the SingularShadowError / ExclusionRadiusError that ended the row.
         """
         space = self.sp.base.space
-        stepper = self._stepper
-        kernel = stepper.kernel
+        kernel = self.kernel
         r_min = self.sp.r_min
         starts = [j for j, _, _ in rows]
         targets = [(j + 1) % self.n for j in starts]
@@ -468,10 +451,10 @@ class _ChainShooting:
                 for k in np.flatnonzero(stop):
                     i = live[k]
                     out[i] = (SingularShadowError(f"link {starts[i]} missed section {targets[i]}")
-                              if T[k] >= budget[k] else stepper.exclusion_error(float(D[k])))
+                              if T[k] >= budget[k] else kernel.exclusion_error(float(D[k])))
                 drop(stop)
                 continue
-            dt = stepper.step_sizes(D)
+            dt = kernel.step_sizes(D, self.h_far, 0.2)
             Q2, P2 = kernel.rk4(Q, P, dt, F)
             F2, D2 = kernel.force_distance(Q2)
             dmin = np.minimum(dmin, D2)
@@ -498,7 +481,7 @@ class _ChainShooting:
     def _bisect(self, Q, P, F, dt, A, N):
         """Section crossing of each row inside its step [0, dt], in lockstep;
         F is the force at Q."""
-        kernel = self._stepper.kernel
+        kernel = self.kernel
         lo, hi = np.zeros(len(dt)), dt.copy()
         tol = 1e-15 * np.maximum(dt, 1.0)
         act = np.arange(len(dt))

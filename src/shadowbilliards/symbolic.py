@@ -8,8 +8,8 @@ subshift is the log spectral radius of the adjacency matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,19 +40,6 @@ class CollisionGraph:
 
     def __post_init__(self):
         self.adjacency = np.asarray(self.adjacency, dtype=np.int64)
-
-    @property
-    def labels(self) -> List[object]:
-        return [v.label for v in self.vertices]
-
-    def edges(self) -> List[Tuple[object, object]]:
-        out = []
-        n = len(self.vertices)
-        for i in range(n):
-            for j in range(n):
-                if self.adjacency[i, j]:
-                    out.append((self.vertices[i].label, self.vertices[j].label))
-        return out
 
     def dump(self) -> str:
         lines = []

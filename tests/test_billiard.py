@@ -124,7 +124,7 @@ class TestTrajectory:
         dom = BilliardDomain(scn.h, scn.scatterer, 0.15)
         s0 = PhaseState(np.array([0.5, 0.3]), np.array([0.8, 0.6]))
         E0 = scn.h.energy(s0.q, s0.p)
-        run = billiard_trajectory(dom, s0, 1000, record_samples=False)
+        run = billiard_trajectory(dom, s0, 1000)
         assert len(run.events) == 1000
         drift = abs(scn.h.energy(run.final.q, run.final.p) - E0)
         assert drift <= 1e-7
@@ -335,7 +335,7 @@ class TestReplayConsistency:
         eps = 1e-2
         sc = shadow_solve(scn.dl, chain, eps, tol_factor=1e-13)
         dom = BilliardDomain(scn.h, scn.scatterer, eps)
-        run = replay(sc, dom, n_events=len(sc.orbits))
+        run = replay(sc, dom)
         seq = [*sc.boundary[1:], sc.boundary[0]]
         for ev, bp in zip(run.events, seq):
             assert np.linalg.norm(scn.h.space.centered(ev.q - bp.ambient)) <= 1e-6

@@ -86,19 +86,9 @@ class TestValidation:
                        "--out", str(tmp_path / "out")])
         assert rc == 2
 
-    def test_wrong_family_for_subcommand(self, tmp_path, capsys):
-        path = write(tmp_path, "k.json", {
-            "name": "x", "family": "kepler_grid",
-            "params": {"revolutions": [[1, 1]],
-                       "endpoints": [[[0.3, 0.0], [0.0, 0.35]]]},
-        })
-        rc = cli.main(["graph", "entropy", "--scenario", path])
-        assert rc == 2
-        assert "does not support this subcommand" in capsys.readouterr().err
-
     @pytest.mark.parametrize("command", [["chain", "solve"], ["chain", "certify"],
                                          ["billiard", "shadow"], ["ncenter", "shadow"],
-                                         ["kepler", "table"]])
+                                         ["kepler", "table"], ["graph", "entropy"]])
     def test_removed_alias_is_a_usage_error(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
             cli.main(command + ["--scenario", str(SCENARIOS / "kepler_grid.json")])
@@ -201,6 +191,73 @@ class TestValidation:
         assert rc == 2
         assert f"scenario.params.{message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shipped, field, value, message", [
+        ("kepler_grid", "params.endpoints", [[[0.3, 0.0]]], "endpoints[0]: expected a pair"),
+        ("kepler_grid", "params.endpoints", [[[0.3, "a"], [0.0, 0.35]]],
+         "endpoints[0][0][1]: expected number"),
+        ("kepler_grid", "params.alpha1", 0.6, "alpha2: expected 1 - alpha1"),
+        ("kepler_grid", "params.revolutions", [[1, 1], [0, 2]],
+         "revolutions[1][0]: expected a nonzero integer"),
+        ("kepler_grid", "params.energy", 0.1, "energy: expected a negative number"),
+        ("ncenter_square", "params.centers", [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0]],
+         "centers[3]: expected a list of 2 numbers"),
+        ("ncenter_square", "params.centers", [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
+         "centers[0]: expected a list of 2 numbers"),
+        ("ncenter_square", "params.alphas", [1.0, 1.0, 1.0], "alphas: expected 4 entries"),
+        ("ncenter_square", "params.alphas", [1.0, -1.0, 1.0, 1.0],
+         "alphas[1]: expected a positive number"),
+        ("ncenter_square", "sweeps.mu", [1e-3, 0.0], "mu[1]: expected a positive number"),
+        ("ncenter_square", "params.code", [[0, 1], [1, 7], [7, 3], [3, 0]],
+         "code[1][1]: expected a center index in 0..3"),
+        ("ncenter_square", "params.code", [[0, 1], [1, 2], [3, 0]],
+         "code[2][0]: expected 2, the center where the previous link ends"),
+        ("ncenter_square", "params.energy", 0.0, "energy: expected a positive number"),
+        ("torus_point", "params.energy", -0.5, "energy: expected a positive number"),
+        ("torus_point", "params.periods", [1.0], "periods: expected 2 entries"),
+        ("torus_point", "sweeps.eps", [1e-2, 0.0], "eps[1]: expected a positive number below"),
+        ("torus_point", "sweeps.eps", [0.5], "eps[0]: expected a positive number below"),
+        ("torus_point", "params.code", [[1, 0], [0, 0]], "code[1]: expected a nonzero winding"),
+        ("two_balls_box", "params.random_starts", 0,
+         "random_starts: expected a positive integer"),
+        ("two_balls_box", "params.masses", [1.0, 0.0], "masses[1]: expected a positive number"),
+        ("two_balls_box", "params.energy", 0.0, "energy: expected a positive number"),
+        ("two_balls_box", "params.endpoint_a", [0.15], "endpoint_a: expected a list of 2"),
+        ("two_balls_box", "params.endpoint_a", [0.15, 1.2],
+         "endpoint_a[1]: expected a position inside the box"),
+        ("two_balls_box", "params.eps", 0.6, "eps: expected a positive number below 0.15"),
+        ("two_balls_torus", "sweeps.windows", [1.5, 2],
+         "windows[0]: expected a nonnegative integer"),
+        ("two_balls_torus", "sweeps.windows", [-1, 2],
+         "windows[0]: expected a nonnegative integer"),
+        ("two_balls_torus", "params.points", [0.25], "points: expected 2 entries"),
+        ("two_balls_torus", "params.code", [[1, 0], [1, 1]],
+         "code[1]: expected two different windings"),
+    ], ids=["kepler_one_point_pair", "kepler_string_coordinate", "kepler_alpha_sum",
+            "kepler_zero_revolutions", "kepler_positive_energy", "ncenter_center_length",
+            "ncenter_spatial_centers", "ncenter_alphas_length", "ncenter_negative_alpha", "ncenter_zero_mu",
+            "ncenter_center_index", "ncenter_not_concatenating", "ncenter_zero_energy",
+            "torus_negative_energy", "torus_periods_length", "torus_zero_eps",
+            "torus_eps_at_tube_radius", "torus_zero_winding", "box_zero_starts",
+            "box_zero_mass", "box_zero_energy", "box_endpoint_length",
+            "box_endpoint_outside", "box_eps_above_room", "torus2_fractional_window",
+            "torus2_negative_window", "torus2_points_length", "torus2_equal_windings"])
+    def test_unusable_value_exits_2_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                     shipped, field, value, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the pipeline ran on an unusable value")
+
+        monkeypatch.setattr(cli, "shadow_solve", no_run)
+        monkeypatch.setattr(cli.dlsmod, "newton_chain", no_run)
+        monkeypatch.setattr(cli.singular, "shadow_experiment", no_run)
+        monkeypatch.setattr(cli.kpmod, "three_body_lagrangian", no_run)
+        cfg = json.loads((SCENARIOS / f"{shipped}.json").read_text())
+        section, key = field.split(".")
+        cfg.setdefault(section, {})[key] = value
+        rc = cli.main(["scenario", "run", "--scenario", write(tmp_path, "bad.json", cfg),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"scenario.{section}.{message}" in capsys.readouterr().err
+
 
 class TestRuns:
     def test_kepler_table_deterministic(self, tmp_path):
@@ -253,15 +310,22 @@ class TestRuns:
                      "green.csv"):
             assert (out / name).exists()
 
-    def test_graph_entropy_stage_only(self, tmp_path):
-        src = str(SCENARIOS / "ncenter_square.json")
-        out = tmp_path / "g"
-        rc = cli.main(["graph", "entropy", "--scenario", src, "--out", str(out)])
+    def test_ncenter_square_run(self, tmp_path):
+        from shadowbilliards import scenarios, symbolic
+
+        cfg = json.loads((SCENARIOS / "ncenter_square.json").read_text())
+        cfg["sweeps"]["mu"] = [10**-2.85, 10**-2.875]
+        out = tmp_path / "nc"
+        rc = cli.main(["scenario", "run", "--scenario", write(tmp_path, "nc.json", cfg),
+                       "--out", str(out)])
         assert rc == 0
-        assert (out / "graph.txt").exists()
-        report = json.loads((out / "report.json").read_text())
-        assert report["entropy"] > 0
-        assert not (out / "mu_table.csv").exists()  # sweep not run by this stage
+        p = cfg["params"]
+        scn = scenarios.ncenter_scenario(p["centers"], p["alphas"], p["energy"])
+        graph = symbolic.build_graph(scn.graph_vertices())
+        assert (out / "graph.txt").read_text() == graph.dump() + "\n"
+        assert json.loads((out / "report.json").read_text())["entropy"] == 1.0986122886681096
+        rows = (out / "mu_table.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["1", "1"]
 
     def test_torus_point_deterministic_csv(self, tmp_path):
         src = str(SCENARIOS / "torus_point.json")

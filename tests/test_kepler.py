@@ -18,52 +18,13 @@ def trapezoid_action(path, h):
     return float(np.sum(mid * seg))
 
 
-class TestSolveKepler:
-    def test_zero_mean_anomaly(self):
-        for e in (0.0, 0.3, 0.95):
-            assert kp.solve_kepler(0.0, e) == pytest.approx(0.0, abs=1e-15)
-
-    def test_circular(self):
-        for M in (-2.0, 0.4, 3.0):
-            assert kp.solve_kepler(M, 0.0) == pytest.approx(M, abs=1e-14)
-
-    def test_residual_oracle(self):
-        # bisection oracle for e = 0.5, M = pi/2
-        def bisect(M, e):
-            lo, hi = M - np.pi, M + np.pi
-            for _ in range(120):
-                mid = 0.5 * (lo + hi)
-                if mid - e * np.sin(mid) - M < 0:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-
-        M, e = np.pi / 2, 0.5
-        u = kp.solve_kepler(M, e)
-        assert abs(u - e * np.sin(u) - M) <= 1e-13
-        assert u == pytest.approx(bisect(M, e), abs=1e-12)
-
-    def test_residuals_across_grid(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            M = rng.uniform(-8, 8)
-            e = rng.uniform(0, 0.999)
-            u = kp.solve_kepler(M, e)
-            assert abs(u - e * np.sin(u) - M) <= 1e-13
-            assert M - np.pi <= u <= M + np.pi
-
-    def test_hyperbolic_variant(self):
-        F = kp.solve_kepler_hyperbolic(2.0, 1.5)
-        assert abs(1.5 * np.sinh(F) - F - 2.0) < 1e-12
-        with pytest.raises(ValueError):
-            kp.solve_kepler(0.3, 1.2)
-
-
 class TestArcAction:
     def test_degenerate_chord(self):
+        # coincident endpoints: the simple arc has zero action and zero time, so
+        # one revolution either way is one period, of action and time 2 pi at a = 1
         x = np.array([0.7, 0.1])
-        assert kp.arc_action_f(x, x) == 0.0
+        assert kp.J_n(-0.5, (x, x), 1) == kp.J_n(-0.5, (x, x), -1) == pytest.approx(2 * np.pi)
+        assert kp.travel_time(-0.5, (x, x), -1) == pytest.approx(2 * np.pi)
 
     def test_full_revolution_increment(self):
         # circular-orbit quadrature oracle: one revolution adds 2 pi at a = 1
@@ -88,13 +49,14 @@ class TestArcAction:
     def test_ambiguous_without_discriminator(self):
         xm = np.array([0.9, 0.0])
         xp = np.array([0.0, 1.0])
+        arcs = kp.simple_arc_candidates(xm, xp)
         with pytest.raises(kp.AmbiguousArcError):
-            kp.arc_action_f(xm, xp, None)
-        assert kp.arc_action_f(xm, xp, "short") <= kp.arc_action_f(xm, xp, "long")
+            kp.select_arc(arcs, None)
+        assert kp.select_arc(arcs, "short").action <= kp.select_arc(arcs, "long").action
 
     def test_infeasible_geometry(self):
         with pytest.raises(kp.FeasibilityError):
-            kp.arc_action_f(np.array([1.9, 0.0]), np.array([-1.9, 0.0]))
+            kp.simple_arc_candidates(np.array([1.9, 0.0]), np.array([-1.9, 0.0]))
 
 
 class TestJn:
@@ -120,7 +82,7 @@ class TestJn:
         h = -0.7
         Jp = kp.J_n(h, (xm, xp), 1, "short")
         Jm = kp.J_n(h, (xm, xp), -1, "short")
-        f = kp.arc_action_f(-2 * h * xm, -2 * h * xp, "short")
+        f = kp.select_arc(kp.simple_arc_candidates(-2 * h * xm, -2 * h * xp), "short").action
         assert Jp - Jm == pytest.approx(2 * f / np.sqrt(-2 * h), rel=1e-12)
 
     def test_monotone_in_revolutions(self):

@@ -9,7 +9,7 @@ from shadowbilliards.dynamics import (ClassicalHamiltonian, HarmonicPotential, P
                                       euclidean, flow_segment)
 from shadowbilliards.scatterer import DiagonalScatterer, PointScatterer
 from shadowbilliards.singular import (ExclusionRadiusError, SingularPerturbation,
-                                      eval_singular, flow_singular,
+                                      flow_singular,
                                       rutherford_deflection, shadow_experiment)
 
 
@@ -23,14 +23,13 @@ def one_center(mu, alphas=(1.0,), centers=((0.0, 0.0),)):
 class TestEvalSingular:
     def test_coulomb_value_and_gradient(self):
         sp = one_center(1.0)
-        V, g = eval_singular(sp, np.array([2.0, 0.0]))
-        assert V == pytest.approx(-0.5, rel=1e-14)
-        assert np.allclose(g, [0.25, 0.0])
+        q = np.array([2.0, 0.0])
+        assert sp.potential(q) == pytest.approx(-0.5, rel=1e-14)
+        assert np.allclose(sp.potential_gradient(q), [0.25, 0.0])
 
     def test_two_centers_midpoint_symmetry(self):
         sp = one_center(1.0, alphas=(1.0, 1.0), centers=((0.0, 0.0), (2.0, 0.0)))
-        _, g = eval_singular(sp, np.array([1.0, 0.0]), r_floor=1e-9)
-        assert np.allclose(g, 0.0, atol=1e-14)
+        assert np.allclose(sp.potential_gradient(np.array([1.0, 0.0])), 0.0, atol=1e-14)
 
     def test_diagonal_scatterer_pair_potential(self):
         # projection-formula oracle: d(q, diag) = |q1 - q2| / sqrt(2), so
@@ -42,13 +41,14 @@ class TestEvalSingular:
         sp = SingularPerturbation(base, scat, 1e-2,
                                   phi=lambda q, mu: a1a2 / np.sqrt(2.0))
         q = np.array([0.8, 0.3])
-        V, _ = eval_singular(sp, q)
-        assert V == pytest.approx(-a1a2 / abs(q[0] - q[1]), rel=1e-12)
+        assert sp.potential(q) == pytest.approx(-a1a2 / abs(q[0] - q[1]), rel=1e-12)
 
     def test_exclusion_radius(self):
+        # a head-on fall into the center ends inside r_min = mu^2
         sp = one_center(1e-2)
-        with pytest.raises(ExclusionRadiusError):
-            eval_singular(sp, np.array([sp.r_min / 2, 0.0]))
+        s0 = PhaseState(np.array([0.5, 0.0]), np.array([-1.0, 0.0]))
+        with pytest.raises(ExclusionRadiusError, match="inside exclusion radius 1.000e-04"):
+            flow_singular(sp, s0, 2.0)
 
 
 class TestFlowSingular:

@@ -23,13 +23,13 @@ def torus_vertices():
 class TestBuildGraph:
     def test_torus_edges(self):
         g = build_graph(torus_vertices())
-        e1, e2, me1 = (1, 0), (0, 1), (-1, 0)
-        assert (e1, e2) in g.edges()
-        assert (e1, me1) in g.edges()            # reversal has a momentum jump
-        assert (e1, e1) not in g.edges()         # straight continuation: p+ = p-
+        e1, e2, me1 = 0, 1, 2                    # windings (1, 0), (0, 1), (-1, 0)
+        assert g.adjacency[e1, e2]
+        assert g.adjacency[e1, me1]              # reversal has a momentum jump
+        assert not g.adjacency[e1, e1]           # straight continuation: p+ = p-
         g2 = build_graph(torus_vertices(), no_straight_reflection=True)
-        assert (e1, me1) not in g2.edges()       # head-on removed for attracting flows
-        assert (e1, e2) in g2.edges()
+        assert not g2.adjacency[e1, me1]         # head-on removed for attracting flows
+        assert g2.adjacency[e1, e2]
 
     def test_three_center_turns(self):
         # geometric construction oracle: with non-collinear centers every turn
@@ -37,10 +37,9 @@ class TestBuildGraph:
         # an edge (reversals included) and straight continuations never arise
         scn = scenarios.ncenter_scenario([[0.0, 0.0], [1.0, 0.0], [0.2, 0.9]])
         g = build_graph(scn.graph_vertices())
-        edges = set(g.edges())
-        for (a, b) in g.labels:
-            for (c, d) in g.labels:
-                assert (((a, b), (c, d)) in edges) == (b == c)
+        for i, (a, b) in enumerate(v.label for v in g.vertices):
+            for j, (c, d) in enumerate(v.label for v in g.vertices):
+                assert bool(g.adjacency[i, j]) == (b == c)
 
     def test_single_vertex_no_self_edge(self):
         v = vertex("k", 0, 0, [1.0, 0.0], [1.0, 0.0])

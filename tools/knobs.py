@@ -21,17 +21,29 @@ call that passes `**kw` passes nothing by itself, but the keywords given to
 a function are also given to each function it calls with its own `**kw`. A
 call through anything but a name or an attribute, say a dict lookup,
 reaches nothing.
+
+Two more reports follow. Unreferenced names: the public top-level functions
+and classes and the public methods of public classes under src/ that no code
+names outside their own definition. Names count from src/, perfbench/ and
+tests/test_acceptance.py, so a name that only its own unit tests call is
+unreferenced. A name counts as a variable, an attribute, an imported name,
+or a string of dotted names (perfbench hooks functions by such strings); as
+with calls, a name counts for every definition of that name. Unused
+imports: the names a module under src/ imports and neither uses nor lists
+in its __all__.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
 from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLERS = ("src", "tests", "perfbench")
+NAMERS = ("src", "perfbench", "tests/test_acceptance.py")
 
 
 def _files(root: Path, top: str):
@@ -181,11 +193,94 @@ def never_passed(root: Path = ROOT) -> list:
     return [f"{qual}({param})" for qual, param, who in scan(root) if not who]
 
 
+def _public_defs(path: Path) -> list:
+    """(qualified name, bare name, first line, last line) of each public
+    top-level function and class and each public method of a public class."""
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_"):
+            continue
+        out.append((node.name, node.name, node.lineno, node.end_lineno))
+        if isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if (isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not m.name.startswith("_")):
+                    out.append((f"{node.name}.{m.name}", m.name, m.lineno, m.end_lineno))
+    return out
+
+
+_DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*")
+
+
+def _names(tree):
+    """(name, line) of every name the code under tree uses."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1], node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _DOTTED.fullmatch(node.value)):
+            for part in node.value.split("."):
+                yield part, node.lineno
+
+
+def unreferenced(root: Path = ROOT) -> list:
+    """module.qualname of each public name under src/ that no code in NAMERS
+    names outside its own definition."""
+    uses = defaultdict(list)
+    for top in NAMERS:
+        paths = [root / top] if top.endswith(".py") else _files(root, top)
+        for path in paths:
+            for name, line in _names(ast.parse(path.read_text())):
+                uses[name].append((path, line))
+    out = []
+    for path in _files(root, "src"):
+        for qual, name, first, last in _public_defs(path):
+            if not any(p != path or not first <= line <= last for p, line in uses[name]):
+                out.append(f"{path.stem}.{qual}")
+    return out
+
+
+def unused_imports(root: Path = ROOT) -> list:
+    """module.name of each name a module under src/ imports and never uses."""
+    out = []
+    for path in _files(root, "src"):
+        tree = ast.parse(path.read_text())
+        imported = []
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [a.asname or a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                    and any(isinstance(t, ast.Name) and t.id == "__all__"
+                            for t in node.targets)):
+                used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+        out += [f"{path.stem}.{name}" for name in imported if name not in used]
+    return out
+
+
 def main() -> int:
     rows = scan()
     for qual, param, who in rows:
         print(f"{qual}({param}): {', '.join(who) if who else 'never passed'}")
+    print(f"parameters with a default: {len(rows)}")
     print(f"never passed: {sum(not who for _, _, who in rows)}")
+    names = unreferenced()
+    for qual in names:
+        print(f"unreferenced: {qual}")
+    print(f"unreferenced names: {len(names)}")
+    imports = unused_imports()
+    for qual in imports:
+        print(f"unused import: {qual}")
+    print(f"unused imports: {len(imports)}")
     return 0
 
 
