@@ -18,11 +18,12 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from . import dls as dlsmod
-from .bvp import CollisionOrbit, ConjugateError, ConnectError
+from .bvp import CollisionOrbit, ConjugateError, ConnectError, chord_hessian
 from .dynamics import (ClassicalHamiltonian, DomainError, PhaseState,
                        StepUnderflowError, _verlet_steps, central_diff)
 from .kepler import FeasibilityError
-from .scatterer import BoundaryPoint, FrameRankError, Scatterer, SphereChart
+from .scatterer import (BoundaryPoint, DiagonalScatterer, FrameRankError,
+                        PointScatterer, Scatterer, SphereChart)
 
 
 class GrazingEventError(RuntimeError):
@@ -410,6 +411,9 @@ class _SiteChart:
 
     u = (dx, sigma) relative to the current base point and sphere center;
     Q(u) is the ambient tube point and columns of DQ(u) pair with momenta.
+    On a flat scatterer (linear chart, constant frames) DQ and the second
+    derivatives of Q are exact; elsewhere the x-columns of DQ are central
+    differences and `exact` is False.
     """
 
     def __init__(self, scat: Scatterer, base_ref, s_center: np.ndarray, eps: float):
@@ -420,6 +424,7 @@ class _SiteChart:
         self.x_dim = scat.dim
         self.s_dim = self.sphere.dim
         self.dim = self.x_dim + self.s_dim
+        self.exact = isinstance(scat, (PointScatterer, DiagonalScatterer))
 
     def split(self, u: np.ndarray):
         u = np.asarray(u, dtype=float)
@@ -445,14 +450,37 @@ class _SiteChart:
         x = self.base_point(u)
         _, nor = self.scat.frames(x)
         if self.x_dim:
-            J[:, :self.x_dim] = central_diff(
+            J[:, :self.x_dim] = self.scat.jacobian(x) if self.exact else central_diff(
                 lambda v: self.ambient(np.concatenate([v, sigma])), dx, 1e-7)
         J[:, self.x_dim:] = self.eps * nor @ self.sphere.jacobian(sigma)
         return J
 
+    def curvature(self, u, p: np.ndarray) -> np.ndarray:
+        """sum_k p_k d^2 Q_k / du du of a flat chart: only the sphere block.
+
+        With s = v / n, v = c + T sigma, n = |v|, beta = T^T s and
+        w = T^T (y - s (s.y)) for the normal components y of p:
+        y . d^2 s = -(w beta^T + beta w^T + (s.y)(I - beta beta^T)) / n^2.
+        """
+        _, sigma = self.split(u)
+        _, nor = self.scat.frames(self.base_point(u))
+        v = self.sphere.center + self.sphere.basis @ sigma
+        n = np.linalg.norm(v)
+        s = v / n
+        y = nor.T @ p
+        beta = self.sphere.basis.T @ s
+        w = self.sphere.basis.T @ (y - s * (s @ y))
+        C = np.zeros((self.dim, self.dim))
+        C[self.x_dim:, self.x_dim:] = -self.eps * (
+            np.outer(w, beta) + np.outer(beta, w)
+            + (s @ y) * (np.eye(self.s_dim) - np.outer(beta, beta))) / n**2
+        return C
+
 
 class _FrozenChart:
     """Zero-dimensional slot pinned to a fixed ambient point (chain endpoints)."""
+
+    exact = True
 
     def __init__(self, point: np.ndarray):
         self.point = np.asarray(point, dtype=float)
@@ -466,13 +494,19 @@ class _FrozenChart:
     def jacobian(self, u) -> np.ndarray:
         return np.zeros((self.point.size, 0))
 
+    def curvature(self, u, p) -> np.ndarray:
+        return np.zeros((0, 0))
+
 
 class TwoPointLink(dlsmod.LinkEvaluator):
     """Branch of the tube-billiard action in joint chart coordinates.
 
     The gradient is exact: boundary momenta of the connecting orbit pulled
-    back through the endpoint charts. Second derivatives differentiate that
-    gradient once by central differences.
+    back through the endpoint charts. For a chord orbit (straight or
+    unfolded) between exact charts the Hessian is exact too: with S the
+    ambient action, H = J^T D^2 S J plus the boundary momenta contracted
+    with the second derivatives of the charts. Other connectors and charts
+    differentiate the gradient once by central differences.
     """
 
     fd_step = 1e-7
@@ -491,20 +525,31 @@ class TwoPointLink(dlsmod.LinkEvaluator):
     def value(self, um, up):
         return float(self._orbit(um, up).action)
 
-    def grad_minus(self, um, up):
+    def _grad_pair(self, um, up):
         orb = self._orbit(um, up)
-        return -self.left.jacobian(um).T @ orb.p_minus
+        return -self.left.jacobian(um).T @ orb.p_minus, self.right.jacobian(up).T @ orb.p_plus
+
+    def grad_minus(self, um, up):
+        return self._grad_pair(um, up)[0]
 
     def grad_plus(self, um, up):
-        orb = self._orbit(um, up)
-        return self.right.jacobian(up).T @ orb.p_plus
+        return self._grad_pair(um, up)[1]
 
     def momenta(self, um, up):
         orb = self._orbit(um, up)
         return orb.p_minus, orb.p_plus
 
     def hess(self, um, up):
-        return self._blocks(self._grad_jacobian(um, up, self.fd_step), um)
+        orb = self._orbit(um, up)
+        if orb.chord is None or not (self.left.exact and self.right.exact):
+            return self._blocks(self._grad_jacobian(um, up, self.fd_step), np.size(um))
+        # S(q-, q+) = sqrt(2E) |parity * q+ - q- + const|_M
+        K = chord_hessian(orb.h.mass, orb.chord, np.sqrt(2.0 * orb.E))
+        KP = K * orb.parity
+        Jm, Jp = self.left.jacobian(um), self.right.jacobian(up)
+        return (Jm.T @ K @ Jm - self.left.curvature(um, orb.p_minus),
+                -Jm.T @ KP @ Jp,
+                Jp.T @ (orb.parity[:, None] * KP) @ Jp + self.right.curvature(up, orb.p_plus))
 
 
 @dataclass

@@ -48,6 +48,10 @@ class CollisionOrbit:
     winding: Optional[np.ndarray] = None
     backend: str = "straight"
     reconnect: Optional[Callable] = None  # (q_minus, q_plus) -> CollisionOrbit
+    # straight and unfolded chords: the action is sqrt(2E) |chord|_M, and the
+    # chord moves by -dq_minus and by parity * dq_plus (wall folds flip signs)
+    chord: Optional[np.ndarray] = None
+    parity: Optional[np.ndarray] = None
 
     def __post_init__(self):
         for name in ("q_minus", "q_plus", "p_minus", "p_plus"):
@@ -71,15 +75,21 @@ class CollisionOrbit:
 # Straight-chord backend (free flight on Euclidean space or flat torus)
 # ---------------------------------------------------------------------------
 
-def chord_hessian(mass: np.ndarray, disp: np.ndarray, speed: float) -> np.ndarray:
+def chord_hessian(mass: np.ndarray, disp: np.ndarray, speed) -> np.ndarray:
     """Second derivative of speed * |disp|_M in the displacement disp.
 
     speed (M / g - M disp disp^T M / g^3) with g = |disp|_M: the Hessian of a
-    free-flight action along a straight chord of displacement disp.
+    free-flight action along a straight chord of displacement disp. A stack
+    of chords disp (n, d), with mass (d, d) or (n, d, d) and speed a number
+    or (n,), gives a stack (n, d, d); each matrix rounds as its one-chord call.
     """
-    g = np.sqrt(disp @ mass @ disp)
-    Md = mass @ disp
-    return speed * (mass / g - np.outer(Md, Md) / g**3)
+    disp = np.asarray(disp, dtype=float)
+    g = np.sqrt(disp[..., None, :] @ mass @ disp[..., :, None])
+    Md = mass @ disp[..., :, None]
+    # libm pow per chord: np.power of an array rounds differently
+    g3 = np.reshape([v ** 3 for v in g.ravel().tolist()], g.shape)
+    speed = np.reshape(speed, np.shape(speed) + (1, 1))
+    return speed * (mass / g - Md * np.swapaxes(Md, -1, -2) / g3)
 
 
 def _straight_connect(h: ClassicalHamiltonian, qm, qp, E, winding=None,
@@ -111,7 +121,8 @@ def _straight_connect(h: ClassicalHamiltonian, qm, qp, E, winding=None,
 
     return CollisionOrbit(h, E, qm, qp, action, tau, p, p, path, label=label,
                           winding=None if winding is None else np.asarray(winding),
-                          backend="straight", reconnect=redo)
+                          backend="straight", reconnect=redo, chord=disp,
+                          parity=np.ones(disp.size))
 
 
 # ---------------------------------------------------------------------------

@@ -496,7 +496,15 @@ def run_kepler_grid(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
     for i, pair in enumerate(_get(cfg, "params.endpoints", list)):
         path = f"params.endpoints[{i}]"
         _require(isinstance(pair, list) and len(pair) == 2, path, "a pair of points")
-        zs.append((_point(pair[0], path + "[0]"), _point(pair[1], path + "[1]")))
+        z = (_point(pair[0], path + "[0]"), _point(pair[1], path + "[1]"))
+        _require(min(np.linalg.norm(z[0]), np.linalg.norm(z[1])) > 0, path,
+                 "two points off the center at the origin")
+        try:
+            kpmod.split_feasible_interval(ks[0], z, a1, a2, E)
+        except kpmod.FeasibilityError as exc:
+            raise ScenarioError(f"scenario.{path}: expected a pair reachable at energy "
+                                f"{E:g} ({exc})") from exc
+        zs.append(z)
     _require(bool(zs), "params.endpoints", "a nonempty list")
     rows = []
     for k in ks:

@@ -43,6 +43,11 @@ class LinkEvaluator:
     Subclasses supply value(); gradients default to central differences and
     second derivatives to differences of gradients with one Richardson step.
     momenta() returns ambient boundary momenta when the backend knows them.
+
+    The family methods values(), grads() and hessians() take the links of
+    one chain that share a class and slot dimensions, with their endpoints
+    stacked row by row, and return one row per link. Here they loop over the
+    rows; a subclass may evaluate all rows in one array expression.
     """
 
     dim_minus: int
@@ -61,31 +66,82 @@ class LinkEvaluator:
     def grad_plus(self, xm, xp) -> np.ndarray:
         return central_diff(lambda x: self.value(xm, x), xp, self.fd_step)
 
-    def _grad_pair(self, xm, xp) -> np.ndarray:
-        return np.concatenate([self.grad_minus(xm, xp), self.grad_plus(xm, xp)])
+    def _grad_pair(self, xm, xp) -> Tuple[np.ndarray, np.ndarray]:
+        """(D-, D+) at one link."""
+        return self.grad_minus(xm, xp), self.grad_plus(xm, xp)
 
     def _grad_jacobian(self, xm, xp, h: float) -> np.ndarray:
         """Central differences of (D-, D+) in the joint coordinates (xm, xp)."""
         xm = np.asarray(xm, dtype=float)
         z = np.concatenate([xm, np.asarray(xp, dtype=float)])
-        J = central_diff(lambda v: self._grad_pair(v[:xm.size], v[xm.size:]), z, h)
+        J = central_diff(lambda v: np.concatenate(self._grad_pair(v[:xm.size], v[xm.size:])),
+                         z, h)
         return J.reshape(z.size, z.size)
 
     def hess(self, xm, xp) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(D--, D-+, D++) second derivative blocks, one Richardson step."""
         h = self.fd_step * 16
         J = (4.0 * self._grad_jacobian(xm, xp, h / 2) - self._grad_jacobian(xm, xp, h)) / 3.0
-        return self._blocks(J, xm)
+        return self._blocks(J, np.asarray(xm).size)
 
     @staticmethod
-    def _blocks(J: np.ndarray, xm) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(D--, D-+, D++) blocks of the symmetrised joint second derivative J."""
-        J = 0.5 * (J + J.T)
-        nm = np.asarray(xm).size
-        return J[:nm, :nm], J[:nm, nm:], J[nm:, nm:]
+    def _blocks(J: np.ndarray, nm: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(D--, D-+, D++) blocks of the symmetrised joint second derivative J,
+        or of each matrix of a stack J, with nm minus-slot coordinates."""
+        J = 0.5 * (J + np.swapaxes(J, -1, -2))
+        return J[..., :nm, :nm], J[..., :nm, nm:], J[..., nm:, nm:]
 
     def momenta(self, xm, xp) -> Tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError("this branch does not expose ambient momenta")
+
+    @classmethod
+    def values(cls, links: Sequence["LinkEvaluator"], XM: np.ndarray,
+               XP: np.ndarray) -> np.ndarray:
+        """Branch values, shape (n,), of link r at endpoints XM[r], XP[r]."""
+        return np.array([link.value(xm, xp) for link, xm, xp in zip(links, XM, XP)])
+
+    @classmethod
+    def grads(cls, links: Sequence["LinkEvaluator"], XM: np.ndarray,
+              XP: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(D-, D+) of every row, shapes (n, dim_minus) and (n, dim_plus)."""
+        rows = [link._grad_pair(xm, xp) for link, xm, xp in zip(links, XM, XP)]
+        return (np.array([r[0] for r in rows], dtype=float),
+                np.array([r[1] for r in rows], dtype=float))
+
+    @classmethod
+    def hessians(cls, links: Sequence["LinkEvaluator"], XM: np.ndarray,
+                 XP: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(D--, D-+, D++) of every row, each of shape (n, ., .)."""
+        rows = [link.hess(xm, xp) for link, xm, xp in zip(links, XM, XP)]
+        return tuple(np.array([r[b] for r in rows], dtype=float) for b in range(3))
+
+
+class ArrayLink(LinkEvaluator):
+    """Branch whose family methods are one array expression over the rows.
+
+    Subclasses implement values(), grads() and hessians(); the scalar
+    methods are their one-row case.
+    """
+
+    def value(self, xm, xp):
+        return float(self.values([self], _one_row(xm), _one_row(xp))[0])
+
+    def _grad_pair(self, xm, xp):
+        gm, gp = self.grads([self], _one_row(xm), _one_row(xp))
+        return gm[0], gp[0]
+
+    def grad_minus(self, xm, xp):
+        return self._grad_pair(xm, xp)[0]
+
+    def grad_plus(self, xm, xp):
+        return self._grad_pair(xm, xp)[1]
+
+    def hess(self, xm, xp):
+        return tuple(b[0] for b in self.hessians([self], _one_row(xm), _one_row(xp)))
+
+
+def _one_row(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).reshape(1, -1)
 
 
 class FunctionLink(LinkEvaluator):
@@ -206,13 +262,39 @@ def _check_domains(dl: DiscreteLagrangian, c: ChainConfiguration):
             raise ChainDomainError(f"link {j} (symbol {k}) left its domain")
 
 
+def _families(dl: DiscreteLagrangian, c: ChainConfiguration):
+    """The chain's links grouped by evaluator class and slot dimensions.
+
+    Yields (class, link indices, links, stacked minus endpoints, stacked
+    plus endpoints) per group, in order of first appearance.
+    """
+    groups: Dict[tuple, list] = {}
+    for j, k in enumerate(c.code):
+        link = dl.link(k)
+        xm, xp = c.link_endpoints(j)
+        groups.setdefault((type(link), xm.size, xp.size), []).append((j, link, xm, xp))
+    for (cls, _, _), rows in groups.items():
+        idx, links, xms, xps = zip(*rows)
+        yield cls, idx, links, np.array(xms, dtype=float), np.array(xps, dtype=float)
+
+
+def _per_link(dl: DiscreteLagrangian, c: ChainConfiguration, method: str) -> list:
+    """Family method `method` over the chain, scattered to one entry per link."""
+    out: list = [None] * c.n_links
+    for cls, idx, links, XM, XP in _families(dl, c):
+        res = getattr(cls, method)(links, XM, XP)
+        rows = zip(*res) if isinstance(res, tuple) else res
+        for j, row in zip(idx, rows):
+            out[j] = row
+    return out
+
+
 def chain_action(dl: DiscreteLagrangian, c: ChainConfiguration) -> float:
     """Sum of branch Lagrangians over the chain with the boundary wrap applied."""
     _check_domains(dl, c)
     total = 0.0
-    for j, k in enumerate(c.code):
-        xm, xp = c.link_endpoints(j)
-        total += dl.link(k).value(xm, xp)
+    for v in _per_link(dl, c, "values"):
+        total += v
     return float(total)
 
 
@@ -231,14 +313,11 @@ def residual(dl: DiscreteLagrangian, c: ChainConfiguration) -> List[np.ndarray]:
     i.e. the tangential projection of (p_i^+ - p_i^-); it vanishes exactly at
     the elastic-reflection (tangential momentum conservation) condition.
     """
+    grads = _per_link(dl, c, "grads")
     out = []
     for i in range(c.n_free):
         jin, jout = _site_links(c, i)
-        xm_in, xp_in = c.link_endpoints(jin)
-        xm_out, xp_out = c.link_endpoints(jout)
-        g = dl.link(c.code[jin]).grad_plus(xm_in, xp_in) \
-            + dl.link(c.code[jout]).grad_minus(xm_out, xp_out)
-        out.append(np.asarray(g, dtype=float))
+        out.append(grads[jin][1] + grads[jout][0])
     return out
 
 
@@ -305,10 +384,7 @@ def hessian(dl: DiscreteLagrangian, c: ChainConfiguration) -> BlockTridiagonalHe
     n = c.n_free
     if n == 0:
         return BlockTridiagonalHessian([], [], None, c.bc == "periodic")
-    H = [[None, None, None] for _ in range(c.n_links)]  # d11, d12, d22 per link
-    for j, k in enumerate(c.code):
-        xm, xp = c.link_endpoints(j)
-        H[j] = list(dl.link(k).hess(xm, xp))
+    H = _per_link(dl, c, "hessians")  # (d11, d12, d22) per link
 
     diag = []
     for i in range(n):
@@ -404,27 +480,10 @@ def _periodic_window_blocks(dl: DiscreteLagrangian, c: ChainConfiguration,
     if c.bc != "periodic":
         raise ValueError("window certificates act on periodic chains")
     n = c.n_free
-
-    def link_data(j):
-        k = c.code[j % n]
-        xm, xp = c.points[j % n], c.points[(j + 1) % n]
-        return dl.link(k).hess(xm, xp)
-
+    H = _per_link(dl, c, "hessians")
     sites = range(center - half_width, center + half_width + 1)
-    hcache: Dict[int, tuple] = {}
-
-    def hj(j):
-        jj = j % n
-        if jj not in hcache:
-            hcache[jj] = link_data(jj)
-        return hcache[jj]
-
-    diag = []
-    for i in sites:
-        d_in = hj(i - 1)[2]
-        d_out = hj(i)[0]
-        diag.append(d_in + d_out)
-    off = [hj(i)[1] for i in list(sites)[:-1]]
+    diag = [H[(i - 1) % n][2] + H[i % n][0] for i in sites]
+    off = [H[i % n][1] for i in list(sites)[:-1]]
     return diag, off
 
 

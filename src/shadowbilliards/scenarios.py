@@ -22,7 +22,7 @@ from .scatterer import DiagonalScatterer, PointScatterer
 # Straight chords between points of a zero-dimensional scatterer
 # ---------------------------------------------------------------------------
 
-class ChordLink(dlsmod.LinkEvaluator):
+class ChordLink(dlsmod.ArrayLink):
     """Straight collision orbit from a scatterer point along a fixed displacement.
 
     Zero-dimensional on both slots: constant action and momenta. The label
@@ -42,17 +42,17 @@ class ChordLink(dlsmod.LinkEvaluator):
         self._p = h.mass @ (self._speed * disp / ell)
         self._action = self._speed * ell
 
-    def value(self, xm, xp):
-        return float(self._action)
+    @classmethod
+    def values(cls, links, XM, XP):
+        return np.array([link._action for link in links])
 
-    def grad_minus(self, xm, xp):
-        return np.zeros(0)
+    @classmethod
+    def grads(cls, links, XM, XP):
+        return np.zeros((len(links), 0)), np.zeros((len(links), 0))
 
-    def grad_plus(self, xm, xp):
-        return np.zeros(0)
-
-    def hess(self, xm, xp):
-        z = np.zeros((0, 0))
+    @classmethod
+    def hessians(cls, links, XM, XP):
+        z = np.zeros((len(links), 0, 0))
         return z, z, z
 
     def momenta(self, xm, xp):
@@ -205,16 +205,7 @@ def two_ball_torus_scenario(masses=(1.0, 1.0), E: float = 0.5,
 # Two balls in a box (interval factor), wall reflections folded into branches
 # ---------------------------------------------------------------------------
 
-def _unfolded_image(y: float, m: int, lo: float, hi: float) -> Tuple[float, float]:
-    """Image of y under m wall reflections of [lo, hi]; returns (image, parity)."""
-    h = hi - lo
-    xi = y - lo
-    if m % 2 == 0:
-        return lo + m * h + xi, 1.0
-    return lo + (m + 1) * h - xi, -1.0
-
-
-class TwoBallBoxLink(dlsmod.LinkEvaluator):
+class TwoBallBoxLink(dlsmod.ArrayLink):
     """Pair passage on the interval with a per-ball wall-bounce pattern.
 
     The symbol (m1, m2) counts signed wall reflections of each ball between
@@ -223,6 +214,10 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
     geometry); the limiting chain uses margin zero. The end links of a fixed
     chain freeze a slot at an ambient pair position (left or right anchor);
     that slot then has no chart coordinates.
+
+    The family methods take rows with one slot dimension each, so an anchored
+    slot is anchored in every row; patterns, anchors, masses and walls are
+    read per row.
     """
 
     def __init__(self, h: ClassicalHamiltonian, E: float, masses,
@@ -241,70 +236,78 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
         self.dim_plus = 0 if right is not None else 1
         self._speed = np.sqrt(2.0 * E)
 
-    def _geometry(self, ym: np.ndarray, yp: np.ndarray, margin: float):
-        """Unfolded displacements and wall parities of the chord."""
-        lo, hi = self.box[0] + margin, self.box[1] - margin
-        ell = np.empty(2)
-        par = np.empty(2)
-        for i in range(2):
-            img, pr = _unfolded_image(float(yp[i]), self.pattern[i], lo, hi)
-            ell[i] = img - float(ym[i])
-            par[i] = pr
-        return ell, par
+    @staticmethod
+    def _fold(links, YM, YP, margin):
+        """Unfolded displacements and wall parities, (n, 2) each, of the chords
+        from pair positions YM to YP under each row's wall-bounce pattern, the
+        walls moved in by margin (a number or one per row)."""
+        pattern = np.array([link.pattern for link in links])
+        box = np.array([link.box for link in links], dtype=float)
+        lo = (box[:, 0] + margin)[:, None]
+        width = (box[:, 1] - margin)[:, None] - lo
+        xi = YP - lo
+        odd = pattern % 2 == 1
+        image = np.where(odd, lo + (pattern + 1) * width - xi, lo + pattern * width + xi)
+        return image - YM, np.where(odd, -1.0, 1.0)
 
-    def _chord(self, xm, xp):
-        """Displacements, parities and kinetic length of the link's chord."""
-        ell, par = self._geometry(*self._resolve(xm, xp), self.margin)
-        return ell, par, np.sqrt(np.sum(self.m * ell**2))
+    @staticmethod
+    def _ends(links, XM, XP):
+        """Ambient pair positions (n, 2) of both slots, anchors taking precedence."""
+        YM = (np.array([link.left for link in links]) if links[0].left is not None
+              else np.repeat(XM[:, :1], 2, axis=1))
+        YP = (np.array([link.right for link in links]) if links[0].right is not None
+              else np.repeat(XP[:, :1], 2, axis=1))
+        return YM, YP
 
-    def _resolve(self, xm, xp):
-        """Ambient pair positions of both slots, anchors taking precedence."""
-        ym = self.left if self.left is not None else self._pair_positions(xm)
-        yp = self.right if self.right is not None else self._pair_positions(xp)
-        return ym, yp
+    @classmethod
+    def _chords(cls, links, XM, XP):
+        """Speeds (n,), masses (n, 2), unfolded displacements and parities
+        (n, 2) and kinetic lengths (n,) of the rows' chords."""
+        YM, YP = cls._ends(links, XM, XP)
+        ell, par = cls._fold(links, YM, YP, np.array([link.margin for link in links]))
+        m = np.array([link.m for link in links])
+        g = np.sqrt(np.sum(m * ell**2, axis=1))
+        return np.array([link._speed for link in links]), m, ell, par, g
 
-    def _pair_positions(self, x):
-        c = float(np.atleast_1d(x)[0])
-        return np.array([c, c])
+    @classmethod
+    def values(cls, links, XM, XP):
+        speed, _, _, _, g = cls._chords(links, XM, XP)
+        return speed * g
 
-    def value(self, xm, xp):
-        _, _, g = self._chord(xm, xp)
-        return float(self._speed * g)
+    @classmethod
+    def grads(cls, links, XM, XP):
+        """A slot has as many gradient entries as chart coordinates: one, or
+        none when anchored."""
+        speed, m, ell, par, g = cls._chords(links, XM, XP)
+        gm = (-speed * np.sum(m * ell, axis=1) / g)[:, None]
+        gp = (speed * np.sum(m * ell * par, axis=1) / g)[:, None]
+        return gm[:, :XM.shape[1]], gp[:, :XP.shape[1]]
 
-    def grad_minus(self, xm, xp):
-        if self.left is not None:
-            return np.zeros(0)
-        ell, _, g = self._chord(xm, xp)
-        return np.array([-self._speed * np.sum(self.m * ell) / g])
-
-    def grad_plus(self, xm, xp):
-        if self.right is not None:
-            return np.zeros(0)
-        ell, par, g = self._chord(xm, xp)
-        return np.array([self._speed * np.sum(self.m * ell * par) / g])
-
-    def hess(self, xm, xp):
+    @classmethod
+    def hessians(cls, links, XM, XP):
         """Closed form: the chord is affine in the free slots, so the Hessian
         is D^T K D with K the chord Hessian and D = d(chord)/d(free slots),
         whose columns are -(1, 1) for the minus slot and the parities for the
         plus slot."""
-        ell, par, _ = self._chord(xm, xp)
-        cols = ([] if self.left is not None else [-np.ones(2)]) + \
-            ([] if self.right is not None else [par])
-        D = np.array(cols).reshape(-1, 2).T
-        K = bvp.chord_hessian(np.diag(self.m), ell, self._speed)
-        return self._blocks(D.T @ K @ D, xm)
+        speed, m, ell, par, _ = cls._chords(links, XM, XP)
+        cols = ([np.full_like(ell, -1.0)] if XM.shape[1] else []) \
+            + ([par] if XP.shape[1] else [])
+        Dt = np.stack(cols, axis=1) if cols else np.empty((len(links), 0, 2))
+        K = bvp.chord_hessian(m[:, :, None] * np.eye(2), ell, speed)
+        return cls._blocks(Dt @ K @ np.swapaxes(Dt, -1, -2), XM.shape[1])
 
     def momenta(self, xm, xp):
-        ell, par, g = self._chord(xm, xp)
-        return self._speed * self.m * ell / g, self._speed * self.m * ell * par / g
+        speed, m, ell, par, g = self._chords([self], dlsmod._one_row(xm),
+                                             dlsmod._one_row(xp))
+        p = speed[:, None] * m * ell
+        return (p / g[:, None])[0], (p * par / g[:, None])[0]
 
     def in_domain(self, xm, xp):
-        ym, yp = self._resolve(xm, xp)
+        YM, YP = self._ends([self], dlsmod._one_row(xm), dlsmod._one_row(xp))
         lo, hi = self.box[0] + self.margin, self.box[1] - self.margin
-        if not (lo < ym[0] < hi and lo < ym[1] < hi and lo < yp[0] < hi and lo < yp[1] < hi):
+        if not (np.all((lo < YM) & (YM < hi)) and np.all((lo < YP) & (YP < hi))):
             return False
-        ell, _ = self._geometry(ym, yp, self.margin)
+        ell, _ = self._fold([self], YM, YP, self.margin)
         return bool(np.all(np.abs(ell) > 1e-12))
 
     def ambient_connect(self, qm, qp, eps):
@@ -314,7 +317,7 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
 
     def _connect_ambient(self, qm, qp, eps):
         lo, hi = self.box[0] + eps, self.box[1] - eps
-        ell, par = self._geometry(qm, qp, eps)
+        ell, par = (a[0] for a in self._fold([self], qm[None], qp[None], eps))
         g = np.sqrt(np.sum(self.m * ell**2))
         action = self._speed * g
         tau = g / self._speed
@@ -327,10 +330,11 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
         path = lo + np.where(z <= width, z, 2 * width - z)
         return bvp.CollisionOrbit(self.h, self.E, qm, qp, float(action), float(tau),
                                   p_minus, p_plus, path, label=self.pattern,
-                                  backend="unfolded")
+                                  backend="unfolded", chord=ell, parity=par)
 
     def reference_path(self, xm, xp):
-        return self._connect_ambient(*self._resolve(xm, xp), 0.0).path
+        YM, YP = self._ends([self], dlsmod._one_row(xm), dlsmod._one_row(xp))
+        return self._connect_ambient(YM[0], YP[0], 0.0).path
 
 
 @dataclass

@@ -32,6 +32,10 @@ class ExclusionRadiusError(RuntimeError):
     """Trajectory entered the exclusion radius around the singular set."""
 
 
+class NonPlanarChainError(ValueError):
+    """The chain shooting takes planar center chains only."""
+
+
 class SingularShadowError(RuntimeError):
     """Multiple-shooting Newton for the singular flow failed."""
 
@@ -305,6 +309,9 @@ class _ChainShooting:
 
     def __init__(self, sp: SingularPerturbation, centers: List[int],
                  directions: List[np.ndarray], E: float):
+        if sp.base.dim != 2:
+            raise NonPlanarChainError(f"centers in dimension {sp.base.dim}: the chain "
+                                      "shooting and its predictor are planar")
         self.sp = sp
         self.centers = centers          # point ids, one per collision
         self.dirs = directions          # unit outgoing directions, one per link

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from shadowbilliards import billiard, bvp, dls, scenarios
 from shadowbilliards.billiard import (BilliardDomain, BoxWalls,
@@ -225,6 +225,93 @@ class TestGeneratingFunction:
                  for e in eps_list]
         slope = np.polyfit(np.log(eps_list), np.log(resid), 1)[0]
         assert abs(slope - 2.0) <= 0.1
+
+
+class TestTwoPointHessian:
+    """The closed-form tube-link Hessian against central differences of its
+    exact gradient (one Richardson step), on random tube points."""
+
+    @seed(20161018)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.sampled_from([2, 3]), st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+           st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10),
+           st.sampled_from([1e-3, 1e-2, 0.05]))
+    def test_torus_chord_connector(self, dim, winding, r, eps):
+        # sphere charts of dimension 1 and 2, off their centers
+        k = tuple(winding[:dim])
+        cm, cp = np.array(r[:dim]), np.array(r[3:3 + dim])
+        assume(any(k) and min(np.linalg.norm(cm), np.linalg.norm(cp)) > 0.1)
+        scn = scenarios.torus_point_scenario(dim=dim)
+        left = billiard._SiteChart(scn.scatterer, 0, cm, eps)
+        right = billiard._SiteChart(scn.scatterer, 0, cp, eps)
+        # a center within about 1e-7 of an axis gets a spurious tangent column
+        assume(left.sphere.basis.shape[1] == right.sphere.basis.shape[1] == dim - 1)
+        link = billiard.TwoPointLink(scn.dl.link(k).ambient_connect, left, right, eps)
+        um, up = 0.3 * np.array(r[6:5 + dim]), 0.3 * np.array(r[8:7 + dim])
+        assert link._orbit(um, up).chord is not None   # the closed form applies
+        exact = link.hess(um, up)
+        fd = dls.LinkEvaluator.hess(link, um, up)
+        for he, hf in zip(exact, fd):
+            assert np.allclose(he, hf, rtol=1e-6, atol=1e-10)
+
+    @seed(20161018)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.integers(-3, 3), st.integers(-3, 3),
+           st.lists(st.floats(0.1, 0.9), min_size=4, max_size=4),
+           st.floats(-0.05, 0.05), st.floats(-0.05, 0.05), st.sampled_from([-1.0, 1.0]),
+           st.sampled_from([-1.0, 1.0]), st.booleans(), st.booleans(),
+           st.sampled_from([1e-3, 1e-2]))
+    def test_box_fold_connector(self, m1, m2, x, dm, dp, sgm, sgp, frozen_m, frozen_p, eps):
+        scn = scenarios.two_ball_box_scenario(masses=(1.0, 2.0))
+        box = scenarios.TwoBallBoxLink(scn.h, scn.E, scn.masses, scn.box, (m1, m2), eps)
+
+        def chart(frozen, xa, xb, sign):
+            if frozen:
+                return billiard._FrozenChart(np.array([xa, xb]))
+            return billiard._SiteChart(scn.scatterer, np.array([xa]), np.array([sign]), eps)
+
+        left, right = chart(frozen_m, *x[:2], sgm), chart(frozen_p, *x[2:], sgp)
+        link = billiard.TwoPointLink(box.ambient_connect, left, right, eps)
+        um = np.zeros(0) if frozen_m else np.array([dm])
+        up = np.zeros(0) if frozen_p else np.array([dp])
+        orbit = link._orbit(um, up)
+        assume(np.min(np.abs(orbit.chord)) > 1e-3 and orbit.tau > 0.05)
+        exact = link.hess(um, up)
+        fd = dls.LinkEvaluator.hess(link, um, up)
+        assert [h.shape for h in exact] == [h.shape for h in fd]
+        for he, hf in zip(exact, fd):
+            assert np.allclose(he, hf, rtol=1e-6, atol=1e-8)
+
+
+class TestHonestConvergence:
+    @seed(20161018)
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(st.integers(2, 8), st.lists(st.floats(0.15, 0.85), min_size=4, max_size=4),
+           st.floats(0.5, 3.0), st.integers(0, 2**16), st.sampled_from([1e-3, 1e-2]))
+    def test_converged_means_residual_at_tol(self, n_mid, ends, mass, start_seed, eps):
+        # on random fixed box chains: a converged Newton, and a returned shadow
+        # chain, have a recomputed residual at or below their tolerance
+        scn = scenarios.two_ball_box_scenario(masses=(1.0, mass))
+        a, b = np.array(ends[:2]), np.array(ends[2:])
+        code = [(0, 0)] + [(-1, 1)] * n_mid + [(0, 0)]
+        dl = scenarios.box_fixed_lagrangian(scn, a, b, code)
+        starts = np.sort(np.random.default_rng(start_seed).uniform(0.25, 0.75, n_mid + 1))
+        chain = scenarios.box_fixed_chain(code, [np.array([x]) for x in starts])
+        try:
+            res = dls.newton_chain(dl, chain)
+        except dls.NewtonError:
+            return
+        if res.converged:
+            assert res.residual_inf <= 1e-10
+            assert dls.residual_norm(dls.residual(dl, res.chain)) <= 1e-10
+        try:
+            sc = shadow_solve(scenarios.box_fixed_lagrangian(scn, a, b, code, wall_margin=eps),
+                              res.chain, eps)
+        except ShadowSolveError:
+            return
+        tol = sc.diagnostics["tolerance"]
+        assert sc.residual_inf <= tol
+        assert dls.residual_norm(dls.residual(sc.joint_dl, sc.joint_chain)) <= tol
 
 
 class TestShadowSolve:

@@ -199,6 +199,10 @@ class TestValidation:
         ("kepler_grid", "params.revolutions", [[1, 1], [0, 2]],
          "revolutions[1][0]: expected a nonzero integer"),
         ("kepler_grid", "params.energy", 0.1, "energy: expected a negative number"),
+        ("kepler_grid", "params.endpoints", [[[0.0, 0.0], [0.0, 0.35]]],
+         "endpoints[0]: expected two points off the center at the origin"),
+        ("kepler_grid", "params.endpoints", [[[3.0, 0.0], [0.0, 0.35]]],
+         "endpoints[0]: expected a pair reachable at energy -0.9"),
         ("ncenter_square", "params.centers", [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0]],
          "centers[3]: expected a list of 2 numbers"),
         ("ncenter_square", "params.centers", [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
@@ -233,7 +237,8 @@ class TestValidation:
         ("two_balls_torus", "params.code", [[1, 0], [1, 1]],
          "code[1]: expected two different windings"),
     ], ids=["kepler_one_point_pair", "kepler_string_coordinate", "kepler_alpha_sum",
-            "kepler_zero_revolutions", "kepler_positive_energy", "ncenter_center_length",
+            "kepler_zero_revolutions", "kepler_positive_energy", "kepler_endpoint_at_origin",
+            "kepler_endpoint_out_of_reach", "ncenter_center_length",
             "ncenter_spatial_centers", "ncenter_alphas_length", "ncenter_negative_alpha", "ncenter_zero_mu",
             "ncenter_center_index", "ncenter_not_concatenating", "ncenter_zero_energy",
             "torus_negative_energy", "torus_periods_length", "torus_zero_eps",

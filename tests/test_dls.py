@@ -128,7 +128,7 @@ class TestBoxHessian:
                                         right=b if right else None)
         xm = np.zeros(0) if left else np.array([lo + (hi - lo) * u[4]])
         xp = np.zeros(0) if right else np.array([lo + (hi - lo) * u[5]])
-        ell, _, g = link._chord(xm, xp)
+        _, _, ell, _, g = (r[0] for r in link._chords([link], xm[None], xp[None]))
         assume(np.min(np.abs(ell)) > 1e-3 and g > 0.05)
         exact = link.hess(xm, xp)
         fd = dls.LinkEvaluator.hess(link, xm, xp)
@@ -136,6 +136,37 @@ class TestBoxHessian:
         for he, hf in zip(exact, fd):
             # equal patterns give an exactly zero Hessian; differences read ~1e-11
             assert np.allclose(he, hf, rtol=1e-6, atol=1e-8)
+
+    @seed(20161018)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3),
+                              st.lists(st.floats(0.02, 0.98), min_size=6, max_size=6)),
+                    min_size=1, max_size=6),
+           st.booleans(), st.booleans(), st.sampled_from([0.0, 0.01]))
+    def test_family_rows_equal_one_row_bit_for_bit(self, rows, left, right, margin):
+        # one family: every row anchors the same slots, at its own anchor points
+        scn = scenarios.two_ball_box_scenario(masses=(1.0, 2.0))
+        lo, hi = margin, 1.0 - margin
+        links, xms, xps = [], [], []
+        for m1, m2, u in rows:
+            a, b = lo + (hi - lo) * np.array(u[:2]), lo + (hi - lo) * np.array(u[2:4])
+            links.append(scenarios.TwoBallBoxLink(
+                scn.h, scn.E, scn.masses, scn.box, (m1, m2), margin,
+                left=a if left else None, right=b if right else None))
+            xms.append(np.zeros(0) if left else np.array([lo + (hi - lo) * u[4]]))
+            xps.append(np.zeros(0) if right else np.array([lo + (hi - lo) * u[5]]))
+        XM, XP = np.array(xms).reshape(len(rows), -1), np.array(xps).reshape(len(rows), -1)
+        cls = scenarios.TwoBallBoxLink
+        values, (gm, gp), hess = (cls.values(links, XM, XP), cls.grads(links, XM, XP),
+                                  cls.hessians(links, XM, XP))
+        for r, (link, xm, xp) in enumerate(zip(links, xms, xps)):
+            # coincident chords give 0/0: nan must match nan
+            assert np.array_equal(values[r], link.value(xm, xp), equal_nan=True)
+            assert np.array_equal(gm[r], link.grad_minus(xm, xp), equal_nan=True)
+            assert np.array_equal(gp[r], link.grad_plus(xm, xp), equal_nan=True)
+            for block, one in zip(hess, link.hess(xm, xp)):
+                assert block[r].shape == one.shape
+                assert np.array_equal(block[r], one, equal_nan=True)
 
 
 class TestNewton:
@@ -420,7 +451,7 @@ class TestBoxPathFold:
         lo, hi = eps, 1.0 - eps
         qm = lo + (hi - lo) * np.array([fa, fb])
         qp = lo + (hi - lo) * np.array([fc, fc])
-        ell, _ = link._geometry(qm, qp, eps)
+        ell = link._fold([link], qm[None], qp[None], eps)[0][0]
         assume(np.sum(np.abs(ell)) > 1e-6)
         path = link.ambient_connect(qm, qp, eps).path
         width = hi - lo

@@ -1,3 +1,6 @@
+import json
+import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,6 +14,9 @@ from shadowbilliards.scatterer import DiagonalScatterer, PointScatterer
 from shadowbilliards.singular import (ExclusionRadiusError, SingularPerturbation,
                                       flow_singular,
                                       rutherford_deflection, shadow_experiment)
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def one_center(mu, alphas=(1.0,), centers=((0.0, 0.0),)):
@@ -166,6 +172,21 @@ class TestShadowExperiment:
         (row,) = shadow_experiment(scn.dl, chain, [1e-3], alphas=scn.alphas)
         assert not row.converged and np.isnan(row.sup_error)
         assert row.reason == "SingularShadowError: no descent (|R| = 1.00e-03)"
+
+    def test_non_planar_chain_refused_before_any_flight(self, monkeypatch):
+        # the shipped square lifted to z = 0: the planar shooting must refuse it
+        def no_flight(*args, **kwargs):
+            raise AssertionError("a non-planar chain was flown")
+
+        monkeypatch.setattr(singular._ChainShooting, "fly_link", no_flight)
+        cfg = json.loads((SCENARIOS / "ncenter_square.json").read_text())["params"]
+        centers = [c + [0.0] for c in cfg["centers"]]
+        scn = scenarios.ncenter_scenario(centers, cfg["alphas"], cfg["energy"])
+        chain = scn.chain(cfg["code"])
+        t0 = time.process_time()
+        with pytest.raises(singular.NonPlanarChainError):
+            shadow_experiment(scn.dl, chain, [10**-2.85], alphas=scn.alphas)
+        assert time.process_time() - t0 < 1.0
 
     def test_collinear_head_on_rejected(self):
         scn = scenarios.ncenter_scenario([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]], E=0.5)
