@@ -400,14 +400,13 @@ class _ChainShooting:
     def predictor(self):
         xi = [np.zeros(self.sp.base.dim - 1) for _ in range(self.n)]
         p = [self.defl[j].momentum.copy() for j in range(self.n)]
-        if self.sp.base.dim == 2:
-            angles = self._ballistic_correction()
-            for j in range(self.n):
-                ca, sa = np.cos(angles[j]), np.sin(angles[j])
-                R = np.array([[ca, -sa], [sa, ca]])
-                p[j] = R @ p[j]
-                peri = self.defl[j].periapsis - self.points[j]
-                xi[j] = self.bases[j].T @ (R @ peri - peri)
+        angles = self._ballistic_correction()
+        for j in range(self.n):
+            ca, sa = np.cos(angles[j]), np.sin(angles[j])
+            R = np.array([[ca, -sa], [sa, ca]])
+            p[j] = R @ p[j]
+            peri = self.defl[j].periapsis - self.points[j]
+            xi[j] = self.bases[j].T @ (R @ peri - peri)
         return self.pack(xi, p)
 
     def _section(self, Q, A, N):
