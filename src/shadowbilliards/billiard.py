@@ -227,7 +227,7 @@ class _VerletFlight:
 
     def advance(self, state: PhaseState, dt: float) -> PhaseState:
         n = max(1, int(np.ceil(dt / self.micro)))
-        q, p, _, _ = _verlet_steps(self.h, state.q, state.p, dt / n, n, sample_every=n)
+        q, p = _verlet_steps(self.h, state.q, state.p, dt / n, n, sample_every=n)[:2]
         return PhaseState(q, p, state.t + dt)
 
 

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import kepler as kp
 from .dynamics import (ClassicalHamiltonian, DomainError, KeplerPotential,
-                       PhaseState, _verlet_steps, central_diff,
-                       flow_segment, jacobi_action)
+                       PhaseState, _verlet_steps, central_diff, flow_segment)
 
 
 class ConnectError(RuntimeError):
@@ -184,9 +183,14 @@ def _kepler_connect(h: ClassicalHamiltonian, qm, qp, E, label) -> CollisionOrbit
 # ---------------------------------------------------------------------------
 
 def _flow_to(h: ClassicalHamiltonian, q0, p0, tau, steps_per_unit: float):
+    """Final positions of (q0, p0) flown for time tau, and the rest of the flight:
+    (final momenta, path, action per row). A one-row flight keeps its positions
+    every ~1/256 of it and at its end as the path; batched stencil rows keep
+    only their ends."""
     nsteps = max(8, int(np.ceil(abs(tau) * steps_per_unit)))
-    q, p, _, _ = _verlet_steps(h, q0, p0, tau / nsteps, nsteps, sample_every=nsteps)
-    return q, p
+    every = nsteps if np.ndim(q0) == 2 else max(1, nsteps // 256)
+    q, p, qs, _, action = _verlet_steps(h, q0, p0, tau / nsteps, nsteps, every)
+    return q, (p, np.asarray(qs), action)
 
 
 def _shooting_jacobian(h: ClassicalHamiltonian, qm, p, tau,
@@ -203,7 +207,8 @@ def _shooting_jacobian(h: ClassicalHamiltonian, qm, p, tau,
     for i in range(d):
         P[2 * i, i] += fd_step
         P[2 * i + 1, i] -= fd_step
-    Qe, Pe = _flow_to(h, np.repeat(qm[None, :], 2 * d + 1, axis=0), P, tau, steps_per_unit)
+    Qe, (Pe, _, _) = _flow_to(h, np.repeat(qm[None, :], 2 * d + 1, axis=0), P, tau,
+                              steps_per_unit)
     J = np.zeros((d + 1, d + 1))
     for i in range(d):
         J[:d, i] = (Qe[2 * i] - Qe[2 * i + 1]) / (2 * fd_step)
@@ -214,9 +219,13 @@ def _shooting_jacobian(h: ClassicalHamiltonian, qm, p, tau,
 
 def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess, label=None,
                       tol: float = 1e-10, max_iter: int = 60,
-                      steps_per_unit: float = 2000.0) -> CollisionOrbit:
-    """Newton on (p-, tau): reach the lifted endpoint on the energy shell
-    within max_iter steps."""
+                      steps_per_unit: float = 800.0) -> CollisionOrbit:
+    """Newton on (p-, tau) to the lifted endpoint on the energy shell, at most
+    max_iter steps; path, p+ and action are the accepted Newton flight's. At
+    800 steps per unit time p+ meets the energy to 1e-9, a tenth of the
+    CollisionOrbit check, on 180 kepler_xcheck arcs (6.4e-9 at 500)."""
+    if h.magnetic is not None:
+        raise ConnectError("shooting cannot take a magnetic term w: its flights assume w == 0")
     qm = np.asarray(qm, dtype=float)
     qp = np.asarray(qp, dtype=float)
     d = h.dim
@@ -250,13 +259,13 @@ def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess, label=None,
     scale = max(1.0, np.linalg.norm(target - qm))
 
     def residual(p, tau):
-        q_end, _ = _flow_to(h, qm, p, tau, steps_per_unit)
-        return np.concatenate([q_end - target, [h.energy(qm, p) - E]])
+        q_end, flight = _flow_to(h, qm, p, tau, steps_per_unit)
+        return np.concatenate([q_end - target, [h.energy(qm, p) - E]]), flight
 
     def converged(r):
         return np.linalg.norm(r[:d]) <= tol * scale and abs(r[d]) <= tol * max(1.0, abs(E))
 
-    r = residual(p, tau)
+    r, flight = residual(p, tau)
     it = 0
     while not converged(r):
         if it == max_iter:
@@ -271,26 +280,20 @@ def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess, label=None,
             p_new = p + lam * step[:d]
             tau_new = tau + lam * step[d]
             if 0 < tau_new <= 2 * tau:   # no trial flight longer than twice the last
-                r_new = residual(p_new, tau_new)
+                r_new, flight_new = residual(p_new, tau_new)
                 if np.linalg.norm(r_new) < np.linalg.norm(r):
                     break
             lam *= 0.5
         else:
             raise ConnectError("shooting Newton stalled (no descent step)")
-        p, tau, r = p_new, tau_new, r_new
+        p, tau, r, flight = p_new, tau_new, r_new, flight_new
         it += 1
-
-    traj = flow_segment(h, PhaseState(qm, p), tau,
-                        steps_per_unit_time=max(steps_per_unit, 2000.0))
-    idx = np.linspace(0, len(traj.qs) - 1, min(257, len(traj.qs))).astype(int)
-    path = traj.qs[idx]
-    p_plus = traj.ps[-1]
-    action = jacobi_action(h, traj.qs, E)
 
     def redo(qm2, qp2):
         return _shooting_connect(h, qm2, qp2, E, {"p0": p, "tau0": tau}, label,
                                  tol, max_iter, steps_per_unit)
 
+    p_plus, path, action = flight
     return CollisionOrbit(h, E, qm, qp, float(action), float(tau), p, p_plus, path,
                           label=label, backend="shooting", reconnect=redo)
 
@@ -404,10 +407,11 @@ def conjugate_test(orbit: CollisionOrbit, conj_tol: float = 1e-8) -> ConjugateRe
     """Smallest singular value of the shooting sensitivity at the orbit.
 
     The sensitivity is the Jacobian of (endpoint, energy) with respect to
-    (initial momentum, travel time), flown at 4000 steps per unit time; a
+    (initial momentum, travel time), flown at 500 steps per unit time (on 180
+    kepler_xcheck arcs sigma_min is within 1e-6 relative of 4x the steps); a
     small sigma_min signals conjugate endpoints. The flow is re-integrated,
     so the test is backend independent.
     """
-    J = _shooting_jacobian(orbit.h, orbit.path[0], orbit.p_minus, orbit.tau, 4000.0)
+    J = _shooting_jacobian(orbit.h, orbit.path[0], orbit.p_minus, orbit.tau, 500.0)
     sig = np.linalg.svd(J, compute_uv=False)
     return ConjugateReport(bool(sig[-1] > conj_tol * sig[0]), float(sig[-1]), float(sig[0]))

@@ -109,9 +109,14 @@ def _gram_schmidt(cols: np.ndarray, against: Optional[np.ndarray] = None) -> np.
 
 
 def _complete_orthonormal(basis: np.ndarray) -> np.ndarray:
-    """Extend an orthonormal column set to a full basis; returns the new columns."""
-    d = basis.shape[0]
-    return _gram_schmidt(np.eye(d), against=basis)
+    """The d - k columns completing an orthonormal (d, k) set: Gram-Schmidt on the
+    axes, or a complete QR when an axis about 1e-10 to 1e-6 from the span leaves
+    a remainder above the rank tolerance, and with it a spurious column."""
+    d, k = basis.shape
+    new = _gram_schmidt(np.eye(d), against=basis)
+    if new.shape[1] != d - k:
+        new = np.linalg.qr(basis, mode="complete")[0][:, k:]
+    return new
 
 
 class Scatterer:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from shadowbilliards import bvp
+from shadowbilliards import bvp, kepler
 from shadowbilliards.dynamics import (CallablePotential, ClassicalHamiltonian,
-                                      HarmonicPotential, KeplerPotential,
+                                      HarmonicPotential, KeplerPotential, MagneticField,
                                       StepUnderflowError, euclidean, flat_torus)
 
 
@@ -59,14 +59,14 @@ class TestConnect:
         assert orb.tau == pytest.approx(np.pi / 2, rel=1e-3)
 
     def test_shooting_kepler_golden(self):
-        # repr of the action computed before the Verlet force reuse and the
-        # one-call shooting Jacobian; identity mass keeps it bit for bit
+        # repr of the action summed in the accepted Newton flight of composed
+        # Verlet; 6e-11 relative from the closed form 5.551623196096077
         h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
         z = ([0.5, 0.0], [0.0, 0.6])
         arc = bvp.connect(h, z[0], z[1], -1.0, label=(1, "short"))
         shot = bvp.connect(h, z[0], z[1], -1.0, label=(1, "short"), backend="shooting",
                            guess={"p0": arc.p_minus, "tau0": arc.tau})
-        assert repr(shot.action) == "5.551627280019622"
+        assert repr(shot.action) == "5.5516231957548845"
 
     def test_action_additivity(self):
         orb = bvp.connect(free_h(), [0, 0], [2.0, 1.0], 0.5)
@@ -137,6 +137,51 @@ class TestShootingConvergence:
         except bvp.ConnectError:
             pass
         assert len(flown) > 2
+
+
+@st.composite
+def kepler_arcs(draw):
+    """Endpoints at radius 0.25..0.8, 0.5..2.5 rad apart, and an energy E < 0
+    whose ellipses reach them: 2a = -1/E exceeds the semiperimeter s."""
+    r1, r2 = draw(st.floats(0.25, 0.8)), draw(st.floats(0.25, 0.8))
+    th, gap = draw(st.floats(0.0, 2 * np.pi)), draw(st.floats(0.5, 2.5))
+    qm = r1 * np.array([np.cos(th), np.sin(th)])
+    qp = r2 * np.array([np.cos(th + gap), np.sin(th + gap)])
+    s = 0.5 * (r1 + r2 + np.linalg.norm(qp - qm))
+    return qm, qp, -draw(st.floats(0.6, 0.95)) / s
+
+
+class TestShootingFlight:
+    """The shooting orbit is the accepted Newton flight: its action and its end."""
+
+    @seed(20161103)
+    @settings(max_examples=10, deadline=None, database=None)
+    @given(kepler_arcs())
+    def test_action_matches_J_n_and_path_ends_at_q_plus(self, arc):
+        qm, qp, E = arc
+        h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
+        closed = bvp.connect(h, qm, qp, E, label=(1, "short"))
+        tol = 1e-10
+        shot = bvp.connect(h, qm, qp, E, label=(1, "short"), backend="shooting", tol=tol,
+                           guess={"p0": closed.p_minus, "tau0": closed.tau})
+        J = kepler.J_n(E, (qm, qp), 1)
+        assert abs(shot.action - J) <= 1e-6 * J
+        assert np.linalg.norm(shot.path[-1] - qp) <= tol * max(1.0, np.linalg.norm(qp - qm))
+
+    def test_magnetic_field_refused_before_any_flight(self, monkeypatch):
+        # harmonic well in a constant field B = 0.3, gauge w = B/2 (-y, x): the
+        # flights ignored w, and the returned path ended 0.169 away from q+
+        def no_flight(*args):
+            raise AssertionError("flew a magnetic shooting connect")
+
+        monkeypatch.setattr(bvp, "_flow_to", no_flight)
+        B = 0.3
+        w = MagneticField(lambda q: 0.5 * B * np.array([-q[1], q[0]]),
+                          lambda q: 0.5 * B * np.array([[0.0, -1.0], [1.0, 0.0]]))
+        h = ClassicalHamiltonian(euclidean(2), HarmonicPotential(1.0), magnetic=w)
+        with pytest.raises(bvp.ConnectError, match="magnetic"):
+            bvp.connect(h, [1.0, 0.0], [0.0, 1.0], 1.0, backend="shooting",
+                        steps_per_unit=200)
 
 
 class TestBoundaryMomenta:
@@ -229,7 +274,7 @@ class TestConjugate:
         assert not rep.nondegenerate
 
     def test_kepler_sigma_min_golden(self):
-        # repr of the value computed with a separate unperturbed flight
+        # repr of the value flown by composed Verlet at 500 steps per unit time
         h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
         orb = bvp.connect(h, [0.5, 0.0], [0.0, 0.6], -1.0, label=(1, "short"))
-        assert repr(bvp.conjugate_test(orb).sigma_min) == "0.2333192541129915"
+        assert repr(bvp.conjugate_test(orb).sigma_min) == "0.23331932661619273"

@@ -159,6 +159,28 @@ class TestSphereChart:
         s = chart.value(np.array([0.1]))
         assert abs(s @ J[:, 0]) < 1e-12
 
+    @seed(20160617)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.integers(2, 4), st.integers(0, 3), st.sampled_from([-1.0, 1.0]),
+           st.floats(-12.0, -5.0), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    def test_near_axis_center_has_a_tangent_basis(self, dim, axis, sign, exponent, direction):
+        # a center 1e-12..1e-5 off a coordinate axis: d - 1 orthonormal columns
+        # orthogonal to it (Gram-Schmidt once kept a spurious d-th column)
+        axis %= dim
+        off = np.array(direction[:dim])
+        off[axis] = 0.0
+        center = np.zeros(dim)
+        center[axis] = sign
+        if np.linalg.norm(off) > 0:
+            center += 10.0**exponent * off / np.linalg.norm(off)
+        chart = SphereChart(center)
+        B = chart.basis
+        assert B.shape == (dim, dim - 1)
+        assert np.allclose(B.T @ B, np.eye(dim - 1), rtol=0, atol=1e-9)
+        assert np.allclose(B.T @ chart.center, 0.0, rtol=0, atol=1e-9)
+        sigma = np.full(dim - 1, 0.1)
+        assert np.allclose(chart.invert(chart.value(sigma)), sigma, rtol=0, atol=1e-9)
+
 
 class TestChartJacobianFallback:
     @seed(20160617)
