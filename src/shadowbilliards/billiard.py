@@ -242,11 +242,15 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int,
     the position, so a step below gap / v_max cannot skip a crossing; near the
     boundary the step is floored at eps/10 path length, and each sign change
     is then bisected on the gap function. An event whose velocity makes an
-    angle with the surface of sine below 1e-4 raises GrazingEventError.
+    angle with the surface of sine below 1e-4 raises GrazingEventError. The
+    Verlet flights between events assume w == 0, so a magnetic term raises
+    ValueError before any flight.
     """
     h = dom.h
+    if h.magnetic is not None:
+        raise ValueError("billiard flights cannot take a magnetic term w: they assume w == 0")
     analytic = False
-    if h.potential.is_zero and h.magnetic is None:
+    if h.potential.is_zero:
         flight = _FreeFlight(h)
         v2max = float(np.linalg.norm(h.velocity(s0.q, s0.p)))
         analytic = _entry_times_free(dom, s0.q, h.velocity(s0.q, s0.p), 1e-9,

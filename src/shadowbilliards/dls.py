@@ -16,7 +16,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocktri import (SingularBlockError, assemble_dense, inverse_inf_norm,
+from .blocktri import (BlockTridiagonalFactor, assemble_dense, inverse_inf_norm,
                        solve_window, split_blocks)
 from .dynamics import central_diff
 
@@ -366,11 +366,7 @@ class BlockTridiagonalHessian:
         return out
 
     def solve(self, rhs: Sequence[np.ndarray]) -> List[np.ndarray]:
-        if self.corner is not None:
-            M = self.dense()
-            x = np.linalg.solve(M, np.concatenate([np.asarray(r) for r in rhs]))
-            return split_blocks(x, self.dims)
-        return solve_window(self.diag, self.offdiag, rhs)
+        return BlockTridiagonalFactor(self.diag, self.offdiag, self.corner).solve(rhs)
 
     def smallest_singular_value(self) -> float:
         M = self.dense()
@@ -444,7 +440,7 @@ def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
         H = hessian(dl, c)
         try:
             step = H.solve([-r for r in res])
-        except (np.linalg.LinAlgError, SingularBlockError) as exc:
+        except np.linalg.LinAlgError as exc:
             if not allow_singular:
                 raise NewtonError(f"singular chain Hessian at iteration {it}") from exc
             flat, *_ = np.linalg.lstsq(H.dense(),

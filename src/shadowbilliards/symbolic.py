@@ -84,42 +84,19 @@ class EntropyReport:
     value: float
     spectral_radius: float
     reducible: bool
-    iterations: int
 
 
-_TOL = 1e-10        # power-iteration convergence, and the radius below which rho is 0
-
-
-def _power_iteration(A: np.ndarray):
-    n = A.shape[0]
-    x = np.full(n, 1.0 / np.sqrt(n))
-    lam = 0.0
-    # small diagonal shift keeps the Perron root simple even on pure cycles
-    shift = 0.5
-    Bs = A.astype(float) + shift * np.eye(n)
-    it = 0
-    for it in range(1, 100_001):
-        y = Bs @ x
-        lam_new = float(np.linalg.norm(y))
-        if lam_new == 0:
-            return 0.0, it
-        y /= lam_new
-        if abs(lam_new - lam) < _TOL * max(1.0, abs(lam_new)) and it > 3:
-            lam, x = lam_new, y
-            break
-        lam, x = lam_new, y
-    return max(lam - shift, 0.0), it
+_TOL = 1e-10        # spectral radius below which rho is 0
 
 
 def entropy(g: CollisionGraph) -> EntropyReport:
     """Topological entropy: log of the adjacency spectral radius.
 
     The radius is the largest over the strongly connected components that
-    carry a cycle, each by power iteration cross-checked against a dense
-    eigensolve of the component (they must agree to 1e-9, else the dense
-    value is taken). A graph in which no vertex reaches itself has spectral
-    radius 0 and reports entropy -inf ("no chain dynamics") without
-    iterating; reducible graphs report the dominant component's value, flagged.
+    carry a cycle, each from a dense eigensolve of the component. A graph in
+    which no vertex reaches itself has spectral radius 0 and reports entropy
+    -inf ("no chain dynamics"); reducible graphs report the dominant
+    component's value, flagged.
     """
     A = g.adjacency
     n = A.shape[0]
@@ -130,20 +107,16 @@ def entropy(g: CollisionGraph) -> EntropyReport:
         R = R @ R                               # reflexive transitive closure
     reducible = n > 1 and not bool(np.all(R & R.T))
     on_cycle = np.diag((A > 0) @ R)             # vertices that reach themselves
-    rho, it = 0.0, 0
+    rho = 0.0
     for i in np.flatnonzero(on_cycle):
         comp = np.flatnonzero(R[i] & R[:, i])
         if comp[0] != i:
             continue                            # component done at its first vertex
-        B = A[np.ix_(comp, comp)]
-        rho_c, it_c = _power_iteration(B)
-        rho_dense = float(np.max(np.abs(np.linalg.eigvals(B.astype(float)))))
-        if abs(rho_c - rho_dense) > 1e-9 * max(1.0, rho_dense):
-            rho_c = rho_dense
-        rho, it = max(rho, rho_c), it + it_c
+        B = A[np.ix_(comp, comp)].astype(float)
+        rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(B)))))
     if rho <= _TOL:
-        return EntropyReport(NEG_INF, 0.0, reducible, it)
-    return EntropyReport(float(np.log(rho)), float(rho), reducible, it)
+        return EntropyReport(NEG_INF, 0.0, reducible)
+    return EntropyReport(float(np.log(rho)), float(rho), reducible)
 
 
 class PathBudgetError(RuntimeError):

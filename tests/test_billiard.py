@@ -8,8 +8,8 @@ from shadowbilliards.billiard import (BilliardDomain, BoxWalls,
                                       billiard_trajectory, expansion_residual,
                                       generating_eps, lyapunov_estimate, reflect,
                                       replay, shadow_error, shadow_solve)
-from shadowbilliards.dynamics import (ClassicalHamiltonian, HarmonicPotential, PhaseState,
-                                      euclidean)
+from shadowbilliards.dynamics import (ClassicalHamiltonian, HarmonicPotential, MagneticField,
+                                      PhaseState, euclidean, flat_torus)
 from shadowbilliards.scatterer import ChartScatterer, DiagonalScatterer, PointScatterer
 
 
@@ -137,6 +137,24 @@ class TestTrajectory:
         s0 = PhaseState(np.array([0.5, b]), np.array([-1.0, 0.0]))
         with pytest.raises(GrazingEventError):
             billiard_trajectory(dom, s0, 1, t_max=1.0)
+
+    def test_magnetic_field_refused_before_any_flight(self, monkeypatch):
+        # the Verlet flights ignored w: with B = 0.3 in the gauge w = B/2 (-y, x)
+        # a flight to t = 0.5 ended at energy 0.509 instead of 0.5, 0.080 away
+        # from the midpoint flow of flow_segment
+        def no_flight(*args, **kwargs):
+            raise AssertionError("flew a magnetic billiard")
+
+        monkeypatch.setattr(billiard, "_verlet_steps", no_flight)
+        B = 0.3
+        w = MagneticField(lambda q: 0.5 * B * np.array([-q[1], q[0]]),
+                          lambda q: 0.5 * B * np.array([[0.0, -1.0], [1.0, 0.0]]))
+        scn, _ = torus_setup()
+        h = ClassicalHamiltonian(flat_torus([1.0, 1.0]), magnetic=w)
+        q0 = np.array([0.5, 0.3])
+        s0 = PhaseState(q0, h.momentum_from_velocity(q0, np.array([0.6, 0.8])))
+        with pytest.raises(ValueError, match="magnetic term w"):
+            billiard_trajectory(BilliardDomain(h, scn.scatterer, 0.05), s0, 1, t_max=0.375)
 
     def test_box_wall_reflections(self):
         scn = scenarios.two_ball_box_scenario(masses=(1.0, 2.0))

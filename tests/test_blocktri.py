@@ -1,4 +1,4 @@
-"""Block Thomas solves and window inverse norms against dense linear algebra."""
+"""Chain LU solves, cyclic or not, and window inverse norms against dense linear algebra."""
 
 import os
 import subprocess
@@ -11,16 +11,18 @@ import pytest
 import scipy.linalg as sla
 from hypothesis import given, seed, settings, strategies as st
 
-from shadowbilliards import blocktri
 from shadowbilliards.blocktri import (BlockTridiagonalFactor, assemble_dense,
                                       inverse_inf_norm, solve_window, split_blocks)
+from shadowbilliards.dls import BlockTridiagonalHessian
 
 
 @st.composite
-def windows(draw):
-    """Strictly row diagonally dominant symmetric window, half-width W in 0..20,
-    blocks of size 1-3 and random diagonal signs (so often indefinite)."""
-    W = draw(st.integers(0, 20))
+def windows(draw, cyclic=False):
+    """Strictly row diagonally dominant symmetric window, half-width W in 0..20
+    (1..20 for cyclic systems, so they have at least three sites), blocks of
+    size 1-3 and random diagonal signs (so often indefinite). Cyclic systems
+    carry a corner block coupling the last site with the first."""
+    W = draw(st.integers(1 if cyclic else 0, 20))
     dims = draw(st.lists(st.integers(1, 3), min_size=2 * W + 1, max_size=2 * W + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     A = []
@@ -28,12 +30,22 @@ def windows(draw):
         R = rng.uniform(-1.0, 1.0, (d, d))
         A.append(0.5 * (R + R.T))
     B = [rng.uniform(-1.0, 1.0, (d, e)) for d, e in zip(dims[:-1], dims[1:])]
-    rows = np.sum(np.abs(assemble_dense(A, B)), axis=1)
+    corner = rng.uniform(-1.0, 1.0, (dims[-1], dims[0])) if cyclic else None
+    rows = np.sum(np.abs(assemble_dense(A, B, corner)), axis=1)
     offs = np.concatenate([[0], np.cumsum(dims)])
     for i, a in enumerate(A):
         sign = rng.choice([-1.0, 1.0])
         a[np.diag_indices(dims[i])] = sign * (rows[offs[i]:offs[i + 1]] + rng.uniform(0.1, 2.0))
-    return A, B, rng
+    return A, B, corner, rng
+
+
+def lu_tolerance(M):
+    """Relative accuracy of a backward-stable solve of M: 10 N eps cond(M)."""
+    return 10 * M.shape[0] * np.finfo(float).eps * np.linalg.cond(M, np.inf)
+
+
+def loads(rng, n, k):
+    return rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, (n, k))
 
 
 class TestBlockTridiagonal:
@@ -41,22 +53,38 @@ class TestBlockTridiagonal:
     @settings(max_examples=25, deadline=None, database=None)
     @given(windows(), st.integers(1, 4))
     def test_solve_matches_dense(self, win, k):
-        A, B, rng = win
+        A, B, _, rng = win
         M = assemble_dense(A, B)
-        fac = BlockTridiagonalFactor(A, B)
-        scale = np.max(np.abs(np.linalg.inv(M)))
-        for rhs in (rng.uniform(-1.0, 1.0, M.shape[0]), rng.uniform(-1.0, 1.0, (M.shape[0], k))):
-            x = np.concatenate(fac.solve(split_blocks(rhs, fac.dims)))
+        tol = lu_tolerance(M)
+        dims = [a.shape[0] for a in A]
+        for rhs in loads(rng, M.shape[0], k):
+            x = np.concatenate(solve_window(A, B, split_blocks(rhs, dims)))
             ref = np.linalg.solve(M, rhs)
             assert x.shape == ref.shape
-            assert np.max(np.abs(x - ref)) <= 1e-12 * scale * max(1, M.shape[0])
+            assert np.max(np.abs(x - ref)) <= tol * np.max(np.abs(ref))
+
+    @seed(20161018)
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(windows(cyclic=True), st.integers(1, 4))
+    def test_cyclic_solve_matches_dense(self, win, k):
+        A, B, corner, rng = win
+        M = assemble_dense(A, B, corner)
+        tol = lu_tolerance(M)
+        H = BlockTridiagonalHessian(A, B, corner, periodic=True)
+        for rhs in loads(rng, M.shape[0], k):
+            x = np.concatenate(H.solve(split_blocks(rhs, H.dims)))
+            ref = np.linalg.solve(M, rhs)
+            assert x.shape == ref.shape
+            assert np.max(np.abs(x - ref)) <= tol * np.max(np.abs(ref))
 
     @seed(20161018)
     @settings(max_examples=25, deadline=None, database=None)
     @given(windows())
     def test_inverse_norm_is_dense_row_sum_with_one_sweep(self, win):
-        A, B, _ = win
-        dense = np.max(np.sum(np.abs(np.linalg.inv(assemble_dense(A, B))), axis=1))
+        A, B, _, _ = win
+        M = assemble_dense(A, B)
+        tol = lu_tolerance(M)
+        dense = np.max(np.sum(np.abs(np.linalg.inv(M)), axis=1))
         calls = []
         orig = BlockTridiagonalFactor.solve
 
@@ -66,55 +94,45 @@ class TestBlockTridiagonal:
 
         with mock.patch.object(BlockTridiagonalFactor, "solve", counted):
             got = inverse_inf_norm(A, B)
-        assert abs(got - dense) <= 1e-12 * dense
-        assert calls == [len(A)]
-
-    def test_dense_fallback_takes_matrix_loads(self):
-        # a zero leading block stops block elimination; the dense solve takes over
-        A = [np.zeros((1, 1)), np.array([[2.0, 0.5], [0.5, 3.0]]), np.eye(1)]
-        B = [np.array([[1.0, 0.3]]), np.array([[0.2], [0.4]])]
-        rhs = [np.ones((1, 2)), np.arange(4.0).reshape(2, 2), np.zeros((1, 2))]
-        try:
-            BlockTridiagonalFactor(A, B)
-            raise AssertionError("expected a singular pivot")
-        except blocktri.SingularBlockError:
-            pass
-        x = np.concatenate(solve_window(A, B, rhs))
-        assert np.allclose(assemble_dense(A, B) @ x, np.concatenate(rhs), atol=1e-14)
+        assert abs(got - dense) <= tol * dense
+        assert len(calls) == 1
 
     @seed(20161018)
     @settings(max_examples=25, deadline=None, database=None)
     @given(windows(), st.integers(1, 4))
     def test_pivot_solves_equal_the_scipy_wrappers(self, win, k):
-        A, B, rng = win
+        # the same LAPACK LU as scipy.linalg.lu_factor / lu_solve, bit for bit
+        A, B, _, rng = win
+        lu = sla.lu_factor(assemble_dense(A, B))
         fac = BlockTridiagonalFactor(A, B)
-        for rhs in (rng.uniform(-1.0, 1.0, sum(fac.dims)),
-                    rng.uniform(-1.0, 1.0, (sum(fac.dims), k))):
-            rhs_blocks = split_blocks(rhs, fac.dims)
-            for x, ref in zip(fac.solve(rhs_blocks), wrapper_thomas(A, B, rhs_blocks)):
-                assert x.tobytes() == ref.tobytes()
+        for rhs in loads(rng, sum(fac.dims), k):
+            x = np.concatenate(fac.solve(split_blocks(rhs, fac.dims)))
+            assert x.tobytes() == sla.lu_solve(lu, rhs).tobytes()
+
+    def test_singular_leading_block_is_solved(self):
+        # a zero leading block has no pivot of its own; row pivoting takes it
+        A = [np.zeros((1, 1)), np.array([[2.0, 0.5], [0.5, 3.0]]), np.eye(1)]
+        B = [np.array([[1.0, 0.3]]), np.array([[0.2], [0.4]])]
+        rhs = [np.ones((1, 2)), np.arange(4.0).reshape(2, 2), np.zeros((1, 2))]
+        x = np.concatenate(solve_window(A, B, rhs))
+        assert np.allclose(assemble_dense(A, B) @ x, np.concatenate(rhs), atol=1e-14)
+
+    def test_singular_matrix_raises(self):
+        # [[1, 1], [1, 1]]: elimination leaves an exact zero pivot
+        A = [np.eye(1), np.eye(1)]
+        B = [np.eye(1)]
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            solve_window(A, B, [np.ones(1)] * 2)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            inverse_inf_norm(A, B)
 
     def test_nan_block_is_singular(self):
         A = [np.eye(2), np.array([[1.0, np.nan], [np.nan, 1.0]]), np.eye(2)]
         B = [0.1 * np.eye(2)] * 2
-        with pytest.raises(blocktri.SingularBlockError, match="at block 1"):
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
             BlockTridiagonalFactor(A, B)
-
-
-def wrapper_thomas(A, B, rhs_blocks):
-    """Block Thomas solve through scipy.linalg.lu_factor / lu_solve."""
-    n = len(A)
-    pivots = [sla.lu_factor(A[0])]
-    for i in range(1, n):
-        pivots.append(sla.lu_factor(A[i] - B[i - 1].T @ sla.lu_solve(pivots[i - 1], B[i - 1])))
-    y = [np.asarray(r, dtype=float).copy() for r in rhs_blocks]
-    for i in range(1, n):
-        y[i] = y[i] - B[i - 1].T @ sla.lu_solve(pivots[i - 1], y[i - 1])
-    x = [None] * n
-    x[n - 1] = sla.lu_solve(pivots[n - 1], y[n - 1])
-    for i in range(n - 2, -1, -1):
-        x[i] = sla.lu_solve(pivots[i], y[i] - B[i] @ x[i + 1])
-    return x
+        with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+            BlockTridiagonalHessian(A, B, 0.1 * np.eye(2), periodic=True).solve([np.ones(2)] * 3)
 
 
 class TestBlasThreads:

@@ -328,7 +328,7 @@ class TestRuns:
         scn = scenarios.ncenter_scenario(p["centers"], p["alphas"], p["energy"])
         graph = symbolic.build_graph(scn.graph_vertices())
         assert (out / "graph.txt").read_text() == graph.dump() + "\n"
-        assert json.loads((out / "report.json").read_text())["entropy"] == 1.0986122886681096
+        assert json.loads((out / "report.json").read_text())["entropy"] == 1.0986122886681098
         rows = (out / "mu_table.csv").read_text().splitlines()[1:]
         assert [row.split(",")[2] for row in rows] == ["1", "1"]
 
