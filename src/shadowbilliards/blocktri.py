@@ -2,46 +2,41 @@
 
 Symmetric systems with diagonal blocks A_i, superdiagonal coupling blocks B_i
 (the subdiagonal is B_i^T) and, for periodic chains, a corner block coupling
-the last site with the first. Every system is assembled dense and factored by
-one pivoted LU (LAPACK getrf/getrs, called without the scipy.linalg
-wrappers): no chain here has more than a few hundred rows, where this is as
-fast as a block elimination and needs no pivot blocks of its own. A
-right-hand side block may be a vector (d_i,) or a matrix (d_i, k), so the sup
-norm of a window inverse takes one factorization and one solve against the
+the last site with the first. Every system is assembled dense and solved by
+one pivoted LU, numpy's LAPACK gesv (getrf + getrs), once per factor object:
+every caller solves each factor once. No chain here has more than a few
+hundred rows, where this is as fast as a block elimination and needs no pivot
+blocks of its own. A right-hand side block may be a vector (d_i,) or a matrix
+(d_i, k), so the sup norm of a window inverse takes one solve against the
 identity.
 """
 
 from __future__ import annotations
 
-import os
 from typing import List, Optional, Sequence
 
-# these solves are small and OpenBLAS threads on a busy CPU slow them several
-# times; scipy's OpenBLAS reads this once, as it loads: a user's value wins
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402
-from scipy.linalg.lapack import dgetrf, dgetrs  # noqa: E402
+import numpy as np
 
 
 class BlockTridiagonalFactor:
-    """Pivoted LU of a symmetric block-tridiagonal matrix, cyclic or not."""
+    """Symmetric block-tridiagonal matrix, cyclic or not, for one pivoted LU solve."""
 
     def __init__(self, A: Sequence[np.ndarray], B: Sequence[np.ndarray],
                  corner: Optional[np.ndarray] = None):
         if len(B) != len(A) - 1:
             raise ValueError("need one coupling block between consecutive diagonals")
         self.dims = [a.shape[0] for a in A]
-        M = assemble_dense(A, B, corner)
-        if not np.all(np.isfinite(M)):
+        self._M = assemble_dense(A, B, corner)
+        if not np.all(np.isfinite(self._M)):
             raise np.linalg.LinAlgError("non-finite entry in the chain matrix")
-        self._lu, self._piv, info = dgetrf(M, overwrite_a=True)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"singular chain matrix (getrf info {info})")
 
     def solve(self, rhs_blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
         rhs = np.concatenate([np.asarray(r, dtype=float) for r in rhs_blocks])
-        return split_blocks(dgetrs(self._lu, self._piv, rhs, overwrite_b=True)[0], self.dims)
+        try:
+            x = np.linalg.solve(self._M, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError("singular chain matrix") from exc
+        return split_blocks(x, self.dims)
 
 
 def assemble_dense(A: Sequence[np.ndarray], B: Sequence[np.ndarray],

@@ -8,7 +8,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from hypothesis import given, seed, settings, strategies as st
 
 from shadowbilliards.blocktri import (BlockTridiagonalFactor, assemble_dense,
@@ -100,14 +99,14 @@ class TestBlockTridiagonal:
     @seed(20161018)
     @settings(max_examples=25, deadline=None, database=None)
     @given(windows(), st.integers(1, 4))
-    def test_pivot_solves_equal_the_scipy_wrappers(self, win, k):
-        # the same LAPACK LU as scipy.linalg.lu_factor / lu_solve, bit for bit
+    def test_pivot_solves_equal_numpy_gesv(self, win, k):
+        # the same LAPACK LU as np.linalg.solve of the dense matrix, bit for bit
         A, B, _, rng = win
-        lu = sla.lu_factor(assemble_dense(A, B))
+        M = assemble_dense(A, B)
         fac = BlockTridiagonalFactor(A, B)
         for rhs in loads(rng, sum(fac.dims), k):
             x = np.concatenate(fac.solve(split_blocks(rhs, fac.dims)))
-            assert x.tobytes() == sla.lu_solve(lu, rhs).tobytes()
+            assert x.tobytes() == np.linalg.solve(M, rhs).tobytes()
 
     def test_singular_leading_block_is_solved(self):
         # a zero leading block has no pivot of its own; row pivoting takes it
@@ -135,15 +134,38 @@ class TestBlockTridiagonal:
             BlockTridiagonalHessian(A, B, 0.1 * np.eye(2), periodic=True).solve([np.ones(2)] * 3)
 
 
+def run_fresh(code, preset=None):
+    """Standard output of `code` in a new interpreter that imports from src/,
+    with OPENBLAS_NUM_THREADS unset or set to `preset`."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip()
+
+
 class TestBlasThreads:
     @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
     def test_one_openblas_thread_unless_set(self, preset, expected):
-        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        if preset is not None:
-            env["OPENBLAS_NUM_THREADS"] = preset
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = "import os, shadowbilliards; print(os.environ['OPENBLAS_NUM_THREADS'])"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.strip() == expected
+        assert run_fresh(code, preset) == expected
+
+    def test_pinned_before_numpy_loads(self):
+        # numpy's OpenBLAS reads the variable once, as numpy is first imported
+        code = """
+import os, sys
+seen = []
+
+class Recorder:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Recorder())
+import shadowbilliards
+print(seen)
+"""
+        assert run_fresh(code) == "['1']"
