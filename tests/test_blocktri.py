@@ -169,3 +169,17 @@ import shadowbilliards
 print(seen)
 """
         assert run_fresh(code) == "['1']"
+
+
+class TestImportPath:
+    def test_shipped_run_never_loads_scipy(self, tmp_path):
+        # scipy costs about 0.3 s of CPU at import; the chain solves use numpy's LAPACK
+        scn = str(Path(__file__).resolve().parents[1] / "scenarios" / "two_balls_box.json")
+        code = (f"import sys\n"
+                f"from shadowbilliards import cli\n"
+                f"print('scipy' in sys.modules)\n"
+                f"print(cli.main(['scenario', 'run', '--scenario', {scn!r}, "
+                f"'--out', {str(tmp_path / 'tbb')!r}]))\n"
+                f"print('scipy' in sys.modules)\n")
+        lines = run_fresh(code).splitlines()  # the run prints its own lines in between
+        assert (lines[0], lines[-2], lines[-1]) == ("False", "0", "False")

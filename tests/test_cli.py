@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -360,22 +357,3 @@ class TestRuns:
         assert failures[0] == ("shadow experiment failed to converge at some mu "
                                "(mu=1.000e-03: SingularShadowError: no descent "
                                "(|R| = 1.00e-03))")
-
-
-class TestImports:
-    def test_shipped_run_never_loads_scipy(self, tmp_path):
-        # scipy costs about 0.3 s of CPU at import; the chain solves use numpy's LAPACK
-        scn = str(SCENARIOS / "two_balls_box.json")
-        code = (f"import sys\n"
-                f"from shadowbilliards import cli\n"
-                f"print('scipy' in sys.modules)\n"
-                f"print(cli.main(['scenario', 'run', '--scenario', {scn!r}, "
-                f"'--out', {str(tmp_path / 'tbb')!r}]))\n"
-                f"print('scipy' in sys.modules)\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        lines = out.stdout.splitlines()  # the run prints its own lines in between
-        assert (lines[0], lines[-2], lines[-1]) == ("False", "0", "False")
