@@ -13,7 +13,7 @@ charts, which realizes the shadowing construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -170,9 +170,9 @@ def _entry_times_free(dom: BilliardDomain, q: np.ndarray, v: np.ndarray,
     The segment is assumed shorter than a quarter period on tori so a single
     centered image of each scatterer point is authoritative. Returns
     (surface index, entry time) or None. Outgoing rays never re-enter a
-    convex piece, so times at or below t_floor are ignored.
+    convex piece, so times at or below t_floor are ignored. The scatterer is a
+    PointScatterer or a DiagonalScatterer.
     """
-    from .scatterer import DiagonalScatterer, PointScatterer
     best = None
     scat = dom.scatterer
     mid = q + 0.5 * dt * v
@@ -195,14 +195,12 @@ def _entry_times_free(dom: BilliardDomain, q: np.ndarray, v: np.ndarray,
             t = tube_entry(w, v)
             if t is not None and (best is None or t < best[1]):
                 best = (0, t)
-    elif isinstance(scat, DiagonalScatterer):
+    else:
         d = scat.factor_dim
         rel = dom.h.space.centered(np.concatenate([q[:d] - q[d:], np.zeros(d)]))[:d]
         t = tube_entry(rel / np.sqrt(2.0), (v[:d] - v[d:]) / np.sqrt(2.0))
         if t is not None:
             best = (0, t)
-    else:
-        return NotImplemented
     if dom.walls is not None:
         dim = dom.h.dim
         for i in range(dim):
@@ -234,8 +232,7 @@ class _VerletFlight:
 _ARM_GAP = 1e-9     # a surface is armed for crossings once the gap to it exceeds this
 
 
-def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int,
-                        t_max: Optional[float] = None) -> BilliardRun:
+def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int) -> BilliardRun:
     """Flow-with-reflections for a fixed number of boundary events.
 
     Bracketing uses the global speed bound: the boundary gap is 1-Lipschitz in
@@ -253,8 +250,7 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int,
     if h.potential.is_zero:
         flight = _FreeFlight(h)
         v2max = float(np.linalg.norm(h.velocity(s0.q, s0.p)))
-        analytic = _entry_times_free(dom, s0.q, h.velocity(s0.q, s0.p), 1e-9,
-                                     0.0) is not NotImplemented
+        analytic = isinstance(dom.scatterer, (PointScatterer, DiagonalScatterer))
     else:
         E = h.energy(s0.q, s0.p)
         lam_min = float(np.min(np.linalg.eigvalsh(h.mass)))
@@ -294,12 +290,9 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int,
         steps += 1
         if steps > 2_000_000:
             raise EventSearchError("step budget exhausted before the requested events")
-        if t_max is not None and state.t - s0.t > t_max:
-            break
 
         if analytic:
-            budget = min(step_cap,
-                         (t_max - (state.t - s0.t) + 1e-9) if t_max is not None else 1e9)
+            budget = min(step_cap, 1e9)
             v = h.velocity(state.q, state.p)
             found = _entry_times_free(dom, state.q, v, budget, 1e-12)
             if found is None:
@@ -593,16 +586,18 @@ def _site_base(dl, c, i):
     return 0
 
 
+_SHADOW_ITERS = 60      # Newton steps of shadow_solve before ShadowSolveError
+
+
 def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
-                 eps: float, tol_factor: float = 1e-10, max_iter: int = 60,
-                 initial_directions: Optional[Sequence[np.ndarray]] = None) -> ShadowChain:
+                 eps: float, tol_factor: float = 1e-10) -> ShadowChain:
     """Critical chain of the tube billiard near a critical chain of the limit.
 
     Starts from the convex predictor (tube directions aligned with the
     momentum jumps), then runs a damped Newton on the joint residual in the
     variables (base point, tube direction), re-centering the sphere charts at
     every step. Terminal sup-norm residual is tol_factor * sqrt(2E), reached
-    within max_iter Newton steps.
+    within 60 Newton steps.
     """
     scat = dl.scatterer
     if scat is None:
@@ -615,9 +610,7 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
     E = dl.energy if dl.energy is not None else 0.5
     tol = tol_factor * np.sqrt(2.0 * E)
 
-    s_list = [np.asarray(s, dtype=float) for s in
-              (initial_directions if initial_directions is not None
-               else _predictor_directions(dl, c))]
+    s_list = _predictor_directions(dl, c)
     x_list = [c.points[i].copy() for i in range(c.n_free)]
 
     def build(charts):
@@ -637,12 +630,7 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
         jdl = dlsmod.DiscreteLagrangian(links, energy=E, scatterer=scat,
                                         name=(dl.name + f"/eps={eps:g}"))
         pts = [np.zeros(ch.dim) for ch in charts]
-        if c.bc == "periodic":
-            jc = dlsmod.ChainConfiguration(code, pts, "periodic")
-        else:
-            jc = dlsmod.ChainConfiguration(code, pts, "fixed",
-                                           left=np.zeros(0), right=np.zeros(0))
-        return jdl, jc
+        return jdl, dlsmod.ChainConfiguration(code, pts, c.bc)
 
     def make_charts():
         return [_SiteChart(scat, (x_list[i] if scat.dim > 0 else _site_base(dl, c, i)),
@@ -654,7 +642,7 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
     rn = dlsmod.residual_norm(res)
     it = 0
     while rn > tol:
-        if it == max_iter:
+        if it == _SHADOW_ITERS:
             raise ShadowSolveError(f"shadow Newton did not converge: |r| = {rn:.3e}")
         H = dlsmod.hessian(jdl, jc)
         try:

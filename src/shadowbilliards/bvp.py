@@ -45,7 +45,6 @@ class CollisionOrbit:
     p_plus: np.ndarray
     path: np.ndarray                      # cover coordinates, starts at q_minus
     label: object = None
-    winding: Optional[np.ndarray] = None
     backend: str = "straight"
     reconnect: Optional[Callable] = None  # (q_minus, q_plus) -> CollisionOrbit
     # straight and unfolded chords: the action is sqrt(2E) |chord|_M, and the
@@ -121,7 +120,6 @@ def _straight_connect(h: ClassicalHamiltonian, qm, qp, E, winding=None,
         return _straight_connect(h, qm2, qp2, E, winding, label)
 
     return CollisionOrbit(h, E, qm, qp, action, tau, p, p, path, label=label,
-                          winding=None if winding is None else np.asarray(winding),
                           backend="straight", reconnect=redo, chord=disp,
                           parity=np.ones(disp.size))
 
@@ -219,13 +217,18 @@ def _shooting_jacobian(h: ClassicalHamiltonian, qm, p, tau,
     return J
 
 
-def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess, label=None,
-                      tol: float = 1e-10, max_iter: int = 60,
-                      steps_per_unit: float = 800.0) -> CollisionOrbit:
-    """Newton on (p-, tau) to the lifted endpoint on the energy shell, at most
-    max_iter steps; path, p+ and action are the accepted Newton flight's. At
-    800 steps per unit time p+ meets the energy to 1e-9, a tenth of the
-    CollisionOrbit check, on 180 kepler_xcheck arcs (6.4e-9 at 500)."""
+_SHOOT_TOL = 1e-10              # relative endpoint and energy miss of a converged shot
+_SHOOT_ITERS = 60               # Newton steps before ConnectError
+_SHOOT_STEPS_PER_UNIT = 800.0   # Verlet steps per unit time of each flight
+
+
+def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess,
+                      label=None) -> CollisionOrbit:
+    """Newton on (p-, tau) to the endpoint on the energy shell, at most 60
+    steps; path, p+ and action are the accepted Newton flight's. The guess is
+    None or a dict of any of p0, tau0 and direction. At 800 steps per unit
+    time p+ meets the energy to 1e-9, a tenth of the CollisionOrbit check, on
+    180 kepler_xcheck arcs (6.4e-9 at 500)."""
     if h.magnetic is not None:
         raise ConnectError("shooting cannot take a magnetic term w: its flights assume w == 0")
     qm = np.asarray(qm, dtype=float)
@@ -233,16 +236,9 @@ def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess, label=None,
     d = h.dim
     if not (h.potential.value(qm) < E and h.potential.value(qp) < E):
         raise DomainError("endpoints outside the domain of possible motion")
-    target = qm + h.space.displacement(qm, qp,
-                                       None if not h.space.is_torus else
-                                       (guess.get("winding") if isinstance(guess, dict) else None))
-
-    if isinstance(guess, dict):
-        p0 = guess.get("p0")
-        tau0 = guess.get("tau0")
-        direction = guess.get("direction")
-    else:
-        p0, tau0, direction = None, None, guess
+    target = qm + h.space.displacement(qm, qp)
+    guess = {} if guess is None else guess
+    p0, tau0, direction = guess.get("p0"), guess.get("tau0"), guess.get("direction")
     if p0 is None:
         if direction is None:
             direction = target - qm
@@ -261,18 +257,19 @@ def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess, label=None,
     scale = max(1.0, np.linalg.norm(target - qm))
 
     def residual(p, tau):
-        q_end, flight = _flow_to(h, qm, p, tau, steps_per_unit)
+        q_end, flight = _flow_to(h, qm, p, tau, _SHOOT_STEPS_PER_UNIT)
         return np.concatenate([q_end - target, [h.energy(qm, p) - E]]), flight
 
     def converged(r):
-        return np.linalg.norm(r[:d]) <= tol * scale and abs(r[d]) <= tol * max(1.0, abs(E))
+        return (np.linalg.norm(r[:d]) <= _SHOOT_TOL * scale
+                and abs(r[d]) <= _SHOOT_TOL * max(1.0, abs(E)))
 
     r, flight = residual(p, tau)
     it = 0
     while not converged(r):
-        if it == max_iter:
+        if it == _SHOOT_ITERS:
             raise ConnectError(f"shooting Newton did not converge: |r| = {np.linalg.norm(r):.2e}")
-        J = _shooting_jacobian(h, qm, p, tau, steps_per_unit)
+        J = _shooting_jacobian(h, qm, p, tau, _SHOOT_STEPS_PER_UNIT)
         try:
             step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as exc:
@@ -292,8 +289,7 @@ def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess, label=None,
         it += 1
 
     def redo(qm2, qp2):
-        return _shooting_connect(h, qm2, qp2, E, {"p0": p, "tau0": tau}, label,
-                                 tol, max_iter, steps_per_unit)
+        return _shooting_connect(h, qm2, qp2, E, {"p0": p, "tau0": tau}, label)
 
     p_plus, path, action = flight
     return CollisionOrbit(h, E, qm, qp, float(action), float(tau), p, p_plus, path,
@@ -305,7 +301,7 @@ def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess, label=None,
 # ---------------------------------------------------------------------------
 
 def connect(h: ClassicalHamiltonian, q_minus, q_plus, E: float, guess=None,
-            label=None, backend: str = "auto", **kw) -> CollisionOrbit:
+            label=None, backend: str = "auto") -> CollisionOrbit:
     """Energy-E orbit from q_minus to q_plus for the branch named by the label.
 
     Labels: torus winding vector for free flight; (revolutions, arc) for the
@@ -321,19 +317,17 @@ def connect(h: ClassicalHamiltonian, q_minus, q_plus, E: float, guess=None,
             backend = "shooting"
     if backend == "straight":
         winding = np.asarray(label, dtype=int) if (label is not None and h.space.is_torus) else None
-        return _straight_connect(h, q_minus, q_plus, E, winding, label, **kw)
+        return _straight_connect(h, q_minus, q_plus, E, winding, label)
     if backend == "kepler":
-        return _kepler_connect(h, q_minus, q_plus, E, label, **kw)
+        return _kepler_connect(h, q_minus, q_plus, E, label)
     if backend == "shooting":
-        return _shooting_connect(h, q_minus, q_plus, E, guess, label, **kw)
+        return _shooting_connect(h, q_minus, q_plus, E, guess, label)
     raise ValueError(f"unknown backend {backend!r}")
 
 
 @dataclass(frozen=True)
 class MomentaReport:
     max_rel_deviation: float
-    dS_minus: np.ndarray
-    dS_plus: np.ndarray
 
 
 def boundary_momenta_check(orbit: CollisionOrbit, fd_step: float = 1e-6) -> MomentaReport:
@@ -346,7 +340,7 @@ def boundary_momenta_check(orbit: CollisionOrbit, fd_step: float = 1e-6) -> Mome
                       fd_step)
     scale = max(np.linalg.norm(orbit.p_minus), np.linalg.norm(orbit.p_plus), 1e-30)
     dev = max(np.linalg.norm(gm + orbit.p_minus), np.linalg.norm(gp - orbit.p_plus))
-    return MomentaReport(float(dev / scale), gm, gp)
+    return MomentaReport(float(dev / scale))
 
 
 @dataclass(frozen=True)
@@ -402,10 +396,12 @@ def twist(orbit: CollisionOrbit, left_basis=None, right_basis=None) -> TwistResu
 class ConjugateReport:
     nondegenerate: bool
     sigma_min: float
-    sigma_scale: float
 
 
-def conjugate_test(orbit: CollisionOrbit, conj_tol: float = 1e-8) -> ConjugateReport:
+_CONJ_TOL = 1e-8    # sigma_min / sigma_max at or below this means conjugate endpoints
+
+
+def conjugate_test(orbit: CollisionOrbit) -> ConjugateReport:
     """Smallest singular value of the shooting sensitivity at the orbit.
 
     The sensitivity is the Jacobian of (endpoint, energy) with respect to
@@ -416,4 +412,4 @@ def conjugate_test(orbit: CollisionOrbit, conj_tol: float = 1e-8) -> ConjugateRe
     """
     J = _shooting_jacobian(orbit.h, orbit.path[0], orbit.p_minus, orbit.tau, 500.0)
     sig = np.linalg.svd(J, compute_uv=False)
-    return ConjugateReport(bool(sig[-1] > conj_tol * sig[0]), float(sig[-1]), float(sig[0]))
+    return ConjugateReport(bool(sig[-1] > _CONJ_TOL * sig[0]), float(sig[-1]))

@@ -299,7 +299,8 @@ def run_two_ball_torus(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
 
     scn = scenarios.two_ball_torus_scenario(masses, E, period)
     chain = scn.chain(code, [np.array([c]) for c in pts])
-    res = dlsmod.newton_chain(scn.dl, chain)
+    # translation symmetry makes the Hessian singular: take minimal-norm steps
+    res = dlsmod.newton_chain(scn.dl, chain, allow_singular=True)
     cert = dlsmod.hyperbolicity_certificate(scn.dl, res.chain, windows)
     H = dlsmod.hessian(scn.dl, res.chain)
     u_field = dlsmod.symmetry_field(res.chain, scn.symmetry().generator)

@@ -175,10 +175,7 @@ class DiscreteLagrangian:
     ambient_endpoints: Optional[Callable] = None
 
     def link(self, k) -> LinkEvaluator:
-        try:
-            return self.links[k]
-        except (KeyError, TypeError):
-            return self.links[_key(k)]
+        return self.links[k]
 
 
 class LazyLinks(dict):
@@ -194,14 +191,6 @@ class LazyLinks(dict):
         return link
 
 
-def _key(k):
-    if isinstance(k, np.ndarray):
-        return tuple(int(v) for v in k)
-    if isinstance(k, (list, tuple)):
-        return tuple(_key(v) for v in k) if any(isinstance(v, (list, tuple, np.ndarray)) for v in k) else tuple(k)
-    return k
-
-
 # ---------------------------------------------------------------------------
 # Chain configurations
 # ---------------------------------------------------------------------------
@@ -211,16 +200,14 @@ class ChainConfiguration:
     """Symbol code plus scatterer points in chart coordinates.
 
     periodic: points[j] for j in 0..n-1, link j joins x_j to x_{j+1 mod n}.
-    fixed: len(code) = len(points) + 1; frozen left/right coordinates feed the
-    outermost slots (they may be empty arrays when a boundary branch closes
-    over its ambient endpoint).
+    fixed: len(code) = len(points) + 1; the outermost slots have no chart
+    coordinates, since the boundary branches close over their ambient
+    endpoints.
     """
 
     code: List[object]
     points: List[np.ndarray]
     bc: str = "periodic"
-    left: Optional[np.ndarray] = None
-    right: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.points = [np.atleast_1d(np.asarray(x, dtype=float)) for x in self.points]
@@ -230,8 +217,6 @@ class ChainConfiguration:
         elif self.bc == "fixed":
             if len(self.code) != len(self.points) + 1:
                 raise ValueError("fixed chain needs len(code) = len(points) + 1")
-            self.left = np.atleast_1d(np.asarray(self.left if self.left is not None else [], dtype=float))
-            self.right = np.atleast_1d(np.asarray(self.right if self.right is not None else [], dtype=float))
         else:
             raise ValueError("bc must be 'periodic' or 'fixed'")
 
@@ -247,8 +232,8 @@ class ChainConfiguration:
         if self.bc == "periodic":
             n = len(self.points)
             return self.points[j % n], self.points[(j + 1) % n]
-        left = self.left if j == 0 else self.points[j - 1]
-        right = self.right if j == self.n_links - 1 else self.points[j]
+        left = np.zeros(0) if j == 0 else self.points[j - 1]
+        right = np.zeros(0) if j == self.n_links - 1 else self.points[j]
         return left, right
 
     def with_points(self, new_points) -> "ChainConfiguration":
@@ -322,9 +307,10 @@ def residual(dl: DiscreteLagrangian, c: ChainConfiguration) -> List[np.ndarray]:
 
 
 def residual_norm(res: Sequence[np.ndarray]) -> float:
-    if not res or all(r.size == 0 for r in res):
+    """Sup-norm over every block; NaN if any entry is NaN."""
+    if not res:
         return 0.0
-    return max(float(np.max(np.abs(r))) if r.size else 0.0 for r in res)
+    return float(np.max(np.abs(np.concatenate(res)), initial=0.0))
 
 
 @dataclass
@@ -339,7 +325,6 @@ class BlockTridiagonalHessian:
     diag: List[np.ndarray]
     offdiag: List[np.ndarray]
     corner: Optional[np.ndarray] = None
-    periodic: bool = False
 
     @property
     def dims(self) -> List[int]:
@@ -379,7 +364,7 @@ def hessian(dl: DiscreteLagrangian, c: ChainConfiguration) -> BlockTridiagonalHe
     """Assemble the block-tridiagonal second variation at the chain."""
     n = c.n_free
     if n == 0:
-        return BlockTridiagonalHessian([], [], None, c.bc == "periodic")
+        return BlockTridiagonalHessian([], [])
     H = _per_link(dl, c, "hessians")  # (d11, d12, d22) per link
 
     diag = []
@@ -388,18 +373,18 @@ def hessian(dl: DiscreteLagrangian, c: ChainConfiguration) -> BlockTridiagonalHe
         if c.bc == "periodic" and n == 1:
             d11, d12, d22 = H[0]
             diag.append(d11 + d22 + d12 + d12.T)
-            return BlockTridiagonalHessian(diag, [], None, True)
+            return BlockTridiagonalHessian(diag, [])
         diag.append(H[jin][2] + H[jout][0])
 
     if c.bc == "periodic":
         if n == 2:
             off = [H[0][1] + H[1][1].T]
-            return BlockTridiagonalHessian(diag, off, None, True)
+            return BlockTridiagonalHessian(diag, off)
         off = [H[j][1] for j in range(n - 1)]
         corner = H[n - 1][1]
-        return BlockTridiagonalHessian(diag, off, corner, True)
+        return BlockTridiagonalHessian(diag, off, corner)
     off = [H[j + 1][1] for j in range(n - 1)]
-    return BlockTridiagonalHessian(diag, off, None, False)
+    return BlockTridiagonalHessian(diag, off)
 
 
 # ---------------------------------------------------------------------------
@@ -416,15 +401,17 @@ class NewtonResult:
 
 
 _NEWTON_HALVINGS = 40      # step halvings per Newton iteration before NewtonError
+_NEWTON_TOL = 1e-10        # sup-norm residual of a converged chain
 
 
 def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
-                 tol: float = 1e-10, allow_singular: bool = False) -> NewtonResult:
+                 allow_singular: bool = False) -> NewtonResult:
     """Damped Newton on the chain residual using the block structure.
 
-    At most 60 iterations; the step is halved until the sup-norm of the
-    residual decreases, at most 40 times per iteration. A chain
-    without free coordinates is already critical and is returned unchanged.
+    Runs to a sup-norm residual of 1e-10 in at most 60 iterations; the step
+    is halved until the sup-norm of the residual decreases, at most 40 times
+    per iteration. A chain without free coordinates is already critical and
+    is returned unchanged.
     A singular Hessian raises unless allow_singular is set, in which case the
     minimal-norm step is taken (useful on unreduced symmetric systems, whose
     critical chains come in group orbits).
@@ -436,7 +423,7 @@ def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
     res = residual(dl, c)
     rn = residual_norm(res)
     it = 0
-    while rn > tol and it < 60:
+    while rn > _NEWTON_TOL and it < 60:
         H = hessian(dl, c)
         try:
             step = H.solve([-r for r in res])
@@ -463,7 +450,7 @@ def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
         c, res, rn = trial, res_t, rn_t
         it += 1
     sigma = hessian(dl, c).smallest_singular_value()
-    return NewtonResult(c, rn, sigma, it, rn <= tol)
+    return NewtonResult(c, rn, sigma, it, rn <= _NEWTON_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +509,6 @@ def linear_fit(A: np.ndarray, y: np.ndarray) -> Tuple[np.ndarray, float]:
 
 @dataclass
 class GreenDecayFit:
-    C: float
     lam: float
     r_squared: float
     offsets: np.ndarray
@@ -554,9 +540,9 @@ def green_decay(dl: DiscreteLagrangian, c: ChainConfiguration, j: int = 0,
     xs = offsets[keep].astype(float)
     ys = np.log(responses[keep])
     if xs.size < 3 or np.ptp(xs) == 0:
-        return GreenDecayFit(float("nan"), 0.0, 0.0, offsets, responses)
+        return GreenDecayFit(0.0, 0.0, offsets, responses)
     coef, r2 = linear_fit(np.vstack([np.ones_like(xs), -xs]).T, ys)
-    return GreenDecayFit(float(np.exp(coef[0])), float(coef[1]), r2, offsets, responses)
+    return GreenDecayFit(float(coef[1]), r2, offsets, responses)
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +552,8 @@ def green_decay(dl: DiscreteLagrangian, c: ChainConfiguration, j: int = 0,
 @dataclass(frozen=True)
 class CollisionReport:
     site: int
-    jump_norm: float
     admissible: bool
     straight_reflection: bool
-    delta_p: np.ndarray
 
 
 def momentum_jumps(dl: DiscreteLagrangian, c: ChainConfiguration) -> List[Tuple[int, np.ndarray, np.ndarray]]:
@@ -612,7 +596,7 @@ def admissible(dl: DiscreteLagrangian, c: ChainConfiguration,
                 cosang = float(um @ up) / num
                 straight = bool(np.arccos(np.clip(-cosang, -1.0, 1.0)) < 1e-6)
         ok = jn >= jump_tol and not (attracting and straight)
-        reports.append(CollisionReport(i, jn, ok, straight, dp))
+        reports.append(CollisionReport(i, ok, straight))
     return reports
 
 

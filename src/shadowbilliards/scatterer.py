@@ -27,7 +27,6 @@ class FrameRankError(RuntimeError):
 class NearestResult:
     x: ChartPoint
     distance: float
-    ambiguous: bool = False
 
 
 @dataclass(frozen=True)
@@ -187,10 +186,7 @@ class PointScatterer(Scatterer):
         rel = self.space.centered(q[None, :] - self.points)
         dists = np.linalg.norm(rel, axis=1)
         i = int(np.argmin(dists))
-        best = float(dists[i])
-        others = np.delete(dists, i)
-        ambiguous = bool(others.size and np.min(others) - best <= 1e-9 * max(1.0, best))
-        return NearestResult(i, best, ambiguous)
+        return NearestResult(i, float(dists[i]))
 
     def declared_tube_radius(self) -> float:
         rad = np.inf
@@ -238,10 +234,10 @@ class ChartScatterer(Scatterer):
     def nearest(self, q, x0=None) -> NearestResult:
         """Gauss-Newton on the squared distance; needs a seed for curved charts.
 
-        Stops when the step is below 1e-12 relative, or after 80 steps."""
+        Stops when the step is below 1e-12 relative, at singular normal
+        equations, or after 80 steps."""
         q = np.asarray(q, dtype=float)
         x = np.zeros(self.dim) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
-        ambiguous = False
         for _ in range(80):
             r = self.space.centered(q - self.embed(x))
             J = self.jacobian(x)
@@ -250,13 +246,12 @@ class ChartScatterer(Scatterer):
             try:
                 step = np.linalg.solve(A, g)
             except np.linalg.LinAlgError:
-                ambiguous = True
                 break
             x = x + step
             if np.linalg.norm(step) < 1e-12 * max(1.0, np.linalg.norm(x)):
                 break
         r = self.space.centered(q - self.embed(x))
-        return NearestResult(x, float(np.linalg.norm(r)), ambiguous)
+        return NearestResult(x, float(np.linalg.norm(r)))
 
     def declared_tube_radius(self) -> float:
         return self._tube_radius
@@ -296,7 +291,7 @@ class DiagonalScatterer(ChartScatterer):
         rel = self.space.centered(np.concatenate([q1 - q2, np.zeros(d)]))[:d]
         mid = q1 - rel / 2
         dist = float(np.linalg.norm(rel)) / np.sqrt(2.0)
-        return NearestResult(mid, dist, False)
+        return NearestResult(mid, dist)
 
     def declared_tube_radius(self) -> float:
         if self.space.is_torus:

@@ -95,10 +95,7 @@ class TorusPointScenario:
     def chain(self, code: Sequence[Tuple[int, ...]], bc: str = "periodic"):
         code = [tuple(int(v) for v in k) for k in code]
         pts = [np.zeros(0) for _ in range(len(code) if bc == "periodic" else len(code) - 1)]
-        if bc == "periodic":
-            return dlsmod.ChainConfiguration(code, pts, "periodic")
-        return dlsmod.ChainConfiguration(code, pts, "fixed",
-                                         left=np.zeros(0), right=np.zeros(0))
+        return dlsmod.ChainConfiguration(code, pts, bc)
 
 
 def torus_point_scenario(dim: int = 2, periods: Optional[Sequence[float]] = None,
@@ -174,7 +171,6 @@ class TwoBallTorusScenario:
     dl: dlsmod.DiscreteLagrangian
     E: float
     masses: np.ndarray
-    period: float
 
     def chain(self, code, points):
         code = [tuple(int(v) for v in k) for k in code]
@@ -198,7 +194,7 @@ def two_ball_torus_scenario(masses=(1.0, 1.0), E: float = 0.5,
     links = dlsmod.LazyLinks(lambda k: TwoBallTorusLink(h, E, m, period, k))
     dl = dlsmod.DiscreteLagrangian(links, energy=E, scatterer=scat,
                                    name="two_ball_torus")
-    return TwoBallTorusScenario(h, scat, dl, E, m, period)
+    return TwoBallTorusScenario(h, scat, dl, E, m)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +393,7 @@ def box_fixed_chain(code, points) -> dlsmod.ChainConfiguration:
             keys.append(("end", j, k))
         else:
             keys.append(("mid", j, k))
-    return dlsmod.ChainConfiguration(keys, [np.atleast_1d(p) for p in points],
-                                     "fixed", left=np.zeros(0), right=np.zeros(0))
+    return dlsmod.ChainConfiguration(keys, [np.atleast_1d(p) for p in points], "fixed")
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ class _PointCenterKernel:
     def __init__(self, sp: SingularPerturbation):
         self.sp = sp
         self.minv = sp.base.mass_inv
-        self.identity_mass = bool(np.allclose(self.minv, np.eye(self.minv.shape[0])))
+        self.unit_mass = sp.base.unit_mass
         self.centered = sp.base.space.centered
         self.fused = isinstance(sp.scatterer, PointScatterer) and sp.base.potential.is_zero
         if self.fused:
@@ -164,7 +164,7 @@ class _PointCenterKernel:
             f"approach {d:.3e} inside exclusion radius {self.sp.r_min:.3e}")
 
     def velocity(self, P):
-        return P if self.identity_mass else (self.minv @ P[:, :, None])[:, :, 0]
+        return P if self.unit_mass else (self.minv @ P[:, :, None])[:, :, 0]
 
     def rk4(self, Q, P, dt, F):
         """One step of each row; F = force(Q), which the caller already has

@@ -83,7 +83,6 @@ def build_graph(orbits: Sequence[OrbitVertex],
 class EntropyReport:
     value: float
     spectral_radius: float
-    reducible: bool
 
 
 _TOL = 1e-10        # spectral radius below which rho is 0
@@ -96,7 +95,7 @@ def entropy(g: CollisionGraph) -> EntropyReport:
     carry a cycle, each from a dense eigensolve of the component. A graph in
     which no vertex reaches itself has spectral radius 0 and reports entropy
     -inf ("no chain dynamics"); reducible graphs report the dominant
-    component's value, flagged.
+    component's value.
     """
     A = g.adjacency
     n = A.shape[0]
@@ -105,7 +104,6 @@ def entropy(g: CollisionGraph) -> EntropyReport:
     R = np.eye(n, dtype=bool) | (A > 0)
     for _ in range(int(np.ceil(np.log2(max(n, 2))))):
         R = R @ R                               # reflexive transitive closure
-    reducible = n > 1 and not bool(np.all(R & R.T))
     on_cycle = np.diag((A > 0) @ R)             # vertices that reach themselves
     rho = 0.0
     for i in np.flatnonzero(on_cycle):
@@ -115,8 +113,8 @@ def entropy(g: CollisionGraph) -> EntropyReport:
         B = A[np.ix_(comp, comp)].astype(float)
         rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(B)))))
     if rho <= _TOL:
-        return EntropyReport(NEG_INF, 0.0, reducible)
-    return EntropyReport(float(np.log(rho)), float(rho), reducible)
+        return EntropyReport(NEG_INF, 0.0)
+    return EntropyReport(float(np.log(rho)), float(rho))
 
 
 class PathBudgetError(RuntimeError):

@@ -69,7 +69,7 @@ class TestBlockTridiagonal:
         A, B, corner, rng = win
         M = assemble_dense(A, B, corner)
         tol = lu_tolerance(M)
-        H = BlockTridiagonalHessian(A, B, corner, periodic=True)
+        H = BlockTridiagonalHessian(A, B, corner)
         for rhs in loads(rng, M.shape[0], k):
             x = np.concatenate(H.solve(split_blocks(rhs, H.dims)))
             ref = np.linalg.solve(M, rhs)
@@ -131,7 +131,7 @@ class TestBlockTridiagonal:
         with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
             BlockTridiagonalFactor(A, B)
         with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
-            BlockTridiagonalHessian(A, B, 0.1 * np.eye(2), periodic=True).solve([np.ones(2)] * 3)
+            BlockTridiagonalHessian(A, B, 0.1 * np.eye(2)).solve([np.ones(2)] * 3)
 
 
 def run_fresh(code, preset=None):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -120,9 +122,10 @@ class TestShootingConvergence:
         qm, qp = ends
         h = ClassicalHamiltonian(euclidean(2), HarmonicPotential(k), mass=mass)
         E = max(h.potential.value(qm), h.potential.value(qp)) + excess
-        tol, spu = 1e-10, 200.0
+        tol, spu = bvp._SHOOT_TOL, 200.0
         try:
-            orb = bvp.connect(h, qm, qp, E, backend="shooting", tol=tol, steps_per_unit=spu)
+            with mock.patch.object(bvp, "_SHOOT_STEPS_PER_UNIT", spu):
+                orb = bvp.connect(h, qm, qp, E, backend="shooting")
         except bvp.ConnectError as exc:
             if "stalled" in str(exc) or "did not converge" in str(exc):
                 return
@@ -131,18 +134,20 @@ class TestShootingConvergence:
         assert np.linalg.norm(q_end - qp) <= tol * max(1.0, np.linalg.norm(qp - qm))
         assert abs(h.energy(qm, orb.p_minus) - E) <= tol * max(1.0, abs(E))
 
-    def test_converges_on_the_last_allowed_step(self):
+    def test_converges_on_the_last_allowed_step(self, monkeypatch):
         # from 1.001 x the closed-form momentum Newton needs exactly 5 steps
         h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
         qm, qp, E = [0.3, 0.0], [0.0, 0.31], -0.9
         arc = bvp.connect(h, qm, qp, E, label=(1, "short"))
         guess = {"p0": 1.001 * arc.p_minus, "tau0": arc.tau}
+        monkeypatch.setattr(bvp, "_SHOOT_ITERS", 5)
         shot = bvp.connect(h, qm, qp, E, label=(1, "short"), backend="shooting",
-                           guess=guess, max_iter=5)
+                           guess=guess)
         assert np.linalg.norm(shot.path[-1] - qp) < 1e-4
+        monkeypatch.setattr(bvp, "_SHOOT_ITERS", 4)
         with pytest.raises(bvp.ConnectError, match="did not converge"):
             bvp.connect(h, qm, qp, E, label=(1, "short"), backend="shooting",
-                        guess=guess, max_iter=4)
+                        guess=guess)
 
     def test_trial_flights_at_most_double_the_travel_time(self, monkeypatch):
         # 0.05 above the potential at q-: Newton steps here proposed travel
@@ -155,11 +160,12 @@ class TestShootingConvergence:
             return fly(h, q0, p0, tau, spu)
 
         monkeypatch.setattr(bvp, "_flow_to", capped)
+        monkeypatch.setattr(bvp, "_SHOOT_STEPS_PER_UNIT", 50.0)
         h = ClassicalHamiltonian(euclidean(2), HarmonicPotential(2.0))
         qm, qp = np.array([-0.125, 0.628]), np.array([0.402, 0.0])
         E = h.potential.value(qm) + 0.05
         try:
-            bvp.connect(h, qm, qp, E, backend="shooting", steps_per_unit=50.0)
+            bvp.connect(h, qm, qp, E, backend="shooting")
         except bvp.ConnectError:
             pass
         assert len(flown) > 2
@@ -187,8 +193,8 @@ class TestShootingFlight:
         qm, qp, E = arc
         h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
         closed = bvp.connect(h, qm, qp, E, label=(1, "short"))
-        tol = 1e-10
-        shot = bvp.connect(h, qm, qp, E, label=(1, "short"), backend="shooting", tol=tol,
+        tol = bvp._SHOOT_TOL
+        shot = bvp.connect(h, qm, qp, E, label=(1, "short"), backend="shooting",
                            guess={"p0": closed.p_minus, "tau0": closed.tau})
         J = kepler.J_n(E, (qm, qp), 1)
         assert abs(shot.action - J) <= 1e-6 * J
@@ -206,8 +212,7 @@ class TestShootingFlight:
                           lambda q: 0.5 * B * np.array([[0.0, -1.0], [1.0, 0.0]]))
         h = ClassicalHamiltonian(euclidean(2), HarmonicPotential(1.0), magnetic=w)
         with pytest.raises(bvp.ConnectError, match="magnetic"):
-            bvp.connect(h, [1.0, 0.0], [0.0, 1.0], 1.0, backend="shooting",
-                        steps_per_unit=200)
+            bvp.connect(h, [1.0, 0.0], [0.0, 1.0], 1.0, backend="shooting")
 
 
 class TestBoundaryMomenta:
@@ -285,18 +290,20 @@ class TestConjugate:
         rep = bvp.conjugate_test(orb)
         assert rep.nondegenerate
 
-    def test_harmonic_half_period_degenerate(self):
+    def test_harmonic_half_period_degenerate(self, monkeypatch):
         # all unit-energy orbits from q0 refocus at -q0 after time pi
         h = ClassicalHamiltonian(euclidean(2), HarmonicPotential())
         orb = bvp.connect(h, [0.5, 0.0], [-0.5, 0.0], 1.0, backend="shooting",
                           guess={"direction": np.array([0.0, 1.0]), "tau0": np.pi})
-        rep = bvp.conjugate_test(orb, conj_tol=1e-4)
+        monkeypatch.setattr(bvp, "_CONJ_TOL", 1e-4)
+        rep = bvp.conjugate_test(orb)
         assert not rep.nondegenerate
 
-    def test_kepler_revolution_degenerate(self):
+    def test_kepler_revolution_degenerate(self, monkeypatch):
         h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
         orb = bvp.connect(h, [1.0, 0.0], [1.0, 0.0], -0.5, label=(1, "short"))
-        rep = bvp.conjugate_test(orb, conj_tol=1e-4)
+        monkeypatch.setattr(bvp, "_CONJ_TOL", 1e-4)
+        rep = bvp.conjugate_test(orb)
         assert not rep.nondegenerate
 
     def test_kepler_sigma_min_golden(self):

@@ -290,6 +290,22 @@ class TestRuns:
         assert report["kernel_defect"] <= 1e-8
         assert (out / "certificate.csv").exists()
 
+    @pytest.mark.parametrize("params", [
+        {"points": [0.25, 0.3]},
+        {"masses": [1.0, 2.0], "code": [[1, -1], [-1, 1]]}], ids=["points", "masses"])
+    def test_two_ball_torus_newton_steps_on_the_singular_hessian(self, tmp_path, params):
+        # translation symmetry makes every Hessian of this family singular; a
+        # start that is not critical needs Newton steps through it
+        cfg = json.loads((SCENARIOS / "two_balls_torus.json").read_text())
+        cfg["params"].update(params)
+        out = tmp_path / "tbt"
+        rc = cli.main(["scenario", "run", "--scenario", write(tmp_path, "t.json", cfg),
+                       "--out", str(out)])
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["newton"]["converged"]
+        assert report["failures"] == []
+
     def test_two_ball_box_seeded(self, tmp_path):
         src = str(SCENARIOS / "two_balls_box.json")
         out = tmp_path / "tbb"

@@ -73,6 +73,12 @@ class TestResidual:
         scn, chain = two_ball_critical()
         assert residual_norm(residual(scn.dl, chain)) <= 1e-10
 
+    def test_nan_block_is_not_hidden(self):
+        # a NaN trial residual must not read as a finite norm (and so as descent)
+        assert np.isnan(residual_norm([np.ones(1), np.array([np.nan])]))
+        assert np.isnan(residual_norm([np.array([np.nan]), np.ones(1)]))
+        assert residual_norm([np.array([1.0, -3.0]), np.zeros(0), np.array([2.0])]) == 3.0
+
 
 class TestHessian:
     def test_finite_difference_assembly(self):
@@ -86,9 +92,9 @@ class TestHessian:
 
     def test_single_link_fixed(self):
         scn = scenarios.two_ball_box_scenario()
-        dl = scn.lagrangian()
-        chain = ChainConfiguration([(-1, 1), (-1, 1)], [np.array([0.5])], "fixed",
-                                   left=np.array([0.4]), right=np.array([0.6]))
+        code = [(-1, 1), (-1, 1)]
+        dl = scenarios.box_fixed_lagrangian(scn, [0.3, 0.7], [0.6, 0.2], code)
+        chain = scenarios.box_fixed_chain(code, [np.array([0.5])])
         H = hessian(dl, chain)
         assert len(H.diag) == 1
         assert not H.offdiag
@@ -407,14 +413,15 @@ class TestRouth:
 
 
 class TestCriticalityIsElasticReflection:
-    def test_tangential_jump_vanishes_with_full_jump_alive(self):
+    def test_tangential_jump_vanishes_with_full_jump_alive(self, monkeypatch):
         # at a critical chain the tangential part of each momentum jump is
         # zero while the full jump stays above tolerance
         scn = scenarios.two_ball_box_scenario(masses=(1.0, 2.0))
         dl = scn.lagrangian()
         code = [(-1, 1)] * 3
         chain = scn.periodic_chain(code, [np.array([0.6 + 0.01 * i]) for i in range(3)])
-        res = newton_chain(dl, chain, tol=1e-12)
+        monkeypatch.setattr(dls, "_NEWTON_TOL", 1e-12)
+        res = newton_chain(dl, chain)
         jump_tol = 1e-6 * np.sqrt(2 * scn.E)
         for i, p_minus, p_plus in dls.momentum_jumps(dl, res.chain):
             dp = p_minus - p_plus

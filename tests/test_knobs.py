@@ -1,5 +1,7 @@
 """tools/knobs.py: no parameter with a default in src/ goes unset by every caller,
-no public name in src/ goes unnamed, and no module imports a name it never uses."""
+no public name in src/ goes unnamed, no dataclass field goes unread, and no
+module imports a name it never uses. Callers are src/, perfbench/ and the
+acceptance gate: a setting that only unit tests pass is a module constant."""
 
 import importlib.util
 from pathlib import Path
@@ -9,8 +11,35 @@ SPEC = importlib.util.spec_from_file_location(
 knobs = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(knobs)
 
-# never-passed parameters that stay, each with its reason
+_SEED = "seed of the projection onto a curved chart (one interface for every scatterer)"
+
+# parameters that no caller passes and that stay, each with its reason: the
+# paper's general model API
 ALLOWED = {
+    "dynamics.flow_segment(steps_per_unit_time)": "step density of a general flow",
+    "dynamics.flow_segment(energy_tol)": "energy drift bound of a general flow",
+    "dynamics.flow_segment(max_step_halvings)": "step refinements of a general flow",
+    "bvp.twist(left_basis)": "tangent directions restricting the twist at q-",
+    "bvp.twist(right_basis)": "tangent directions restricting the twist at q+",
+    "bvp.boundary_momenta_check(fd_step)": "difference step of the first-variation check",
+    "dls.routh_reduce(section_point)": "section point of a Routh reduction",
+    "dynamics.HarmonicPotential.__init__(k)": "stiffness of a model potential",
+    "dynamics.HarmonicPotential.__init__(center)": "center of a model potential",
+    "dynamics.KeplerPotential.__init__(center)": "position of the attracting center",
+    "dynamics.KeplerPotential.__init__(r_min)": "collision radius of the attracting center",
+    "dynamics.CallablePotential.__init__(grad)": "exact gradient of a potential given by functions",
+    "dynamics.MagneticField.__init__(jac)": "exact Jacobian of a magnetic term",
+    "dynamics.ClassicalHamiltonian.__init__(magnetic)": "magnetic term w of the Hamiltonian",
+    "scatterer.ChartScatterer.__init__(jac)": "exact Jacobian of a chart scatterer",
+    "scatterer.ChartScatterer.__init__(dim)": "dimension of a chart scatterer",
+    "scatterer.ChartScatterer.__init__(tube_radius)": "declared tube radius of a chart scatterer",
+    "scatterer.Scatterer.nearest(x0)": _SEED,
+    "scatterer.PointScatterer.nearest(x0)": _SEED,
+    "scatterer.ChartScatterer.nearest(x0)": _SEED,
+    "scatterer.DiagonalScatterer.nearest(x0)": _SEED,
+    "cli.main(argv)": "command line of a call from Python instead of the shell",
+    "symbolic.paths(periodic)": "periodic codes of the graph; waits for ROADMAP item 2",
+    "symbolic.build_graph(no_straight_reflection)": "head-on filter; waits for ROADMAP item 2",
     "scenarios.two_ball_box_scenario(box)": "model parameter of a scenario builder",
     "scenarios.square_centers(side)": "model parameter of a scenario builder",
 }
@@ -40,6 +69,10 @@ def test_unreferenced_allowlist_names_only_unreferenced_names():
 
 def test_no_unused_imports():
     assert knobs.unused_imports() == []
+
+
+def test_no_unread_fields():
+    assert knobs.unread_fields() == []
 
 
 def test_name_scan_rules(tmp_path):
@@ -74,6 +107,32 @@ def test_name_scan_rules(tmp_path):
     assert knobs.unused_imports(tmp_path) == ["m.List"]
 
 
+def test_field_scan_rules(tmp_path):
+    for top in ("src", "perfbench", "tests"):
+        (tmp_path / top).mkdir()
+    (tmp_path / "src" / "m.py").write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    by_src: int\n"
+        "    by_test: int\n"
+        "    by_getattr: int\n"
+        "    written: int = 0\n"
+        "    unread: list = field(default_factory=list)\n"
+        "    def touch(self):\n"
+        "        self.written = 1\n"
+        "        return self.by_src\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class B:\n"
+        "    alone: int\n"
+        "class Plain:\n"
+        "    plain: int\n")
+    (tmp_path / "perfbench" / "p.py").write_text("getattr(a, 'by_getattr')\n")
+    (tmp_path / "tests" / "test_m.py").write_text("A(1, 2, 3).by_test\n")
+    assert knobs.unread_fields(tmp_path) == ["m.A.written", "m.A.unread", "m.B.alone"]
+
+
 def test_every_default_is_passed_somewhere():
     assert sorted(set(knobs.never_passed()) - set(ALLOWED)) == []
 
@@ -83,7 +142,7 @@ def test_allowlist_names_only_unpassed_parameters():
 
 
 def test_scan_rules(tmp_path):
-    for top in knobs.CALLERS:
+    for top in ("src", "perfbench", "tests"):
         (tmp_path / top).mkdir()
     (tmp_path / "src" / "m.py").write_text(
         "def f(a, kw=1, pos=2, unset=3, fwd=4):\n"
@@ -95,9 +154,12 @@ def test_scan_rules(tmp_path):
         "        pass\n"
         "    def m(self, z=0):\n"
         "        return C(1)\n")
-    (tmp_path / "tests" / "t.py").write_text(
-        "f(0, kw=1)\nf(0, 1, 2)\ng(0, fwd=5)\nC(1).m(z=2)\n")
+    (tmp_path / "perfbench" / "p.py").write_text("f(0, 1, 2)\n")
+    (tmp_path / "tests" / "test_acceptance.py").write_text("f(0, kw=1)\ng(0, fwd=5)\n")
+    # unit tests pass nothing
+    (tmp_path / "tests" / "t.py").write_text("f(0, unset=1)\nC(1, 2).m(z=2)\n")
     got = {f"{q}({p})": who for q, p, who in knobs.scan(tmp_path)}
-    assert got == {"m.f(kw)": ["tests"], "m.f(pos)": ["tests"], "m.f(unset)": [],
-                   "m.f(fwd)": ["tests"], "m.C.__init__(x)": ["src", "tests"],
-                   "m.C.__init__(y)": [], "m.C.m(z)": ["tests"]}
+    acc = "tests/test_acceptance.py"
+    assert got == {"m.f(kw)": ["perfbench", acc], "m.f(pos)": ["perfbench"], "m.f(unset)": [],
+                   "m.f(fwd)": [acc], "m.C.__init__(x)": ["src"],
+                   "m.C.__init__(y)": [], "m.C.m(z)": []}

@@ -108,11 +108,6 @@ class TestNearest:
         scat = DiagonalScatterer(euclidean(2))
         assert scat.nearest(np.array([0.3, 0.3])).distance == pytest.approx(0.0, abs=1e-15)
 
-    def test_ambiguous_projection_flagged(self):
-        scat = PointScatterer(euclidean(2), [[0.0, 0.0], [2.0, 0.0]])
-        assert scat.nearest(np.array([1.0, 0.7])).ambiguous
-        assert not scat.nearest(np.array([0.2, 0.0])).ambiguous
-
     def test_chart_gauss_newton(self):
         scat = circle_chart()
         q = np.array([1.2 * np.cos(0.5), 1.2 * np.sin(0.5), 0.3])

@@ -252,6 +252,16 @@ def same_bits(a, b):
 
 
 class TestLockstepKernel:
+    def test_near_unit_mass_flies_its_velocity(self):
+        # a mass 1e-6 off the identity is not unit mass: the kernel once flew
+        # velocity = P for it
+        space = euclidean(2)
+        sp = SingularPerturbation(ClassicalHamiltonian(space, mass=[1.0 + 1e-6, 1.0]),
+                                  PointScatterer(space, [[0.0, 0.0]]), 1e-3)
+        P = np.array([[1.0, 0.5], [-0.3, 2.0]])
+        expected = (sp.base.mass_inv @ P[..., None])[..., 0]
+        assert np.array_equal(singular._PointCenterKernel(sp).velocity(P), expected)
+
     @seed(20161018)
     @settings(max_examples=60, deadline=None, database=None)
     @given(kernel_rows(), st.sampled_from([None, [[2.0, 0.3], [0.3, 1.0]]]))

@@ -1,15 +1,15 @@
 """List the parameters with a default in src/ and which code passes them.
 
-A parameter with a default that no caller passes is a setting nobody uses or
-tests. This script scans the package with `ast`, using the standard library
-only:
+A parameter with a default that no caller passes is a setting nobody uses. A
+caller is code in src/, perfbench/ or tests/test_acceptance.py: a setting
+that only unit tests pass is a constant they may patch. This script scans
+the package with `ast`, using the standard library only:
 
     python3 tools/knobs.py
 
 It prints one line per parameter with a default of a function or method
-under src/ (dataclass fields are not parameters here), naming which of
-src/, tests/ and perfbench/ pass it, and ends with the count of parameters
-that none of them passes.
+under src/ (dataclass fields are not parameters here), naming which callers
+pass it, and ends with the count of parameters that none of them passes.
 
 A call counts for every function of the same name, since the scan does not
 resolve types; a call of a class reaches its __init__. It passes a parameter
@@ -22,15 +22,17 @@ a function are also given to each function it calls with its own `**kw`. A
 call through anything but a name or an attribute, say a dict lookup,
 reaches nothing.
 
-Two more reports follow. Unreferenced names: the public top-level functions
-and classes and the public methods of public classes under src/ that no code
-names outside their own definition. Names count from src/, perfbench/ and
-tests/test_acceptance.py, so a name that only its own unit tests call is
-unreferenced. A name counts as a variable, an attribute, an imported name,
-or a string of dotted names (perfbench hooks functions by such strings); as
-with calls, a name counts for every definition of that name. Unused
-imports: the names a module under src/ imports and neither uses nor lists
-in its __all__.
+Three more reports follow. Unreferenced names: the public top-level
+functions and classes and the public methods of public classes under src/
+that no caller names outside their own definition, so a name that only its
+own unit tests call is unreferenced. A name counts as a variable, an
+attribute, an imported name, or a string of dotted names (perfbench hooks
+functions by such strings); as with calls, a name counts for every
+definition of that name. Unread fields: the fields of the dataclasses under
+src/ that no code in src/, perfbench/ or tests/ reads, as an attribute or
+through getattr with a constant name; a read counts for every field of that
+name. Unused imports: the names a module under src/ imports and neither
+uses nor lists in its __all__.
 """
 
 from __future__ import annotations
@@ -42,11 +44,14 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 ROOT = Path(__file__).resolve().parent.parent
-CALLERS = ("src", "tests", "perfbench")
-NAMERS = ("src", "perfbench", "tests/test_acceptance.py")
+CALLERS = ("src", "perfbench", "tests/test_acceptance.py")
+READERS = ("src", "perfbench", "tests")
 
 
 def _files(root: Path, top: str):
+    """The Python files of a directory under root, or the one file top names."""
+    if top.endswith(".py"):
+        return [root / top]
     return sorted((root / top).rglob("*.py"))
 
 
@@ -230,12 +235,11 @@ def _names(tree):
 
 
 def unreferenced(root: Path = ROOT) -> list:
-    """module.qualname of each public name under src/ that no code in NAMERS
+    """module.qualname of each public name under src/ that no code in CALLERS
     names outside its own definition."""
     uses = defaultdict(list)
-    for top in NAMERS:
-        paths = [root / top] if top.endswith(".py") else _files(root, top)
-        for path in paths:
+    for top in CALLERS:
+        for path in _files(root, top):
             for name, line in _names(ast.parse(path.read_text())):
                 uses[name].append((path, line))
     out = []
@@ -243,6 +247,42 @@ def unreferenced(root: Path = ROOT) -> list:
         for qual, name, first, last in _public_defs(path):
             if not any(p != path or not first <= line <= last for p, line in uses[name]):
                 out.append(f"{path.stem}.{qual}")
+    return out
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if (isinstance(target, ast.Name) and target.id == "dataclass"
+                or isinstance(target, ast.Attribute) and target.attr == "dataclass"):
+            return True
+    return False
+
+
+def _reads(tree):
+    """Every attribute name the code under tree reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Call) and _callee(node) == "getattr"
+              and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value
+
+
+def unread_fields(root: Path = ROOT) -> list:
+    """module.Class.field of each dataclass field under src/ that no code in
+    READERS reads."""
+    read = set()
+    for top in READERS:
+        for path in _files(root, top):
+            read.update(_reads(ast.parse(path.read_text())))
+    out = []
+    for path in _files(root, "src"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                out += [f"{path.stem}.{node.name}.{f.target.id}" for f in node.body
+                        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                        and f.target.id not in read]
     return out
 
 
@@ -277,6 +317,10 @@ def main() -> int:
     for qual in names:
         print(f"unreferenced: {qual}")
     print(f"unreferenced names: {len(names)}")
+    fields = unread_fields()
+    for qual in fields:
+        print(f"unread field: {qual}")
+    print(f"unread fields: {len(fields)}")
     imports = unused_imports()
     for qual in imports:
         print(f"unused import: {qual}")
