@@ -253,8 +253,8 @@ def same_bits(a, b):
 
 class TestLockstepKernel:
     def test_near_unit_mass_flies_its_velocity(self):
-        # a mass 1e-6 off the identity is not unit mass: the kernel once flew
-        # velocity = P for it
+        # a mass 1e-6 off the identity is not unit mass: velocity = P would be
+        # off by 1e-6 relative
         space = euclidean(2)
         sp = SingularPerturbation(ClassicalHamiltonian(space, mass=[1.0 + 1e-6, 1.0]),
                                   PointScatterer(space, [[0.0, 0.0]]), 1e-3)
