@@ -1,31 +1,32 @@
-"""Flows with Newtonian singularities on the scatterer, and their shadow orbits.
+"""Flows with Newtonian singularities at point centers, and their shadow orbits.
 
-The perturbed Hamiltonian adds mu * V to a classical base, where V has a
-Newtonian singularity -phi / d(q, N) on the scatterer (attracting for
-phi > 0). Near-collision passages are resolved by shrinking the integration
-step like d^{3/2}; no regularization is performed, and approaches inside the
-exclusion radius abort the run. The shadowing experiment is a multiple
-shooting Newton over the chain with one section plane per collision, seeded
-by the two-body deflection that matches the chain's momentum jumps.
+The perturbed Hamiltonian adds mu * V to free flight, with
+V = -sum_i alpha_i / |q - a_i| over the centers a_i (attracting for
+alpha_i > 0). Near-collision passages are resolved by shrinking the
+integration step like d^{3/2}; no regularization is performed, and approaches
+inside the exclusion radius mu^2 abort a flight. The shadowing experiment is a
+multiple shooting Newton over the chain with one section plane per collision,
+seeded by the two-body deflection that matches the chain's momentum jumps.
 
-All integration goes through one RK4 kernel on (B, d) rows with a step per
-row. A Newton step of the shooting is one lockstep call: the links of a
-full-step trial fly with every perturbed link of the central-difference
-Jacobian there; each row keeps its own section, time budget, minimum distance
-and outcome, and its numbers are bit-equal to the row flown alone.
+All integration goes through one RK4 kernel on (B, d) rows with a step and
+center weights mu * alpha per row. The Newton solves of a whole mu sweep run
+in lockstep, one call per round: it flies every row that the unfinished
+solves ask for (the links of a full-step trial with every perturbed link of
+the central-difference Jacobian there, a Jacobian's retried columns, a
+line-search trial). Each row keeps its own mu, section, time budget, minimum
+distance and outcome, and its numbers are bit-equal to the row flown alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import dls as dlsmod
-from .dynamics import (ClassicalHamiltonian, DomainError, PhaseState,
-                       StepUnderflowError, Trajectory, central_diff)
-from .scatterer import PointScatterer, Scatterer
+from .dynamics import ClassicalHamiltonian
+from .scatterer import PointScatterer
 
 
 class ExclusionRadiusError(RuntimeError):
@@ -42,195 +43,95 @@ class SingularShadowError(RuntimeError):
 
 @dataclass
 class SingularPerturbation:
-    """H_mu = H_base + mu V with V = -phi(q, mu) / d(q, N).
+    """H_mu = H_base + mu V with V = -sum_i alpha_i / |q - a_i| over the
+    centers of a point scatterer (alphas positive: attracting force).
 
-    For a point scatterer the classical form V = -sum_i alpha_i / |q - a_i|
-    is used (alphas positive: attracting force). Approaches within the
-    exclusion radius r_min = mu^2 abort a flight.
+    Approaches within the exclusion radius r_min = mu^2 abort a flight.
     """
 
     base: ClassicalHamiltonian
-    scatterer: Scatterer
+    scatterer: PointScatterer
     mu: float
     alphas: Optional[np.ndarray] = None
-    phi: Optional[Callable[[np.ndarray, float], float]] = None
 
     def __post_init__(self):
-        if isinstance(self.scatterer, PointScatterer):
-            n = len(self.scatterer)
-            if self.alphas is None:
-                self.alphas = np.ones(n)
-            self.alphas = np.asarray(self.alphas, dtype=float)
-            if self.alphas.shape != (n,):
-                raise ValueError("one coefficient per center required")
-        elif self.phi is None:
-            raise ValueError("submanifold scatterers need an explicit phi")
+        if not isinstance(self.scatterer, PointScatterer):
+            raise ValueError("the singular set must be a point scatterer")
+        n = len(self.scatterer)
+        if self.alphas is None:
+            self.alphas = np.ones(n)
+        self.alphas = np.asarray(self.alphas, dtype=float)
+        if self.alphas.shape != (n,):
+            raise ValueError("one coefficient per center required")
 
     @property
     def r_min(self) -> float:
         return self.mu**2
 
-    def distance(self, q) -> float:
-        return self.scatterer.distance(np.asarray(q, dtype=float))
-
-    def potential(self, q) -> float:
-        q = np.asarray(q, dtype=float)
-        if isinstance(self.scatterer, PointScatterer):
-            rel = self.base.space.centered(q[None, :] - self.scatterer.points)
-            r = np.linalg.norm(rel, axis=1)
-            if np.any(r <= 0):
-                raise DomainError("evaluation on the singular set")
-            return float(-np.sum(self.alphas / r))
-        d = self.distance(q)
-        if d <= 0:
-            raise DomainError("evaluation on the singular set")
-        return -self.phi(q, self.mu) / d
-
-    def potential_gradient(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        if isinstance(self.scatterer, PointScatterer):
-            rel = self.base.space.centered(q[None, :] - self.scatterer.points)
-            r = np.linalg.norm(rel, axis=1)
-            if np.any(r <= 0):
-                raise DomainError("evaluation on the singular set")
-            return (self.alphas / r**3) @ rel
-        return central_diff(self.potential, q, 1e-7)
-
-    def energy(self, q, p) -> float:
-        return self.base.energy(q, p) + self.mu * self.potential(q)
-
-    def force(self, q) -> np.ndarray:
-        """- grad(W_base + mu V)."""
-        return -(self.base.grad_W(q) + self.mu * self.potential_gradient(q))
-
 
 # ---------------------------------------------------------------------------
-# Adaptive integration near the singular set
+# Lockstep integration near the singular set
 # ---------------------------------------------------------------------------
 
 class _PointCenterKernel:
-    """Lockstep RK4 step of the singular flow on (B, d) rows, one dt per row,
-    with the step shrinking like d(q, N)^{3/2} near the tube.
+    """Lockstep RK4 step of free flight among point centers on (B, d) rows,
+    one dt and one row of center weights mu * alpha per row, with the step
+    shrinking like d(q, N)^{3/2} near the centers.
 
-    For free flight among point centers the distance and the force are fused
-    array expressions over rows and centers; any other perturbation falls
-    back to sp.distance and sp.force row by row. A row of a B-row call is
-    bit-equal to the same row flown alone: the sums over centers and over the
-    inverse mass go through matmul, which reduces each row as the one-row
-    product does (einsum and a transposed product sum in another order).
+    A row of a B-row call is bit-equal to the same row flown alone: the
+    weights enter elementwise, and the sums over centers and over the inverse
+    mass go through matmul, which reduces each row as the one-row product does
+    (einsum and a transposed product sum in another order).
     """
 
     def __init__(self, sp: SingularPerturbation):
-        self.sp = sp
+        if not sp.base.potential.is_zero:
+            raise ValueError("the kernel flies free flight among the centers")
         self.minv = sp.base.mass_inv
         self.unit_mass = sp.base.unit_mass
         self.centered = sp.base.space.centered
-        self.fused = isinstance(sp.scatterer, PointScatterer) and sp.base.potential.is_zero
-        if self.fused:
-            self.centers = sp.scatterer.points
-            self.mu_alphas = sp.mu * sp.alphas
+        self.centers = sp.scatterer.points
 
-    def _pull(self, Q):
-        """Force on each row and its distances to every center, (B, d), (B, n)."""
+    def _pull(self, Q, W):
+        """Force on each row under its weights W and its distances to every
+        center, (B, d), (B, n)."""
         rel = self.centered(Q[:, None, :] - self.centers)
         r2 = np.einsum("bij,bij->bi", rel, rel)
         r = np.sqrt(r2)
-        w = -(self.mu_alphas / (r2 * r))
+        w = -(W / (r2 * r))
         return (w[:, None, :] @ rel)[:, 0, :], r
 
-    def force(self, Q):
-        if not self.fused:
-            return np.array([self.sp.force(q) for q in Q])
-        return self._pull(Q)[0]
+    def force(self, Q, W):
+        return self._pull(Q, W)[0]
 
-    def force_distance(self, Q):
-        """force(Q) and the distance of each row of Q to the singular set,
-        shape (B,), from one set of center offsets."""
-        if not self.fused:
-            return self.force(Q), np.array([self.sp.distance(q) for q in Q])
-        F, r = self._pull(Q)
+    def force_distance(self, Q, W):
+        """force(Q, W) and the distance of each row of Q to the nearest
+        center, shape (B,), from one set of center offsets."""
+        F, r = self._pull(Q, W)
         return F, r.min(axis=1)
 
     @staticmethod
-    def step_sizes(D, h_far: float, k_near: float) -> np.ndarray:
-        """Step min(h_far, k_near d^{3/2}) of each row from its distance D to N.
+    def step_sizes(D, H, k_near: float) -> np.ndarray:
+        """Step min(h_far, k_near d^{3/2}) of each row from its distance D to N
+        and its far-field step H.
 
         Python's float power per row: np.power rounds d**1.5 differently.
         """
-        return np.array([min(h_far, k_near * d**1.5) for d in D.tolist()])
-
-    def exclusion_error(self, d: float) -> ExclusionRadiusError:
-        return ExclusionRadiusError(
-            f"approach {d:.3e} inside exclusion radius {self.sp.r_min:.3e}")
+        return np.array([min(h, k_near * d**1.5) for h, d in zip(H.tolist(), D.tolist())])
 
     def velocity(self, P):
         return P if self.unit_mass else (self.minv @ P[:, :, None])[:, :, 0]
 
-    def rk4(self, Q, P, dt, F):
-        """One step of each row; F = force(Q), which the caller already has
-        from the distance check at Q."""
+    def rk4(self, Q, P, dt, F, W):
+        """One step of each row under its weights W; F = force(Q, W), which
+        the caller already has from the distance check at Q."""
         dt = dt[:, None]
         k1q, k1p = self.velocity(P), F
-        k2q, k2p = self.velocity(P + 0.5 * dt * k1p), self.force(Q + 0.5 * dt * k1q)
-        k3q, k3p = self.velocity(P + 0.5 * dt * k2p), self.force(Q + 0.5 * dt * k2q)
-        k4q, k4p = self.velocity(P + dt * k3p), self.force(Q + dt * k3q)
+        k2q, k2p = self.velocity(P + 0.5 * dt * k1p), self.force(Q + 0.5 * dt * k1q, W)
+        k3q, k3p = self.velocity(P + 0.5 * dt * k2p), self.force(Q + 0.5 * dt * k2q, W)
+        k4q, k4p = self.velocity(P + dt * k3p), self.force(Q + dt * k3q, W)
         return (Q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q),
                 P + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p))
-
-
-@dataclass
-class SingularFlowResult:
-    trajectory: Trajectory
-    min_distance: float
-    energy_drift: float
-
-
-_FLOW_ENERGY_TOL = 1e-6     # relative energy drift flow_singular accepts
-_FLOW_RETRIES = 3           # halvings of both step constants before giving up
-
-
-def flow_singular(sp: SingularPerturbation, s0: PhaseState,
-                  duration: float) -> SingularFlowResult:
-    """Integrate the singular flow for the given duration, sampled every step.
-
-    The step follows min(h_far, k d^{3/2}) with h_far = duration / 400 and
-    k = 0.08; the run aborts if the trajectory enters the exclusion radius,
-    and both step constants are halved, at most three times, until the
-    relative energy drift is at most 1e-6.
-    """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    h_far = duration / 400.0
-    E0 = sp.energy(s0.q, s0.p)
-    scaleE = max(1.0, abs(E0))
-    kernel = _PointCenterKernel(sp)
-    for attempt in range(_FLOW_RETRIES + 1):
-        h_try, k_try = h_far / 2**attempt, 0.08 / 2**attempt
-        Q, P, t = s0.q[None, :], s0.p[None, :], 0.0
-        ts, qs, ps = [0.0], [Q[0]], [P[0]]
-        F, D = kernel.force_distance(Q)
-        dmin = float(D[0])
-        nstep = 0
-        while t < duration:
-            nstep += 1
-            if nstep > 5_000_000:
-                raise StepUnderflowError("singular flow exceeded the step budget")
-            if D[0] <= sp.r_min:
-                raise kernel.exclusion_error(float(D[0]))
-            dt = min(float(kernel.step_sizes(D, h_try, k_try)[0]), duration - t)
-            Q, P = kernel.rk4(Q, P, np.array([dt]), F)
-            t += dt
-            F, D = kernel.force_distance(Q)
-            dmin = min(dmin, float(D[0]))
-            ts.append(t)
-            qs.append(Q[0])
-            ps.append(P[0])
-        drift = abs(sp.energy(Q[0], P[0]) - E0) / scaleE
-        if drift <= _FLOW_ENERGY_TOL:
-            traj = Trajectory(np.asarray(ts) + s0.t, np.asarray(qs), np.asarray(ps))
-            return SingularFlowResult(traj, float(dmin), float(drift))
-    raise StepUnderflowError(f"energy drift {drift:.2e} above {_FLOW_ENERGY_TOL:.1e} "
-                             f"after {_FLOW_RETRIES} refinements")
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +236,10 @@ class _ChainShooting:
             self.bases.append(_plane_basis(tdir))
             link_lengths.append(np.linalg.norm(
                 sp.base.space.centered(self.points[(j + 1) % self.n] - self.points[j])))
+        self.budgets = [4.0 * (L / self.speed + 1.0) for L in link_lengths]  # time per link
         self.r_detect = 0.45 * min(link_lengths)
         self.h_far = 0.02 * min(link_lengths) / self.speed
+        self.weights = sp.mu * sp.alphas
         self.kernel = _PointCenterKernel(sp)
 
     # --- unknown packing: per node, d-1 plane coordinates and d momentum ---
@@ -410,46 +313,54 @@ class _ChainShooting:
         return self.pack(xi, p)
 
     def _section(self, Q, A, N):
-        """Signed offset of each row past its section plane (A, N), and
-        whether the row is within r_detect of the section's center A."""
+        """Signed offset of each row past its section plane (A, N), and its
+        distance to the section's center A."""
         rel = self.sp.base.space.centered(Q - A)
         phi = (rel[:, None, :] @ N[:, :, None])[:, 0, 0]
-        near = np.sqrt((rel[:, None, :] @ rel[:, :, None])[:, 0, 0]) < self.r_detect
-        return phi, near
+        return phi, np.sqrt((rel[:, None, :] @ rel[:, :, None])[:, 0, 0])
 
-    def fly_link(self, rows, collect=0):
-        """Flow each row (start node j, xi, p) from node j until it crosses
-        section j+1 near its center; all rows step in lockstep.
+    def fly_link(self, rows, collect=()):
+        """Flow each row (shooter, start node j, xi, p) from node j of its
+        shooter until it crosses that shooter's section j+1 near its center;
+        all rows step in lockstep, each under its shooter's mu, exclusion
+        radius, far-field step, detection radius and time budget. The
+        shooters of one call share this one's space, centers and mass.
 
         Returns one outcome per row: (q_hit, p_hit, dmin, path), where path
-        holds the samples of the first `collect` rows and is None otherwise,
-        or the SingularShadowError / ExclusionRadiusError that ended the row.
+        holds the samples of the rows whose index is in collect and is None
+        otherwise, or the SingularShadowError / ExclusionRadiusError that
+        ended the row.
         """
-        space = self.sp.base.space
         kernel = self.kernel
-        r_min = self.sp.r_min
-        starts = [j for j, _, _ in rows]
-        targets = [(j + 1) % self.n for j in starts]
-        Q = np.array([self.node_state(j, xi) for j, xi, _ in rows])
-        P = np.array([np.asarray(p, dtype=float) for _, _, p in rows])
-        A = np.array([self.points[jn] for jn in targets])
-        N = np.array([self.normals[jn] for jn in targets])
-        budget = np.array([4.0 * (np.linalg.norm(space.centered(
-            self.points[jn] - self.points[j])) / self.speed + 1.0)
-            for j, jn in zip(starts, targets)])
+        shooters = [s for s, _, _, _ in rows]
+        starts = [j for _, j, _, _ in rows]
+        targets = [(j + 1) % s.n for s, j in zip(shooters, starts)]
+        Q = np.array([s.node_state(j, xi) for s, j, xi, _ in rows])
+        P = np.array([np.asarray(p, dtype=float) for _, _, _, p in rows])
+        A = np.array([s.points[jn] for s, jn in zip(shooters, targets)])
+        N = np.array([s.normals[jn] for s, jn in zip(shooters, targets)])
+        W = np.array([s.weights for s in shooters])
+        budget = np.array([s.budgets[j] for s, j in zip(shooters, starts)])
+        r_min = np.array([s.sp.r_min for s in shooters])
+        H = np.array([s.h_far for s in shooters])
+        r_detect = np.array([s.r_detect for s in shooters])
         T = np.zeros(len(rows))
-        F, D = kernel.force_distance(Q)
+        F, D = kernel.force_distance(Q, W)
         dmin = D.copy()
-        phi, near = self._section(Q, A, N)
+        phi, dist = self._section(Q, A, N)
+        near = dist < r_detect
         out = [None] * len(rows)
         live = np.arange(len(rows))
-        trail = [(live, Q)]             # the live rows and their positions, step by step
+        kept = np.isin(live, collect)   # the rows whose paths are kept
+        trail = [(live[kept], Q[kept])]  # their ids and positions, step by step
 
         def drop(mask):
-            nonlocal live, Q, P, F, A, N, budget, T, D, dmin, phi, near
+            nonlocal live, kept, Q, P, F, A, N, W, budget, r_min, H, r_detect
+            nonlocal T, D, dmin, phi, near
             keep = ~mask
-            live, Q, P, F, A, N, budget, T, D, dmin, phi, near = (
-                x[keep] for x in (live, Q, P, F, A, N, budget, T, D, dmin, phi, near))
+            live, kept, Q, P, F, A, N, W, budget, r_min, H, r_detect, T, D, dmin, phi, near = (
+                x[keep] for x in (live, kept, Q, P, F, A, N, W, budget, r_min, H, r_detect,
+                                  T, D, dmin, phi, near))
 
         while live.size:
             stop = (T >= budget) | (D <= r_min)
@@ -457,59 +368,64 @@ class _ChainShooting:
                 for k in np.flatnonzero(stop):
                     i = live[k]
                     out[i] = (SingularShadowError(f"link {starts[i]} missed section {targets[i]}")
-                              if T[k] >= budget[k] else kernel.exclusion_error(float(D[k])))
+                              if T[k] >= budget[k] else ExclusionRadiusError(
+                                  f"approach {D[k]:.3e} inside exclusion radius {r_min[k]:.3e}"))
                 drop(stop)
                 continue
-            dt = kernel.step_sizes(D, self.h_far, 0.2)
-            Q2, P2 = kernel.rk4(Q, P, dt, F)
-            F2, D2 = kernel.force_distance(Q2)
+            dt = kernel.step_sizes(D, H, 0.2)
+            Q2, P2 = kernel.rk4(Q, P, dt, F, W)
+            F2, D2 = kernel.force_distance(Q2, W)
             dmin = np.minimum(dmin, D2)
-            phi2, near2 = self._section(Q2, A, N)
+            phi2, dist2 = self._section(Q2, A, N)
+            near2 = dist2 < r_detect
             hit = near2 & near & (phi < 0.0) & (phi2 >= 0.0)
             if hit.any():
                 k = np.flatnonzero(hit)
-                q_hit, p_hit = self._bisect(Q[k], P[k], F[k], dt[k], A[k], N[k])
+                q_hit, p_hit = self._bisect(Q[k], P[k], F[k], dt[k], A[k], N[k], W[k])
                 for m, kk in enumerate(k):
                     out[live[kk]] = (q_hit[m], p_hit[m], float(dmin[kk]), None)
             Q, P, F, T, D, phi, near = Q2, P2, F2, T + dt, D2, phi2, near2
             if hit.any():
                 drop(hit)
             if collect:
-                trail.append((live, Q))
+                trail.append((live[kept], Q[kept]))
         if collect:
             ids = np.concatenate([ids for ids, _ in trail])
             pts = np.concatenate([q for _, q in trail])
-            for i in range(collect):
+            for i in collect:
                 if not isinstance(out[i], Exception):
                     out[i] = out[i][:3] + (np.vstack([pts[ids == i], out[i][0]]),)
         return out
 
-    def _bisect(self, Q, P, F, dt, A, N):
+    def _bisect(self, Q, P, F, dt, A, N, W):
         """Section crossing of each row inside its step [0, dt], in lockstep;
-        F is the force at Q."""
+        F is the force at Q under the weights W."""
         kernel = self.kernel
         lo, hi = np.zeros(len(dt)), dt.copy()
         tol = 1e-15 * np.maximum(dt, 1.0)
         act = np.arange(len(dt))
         for _ in range(80):
             mid = 0.5 * (lo[act] + hi[act])
-            qm, _ = kernel.rk4(Q[act], P[act], mid, F[act])
+            qm, _ = kernel.rk4(Q[act], P[act], mid, F[act], W[act])
             below = self._section(qm, A[act], N[act])[0] < 0
             lo[act] = np.where(below, mid, lo[act])
             hi[act] = np.where(below, hi[act], mid)
             act = act[~(hi[act] - lo[act] < tol[act])]
             if not act.size:
                 break
-        return kernel.rk4(Q, P, 0.5 * (lo + hi), F)
+        return kernel.rk4(Q, P, 0.5 * (lo + hi), F, W)
 
-    def residual(self, U, fd_rel=None):
+    # --- Newton as generators of flights: residual, jacobian and newton yield
+    # (rows, k), the rows they need flown with the paths of the first k, and
+    # receive those rows' outcomes from _lockstep ---
+
+    def residual(self, U, fd_rel):
         """Residual at U, least distance to N and each link's path, from one
-        lockstep call. With fd_rel the stencil rows of the Jacobian at U fly
-        in the same call; their outcomes come fourth (None without fd_rel)."""
+        flight. With fd_rel the stencil rows of the Jacobian at U fly in the
+        same flight; their outcomes come fourth (None without fd_rel)."""
         xi_list, p_list = self.unpack(U)
         stencil = self._stencil_rows(U, self._fd_steps(U, fd_rel)) if fd_rel else []
-        flights = self.fly_link([(j, xi_list[j], p_list[j]) for j in range(self.n)] + stencil,
-                                collect=self.n)
+        flights = yield [(self, j, xi_list[j], p_list[j]) for j in range(self.n)] + stencil, self.n
         res = []
         dmin = np.inf
         for j, flight in enumerate(flights[:self.n]):
@@ -540,16 +456,16 @@ class _ChainShooting:
             for sign in (1.0, -1.0):
                 blk = U[j * per:(j + 1) * per].copy()
                 blk[c % per] += sign * hs[c]
-                rows.append((j, blk[:d - 1], blk[d - 1:]))
+                rows.append((self, j, blk[:d - 1], blk[d - 1:]))
         return rows
 
-    def jacobian(self, U, fd_rel: float = _FD_REL, flights=None) -> np.ndarray:
+    def jacobian(self, U, fd_rel, flights):
         """Shooting Jacobian at U: -I couplings plus central differences.
 
-        All 2 (2d - 1) n perturbed links fly in one lockstep call, unless
-        their outcomes are given as flights (flown with the residual at U).
-        A column with a failed flight is flown again at a quarter of its
-        step, at most four times in all.
+        All 2 (2d - 1) n perturbed links fly in one flight, unless their
+        outcomes are given as flights (flown with the residual at U). A
+        column with a failed flight is flown again at a quarter of its step,
+        at most four times in all.
         """
         per = 2 * self.sp.base.dim - 1
         size = per * self.n  # analytic coupling of residual block j to node j+1: -I
@@ -558,7 +474,7 @@ class _ChainShooting:
         pending = list(range(size))
         for _ in range(4):
             if flights is None:
-                flights = self.fly_link(self._stencil_rows(U, hs, pending))
+                flights = yield self._stencil_rows(U, hs, pending), 0
             failed = []
             for m, c in enumerate(pending):
                 plus, minus = flights[2 * m], flights[2 * m + 1]
@@ -578,7 +494,7 @@ class _ChainShooting:
         raise SingularShadowError(
             f"finite differences infeasible at node {pending[0] // per}")
 
-    def solve(self):
+    def newton(self):
         """Newton with a halving line search: (U, |R|, iterations, dmin, paths).
 
         Stops at |R| <= 1e-8 sqrt(2E) or after 30 iterations, and accepts up
@@ -586,12 +502,12 @@ class _ChainShooting:
         stencil too, kept if accepted."""
         tol, scale = 1e-8, self.speed
         U = self.predictor()
-        R, dmin, paths, stencil = self.residual(U, _FD_REL)
+        R, dmin, paths, stencil = yield from self.residual(U, _FD_REL)
         rn = np.linalg.norm(R, ord=np.inf)
         dmin_floor = min(dd.r_p for dd in self.defl) / 5.0
         it = 0
         while rn > tol * scale and it < 30:
-            J = self.jacobian(U, _FD_REL, stencil)
+            J = yield from self.jacobian(U, _FD_REL, stencil)
             try:
                 step = np.linalg.solve(J, -R)
             except np.linalg.LinAlgError as exc:
@@ -599,7 +515,8 @@ class _ChainShooting:
             lam = 1.0
             for _ in range(25):
                 try:
-                    flown = self.residual(U + lam * step, _FD_REL if lam == 1.0 else None)
+                    flown = yield from self.residual(U + lam * step,
+                                                     _FD_REL if lam == 1.0 else None)
                 except (SingularShadowError, ExclusionRadiusError):
                     lam *= 0.5
                     continue
@@ -617,6 +534,13 @@ class _ChainShooting:
             raise SingularShadowError(f"Newton did not converge: |R| = {rn:.2e}")
         return U, rn, it, dmin, paths
 
+    def solve(self):
+        """This shooting's Newton driven alone: (U, |R|, iterations, dmin, paths)."""
+        (out,) = _lockstep([self.newton()])
+        if isinstance(out, Exception):
+            raise out
+        return out
+
     def sup_error_to_chain(self, paths) -> float:
         """Sup distance of the flown link paths to the chain polygon."""
         space = self.sp.base.space
@@ -625,14 +549,46 @@ class _ChainShooting:
         return space.sup_segment_distance(np.concatenate(paths), a, b)
 
 
+def _lockstep(runs) -> list:
+    """Drive shooting generators together. Each round flies every row that
+    the unfinished ones ask for in one fly_link call and sends each its own
+    outcomes. Returns what each run returned, or the SingularShadowError or
+    ExclusionRadiusError that ended it while the others went on."""
+    results = [None] * len(runs)
+    asks = {}
+
+    def advance(k, outcomes):
+        try:
+            asks[k] = runs[k].send(outcomes)
+        except StopIteration as done:
+            results[k] = done.value
+        except (SingularShadowError, ExclusionRadiusError) as exc:
+            results[k] = exc
+
+    for k in range(len(runs)):
+        advance(k, None)
+    while asks:
+        rows, collect, spans = [], [], []
+        for k, (ask, keep) in asks.items():
+            collect += range(len(rows), len(rows) + keep)
+            spans.append((k, len(rows), len(rows) + len(ask)))
+            rows += ask
+        asks.clear()
+        flights = rows[0][0].fly_link(rows, collect)
+        for k, a, b in spans:
+            advance(k, flights[a:b])
+    return results
+
+
 def shadow_experiment(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
                       mu_list: Sequence[float],
                       alphas: Optional[np.ndarray] = None) -> List[SingularShadowRow]:
     """Near-collision shadowing of a polygon chain under a mu-sweep.
 
     For each mu, a multiple-shooting Newton matches the local two-body
-    deflections to the chain's momentum jumps; rows report convergence, the
-    sup distance to the chain and the minimum approach distance. Not a
+    deflections to the chain's momentum jumps; the Newtons of all mu run in
+    lockstep, and a failure ends only its own row. Rows report convergence,
+    the sup distance to the chain and the minimum approach distance. Not a
     proof-grade certificate.
     """
     scat = dl.scatterer
@@ -655,18 +611,17 @@ def shadow_experiment(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguratio
         dirs.append(v / np.linalg.norm(v))
 
     base = ClassicalHamiltonian(scat.space)     # free flight among the centers
+    shooters = [_ChainShooting(SingularPerturbation(base, scat, float(mu), alphas=alphas),
+                               centers, dirs, E) for mu in mu_list]
     rows: List[SingularShadowRow] = []
-    for mu in mu_list:
-        sp = SingularPerturbation(base, scat, float(mu), alphas=alphas)
-        shooter = _ChainShooting(sp, centers, dirs, E)
+    for shooter, out in zip(shooters, _lockstep([s.newton() for s in shooters])):
+        mu = shooter.sp.mu
         predicted = min(d.r_p for d in shooter.defl)
-        try:
-            _, rn, it, dmin, paths = shooter.solve()
-            rows.append(SingularShadowRow(float(mu), True, shooter.sup_error_to_chain(paths),
+        if isinstance(out, Exception):
+            rows.append(SingularShadowRow(mu, False, np.nan, np.nan, predicted, np.nan, 0,
+                                          f"{type(out).__name__}: {out}"))
+        else:
+            _, rn, it, dmin, paths = out
+            rows.append(SingularShadowRow(mu, True, shooter.sup_error_to_chain(paths),
                                           dmin, predicted, float(rn), it))
-        except (SingularShadowError, ExclusionRadiusError, StepUnderflowError) as exc:
-            rows.append(SingularShadowRow(float(mu), False, np.nan, np.nan,
-                                          predicted, np.nan, 0,
-                                          f"{type(exc).__name__}: {exc}"))
     return rows
-

@@ -359,10 +359,11 @@ class TestRuns:
     def test_ncenter_failure_reason_in_report(self, tmp_path, monkeypatch):
         from shadowbilliards import singular
 
-        def fail(self, *args, **kwargs):
+        def fail(self):
             raise singular.SingularShadowError("no descent (|R| = 1.00e-03)")
+            yield  # a generator, as the Newton it stands in for
 
-        monkeypatch.setattr(singular._ChainShooting, "solve", fail)
+        monkeypatch.setattr(singular._ChainShooting, "newton", fail)
         cfg = json.loads((SCENARIOS / "ncenter_square.json").read_text())
         cfg["sweeps"]["mu"] = [1e-3]
         out = tmp_path / "nc"

@@ -51,7 +51,6 @@ UNREFERENCED = {
     "dynamics.CallablePotential": "model potential given by plain functions",
     "dls.FunctionLink": "link branch given by a plain function, for synthetic systems",
     "dls.routh_reduce": "Routh reduction of a symmetric discrete Lagrangian",
-    "singular.flow_singular": "singular flow from one state, for perturbations phi",
     "dynamics.flow_segment": "flow of a general Hamiltonian from one state",
     "bvp.twist": "twist condition of a connecting orbit",
     "bvp.boundary_momenta_check": "first-variation check of a connector's momenta",

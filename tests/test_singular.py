@@ -1,18 +1,18 @@
+import itertools
 import json
 import time
+from functools import lru_cache
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
-from shadowbilliards import dls, scenarios, singular
-from shadowbilliards.dynamics import (ClassicalHamiltonian, HarmonicPotential, PhaseState,
-                                      euclidean, flow_segment)
+from shadowbilliards import scenarios, singular
+from shadowbilliards.dynamics import ClassicalHamiltonian, HarmonicPotential, euclidean
 from shadowbilliards.scatterer import DiagonalScatterer, PointScatterer
 from shadowbilliards.singular import (ExclusionRadiusError, SingularPerturbation,
-                                      flow_singular,
                                       rutherford_deflection, shadow_experiment)
 
 
@@ -26,92 +26,75 @@ def one_center(mu, alphas=(1.0,), centers=((0.0, 0.0),)):
     return SingularPerturbation(base, scat, mu, alphas=np.asarray(alphas, float))
 
 
+def kernel_pull(sp, Q):
+    """Kernel force and nearest-center distance of the rows Q under sp's weights."""
+    kernel, Q = singular._PointCenterKernel(sp), np.asarray(Q, dtype=float)
+    W = np.tile(sp.mu * sp.alphas, (len(Q), 1))
+    return kernel.force(Q, W), kernel.force_distance(Q, W)[1]
+
+
 class TestEvalSingular:
     def test_coulomb_value_and_gradient(self):
-        sp = one_center(1.0)
-        q = np.array([2.0, 0.0])
-        assert sp.potential(q) == pytest.approx(-0.5, rel=1e-14)
-        assert np.allclose(sp.potential_gradient(q), [0.25, 0.0])
+        # V = -1/|q| at q = (2, 0): distance 2, force -grad V = (-1/4, 0)
+        F, D = kernel_pull(one_center(1.0), [[2.0, 0.0]])
+        assert D[0] == 2.0
+        assert F[0] == pytest.approx([-0.25, 0.0], rel=1e-14, abs=1e-15)
 
     def test_two_centers_midpoint_symmetry(self):
         sp = one_center(1.0, alphas=(1.0, 1.0), centers=((0.0, 0.0), (2.0, 0.0)))
-        assert np.allclose(sp.potential_gradient(np.array([1.0, 0.0])), 0.0, atol=1e-14)
-
-    def test_diagonal_scatterer_pair_potential(self):
-        # projection-formula oracle: d(q, diag) = |q1 - q2| / sqrt(2), so
-        # phi = alpha1 alpha2 / sqrt(2) reproduces -a1 a2 / |q1 - q2|
-        space = euclidean(2)
-        base = ClassicalHamiltonian(space)
-        scat = DiagonalScatterer(space)
-        a1a2 = 0.3 * 0.7
-        sp = SingularPerturbation(base, scat, 1e-2,
-                                  phi=lambda q, mu: a1a2 / np.sqrt(2.0))
-        q = np.array([0.8, 0.3])
-        assert sp.potential(q) == pytest.approx(-a1a2 / abs(q[0] - q[1]), rel=1e-12)
+        F, D = kernel_pull(sp, [[1.0, 0.0]])
+        assert D[0] == 1.0
+        assert np.allclose(F[0], 0.0, atol=1e-14)
 
     def test_exclusion_radius(self):
-        # a head-on fall into the center ends inside r_min = mu^2
-        sp = one_center(1e-2)
-        s0 = PhaseState(np.array([0.5, 0.0]), np.array([-1.0, 0.0]))
-        with pytest.raises(ExclusionRadiusError, match="inside exclusion radius 1.000e-04"):
-            flow_singular(sp, s0, 2.0)
+        # a head-on fall into center 0 of the square ends inside its r_min =
+        # mu^2, also when it flies in a call with the links of another mu
+        shooter, other = square_shooter(1e-2), square_shooter(10**-2.5)
+        u = np.sqrt(0.5) * np.ones(2)           # section 0 runs along u
+        xi = shooter.bases[0].T @ (shooter.points[0] + 0.5 * u - shooter.defl[0].periapsis)
+        fall = (shooter, 0, xi, -u)
+        alone = shooter.fly_link([fall])[0]
+        mixed = other.fly_link(predictor_rows(other) + [fall])[-1]
+        assert isinstance(alone, ExclusionRadiusError)
+        assert "inside exclusion radius 1.000e-04" in str(alone)
+        assert type(mixed) is type(alone) and str(mixed) == str(alone)
 
 
 class TestFlowSingular:
     def test_mu_zero_matches_base_flow(self):
-        sp = one_center(0.0)
-        s0 = PhaseState(np.array([1.0, 1.0]), np.array([0.3, -0.2]))
-        res = flow_singular(sp, s0, 2.0)
-        ref = flow_segment(sp.base, s0, 2.0)
-        assert np.linalg.norm(res.trajectory.final.q - ref.final.q) < 1e-10
+        # zero weights: an RK4 step is the free-flight step q + dt M^-1 p
+        sp = square_perturbation(0.0, mass=[[2.0, 0.3], [0.3, 1.0]])
+        kernel = singular._PointCenterKernel(sp)
+        Q = np.array([[0.3, 0.2], [1.5, -0.7], [0.01, 0.99]])
+        P = np.array([[1.0, 0.5], [-0.3, 2.0], [0.0, -1.0]])
+        dt, W = np.array([1e-3, 0.1, 2.0]), np.zeros((3, 4))
+        Q1, P1 = kernel.rk4(Q, P, dt, kernel.force(Q, W), W)
+        assert np.array_equal(P1, P)
+        assert np.allclose(Q1, Q + dt[:, None] * (P @ sp.base.mass_inv.T), rtol=0, atol=1e-15)
 
     def test_hyperbolic_flyby_conservation(self):
+        # link 0 of the predictor starts at the periapsis of center 0 and ends
+        # on section 1, at the periapsis of center 1
         mu = 1e-3
-        sp = one_center(mu)
-        b = 2.0 * mu  # impact parameter of order mu
-        s0 = PhaseState(np.array([-1.0, b]), np.array([1.0, 0.0]))
-        res = flow_singular(sp, s0, 2.0)
-        assert res.energy_drift <= 1e-6
-        assert res.min_distance < 5 * mu
-        assert res.min_distance > sp.r_min
+        shooter = square_shooter(mu)
+        xi, p = shooter.unpack(shooter.predictor())
+        ((q, pp, dmin, _),) = shooter.fly_link([(shooter, 0, xi[0], p[0])])
 
-    def test_repelling_head_on_turns_back(self):
-        # 1-d closed-form turning point at r = mu |alpha| / E
-        mu, alpha, E = 1e-3, -1.0, 0.5
-        sp = one_center(mu, alphas=(alpha,))
-        s0 = PhaseState(np.array([-1.0, 0.0]), np.array([1.0, 0.0]))
-        res = flow_singular(sp, s0, 3.0)
-        E0 = sp.energy(s0.q, s0.p)
-        r_turn = mu * abs(alpha) / E0
-        assert res.min_distance == pytest.approx(r_turn, rel=1e-3)
-        assert res.trajectory.final.q[0] < -0.5  # came back out
+        def energy(q, p):
+            r = np.linalg.norm(q - shooter.sp.scatterer.points, axis=1)
+            return 0.5 * p @ p - mu * np.sum(1.0 / r)
+
+        E0 = energy(shooter.node_state(0, xi[0]), p[0])
+        assert abs(energy(q, pp) - E0) <= 1e-6 * max(1.0, abs(E0))
+        assert shooter.sp.r_min < dmin < 5 * mu
 
     def test_mu_continuity_along_first_link(self):
-        # trajectory from chain initial data stays within O(mu^0.8) of the link
-        scn = scenarios.ncenter_scenario(scenarios.square_centers(), E=0.5)
+        # the flown predictor link 0 stays within O(mu^0.8) of its chord y = 0
         for mu in (1e-3, 1e-4):
-            sp = SingularPerturbation(scn.h, scn.scatterer, mu, alphas=scn.alphas)
-            start = np.array([0.5, 0.0])
-            s0 = PhaseState(start, np.array([1.0, 0.0]))
-            res = flow_singular(sp, s0, 0.45 / np.sqrt(2 * 0.5))
-            dev = np.max(np.abs(res.trajectory.qs[:, 1]))
-            assert dev <= 5.0 * mu ** 0.8
-
-    def test_harmonic_base_retraces_under_time_reversal(self):
-        # a base potential takes the kernel's row-by-row force and distance
-        space = euclidean(2)
-        sp = SingularPerturbation(ClassicalHamiltonian(space, HarmonicPotential(1.0)),
-                                  PointScatterer(space, [[0.5, 0.0]]), 1e-2)
-        assert not singular._PointCenterKernel(sp).fused
-        q0, p0 = np.array([-0.5, 0.02]), np.array([0.8, 0.0])
-        fwd = flow_singular(sp, PhaseState(q0, p0), 3.0)
-        assert fwd.energy_drift <= 1e-6
-        assert fwd.min_distance < 0.01             # a near passage of the center
-        back = flow_singular(sp, PhaseState(fwd.trajectory.qs[-1], -fwd.trajectory.ps[-1]),
-                             3.0)
-        assert back.energy_drift <= 1e-6
-        assert np.abs(back.trajectory.qs[-1] - q0).max() <= 1e-7
-        assert np.abs(back.trajectory.ps[-1] + p0).max() <= 1e-7
+            shooter = square_shooter(mu)
+            xi, p = shooter.unpack(shooter.predictor())
+            ((_, _, _, path),) = shooter.fly_link([(shooter, 0, xi[0], p[0])], collect=[0])
+            assert np.max(np.abs(path[:, 1])) <= 5.0 * mu ** 0.8
 
 
 class TestDeflection:
@@ -163,10 +146,11 @@ class TestShadowExperiment:
         assert row.iterations == 3
 
     def test_failed_row_keeps_reason(self, monkeypatch):
-        def fail(self, *args, **kwargs):
+        def fail(self):
             raise singular.SingularShadowError("no descent (|R| = 1.00e-03)")
+            yield  # a generator, as the Newton it stands in for
 
-        monkeypatch.setattr(singular._ChainShooting, "solve", fail)
+        monkeypatch.setattr(singular._ChainShooting, "newton", fail)
         scn = scenarios.ncenter_scenario(scenarios.square_centers(), E=0.5)
         chain = scn.chain([(0, 1), (1, 2), (2, 3), (3, 0)])
         (row,) = shadow_experiment(scn.dl, chain, [1e-3], alphas=scn.alphas)
@@ -212,6 +196,19 @@ def square_shooter(mu):
     return singular._ChainShooting(square_perturbation(mu), [0, 1, 2, 3], SQUARE_DIRS, 0.5)
 
 
+def predictor_rows(shooter):
+    xi, p = shooter.unpack(shooter.predictor())
+    return [(shooter, j, xi[j], p[j]) for j in range(shooter.n)]
+
+
+def drive(run):
+    """What one shooting generator returns when the sweep's driver runs it alone."""
+    (out,) = singular._lockstep([run])
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
 def reference_rk4(sp, q, p, dt):
     """One-row RK4 step among point centers, written with one-row products."""
     centers, mu_alphas, minv = sp.scatterer.points, sp.mu * sp.alphas, sp.base.mass_inv
@@ -234,9 +231,10 @@ def reference_rk4(sp, q, p, dt):
 
 @st.composite
 def kernel_rows(draw):
-    """Rows near the square's centers (the first within 1e-3 of one), each with its own dt."""
+    """Rows near the square's centers (the first within 1e-3 of one), each
+    with its own dt and mu."""
     n = draw(st.integers(1, 12))
-    Q, P, dt = [], [], []
+    Q, P, dt, mus = [], [], [], []
     for i in range(n):
         center = scenarios.square_centers()[draw(st.integers(0, 3))]
         r = 10 ** draw(st.floats(-5, -3) if i == 0 else st.floats(-5, 0))
@@ -244,7 +242,8 @@ def kernel_rows(draw):
         Q.append(center + r * np.array([np.cos(ang), np.sin(ang)]))
         P.append(draw(st.lists(st.floats(-2, 2), min_size=2, max_size=2)))
         dt.append(10 ** draw(st.floats(-9, -1)))
-    return np.array(Q), np.array(P), np.array(dt)
+        mus.append(10 ** draw(st.floats(-4, -2)))
+    return np.array(Q), np.array(P), np.array(dt), mus
 
 
 def same_bits(a, b):
@@ -262,23 +261,56 @@ class TestLockstepKernel:
         expected = (sp.base.mass_inv @ P[..., None])[..., 0]
         assert np.array_equal(singular._PointCenterKernel(sp).velocity(P), expected)
 
+    def test_only_free_flight_among_point_centers(self):
+        # the kernel has no term for a base potential, and V for point centers only
+        space = euclidean(2)
+        sp = SingularPerturbation(ClassicalHamiltonian(space, HarmonicPotential(1.0)),
+                                  PointScatterer(space, [[0.5, 0.0]]), 1e-2)
+        with pytest.raises(ValueError, match="free flight"):
+            singular._PointCenterKernel(sp)
+        with pytest.raises(ValueError, match="point scatterer"):
+            SingularPerturbation(ClassicalHamiltonian(space), DiagonalScatterer(space), 1e-2)
+
     @seed(20161018)
     @settings(max_examples=60, deadline=None, database=None)
     @given(kernel_rows(), st.sampled_from([None, [[2.0, 0.3], [0.3, 1.0]]]))
+    @example((np.array([[1e-4, 0.0], [1e-4, 0.0], [0.7, 0.1]]),
+              np.array([[0.0, 1.0], [0.0, 1.0], [-1.0, 0.5]]),
+              np.array([1e-6, 1e-6, 1e-2]), [1e-2, 10**-3.5, 1e-4]), None)
     def test_batched_rows_equal_one_row_steps(self, rows, mass):
-        Q, P, dt = rows
-        sp = square_perturbation(1e-3, mass)
+        # rows of different mu in one call equal each row stepped alone with
+        # its own weights
+        Q, P, dt, mus = rows
+        sp = square_perturbation(1.0, mass)
         kernel = singular._PointCenterKernel(sp)
-        Fb, Db = kernel.force_distance(Q)
-        assert same_bits(Fb, kernel.force(Q))
-        Qb, Pb = kernel.rk4(Q, P, dt, Fb)
+        W = np.array([mu * sp.alphas for mu in mus])
+        Fb, Db = kernel.force_distance(Q, W)
+        assert same_bits(Fb, kernel.force(Q, W))
+        Qb, Pb = kernel.rk4(Q, P, dt, Fb, W)
         for i in range(len(dt)):
-            q1, p1 = kernel.rk4(Q[i:i + 1], P[i:i + 1], dt[i:i + 1], kernel.force(Q[i:i + 1]))
+            one = slice(i, i + 1)
+            q1, p1 = kernel.rk4(Q[one], P[one], dt[one], kernel.force(Q[one], W[one]), W[one])
             assert same_bits(Qb[i], q1[0]) and same_bits(Pb[i], p1[0])
-            q_ref, p_ref = reference_rk4(sp, Q[i], P[i], float(dt[i]))
+            q_ref, p_ref = reference_rk4(square_perturbation(mus[i], mass), Q[i], P[i],
+                                         float(dt[i]))
             assert same_bits(Qb[i], q_ref) and same_bits(Pb[i], p_ref)
             rel = Q[i][None, :] - sp.scatterer.points
             assert Db[i] == float(np.min(np.sqrt(np.einsum("ij,ij->i", rel, rel))))
+
+    @seed(20161018)
+    @settings(max_examples=3, deadline=None, database=None)
+    @given(st.permutations(range(8)))
+    @example(list(range(8)))
+    def test_links_of_different_mu_fly_as_alone(self, order):
+        # the predictor links of two mu, interleaved in one call, against
+        # each mu's links flown alone: hits, least distances and paths
+        shooters = [square_shooter(1e-2), square_shooter(10**-2.5)]
+        rows = [row for s in shooters for row in predictor_rows(s)]
+        mixed = [rows[i] for i in order]
+        out = mixed[0][0].fly_link(mixed, collect=range(8))
+        ref = [hit for s in shooters for hit in s.fly_link(predictor_rows(s), collect=range(4))]
+        for m, i in enumerate(order):
+            assert all(same_bits(a, b) for a, b in zip(out[m], ref[i]))
 
     @pytest.mark.parametrize("kind", ["exclusion", "miss"])
     @seed(20161018)
@@ -286,15 +318,14 @@ class TestLockstepKernel:
     @given(at=st.integers(0, 4))
     def test_failing_row_leaves_the_others_bit_equal(self, kind, at):
         shooter = square_shooter(1e-2)
-        xi, p = shooter.unpack(shooter.predictor())
-        good = [(j, xi[j], p[j]) for j in range(4)]
+        good = predictor_rows(shooter)
         # start on section 0 (the line x = y) outside the square's corner
         offset = -0.01 if kind == "exclusion" else -0.3
         q_bad = shooter.points[0] + offset * np.sqrt(0.5) * np.ones(2)
         xi_bad = shooter.bases[0].T @ (q_bad - shooter.defl[0].periapsis)
         # at rest: a near-radial fall into center 0; or moving away from the square
         p_bad = np.zeros(2) if kind == "exclusion" else -np.sqrt(0.5) * np.ones(2)
-        bad = (0, xi_bad, p_bad)
+        bad = (shooter, 0, xi_bad, p_bad)
         rows = good[:at] + [bad] + good[at:]
         out = shooter.fly_link(rows)
         ref = shooter.fly_link(good)
@@ -312,11 +343,10 @@ class TestLockstepKernel:
 
     def test_flown_path_samples_end_at_the_hit(self):
         shooter = square_shooter(1e-2)
-        xi, p = shooter.unpack(shooter.predictor())
-        rows = [(j, xi[j], p[j]) for j in range(4)]
+        rows = predictor_rows(shooter)
         plain = shooter.fly_link(rows)
-        for (q, pp, dmin, path), (j, xj, _), ref in zip(shooter.fly_link(rows, collect=len(rows)),
-                                                        rows, plain):
+        for (q, pp, dmin, path), (_, j, xj, _), ref in zip(
+                shooter.fly_link(rows, collect=range(len(rows))), rows, plain):
             assert same_bits(path[0], shooter.node_state(j, xj))
             assert same_bits(path[-1], q) and same_bits(q, ref[0]) and dmin == ref[2]
 
@@ -326,7 +356,7 @@ def flaky_flights(failures, column):
     orig = singular._ChainShooting.fly_link
     calls = []
 
-    def fly(self, rows, collect=False):
+    def fly(self, rows, collect=()):
         out = orig(self, rows, collect)
         if len(calls) < failures:
             # the first call flies every column; later calls only this one
@@ -344,11 +374,11 @@ class TestJacobianRetry:
     def test_retry_yields_the_quarter_step_column(self, column, failures):
         shooter = square_shooter(1e-2)
         U = shooter.predictor()
-        J_ref = shooter.jacobian(U)
-        J_small = shooter.jacobian(U, fd_rel=1e-7 * 0.25**failures)
+        J_ref = drive(shooter.jacobian(U, 1e-7, None))
+        J_small = drive(shooter.jacobian(U, 1e-7 * 0.25**failures, None))
         patch, calls = flaky_flights(failures, column)
         with patch:
-            J = shooter.jacobian(U)
+            J = drive(shooter.jacobian(U, 1e-7, None))
         assert calls == [24] + [2] * failures
         others = np.arange(12) != column
         assert same_bits(J[:, column], J_small[:, column])
@@ -359,21 +389,25 @@ class TestJacobianRetry:
         patch, calls = flaky_flights(4, 7)
         with patch, pytest.raises(singular.SingularShadowError,
                                   match="finite differences infeasible at node 2"):
-            shooter.jacobian(shooter.predictor())
+            drive(shooter.jacobian(shooter.predictor(), 1e-7, None))
         assert calls == [24, 2, 2, 2]
 
 
-def recorded_flights(fail_call=None):
+def recorded_flights(fail_call=None, mu=None):
     """fly_link that records the row count of each call; call number
-    fail_call (from 1) reports its first row as failed."""
+    fail_call (from 1) among the calls with rows of a shooter at mu (of any
+    shooter by default) reports the first of those rows as failed."""
     orig = singular._ChainShooting.fly_link
-    calls = []
+    calls, seen = [], []
 
-    def fly(self, rows, collect=0):
+    def fly(self, rows, collect=()):
         out = orig(self, rows, collect)
         calls.append(len(rows))
-        if len(calls) == fail_call:
-            out[0] = singular.SingularShadowError("injected")
+        mine = [i for i, row in enumerate(rows) if mu is None or row[0].sp.mu == mu]
+        if mine:
+            seen.append(mine[0])
+            if len(seen) == fail_call:
+                out[mine[0]] = singular.SingularShadowError("injected")
         return out
 
     return mock.patch.object(singular._ChainShooting, "fly_link", fly), calls
@@ -383,16 +417,16 @@ def unfused_newton(shooter, tol=1e-8, fd_rel=1e-7):
     """Newton with a Jacobian flight of its own at every step and a re-flight
     of the solution for its paths: (U, |R|, iterations, dmin, sup error)."""
     U = shooter.predictor()
-    R, dmin, _, _ = shooter.residual(U)
+    R, dmin, _, _ = drive(shooter.residual(U, None))
     rn = np.linalg.norm(R, ord=np.inf)
     floor = min(dd.r_p for dd in shooter.defl) / 5.0
     it = 0
     while rn > tol * shooter.speed:
-        step = np.linalg.solve(shooter.jacobian(U, fd_rel), -R)
+        step = np.linalg.solve(drive(shooter.jacobian(U, fd_rel, None)), -R)
         lam = 1.0
         for _ in range(25):
             try:
-                R_t, dmin_t, _, _ = shooter.residual(U + lam * step)
+                R_t, dmin_t, _, _ = drive(shooter.residual(U + lam * step, None))
             except singular.SingularShadowError:
                 lam *= 0.5
                 continue
@@ -404,7 +438,7 @@ def unfused_newton(shooter, tol=1e-8, fd_rel=1e-7):
             raise AssertionError("no descent")
         U, R, rn, dmin = U + lam * step, R_t, rn_t, dmin_t
         it += 1
-    _, dmin, paths, _ = shooter.residual(U)
+    _, dmin, paths, _ = drive(shooter.residual(U, None))
     return U, rn, it, dmin, shooter.sup_error_to_chain(paths)
 
 
@@ -447,3 +481,59 @@ class TestOneFlightPerNewtonStep:
         assert calls == [4 + 24, 4 + 24, 4, 24] + [4 + 24] * (it - 1)
         assert ref_calls == [4, 24, 4, 4] + [24, 4] * (it - 1) + [4]
         self.assert_same(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# A mu sweep in lockstep
+# ---------------------------------------------------------------------------
+
+SWEEP = (10**-2.85, 10**-2.875)
+ROW_FIELDS = ("converged", "sup_error", "min_distance", "residual", "iterations", "reason")
+
+
+def sweep(mus, fail_call=None, fail_mu=None):
+    """Rows of shadow_experiment on the shipped square over mus, and the row
+    count of each fly_link call; see recorded_flights for the failure."""
+    scn = scenarios.ncenter_scenario(scenarios.square_centers(), E=0.5)
+    chain = scn.chain([(0, 1), (1, 2), (2, 3), (3, 0)])
+    patch, calls = recorded_flights(fail_call, fail_mu)
+    with patch:
+        rows = shadow_experiment(scn.dl, chain, list(mus), alphas=scn.alphas)
+    return [tuple(repr(getattr(r, f)) for f in ROW_FIELDS) for r in rows], calls
+
+
+@lru_cache(maxsize=None)
+def alone(mu, fail_call=None):
+    """sweep of mu alone: (its row, the row counts of its flights)."""
+    (row,), calls = sweep([mu], fail_call, mu)
+    return row, calls
+
+
+class TestLockstepSweep:
+    def test_rows_equal_each_mu_solved_alone(self):
+        rows, _ = sweep(SWEEP)
+        assert rows == [alone(mu)[0] for mu in SWEEP]
+        assert all(row[0] == "True" and row[-1] == "''" for row in rows)
+
+    def test_sweep_flies_the_max_not_the_sum(self):
+        # each round flies the pending rows of both mu in one call
+        _, calls = sweep(SWEEP)
+        solo = [alone(mu)[1] for mu in SWEEP]
+        assert len(calls) == max(map(len, solo)) < sum(map(len, solo))
+        assert calls == [a + b for a, b in itertools.zip_longest(*solo, fillvalue=0)]
+
+    @seed(20161018)
+    @settings(max_examples=2, deadline=None, database=None)
+    @given(st.sampled_from(SWEEP), st.integers(1, 4))
+    @example(SWEEP[0], 1)
+    @example(SWEEP[1], 1)
+    def test_failure_in_one_mu_leaves_the_other_row(self, mu, fail_call):
+        # a failed flight of one mu changes its row as it would alone, and
+        # the other row not at all; failing the first flight fails the row
+        rows, _ = sweep(SWEEP, fail_call, mu)
+        k = SWEEP.index(mu)
+        assert rows[k] == alone(mu, fail_call)[0]
+        assert rows[1 - k] == alone(SWEEP[1 - k])[0]
+        if fail_call == 1:
+            assert rows[k][0] == "False"
+            assert rows[k][-1] == repr("SingularShadowError: injected")
