@@ -19,8 +19,7 @@ import numpy as np
 
 from . import dls as dlsmod
 from .bvp import CollisionOrbit, ConjugateError, ConnectError, chord_hessian
-from .dynamics import (ClassicalHamiltonian, DomainError, PhaseState,
-                       StepUnderflowError, _verlet_steps, central_diff)
+from .dynamics import ClassicalHamiltonian, DomainError, PhaseState, central_diff
 from .kepler import FeasibilityError
 from .scatterer import (BoundaryPoint, DiagonalScatterer, FrameRankError,
                         PointScatterer, Scatterer, SphereChart)
@@ -48,28 +47,23 @@ _TANGENCY_FLOOR = 1e-12     # |<H_p, n>| at or below this (relative) is a grazin
 def reflect(h: ClassicalHamiltonian, q, p, normal):
     """Elastic reflection of the momentum at a surface with conormal `normal`.
 
-    p' = p - 2 <p - w, n> n / ||n||^2 with inner products of the inverse-mass
+    p' = p - 2 <p, n> n / ||n||^2 with inner products of the inverse-mass
     metric; conserves H exactly and jumps the momentum parallel to n.
     Supports batched inputs broadcast along the leading axis; a grazing row
     raises GrazingEventError in either form.
     """
-    q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     n = np.asarray(normal, dtype=float)
     minv = h.mass_inv
     if p.ndim == 1:
-        pk = p - h.w(q)
         nn = float(n @ minv @ n)
-        pn = float(pk @ minv @ n)
-        v = minv @ pk
+        pn = float(p @ minv @ n)
+        v = minv @ p
         vnorm = np.linalg.norm(v)
         if abs(v @ n) <= _TANGENCY_FLOOR * max(1.0, vnorm * np.linalg.norm(n)):
             raise GrazingEventError("tangential incidence: <H_p, n> = 0")
         return p - (2.0 * pn / nn) * n
-    w = np.zeros_like(p)
-    if h.magnetic is not None:
-        w = np.stack([h.magnetic.value(row) for row in q])
-    v = (p - w) @ minv.T                      # H_p of each row
+    v = p @ minv.T                            # H_p of each row
     pn = np.einsum("bi,bi->b", v, n)
     graze = np.abs(pn) <= _TANGENCY_FLOOR * np.maximum(
         1.0, np.linalg.norm(v, axis=1) * np.linalg.norm(n, axis=1))
@@ -151,7 +145,7 @@ class BilliardRun:
 
 
 class _FreeFlight:
-    """Exact drift between events when the potential and magnetic terms vanish."""
+    """Exact drift between events: with no potential the momentum is constant."""
 
     def __init__(self, h: ClassicalHamiltonian):
         self.h = h
@@ -215,20 +209,6 @@ def _entry_times_free(dom: BilliardDomain, q: np.ndarray, v: np.ndarray,
     return best
 
 
-class _VerletFlight:
-    def __init__(self, h: ClassicalHamiltonian, micro_step: float):
-        self.h = h
-        self.micro = micro_step
-
-    def position(self, state: PhaseState, dt: float) -> np.ndarray:
-        return self.advance(state, dt).q
-
-    def advance(self, state: PhaseState, dt: float) -> PhaseState:
-        n = max(1, int(np.ceil(dt / self.micro)))
-        q, p = _verlet_steps(self.h, state.q, state.p, dt / n, n, sample_every=n)[:2]
-        return PhaseState(q, p, state.t + dt)
-
-
 _ARM_GAP = 1e-9     # a surface is armed for crossings once the gap to it exceeds this
 
 
@@ -239,23 +219,16 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int) -> 
     the position, so a step below gap / v_max cannot skip a crossing; near the
     boundary the step is floored at eps/10 path length, and each sign change
     is then bisected on the gap function. An event whose velocity makes an
-    angle with the surface of sine below 1e-4 raises GrazingEventError. The
-    Verlet flights between events assume w == 0, so a magnetic term raises
+    angle with the surface of sine below 1e-4 raises GrazingEventError.
+    Flights between events are free drifts, so a non-zero potential raises
     ValueError before any flight.
     """
     h = dom.h
-    if h.magnetic is not None:
-        raise ValueError("billiard flights cannot take a magnetic term w: they assume w == 0")
-    analytic = False
-    if h.potential.is_zero:
-        flight = _FreeFlight(h)
-        v2max = float(np.linalg.norm(h.velocity(s0.q, s0.p)))
-        analytic = isinstance(dom.scatterer, (PointScatterer, DiagonalScatterer))
-    else:
-        E = h.energy(s0.q, s0.p)
-        lam_min = float(np.min(np.linalg.eigvalsh(h.mass)))
-        v2max = np.sqrt(max(2.0 * E - 0.0, 1e-12) / lam_min) * 2.0
-        flight = _VerletFlight(h, micro_step=dom.eps / (20.0 * v2max))
+    if not h.potential.is_zero:
+        raise ValueError("billiard flights are free drifts: the potential must be zero")
+    flight = _FreeFlight(h)
+    v2max = float(np.linalg.norm(h.velocity(s0.q, s0.p)))
+    analytic = isinstance(dom.scatterer, (PointScatterer, DiagonalScatterer))
     floor = dom.eps / (10.0 * v2max)
     step_cap = np.inf
     if h.space.is_torus:
@@ -665,9 +638,8 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
             try:
                 res_t = dlsmod.residual(jdl_t, jc_t)
                 rn_t = dlsmod.residual_norm(res_t)
-            except (ConnectError, ConjugateError, StepUnderflowError, FeasibilityError,
-                    DomainError, dlsmod.ChainDomainError, FrameRankError,
-                    np.linalg.LinAlgError):
+            except (ConnectError, ConjugateError, FeasibilityError, DomainError,
+                    dlsmod.ChainDomainError, FrameRankError, np.linalg.LinAlgError):
                 # the trial point has no connecting orbit or chart: halve the step
                 rn_t = np.inf
             if rn_t < rn:
@@ -755,11 +727,10 @@ def _section_lift(dom: BilliardDomain, chart: _SiteChart, xi: np.ndarray,
     coef = np.linalg.solve(G, y)
     p0 = J @ coef
     h = dom.h
-    w = h.w(q)
     minv = h.mass_inv
     a = 0.5 * float(n_amb @ minv @ n_amb)
-    b = float(n_amb @ minv @ (p0 - w))
-    c0 = 0.5 * float((p0 - w) @ minv @ (p0 - w)) + h.potential.value(q) - E
+    b = float(n_amb @ minv @ p0)
+    c0 = 0.5 * float(p0 @ minv @ p0) + h.potential.value(q) - E
     disc = b * b - 4 * a * c0
     if disc < 0:
         raise EventSearchError("section lift infeasible: energy shell unreachable")

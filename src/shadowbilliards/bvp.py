@@ -1,14 +1,13 @@
-"""Fixed-energy two-point connectors and their first/second variations.
+"""Fixed-energy two-point connectors.
 
 connect() returns a collision orbit between two configuration points at a
 prescribed energy: its Maupertuis action, boundary momenta, travel time and
 sampled path. Closed-form backends are authoritative where they apply:
-straight chords for free flight (no potential W, no magnetic term w; the
-backend checks both) and planar Kepler arcs. Everything else goes through a
-shooting Newton solve on the composed Verlet flight. Multiple connecting
-orbits between the same endpoints are never searched for: the caller
-disambiguates with an explicit label (torus winding, Kepler revolution count
-and arc branch).
+straight chords for free flight (no potential W; the backend checks) and
+planar Kepler arcs. Everything else goes through a shooting Newton solve on
+the composed Verlet flight. Multiple connecting orbits between the same
+endpoints are never searched for: the caller disambiguates with an explicit
+label (torus winding, Kepler revolution count and arc branch).
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import numpy as np
 
 from . import kepler as kp
 from .dynamics import (ClassicalHamiltonian, DomainError, KeplerPotential,
-                       _verlet_steps, central_diff)
+                       _verlet_steps)
 
 
 class ConnectError(RuntimeError):
@@ -45,7 +44,6 @@ class CollisionOrbit:
     p_plus: np.ndarray
     path: np.ndarray                      # cover coordinates, starts at q_minus
     label: object = None
-    backend: str = "straight"
     reconnect: Optional[Callable] = None  # (q_minus, q_plus) -> CollisionOrbit
     # straight and unfolded chords: the action is sqrt(2E) |chord|_M, and the
     # chord moves by -dq_minus and by parity * dq_plus (wall folds flip signs)
@@ -97,9 +95,8 @@ def chord_hessian(mass: np.ndarray, disp: np.ndarray, speed) -> np.ndarray:
 
 def _straight_connect(h: ClassicalHamiltonian, qm, qp, E, winding=None,
                       label=None) -> CollisionOrbit:
-    if not h.potential.is_zero or h.magnetic is not None:
-        raise ConnectError("straight chords need free flight: no potential W "
-                           "and no magnetic term w")
+    if not h.potential.is_zero:
+        raise ConnectError("straight chords need free flight: no potential W")
     if E <= 0:
         raise DomainError("free flight needs E > 0")
     qm = np.asarray(qm, dtype=float)
@@ -120,8 +117,7 @@ def _straight_connect(h: ClassicalHamiltonian, qm, qp, E, winding=None,
         return _straight_connect(h, qm2, qp2, E, winding, label)
 
     return CollisionOrbit(h, E, qm, qp, action, tau, p, p, path, label=label,
-                          backend="straight", reconnect=redo, chord=disp,
-                          parity=np.ones(disp.size))
+                          reconnect=redo, chord=disp, parity=np.ones(disp.size))
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +131,8 @@ def _kepler_connect(h: ClassicalHamiltonian, qm, qp, E, label) -> CollisionOrbit
     pot = h.potential
     if not isinstance(pot, KeplerPotential) or abs(pot.mu - 1.0) > 1e-14:
         raise ConnectError("Kepler backend needs the unit-mu Kepler potential")
-    if h.space.dim != 2 or h.space.is_torus or h.magnetic is not None:
-        raise ConnectError("Kepler backend is planar Euclidean without magnetic terms")
+    if h.space.dim != 2 or h.space.is_torus:
+        raise ConnectError("Kepler backend is planar Euclidean")
     if E >= 0:
         raise DomainError("elliptic Kepler arcs need E < 0")
     n, arc = label if isinstance(label, tuple) else (label, "short")
@@ -175,7 +171,7 @@ def _kepler_connect(h: ClassicalHamiltonian, qm, qp, E, label) -> CollisionOrbit
         return _kepler_connect(h, qm2, qp2, E, label)
 
     return CollisionOrbit(h, E, qm, qp, float(action), float(tau), vm, vp, path,
-                          label=label, backend="kepler", reconnect=redo)
+                          label=label, reconnect=redo)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +225,6 @@ def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess,
     None or a dict of any of p0, tau0 and direction. At 800 steps per unit
     time p+ meets the energy to 1e-9, a tenth of the CollisionOrbit check, on
     180 kepler_xcheck arcs (6.4e-9 at 500)."""
-    if h.magnetic is not None:
-        raise ConnectError("shooting cannot take a magnetic term w: its flights assume w == 0")
     qm = np.asarray(qm, dtype=float)
     qp = np.asarray(qp, dtype=float)
     d = h.dim
@@ -248,10 +242,10 @@ def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess,
             raise ConnectError("guess direction must be nonzero")
         speed = np.sqrt(2.0 * max(E - h.potential.value(qm), 1e-12))
         v0 = speed * direction / vnorm
-        p0 = h.momentum_from_velocity(qm, v0)
+        p0 = h.mass @ v0
     p0 = np.asarray(p0, dtype=float)
     if tau0 is None:
-        tau0 = np.linalg.norm(target - qm) / max(h.comass_norm(p0), 1e-12)
+        tau0 = np.linalg.norm(target - qm) / max(np.sqrt(p0 @ h.mass_inv @ p0), 1e-12)
 
     p, tau = p0.copy(), float(tau0)
     scale = max(1.0, np.linalg.norm(target - qm))
@@ -293,7 +287,7 @@ def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess,
 
     p_plus, path, action = flight
     return CollisionOrbit(h, E, qm, qp, float(action), float(tau), p, p_plus, path,
-                          label=label, backend="shooting", reconnect=redo)
+                          label=label, reconnect=redo)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +302,7 @@ def connect(h: ClassicalHamiltonian, q_minus, q_plus, E: float, guess=None,
     Kepler backend. backend='auto' picks the closed form when one applies.
     """
     if backend == "auto":
-        if h.potential.is_zero and h.magnetic is None:
+        if h.potential.is_zero:
             backend = "straight"
         elif isinstance(h.potential, KeplerPotential) and E < 0 and h.dim == 2 \
                 and not h.space.is_torus:
@@ -323,73 +317,6 @@ def connect(h: ClassicalHamiltonian, q_minus, q_plus, E: float, guess=None,
     if backend == "shooting":
         return _shooting_connect(h, q_minus, q_plus, E, guess, label)
     raise ValueError(f"unknown backend {backend!r}")
-
-
-@dataclass(frozen=True)
-class MomentaReport:
-    max_rel_deviation: float
-
-
-def boundary_momenta_check(orbit: CollisionOrbit, fd_step: float = 1e-6) -> MomentaReport:
-    """Central differences of the action in the endpoints against -p-, +p+."""
-    if orbit.reconnect is None:
-        raise ValueError("orbit does not carry a reconnect closure")
-    gm = central_diff(lambda q: orbit.reconnect(q, orbit.q_plus).action, orbit.q_minus,
-                      fd_step)
-    gp = central_diff(lambda q: orbit.reconnect(orbit.q_minus, q).action, orbit.q_plus,
-                      fd_step)
-    scale = max(np.linalg.norm(orbit.p_minus), np.linalg.norm(orbit.p_plus), 1e-30)
-    dev = max(np.linalg.norm(gm + orbit.p_minus), np.linalg.norm(gp - orbit.p_plus))
-    return MomentaReport(float(dev / scale))
-
-
-@dataclass(frozen=True)
-class TwistResult:
-    B: np.ndarray
-    restricted: Optional[np.ndarray]
-    det_restricted: Optional[float]
-
-
-def twist(orbit: CollisionOrbit, left_basis=None, right_basis=None) -> TwistResult:
-    """Mixed second derivative B = D_{q-} D_{q+} S, optionally restricted.
-
-    Analytic for straight chords; otherwise second-order central differences
-    of the reconnect action with step 1e-5. Restriction bases are (d, k)
-    column matrices of tangent directions at the endpoints.
-    """
-    fd_step = 1e-5
-    d = orbit.q_minus.size
-    if orbit.backend == "straight":
-        disp = orbit.path[-1] - orbit.path[0]
-        B = -chord_hessian(orbit.h.mass, disp, np.sqrt(2.0 * orbit.E))
-    else:
-        if orbit.reconnect is None:
-            raise ValueError("orbit does not carry a reconnect closure")
-        B = np.zeros((d, d))
-        for i in range(d):
-            for j in range(d):
-                ei = np.zeros(d)
-                ej = np.zeros(d)
-                ei[i] = fd_step
-                ej[j] = fd_step
-                spp = orbit.reconnect(orbit.q_minus + ei, orbit.q_plus + ej).action
-                spm = orbit.reconnect(orbit.q_minus + ei, orbit.q_plus - ej).action
-                smp = orbit.reconnect(orbit.q_minus - ei, orbit.q_plus + ej).action
-                smm = orbit.reconnect(orbit.q_minus - ei, orbit.q_plus - ej).action
-                B[i, j] = (spp - spm - smp + smm) / (4 * fd_step**2)
-    restricted = None
-    det_r = None
-    if left_basis is not None and right_basis is not None:
-        L = np.atleast_2d(np.asarray(left_basis, dtype=float))
-        R = np.atleast_2d(np.asarray(right_basis, dtype=float))
-        if L.shape[0] != d:
-            L = L.T
-        if R.shape[0] != d:
-            R = R.T
-        restricted = L.T @ B @ R
-        if restricted.shape[0] == restricted.shape[1]:
-            det_r = float(np.linalg.det(restricted))
-    return TwistResult(B, restricted, det_r)
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,6 @@ class NewtonError(RuntimeError):
     """Damped Newton on the chain residual failed."""
 
 
-class RouthError(RuntimeError):
-    """Routh nondegeneracy failed: no isolated critical group shift."""
-
-
 # ---------------------------------------------------------------------------
 # Link evaluators
 # ---------------------------------------------------------------------------
@@ -142,19 +138,6 @@ class ArrayLink(LinkEvaluator):
 
 def _one_row(x) -> np.ndarray:
     return np.asarray(x, dtype=float).reshape(1, -1)
-
-
-class FunctionLink(LinkEvaluator):
-    """Plain-function branch, mostly for synthetic systems in tests."""
-
-    def __init__(self, fn: Callable[[np.ndarray, np.ndarray], float],
-                 dim_minus: int, dim_plus: int):
-        self.fn = fn
-        self.dim_minus = dim_minus
-        self.dim_plus = dim_plus
-
-    def value(self, xm, xp):
-        return float(self.fn(np.asarray(xm, dtype=float), np.asarray(xp, dtype=float)))
 
 
 @dataclass
@@ -620,114 +603,6 @@ def noether_values(dl: DiscreteLagrangian, c: ChainConfiguration,
 def symmetry_field(c: ChainConfiguration,
                    generator: Callable[[np.ndarray], np.ndarray]) -> List[np.ndarray]:
     return [np.asarray(generator(x), dtype=float) for x in c.points]
-
-
-# ---------------------------------------------------------------------------
-# Routh reduction
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ChartSymmetry:
-    """One-parameter group acting on chart coordinates of the scatterer."""
-
-    act: Callable[[float, np.ndarray], np.ndarray]
-    generator: Callable[[np.ndarray], np.ndarray]
-
-
-class RouthLink(LinkEvaluator):
-    """Reduced branch: Legendre transform of the group shift at fixed level G."""
-
-    def __init__(self, base: LinkEvaluator, symmetry: ChartSymmetry, G: float,
-                 section_point: Optional[np.ndarray] = None):
-        self.base = base
-        self.sym = symmetry
-        self.G = float(G)
-        self._x0 = section_point
-        self.dim_minus = self.dim_plus = 0 if section_point is not None else base.dim_minus
-
-    def _lift(self, x: np.ndarray) -> np.ndarray:
-        if self._x0 is None:
-            return np.asarray(x, dtype=float)
-        return np.asarray(self._x0, dtype=float)
-
-    def critical_theta(self, xm, xp) -> float:
-        """Group shift theta of xp at which the shifted branch has momentum
-        level G, bracketed outward from theta = 0 and polished by brentq."""
-        xm = self._lift(xm)
-        xp = self._lift(xp)
-
-        def dphi(theta):
-            y = self.sym.act(theta, xp)
-            g = self.base.grad_plus(xm, y)
-            u = np.asarray(self.sym.generator(y), dtype=float)
-            return float(g @ u) - self.G
-
-        # flat group direction with G = 0: every shift is critical
-        f0 = dphi(0.0)
-        flat_tol = 1e-12 * max(1.0, abs(self.G))
-        if abs(f0) <= flat_tol and abs(dphi(0.37)) <= flat_tol:
-            if abs(self.G) > flat_tol:
-                raise RouthError("flat group direction with nonzero level")
-            return 0.0
-        if f0 == 0.0:
-            return 0.0
-        span = 0.25
-        lo = hi = None
-        for _ in range(60):
-            a, b = -span, span
-            fa, fb = dphi(a), dphi(b)
-            if fa == 0.0:
-                return float(a)
-            if fb == 0.0:
-                return float(b)
-            if fa * f0 < 0:
-                lo, hi = a, 0.0
-                break
-            if fb * f0 < 0:
-                lo, hi = 0.0, b
-                break
-            span *= 1.6
-        if lo is None:
-            raise RouthError("no critical group shift found in the bracket")
-        from scipy.optimize import brentq
-        theta = brentq(dphi, lo, hi, xtol=1e-12, rtol=1e-15, maxiter=120)
-        return float(theta)
-
-    def value(self, xm, xp):
-        theta = self.critical_theta(xm, xp)
-        return self.base.value(self._lift(xm), self.sym.act(theta, self._lift(xp))) \
-            - self.G * theta
-
-    def grad_minus(self, xm, xp):
-        if self.dim_minus == 0:
-            return np.zeros(0)
-        theta = self.critical_theta(xm, xp)
-        return self.base.grad_minus(self._lift(xm), self.sym.act(theta, self._lift(xp)))
-
-    def grad_plus(self, xm, xp):
-        if self.dim_plus == 0:
-            return np.zeros(0)
-        theta = self.critical_theta(xm, xp)
-        y = self.sym.act(theta, self._lift(xp))
-        g = self.base.grad_plus(self._lift(xm), y)
-        # chain rule through the shifted point at the critical theta (envelope)
-        y0 = self._lift(xp)
-        Dact = central_diff(lambda c: self.sym.act(theta, y0 + c), np.zeros(y0.size), 1e-7)
-        return Dact.T @ g
-
-
-def routh_reduce(dl: DiscreteLagrangian, symmetry: ChartSymmetry, G: float,
-                 section_point: Optional[np.ndarray] = None) -> DiscreteLagrangian:
-    """Reduced Lagrangian family on a cross-section of the group action.
-
-    With a section point the cross-section is that frozen reference point
-    (orbit of the action covers the scatterer); without one, the chart
-    coordinates are kept. Requires the group-shift Hessian of each branch to
-    be nonzero where evaluated.
-    """
-    reduced = LazyLinks(lambda k: RouthLink(dl.link(k), symmetry, G, section_point))
-    return DiscreteLagrangian(reduced, energy=dl.energy, scatterer=dl.scatterer,
-                              name=(dl.name + "/routh") if dl.name else "routh")
 
 
 def variational_consistency(dl: DiscreteLagrangian, c: ChainConfiguration) -> Dict[str, float]:

@@ -170,19 +170,16 @@ class TwoBallTorusScenario:
     scatterer: DiagonalScatterer
     dl: dlsmod.DiscreteLagrangian
     E: float
-    masses: np.ndarray
 
     def chain(self, code, points):
         code = [tuple(int(v) for v in k) for k in code]
         return dlsmod.ChainConfiguration(code, [np.atleast_1d(p) for p in points],
                                          "periodic")
 
-    def symmetry(self) -> dlsmod.ChartSymmetry:
-        return dlsmod.ChartSymmetry(act=lambda th, x: np.atleast_1d(x) + th,
-                                    generator=lambda x: np.ones(1))
-
-    def reduced_mass(self) -> float:
-        return float(self.masses[0] * self.masses[1] / np.sum(self.masses))
+    @staticmethod
+    def generator(x) -> np.ndarray:
+        """Chart generator of the joint translation of both balls."""
+        return np.ones(1)
 
 
 def two_ball_torus_scenario(masses=(1.0, 1.0), E: float = 0.5,
@@ -194,7 +191,7 @@ def two_ball_torus_scenario(masses=(1.0, 1.0), E: float = 0.5,
     links = dlsmod.LazyLinks(lambda k: TwoBallTorusLink(h, E, m, period, k))
     dl = dlsmod.DiscreteLagrangian(links, energy=E, scatterer=scat,
                                    name="two_ball_torus")
-    return TwoBallTorusScenario(h, scat, dl, E, m)
+    return TwoBallTorusScenario(h, scat, dl, E)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +323,7 @@ class TwoBallBoxLink(dlsmod.ArrayLink):
         path = lo + np.where(z <= width, z, 2 * width - z)
         return bvp.CollisionOrbit(self.h, self.E, qm, qp, float(action), float(tau),
                                   p_minus, p_plus, path, label=self.pattern,
-                                  backend="unfolded", chord=ell, parity=par)
+                                  chord=ell, parity=par)
 
     def reference_path(self, xm, xp):
         YM, YP = self._ends([self], dlsmod._one_row(xm), dlsmod._one_row(xp))

@@ -180,7 +180,7 @@ def test_07_hyperbolicity_certificates():
     res = dls.newton_chain(tb.dl, chain)
     cert_sym = dls.hyperbolicity_certificate(tb.dl, res.chain, windows=(1, 2, 4, 8, 16))
     H = dls.hessian(tb.dl, res.chain)
-    u = dls.symmetry_field(res.chain, tb.symmetry().generator)
+    u = dls.symmetry_field(res.chain, tb.generator)
     hnorm = np.max(np.abs(H.dense()))
     kernel = max(np.max(np.abs(v)) for v in H.apply(u)) / hnorm
 

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from shadowbilliards import billiard, bvp, dls, scenarios
+from conftest import HarmonicPotential
+from shadowbilliards import billiard, bvp, dls, dynamics, scenarios
 from shadowbilliards.billiard import (BilliardDomain, BoxWalls,
                                       GrazingEventError, ShadowSolveError,
                                       billiard_trajectory, expansion_residual,
                                       generating_eps, lyapunov_estimate, reflect,
                                       replay, shadow_error, shadow_solve)
-from shadowbilliards.dynamics import (ClassicalHamiltonian, HarmonicPotential, MagneticField,
-                                      PhaseState, euclidean, flat_torus)
+from shadowbilliards.dynamics import ClassicalHamiltonian, PhaseState, euclidean
 from shadowbilliards.scatterer import ChartScatterer, DiagonalScatterer, PointScatterer
 
 
@@ -131,23 +131,19 @@ class TestTrajectory:
         with pytest.raises(GrazingEventError):
             billiard_trajectory(dom, s0, 1)
 
-    def test_magnetic_field_refused_before_any_flight(self, monkeypatch):
-        # the Verlet flights ignored w: with B = 0.3 in the gauge w = B/2 (-y, x)
-        # a flight to t = 0.5 ended at energy 0.509 instead of 0.5, 0.080 away
-        # from the midpoint flow of flow_segment
+    def test_potential_refused_before_any_flight(self, monkeypatch):
+        # flights between events are free drifts, which a force would bend
         def no_flight(*args, **kwargs):
-            raise AssertionError("flew a magnetic billiard")
+            raise AssertionError("flew a billiard under a potential")
 
-        monkeypatch.setattr(billiard, "_verlet_steps", no_flight)
-        B = 0.3
-        w = MagneticField(lambda q: 0.5 * B * np.array([-q[1], q[0]]),
-                          lambda q: 0.5 * B * np.array([[0.0, -1.0], [1.0, 0.0]]))
-        scn, _ = torus_setup()
-        h = ClassicalHamiltonian(flat_torus([1.0, 1.0]), magnetic=w)
-        q0 = np.array([0.5, 0.3])
-        s0 = PhaseState(q0, h.momentum_from_velocity(q0, np.array([0.6, 0.8])))
-        with pytest.raises(ValueError, match="magnetic term w"):
-            billiard_trajectory(BilliardDomain(h, scn.scatterer, 0.05), s0, 1)
+        monkeypatch.setattr(dynamics, "_verlet_steps", no_flight)
+        monkeypatch.setattr(billiard, "_FreeFlight", no_flight)
+        space = euclidean(2)
+        h = ClassicalHamiltonian(space, HarmonicPotential(1.0))
+        dom = BilliardDomain(h, PointScatterer(space, [np.array([0.5, 0.0])]), 0.02)
+        s0 = PhaseState(np.array([-0.5, 0.005]), np.array([0.8, 0.0]))
+        with pytest.raises(ValueError, match="potential must be zero"):
+            billiard_trajectory(dom, s0, 4)
 
     def test_box_wall_reflections(self):
         scn = scenarios.two_ball_box_scenario(masses=(1.0, 2.0))
@@ -176,21 +172,6 @@ class TestTrajectory:
         ev = run.events[0]
         assert ev.t == pytest.approx(t, abs=1e-10)
         assert np.abs(ev.p_after - (p0 - 2 * (p0 @ n) * n)).max() <= 1e-10
-
-    def test_harmonic_point_billiard_conserves_energy(self):
-        # a potential force needs the Verlet flight between events
-        space = euclidean(2)
-        h = ClassicalHamiltonian(space, HarmonicPotential(1.0))
-        centre, eps = np.array([0.5, 0.0]), 0.02
-        q0, p0 = np.array([-0.5, 0.005]), np.array([0.8, 0.0])
-        run = billiard_trajectory(BilliardDomain(h, PointScatterer(space, [centre]), eps),
-                                  PhaseState(q0, p0), 4)
-        E0 = h.energy(q0, p0)
-        assert len(run.events) == 4
-        for ev in run.events:
-            assert abs(h.energy(ev.q, ev.p_after) - E0) <= 1e-8
-            assert abs(np.linalg.norm(ev.q - centre) - eps) <= 1e-10
-        assert abs(h.energy(run.final.q, run.final.p) - E0) <= 1e-8
 
     def test_two_balls_on_a_line_collide_on_time(self):
         # q1 = 0.2 and q2 = 0.8 close at speed 0.8 until |q1 - q2| = sqrt(2) eps

@@ -1,5 +1,6 @@
 """Chain LU solves, cyclic or not, and window inverse norms against dense linear algebra."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -183,3 +184,20 @@ class TestImportPath:
                 f"print('scipy' in sys.modules)\n")
         lines = run_fresh(code).splitlines()  # the run prints its own lines in between
         assert (lines[0], lines[-2], lines[-1]) == ("False", "0", "False")
+
+    def test_no_module_imports_scipy(self):
+        # numpy is the one runtime dependency: no import statement names scipy,
+        # at the top of a module or inside a function
+        pkg = Path(__file__).resolve().parents[1] / "src" / "shadowbilliards"
+        found = []
+        for path in sorted(pkg.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {n}" for n in names
+                          if n.split(".")[0] == "scipy"]
+        assert found == []

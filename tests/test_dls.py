@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
+from conftest import FunctionLink
 from shadowbilliards import dls, scenarios
-from shadowbilliards.dls import (ChainConfiguration, ChartSymmetry,
-                                 DiscreteLagrangian, FunctionLink, NewtonError,
+from shadowbilliards.dls import (ChainConfiguration, DiscreteLagrangian, NewtonError,
                                  admissible, chain_action, green_decay, hessian,
                                  hyperbolicity_certificate, newton_chain,
                                  noether_values, residual, residual_norm,
-                                 routh_reduce, symmetry_field,
-                                 variational_consistency)
+                                 symmetry_field, variational_consistency)
 
 
 def torus_chain():
@@ -104,7 +103,7 @@ class TestHessian:
     def test_symmetry_vector_in_kernel(self):
         scn, chain = two_ball_critical()
         H = hessian(scn.dl, chain)
-        u = symmetry_field(chain, scn.symmetry().generator)
+        u = symmetry_field(chain, scn.generator)
         Hu = H.apply(u)
         hnorm = np.max(np.abs(H.dense()))
         assert max(np.max(np.abs(v)) for v in Hu) <= 1e-8 * hnorm
@@ -370,48 +369,6 @@ class TestAdmissible:
         assert all(r.straight_reflection for r in attracting)
 
 
-class TestRouth:
-    def test_reduced_matches_one_ball_billiard(self):
-        # direct relative-coordinate oracle: the reduced branch action is
-        # sqrt(2 E m_red) |n1 - n2|
-        scn = scenarios.two_ball_torus_scenario(masses=(1.0, 3.0))
-        red = routh_reduce(scn.dl, scn.symmetry(), 0.0, section_point=np.array([0.2]))
-        for k in [(1, 0), (0, 1), (2, -1)]:
-            got = red.link(k).value(np.zeros(0), np.zeros(0))
-            expect = np.sqrt(2 * scn.E * scn.reduced_mass()) * abs(k[0] - k[1])
-            assert got == pytest.approx(expect, rel=1e-10)
-
-    def test_theta_independent_branch_unchanged(self):
-        # symmetry shifts a coordinate the branch ignores: reduced value = value
-        def fn(xm, xp):
-            return float((xm[0] - xp[0]) ** 2) + 1.0
-
-        link = FunctionLink(fn, 2, 2)
-        dl = DiscreteLagrangian({"q": link})
-        sym = ChartSymmetry(act=lambda th, x: x + th * np.array([0.0, 1.0]),
-                            generator=lambda x: np.array([0.0, 1.0]))
-        xm = np.array([0.3, 0.0])
-        xp = np.array([0.1, 0.0])
-        red = routh_reduce(dl, sym, 0.0)
-        assert red.link("q").value(xm, xp) == pytest.approx(fn(xm, xp), rel=1e-12)
-        with pytest.raises(dls.RouthError):
-            # a nonzero level cannot be met along a flat group direction
-            routh_reduce(dl, sym, 0.5).link("q").value(xm, xp)
-
-    def test_legendre_duality_in_G(self):
-        scn = scenarios.two_ball_torus_scenario(masses=(1.0, 3.0))
-        G = 0.3
-        x0 = np.array([0.0])
-        red = routh_reduce(scn.dl, scn.symmetry(), G, section_point=x0)
-        theta_star = red.link((1, 0)).critical_theta(np.zeros(0), np.zeros(0))
-        dG = 1e-6
-        vp = routh_reduce(scn.dl, scn.symmetry(), G + dG,
-                          section_point=x0).link((1, 0)).value(np.zeros(0), np.zeros(0))
-        vm = routh_reduce(scn.dl, scn.symmetry(), G - dG,
-                          section_point=x0).link((1, 0)).value(np.zeros(0), np.zeros(0))
-        assert -(vp - vm) / (2 * dG) == pytest.approx(theta_star, abs=1e-8)
-
-
 class TestCriticalityIsElasticReflection:
     def test_tangential_jump_vanishes_with_full_jump_alive(self, monkeypatch):
         # at a critical chain the tangential part of each momentum jump is
@@ -433,7 +390,7 @@ class TestCriticalityIsElasticReflection:
 class TestNoether:
     def test_constant_along_critical_chain(self):
         scn, chain = two_ball_critical()
-        vals = noether_values(scn.dl, chain, scn.symmetry().generator)
+        vals = noether_values(scn.dl, chain, scn.generator)
         assert np.ptp(vals) <= 1e-9
 
     def test_unequal_mass_chain(self):
@@ -442,7 +399,7 @@ class TestNoether:
         chain = scn.chain([(1, -1), (-1, 1)], [np.array([0.3]), np.array([0.8])])
         res = newton_chain(scn.dl, chain, allow_singular=True)
         assert res.converged
-        vals = noether_values(scn.dl, res.chain, scn.symmetry().generator)
+        vals = noether_values(scn.dl, res.chain, scn.generator)
         assert np.ptp(vals) <= 1e-9
 
 

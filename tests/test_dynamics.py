@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from shadowbilliards import dynamics
-from shadowbilliards.dynamics import (AmbientSpace, CallablePotential,
-                                      ClassicalHamiltonian, ConstantPotential,
-                                      DomainError, HarmonicPotential, KeplerPotential,
-                                      MagneticField, PhaseState, Potential,
-                                      StepUnderflowError, Trajectory, ZeroPotential,
-                                      _midpoint_steps, _verlet_steps, euclidean,
-                                      flat_torus, flow_segment)
+from conftest import CallablePotential, HarmonicPotential
+from shadowbilliards.dynamics import (AmbientSpace, ClassicalHamiltonian,
+                                      ConstantPotential, DomainError, KeplerPotential,
+                                      PhaseState, Potential, ZeroPotential,
+                                      _verlet_steps, euclidean, flat_torus)
 
 
 def free_h(dim=2):
@@ -39,58 +36,6 @@ class TestEvalEnergy:
             h.energy(np.zeros(2), np.zeros(2))
 
 
-class TestFlowSegment:
-    def test_free_flight(self):
-        traj = flow_segment(free_h(), PhaseState(np.zeros(2), np.array([1.0, 0.0])), 1.0)
-        assert np.allclose(traj.final.q, [1.0, 0.0], atol=1e-14)
-
-    def test_harmonic_period(self):
-        h = ClassicalHamiltonian(euclidean(2), HarmonicPotential())
-        s0 = PhaseState(np.array([1.0, 0.0]), np.zeros(2))
-        traj = flow_segment(h, s0, 2 * np.pi)
-        assert np.linalg.norm(traj.final.q - s0.q) < 1e-8
-        assert np.linalg.norm(traj.final.p - s0.p) < 1e-8
-
-    def test_kepler_circular_closure(self):
-        # analytic oracle: |q| = 1, |v| = 1 is the circular orbit of period 2 pi
-        h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
-        s0 = PhaseState(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        traj = flow_segment(h, s0, 2 * np.pi)
-        assert np.linalg.norm(traj.final.q - s0.q) < 1e-8
-
-    def test_energy_drift_budget(self):
-        h = ClassicalHamiltonian(euclidean(2), HarmonicPotential())
-        s0 = PhaseState(np.array([1.0, 0.2]), np.array([0.1, -0.4]))
-        E0 = h.energy(s0.q, s0.p)
-        traj = flow_segment(h, s0, 3.0)
-        drift = abs(h.energy(traj.final.q, traj.final.p) - E0) / max(1.0, abs(E0))
-        assert drift <= 1e-8
-
-    def test_time_reversal(self):
-        h = ClassicalHamiltonian(euclidean(2), HarmonicPotential())
-        s0 = PhaseState(np.array([0.7, -0.3]), np.array([0.2, 0.5]))
-        fwd = flow_segment(h, s0, 1.7)
-        back = flow_segment(h, PhaseState(fwd.final.q, -fwd.final.p), 1.7)
-        assert np.linalg.norm(back.final.q - s0.q) < 1e-7
-        assert np.linalg.norm(back.final.p + s0.p) < 1e-7
-
-    def test_magnetic_midpoint_gyration(self):
-        # constant-field gauge w = B/2 (-y, x): circular gyration, period 2 pi / B
-        B = 2.0
-        w = MagneticField(lambda q: 0.5 * B * np.array([-q[1], q[0]]),
-                          lambda q: 0.5 * B * np.array([[0.0, -1.0], [1.0, 0.0]]))
-        h = ClassicalHamiltonian(euclidean(2), magnetic=w)
-        q0 = np.array([1.0, 0.0])
-        v0 = np.array([0.0, 1.0])
-        s0 = PhaseState(q0, v0 + w.value(q0))
-        traj = flow_segment(h, s0, 2 * np.pi / B, steps_per_unit_time=20000)
-        assert np.linalg.norm(traj.final.q - q0) < 1e-6
-
-    def test_duration_must_be_positive(self):
-        with pytest.raises(ValueError):
-            flow_segment(free_h(), PhaseState(np.zeros(2), np.ones(2)), 0.0)
-
-
 POINTS = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3).map(np.array)
 
 
@@ -105,18 +50,6 @@ class TestCentralDifferenceFallbacks:
         exact = np.array([np.cos(q[0]) * np.cos(q[1]), -np.sin(q[0]) * np.sin(q[1]),
                           0.9 * q[2] ** 2])
         assert np.allclose(pot.grad(q), exact, rtol=0, atol=1e-8)
-
-    @seed(20160617)
-    @settings(max_examples=40, deadline=None, database=None)
-    @given(POINTS)
-    def test_magnetic_jacobian(self, q):
-        w = MagneticField(lambda x: np.array([np.sin(x[1]) * x[2], x[0] ** 2,
-                                              np.cos(x[0] * x[1])]))
-        s = np.sin(q[0] * q[1])
-        exact = np.array([[0.0, np.cos(q[1]) * q[2], np.sin(q[1])],
-                          [2 * q[0], 0.0, 0.0],
-                          [-q[1] * s, -q[0] * s, 0.0]])
-        assert np.allclose(w.jac(q), exact, rtol=0, atol=1e-8)
 
 
 class TestDomain:
@@ -319,6 +252,62 @@ class TestBatchedVerlet:
         assert pot.calls == 3 * nsteps + 1
 
 
+def fly(h, q0, p0, duration, steps_per_unit_time=500):
+    """End state of a Verlet flight at the step density that closes a Kepler
+    period of eccentricity up to 0.5 to 1e-8."""
+    n = int(np.ceil(duration * steps_per_unit_time))
+    return _verlet_steps(h, q0, p0, duration / n, n, n)[:2]
+
+
+class TestFlowSegment:
+    """Segments of the Hamiltonian flow, flown by the composed Verlet step."""
+
+    def test_free_flight(self):
+        # without a force each step is a translation by M^-1 p dt
+        Q = np.array([[0.3, -1.2], [2.0, 0.5]])
+        P = np.array([[1.0, 0.0], [-0.4, 0.7]])
+        for mass in MASSES:
+            h = ClassicalHamiltonian(euclidean(2), mass=mass)
+            q, p, _, _, action = _verlet_steps(h, Q, P, 0.01, 100)
+            V = P @ h.mass_inv
+            assert np.allclose(q, Q + V, rtol=0, atol=1e-13) and np.array_equal(p, P)
+            assert np.allclose(action, np.sum(P * V, axis=1), rtol=1e-13, atol=0)
+
+    def test_harmonic_period(self):
+        h = ClassicalHamiltonian(euclidean(2), HarmonicPotential())
+        q0, p0 = np.array([1.0, 0.0]), np.zeros(2)
+        q, p = fly(h, q0, p0, 2 * np.pi)
+        assert np.linalg.norm(q - q0) < 1e-8
+        assert np.linalg.norm(p - p0) < 1e-8
+
+    def test_kepler_circular_closure(self):
+        # analytic oracle: |q| = 1, |v| = 1 is the circular orbit of period 2 pi
+        h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
+        q0, p0 = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        q, p = fly(h, q0, p0, 2 * np.pi)
+        assert np.linalg.norm(q - q0) < 1e-8
+        assert np.linalg.norm(p - p0) < 1e-8
+
+    def test_energy_drift_budget(self):
+        h = ClassicalHamiltonian(euclidean(2), HarmonicPotential())
+        q0, p0 = np.array([1.0, 0.2]), np.array([0.1, -0.4])
+        E0 = h.energy(q0, p0)
+        q, p = fly(h, q0, p0, 3.0)
+        assert abs(h.energy(q, p) - E0) / max(1.0, abs(E0)) <= 1e-8
+
+    @seed(20161103)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(verlet_batches(), st.sampled_from(sorted(POTENTIALS)), st.sampled_from(MASSES))
+    def test_time_reversal(self, batch, kind, mass):
+        # the triple jump is a symmetric composition: flying (q, -p) back for as
+        # many steps retraces the flight to round-off
+        Q, P, dt, nsteps = batch
+        h = ClassicalHamiltonian(euclidean(2), POTENTIALS[kind](), mass=mass)
+        q, p = _verlet_steps(h, Q, P, dt, nsteps)[:2]
+        qb, pb = _verlet_steps(h, q, -p, dt, nsteps)[:2]
+        assert np.max(np.abs(qb - Q)) <= 1e-11 and np.max(np.abs(pb + P)) <= 1e-11
+
+
 def harmonic_exact(k, q0, p0, T):
     """Closed-form unit-mass flow of W = k/2 |q|^2: q(T), p(T) and the action int |p|^2 dt."""
     om = np.sqrt(k)
@@ -423,114 +412,3 @@ class TestBatchedPotentials:
         assert G.shape == Q.shape
         for i, q in enumerate(Q):
             assert same_bits(G[i], pot.grad(q))
-
-
-def reference_ladder(h, s0, duration, spu, energy_tol, max_step_halvings=6,
-                     max_samples=4096):
-    """flow_segment as a plain doubling ladder: every rung flown from t = 0.
-
-    Returns the accepted Trajectory (None if no rung passes) and the terminal
-    drift of every rung flown.
-    """
-    E0 = h.energy(s0.q, s0.p)
-    nsteps = max(1, int(np.ceil(duration * spu)))
-    drifts = []
-    for _ in range(max_step_halvings + 1):
-        dt = duration / nsteps
-        every = max(1, nsteps // max_samples)
-        _, _, qs, ps, _ = _verlet_steps(h, s0.q, s0.p, dt, nsteps, every)
-        qs, ps = np.asarray(qs), np.asarray(ps)
-        drifts.append(abs(h.energy(qs[-1], ps[-1]) - E0) / max(1.0, abs(E0)))
-        if drifts[-1] <= energy_tol:
-            ts = np.empty(len(qs))
-            ts[:-1] = np.arange(len(qs) - 1) * (dt * every)
-            ts[-1] = duration
-            return Trajectory(ts + s0.t, qs, ps), drifts
-        nsteps *= 2
-    return None, drifts
-
-
-class StepLog(list):
-    """Step counts of _verlet_steps calls; a call above `limit` steps fails unflown."""
-
-    limit = None
-
-
-@pytest.fixture
-def flown(monkeypatch):
-    steps = StepLog()
-
-    def counting(h, q, p, dt, nsteps, sample_every=1):
-        assert steps.limit is None or nsteps <= steps.limit, nsteps
-        steps.append(nsteps)
-        return _verlet_steps(h, q, p, dt, nsteps, sample_every)
-
-    monkeypatch.setattr(dynamics, "_verlet_steps", counting)
-    return steps
-
-
-class TestRungJump:
-    """flow_segment flies rung 0, then the rung its scheme's drift law predicts.
-
-    The composed Verlet branch is fourth order (drift like dt**4, 16x per
-    rung); the implicit-midpoint branch is second order (dt**2, 4x per rung).
-    """
-
-    # a quartic-well arc, 12 steps at rung 0; its drift falls slightly faster
-    # than 16x per halving, so the 1.5x margin decides where it lands (Kepler
-    # arcs fall slightly slower than 16x, and never need the margin)
-    h = ClassicalHamiltonian(euclidean(2), CallablePotential(
-        lambda x: 0.25 * float(x @ x) ** 2, grad=lambda x: float(x @ x) * x))
-    s0 = PhaseState(np.array([1.4, 0.7]), np.array([-0.5, 0.0]), 0.25)
-    duration, spu = 2.0, 6
-
-    def test_predicted_rung_flies_second_and_matches_the_ladder(self, flown):
-        _, drifts = reference_ladder(self.h, self.s0, self.duration, self.spu, 0.0)
-        predicted = drifts[0] / 16**3
-        tol = np.sqrt(drifts[3] * predicted)
-        # rung 3 passes with its predicted drift above tol (margin needed), rung 2 fails
-        assert drifts[3] < tol < predicted <= 1.5 * tol and drifts[2] > tol
-        ref, _ = reference_ladder(self.h, self.s0, self.duration, self.spu, tol)
-        traj = flow_segment(self.h, self.s0, self.duration, self.spu, energy_tol=tol)
-        assert flown == [12, 96]
-        for name in ("ts", "qs", "ps"):
-            assert same_bits(getattr(traj, name), getattr(ref, name))
-
-    def test_rung_zero_pass_flies_once(self, flown):
-        ref, drifts = reference_ladder(self.h, self.s0, self.duration, self.spu, 1e-3)
-        assert len(drifts) == 1
-        traj = flow_segment(self.h, self.s0, self.duration, self.spu, energy_tol=1e-3)
-        assert flown == [12]
-        assert same_bits(traj.qs, ref.qs) and same_bits(traj.ps, ref.ps)
-
-    @pytest.mark.parametrize("halvings", [0, 2, 6])
-    def test_budget_counts_skipped_rungs(self, flown, halvings):
-        flown.limit = 12 * 2**halvings
-        with pytest.raises(StepUnderflowError, match=f"after {halvings} step halvings"):
-            flow_segment(self.h, self.s0, self.duration, self.spu, energy_tol=1e-20,
-                         max_step_halvings=halvings)
-        assert flown == ([12] if halvings == 0 else [12, 12 * 2**halvings])
-
-    def test_midpoint_branch_jumps_too(self, monkeypatch):
-        # Kepler with a constant magnetic field: implicit midpoint, second order
-        w = MagneticField(lambda q: np.array([-q[1], q[0]]),
-                          lambda q: np.array([[0.0, -1.0], [1.0, 0.0]]))
-        h = ClassicalHamiltonian(euclidean(2), KeplerPotential(), magnetic=w)
-        q0 = np.array([1.0, 0.0])
-        s0 = PhaseState(q0, np.array([0.3, 1.0]) + w.value(q0))
-        E0 = h.energy(s0.q, s0.p)
-        drifts = []
-        for n in (30, 60, 120, 240):
-            qn, pn, _, _ = _midpoint_steps(h, s0.q, s0.p, 2.0 / n, n, n)
-            drifts.append(abs(h.energy(qn, pn) - E0) / max(1.0, abs(E0)))
-        tol = np.sqrt(drifts[2] * drifts[3])
-        flown = []
-
-        def counting(h, q, p, dt, nsteps, sample_every=1):
-            flown.append(nsteps)
-            return _midpoint_steps(h, q, p, dt, nsteps, sample_every)
-
-        monkeypatch.setattr(dynamics, "_midpoint_steps", counting)
-        traj = flow_segment(h, s0, 2.0, steps_per_unit_time=15, energy_tol=tol)
-        assert flown == [30, 240]
-        assert same_bits(traj.final.q, qn) and same_bits(traj.final.p, pn)

@@ -16,20 +16,8 @@ _SEED = "seed of the projection onto a curved chart (one interface for every sca
 # parameters that no caller passes and that stay, each with its reason: the
 # paper's general model API
 ALLOWED = {
-    "dynamics.flow_segment(steps_per_unit_time)": "step density of a general flow",
-    "dynamics.flow_segment(energy_tol)": "energy drift bound of a general flow",
-    "dynamics.flow_segment(max_step_halvings)": "step refinements of a general flow",
-    "bvp.twist(left_basis)": "tangent directions restricting the twist at q-",
-    "bvp.twist(right_basis)": "tangent directions restricting the twist at q+",
-    "bvp.boundary_momenta_check(fd_step)": "difference step of the first-variation check",
-    "dls.routh_reduce(section_point)": "section point of a Routh reduction",
-    "dynamics.HarmonicPotential.__init__(k)": "stiffness of a model potential",
-    "dynamics.HarmonicPotential.__init__(center)": "center of a model potential",
     "dynamics.KeplerPotential.__init__(center)": "position of the attracting center",
     "dynamics.KeplerPotential.__init__(r_min)": "collision radius of the attracting center",
-    "dynamics.CallablePotential.__init__(grad)": "exact gradient of a potential given by functions",
-    "dynamics.MagneticField.__init__(jac)": "exact Jacobian of a magnetic term",
-    "dynamics.ClassicalHamiltonian.__init__(magnetic)": "magnetic term w of the Hamiltonian",
     "scatterer.ChartScatterer.__init__(jac)": "exact Jacobian of a chart scatterer",
     "scatterer.ChartScatterer.__init__(dim)": "dimension of a chart scatterer",
     "scatterer.ChartScatterer.__init__(tube_radius)": "declared tube radius of a chart scatterer",
@@ -45,17 +33,9 @@ ALLOWED = {
 }
 
 
-# public names that only their own unit tests use: the paper's general model
-UNREFERENCED = {
-    "dynamics.HarmonicPotential": "model potential beyond the shipped free flights",
-    "dynamics.CallablePotential": "model potential given by plain functions",
-    "dls.FunctionLink": "link branch given by a plain function, for synthetic systems",
-    "dls.routh_reduce": "Routh reduction of a symmetric discrete Lagrangian",
-    "dynamics.flow_segment": "flow of a general Hamiltonian from one state",
-    "bvp.twist": "twist condition of a connecting orbit",
-    "bvp.boundary_momenta_check": "first-variation check of a connector's momenta",
-    "scenarios.TwoBallTorusScenario.reduced_mass": "mass of the reduced pair passage",
-}
+# public names that only their own unit tests use: none, every public name
+# has a caller in src/, perfbench/ or the acceptance gate
+UNREFERENCED = {}
 
 
 def test_every_public_name_is_used_or_allowed():

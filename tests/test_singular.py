@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, seed, settings, strategies as st
 
+from conftest import HarmonicPotential
 from shadowbilliards import scenarios, singular
-from shadowbilliards.dynamics import ClassicalHamiltonian, HarmonicPotential, euclidean
+from shadowbilliards.dynamics import ClassicalHamiltonian, euclidean
 from shadowbilliards.scatterer import DiagonalScatterer, PointScatterer
 from shadowbilliards.singular import (ExclusionRadiusError, SingularPerturbation,
                                       rutherford_deflection, shadow_experiment)
