@@ -1,13 +1,14 @@
 """Event-driven billiard in the complement of a thin tube, and its shadow chains.
 
-The billiard domain removes an epsilon-tube around the scatterer (plus
-optional box walls with the same inner margin). Trajectories flow between
-events; events are located by certified sign-change bracketing on the
-distance-to-boundary function followed by bisection. The generating function
-of the tube billiard evaluates two-point actions between tube points; its
-discrete action in the joint variables (base point, tube direction) is solved
-by a damped Newton with the tube-direction spheres handled in moving local
-charts, which realizes the shadowing construction.
+The billiard domain removes an epsilon-tube around the points of a point
+scatterer. Trajectories drift freely between events; each event is the
+earliest exact tube-entry root over the points, polished by bisection on the
+distance-to-boundary function. The generating function of the tube billiard
+evaluates two-point actions between tube points (of a point scatterer or of
+the two-body collision diagonal); its discrete action in the joint variables
+(base point, tube direction) is solved by a damped Newton with the
+tube-direction spheres handled in moving local charts, which realizes the
+shadowing construction.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ import numpy as np
 
 from . import dls as dlsmod
 from .bvp import CollisionOrbit, ConjugateError, ConnectError, chord_hessian
-from .dynamics import ClassicalHamiltonian, DomainError, PhaseState, central_diff
+from .dynamics import ClassicalHamiltonian, DomainError, PhaseState
 from .kepler import FeasibilityError
-from .scatterer import (BoundaryPoint, DiagonalScatterer, FrameRankError,
-                        PointScatterer, Scatterer, SphereChart)
+from .scatterer import BoundaryPoint, PointScatterer, Scatterer, SphereChart
 
 
 class GrazingEventError(RuntimeError):
@@ -30,7 +30,8 @@ class GrazingEventError(RuntimeError):
 
 
 class EventSearchError(RuntimeError):
-    """Event bracketing or bisection failed."""
+    """No tube event within the drift budget, or a section map of the
+    Lyapunov estimate failed (unreachable energy shell, unclosed orbit)."""
 
 
 class ShadowSolveError(RuntimeError):
@@ -78,54 +79,30 @@ def reflect(h: ClassicalHamiltonian, q, p, normal):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BoxWalls:
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        self.lo = np.asarray(self.lo, dtype=float)
-        self.hi = np.asarray(self.hi, dtype=float)
-
-
-@dataclass
 class BilliardDomain:
-    """Complement of the eps-tube, with optional box walls at inner margin eps."""
+    """Complement of the eps-tube around the points of a point scatterer."""
 
     h: ClassicalHamiltonian
-    scatterer: Scatterer
+    scatterer: PointScatterer
     eps: float
-    walls: Optional[BoxWalls] = None
 
     def __post_init__(self):
+        if not isinstance(self.scatterer, PointScatterer):
+            raise ValueError("the tube billiard needs a point scatterer")
         if self.eps <= 0:
             raise ValueError("tube radius must be positive")
         if self.eps >= self.scatterer.declared_tube_radius():
             raise ValueError("eps at or above the declared tube radius")
 
-    def surface_gaps(self, q: np.ndarray) -> np.ndarray:
-        """Signed distances to all boundary pieces (positive inside the domain)."""
-        gaps = [self.scatterer.distance(q) - self.eps]
-        if self.walls is not None:
-            gaps.extend(q - (self.walls.lo + self.eps))
-            gaps.extend((self.walls.hi - self.eps) - q)
-        return np.asarray(gaps, dtype=float)
+    def gap(self, q: np.ndarray) -> float:
+        """Signed distance to the tube boundary (positive inside the domain)."""
+        return self.scatterer.distance(q) - self.eps
 
-    def surface_normal(self, q: np.ndarray, index: int):
-        """Outward (into the domain) conormal of boundary piece `index` near q."""
-        d = self.h.dim
-        if index == 0:
-            near = self.scatterer.nearest(q)
-            base = self.scatterer.embed(near.x)
-            n = self.h.space.centered(q - base)
-            return n / np.linalg.norm(n), near
-        i = index - 1
-        if i < d:
-            e = np.zeros(d)
-            e[i] = 1.0
-            return e, None
-        e = np.zeros(d)
-        e[i - d] = -1.0
-        return e, None
+    def normal(self, q: np.ndarray) -> np.ndarray:
+        """Outward (into the domain) unit conormal of the tube near q."""
+        near = self.scatterer.nearest(q)
+        n = self.h.space.centered(q - self.scatterer.embed(near.x))
+        return n / np.linalg.norm(n)
 
 
 @dataclass
@@ -134,8 +111,6 @@ class BilliardEvent:
     q: np.ndarray
     p_before: np.ndarray
     p_after: np.ndarray
-    surface: int               # 0 = tube, >= 1 wall index
-    boundary: Optional[BoundaryPoint] = None
 
 
 @dataclass
@@ -157,69 +132,41 @@ class _FreeFlight:
         return PhaseState(self.position(state, dt), state.p, state.t + dt)
 
 
-def _entry_times_free(dom: BilliardDomain, q: np.ndarray, v: np.ndarray,
-                      dt: float, t_floor: float):
-    """Earliest boundary-entry time of a drift segment, exactly per surface.
+def _entry_time(dom: BilliardDomain, q: np.ndarray, v: np.ndarray,
+                dt: float, t_floor: float) -> Optional[float]:
+    """Earliest tube-entry time of a drift segment, exactly, or None.
 
-    The segment is assumed shorter than a quarter period on tori so a single
-    centered image of each scatterer point is authoritative. Returns
-    (surface index, entry time) or None. Outgoing rays never re-enter a
-    convex piece, so times at or below t_floor are ignored. The scatterer is a
-    PointScatterer or a DiagonalScatterer.
+    The gap to each point is a quadratic in time; the entry is its smaller
+    root. The segment is assumed shorter than a quarter period on tori so a
+    single centered image of each scatterer point is authoritative. Outgoing
+    rays never re-enter a ball, so times at or below t_floor are ignored.
     """
-    best = None
-    scat = dom.scatterer
+    a2 = float(v @ v)
+    if a2 == 0:
+        return None
     mid = q + 0.5 * dt * v
-
-    def tube_entry(w, dv):
-        a2 = float(dv @ dv)
-        if a2 == 0:
-            return None
-        a1 = 2.0 * float(w @ dv)
+    roots = []
+    for a in dom.scatterer.points:
+        w = dom.h.space.centered(mid - a) - 0.5 * dt * v
+        a1 = 2.0 * float(w @ v)
         a0 = float(w @ w) - dom.eps**2
         disc = a1 * a1 - 4 * a2 * a0
-        if disc <= 0:
-            return None
-        root = (-a1 - np.sqrt(disc)) / (2 * a2)
-        return root if t_floor < root <= dt else None
-
-    if isinstance(scat, PointScatterer):
-        for a in scat.points:
-            w = dom.h.space.centered(mid - a) - 0.5 * dt * v
-            t = tube_entry(w, v)
-            if t is not None and (best is None or t < best[1]):
-                best = (0, t)
-    else:
-        d = scat.factor_dim
-        rel = dom.h.space.centered(np.concatenate([q[:d] - q[d:], np.zeros(d)]))[:d]
-        t = tube_entry(rel / np.sqrt(2.0), (v[:d] - v[d:]) / np.sqrt(2.0))
-        if t is not None:
-            best = (0, t)
-    if dom.walls is not None:
-        dim = dom.h.dim
-        for i in range(dim):
-            for sgn, bound, idx in ((1.0, dom.walls.lo[i] + dom.eps, 1 + i),
-                                    (-1.0, dom.walls.hi[i] - dom.eps, 1 + dim + i)):
-                gap0 = sgn * (q[i] - bound)
-                rate = sgn * v[i]
-                if rate < 0 and gap0 >= 0:
-                    t = -gap0 / rate
-                    if t_floor < t <= dt and (best is None or t < best[1]):
-                        best = (idx, t)
-    return best
-
-
-_ARM_GAP = 1e-9     # a surface is armed for crossings once the gap to it exceeds this
+        if disc > 0:
+            root = (-a1 - np.sqrt(disc)) / (2 * a2)
+            if t_floor < root <= dt:
+                roots.append(root)
+    return min(roots, default=None)
 
 
 def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int) -> BilliardRun:
-    """Flow-with-reflections for a fixed number of boundary events.
+    """Flow-with-reflections for a fixed number of tube events.
 
-    Bracketing uses the global speed bound: the boundary gap is 1-Lipschitz in
-    the position, so a step below gap / v_max cannot skip a crossing; near the
-    boundary the step is floored at eps/10 path length, and each sign change
-    is then bisected on the gap function. An event whose velocity makes an
-    angle with the surface of sine below 1e-4 raises GrazingEventError.
+    Each event is the earliest exact entry root over the scatterer points,
+    bracketed and then bisected on the gap function to a machine-width
+    interval with the gap at most 1e-12. Drifts without an entry end after a
+    quarter of the shortest period on tori (1e9 time units otherwise), and
+    2,000,000 of them raise EventSearchError. An event whose velocity makes
+    an angle with the surface of sine below 1e-4 raises GrazingEventError.
     Flights between events are free drifts, so a non-zero potential raises
     ValueError before any flight.
     """
@@ -227,29 +174,28 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int) -> 
     if not h.potential.is_zero:
         raise ValueError("billiard flights are free drifts: the potential must be zero")
     flight = _FreeFlight(h)
-    v2max = float(np.linalg.norm(h.velocity(s0.q, s0.p)))
-    analytic = isinstance(dom.scatterer, (PointScatterer, DiagonalScatterer))
-    floor = dom.eps / (10.0 * v2max)
-    step_cap = np.inf
+    speed = float(np.linalg.norm(h.velocity(s0.q, s0.p)))
+    budget = 1e9
     if h.space.is_torus:
-        step_cap = float(np.min(h.space.periods)) / (4.0 * max(v2max, 1e-300))
+        budget = min(float(np.min(h.space.periods)) / (4.0 * max(speed, 1e-300)), budget)
 
     state = s0
-    gaps = dom.surface_gaps(state.q)
-    if np.min(gaps) < -1e-12:
+    if dom.gap(state.q) < -1e-12:
         raise ValueError("initial state outside the billiard domain")
 
     events: List[BilliardEvent] = []
-    armed = gaps > _ARM_GAP
 
-    def bisect_on_surface(idx, lo, hi):
-        """Polish the crossing of surface idx inside [lo, hi] (gap sign change).
+    def gap_at(t):
+        return dom.gap(flight.position(state, t))
+
+    def bisect(lo, hi):
+        """Polish the crossing inside [lo, hi] (gap sign change).
 
         Runs to machine-width intervals with the gap at most 1e-12.
         """
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            g = dom.surface_gaps(flight.position(state, mid))[idx]
+            g = gap_at(mid)
             if g < 0:
                 hi = mid
             else:
@@ -263,72 +209,32 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int) -> 
         steps += 1
         if steps > 2_000_000:
             raise EventSearchError("step budget exhausted before the requested events")
-
-        if analytic:
-            budget = min(step_cap, 1e9)
-            v = h.velocity(state.q, state.p)
-            found = _entry_times_free(dom, state.q, v, budget, 1e-12)
-            if found is None:
-                state = flight.advance(state, budget)
-                continue
-            idx, t_entry = found
-            lo = t_entry
-            width = max(1e-12, 1e-9 * t_entry)
-            for _ in range(60):
-                if dom.surface_gaps(flight.position(state, lo))[idx] > 0:
-                    break
-                lo -= width
-                width *= 4
-            hi = t_entry
-            width = max(1e-12, 1e-9 * t_entry)
-            for _ in range(60):
-                if dom.surface_gaps(flight.position(state, hi))[idx] < 0:
-                    break
-                hi += width
-                width *= 4
-            t_hit = bisect_on_surface(idx, lo, hi)
-            hit = flight.advance(state, t_hit)
-        else:
-            gap_now = dom.surface_gaps(state.q)
-            armed = armed | (gap_now > _ARM_GAP)
-            dt = max(floor, 0.8 * float(np.min(gap_now[armed])) / v2max
-                     if np.any(armed) else floor)
-            dt = min(dt, step_cap)
-            nxt = flight.advance(state, dt)
-            gap_next = dom.surface_gaps(nxt.q)
-            crossing = np.where(armed & (gap_next < 0))[0]
-            if crossing.size == 0:
-                state = nxt
-                continue
-
-            lo, hi = 0.0, dt
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                g = dom.surface_gaps(flight.position(state, mid))
-                bad = armed & (g < 0)
-                if np.any(bad):
-                    hi = mid
-                else:
-                    lo = mid
-                if hi - lo < 1e-16 * max(1.0, dt):
-                    break
-            g_hi = dom.surface_gaps(flight.position(state, hi))
-            idx = int(np.argmin(np.where(armed, g_hi, np.inf)))
-            t_hit = bisect_on_surface(idx, lo, hi)
-            hit = flight.advance(state, t_hit)
-        normal, near = dom.surface_normal(hit.q, idx)
+        t_entry = _entry_time(dom, state.q, h.velocity(state.q, state.p), budget, 1e-12)
+        if t_entry is None:
+            state = flight.advance(state, budget)
+            continue
+        lo = t_entry
+        width = max(1e-12, 1e-9 * t_entry)
+        for _ in range(60):
+            if gap_at(lo) > 0:
+                break
+            lo -= width
+            width *= 4
+        hi = t_entry
+        width = max(1e-12, 1e-9 * t_entry)
+        for _ in range(60):
+            if gap_at(hi) < 0:
+                break
+            hi += width
+            width *= 4
+        hit = flight.advance(state, bisect(lo, hi))
+        normal = dom.normal(hit.q)
         v = h.velocity(hit.q, hit.p)
         if abs(v @ normal) < 1e-4 * np.linalg.norm(v) * np.linalg.norm(normal):
-            raise GrazingEventError(f"grazing event at t = {hit.t:.6f} on surface {idx}")
+            raise GrazingEventError(f"grazing event at t = {hit.t:.6f}")
         p_new = reflect(h, hit.q, hit.p, normal)
-        boundary = None
-        if idx == 0 and near is not None:
-            s = dom.scatterer.normal_coordinates(near.x, normal)
-            boundary = BoundaryPoint(near.x, s / np.linalg.norm(s), dom.eps, hit.q.copy())
-        events.append(BilliardEvent(hit.t, hit.q.copy(), hit.p.copy(), p_new.copy(),
-                                    idx, boundary))
+        events.append(BilliardEvent(hit.t, hit.q.copy(), hit.p.copy(), p_new.copy()))
         state = PhaseState(hit.q, p_new, hit.t)
-        armed = dom.surface_gaps(state.q) > _ARM_GAP  # re-arm away from this surface
 
     return BilliardRun(events, state)
 
@@ -381,9 +287,8 @@ class _SiteChart:
 
     u = (dx, sigma) relative to the current base point and sphere center;
     Q(u) is the ambient tube point and columns of DQ(u) pair with momenta.
-    On a flat scatterer (linear chart, constant frames) DQ and the second
-    derivatives of Q are exact; elsewhere the x-columns of DQ are central
-    differences and `exact` is False.
+    Both scatterers are flat (a point set, or the linear diagonal chart with
+    constant frames), so DQ and the second derivatives of Q are exact.
     """
 
     def __init__(self, scat: Scatterer, base_ref, s_center: np.ndarray, eps: float):
@@ -394,7 +299,6 @@ class _SiteChart:
         self.x_dim = scat.dim
         self.s_dim = self.sphere.dim
         self.dim = self.x_dim + self.s_dim
-        self.exact = isinstance(scat, (PointScatterer, DiagonalScatterer))
 
     def split(self, u: np.ndarray):
         u = np.asarray(u, dtype=float)
@@ -416,12 +320,11 @@ class _SiteChart:
     def jacobian(self, u) -> np.ndarray:
         d = self.scat.space.dim
         J = np.empty((d, self.dim))
-        dx, sigma = self.split(u)
+        _, sigma = self.split(u)
         x = self.base_point(u)
         _, nor = self.scat.frames(x)
         if self.x_dim:
-            J[:, :self.x_dim] = self.scat.jacobian(x) if self.exact else central_diff(
-                lambda v: self.ambient(np.concatenate([v, sigma])), dx, 1e-7)
+            J[:, :self.x_dim] = self.scat.jacobian(x)
         J[:, self.x_dim:] = self.eps * nor @ self.sphere.jacobian(sigma)
         return J
 
@@ -450,8 +353,6 @@ class _SiteChart:
 class _FrozenChart:
     """Zero-dimensional slot pinned to a fixed ambient point (chain endpoints)."""
 
-    exact = True
-
     def __init__(self, point: np.ndarray):
         self.point = np.asarray(point, dtype=float)
         self.dim = 0
@@ -472,14 +373,12 @@ class TwoPointLink(dlsmod.LinkEvaluator):
     """Branch of the tube-billiard action in joint chart coordinates.
 
     The gradient is exact: boundary momenta of the connecting orbit pulled
-    back through the endpoint charts. For a chord orbit (straight or
-    unfolded) between exact charts the Hessian is exact too: with S the
+    back through the endpoint charts. The connector must return chord orbits
+    (straight or unfolded), for which the Hessian is exact too: with S the
     ambient action, H = J^T D^2 S J plus the boundary momenta contracted
-    with the second derivatives of the charts. Other connectors and charts
-    differentiate the gradient once by central differences.
+    with the second derivatives of the charts. An orbit without a chord
+    raises ShadowSolveError.
     """
-
-    fd_step = 1e-7
 
     def __init__(self, connector: Callable, left, right, eps: float):
         self.connector = connector
@@ -499,20 +398,11 @@ class TwoPointLink(dlsmod.LinkEvaluator):
         orb = self._orbit(um, up)
         return -self.left.jacobian(um).T @ orb.p_minus, self.right.jacobian(up).T @ orb.p_plus
 
-    def grad_minus(self, um, up):
-        return self._grad_pair(um, up)[0]
-
-    def grad_plus(self, um, up):
-        return self._grad_pair(um, up)[1]
-
-    def momenta(self, um, up):
-        orb = self._orbit(um, up)
-        return orb.p_minus, orb.p_plus
-
     def hess(self, um, up):
         orb = self._orbit(um, up)
-        if orb.chord is None or not (self.left.exact and self.right.exact):
-            return self._blocks(self._grad_jacobian(um, up, self.fd_step), np.size(um))
+        if orb.chord is None:
+            raise ShadowSolveError(f"tube link on a connector without a chord (label "
+                                   f"{orb.label!r}): its Hessian has no closed form")
         # S(q-, q+) = sqrt(2E) |parity * q+ - q- + const|_M
         K = chord_hessian(orb.h.mass, orb.chord, np.sqrt(2.0 * orb.E))
         KP = K * orb.parity
@@ -639,8 +529,8 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
                 res_t = dlsmod.residual(jdl_t, jc_t)
                 rn_t = dlsmod.residual_norm(res_t)
             except (ConnectError, ConjugateError, FeasibilityError, DomainError,
-                    dlsmod.ChainDomainError, FrameRankError, np.linalg.LinAlgError):
-                # the trial point has no connecting orbit or chart: halve the step
+                    dlsmod.ChainDomainError, np.linalg.LinAlgError):
+                # the trial point has no connecting orbit: halve the step
                 rn_t = np.inf
             if rn_t < rn:
                 charts, jdl, jc, res, rn = charts_t, jdl_t, jc_t, res_t, rn_t
@@ -740,18 +630,10 @@ def _section_lift(dom: BilliardDomain, chart: _SiteChart, xi: np.ndarray,
 
 def _section_project(dom: BilliardDomain, chart: _SiteChart, q: np.ndarray,
                      p: np.ndarray):
-    near = dom.scatterer.nearest(q) if chart.x_dim else None
-    if chart.x_dim:
-        x = np.asarray(near.x, dtype=float)
-        dx = x - np.asarray(chart.base_ref, dtype=float)
-        base = x
-    else:
-        dx = np.zeros(0)
-        base = chart.base_ref
+    base = chart.base_ref
     n = dom.h.space.centered(q - dom.scatterer.embed(base))
     s = dom.scatterer.normal_coordinates(base, n / np.linalg.norm(n))
-    sigma = chart.sphere.invert(s / np.linalg.norm(s))
-    xi = np.concatenate([dx, sigma])
+    xi = chart.sphere.invert(s / np.linalg.norm(s))
     J = chart.jacobian(xi)
     y = J.T @ p
     return xi, y
@@ -786,10 +668,7 @@ def lyapunov_estimate(sc: ShadowChain, dom: BilliardDomain) -> np.ndarray:
 
     def bounce_map(i, xi, y):
         state = _section_lift(dom, charts[i], xi, y, E)
-        run = billiard_trajectory(dom, state, 1)
-        if not run.events or run.events[-1].surface != 0:
-            raise EventSearchError("bounce map left the tube section")
-        ev = run.events[-1]
+        ev = billiard_trajectory(dom, state, 1).events[-1]
         return _section_project(dom, charts[(i + 1) % n], ev.q, ev.p_after)
 
     dim = charts[0].dim

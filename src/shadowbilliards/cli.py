@@ -252,10 +252,9 @@ def run_torus_point(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
 
     dom0 = BilliardDomain(scn.h, scn.scatterer, eps_list[0])
     run0 = billiard.replay(sc0, dom0)
-    ev_rows = []
-    for ev in run0.events:
-        ev_rows.append((ev.t, *ev.q.tolist(), *ev.p_before.tolist(),
-                        *ev.p_after.tolist(), ev.surface))
+    # surface[index] is always 0, the tube: the column keeps the file's layout
+    ev_rows = [(ev.t, *ev.q.tolist(), *ev.p_before.tolist(), *ev.p_after.tolist(), 0)
+               for ev in run0.events]
     d = scn.h.dim
     write_csv(out / "events.csv",
               ["t[time]"] + [f"q{i}[length]" for i in range(d)]

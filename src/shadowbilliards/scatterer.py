@@ -1,26 +1,23 @@
-"""Scatterer geometry: point sets and chart-immersed submanifolds.
+"""Scatterer geometry: finite point sets and the two-body collision diagonal.
 
 A scatterer N sits inside a flat ambient space; the flat exponential map makes
-the boundary of its epsilon-tube a graph over N x S, where S is a strictly
-convex cross-section of the normal space (the unit sphere by default). Frames
-are gauge-fixed by Gram-Schmidt against the ambient basis in a fixed order so
-normal coordinates of boundary points are reproducible across runs.
+the boundary of its epsilon-tube a graph over N x S, where S is the unit
+sphere of the normal space. The tube billiard flies the point scatterer; the
+diagonal carries the box shadow chains. Frames are gauge-fixed by
+Gram-Schmidt against the ambient basis in a fixed order so normal coordinates
+of boundary points are reproducible across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .dynamics import AmbientSpace, central_diff
+from .dynamics import AmbientSpace
 
 ChartPoint = Union[int, np.ndarray]
-
-
-class FrameRankError(RuntimeError):
-    """Chart Jacobian lost rank; frames are undefined."""
 
 
 @dataclass(frozen=True)
@@ -41,13 +38,6 @@ class BoundaryPoint:
     def __post_init__(self):
         object.__setattr__(self, "s", np.asarray(self.s, dtype=float))
         object.__setattr__(self, "ambient", np.asarray(self.ambient, dtype=float))
-
-
-class SphereSection:
-    """Unit sphere of the normal space: the default convex cross-section."""
-
-    def contains(self, s: np.ndarray) -> bool:
-        return abs(np.linalg.norm(s) - 1.0) <= 1e-12
 
 
 class SphereChart:
@@ -119,10 +109,9 @@ def _complete_orthonormal(basis: np.ndarray) -> np.ndarray:
 
 
 class Scatterer:
-    """Common interface: embedding, frames, tube points, nearest projection."""
+    """Common interface: embedding, frames, tube points."""
 
     space: AmbientSpace
-    section: SphereSection
     codim: int
     dim: int  # intrinsic dimension m
 
@@ -133,12 +122,6 @@ class Scatterer:
         """(tangent, normal) orthonormal frames as (d, m) and (d, codim) columns."""
         raise NotImplementedError
 
-    def nearest(self, q: np.ndarray, x0: Optional[ChartPoint] = None) -> NearestResult:
-        raise NotImplementedError
-
-    def declared_tube_radius(self) -> float:
-        raise NotImplementedError
-
     def tube_point(self, x: ChartPoint, s: np.ndarray, eps: float) -> np.ndarray:
         """f(x, eps s) = psi(x) + eps * (normal frame) s; flat exponential."""
         _, nor = self.frames(x)
@@ -146,12 +129,9 @@ class Scatterer:
 
     def boundary_point(self, x: ChartPoint, s: np.ndarray, eps: float) -> BoundaryPoint:
         s = np.asarray(s, dtype=float)
-        if not self.section.contains(s):
+        if abs(np.linalg.norm(s) - 1.0) > 1e-12:
             raise ValueError("direction s does not satisfy the cross-section equation")
         return BoundaryPoint(x, s, eps, self.tube_point(x, s, eps))
-
-    def distance(self, q: np.ndarray) -> float:
-        return self.nearest(q).distance
 
     def normal_coordinates(self, x: ChartPoint, v: np.ndarray) -> np.ndarray:
         """Components of an ambient vector in the normal frame at x."""
@@ -169,7 +149,6 @@ class PointScatterer(Scatterer):
             raise ValueError("point dimension does not match the ambient space")
         self.dim = 0
         self.codim = space.dim
-        self.section = SphereSection()
 
     def __len__(self):
         return len(self.points)
@@ -181,12 +160,15 @@ class PointScatterer(Scatterer):
         d = self.space.dim
         return np.zeros((d, 0)), np.eye(d)
 
-    def nearest(self, q, x0=None) -> NearestResult:
+    def nearest(self, q) -> NearestResult:
         q = np.asarray(q, dtype=float)
         rel = self.space.centered(q[None, :] - self.points)
         dists = np.linalg.norm(rel, axis=1)
         i = int(np.argmin(dists))
         return NearestResult(i, float(dists[i]))
+
+    def distance(self, q: np.ndarray) -> float:
+        return self.nearest(q).distance
 
     def declared_tube_radius(self) -> float:
         rad = np.inf
@@ -198,102 +180,32 @@ class PointScatterer(Scatterer):
         return float(rad)
 
 
-class ChartScatterer(Scatterer):
-    """Submanifold given by a chart immersion psi: R^m -> ambient."""
-
-    def __init__(self, space: AmbientSpace, psi: Callable[[np.ndarray], np.ndarray],
-                 jac: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-                 dim: int = 1, tube_radius: float = np.inf):
-        self.space = space
-        self._psi = psi
-        self._jac = jac
-        self.dim = dim
-        self.codim = space.dim - dim
-        if self.codim < 1:
-            raise ValueError("scatterer must have positive codimension")
-        self.section = SphereSection()
-        self._tube_radius = float(tube_radius)
-
-    def embed(self, x: ChartPoint) -> np.ndarray:
-        return np.asarray(self._psi(np.atleast_1d(np.asarray(x, dtype=float))), dtype=float)
-
-    def jacobian(self, x: ChartPoint) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self._jac is not None:
-            return np.asarray(self._jac(x), dtype=float)
-        return central_diff(self.embed, x, 1e-7)
-
-    def frames(self, x: ChartPoint):
-        J = self.jacobian(x)
-        tan = _gram_schmidt(J)
-        if tan.shape[1] != self.dim:
-            raise FrameRankError(f"chart Jacobian rank-deficient at x={x}")
-        nor = _complete_orthonormal(tan)
-        return tan, nor
-
-    def nearest(self, q, x0=None) -> NearestResult:
-        """Gauss-Newton on the squared distance; needs a seed for curved charts.
-
-        Stops when the step is below 1e-12 relative, at singular normal
-        equations, or after 80 steps."""
-        q = np.asarray(q, dtype=float)
-        x = np.zeros(self.dim) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
-        for _ in range(80):
-            r = self.space.centered(q - self.embed(x))
-            J = self.jacobian(x)
-            g = J.T @ r
-            A = J.T @ J
-            try:
-                step = np.linalg.solve(A, g)
-            except np.linalg.LinAlgError:
-                break
-            x = x + step
-            if np.linalg.norm(step) < 1e-12 * max(1.0, np.linalg.norm(x)):
-                break
-        r = self.space.centered(q - self.embed(x))
-        return NearestResult(x, float(np.linalg.norm(r)))
-
-    def declared_tube_radius(self) -> float:
-        return self._tube_radius
-
-
-class DiagonalScatterer(ChartScatterer):
+class DiagonalScatterer(Scatterer):
     """Collision set {q1 = q2} of two bodies in a common factor space.
 
     Ambient space is the product of two copies of a d-dimensional factor;
-    chart coordinate c maps to (c, c). The orthogonal projection is exact.
+    chart coordinate c maps to (c, c). The chart is linear, so its Jacobian
+    and its frames are the same at every point; they are built once, read-only.
     """
 
     def __init__(self, space: AmbientSpace):
         if space.dim % 2 != 0:
             raise ValueError("product space must have even dimension")
-        self.factor_dim = space.dim // 2
-        super().__init__(space, self._embed_diag, self._jac_diag, dim=self.factor_dim)
-        # the chart is linear, so its frames are the same at every point
-        self._frames = super().frames(np.zeros(self.factor_dim))
-        for frame in self._frames:
-            frame.flags.writeable = False
+        self.space = space
+        self.dim = space.dim // 2
+        self.codim = space.dim - self.dim
+        self._jacobian = np.vstack([np.eye(self.dim), np.eye(self.dim)])
+        tan = _gram_schmidt(self._jacobian)
+        self._frames = (tan, _complete_orthonormal(tan))
+        for a in (self._jacobian, *self._frames):
+            a.flags.writeable = False
 
-    def _embed_diag(self, c):
+    def embed(self, x: ChartPoint) -> np.ndarray:
+        c = np.atleast_1d(np.asarray(x, dtype=float))
         return np.concatenate([c, c])
 
-    def _jac_diag(self, c):
-        d = self.factor_dim
-        return np.vstack([np.eye(d), np.eye(d)])
+    def jacobian(self, x: ChartPoint) -> np.ndarray:
+        return self._jacobian
 
     def frames(self, x: ChartPoint):
         return self._frames
-
-    def nearest(self, q, x0=None) -> NearestResult:
-        q = np.asarray(q, dtype=float)
-        d = self.factor_dim
-        q1, q2 = q[:d], q[d:]
-        rel = self.space.centered(np.concatenate([q1 - q2, np.zeros(d)]))[:d]
-        mid = q1 - rel / 2
-        dist = float(np.linalg.norm(rel)) / np.sqrt(2.0)
-        return NearestResult(mid, dist)
-
-    def declared_tube_radius(self) -> float:
-        if self.space.is_torus:
-            return float(np.min(self.space.periods)) / (2 * np.sqrt(2.0))
-        return self._tube_radius

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from conftest import HarmonicPotential
 from shadowbilliards import billiard, bvp, dls, dynamics, scenarios
-from shadowbilliards.billiard import (BilliardDomain, BoxWalls,
-                                      GrazingEventError, ShadowSolveError,
+from shadowbilliards.billiard import (BilliardDomain, GrazingEventError, ShadowSolveError,
                                       billiard_trajectory, expansion_residual,
                                       generating_eps, lyapunov_estimate, reflect,
                                       replay, shadow_error, shadow_solve)
-from shadowbilliards.dynamics import ClassicalHamiltonian, PhaseState, euclidean
-from shadowbilliards.scatterer import ChartScatterer, DiagonalScatterer, PointScatterer
+from shadowbilliards.dynamics import (ClassicalHamiltonian, KeplerPotential, PhaseState,
+                                      euclidean, flat_torus)
+from shadowbilliards.scatterer import DiagonalScatterer, PointScatterer
 
 
 def torus_setup(code=((1, 0), (0, 1))):
@@ -145,50 +145,85 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="potential must be zero"):
             billiard_trajectory(dom, s0, 4)
 
-    def test_box_wall_reflections(self):
-        scn = scenarios.two_ball_box_scenario(masses=(1.0, 2.0))
-        dom = BilliardDomain(scn.h, scn.scatterer, 0.01,
-                             walls=BoxWalls(np.zeros(2), np.ones(2)))
-        s0 = PhaseState(np.array([0.5, 0.9]), np.array([0.0, 2.0 * 0.7]))
-        run = billiard_trajectory(dom, s0, 1)
-        assert run.events[0].surface != 0
-        assert run.events[0].p_after[1] == pytest.approx(-s0.p[1])
-
-    def test_line_in_space_matches_the_cylinder_hit(self):
-        # a chart scatterer has no exact entry times: bracketed stepping on
-        # the gap, here in free flight around the x-axis of R^3
-        space = euclidean(3)
-        line = ChartScatterer(space, lambda x: np.array([x[0], 0.0, 0.0]),
-                              lambda x: np.array([[1.0], [0.0], [0.0]]), dim=1)
-        eps = 0.05
-        q0, p0 = np.array([0.2, 0.6, 0.3]), np.array([0.3, -0.8, -0.35])
-        run = billiard_trajectory(BilliardDomain(ClassicalHamiltonian(space), line, eps),
-                                  PhaseState(q0, p0), 1)
-        a = p0[1:] @ p0[1:]
-        b = 2.0 * q0[1:] @ p0[1:]
-        c = q0[1:] @ q0[1:] - eps**2
-        t = (-b - np.sqrt(b * b - 4 * a * c)) / (2 * a)
-        n = np.concatenate([[0.0], (q0 + t * p0)[1:] / eps])
-        ev = run.events[0]
-        assert ev.t == pytest.approx(t, abs=1e-10)
-        assert np.abs(ev.p_after - (p0 - 2 * (p0 @ n) * n)).max() <= 1e-10
+    def test_domain_needs_a_point_scatterer(self):
+        # the two-ball diagonal carries shadow chains, not billiard flights
+        space = euclidean(2)
+        with pytest.raises(ValueError, match="point scatterer"):
+            BilliardDomain(ClassicalHamiltonian(space), DiagonalScatterer(space), 0.01)
 
     def test_two_balls_on_a_line_collide_on_time(self):
-        # q1 = 0.2 and q2 = 0.8 close at speed 0.8 until |q1 - q2| = sqrt(2) eps
+        # reflection in the diagonal's conormal under mass diag(1, 2) is the
+        # one-dimensional elastic collision of the two masses
         m = np.array([1.0, 2.0])
         space = euclidean(2)
-        eps = 0.01
         v0 = np.array([0.5, -0.3])
-        dom = BilliardDomain(ClassicalHamiltonian(space, mass=np.diag(m)),
-                             DiagonalScatterer(space), eps)
-        run = billiard_trajectory(dom, PhaseState(np.array([0.2, 0.8]), m * v0), 1)
-        ev = run.events[0]
-        assert ev.surface == 0
-        assert ev.t == pytest.approx((0.6 - np.sqrt(2.0) * eps) / 0.8, abs=1e-12)
-        # one-dimensional elastic collision of the two masses
+        _, nor = DiagonalScatterer(space).frames(np.zeros(1))
+        p_after = reflect(ClassicalHamiltonian(space, mass=np.diag(m)), np.array([0.2, 0.8]),
+                          m * v0, nor[:, 0])
         v1 = ((m[0] - m[1]) * v0[0] + 2 * m[1] * v0[1]) / m.sum()
         v2 = ((m[1] - m[0]) * v0[1] + 2 * m[0] * v0[0]) / m.sum()
-        assert np.allclose(ev.p_after, m * [v1, v2], atol=1e-12)
+        assert np.allclose(p_after, m * [v1, v2], atol=1e-12)
+
+
+def _first_entry(space, points, q, v, eps):
+    """Smallest exact entry root of the ray q + t v over the tubes of the
+    points (their images one period around on the torus), and that point."""
+    shifts = [np.zeros(2)]
+    if space.is_torus:
+        shifts = [np.array([i, j], dtype=float) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+    best = (np.inf, None)
+    for k, a in enumerate(points):
+        for shift in shifts:
+            w = q - (a + shift)
+            b, c = w @ v, w @ w - eps**2
+            disc = b * b - (v @ v) * c
+            if b < 0 and disc > 0:
+                best = min(best, (c / (-b + np.sqrt(disc)), k))
+    return best
+
+
+class TestMultiPointEntries:
+    """Exact tube entries among 2 to 4 points, on the plane and the unit torus."""
+
+    @seed(20161018)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.booleans(), st.integers(2, 4), st.integers(0, 2**32 - 1),
+           st.sampled_from([1e-3, 1e-2, 0.05]))
+    @example(False, 2, 0, 1e-2)
+    @example(True, 3, 1, 0.05)
+    @example(True, 4, 2, 1e-3)
+    @example(False, 4, 3, 0.05)
+    def test_first_event_is_the_smallest_root(self, torus, n, rng_seed, eps):
+        rng = np.random.default_rng(rng_seed)
+        space = flat_torus([1.0, 1.0]) if torus else euclidean(2)
+        # on the torus a start in the unit cell keeps the ray's first hit among
+        # the images one period around, which _first_entry scans
+        lo, hi = (0.0, 1.0) if torus else (-0.5, 1.5)
+        while True:         # separated points, and a start 2 eps outside every one
+            points = rng.uniform(0.0, 1.0, size=(n, 2))
+            q = rng.uniform(lo, hi, size=2)
+            gaps = [space.distance(a, b) for i, a in enumerate(points) for b in points[i + 1:]]
+            if min(gaps) > 4 * eps and min(space.distance(q, a) for a in points) > 2 * eps:
+                break
+        # aim within 0.9 eps of one point, so the ray hits a tube, not grazing it
+        target = q + space.centered(points[rng.integers(n)] - q)
+        u = (target - q) / np.linalg.norm(target - q)
+        aim = target + rng.uniform(-0.9, 0.9) * eps * np.array([-u[1], u[0]])
+        v = rng.uniform(0.5, 2.0) * (aim - q) / np.linalg.norm(aim - q)
+        t_ref, k = _first_entry(space, points, q, v, eps)
+        hit = q + t_ref * v - points[k]
+        assume(abs(hit @ v) > 1e-3 * eps * np.linalg.norm(v))   # not grazing the first tube
+
+        scat = PointScatterer(space, points)
+        dom = BilliardDomain(ClassicalHamiltonian(space), scat, eps)
+        ev = billiard_trajectory(dom, PhaseState(q, v), 1).events[0]
+        assert abs(ev.t - t_ref) <= 1e-12
+        near = scat.nearest(ev.q)
+        assert near.x == k
+        assert abs(near.distance - eps) <= 1e-12
+        normal = space.centered(ev.q - points[k]) / near.distance
+        mirror = ev.p_before - 2 * (ev.p_before @ normal) * normal
+        assert np.abs(ev.p_after - mirror).max() <= 1e-12 * np.linalg.norm(v)
 
 
 class TestGeneratingFunction:
@@ -271,6 +306,24 @@ class TestTwoPointHessian:
         assert [h.shape for h in exact] == [h.shape for h in fd]
         for he, hf in zip(exact, fd):
             assert np.allclose(he, hf, rtol=1e-6, atol=1e-8)
+
+
+class TestKeplerConnector:
+    def test_tube_link_needs_a_chord(self):
+        # a Kepler arc has no chord, so the tube link's Hessian has no closed form
+        h = ClassicalHamiltonian(euclidean(2), KeplerPotential(1.0))
+        scat = PointScatterer(euclidean(2), [[0.3, 0.0], [0.0, 0.3]])
+
+        def kepler_arc(qm, qp, eps):
+            return bvp.connect(h, qm, qp, -0.9, label=0)
+
+        left = billiard._SiteChart(scat, 0, np.array([1.0, 0.0]), 1e-3)
+        right = billiard._SiteChart(scat, 1, np.array([0.0, 1.0]), 1e-3)
+        link = billiard.TwoPointLink(kepler_arc, left, right, 1e-3)
+        um, up = np.zeros(1), np.zeros(1)
+        assert link._orbit(um, up).chord is None
+        with pytest.raises(ShadowSolveError, match="without a chord"):
+            link.hess(um, up)
 
 
 class TestHonestConvergence:

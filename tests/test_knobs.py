@@ -11,20 +11,11 @@ SPEC = importlib.util.spec_from_file_location(
 knobs = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(knobs)
 
-_SEED = "seed of the projection onto a curved chart (one interface for every scatterer)"
-
 # parameters that no caller passes and that stay, each with its reason: the
 # paper's general model API
 ALLOWED = {
     "dynamics.KeplerPotential.__init__(center)": "position of the attracting center",
     "dynamics.KeplerPotential.__init__(r_min)": "collision radius of the attracting center",
-    "scatterer.ChartScatterer.__init__(jac)": "exact Jacobian of a chart scatterer",
-    "scatterer.ChartScatterer.__init__(dim)": "dimension of a chart scatterer",
-    "scatterer.ChartScatterer.__init__(tube_radius)": "declared tube radius of a chart scatterer",
-    "scatterer.Scatterer.nearest(x0)": _SEED,
-    "scatterer.PointScatterer.nearest(x0)": _SEED,
-    "scatterer.ChartScatterer.nearest(x0)": _SEED,
-    "scatterer.DiagonalScatterer.nearest(x0)": _SEED,
     "cli.main(argv)": "command line of a call from Python instead of the shell",
     "symbolic.paths(periodic)": "periodic codes of the graph; waits for ROADMAP item 2",
     "symbolic.build_graph(no_straight_reflection)": "head-on filter; waits for ROADMAP item 2",
