@@ -8,20 +8,23 @@ evaluates two-point actions between tube points (of a point scatterer or of
 the two-body collision diagonal); its discrete action in the joint variables
 (base point, tube direction) is solved by a damped Newton with the
 tube-direction spheres handled in moving local charts, which realizes the
-shadowing construction.
+shadowing construction. The joint chain's links are evaluated by family:
+the tube points and chart Jacobians of all rows, the chords between them
+and their closed-form Hessians are array expressions, each row rounding as
+the per-link evaluation through the connector's orbit; the sampled orbits
+are built only for the returned chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from . import dls as dlsmod
-from .bvp import CollisionOrbit, ConjugateError, ConnectError, chord_hessian
-from .dynamics import ClassicalHamiltonian, DomainError, PhaseState
-from .kepler import FeasibilityError
+from .bvp import CollisionOrbit, ConnectError
+from .dynamics import ClassicalHamiltonian, PhaseState
 from .scatterer import BoundaryPoint, PointScatterer, Scatterer, SphereChart
 
 
@@ -163,9 +166,12 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int) -> 
 
     Each event is the earliest exact entry root over the scatterer points,
     bracketed and then bisected on the gap function to a machine-width
-    interval with the gap at most 1e-12. Drifts without an entry end after a
-    quarter of the shortest period on tori (1e9 time units otherwise), and
-    2,000,000 of them raise EventSearchError. An event whose velocity makes
+    interval with the gap at most 1e-12. On tori a drift without an entry
+    ends after a quarter of the shortest period, where a later image may
+    still be hit, and 2,000,000 of them raise EventSearchError. A Euclidean
+    space has no later images, so there the first drift without an entry
+    root (1e9 time units) raises EventSearchError. An event whose velocity
+    makes
     an angle with the surface of sine below 1e-4 raises GrazingEventError.
     Flights between events are free drifts, so a non-zero potential raises
     ValueError before any flight.
@@ -211,6 +217,8 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int) -> 
             raise EventSearchError("step budget exhausted before the requested events")
         t_entry = _entry_time(dom, state.q, h.velocity(state.q, state.p), budget, 1e-12)
         if t_entry is None:
+            if not h.space.is_torus:
+                raise EventSearchError("ray misses every tube")
             state = flight.advance(state, budget)
             continue
         lo = t_entry
@@ -288,14 +296,15 @@ class _SiteChart:
     u = (dx, sigma) relative to the current base point and sphere center;
     Q(u) is the ambient tube point and columns of DQ(u) pair with momenta.
     Both scatterers are flat (a point set, or the linear diagonal chart with
-    constant frames), so DQ and the second derivatives of Q are exact.
+    constant frames), so DQ and the second derivatives of Q are exact, and
+    one frames() and jacobian() call serves a whole stack of charts.
     """
 
-    def __init__(self, scat: Scatterer, base_ref, s_center: np.ndarray, eps: float):
+    def __init__(self, scat: Scatterer, base_ref, sphere: SphereChart, eps: float):
         self.scat = scat
         self.base_ref = base_ref          # chart point (array) or point id
         self.eps = eps
-        self.sphere = SphereChart(np.asarray(s_center, dtype=float))
+        self.sphere = sphere
         self.x_dim = scat.dim
         self.s_dim = self.sphere.dim
         self.dim = self.x_dim + self.s_dim
@@ -328,26 +337,53 @@ class _SiteChart:
         J[:, self.x_dim:] = self.eps * nor @ self.sphere.jacobian(sigma)
         return J
 
-    def curvature(self, u, p: np.ndarray) -> np.ndarray:
-        """sum_k p_k d^2 Q_k / du du of a flat chart: only the sphere block.
+    @staticmethod
+    def rows(charts: List["_SiteChart"], U: np.ndarray):
+        """Tube points (n, d) and chart Jacobians (n, d, dim) of a stack of
+        charts of one scatterer and eps at chart coordinates U (n, dim), and
+        the map from momenta P (n, d) to the curvature blocks (n, dim, dim),
+        sum_k P_k d^2 Q_k / du du. Each row rounds as ambient() and jacobian()
+        of its chart: the dot products are batched matmuls (see
+        AmbientSpace.sup_segment_distance).
 
-        With s = v / n, v = c + T sigma, n = |v|, beta = T^T s and
-        w = T^T (y - s (s.y)) for the normal components y of p:
+        A flat chart's curvature is its sphere block: with s = v / n,
+        v = c + T sigma, n = |v|, beta = T^T s and w = T^T (y - s (s.y)) for
+        the normal components y of p,
         y . d^2 s = -(w beta^T + beta w^T + (s.y)(I - beta beta^T)) / n^2.
         """
-        _, sigma = self.split(u)
-        _, nor = self.scat.frames(self.base_point(u))
-        v = self.sphere.center + self.sphere.basis @ sigma
-        n = np.linalg.norm(v)
-        s = v / n
-        y = nor.T @ p
-        beta = self.sphere.basis.T @ s
-        w = self.sphere.basis.T @ (y - s * (s @ y))
-        C = np.zeros((self.dim, self.dim))
-        C[self.x_dim:, self.x_dim:] = -self.eps * (
-            np.outer(w, beta) + np.outer(beta, w)
-            + (s @ y) * (np.eye(self.s_dim) - np.outer(beta, beta))) / n**2
-        return C
+        ch = charts[0]
+        scat, eps, xd, k = ch.scat, ch.eps, ch.x_dim, ch.s_dim
+        n, d = len(charts), scat.space.dim
+        refs = [c.base_ref for c in charts]
+        X = np.array(refs, dtype=float) + U[:, :xd] if xd else np.array(refs)
+        C = np.array([c.sphere.center for c in charts])
+        T = np.array([c.sphere.basis for c in charts]) if k else np.zeros(C.shape + (0,))
+        V = C + (T @ U[:, xd:, None])[..., 0]
+        nv = np.sqrt(V[:, None, :] @ V[:, :, None])[:, 0, 0]
+        S = V / nv[:, None]
+        _, nor = scat.frames(X[0])
+        Q = scat.embed(X) + eps * (nor @ S[:, :, None])[..., 0]
+        J = np.empty((n, d, xd + k))
+        if xd:
+            J[:, :, :xd] = scat.jacobian(X[0])
+        J[:, :, xd:] = eps * nor @ ((T - S[:, :, None] * (S[:, None, :] @ T))
+                                    / nv[:, None, None])
+
+        def curvature(P):
+            # libm pow per row, as n**2 of one chart: the array square rounds differently
+            n2 = np.array([v ** 2 for v in nv.tolist()])[:, None, None]
+            Tt = np.swapaxes(T, 1, 2)
+            beta = (Tt @ S[:, :, None])[..., 0]
+            Y = (nor.T @ P[:, :, None])[..., 0]
+            sy = (S[:, None, :] @ Y[:, :, None])[:, 0, 0]
+            w = (Tt @ (Y - S * sy[:, None])[:, :, None])[..., 0]
+            Cv = np.zeros((n, xd + k, xd + k))
+            Cv[:, xd:, xd:] = -eps * (
+                w[:, :, None] * beta[:, None, :] + beta[:, :, None] * w[:, None, :]
+                + sy[:, None, None] * (np.eye(k) - beta[:, :, None] * beta[:, None, :])) / n2
+            return Cv
+
+        return Q, J, curvature
 
 
 class _FrozenChart:
@@ -362,26 +398,39 @@ class _FrozenChart:
     def ambient(self, u) -> np.ndarray:
         return self.point
 
-    def jacobian(self, u) -> np.ndarray:
-        return np.zeros((self.point.size, 0))
+    @staticmethod
+    def rows(charts: List["_FrozenChart"], U: np.ndarray):
+        """The rows of _SiteChart.rows for frozen slots: the fixed points, and
+        empty Jacobians and curvatures."""
+        Q = np.array([c.point for c in charts])
+        n, d = Q.shape
+        return Q, np.zeros((n, d, 0)), lambda P: np.zeros((n, 0, 0))
 
-    def curvature(self, u, p) -> np.ndarray:
-        return np.zeros((0, 0))
 
-
-class TwoPointLink(dlsmod.LinkEvaluator):
+class TwoPointLink(dlsmod.ArrayLink):
     """Branch of the tube-billiard action in joint chart coordinates.
 
-    The gradient is exact: boundary momenta of the connecting orbit pulled
-    back through the endpoint charts. The connector must return chord orbits
-    (straight or unfolded), for which the Hessian is exact too: with S the
-    ambient action, H = J^T D^2 S J plus the boundary momenta contracted
-    with the second derivatives of the charts. An orbit without a chord
-    raises ShadowSolveError.
+    A link joins the tube points of its left and right charts by the base
+    link's connecting chord (straight, or unfolded at the walls of the box)
+    at tube radius eps. The family methods evaluate the rows of one family
+    in array expressions: the tube points and chart Jacobians of both slots
+    (_SiteChart.rows), the chords between them (the base class's stacked
+    tube_chords form), and from those the action, the gradient (boundary
+    momenta pulled back through the charts) and the exact Hessian: with S
+    the ambient action, H = J^T D^2 S J plus the boundary momenta contracted
+    with the second derivatives of the charts. Each row rounds as the
+    connector's CollisionOrbit and the one-chart formulas round it. The rows
+    of a family share eps and the class of their base links. A base link
+    without tube_chords raises ShadowSolveError here, before any evaluation;
+    ambient_connect builds the sampled orbit (_orbit) only where its path is
+    read.
     """
 
-    def __init__(self, connector: Callable, left, right, eps: float):
-        self.connector = connector
+    def __init__(self, base: dlsmod.LinkEvaluator, left, right, eps: float):
+        if not hasattr(base, "tube_chords"):
+            raise ShadowSolveError(f"tube link on {type(base).__name__}, which has no "
+                                   f"stacked chord form (tube_chords)")
+        self.base = base
         self.left = left
         self.right = right
         self.eps = eps
@@ -389,27 +438,39 @@ class TwoPointLink(dlsmod.LinkEvaluator):
         self.dim_plus = right.dim
 
     def _orbit(self, um, up) -> CollisionOrbit:
-        return self.connector(self.left.ambient(um), self.right.ambient(up), self.eps)
+        return self.base.ambient_connect(self.left.ambient(um), self.right.ambient(up),
+                                         self.eps)
 
-    def value(self, um, up):
-        return float(self._orbit(um, up).action)
+    @staticmethod
+    def _rows(links, XM, XP):
+        """The rows() of both slots' charts (a slot's charts share their class,
+        as rows are grouped by slot dimension and only frozen slots have none)
+        and the chords between their tube points."""
+        left = type(links[0].left).rows([link.left for link in links], XM)
+        right = type(links[0].right).rows([link.right for link in links], XP)
+        return left, right, type(links[0].base).tube_chords(
+            [link.base for link in links], left[0], right[0], links[0].eps)
 
-    def _grad_pair(self, um, up):
-        orb = self._orbit(um, up)
-        return -self.left.jacobian(um).T @ orb.p_minus, self.right.jacobian(up).T @ orb.p_plus
+    @classmethod
+    def values(cls, links, XM, XP):
+        return cls._rows(links, XM, XP)[2].action
 
-    def hess(self, um, up):
-        orb = self._orbit(um, up)
-        if orb.chord is None:
-            raise ShadowSolveError(f"tube link on a connector without a chord (label "
-                                   f"{orb.label!r}): its Hessian has no closed form")
+    @classmethod
+    def grads(cls, links, XM, XP):
+        (_, Jm, _), (_, Jp, _), ch = cls._rows(links, XM, XP)
+        return ((-np.swapaxes(Jm, 1, 2) @ ch.p_minus[:, :, None])[..., 0],
+                (np.swapaxes(Jp, 1, 2) @ ch.p_plus[:, :, None])[..., 0])
+
+    @classmethod
+    def hessians(cls, links, XM, XP):
+        (_, Jm, curv_m), (_, Jp, curv_p), ch = cls._rows(links, XM, XP)
         # S(q-, q+) = sqrt(2E) |parity * q+ - q- + const|_M
-        K = chord_hessian(orb.h.mass, orb.chord, np.sqrt(2.0 * orb.E))
-        KP = K * orb.parity
-        Jm, Jp = self.left.jacobian(um), self.right.jacobian(up)
-        return (Jm.T @ K @ Jm - self.left.curvature(um, orb.p_minus),
-                -Jm.T @ KP @ Jp,
-                Jp.T @ (orb.parity[:, None] * KP) @ Jp + self.right.curvature(up, orb.p_plus))
+        K = ch.hessian()
+        KP = K * ch.parity[:, None, :]
+        JmT, JpT = np.swapaxes(Jm, 1, 2), np.swapaxes(Jp, 1, 2)
+        return (JmT @ K @ Jm - curv_m(ch.p_minus),
+                -JmT @ KP @ Jp,
+                JpT @ (ch.parity[:, :, None] * KP) @ Jp + curv_p(ch.p_plus))
 
 
 @dataclass
@@ -427,11 +488,13 @@ class ShadowChain:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _predictor_directions(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration):
-    """Unit tube directions maximizing <Delta p, s> per free site."""
+def _predictor_directions(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
+                          jumps) -> List[np.ndarray]:
+    """Unit tube directions maximizing <Delta p, s> per free site, from the
+    limit chain's momentum_jumps."""
     scat = dl.scatterer
     out = []
-    for i, p_minus, p_plus in dlsmod.momentum_jumps(dl, c):
+    for i, p_minus, p_plus in jumps:
         dp = p_minus - p_plus
         x = c.points[i] if scat.dim > 0 else _site_base(dl, c, i)
         s = scat.normal_coordinates(x, dp)
@@ -457,15 +520,22 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
     """Critical chain of the tube billiard near a critical chain of the limit.
 
     Starts from the convex predictor (tube directions aligned with the
-    momentum jumps), then runs a damped Newton on the joint residual in the
-    variables (base point, tube direction), re-centering the sphere charts at
-    every step. Terminal sup-norm residual is tol_factor * sqrt(2E), reached
+    momentum jumps of the limit chain, evaluated once by family), then runs
+    a damped Newton on the joint residual in the variables (base point, tube
+    direction), re-centering the sphere charts at every step; a codimension-
+    one sphere chart (the two points +-1) has no tangent directions and is
+    kept. The joint chain's links are TwoPointLink families, so residuals
+    and Hessians are array expressions over the rows; the connectors'
+    sampled orbits are built once, for the returned chain. A base link
+    without a stacked chord form raises ShadowSolveError before any joint
+    evaluation. Terminal sup-norm residual is tol_factor * sqrt(2E), reached
     within 60 Newton steps.
     """
     scat = dl.scatterer
     if scat is None:
         raise ValueError("the Lagrangian must carry its scatterer")
-    reports = dlsmod.admissible(dl, c)
+    jumps = dlsmod.momentum_jumps(dl, c)
+    reports = dlsmod.admissible(dl, c, jumps=jumps)
     bad = [r.site for r in reports if not r.admissible]
     if bad:
         raise ShadowSolveError(f"inadmissible code at sites {bad}: momentum jump below tolerance")
@@ -473,8 +543,11 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
     E = dl.energy if dl.energy is not None else 0.5
     tol = tol_factor * np.sqrt(2.0 * E)
 
-    s_list = _predictor_directions(dl, c)
-    x_list = [c.points[i].copy() for i in range(c.n_free)]
+    s_list = _predictor_directions(dl, c, jumps)
+    x_list = [c.points[i].copy() if scat.dim > 0 else _site_base(dl, c, i)
+              for i in range(c.n_free)]
+    if c.bc == "fixed":
+        ends = [_FrozenChart(_ambient_endpoint(dl, c, side)) for side in ("left", "right")]
 
     def build(charts):
         links = {}
@@ -485,21 +558,17 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
                 lc = charts[j % n_sites]
                 rc = charts[(j + 1) % n_sites]
             else:
-                lc = _FrozenChart(_ambient_endpoint(dl, c, "left")) if j == 0 else charts[j - 1]
-                rc = _FrozenChart(_ambient_endpoint(dl, c, "right")) if j == c.n_links - 1 else charts[j]
+                lc = ends[0] if j == 0 else charts[j - 1]
+                rc = ends[1] if j == c.n_links - 1 else charts[j]
             key = ("eps", j)
-            links[key] = TwoPointLink(dl.link(k).ambient_connect, lc, rc, eps)
+            links[key] = TwoPointLink(dl.link(k), lc, rc, eps)
             code.append(key)
         jdl = dlsmod.DiscreteLagrangian(links, energy=E, scatterer=scat,
                                         name=(dl.name + f"/eps={eps:g}"))
         pts = [np.zeros(ch.dim) for ch in charts]
         return jdl, dlsmod.ChainConfiguration(code, pts, c.bc)
 
-    def make_charts():
-        return [_SiteChart(scat, (x_list[i] if scat.dim > 0 else _site_base(dl, c, i)),
-                           s_list[i], eps) for i in range(c.n_free)]
-
-    charts = make_charts()
+    charts = [_SiteChart(scat, x, SphereChart(s), eps) for x, s in zip(x_list, s_list)]
     jdl, jc = build(charts)
     res = dlsmod.residual(jdl, jc)
     rn = dlsmod.residual_norm(res)
@@ -515,37 +584,36 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
         lam = 1.0
         accepted = False
         for _ in range(40):
-            trial_x, trial_s = [], []
+            trial_x, trial_s, charts_t = [], [], []
             for i, ch in enumerate(charts):
                 du = lam * step[i]
                 dx, dsig = du[:ch.x_dim], du[ch.x_dim:]
                 trial_x.append(x_list[i] + dx if ch.x_dim else x_list[i])
-                trial_s.append(ch.sphere.value(dsig))
-            save_x, save_s = x_list, s_list
-            x_list, s_list = trial_x, trial_s
-            charts_t = make_charts()
+                if ch.s_dim:
+                    trial_s.append(ch.sphere.value(dsig))
+                    sphere = SphereChart(trial_s[-1])
+                else:       # the sphere of a codimension-one tube is the points +-1
+                    trial_s.append(s_list[i])
+                    sphere = ch.sphere
+                charts_t.append(_SiteChart(scat, trial_x[-1], sphere, eps))
             jdl_t, jc_t = build(charts_t)
             try:
                 res_t = dlsmod.residual(jdl_t, jc_t)
                 rn_t = dlsmod.residual_norm(res_t)
-            except (ConnectError, ConjugateError, FeasibilityError, DomainError,
-                    dlsmod.ChainDomainError, np.linalg.LinAlgError):
-                # the trial point has no connecting orbit: halve the step
+            except ConnectError:
+                # the trial point has no connecting chord: halve the step
                 rn_t = np.inf
             if rn_t < rn:
                 charts, jdl, jc, res, rn = charts_t, jdl_t, jc_t, res_t, rn_t
+                x_list, s_list = trial_x, trial_s
                 accepted = True
                 break
-            x_list, s_list = save_x, save_s
             lam *= 0.5
         if not accepted:
             raise ShadowSolveError(f"shadow Newton stalled at |r| = {rn:.3e}")
         it += 1
 
-    boundary = []
-    for i in range(c.n_free):
-        x = x_list[i] if scat.dim > 0 else _site_base(dl, c, i)
-        boundary.append(scat.boundary_point(x, s_list[i], eps))
+    boundary = [scat.boundary_point(x, s, eps) for x, s in zip(x_list, s_list)]
     orbits = []
     for j in range(c.n_links):
         key = ("eps", j)
@@ -656,7 +724,7 @@ def lyapunov_estimate(sc: ShadowChain, dom: BilliardDomain) -> np.ndarray:
     charts = []
     for i, bp in enumerate(sc.boundary):
         base = bp.x
-        charts.append(_SiteChart(dom.scatterer, base, bp.s, sc.eps))
+        charts.append(_SiteChart(dom.scatterer, base, SphereChart(bp.s), sc.eps))
 
     # reference section coordinates (post-reflection states)
     xs, ys = [], []

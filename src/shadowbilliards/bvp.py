@@ -93,6 +93,25 @@ def chord_hessian(mass: np.ndarray, disp: np.ndarray, speed) -> np.ndarray:
     return speed * (mass / g - Md * np.swapaxes(Md, -1, -2) / g3)
 
 
+@dataclass
+class Chords:
+    """Stacked straight or unfolded chords, one collision orbit per row,
+    without paths: actions (n,), boundary momenta, chords and wall parities
+    (n, d), mass matrices (n, d, d) and speeds sqrt(2E) (n,)."""
+
+    action: np.ndarray
+    p_minus: np.ndarray
+    p_plus: np.ndarray
+    chord: np.ndarray
+    parity: np.ndarray
+    mass: np.ndarray
+    speed: np.ndarray
+
+    def hessian(self) -> np.ndarray:
+        """chord_hessian of every row, (n, d, d)."""
+        return chord_hessian(self.mass, self.chord, self.speed)
+
+
 def _straight_connect(h: ClassicalHamiltonian, qm, qp, E, winding=None,
                       label=None) -> CollisionOrbit:
     if not h.potential.is_zero:

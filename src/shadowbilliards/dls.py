@@ -40,10 +40,10 @@ class LinkEvaluator:
     second derivatives to differences of gradients with one Richardson step.
     momenta() returns ambient boundary momenta when the backend knows them.
 
-    The family methods values(), grads() and hessians() take the links of
-    one chain that share a class and slot dimensions, with their endpoints
-    stacked row by row, and return one row per link. Here they loop over the
-    rows; a subclass may evaluate all rows in one array expression.
+    The family methods values(), grads(), hessians() and momenta_rows() take
+    the links of one chain that share a class and slot dimensions, with their
+    endpoints stacked row by row, and return one row per link. Here they loop
+    over the rows; a subclass may evaluate all rows in one array expression.
     """
 
     dim_minus: int
@@ -111,12 +111,21 @@ class LinkEvaluator:
         rows = [link.hess(xm, xp) for link, xm, xp in zip(links, XM, XP)]
         return tuple(np.array([r[b] for r in rows], dtype=float) for b in range(3))
 
+    @classmethod
+    def momenta_rows(cls, links: Sequence["LinkEvaluator"], XM: np.ndarray,
+                     XP: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Ambient boundary momenta (p-, p+) of every row, each of shape (n, d)."""
+        rows = [link.momenta(xm, xp) for link, xm, xp in zip(links, XM, XP)]
+        return (np.array([r[0] for r in rows], dtype=float),
+                np.array([r[1] for r in rows], dtype=float))
+
 
 class ArrayLink(LinkEvaluator):
     """Branch whose family methods are one array expression over the rows.
 
-    Subclasses implement values(), grads() and hessians(); the scalar
-    methods are their one-row case.
+    Subclasses implement values(), grads() and hessians(), and momenta_rows()
+    where the branch knows its momenta; the scalar methods are their one-row
+    case.
     """
 
     def value(self, xm, xp):
@@ -134,6 +143,14 @@ class ArrayLink(LinkEvaluator):
 
     def hess(self, xm, xp):
         return tuple(b[0] for b in self.hessians([self], _one_row(xm), _one_row(xp)))
+
+    def momenta(self, xm, xp):
+        pm, pp = self.momenta_rows([self], _one_row(xm), _one_row(xp))
+        return pm[0], pp[0]
+
+    @classmethod
+    def momenta_rows(cls, links, XM, XP):
+        raise NotImplementedError("this branch does not expose ambient momenta")
 
 
 def _one_row(x) -> np.ndarray:
@@ -540,30 +557,29 @@ class CollisionReport:
 
 
 def momentum_jumps(dl: DiscreteLagrangian, c: ChainConfiguration) -> List[Tuple[int, np.ndarray, np.ndarray]]:
-    """(site, p^-, p^+) ambient momenta around each free site."""
+    """(site, p^-, p^+) ambient momenta around each free site, from one
+    momenta_rows() call per family."""
+    moms = _per_link(dl, c, "momenta_rows")
     out = []
     for i in range(c.n_free):
         jin, jout = _site_links(c, i)
-        xm_in, xp_in = c.link_endpoints(jin)
-        xm_out, xp_out = c.link_endpoints(jout)
-        _, p_plus = dl.link(c.code[jin]).momenta(xm_in, xp_in)
-        p_minus, _ = dl.link(c.code[jout]).momenta(xm_out, xp_out)
-        out.append((i, p_minus, p_plus))
+        out.append((i, moms[jout][0], moms[jin][1]))
     return out
 
 
-def admissible(dl: DiscreteLagrangian, c: ChainConfiguration,
-               attracting: bool = False) -> List[CollisionReport]:
+def admissible(dl: DiscreteLagrangian, c: ChainConfiguration, attracting: bool = False,
+               jumps=None) -> List[CollisionReport]:
     """Per-collision jump condition, with the head-on filter for attracting flows.
 
     The jump condition needs ||p^- - p^+|| at or above 1e-6 sqrt(2E) (1e-6
     without an energy); attracting singular scenarios additionally reject
     straight reflections, where the normal projections of the velocities
-    satisfy u^+ = -u^- to within an angle of 1e-6.
+    satisfy u^+ = -u^- to within an angle of 1e-6. jumps, when given, are
+    momentum_jumps(dl, c).
     """
     jump_tol = 1e-6 * np.sqrt(2.0 * dl.energy) if dl.energy else 1e-6
     reports = []
-    for i, p_minus, p_plus in momentum_jumps(dl, c):
+    for i, p_minus, p_plus in momentum_jumps(dl, c) if jumps is None else jumps:
         dp = p_minus - p_plus
         jn = float(np.linalg.norm(dp))
         straight = False

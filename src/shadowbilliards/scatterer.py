@@ -102,6 +102,8 @@ def _complete_orthonormal(basis: np.ndarray) -> np.ndarray:
     axes, or a complete QR when an axis about 1e-10 to 1e-6 from the span leaves
     a remainder above the rank tolerance, and with it a spurious column."""
     d, k = basis.shape
+    if k == d:          # nothing to complete (a codimension-one sphere is the points +-1)
+        return np.zeros((d, 0))
     new = _gram_schmidt(np.eye(d), against=basis)
     if new.shape[1] != d - k:
         new = np.linalg.qr(basis, mode="complete")[0][:, k:]
@@ -116,6 +118,7 @@ class Scatterer:
     dim: int  # intrinsic dimension m
 
     def embed(self, x: ChartPoint) -> np.ndarray:
+        """Ambient point of x, or (n, d) points of a stack of chart points."""
         raise NotImplementedError
 
     def frames(self, x: ChartPoint) -> Tuple[np.ndarray, np.ndarray]:
@@ -154,7 +157,7 @@ class PointScatterer(Scatterer):
         return len(self.points)
 
     def embed(self, x: ChartPoint) -> np.ndarray:
-        return self.points[int(x)].copy()
+        return self.points[np.asarray(x, dtype=int)].copy()
 
     def frames(self, x: ChartPoint):
         d = self.space.dim
@@ -202,7 +205,7 @@ class DiagonalScatterer(Scatterer):
 
     def embed(self, x: ChartPoint) -> np.ndarray:
         c = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.concatenate([c, c])
+        return np.concatenate([c, c], axis=-1)
 
     def jacobian(self, x: ChartPoint) -> np.ndarray:
         return self._jacobian

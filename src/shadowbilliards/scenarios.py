@@ -55,11 +55,32 @@ class ChordLink(dlsmod.ArrayLink):
         z = np.zeros((len(links), 0, 0))
         return z, z, z
 
-    def momenta(self, xm, xp):
-        return self._p.copy(), self._p.copy()
+    @classmethod
+    def momenta_rows(cls, links, XM, XP):
+        p = np.array([link._p for link in links])
+        return p, p.copy()
 
     def ambient_connect(self, qm, qp, eps):
         return bvp.connect(self.h, qm, qp, self.E, label=self.label)
+
+    @classmethod
+    def tube_chords(cls, links, QM, QP, eps):
+        """Stacked form of ambient_connect: the straight chords from QM[r] to
+        QP[r] (n, d), each displaced by its row's torus winding, with the
+        action speed * mass_norm(chord). Every row rounds as bvp.connect
+        rounds it; the rows share one ambient space."""
+        space = links[0].h.space
+        D = QP - QM
+        if space.is_torus:
+            D = space.centered(D) + np.array([link.label for link in links],
+                                             dtype=float) * space.periods
+        mass = np.array([link.h.mass for link in links])
+        ell = np.sqrt(D[:, None, :] @ mass @ D[:, :, None])[:, 0, 0]
+        if np.any(ell == 0):
+            raise bvp.ConnectError("coincident endpoints with zero winding")
+        speed = np.array([link._speed for link in links])
+        p = (mass @ (speed[:, None] * D / ell[:, None])[:, :, None])[..., 0]
+        return bvp.Chords(speed * ell, p, p, D, np.ones_like(D), mass, speed)
 
     def reference_path(self, xm, xp):
         ts = np.linspace(0.0, 1.0, 33)
@@ -244,23 +265,40 @@ class TwoBallBoxLink(dlsmod.ArrayLink):
         return image - YM, np.where(odd, -1.0, 1.0)
 
     @staticmethod
-    def _ends(links, XM, XP):
-        """Ambient pair positions (n, 2) of both slots, anchors taking precedence."""
-        YM = (np.array([link.left for link in links]) if links[0].left is not None
-              else np.repeat(XM[:, :1], 2, axis=1))
-        YP = (np.array([link.right for link in links]) if links[0].right is not None
-              else np.repeat(XP[:, :1], 2, axis=1))
-        return YM, YP
+    def _anchored(Y, anchors):
+        """Pair positions Y (n, 2), each row replaced by its anchor where it has one."""
+        if all(a is None for a in anchors):
+            return Y
+        return np.array([y if a is None else a for y, a in zip(Y, anchors)])
 
     @classmethod
-    def _chords(cls, links, XM, XP):
+    def _ends(cls, links, XM, XP):
+        """Ambient pair positions (n, 2) of both slots, anchors taking precedence."""
+        return (cls._anchored(np.repeat(XM[:, :1], 2, axis=1), [link.left for link in links]),
+                cls._anchored(np.repeat(XP[:, :1], 2, axis=1), [link.right for link in links]))
+
+    @classmethod
+    def _ambient_chords(cls, links, YM, YP, margin):
         """Speeds (n,), masses (n, 2), unfolded displacements and parities
-        (n, 2) and kinetic lengths (n,) of the rows' chords."""
-        YM, YP = cls._ends(links, XM, XP)
-        ell, par = cls._fold(links, YM, YP, np.array([link.margin for link in links]))
+        (n, 2) and kinetic lengths (n,) of the rows' chords from pair
+        positions YM to YP, the walls moved in by margin."""
+        ell, par = cls._fold(links, YM, YP, margin)
         m = np.array([link.m for link in links])
         g = np.sqrt(np.sum(m * ell**2, axis=1))
         return np.array([link._speed for link in links]), m, ell, par, g
+
+    @classmethod
+    def _chords(cls, links, XM, XP):
+        """_ambient_chords of the rows at chart coordinates, each at its own
+        wall margin."""
+        return cls._ambient_chords(links, *cls._ends(links, XM, XP),
+                                   np.array([link.margin for link in links]))
+
+    @staticmethod
+    def _momenta(speed, m, ell, par, g):
+        """Boundary momenta (p-, p+), (n, 2) each, of the chords of _ambient_chords."""
+        p = speed[:, None] * m * ell
+        return p / g[:, None], p * par / g[:, None]
 
     @classmethod
     def values(cls, links, XM, XP):
@@ -289,11 +327,9 @@ class TwoBallBoxLink(dlsmod.ArrayLink):
         K = bvp.chord_hessian(m[:, :, None] * np.eye(2), ell, speed)
         return cls._blocks(Dt @ K @ np.swapaxes(Dt, -1, -2), XM.shape[1])
 
-    def momenta(self, xm, xp):
-        speed, m, ell, par, g = self._chords([self], dlsmod._one_row(xm),
-                                             dlsmod._one_row(xp))
-        p = speed[:, None] * m * ell
-        return (p / g[:, None])[0], (p * par / g[:, None])[0]
+    @classmethod
+    def momenta_rows(cls, links, XM, XP):
+        return cls._momenta(*cls._chords(links, XM, XP))
 
     def in_domain(self, xm, xp):
         YM, YP = self._ends([self], dlsmod._one_row(xm), dlsmod._one_row(xp))
@@ -307,6 +343,18 @@ class TwoBallBoxLink(dlsmod.ArrayLink):
         qm = self.left if self.left is not None else np.asarray(qm, dtype=float)
         qp = self.right if self.right is not None else np.asarray(qp, dtype=float)
         return self._connect_ambient(qm, qp, eps)
+
+    @classmethod
+    def tube_chords(cls, links, QM, QP, eps):
+        """Stacked form of ambient_connect: the unfolded chords from QM[r] to
+        QP[r] (n, 2), anchors taking precedence, the walls moved in by eps,
+        with the action speed * g of the kinetic length g. Every row rounds
+        as _connect_ambient rounds it."""
+        speed, m, ell, par, g = cls._ambient_chords(
+            links, cls._anchored(QM, [link.left for link in links]),
+            cls._anchored(QP, [link.right for link in links]), eps)
+        p_minus, p_plus = cls._momenta(speed, m, ell, par, g)
+        return bvp.Chords(speed * g, p_minus, p_plus, ell, par, m[:, :, None] * np.eye(2), speed)
 
     def _connect_ambient(self, qm, qp, eps):
         lo, hi = self.box[0] + eps, self.box[1] - eps

@@ -10,7 +10,7 @@ from shadowbilliards.billiard import (BilliardDomain, GrazingEventError, ShadowS
                                       replay, shadow_error, shadow_solve)
 from shadowbilliards.dynamics import (ClassicalHamiltonian, KeplerPotential, PhaseState,
                                       euclidean, flat_torus)
-from shadowbilliards.scatterer import DiagonalScatterer, PointScatterer
+from shadowbilliards.scatterer import DiagonalScatterer, PointScatterer, SphereChart
 
 
 def torus_setup(code=((1, 0), (0, 1))):
@@ -145,6 +145,25 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="potential must be zero"):
             billiard_trajectory(dom, s0, 4)
 
+    def test_euclidean_miss_raises_after_one_drift(self, monkeypatch):
+        # on the plane a ray past every tube is never hit later: one drift
+        # without an entry root is enough to give up
+        advance = billiard._FreeFlight.advance
+        drifts = []
+
+        def one_drift(self, state, dt):
+            drifts.append(dt)
+            if len(drifts) > 1:
+                raise AssertionError("drifted again after a miss on the plane")
+            return advance(self, state, dt)
+
+        monkeypatch.setattr(billiard._FreeFlight, "advance", one_drift)
+        space = euclidean(2)
+        dom = BilliardDomain(ClassicalHamiltonian(space), PointScatterer(space, [np.zeros(2)]),
+                             0.1)
+        with pytest.raises(billiard.EventSearchError, match="misses every tube"):
+            billiard_trajectory(dom, PhaseState(np.array([1.0, 1.0]), np.array([1.0, 0.0])), 1)
+
     def test_domain_needs_a_point_scatterer(self):
         # the two-ball diagonal carries shadow chains, not billiard flights
         space = euclidean(2)
@@ -269,9 +288,9 @@ class TestTwoPointHessian:
         cm, cp = np.array(r[:dim]), np.array(r[3:3 + dim])
         assume(any(k) and min(np.linalg.norm(cm), np.linalg.norm(cp)) > 0.1)
         scn = scenarios.torus_point_scenario(dim=dim)
-        left = billiard._SiteChart(scn.scatterer, 0, cm, eps)
-        right = billiard._SiteChart(scn.scatterer, 0, cp, eps)
-        link = billiard.TwoPointLink(scn.dl.link(k).ambient_connect, left, right, eps)
+        left = billiard._SiteChart(scn.scatterer, 0, SphereChart(cm), eps)
+        right = billiard._SiteChart(scn.scatterer, 0, SphereChart(cp), eps)
+        link = billiard.TwoPointLink(scn.dl.link(k), left, right, eps)
         um, up = 0.3 * np.array(r[6:5 + dim]), 0.3 * np.array(r[8:7 + dim])
         assert link._orbit(um, up).chord is not None   # the closed form applies
         exact = link.hess(um, up)
@@ -293,10 +312,11 @@ class TestTwoPointHessian:
         def chart(frozen, xa, xb, sign):
             if frozen:
                 return billiard._FrozenChart(np.array([xa, xb]))
-            return billiard._SiteChart(scn.scatterer, np.array([xa]), np.array([sign]), eps)
+            return billiard._SiteChart(scn.scatterer, np.array([xa]),
+                                       SphereChart(np.array([sign])), eps)
 
         left, right = chart(frozen_m, *x[:2], sgm), chart(frozen_p, *x[2:], sgp)
-        link = billiard.TwoPointLink(box.ambient_connect, left, right, eps)
+        link = billiard.TwoPointLink(box, left, right, eps)
         um = np.zeros(0) if frozen_m else np.array([dm])
         up = np.zeros(0) if frozen_p else np.array([dp])
         orbit = link._orbit(um, up)
@@ -308,22 +328,159 @@ class TestTwoPointHessian:
             assert np.allclose(he, hf, rtol=1e-6, atol=1e-8)
 
 
+def _curvature_reference(chart, u, p):
+    """sum_k p_k d^2 Q_k / du du of one flat chart, as a one-chart formula:
+    only the sphere block, -(w beta^T + beta w^T + (s.y)(I - beta beta^T)) / n^2
+    with s = v / n, v = c + T sigma, beta = T^T s, w = T^T (y - s (s.y))."""
+    if isinstance(chart, billiard._FrozenChart):
+        return np.zeros((0, 0))
+    _, sigma = chart.split(u)
+    _, nor = chart.scat.frames(chart.base_point(u))
+    v = chart.sphere.center + chart.sphere.basis @ sigma
+    n = np.linalg.norm(v)
+    s = v / n
+    y = nor.T @ p
+    beta = chart.sphere.basis.T @ s
+    w = chart.sphere.basis.T @ (y - s * (s @ y))
+    C = np.zeros((chart.dim, chart.dim))
+    C[chart.x_dim:, chart.x_dim:] = -chart.eps * (
+        np.outer(w, beta) + np.outer(beta, w)
+        + (s @ y) * (np.eye(chart.s_dim) - np.outer(beta, beta))) / n**2
+    return C
+
+
+def _row_reference(link, um, up):
+    """(value, D-, D+, D--, D-+, D++) of one tube link from its connector's
+    CollisionOrbit: momenta pulled back through the chart Jacobians, and the
+    chord Hessian with the charts' curvatures."""
+    orb = link._orbit(um, up)
+
+    def jac(chart, u):
+        if isinstance(chart, billiard._FrozenChart):
+            return np.zeros((chart.point.size, 0))
+        return chart.jacobian(u)
+
+    Jm, Jp = jac(link.left, um), jac(link.right, up)
+    K = bvp.chord_hessian(orb.h.mass, orb.chord, np.sqrt(2.0 * orb.E))
+    KP = K * orb.parity
+    return (float(orb.action), -Jm.T @ orb.p_minus, Jp.T @ orb.p_plus,
+            Jm.T @ K @ Jm - _curvature_reference(link.left, um, orb.p_minus),
+            -Jm.T @ KP @ Jp,
+            Jp.T @ (orb.parity[:, None] * KP) @ Jp
+            + _curvature_reference(link.right, up, orb.p_plus))
+
+
+def _assert_rows_match(jdl, jc):
+    """Every row of the joint chain's families has its one-row reference's bytes."""
+    vals = dls._per_link(jdl, jc, "values")
+    grads = dls._per_link(jdl, jc, "grads")
+    hess = dls._per_link(jdl, jc, "hessians")
+    for j, key in enumerate(jc.code):
+        got = [np.float64(vals[j]), *grads[j], *hess[j]]
+        ref = _row_reference(jdl.links[key], *jc.link_endpoints(j))
+        for g, r in zip(got, ref):
+            r = np.asarray(r, dtype=float)
+            assert g.shape == r.shape and g.tobytes() == r.tobytes(), (j, g, r)
+
+
+class TestTwoPointRows:
+    """The family rows of TwoPointLink round exactly as the per-link
+    evaluation through the connector's orbit and the one-chart formulas."""
+
+    @seed(20161018)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.integers(1, 5), st.lists(st.floats(0.2, 0.8), min_size=5, max_size=5),
+           st.lists(st.floats(-0.05, 0.05), min_size=5, max_size=5),
+           st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=6, max_size=6),
+           st.lists(st.floats(0.15, 0.85), min_size=4, max_size=4),
+           st.floats(0.5, 3.0), st.booleans(), st.sampled_from([1e-3, 1e-2]))
+    @example(3, [0.3, 0.5, 0.7, 0.4, 0.6], [0.0, 0.01, -0.02, 0.0, 0.0],
+             [(0, 0), (-1, 1), (-1, 1), (-1, 1), (0, 0), (0, 0)],
+             [0.15, 0.85, 0.2, 0.8], 2.0, True, 1e-3)
+    @example(1, [0.45, 0.5, 0.5, 0.5, 0.5], [0.03, 0.0, 0.0, 0.0, 0.0],
+             [(2, -3), (1, 0), (0, 0), (0, 0), (0, 0), (0, 0)],
+             [0.3, 0.6, 0.7, 0.25], 0.5, False, 1e-2)
+    def test_box_fixed_chain(self, n, xs, us, patterns, ends, mass, anchored, eps):
+        # end families with a frozen slot on either side and a middle family,
+        # patterns differing row by row
+        scn = scenarios.two_ball_box_scenario(masses=(1.0, mass))
+        a, b = np.array(ends[:2]), np.array(ends[2:])
+        sign = [1.0 if k % 2 else -1.0 for k in range(n)]
+        charts = [billiard._SiteChart(scn.scatterer, np.array([xs[i]]),
+                                      SphereChart(np.array([sign[i]])), eps) for i in range(n)]
+        links = {}
+        for j in range(n + 1):
+            first, last = j == 0, j == n
+            base = scenarios.TwoBallBoxLink(scn.h, scn.E, scn.masses, scn.box, patterns[j], eps,
+                                            left=a if first and anchored else None,
+                                            right=b if last and anchored else None)
+            left = billiard._FrozenChart(a) if first else charts[j - 1]
+            right = billiard._FrozenChart(b) if last else charts[j]
+            links[j] = billiard.TwoPointLink(base, left, right, eps)
+        jdl = dls.DiscreteLagrangian(links)
+        jc = dls.ChainConfiguration(list(range(n + 1)), [np.array([u]) for u in us[:n]], "fixed")
+        for j in range(n + 1):
+            orbit = jdl.links[j]._orbit(*jc.link_endpoints(j))
+            assume(np.min(np.abs(orbit.chord)) > 1e-6)
+        _assert_rows_match(jdl, jc)
+
+    @seed(20161018)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.sampled_from([2, 3]), st.integers(2, 4),
+           st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3), min_size=4,
+                    max_size=4),
+           st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+           st.lists(st.floats(-0.3, 0.3), min_size=8, max_size=8),
+           st.sampled_from([1e-3, 1e-2, 0.05]))
+    @example(2, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]],
+             [0.6, -0.7, -0.5, 0.4] + [0.0] * 8, [0.1, -0.2] + [0.0] * 6, 1e-3)
+    @example(3, 3, [[1, 0, 1], [0, -1, 1], [2, 1, 0], [0, 0, 0]],
+             [0.5, 0.2, -0.9, -0.3, 0.8, 0.1, 0.4, 0.4, 0.4, 0.0, 0.0, 0.0],
+             [0.05, -0.1, 0.2, 0.0, -0.25, 0.3, 0.0, 0.0], 0.05)
+    @example(3, 2, [[1, 0, 1], [0, -1, 1], [0, 0, 0], [0, 0, 0]],   # |v|**2 != |v| * |v|
+             [0.86, 0.91, -0.23, 0.59, -0.87, -0.05] + [0.0] * 6,
+             [-0.28, -0.24, 0.26, 0.25] + [0.0] * 4, 1e-2)
+    def test_torus_periodic_chain(self, dim, n, windings, centers, us, eps):
+        # sphere charts of dimension 1 and 2, off their centers
+        scn = scenarios.torus_point_scenario(dim=dim)
+        cs = [np.array(centers[dim * i:dim * (i + 1)]) for i in range(n)]
+        assume(min(np.linalg.norm(c) for c in cs) > 0.1)
+        code = [tuple(w[:dim]) for w in windings[:n]]
+        assume(all(any(k) for k in code))
+        charts = [billiard._SiteChart(scn.scatterer, 0, SphereChart(c), eps) for c in cs]
+        links = {j: billiard.TwoPointLink(scn.dl.link(code[j]), charts[j], charts[(j + 1) % n],
+                                          eps) for j in range(n)}
+        jdl = dls.DiscreteLagrangian(links)
+        k = dim - 1
+        jc = dls.ChainConfiguration(list(range(n)),
+                                    [np.array(us[k * i:k * (i + 1)]) for i in range(n)])
+        _assert_rows_match(jdl, jc)
+
+
 class TestKeplerConnector:
     def test_tube_link_needs_a_chord(self):
-        # a Kepler arc has no chord, so the tube link's Hessian has no closed form
+        # a Kepler arc has no chord, so the tube link has no stacked closed
+        # form: it is refused before anything is evaluated
         h = ClassicalHamiltonian(euclidean(2), KeplerPotential(1.0))
         scat = PointScatterer(euclidean(2), [[0.3, 0.0], [0.0, 0.3]])
+        connects = []
 
-        def kepler_arc(qm, qp, eps):
-            return bvp.connect(h, qm, qp, -0.9, label=0)
+        class KeplerArcLink(dls.LinkEvaluator):
+            dim_minus = dim_plus = 0
 
-        left = billiard._SiteChart(scat, 0, np.array([1.0, 0.0]), 1e-3)
-        right = billiard._SiteChart(scat, 1, np.array([0.0, 1.0]), 1e-3)
-        link = billiard.TwoPointLink(kepler_arc, left, right, 1e-3)
-        um, up = np.zeros(1), np.zeros(1)
-        assert link._orbit(um, up).chord is None
-        with pytest.raises(ShadowSolveError, match="without a chord"):
-            link.hess(um, up)
+            def ambient_connect(self, qm, qp, eps):
+                connects.append((qm, qp))
+                return bvp.connect(h, qm, qp, -0.9, label=0)
+
+        base = KeplerArcLink()
+        left = billiard._SiteChart(scat, 0, SphereChart(np.array([1.0, 0.0])), 1e-3)
+        right = billiard._SiteChart(scat, 1, SphereChart(np.array([0.0, 1.0])), 1e-3)
+        assert base.ambient_connect(left.ambient(np.zeros(1)), right.ambient(np.zeros(1)),
+                                    1e-3).chord is None
+        connects.clear()
+        with pytest.raises(ShadowSolveError, match="KeplerArcLink.*no stacked chord form"):
+            billiard.TwoPointLink(base, left, right, 1e-3)
+        assert connects == []
 
 
 class TestHonestConvergence:
@@ -385,23 +542,24 @@ class TestShadowSolve:
         (bvp.ConnectError, ShadowSolveError, "stalled"),
         (TypeError, TypeError, "trial connect failed")])
     def test_trial_step_failures(self, monkeypatch, error, expected, message):
-        # every connect after the first Hessian fails: a connector failure halves
-        # the step until the line search stalls, a programming error propagates
+        # every stacked chord evaluation after the first Hessian fails: a
+        # connector failure halves the step until the line search stalls, a
+        # programming error propagates
         scn, chain = torus_setup(((1, 0), (0, 1), (1, 1)))  # needs a Newton step
         state = {"hessian_done": False}
-        connect, hessian = bvp.connect, dls.hessian
+        tube_chords, hessian = scenarios.ChordLink.tube_chords, dls.hessian
 
-        def flaky_connect(*args, **kwargs):
+        def flaky_chords(cls, *args):
             if state["hessian_done"]:
                 raise error("trial connect failed")
-            return connect(*args, **kwargs)
+            return tube_chords(*args)
 
         def marking_hessian(*args):
             H = hessian(*args)
             state["hessian_done"] = True
             return H
 
-        monkeypatch.setattr(bvp, "connect", flaky_connect)
+        monkeypatch.setattr(scenarios.ChordLink, "tube_chords", classmethod(flaky_chords))
         monkeypatch.setattr(dls, "hessian", marking_hessian)
         with pytest.raises(expected, match=message):
             shadow_solve(scn.dl, chain, 1e-3)
@@ -425,7 +583,7 @@ class TestShadowSolve:
         # second start: slightly rotated tube directions
         rot = np.array([[np.cos(0.05), -np.sin(0.05)], [np.sin(0.05), np.cos(0.05)]])
         dirs = [rot @ bp.s for bp in sc1.boundary]
-        monkeypatch.setattr(billiard, "_predictor_directions", lambda dl, c: dirs)
+        monkeypatch.setattr(billiard, "_predictor_directions", lambda dl, c, jumps: dirs)
         sc2 = shadow_solve(scn.dl, chain, eps, tol_factor=1e-12)
         gap = max(np.linalg.norm(b1.ambient - b2.ambient)
                   for b1, b2 in zip(sc1.boundary, sc2.boundary))
