@@ -171,8 +171,8 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int) -> 
     still be hit, and 2,000,000 of them raise EventSearchError. A Euclidean
     space has no later images, so there the first drift without an entry
     root (1e9 time units) raises EventSearchError. An event whose velocity
-    makes
-    an angle with the surface of sine below 1e-4 raises GrazingEventError.
+    makes an angle with the surface of sine below 1e-4 raises
+    GrazingEventError.
     Flights between events are free drifts, so a non-zero potential raises
     ValueError before any flight.
     """
