@@ -136,27 +136,29 @@ class _FreeFlight:
 
 
 def _entry_time(dom: BilliardDomain, q: np.ndarray, v: np.ndarray,
-                dt: float, t_floor: float) -> Optional[float]:
+                dt: Optional[float], t_floor: float) -> Optional[float]:
     """Earliest tube-entry time of a drift segment, exactly, or None.
 
     The gap to each point is a quadratic in time; the entry is its smaller
     root. The segment is assumed shorter than a quarter period on tori so a
-    single centered image of each scatterer point is authoritative. Outgoing
-    rays never re-enter a ball, so times at or below t_floor are ignored.
+    single centered image of each scatterer point is authoritative; dt None
+    is the whole ray, on a Euclidean space only. Outgoing rays never re-enter
+    a ball, so times at or below t_floor are ignored.
     """
     a2 = float(v @ v)
     if a2 == 0:
         return None
-    mid = q + 0.5 * dt * v
+    half = 0.0 if dt is None else 0.5 * dt
+    mid = q + half * v
     roots = []
     for a in dom.scatterer.points:
-        w = dom.h.space.centered(mid - a) - 0.5 * dt * v
+        w = dom.h.space.centered(mid - a) - half * v
         a1 = 2.0 * float(w @ v)
         a0 = float(w @ w) - dom.eps**2
         disc = a1 * a1 - 4 * a2 * a0
         if disc > 0:
             root = (-a1 - np.sqrt(disc)) / (2 * a2)
-            if t_floor < root <= dt:
+            if t_floor < root and (dt is None or root <= dt):
                 roots.append(root)
     return min(roots, default=None)
 
@@ -168,11 +170,11 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int) -> 
     bracketed and then bisected on the gap function to a machine-width
     interval with the gap at most 1e-12. On tori a drift without an entry
     ends after a quarter of the shortest period, where a later image may
-    still be hit, and 2,000,000 of them raise EventSearchError. A Euclidean
-    space has no later images, so there the first drift without an entry
-    root (1e9 time units) raises EventSearchError. An event whose velocity
-    makes an angle with the surface of sine below 1e-4 raises
-    GrazingEventError.
+    still be hit, and 2,000,000 of them raise EventSearchError. On a
+    Euclidean space a drift ends after 1e9 time units, and a ray with no
+    entry root at any later time raises EventSearchError at once. An event
+    whose velocity makes an angle with the surface of sine below 1e-4
+    raises GrazingEventError.
     Flights between events are free drifts, so a non-zero potential raises
     ValueError before any flight.
     """
@@ -217,7 +219,8 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int) -> 
             raise EventSearchError("step budget exhausted before the requested events")
         t_entry = _entry_time(dom, state.q, h.velocity(state.q, state.p), budget, 1e-12)
         if t_entry is None:
-            if not h.space.is_torus:
+            if not h.space.is_torus and _entry_time(
+                    dom, state.q, h.velocity(state.q, state.p), None, 1e-12) is None:
                 raise EventSearchError("ray misses every tube")
             state = flight.advance(state, budget)
             continue
@@ -488,13 +491,11 @@ class ShadowChain:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _predictor_directions(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
-                          jumps) -> List[np.ndarray]:
-    """Unit tube directions maximizing <Delta p, s> per free site, from the
-    limit chain's momentum_jumps."""
+def _predictor_directions(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration):
+    """Unit tube directions maximizing <Delta p, s> per free site."""
     scat = dl.scatterer
     out = []
-    for i, p_minus, p_plus in jumps:
+    for i, p_minus, p_plus in dlsmod.momentum_jumps(dl, c):
         dp = p_minus - p_plus
         x = c.points[i] if scat.dim > 0 else _site_base(dl, c, i)
         s = scat.normal_coordinates(x, dp)
@@ -520,11 +521,10 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
     """Critical chain of the tube billiard near a critical chain of the limit.
 
     Starts from the convex predictor (tube directions aligned with the
-    momentum jumps of the limit chain, evaluated once by family), then runs
-    a damped Newton on the joint residual in the variables (base point, tube
-    direction), re-centering the sphere charts at every step; a codimension-
-    one sphere chart (the two points +-1) has no tangent directions and is
-    kept. The joint chain's links are TwoPointLink families, so residuals
+    momentum jumps of the limit chain, evaluated by family), then runs a
+    damped Newton on the joint residual in the variables (base point, tube
+    direction), re-centering the sphere charts at every step. The joint
+    chain's links are TwoPointLink families, so residuals
     and Hessians are array expressions over the rows; the connectors'
     sampled orbits are built once, for the returned chain. A base link
     without a stacked chord form raises ShadowSolveError before any joint
@@ -534,8 +534,7 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
     scat = dl.scatterer
     if scat is None:
         raise ValueError("the Lagrangian must carry its scatterer")
-    jumps = dlsmod.momentum_jumps(dl, c)
-    reports = dlsmod.admissible(dl, c, jumps=jumps)
+    reports = dlsmod.admissible(dl, c)
     bad = [r.site for r in reports if not r.admissible]
     if bad:
         raise ShadowSolveError(f"inadmissible code at sites {bad}: momentum jump below tolerance")
@@ -543,7 +542,7 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
     E = dl.energy if dl.energy is not None else 0.5
     tol = tol_factor * np.sqrt(2.0 * E)
 
-    s_list = _predictor_directions(dl, c, jumps)
+    s_list = _predictor_directions(dl, c)
     x_list = [c.points[i].copy() if scat.dim > 0 else _site_base(dl, c, i)
               for i in range(c.n_free)]
     if c.bc == "fixed":
@@ -589,13 +588,8 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
                 du = lam * step[i]
                 dx, dsig = du[:ch.x_dim], du[ch.x_dim:]
                 trial_x.append(x_list[i] + dx if ch.x_dim else x_list[i])
-                if ch.s_dim:
-                    trial_s.append(ch.sphere.value(dsig))
-                    sphere = SphereChart(trial_s[-1])
-                else:       # the sphere of a codimension-one tube is the points +-1
-                    trial_s.append(s_list[i])
-                    sphere = ch.sphere
-                charts_t.append(_SiteChart(scat, trial_x[-1], sphere, eps))
+                trial_s.append(ch.sphere.value(dsig))
+                charts_t.append(_SiteChart(scat, trial_x[-1], SphereChart(trial_s[-1]), eps))
             jdl_t, jc_t = build(charts_t)
             try:
                 res_t = dlsmod.residual(jdl_t, jc_t)

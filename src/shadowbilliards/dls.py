@@ -567,19 +567,18 @@ def momentum_jumps(dl: DiscreteLagrangian, c: ChainConfiguration) -> List[Tuple[
     return out
 
 
-def admissible(dl: DiscreteLagrangian, c: ChainConfiguration, attracting: bool = False,
-               jumps=None) -> List[CollisionReport]:
+def admissible(dl: DiscreteLagrangian, c: ChainConfiguration,
+               attracting: bool = False) -> List[CollisionReport]:
     """Per-collision jump condition, with the head-on filter for attracting flows.
 
     The jump condition needs ||p^- - p^+|| at or above 1e-6 sqrt(2E) (1e-6
     without an energy); attracting singular scenarios additionally reject
     straight reflections, where the normal projections of the velocities
-    satisfy u^+ = -u^- to within an angle of 1e-6. jumps, when given, are
-    momentum_jumps(dl, c).
+    satisfy u^+ = -u^- to within an angle of 1e-6.
     """
     jump_tol = 1e-6 * np.sqrt(2.0 * dl.energy) if dl.energy else 1e-6
     reports = []
-    for i, p_minus, p_plus in momentum_jumps(dl, c) if jumps is None else jumps:
+    for i, p_minus, p_plus in momentum_jumps(dl, c):
         dp = p_minus - p_plus
         jn = float(np.linalg.norm(dp))
         straight = False

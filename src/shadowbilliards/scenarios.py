@@ -22,6 +22,24 @@ from .scatterer import DiagonalScatterer, PointScatterer
 # Straight chords between points of a zero-dimensional scatterer
 # ---------------------------------------------------------------------------
 
+def _straight_chords(links, QM, QP, windings) -> bvp.Chords:
+    """The straight chords from QM[r] to QP[r] (n, d), each displaced by its
+    row's torus winding, with the action speed * mass_norm(chord). Every row
+    rounds as bvp.connect rounds it; the rows share one ambient space, and
+    each link carries its Hamiltonian h and speed sqrt(2E)."""
+    space = links[0].h.space
+    D = QP - QM
+    if space.is_torus:
+        D = space.centered(D) + np.array(windings, dtype=float) * space.periods
+    mass = np.array([link.h.mass for link in links])
+    ell = np.sqrt(D[:, None, :] @ mass @ D[:, :, None])[:, 0, 0]
+    if np.any(ell == 0):
+        raise bvp.ConnectError("coincident endpoints with zero winding")
+    speed = np.array([link._speed for link in links])
+    p = (mass @ (speed[:, None] * D / ell[:, None])[:, :, None])[..., 0]
+    return bvp.Chords(speed * ell, p, p, D, np.ones_like(D), mass, speed)
+
+
 class ChordLink(dlsmod.ArrayLink):
     """Straight collision orbit from a scatterer point along a fixed displacement.
 
@@ -65,22 +83,9 @@ class ChordLink(dlsmod.ArrayLink):
 
     @classmethod
     def tube_chords(cls, links, QM, QP, eps):
-        """Stacked form of ambient_connect: the straight chords from QM[r] to
-        QP[r] (n, d), each displaced by its row's torus winding, with the
-        action speed * mass_norm(chord). Every row rounds as bvp.connect
-        rounds it; the rows share one ambient space."""
-        space = links[0].h.space
-        D = QP - QM
-        if space.is_torus:
-            D = space.centered(D) + np.array([link.label for link in links],
-                                             dtype=float) * space.periods
-        mass = np.array([link.h.mass for link in links])
-        ell = np.sqrt(D[:, None, :] @ mass @ D[:, :, None])[:, 0, 0]
-        if np.any(ell == 0):
-            raise bvp.ConnectError("coincident endpoints with zero winding")
-        speed = np.array([link._speed for link in links])
-        p = (mass @ (speed[:, None] * D / ell[:, None])[:, :, None])[..., 0]
-        return bvp.Chords(speed * ell, p, p, D, np.ones_like(D), mass, speed)
+        """Stacked form of ambient_connect: _straight_chords winding by each
+        row's label."""
+        return _straight_chords(links, QM, QP, [link.label for link in links])
 
     def reference_path(self, xm, xp):
         ts = np.linspace(0.0, 1.0, 33)
@@ -176,6 +181,12 @@ class TwoBallTorusLink(dlsmod.LinkEvaluator):
     def ambient_connect(self, qm, qp, eps):
         return bvp.connect(self.h, qm, qp, self.E,
                            label=(int(self.n[0]), int(self.n[1])))
+
+    @classmethod
+    def tube_chords(cls, links, QM, QP, eps):
+        """Stacked form of ambient_connect: _straight_chords winding each
+        ball n_i times."""
+        return _straight_chords(links, QM, QP, [link.n for link in links])
 
     def reference_path(self, xm, xp):
         c0 = float(np.atleast_1d(xm)[0])

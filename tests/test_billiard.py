@@ -164,6 +164,19 @@ class TestTrajectory:
         with pytest.raises(billiard.EventSearchError, match="misses every tube"):
             billiard_trajectory(dom, PhaseState(np.array([1.0, 1.0]), np.array([1.0, 0.0])), 1)
 
+    def test_euclidean_entry_beyond_one_drift(self):
+        # a slow ray whose entry root lies nine 1e9 drifts ahead is found by
+        # drifting on, not reported as a miss
+        space = euclidean(2)
+        dom = BilliardDomain(ClassicalHamiltonian(space), PointScatterer(space, [np.zeros(2)]),
+                             0.1)
+        v0 = np.array([1e-10, 0.0])
+        run = billiard_trajectory(dom, PhaseState(np.array([-1.0, 0.0]), v0), 1)
+        (ev,) = run.events
+        assert ev.t == pytest.approx(9e9, rel=1e-9)
+        assert np.allclose(ev.q, [-0.1, 0.0], atol=1e-12)
+        assert np.allclose(ev.p_after, -v0, rtol=1e-9, atol=0)
+
     def test_domain_needs_a_point_scatterer(self):
         # the two-ball diagonal carries shadow chains, not billiard flights
         space = euclidean(2)
@@ -456,6 +469,28 @@ class TestTwoPointRows:
                                     [np.array(us[k * i:k * (i + 1)]) for i in range(n)])
         _assert_rows_match(jdl, jc)
 
+    @seed(20161018)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(st.integers(1, 4), st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+           st.lists(st.floats(-0.05, 0.05), min_size=4, max_size=4),
+           st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=4, max_size=4),
+           st.floats(0.5, 3.0), st.sampled_from([1e-3, 1e-2]))
+    @example(2, [0.25, 0.25, 0.0, 0.0], [0.0, 0.01, 0.0, 0.0],
+             [(1, 0), (0, 1), (1, 0), (1, 0)], 2.0, 1e-3)
+    def test_two_ball_torus_periodic_chain(self, n, xs, us, windings, mass, eps):
+        # diagonal charts of the circle pair: the chord of each ball winds n_i times
+        scn = scenarios.two_ball_torus_scenario(masses=(1.0, mass))
+        code = windings[:n]
+        assume(all(k[0] != k[1] for k in code))
+        charts = [billiard._SiteChart(scn.scatterer, np.array([xs[i]]),
+                                      SphereChart(np.array([1.0 if i % 2 else -1.0])), eps)
+                  for i in range(n)]
+        links = {j: billiard.TwoPointLink(scn.dl.link(code[j]), charts[j], charts[(j + 1) % n],
+                                          eps) for j in range(n)}
+        jdl = dls.DiscreteLagrangian(links)
+        jc = dls.ChainConfiguration(list(range(n)), [np.array([u]) for u in us[:n]])
+        _assert_rows_match(jdl, jc)
+
 
 class TestKeplerConnector:
     def test_tube_link_needs_a_chord(self):
@@ -583,7 +618,7 @@ class TestShadowSolve:
         # second start: slightly rotated tube directions
         rot = np.array([[np.cos(0.05), -np.sin(0.05)], [np.sin(0.05), np.cos(0.05)]])
         dirs = [rot @ bp.s for bp in sc1.boundary]
-        monkeypatch.setattr(billiard, "_predictor_directions", lambda dl, c, jumps: dirs)
+        monkeypatch.setattr(billiard, "_predictor_directions", lambda dl, c: dirs)
         sc2 = shadow_solve(scn.dl, chain, eps, tol_factor=1e-12)
         gap = max(np.linalg.norm(b1.ambient - b2.ambient)
                   for b1, b2 in zip(sc1.boundary, sc2.boundary))
