@@ -261,15 +261,10 @@ def generating_eps(dl: dlsmod.DiscreteLagrangian, k, xm, sm, xp, sp,
     Evaluates the branch-k connecting orbit between f(x-, eps s-) and
     f(x+, eps s+). At eps = 0 this is the branch Lagrangian itself.
     """
-    link = dl.link(k)
     scat = dl.scatterer
     qm = scat.tube_point(xm, sm, eps)
     qp = scat.tube_point(xp, sp, eps)
-    if eps == 0.0:
-        return link.value(np.atleast_1d(xm) if not np.isscalar(xm) else xm,
-                          np.atleast_1d(xp) if not np.isscalar(xp) else xp) \
-            if scat.dim > 0 else link.value(np.zeros(0), np.zeros(0))
-    return float(link.ambient_connect(qm, qp, eps).action)
+    return float(dl.link(k).ambient_connect(qm, qp, eps).action)
 
 
 def expansion_residual(dl: dlsmod.DiscreteLagrangian, k, xm, sm, xp, sp,
@@ -277,10 +272,10 @@ def expansion_residual(dl: dlsmod.DiscreteLagrangian, k, xm, sm, xp, sp,
     """|L^eps - L + eps <p-, s-> - eps <p+, s+>|, the quadratic remainder."""
     link = dl.link(k)
     scat = dl.scatterer
-    x_m = np.zeros(0) if scat.dim == 0 else np.atleast_1d(np.asarray(xm, dtype=float))
-    x_p = np.zeros(0) if scat.dim == 0 else np.atleast_1d(np.asarray(xp, dtype=float))
-    L0 = link.value(x_m, x_p)
-    p_minus, p_plus = link.momenta(x_m, x_p)
+    XM, XP = (np.asarray(x, dtype=float).reshape(1, scat.dim) if scat.dim else np.zeros((1, 0))
+              for x in (xm, xp))
+    L0 = float(type(link).values([link], XM, XP)[0])
+    (p_minus,), (p_plus,) = type(link).momenta_rows([link], XM, XP)
     _, nor_m = scat.frames(xm)
     _, nor_p = scat.frames(xp)
     corr = -eps * float(p_minus @ (nor_m @ np.asarray(sm, dtype=float))) \
@@ -410,7 +405,7 @@ class _FrozenChart:
         return Q, np.zeros((n, d, 0)), lambda P: np.zeros((n, 0, 0))
 
 
-class TwoPointLink(dlsmod.ArrayLink):
+class TwoPointLink(dlsmod.LinkEvaluator):
     """Branch of the tube-billiard action in joint chart coordinates.
 
     A link joins the tube points of its left and right charts by the base
@@ -635,8 +630,6 @@ def shadow_error(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
     Base-point mismatch at the collisions plus the per-link path deviation
     between the shadow orbit and the limiting connecting orbit.
     """
-    if sc.eps == 0.0:
-        return 0.0
     if list(sc.code) != list(c.code):
         raise ValueError("codes of the chain and shadow chain differ")
     scat = dl.scatterer

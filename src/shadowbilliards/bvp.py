@@ -13,7 +13,7 @@ label (torus winding, Kepler revolution count and arc branch).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class CollisionOrbit:
     p_plus: np.ndarray
     path: np.ndarray                      # cover coordinates, starts at q_minus
     label: object = None
-    reconnect: Optional[Callable] = None  # (q_minus, q_plus) -> CollisionOrbit
     # straight and unfolded chords: the action is sqrt(2E) |chord|_M, and the
     # chord moves by -dq_minus and by parity * dq_plus (wall folds flip signs)
     chord: Optional[np.ndarray] = None
@@ -131,12 +130,8 @@ def _straight_connect(h: ClassicalHamiltonian, qm, qp, E, winding=None,
     ts = np.linspace(0.0, tau, 65)
     path = qm[None, :] + ts[:, None] * v[None, :]
     action = speed * ell
-
-    def redo(qm2, qp2):
-        return _straight_connect(h, qm2, qp2, E, winding, label)
-
     return CollisionOrbit(h, E, qm, qp, action, tau, p, p, path, label=label,
-                          reconnect=redo, chord=disp, parity=np.ones(disp.size))
+                          chord=disp, parity=np.ones(disp.size))
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +180,8 @@ def _kepler_connect(h: ClassicalHamiltonian, qm, qp, E, label) -> CollisionOrbit
             vp = vp / np.linalg.norm(vp) * np.sqrt(2.0 * (E - pot.value(qp)))
         else:
             vm, vp = kp.arc_endpoint_velocities(E, z, n, arc)
-
-    def redo(qm2, qp2):
-        return _kepler_connect(h, qm2, qp2, E, label)
-
     return CollisionOrbit(h, E, qm, qp, float(action), float(tau), vm, vp, path,
-                          label=label, reconnect=redo)
+                          label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +291,9 @@ def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess,
             raise ConnectError("shooting Newton stalled (no descent step)")
         p, tau, r, flight = p_new, tau_new, r_new, flight_new
         it += 1
-
-    def redo(qm2, qp2):
-        return _shooting_connect(h, qm2, qp2, E, {"p0": p, "tau0": tau}, label)
-
     p_plus, path, action = flight
     return CollisionOrbit(h, E, qm, qp, float(action), float(tau), p, p_plus, path,
-                          label=label, reconnect=redo)
+                          label=label)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ A multivalued Lagrangian assigns to each symbol k a two-point function L_k on
 chart coordinates of the scatterer. Chains of symbols and points carry the
 discrete action; its gradient vanishes exactly when the tangential part of
 the momentum jump vanishes at every collision, and its Hessian is
-block-tridiagonal (cyclic for periodic chains). Hyperbolicity is certified
-through uniform sup-norm bounds on inverses of centered Dirichlet windows,
-with the Green-function decay rate fitted as a cross-check.
+block-tridiagonal (cyclic for periodic chains). Every evaluation of the
+branches runs by link family: the links of a chain that share a class and
+slot dimensions are evaluated together, their endpoints stacked row by row.
+Hyperbolicity is certified through uniform sup-norm bounds on inverses of
+centered Dirichlet windows, with the Green-function decay rate fitted as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import numpy as np
 
 from .blocktri import (BlockTridiagonalFactor, assemble_dense, inverse_inf_norm,
                        solve_window, split_blocks)
-from .dynamics import central_diff
 
 
 class ChainDomainError(ValueError):
@@ -36,125 +38,67 @@ class NewtonError(RuntimeError):
 class LinkEvaluator:
     """Two-point Lagrangian branch; chart dimensions may differ per slot.
 
-    Subclasses supply value(); gradients default to central differences and
-    second derivatives to differences of gradients with one Richardson step.
-    momenta() returns ambient boundary momenta when the backend knows them.
+    Links are evaluated by family: the links of one chain that share a class
+    and slot dimensions, their endpoints stacked row by row in XM
+    (n, dim_minus) and XP (n, dim_plus). One link is the one-row family.
+    Subclasses implement, as classmethods returning one row per link:
 
-    The family methods values(), grads(), hessians() and momenta_rows() take
-    the links of one chain that share a class and slot dimensions, with their
-    endpoints stacked row by row, and return one row per link. Here they loop
-    over the rows; a subclass may evaluate all rows in one array expression.
+    - values(links, XM, XP): the branch values, shape (n,);
+    - grads(links, XM, XP): (D-, D+), shapes (n, dim_minus) and (n, dim_plus);
+    - hessians(links, XM, XP): (D--, D-+, D++), each (n, ., .); a branch
+      without a closed form returns difference_hessians() of its gradients;
+    - momenta_rows(), where the branch knows its ambient boundary momenta;
+    - in_domain(), where its domain is smaller than its chart.
     """
 
     dim_minus: int
     dim_plus: int
-    fd_step: float = 1e-6
-
-    def value(self, xm: np.ndarray, xp: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def in_domain(self, xm: np.ndarray, xp: np.ndarray) -> bool:
-        return True
-
-    def grad_minus(self, xm, xp) -> np.ndarray:
-        return central_diff(lambda x: self.value(x, xp), xm, self.fd_step)
-
-    def grad_plus(self, xm, xp) -> np.ndarray:
-        return central_diff(lambda x: self.value(xm, x), xp, self.fd_step)
-
-    def _grad_pair(self, xm, xp) -> Tuple[np.ndarray, np.ndarray]:
-        """(D-, D+) at one link."""
-        return self.grad_minus(xm, xp), self.grad_plus(xm, xp)
-
-    def _grad_jacobian(self, xm, xp, h: float) -> np.ndarray:
-        """Central differences of (D-, D+) in the joint coordinates (xm, xp)."""
-        xm = np.asarray(xm, dtype=float)
-        z = np.concatenate([xm, np.asarray(xp, dtype=float)])
-        J = central_diff(lambda v: np.concatenate(self._grad_pair(v[:xm.size], v[xm.size:])),
-                         z, h)
-        return J.reshape(z.size, z.size)
-
-    def hess(self, xm, xp) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(D--, D-+, D++) second derivative blocks, one Richardson step."""
-        h = self.fd_step * 16
-        J = (4.0 * self._grad_jacobian(xm, xp, h / 2) - self._grad_jacobian(xm, xp, h)) / 3.0
-        return self._blocks(J, np.asarray(xm).size)
-
-    @staticmethod
-    def _blocks(J: np.ndarray, nm: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(D--, D-+, D++) blocks of the symmetrised joint second derivative J,
-        or of each matrix of a stack J, with nm minus-slot coordinates."""
-        J = 0.5 * (J + np.swapaxes(J, -1, -2))
-        return J[..., :nm, :nm], J[..., :nm, nm:], J[..., nm:, nm:]
-
-    def momenta(self, xm, xp) -> Tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError("this branch does not expose ambient momenta")
-
-    @classmethod
-    def values(cls, links: Sequence["LinkEvaluator"], XM: np.ndarray,
-               XP: np.ndarray) -> np.ndarray:
-        """Branch values, shape (n,), of link r at endpoints XM[r], XP[r]."""
-        return np.array([link.value(xm, xp) for link, xm, xp in zip(links, XM, XP)])
-
-    @classmethod
-    def grads(cls, links: Sequence["LinkEvaluator"], XM: np.ndarray,
-              XP: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(D-, D+) of every row, shapes (n, dim_minus) and (n, dim_plus)."""
-        rows = [link._grad_pair(xm, xp) for link, xm, xp in zip(links, XM, XP)]
-        return (np.array([r[0] for r in rows], dtype=float),
-                np.array([r[1] for r in rows], dtype=float))
-
-    @classmethod
-    def hessians(cls, links: Sequence["LinkEvaluator"], XM: np.ndarray,
-                 XP: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(D--, D-+, D++) of every row, each of shape (n, ., .)."""
-        rows = [link.hess(xm, xp) for link, xm, xp in zip(links, XM, XP)]
-        return tuple(np.array([r[b] for r in rows], dtype=float) for b in range(3))
 
     @classmethod
     def momenta_rows(cls, links: Sequence["LinkEvaluator"], XM: np.ndarray,
                      XP: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Ambient boundary momenta (p-, p+) of every row, each of shape (n, d)."""
-        rows = [link.momenta(xm, xp) for link, xm, xp in zip(links, XM, XP)]
-        return (np.array([r[0] for r in rows], dtype=float),
-                np.array([r[1] for r in rows], dtype=float))
-
-
-class ArrayLink(LinkEvaluator):
-    """Branch whose family methods are one array expression over the rows.
-
-    Subclasses implement values(), grads() and hessians(), and momenta_rows()
-    where the branch knows its momenta; the scalar methods are their one-row
-    case.
-    """
-
-    def value(self, xm, xp):
-        return float(self.values([self], _one_row(xm), _one_row(xp))[0])
-
-    def _grad_pair(self, xm, xp):
-        gm, gp = self.grads([self], _one_row(xm), _one_row(xp))
-        return gm[0], gp[0]
-
-    def grad_minus(self, xm, xp):
-        return self._grad_pair(xm, xp)[0]
-
-    def grad_plus(self, xm, xp):
-        return self._grad_pair(xm, xp)[1]
-
-    def hess(self, xm, xp):
-        return tuple(b[0] for b in self.hessians([self], _one_row(xm), _one_row(xp)))
-
-    def momenta(self, xm, xp):
-        pm, pp = self.momenta_rows([self], _one_row(xm), _one_row(xp))
-        return pm[0], pp[0]
-
-    @classmethod
-    def momenta_rows(cls, links, XM, XP):
         raise NotImplementedError("this branch does not expose ambient momenta")
 
+    @classmethod
+    def in_domain(cls, links: Sequence["LinkEvaluator"], XM: np.ndarray,
+                  XP: np.ndarray) -> np.ndarray:
+        """Whether each row lies in the domain of its branch, shape (n,)."""
+        return np.ones(len(links), dtype=bool)
 
-def _one_row(x) -> np.ndarray:
-    return np.asarray(x, dtype=float).reshape(1, -1)
+    @staticmethod
+    def _blocks(J: np.ndarray, nm: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(D--, D-+, D++) blocks of each symmetrised joint second derivative
+        of a stack J, with nm minus-slot coordinates."""
+        J = 0.5 * (J + np.swapaxes(J, -1, -2))
+        return J[..., :nm, :nm], J[..., :nm, nm:], J[..., nm:, nm:]
+
+
+_DIFFERENCE_STEP = 1.6e-5   # h of difference_hessians, which steps h/2 and h
+
+
+def difference_hessians(cls, links: Sequence[LinkEvaluator], XM: np.ndarray,
+                        XP: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D--, D-+, D++) of every row from the exact gradients cls.grads.
+
+    Central differences of (D-, D+) in the joint coordinates (XM[r], XP[r]),
+    at steps h/2 and h with one Richardson step, symmetrised.
+    """
+    nm = XM.shape[1]
+    Z = np.concatenate([XM, XP], axis=1)
+
+    def jacobian(h):
+        J = np.empty((len(links), Z.shape[1], Z.shape[1]))
+        for i in range(Z.shape[1]):
+            e = np.zeros(Z.shape[1])
+            e[i] = h
+            up, down = (np.concatenate(cls.grads(links, W[:, :nm], W[:, nm:]), axis=1)
+                        for W in (Z + e, Z - e))
+            J[:, :, i] = (up - down) / (2 * h)
+        return J
+
+    h = _DIFFERENCE_STEP
+    return cls._blocks((4.0 * jacobian(h / 2) - jacobian(h)) / 3.0, nm)
 
 
 @dataclass
@@ -241,10 +185,10 @@ class ChainConfiguration:
 
 
 def _check_domains(dl: DiscreteLagrangian, c: ChainConfiguration):
-    for j, k in enumerate(c.code):
-        xm, xp = c.link_endpoints(j)
-        if not dl.link(k).in_domain(xm, xp):
-            raise ChainDomainError(f"link {j} (symbol {k}) left its domain")
+    """Raise ChainDomainError at the first link outside its branch's domain."""
+    for j, ok in enumerate(_per_link(dl, c, "in_domain")):
+        if not ok:
+            raise ChainDomainError(f"link {j} (symbol {c.code[j]}) left its domain")
 
 
 def _families(dl: DiscreteLagrangian, c: ChainConfiguration):
@@ -410,8 +354,10 @@ def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
 
     Runs to a sup-norm residual of 1e-10 in at most 60 iterations; the step
     is halved until the sup-norm of the residual decreases, at most 40 times
-    per iteration. A chain without free coordinates is already critical and
-    is returned unchanged.
+    per iteration. The start chain and the returned chain must lie in the
+    domains of their branches (else ChainDomainError); the line search does
+    not check the trials. A chain without free coordinates is already
+    critical and is returned unchanged.
     A singular Hessian raises unless allow_singular is set, in which case the
     minimal-norm step is taken (useful on unreduced symmetric systems, whose
     critical chains come in group orbits).
@@ -436,11 +382,7 @@ def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
         lam = 1.0
         for _ in range(_NEWTON_HALVINGS + 1):
             trial = c.with_points([x + lam * s for x, s in zip(c.points, step)])
-            try:
-                res_t = residual(dl, trial)
-            except ChainDomainError:
-                lam *= 0.5
-                continue
+            res_t = residual(dl, trial)
             rn_t = residual_norm(res_t)
             if rn_t < rn:
                 break
@@ -449,6 +391,7 @@ def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
             raise NewtonError(f"no descent after {_NEWTON_HALVINGS} halvings (|r| = {rn:.2e})")
         c, res, rn = trial, res_t, rn_t
         it += 1
+    _check_domains(dl, c)
     sigma = hessian(dl, c).smallest_singular_value()
     return NewtonResult(c, rn, sigma, it, rn <= _NEWTON_TOL)
 
@@ -600,12 +543,8 @@ def admissible(dl: DiscreteLagrangian, c: ChainConfiguration,
 
 def tangent_momenta(dl: DiscreteLagrangian, c: ChainConfiguration) -> List[np.ndarray]:
     """y_i = D+ L at the incoming slot of each site (chart covectors)."""
-    out = []
-    for i in range(c.n_free):
-        jin, _ = _site_links(c, i)
-        xm, xp = c.link_endpoints(jin)
-        out.append(dl.link(c.code[jin]).grad_plus(xm, xp))
-    return out
+    grads = _per_link(dl, c, "grads")
+    return [grads[_site_links(c, i)[0]][1] for i in range(c.n_free)]
 
 
 def noether_values(dl: DiscreteLagrangian, c: ChainConfiguration,

@@ -9,31 +9,13 @@ so sampled paths carry their winding explicitly and never wrap mid-flight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 
 class DomainError(ValueError):
     """Configuration point outside the admissible domain (singular set or E <= W)."""
-
-
-def central_diff(f: Callable, x, h: float) -> np.ndarray:
-    """Central differences of f at x along each coordinate axis.
-
-    Entry i of the last axis is (f(x + h e_i) - f(x - h e_i)) / (2 h): the
-    gradient of a scalar f, the Jacobian of a vector f; empty for empty x.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.zeros(0)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h
-        col = (f(x + e) - f(x - e)) / (2 * h)
-        if i == 0:
-            out = np.empty(np.shape(col) + (x.size,))
-        out[..., i] = col
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def _straight_chords(links, QM, QP, windings) -> bvp.Chords:
     return bvp.Chords(speed * ell, p, p, D, np.ones_like(D), mass, speed)
 
 
-class ChordLink(dlsmod.ArrayLink):
+class ChordLink(dlsmod.LinkEvaluator):
     """Straight collision orbit from a scatterer point along a fixed displacement.
 
     Zero-dimensional on both slots: constant action and momenta. The label
@@ -142,7 +142,11 @@ def torus_point_scenario(dim: int = 2, periods: Optional[Sequence[float]] = None
 # ---------------------------------------------------------------------------
 
 class TwoBallTorusLink(dlsmod.LinkEvaluator):
-    """Pair passage on the circle: each ball winds n_i times between collisions."""
+    """Pair passage on the circle: each ball winds n_i times between collisions.
+
+    The Hessian is difference_hessians of the exact gradients, with which the
+    two_balls_torus outputs were recorded; the closed form rounds differently.
+    """
 
     def __init__(self, h: ClassicalHamiltonian, E: float, masses, period: float,
                  windings: Tuple[int, int]):
@@ -156,27 +160,35 @@ class TwoBallTorusLink(dlsmod.LinkEvaluator):
         self.dim_minus = self.dim_plus = 1
         self._speed = np.sqrt(2.0 * E)
 
-    def _lengths(self, xm, xp):
-        delta = float(np.atleast_1d(xp)[0] - np.atleast_1d(xm)[0])
-        return delta + self.n * self.L
+    @staticmethod
+    def _passages(links, XM, XP):
+        """Speeds (n,), masses (n, 2), ball path lengths (n, 2) and kinetic
+        lengths (n,) of the rows: ball i travels x+ - x- plus n_i periods."""
+        m = np.array([link.m for link in links])
+        ell = (XP[:, :1] - XM[:, :1]) + np.array([link.n * link.L for link in links])
+        return (np.array([link._speed for link in links]), m, ell,
+                np.sqrt(np.sum(m * ell**2, axis=1)))
 
-    def value(self, xm, xp):
-        ell = self._lengths(xm, xp)
-        return float(self._speed * np.sqrt(np.sum(self.m * ell**2)))
+    @classmethod
+    def values(cls, links, XM, XP):
+        speed, _, _, g = cls._passages(links, XM, XP)
+        return speed * g
 
-    def grad_minus(self, xm, xp):
-        ell = self._lengths(xm, xp)
-        g = np.sqrt(np.sum(self.m * ell**2))
-        return np.array([-self._speed * np.sum(self.m * ell) / g])
+    @classmethod
+    def grads(cls, links, XM, XP):
+        speed, m, ell, g = cls._passages(links, XM, XP)
+        gm = (-speed * np.sum(m * ell, axis=1) / g)[:, None]
+        return gm, -gm
 
-    def grad_plus(self, xm, xp):
-        return -self.grad_minus(xm, xp)
+    @classmethod
+    def hessians(cls, links, XM, XP):
+        return dlsmod.difference_hessians(cls, links, XM, XP)
 
-    def momenta(self, xm, xp):
-        ell = self._lengths(xm, xp)
-        g = np.sqrt(np.sum(self.m * ell**2))
-        p = self._speed * self.m * ell / g
-        return p.copy(), p.copy()
+    @classmethod
+    def momenta_rows(cls, links, XM, XP):
+        speed, m, ell, g = cls._passages(links, XM, XP)
+        p = speed[:, None] * m * ell / g[:, None]
+        return p, p.copy()
 
     def ambient_connect(self, qm, qp, eps):
         return bvp.connect(self.h, qm, qp, self.E,
@@ -189,9 +201,8 @@ class TwoBallTorusLink(dlsmod.LinkEvaluator):
         return _straight_chords(links, QM, QP, [link.n for link in links])
 
     def reference_path(self, xm, xp):
-        c0 = float(np.atleast_1d(xm)[0])
-        ell = self._lengths(xm, xp)
-        start = np.array([c0, c0])
+        ell = self._passages([self], xm[None], xp[None])[2][0]
+        start = np.array([xm[0], xm[0]])
         ts = np.linspace(0.0, 1.0, 33)
         return start[None, :] + ts[:, None] * ell[None, :]
 
@@ -230,7 +241,7 @@ def two_ball_torus_scenario(masses=(1.0, 1.0), E: float = 0.5,
 # Two balls in a box (interval factor), wall reflections folded into branches
 # ---------------------------------------------------------------------------
 
-class TwoBallBoxLink(dlsmod.ArrayLink):
+class TwoBallBoxLink(dlsmod.LinkEvaluator):
     """Pair passage on the interval with a per-ball wall-bounce pattern.
 
     The symbol (m1, m2) counts signed wall reflections of each ball between
@@ -342,13 +353,16 @@ class TwoBallBoxLink(dlsmod.ArrayLink):
     def momenta_rows(cls, links, XM, XP):
         return cls._momenta(*cls._chords(links, XM, XP))
 
-    def in_domain(self, xm, xp):
-        YM, YP = self._ends([self], dlsmod._one_row(xm), dlsmod._one_row(xp))
-        lo, hi = self.box[0] + self.margin, self.box[1] - self.margin
-        if not (np.all((lo < YM) & (YM < hi)) and np.all((lo < YP) & (YP < hi))):
-            return False
-        ell, _ = self._fold([self], YM, YP, self.margin)
-        return bool(np.all(np.abs(ell) > 1e-12))
+    @classmethod
+    def in_domain(cls, links, XM, XP):
+        """Both pair positions strictly inside the walls, and every ball moving."""
+        YM, YP = cls._ends(links, XM, XP)
+        margin = np.array([link.margin for link in links])
+        box = np.array([link.box for link in links], dtype=float)
+        lo, hi = box[:, :1] + margin[:, None], box[:, 1:] - margin[:, None]
+        inside = np.all((lo < YM) & (YM < hi) & (lo < YP) & (YP < hi), axis=1)
+        ell, _ = cls._fold(links, YM, YP, margin)
+        return inside & np.all(np.abs(ell) > 1e-12, axis=1)
 
     def ambient_connect(self, qm, qp, eps):
         qm = self.left if self.left is not None else np.asarray(qm, dtype=float)
@@ -385,7 +399,7 @@ class TwoBallBoxLink(dlsmod.ArrayLink):
                                   chord=ell, parity=par)
 
     def reference_path(self, xm, xp):
-        YM, YP = self._ends([self], dlsmod._one_row(xm), dlsmod._one_row(xp))
+        YM, YP = self._ends([self], xm.reshape(1, -1), xp.reshape(1, -1))
         return self._connect_ambient(YM[0], YP[0], 0.0).path
 
 

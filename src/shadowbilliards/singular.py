@@ -604,11 +604,7 @@ def shadow_experiment(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguratio
     E = dl.energy
     n = c.n_links
     centers = [dl.site_bases(c, i) for i in range(n)]
-    dirs = []
-    for j in range(n):
-        pm, _ = dl.link(c.code[j]).momenta(*c.link_endpoints(j))
-        v = np.asarray(pm, dtype=float)
-        dirs.append(v / np.linalg.norm(v))
+    dirs = [p / np.linalg.norm(p) for _, p, _ in dlsmod.momentum_jumps(dl, c)]
 
     base = ClassicalHamiltonian(scat.space)     # free flight among the centers
     shooters = [_ChainShooting(SingularPerturbation(base, scat, float(mu), alphas=alphas),

@@ -6,7 +6,8 @@ pytest collects the test modules, makes the suite run on the pinned OpenBLAS.
 
 The potentials and the link below are models that only tests build: the
 shipped runs fly free or Kepler flights and use the scenarios' own links.
-Test modules import them with `from conftest import ...`.
+central_diff is the tests' finite-difference helper. Test modules import
+them with `from conftest import ...`.
 """
 
 import sys
@@ -18,8 +19,26 @@ _NUMPY_BEFORE_PIN = "numpy" in sys.modules
 import shadowbilliards  # noqa: E402,F401
 import numpy as np  # noqa: E402
 
-from shadowbilliards.dls import LinkEvaluator  # noqa: E402
-from shadowbilliards.dynamics import Potential, central_diff  # noqa: E402
+from shadowbilliards.dls import LinkEvaluator, difference_hessians  # noqa: E402
+from shadowbilliards.dynamics import Potential  # noqa: E402
+
+
+def central_diff(f, x, h: float) -> np.ndarray:
+    """Central differences of f at x along each coordinate axis.
+
+    Entry i of the last axis is (f(x + h e_i) - f(x - h e_i)) / (2 h): the
+    gradient of a scalar f, the Jacobian of a vector f; empty for empty x.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros(0)
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = h
+        col = (f(x + e) - f(x - e)) / (2 * h)
+        if i == 0:
+            out = np.empty(np.shape(col) + (x.size,))
+        out[..., i] = col
+    return out
 
 
 @pytest.fixture
@@ -63,12 +82,29 @@ class CallablePotential(Potential):
 
 
 class FunctionLink(LinkEvaluator):
-    """Link branch given by a plain function of (xm, xp), for synthetic systems."""
+    """Link branch given by a plain function of (xm, xp), for synthetic systems.
+
+    Gradients are central differences of the function (step 1e-6), row by
+    row; Hessians are difference_hessians of those gradients.
+    """
 
     def __init__(self, fn, dim_minus: int, dim_plus: int):
         self.fn = fn
         self.dim_minus = dim_minus
         self.dim_plus = dim_plus
 
-    def value(self, xm, xp):
-        return float(self.fn(np.asarray(xm, dtype=float), np.asarray(xp, dtype=float)))
+    @classmethod
+    def values(cls, links, XM, XP):
+        return np.array([float(link.fn(xm, xp)) for link, xm, xp in zip(links, XM, XP)])
+
+    @classmethod
+    def grads(cls, links, XM, XP):
+        rows = [(central_diff(lambda x: float(link.fn(x, xp)), xm, 1e-6),
+                 central_diff(lambda x: float(link.fn(xm, x)), xp, 1e-6))
+                for link, xm, xp in zip(links, XM, XP)]
+        return (np.array([r[0] for r in rows]).reshape(len(links), XM.shape[1]),
+                np.array([r[1] for r in rows]).reshape(len(links), XP.shape[1]))
+
+    @classmethod
+    def hessians(cls, links, XM, XP):
+        return difference_hessians(cls, links, XM, XP)

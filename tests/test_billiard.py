@@ -286,6 +286,14 @@ class TestGeneratingFunction:
         assert abs(slope - 2.0) <= 0.1
 
 
+def _one_link_hessians(link, um, up):
+    """The closed-form Hessian blocks of one tube link and their
+    dls.difference_hessians, from one-row family calls."""
+    one = ([link], um[None], up[None])
+    return ([b[0] for b in billiard.TwoPointLink.hessians(*one)],
+            [b[0] for b in dls.difference_hessians(billiard.TwoPointLink, *one)])
+
+
 class TestTwoPointHessian:
     """The closed-form tube-link Hessian against central differences of its
     exact gradient (one Richardson step), on random tube points."""
@@ -306,8 +314,7 @@ class TestTwoPointHessian:
         link = billiard.TwoPointLink(scn.dl.link(k), left, right, eps)
         um, up = 0.3 * np.array(r[6:5 + dim]), 0.3 * np.array(r[8:7 + dim])
         assert link._orbit(um, up).chord is not None   # the closed form applies
-        exact = link.hess(um, up)
-        fd = dls.LinkEvaluator.hess(link, um, up)
+        exact, fd = _one_link_hessians(link, um, up)
         for he, hf in zip(exact, fd):
             assert np.allclose(he, hf, rtol=1e-6, atol=1e-10)
 
@@ -334,8 +341,7 @@ class TestTwoPointHessian:
         up = np.zeros(0) if frozen_p else np.array([dp])
         orbit = link._orbit(um, up)
         assume(np.min(np.abs(orbit.chord)) > 1e-3 and orbit.tau > 0.05)
-        exact = link.hess(um, up)
-        fd = dls.LinkEvaluator.hess(link, um, up)
+        exact, fd = _one_link_hessians(link, um, up)
         assert [h.shape for h in exact] == [h.shape for h in fd]
         for he, hf in zip(exact, fd):
             assert np.allclose(he, hf, rtol=1e-6, atol=1e-8)
@@ -534,7 +540,7 @@ class TestHonestConvergence:
         chain = scenarios.box_fixed_chain(code, [np.array([x]) for x in starts])
         try:
             res = dls.newton_chain(dl, chain)
-        except dls.NewtonError:
+        except (dls.NewtonError, dls.ChainDomainError):
             return
         if res.converged:
             assert res.residual_inf <= 1e-10
@@ -639,12 +645,6 @@ class TestShadowError:
         e1 = shadow_error(scn.dl, chain, shadow_solve(scn.dl, chain, 2e-3))
         e2 = shadow_error(scn.dl, chain, shadow_solve(scn.dl, chain, 1e-3))
         assert 0.4 <= e2 / e1 <= 0.6
-
-    def test_degenerate_eps_zero(self):
-        scn, chain = torus_setup()
-        sc = shadow_solve(scn.dl, chain, 1e-3)
-        sc.eps = 0.0
-        assert shadow_error(scn.dl, chain, sc) == 0.0
 
     def test_shipped_torus_point_golden(self):
         # recorded with the per-pair scalar loop that sup_segment_distance reproduces

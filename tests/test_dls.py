@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, seed, settings, strategies as st
+from hypothesis import assume, example, given, seed, settings, strategies as st
 
-from conftest import FunctionLink
+from conftest import FunctionLink, central_diff
 from shadowbilliards import dls, scenarios
 from shadowbilliards.dls import (ChainConfiguration, DiscreteLagrangian, NewtonError,
                                  admissible, chain_action, green_decay, hessian,
@@ -43,7 +43,7 @@ class TestChainAction:
         # paper value: sqrt(m1 l1^2 + m2 l2^2) with unit masses and legs 3, 4
         scn = scenarios.two_ball_torus_scenario()
         link = scn.dl.link((3, 4))
-        val = link.value(np.array([0.0]), np.array([0.0]))
+        val = type(link).values([link], np.zeros((1, 1)), np.zeros((1, 1)))[0]
         assert val == pytest.approx(5.0, rel=1e-14)
 
     def test_single_link_equals_orbit_action(self):
@@ -135,8 +135,9 @@ class TestBoxHessian:
         xp = np.zeros(0) if right else np.array([lo + (hi - lo) * u[5]])
         _, _, ell, _, g = (r[0] for r in link._chords([link], xm[None], xp[None]))
         assume(np.min(np.abs(ell)) > 1e-3 and g > 0.05)
-        exact = link.hess(xm, xp)
-        fd = dls.LinkEvaluator.hess(link, xm, xp)
+        cls = scenarios.TwoBallBoxLink
+        exact = [b[0] for b in cls.hessians([link], xm[None], xp[None])]
+        fd = [b[0] for b in dls.difference_hessians(cls, [link], xm[None], xp[None])]
         assert [h.shape for h in exact] == [h.shape for h in fd]
         for he, hf in zip(exact, fd):
             # equal patterns give an exactly zero Hessian; differences read ~1e-11
@@ -165,13 +166,80 @@ class TestBoxHessian:
         values, (gm, gp), hess = (cls.values(links, XM, XP), cls.grads(links, XM, XP),
                                   cls.hessians(links, XM, XP))
         for r, (link, xm, xp) in enumerate(zip(links, xms, xps)):
-            # coincident chords give 0/0: nan must match nan
-            assert np.array_equal(values[r], link.value(xm, xp), equal_nan=True)
-            assert np.array_equal(gm[r], link.grad_minus(xm, xp), equal_nan=True)
-            assert np.array_equal(gp[r], link.grad_plus(xm, xp), equal_nan=True)
-            for block, one in zip(hess, link.hess(xm, xp)):
-                assert block[r].shape == one.shape
-                assert np.array_equal(block[r], one, equal_nan=True)
+            # the one-row family of each link; coincident chords give 0/0:
+            # nan must match nan
+            one = ([link], xm[None], xp[None])
+            gm1, gp1 = cls.grads(*one)
+            assert np.array_equal(values[r], cls.values(*one)[0], equal_nan=True)
+            assert np.array_equal(gm[r], gm1[0], equal_nan=True)
+            assert np.array_equal(gp[r], gp1[0], equal_nan=True)
+            for block, block1 in zip(hess, cls.hessians(*one)):
+                assert block[r].shape == block1[0].shape
+                assert np.array_equal(block[r], block1[0], equal_nan=True)
+
+
+def _torus_scalar_reference(link, xm, xp):
+    """(value, D-, D+, p-, p+, D--, D-+, D++) of one TwoBallTorusLink by the
+    scalar formulas the family methods replaced, the Hessian by central
+    differences of the gradients at steps 8e-6 and 1.6e-5, one Richardson
+    step and symmetrised."""
+    def lengths(xm, xp):
+        return float(xp[0] - xm[0]) + link.n * link.L
+
+    def grad_minus(xm, xp):
+        ell = lengths(xm, xp)
+        g = np.sqrt(np.sum(link.m * ell**2))
+        return np.array([-link._speed * np.sum(link.m * ell) / g])
+
+    def grad_jacobian(h):
+        z = np.concatenate([xm, xp])
+        return central_diff(lambda v: np.concatenate([grad_minus(v[:1], v[1:]),
+                                                      -grad_minus(v[:1], v[1:])]),
+                            z, h).reshape(2, 2)
+
+    ell = lengths(xm, xp)
+    g = np.sqrt(np.sum(link.m * ell**2))
+    p = link._speed * link.m * ell / g
+    h = 1e-6 * 16
+    J = (4.0 * grad_jacobian(h / 2) - grad_jacobian(h)) / 3.0
+    J = 0.5 * (J + J.T)
+    return (float(link._speed * np.sqrt(np.sum(link.m * ell**2))), grad_minus(xm, xp),
+            -grad_minus(xm, xp), p, p.copy(), J[:1, :1], J[:1, 1:], J[1:, 1:])
+
+
+_TORUS_ROWS = st.lists(
+    st.tuples(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda k: k[0] != k[1]),
+              st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(0.2, 3.0),
+              st.floats(0.05, 2.0), st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)),
+    min_size=1, max_size=6)
+
+
+class TestTwoBallTorusRows:
+    """Every row of the stacked TwoBallTorusLink family has the bytes of the
+    scalar formulas, on families of mixed windings, masses, periods and
+    energies."""
+
+    @seed(20161018)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_TORUS_ROWS)
+    @example([((3, 4), 1.0, 1.0, 1.0, 0.5, 0.0, 0.0)])
+    @example([((1, 0), 1.0, 1.0, 1.0, 0.5, 0.25, 0.25), ((0, 1), 1.0, 1.0, 1.0, 0.5, 0.25, 0.25)])
+    @example([((1, -1), 1.0, 2.0, 1.0, 0.5, 0.3, 0.8), ((-1, 1), 2.0, 1.0, 0.5, 1.3, 0.8, -0.4),
+              ((2, 0), 0.1, 9.0, 2.5, 0.05, 1.9, -1.0)])
+    def test_rows_equal_scalar_formulas(self, rows):
+        scn = scenarios.two_ball_torus_scenario()
+        links = [scenarios.TwoBallTorusLink(scn.h, E, (m1, m2), L, k)
+                 for k, m1, m2, L, E, _, _ in rows]
+        XM = np.array([[r[5]] for r in rows])
+        XP = np.array([[r[6]] for r in rows])
+        cls = scenarios.TwoBallTorusLink
+        got = (cls.values(links, XM, XP), *cls.grads(links, XM, XP),
+               *cls.momenta_rows(links, XM, XP), *cls.hessians(links, XM, XP))
+        for r, link in enumerate(links):
+            ref = _torus_scalar_reference(link, XM[r], XP[r])
+            for g, want in zip(got, ref):
+                want = np.asarray(want, dtype=float)
+                assert g[r].shape == want.shape and g[r].tobytes() == want.tobytes(), (r, g, want)
 
 
 class TestNewton:
@@ -213,6 +281,16 @@ class TestNewton:
             sols.append(np.array([float(x[0]) for x in res.chain.points]))
         assert np.max(np.abs(sols[0] - sols[1])) < 1e-8
         assert np.max(np.abs(sols[0] - sols[2])) < 1e-8
+
+    def test_returned_chain_outside_the_box_raises(self):
+        # Newton meets |r| = 5.3e-12 at collision points -2.106 and 1.558,
+        # outside the box (0, 1): the returned chain is checked, not only the start
+        scn = scenarios.two_ball_box_scenario(masses=(1.0, 1.0), E=0.5)
+        code = [(-3, -3), (-2, 3), (1, 1)]
+        dl = scenarios.box_fixed_lagrangian(scn, [0.5, 0.25], [0.625, 0.375], code)
+        chain = scenarios.box_fixed_chain(code, [np.array([0.25]), np.array([0.75])])
+        with pytest.raises(dls.ChainDomainError, match=r"link 0 \(symbol \('end', 0"):
+            newton_chain(dl, chain)
 
     def test_zero_dimensional_returns_unchanged(self):
         scn, chain = torus_chain()
