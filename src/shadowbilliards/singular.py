@@ -8,13 +8,17 @@ inside the exclusion radius mu^2 abort a flight. The shadowing experiment is a
 multiple shooting Newton over the chain with one section plane per collision,
 seeded by the two-body deflection that matches the chain's momentum jumps.
 
-All integration goes through one RK4 kernel on (B, d) rows with a step and
-center weights mu * alpha per row. The Newton solves of a whole mu sweep run
-in lockstep, one call per round: it flies every row that the unfinished
-solves ask for (the links of a full-step trial with every perturbed link of
-the central-difference Jacobian there, a Jacobian's retried columns, a
-line-search trial). Each row keeps its own mu, section, time budget, minimum
-distance and outcome, and its numbers are bit-equal to the row flown alone.
+All integration goes through one RK4 kernel on stacked planar states
+[q, p], with a step and center weights mu * alpha per row; a lockstep step
+of any number of rows is a fixed number of whole-array numpy calls. The
+Newton solves of a whole mu sweep run in lockstep, one call per round: it
+flies every row that the unfinished solves ask for (the links of a full-step
+trial with every perturbed link of the central-difference Jacobian there, a
+Jacobian's retried columns, a line-search trial). Each row keeps its own mu,
+section, time budget, minimum distance and outcome, and its numbers are
+bit-equal to the row flown alone. The rows that cross their sections keep
+the step that crossed and are bisected together after the last step: one
+bisection per flight. The flights run on Euclidean space only.
 """
 
 from __future__ import annotations
@@ -57,6 +61,8 @@ class SingularPerturbation:
     def __post_init__(self):
         if not isinstance(self.scatterer, PointScatterer):
             raise ValueError("the singular set must be a point scatterer")
+        if self.base.space.is_torus:
+            raise ValueError("the singular flow runs on Euclidean space")
         n = len(self.scatterer)
         if self.alphas is None:
             self.alphas = np.ones(n)
@@ -74,9 +80,12 @@ class SingularPerturbation:
 # ---------------------------------------------------------------------------
 
 class _PointCenterKernel:
-    """Lockstep RK4 step of free flight among point centers on (B, d) rows,
-    one dt and one row of center weights mu * alpha per row, with the step
-    shrinking like d(q, N)^{3/2} near the centers.
+    """Lockstep RK4 step of planar free flight among point centers on B rows
+    of state Y = [q, p], shape (2, B, 2), one dt and one row of center weights
+    mu * alpha per row, with the step shrinking like d(q, N)^{3/2} near the
+    centers. The stages run on the stacked state with K = [velocity, force],
+    so each is one Y + h K, and every elementwise operation of the q and p
+    updates keeps its order.
 
     A row of a B-row call is bit-equal to the same row flown alone: the
     weights enter elementwise, and the sums over centers and over the inverse
@@ -87,51 +96,56 @@ class _PointCenterKernel:
     def __init__(self, sp: SingularPerturbation):
         if not sp.base.potential.is_zero:
             raise ValueError("the kernel flies free flight among the centers")
+        if sp.base.dim != 2:
+            raise ValueError("the kernel flies planar rows")
         self.minv = sp.base.mass_inv
         self.unit_mass = sp.base.unit_mass
-        self.centered = sp.base.space.centered
-        self.centers = sp.scatterer.points
+        # offsets as q repeated per center minus the flat centers: one flat
+        # subtraction, cheaper than broadcasting (B, 1, 2) against (n, 2)
+        self.coords = np.tile([0, 1], len(sp.scatterer))
+        self.centers = sp.scatterer.points.ravel()
 
-    def _pull(self, Q, W):
-        """Force on each row under its weights W and its distances to every
-        center, (B, d), (B, n)."""
-        rel = self.centered(Q[:, None, :] - self.centers)
-        r2 = np.einsum("bij,bij->bi", rel, rel)
+    def _field(self, Y, W):
+        """K = [velocity, force] of each row of Y under its weights W, and
+        the row's distances to every center, (2, B, 2) and (B, n)."""
+        rel = (Y[0].take(self.coords, axis=1) - self.centers).reshape(len(W), -1, 2)
+        sq = rel * rel
+        r2 = sq[..., 0] + sq[..., 1]    # rounds as einsum("bij,bij->bi"), at half the cost
         r = np.sqrt(r2)
         w = -(W / (r2 * r))
-        return (w[:, None, :] @ rel)[:, 0, :], r
+        K = np.empty_like(Y)
+        K[0] = self.velocity(Y[1])
+        np.matmul(w[:, None, :], rel, out=K[1][:, None, :])
+        return K, r
 
-    def force(self, Q, W):
-        return self._pull(Q, W)[0]
-
-    def force_distance(self, Q, W):
-        """force(Q, W) and the distance of each row of Q to the nearest
-        center, shape (B,), from one set of center offsets."""
-        F, r = self._pull(Q, W)
-        return F, r.min(axis=1)
+    def field_distance(self, Y, W):
+        """K of each row of Y and its distance to the nearest center, (B,)."""
+        K, r = self._field(Y, W)
+        return K, r.T.min(axis=0)
 
     @staticmethod
     def step_sizes(D, H, k_near: float) -> np.ndarray:
         """Step min(h_far, k_near d^{3/2}) of each row from its distance D to N
         and its far-field step H.
 
-        Python's float power per row: np.power rounds d**1.5 differently.
+        np.float_power calls the C pow, which rounds d**1.5 as Python's float
+        power does; np.power rounds it differently on about 5% of distances.
+        fmin keeps h_far where d is nan, as min(h, nan) does.
         """
-        return np.array([min(h, k_near * d**1.5) for h, d in zip(H.tolist(), D.tolist())])
+        return np.fmin(H, k_near * np.float_power(D, 1.5))
 
     def velocity(self, P):
         return P if self.unit_mass else (self.minv @ P[:, :, None])[:, :, 0]
 
-    def rk4(self, Q, P, dt, F, W):
-        """One step of each row under its weights W; F = force(Q, W), which
-        the caller already has from the distance check at Q."""
+    def rk4(self, Y, dt, K, W):
+        """One step of each row under its weights W; K = _field(Y, W)[0],
+        which the caller already has from the distance check at Y."""
         dt = dt[:, None]
-        k1q, k1p = self.velocity(P), F
-        k2q, k2p = self.velocity(P + 0.5 * dt * k1p), self.force(Q + 0.5 * dt * k1q, W)
-        k3q, k3p = self.velocity(P + 0.5 * dt * k2p), self.force(Q + 0.5 * dt * k2q, W)
-        k4q, k4p = self.velocity(P + dt * k3p), self.force(Q + dt * k3q, W)
-        return (Q + dt / 6.0 * (k1q + 2 * k2q + 2 * k3q + k4q),
-                P + dt / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p))
+        half = 0.5 * dt
+        K2 = self._field(Y + half * K, W)[0]
+        K3 = self._field(Y + half * K2, W)[0]
+        K4 = self._field(Y + dt * K3, W)[0]
+        return Y + dt / 6.0 * (K + 2 * K2 + 2 * K3 + K4)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +248,7 @@ class _ChainShooting:
             tdir /= np.linalg.norm(tdir)
             self.normals.append(tdir)
             self.bases.append(_plane_basis(tdir))
-            link_lengths.append(np.linalg.norm(
-                sp.base.space.centered(self.points[(j + 1) % self.n] - self.points[j])))
+            link_lengths.append(np.linalg.norm(self.points[(j + 1) % self.n] - self.points[j]))
         self.budgets = [4.0 * (L / self.speed + 1.0) for L in link_lengths]  # time per link
         self.r_detect = 0.45 * min(link_lengths)
         self.h_far = 0.02 * min(link_lengths) / self.speed
@@ -265,21 +278,20 @@ class _ChainShooting:
         rotating each local hyperbola about its focus cancels it. Planar
         chains only.
         """
-        space = self.sp.base.space
         pts = self.sp.scatterer.points
         rot90 = np.array([[0.0, -1.0], [1.0, 0.0]])
         angles = []
         for j in range(self.n):
             cj, cn = self.centers[j], self.centers[(j + 1) % self.n]
             a0 = self.points[j]
-            disp = space.centered(self.points[(j + 1) % self.n] - a0)
+            disp = self.points[(j + 1) % self.n] - a0
             L = np.linalg.norm(disp)
             tau = L / self.speed
             others = [i for i in range(len(pts)) if i not in (cj, cn)]
             ts = np.linspace(0.0, 1.0, 256)
             F = np.zeros((ts.size, 2))
             for i in others:
-                rel = space.centered(a0[None, :] + ts[:, None] * disp[None, :] - pts[i])
+                rel = a0[None, :] + ts[:, None] * disp[None, :] - pts[i]
                 r2 = np.einsum("kj,kj->k", rel, rel)
                 F -= self.sp.mu * self.sp.alphas[i] * rel / (r2 * np.sqrt(r2))[:, None]
             dxe = np.trapezoid((1.0 - ts)[:, None] * F, ts, axis=0) * tau**2
@@ -315,7 +327,7 @@ class _ChainShooting:
     def _section(self, Q, A, N):
         """Signed offset of each row past its section plane (A, N), and its
         distance to the section's center A."""
-        rel = self.sp.base.space.centered(Q - A)
+        rel = Q - A
         phi = (rel[:, None, :] @ N[:, :, None])[:, 0, 0]
         return phi, np.sqrt((rel[:, None, :] @ rel[:, :, None])[:, 0, 0])
 
@@ -335,8 +347,8 @@ class _ChainShooting:
         shooters = [s for s, _, _, _ in rows]
         starts = [j for _, j, _, _ in rows]
         targets = [(j + 1) % s.n for s, j in zip(shooters, starts)]
-        Q = np.array([s.node_state(j, xi) for s, j, xi, _ in rows])
-        P = np.array([np.asarray(p, dtype=float) for _, _, _, p in rows])
+        Y = np.array([[s.node_state(j, xi) for s, j, xi, _ in rows],
+                      [p for _, _, _, p in rows]], dtype=float)
         A = np.array([s.points[jn] for s, jn in zip(shooters, targets)])
         N = np.array([s.normals[jn] for s, jn in zip(shooters, targets)])
         W = np.array([s.weights for s in shooters])
@@ -345,22 +357,23 @@ class _ChainShooting:
         H = np.array([s.h_far for s in shooters])
         r_detect = np.array([s.r_detect for s in shooters])
         T = np.zeros(len(rows))
-        F, D = kernel.force_distance(Q, W)
+        K, D = kernel.field_distance(Y, W)
         dmin = D.copy()
-        phi, dist = self._section(Q, A, N)
+        phi, dist = self._section(Y[0], A, N)
         near = dist < r_detect
         out = [None] * len(rows)
         live = np.arange(len(rows))
-        kept = np.isin(live, collect)   # the rows whose paths are kept
-        trail = [(live[kept], Q[kept])]  # their ids and positions, step by step
+        sections = A, N, W
+        hits = []                       # per crossing step: ids, states, fields, steps, dmin
+        trail = [(live, Y)]             # every step's ids and states, for the paths
 
         def drop(mask):
-            nonlocal live, kept, Q, P, F, A, N, W, budget, r_min, H, r_detect
-            nonlocal T, D, dmin, phi, near
+            nonlocal live, Y, K, A, N, W, budget, r_min, H, r_detect, T, D, dmin, phi, near
             keep = ~mask
-            live, kept, Q, P, F, A, N, W, budget, r_min, H, r_detect, T, D, dmin, phi, near = (
-                x[keep] for x in (live, kept, Q, P, F, A, N, W, budget, r_min, H, r_detect,
-                                  T, D, dmin, phi, near))
+            Y, K = Y[:, keep], K[:, keep]
+            live, A, N, W, budget, r_min, H, r_detect, T, D, dmin, phi, near = (
+                x[keep] for x in (live, A, N, W, budget, r_min, H, r_detect, T, D, dmin,
+                                  phi, near))
 
         while live.size:
             stop = (T >= budget) | (D <= r_min)
@@ -373,47 +386,51 @@ class _ChainShooting:
                 drop(stop)
                 continue
             dt = kernel.step_sizes(D, H, 0.2)
-            Q2, P2 = kernel.rk4(Q, P, dt, F, W)
-            F2, D2 = kernel.force_distance(Q2, W)
+            Y2 = kernel.rk4(Y, dt, K, W)
+            K2, D2 = kernel.field_distance(Y2, W)
             dmin = np.minimum(dmin, D2)
-            phi2, dist2 = self._section(Q2, A, N)
+            phi2, dist2 = self._section(Y2[0], A, N)
             near2 = dist2 < r_detect
             hit = near2 & near & (phi < 0.0) & (phi2 >= 0.0)
             if hit.any():
-                k = np.flatnonzero(hit)
-                q_hit, p_hit = self._bisect(Q[k], P[k], F[k], dt[k], A[k], N[k], W[k])
-                for m, kk in enumerate(k):
-                    out[live[kk]] = (q_hit[m], p_hit[m], float(dmin[kk]), None)
-            Q, P, F, T, D, phi, near = Q2, P2, F2, T + dt, D2, phi2, near2
+                hits.append((live[hit], Y[:, hit], K[:, hit], dt[hit], dmin[hit]))
+            Y, K, T, D, phi, near = Y2, K2, T + dt, D2, phi2, near2
             if hit.any():
                 drop(hit)
             if collect:
-                trail.append((live[kept], Q[kept]))
+                trail.append((live, Y))
+        if hits:
+            ids, Ys, Ks, dts, dmins = zip(*hits)
+            ids = np.concatenate(ids)
+            q_hit, p_hit = self._bisect(np.concatenate(Ys, axis=1), np.concatenate(Ks, axis=1),
+                                        np.concatenate(dts), *(x[ids] for x in sections))
+            for i, q, p, dm in zip(ids.tolist(), q_hit, p_hit, np.concatenate(dmins).tolist()):
+                out[i] = (q, p, dm, None)
         if collect:
             ids = np.concatenate([ids for ids, _ in trail])
-            pts = np.concatenate([q for _, q in trail])
+            pts = np.concatenate([y for _, y in trail], axis=1)[0]
             for i in collect:
                 if not isinstance(out[i], Exception):
                     out[i] = out[i][:3] + (np.vstack([pts[ids == i], out[i][0]]),)
         return out
 
-    def _bisect(self, Q, P, F, dt, A, N, W):
+    def _bisect(self, Y, K, dt, A, N, W):
         """Section crossing of each row inside its step [0, dt], in lockstep;
-        F is the force at Q under the weights W."""
+        K is the field at Y under the weights W."""
         kernel = self.kernel
         lo, hi = np.zeros(len(dt)), dt.copy()
         tol = 1e-15 * np.maximum(dt, 1.0)
         act = np.arange(len(dt))
         for _ in range(80):
             mid = 0.5 * (lo[act] + hi[act])
-            qm, _ = kernel.rk4(Q[act], P[act], mid, F[act], W[act])
+            qm = kernel.rk4(Y[:, act], mid, K[:, act], W[act])[0]
             below = self._section(qm, A[act], N[act])[0] < 0
             lo[act] = np.where(below, mid, lo[act])
             hi[act] = np.where(below, hi[act], mid)
             act = act[~(hi[act] - lo[act] < tol[act])]
             if not act.size:
                 break
-        return kernel.rk4(Q, P, 0.5 * (lo + hi), F, W)
+        return kernel.rk4(Y, 0.5 * (lo + hi), K, W)
 
     # --- Newton as generators of flights: residual, jacobian and newton yield
     # (rows, k), the rows they need flown with the paths of the first k, and
@@ -434,8 +451,7 @@ class _ChainShooting:
             q_hit, p_hit, dm, _ = flight
             jn = (j + 1) % self.n
             dmin = min(dmin, dm)
-            rel = self.sp.base.space.centered(q_hit - self.defl[jn].periapsis)
-            res.append(self.bases[jn].T @ rel - xi_list[jn])
+            res.append(self.bases[jn].T @ (q_hit - self.defl[jn].periapsis) - xi_list[jn])
             res.append(p_hit - p_list[jn])
         return (np.concatenate(res), float(dmin), [flight[3] for flight in flights[:self.n]],
                 flights[self.n:] if fd_rel else None)
@@ -485,7 +501,7 @@ class _ChainShooting:
                 j = c // per
                 jn = (j + 1) % self.n
                 h = hs[c]
-                drel = self.sp.base.space.centered(plus[0] - minus[0]) / (2 * h)
+                drel = (plus[0] - minus[0]) / (2 * h)
                 dcol = np.concatenate([self.bases[jn].T @ drel, (plus[1] - minus[1]) / (2 * h)])
                 J[j * per:(j + 1) * per, c] += dcol
             pending, flights = failed, None
@@ -543,10 +559,9 @@ class _ChainShooting:
 
     def sup_error_to_chain(self, paths) -> float:
         """Sup distance of the flown link paths to the chain polygon."""
-        space = self.sp.base.space
         a = np.asarray(self.points, dtype=float)
-        b = a + space.centered(np.roll(a, -1, axis=0) - a)
-        return space.sup_segment_distance(np.concatenate(paths), a, b)
+        b = a + (np.roll(a, -1, axis=0) - a)    # the rounding the reported errors have
+        return self.sp.base.space.sup_segment_distance(np.concatenate(paths), a, b)
 
 
 def _lockstep(runs) -> list:

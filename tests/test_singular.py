@@ -11,7 +11,7 @@ from hypothesis import example, given, seed, settings, strategies as st
 
 from conftest import HarmonicPotential
 from shadowbilliards import scenarios, singular
-from shadowbilliards.dynamics import ClassicalHamiltonian, euclidean
+from shadowbilliards.dynamics import ClassicalHamiltonian, euclidean, flat_torus
 from shadowbilliards.scatterer import DiagonalScatterer, PointScatterer
 from shadowbilliards.singular import (ExclusionRadiusError, SingularPerturbation,
                                       rutherford_deflection, shadow_experiment)
@@ -31,7 +31,8 @@ def kernel_pull(sp, Q):
     """Kernel force and nearest-center distance of the rows Q under sp's weights."""
     kernel, Q = singular._PointCenterKernel(sp), np.asarray(Q, dtype=float)
     W = np.tile(sp.mu * sp.alphas, (len(Q), 1))
-    return kernel.force(Q, W), kernel.force_distance(Q, W)[1]
+    K, D = kernel.field_distance(np.array([Q, np.zeros_like(Q)]), W)
+    return K[1], D
 
 
 class TestEvalSingular:
@@ -69,7 +70,8 @@ class TestFlowSingular:
         Q = np.array([[0.3, 0.2], [1.5, -0.7], [0.01, 0.99]])
         P = np.array([[1.0, 0.5], [-0.3, 2.0], [0.0, -1.0]])
         dt, W = np.array([1e-3, 0.1, 2.0]), np.zeros((3, 4))
-        Q1, P1 = kernel.rk4(Q, P, dt, kernel.force(Q, W), W)
+        Y = np.array([Q, P])
+        Q1, P1 = kernel.rk4(Y, dt, kernel.field_distance(Y, W)[0], W)
         assert np.array_equal(P1, P)
         assert np.allclose(Q1, Q + dt[:, None] * (P @ sp.base.mass_inv.T), rtol=0, atol=1e-15)
 
@@ -251,6 +253,12 @@ def same_bits(a, b):
     return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
+def same_finite_bits(a, b):
+    """Bit-equal where finite, and non-finite at the same entries."""
+    fa, fb = np.isfinite(a), np.isfinite(b)
+    return np.array_equal(fa, fb) and same_bits(np.asarray(a)[fa], np.asarray(b)[fb])
+
+
 class TestLockstepKernel:
     def test_near_unit_mass_flies_its_velocity(self):
         # a mass 1e-6 off the identity is not unit mass: velocity = P would be
@@ -271,6 +279,10 @@ class TestLockstepKernel:
             singular._PointCenterKernel(sp)
         with pytest.raises(ValueError, match="point scatterer"):
             SingularPerturbation(ClassicalHamiltonian(space), DiagonalScatterer(space), 1e-2)
+        torus = flat_torus([1.0, 1.0])
+        with pytest.raises(ValueError, match="Euclidean"):
+            SingularPerturbation(ClassicalHamiltonian(torus),
+                                 PointScatterer(torus, [[0.5, 0.0]]), 1e-2)
 
     @seed(20161018)
     @settings(max_examples=60, deadline=None, database=None)
@@ -278,25 +290,45 @@ class TestLockstepKernel:
     @example((np.array([[1e-4, 0.0], [1e-4, 0.0], [0.7, 0.1]]),
               np.array([[0.0, 1.0], [0.0, 1.0], [-1.0, 0.5]]),
               np.array([1e-6, 1e-6, 1e-2]), [1e-2, 10**-3.5, 1e-4]), None)
+    @example((np.array([[1e-3, 0.0]] + [[1.0, 0.0]] * 4),
+              np.array([[0.0, 0.0]] * 4 + [[0.0, 2.2250738585072014e-308]]),
+              np.full(5, 0.1), [1e-2] * 5), None)
     def test_batched_rows_equal_one_row_steps(self, rows, mass):
         # rows of different mu in one call equal each row stepped alone with
-        # its own weights
+        # its own weights. A row whose stages land on a center steps to nan
+        # (the second example starts on one), and batched and alone may give
+        # that nan another sign bit; flights stop such rows at the exclusion
+        # radius before they step
         Q, P, dt, mus = rows
         sp = square_perturbation(1.0, mass)
         kernel = singular._PointCenterKernel(sp)
         W = np.array([mu * sp.alphas for mu in mus])
-        Fb, Db = kernel.force_distance(Q, W)
-        assert same_bits(Fb, kernel.force(Q, W))
-        Qb, Pb = kernel.rk4(Q, P, dt, Fb, W)
+        Y = np.array([Q, P])
+        Kb, Db = kernel.field_distance(Y, W)
+        Qb, Pb = kernel.rk4(Y, dt, Kb, W)
         for i in range(len(dt)):
             one = slice(i, i + 1)
-            q1, p1 = kernel.rk4(Q[one], P[one], dt[one], kernel.force(Q[one], W[one]), W[one])
-            assert same_bits(Qb[i], q1[0]) and same_bits(Pb[i], p1[0])
+            K1, D1 = kernel.field_distance(Y[:, one], W[one])
+            assert same_finite_bits(Kb[:, i], K1[:, 0]) and same_bits(Db[i], D1[0])
+            q1, p1 = kernel.rk4(Y[:, one], dt[one], K1, W[one])
+            assert same_finite_bits(Qb[i], q1[0]) and same_finite_bits(Pb[i], p1[0])
             q_ref, p_ref = reference_rk4(square_perturbation(mus[i], mass), Q[i], P[i],
                                          float(dt[i]))
-            assert same_bits(Qb[i], q_ref) and same_bits(Pb[i], p_ref)
+            assert same_finite_bits(Qb[i], q_ref) and same_finite_bits(Pb[i], p_ref)
             rel = Q[i][None, :] - sp.scatterer.points
             assert Db[i] == float(np.min(np.sqrt(np.einsum("ij,ij->i", rel, rel))))
+
+    @seed(20161018)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e-300),
+                              st.floats(-12, 6).map(lambda e: 10.0**e)), min_size=1, max_size=64),
+           st.floats(1e-6, 1.0))
+    @example([0.0, 5e-324, 2.2250738585072014e-308, 1e-12, 1e6], 0.02)
+    def test_step_sizes_are_the_float_power_law(self, D, h):
+        # float_power must round d**1.5 as Python's float power does (np.power
+        # rounds about 5% of distances differently); 10**e spreads the mantissas
+        steps = singular._PointCenterKernel.step_sizes(np.array(D), np.full(len(D), h), 0.2)
+        assert steps.tolist() == [min(h, 0.2 * d**1.5) for d in D]
 
     @seed(20161018)
     @settings(max_examples=3, deadline=None, database=None)
@@ -350,6 +382,25 @@ class TestLockstepKernel:
                 shooter.fly_link(rows, collect=range(len(rows))), rows, plain):
             assert same_bits(path[0], shooter.node_state(j, xj))
             assert same_bits(path[-1], q) and same_bits(q, ref[0]) and dmin == ref[2]
+
+
+class TestOneBisectionPerFlight:
+    def test_rows_hitting_at_different_steps_bisect_together(self):
+        # the predictor links of two mu cross their sections at different
+        # steps; every crossing is bisected in one call after the loop
+        shooters = [square_shooter(1e-2), square_shooter(10**-2.5)]
+        rows = [row for s in shooters for row in predictor_rows(s)]
+        orig = singular._ChainShooting._bisect
+        sizes = []
+
+        def bisect(self, Y, *args):
+            sizes.append(Y.shape[1])
+            return orig(self, Y, *args)
+
+        with mock.patch.object(singular._ChainShooting, "_bisect", bisect):
+            out = rows[0][0].fly_link(rows, collect=range(len(rows)))
+        assert sizes == [len(rows)]
+        assert len({len(path) for _, _, _, path in out}) > 1
 
 
 def flaky_flights(failures, column):
