@@ -7,7 +7,9 @@ straight chords for free flight (no potential W; the backend checks) and
 planar Kepler arcs. Everything else goes through a shooting Newton solve on
 the composed Verlet flight. Multiple connecting orbits between the same
 endpoints are never searched for: the caller disambiguates with an explicit
-label (torus winding, Kepler revolution count and arc branch).
+label. A torus winding names a free-flight chord; a Kepler arc is named by
+a nonzero revolution count n, or by (n, arc) with arc "short" or "long"
+(kepler.J_n). The Kepler backend refuses n = 0 and coincident endpoints.
 """
 
 from __future__ import annotations
@@ -61,14 +63,6 @@ class CollisionOrbit:
             raise ConnectError(f"boundary momenta violate the energy constraint: "
                                f"|H - E| = {miss_m:.3e} at q-, {miss_p:.3e} at q+, "
                                f"tolerance {tol:.1e}")
-
-    @property
-    def v_minus(self) -> np.ndarray:
-        return self.h.velocity(self.path[0], self.p_minus)
-
-    @property
-    def v_plus(self) -> np.ndarray:
-        return self.h.velocity(self.path[-1], self.p_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -154,32 +148,10 @@ def _kepler_connect(h: ClassicalHamiltonian, qm, qp, E, label) -> CollisionOrbit
     qm = np.asarray(qm, dtype=float)
     qp = np.asarray(qp, dtype=float)
     z = (qm, qp)
-
-    degenerate = np.linalg.norm(qp - qm) < 1e-12
-    if n == 0:
-        if degenerate:
-            raise ConnectError("zero-length arc with n = 0")
-        scale = -2.0 * E
-        arcs = kp.simple_arc_candidates(scale * qm, scale * qp)
-        chosen = kp.select_arc(arcs, arc)
-        action = (-2.0 * E) ** (-0.5) * chosen.action
-        tau = (1.0 / (-2.0 * E)) ** 1.5 * chosen.mean_span
-        vscale = np.sqrt(-2.0 * E)
-        vm, vp = vscale * chosen.v_minus, vscale * chosen.v_plus
-        a = 1.0 / (-2.0 * E)
-        path = a * chosen.sample(_KEPLER_SAMPLES)
-    else:
-        action = kp.J_n(E, z, n, arc)
-        tau = kp.travel_time(E, z, n, arc)
-        path = kp.sample_orbit(E, z, n, arc, num=_KEPLER_SAMPLES)
-        if degenerate:
-            # Laplace-degenerate family: gauge velocity from the sampled ellipse
-            vm = (path[1] - path[0])
-            vm = vm / np.linalg.norm(vm) * np.sqrt(2.0 * (E - pot.value(qm)))
-            vp = (path[-1] - path[-2])
-            vp = vp / np.linalg.norm(vp) * np.sqrt(2.0 * (E - pot.value(qp)))
-        else:
-            vm, vp = kp.arc_endpoint_velocities(E, z, n, arc)
+    action = kp.J_n(E, z, n, arc)
+    tau = kp.travel_time(E, z, n, arc)
+    path = kp.sample_orbit(E, z, n, arc, num=_KEPLER_SAMPLES)
+    vm, vp = kp.arc_endpoint_velocities(E, z, n, arc)
     return CollisionOrbit(h, E, qm, qp, float(action), float(tau), vm, vp, path,
                           label=label)
 
@@ -304,7 +276,7 @@ def connect(h: ClassicalHamiltonian, q_minus, q_plus, E: float, guess=None,
             label=None, backend: str = "auto") -> CollisionOrbit:
     """Energy-E orbit from q_minus to q_plus for the branch named by the label.
 
-    Labels: torus winding vector for free flight; (revolutions, arc) for the
+    Labels: torus winding vector for free flight; n or (n, arc) for the
     Kepler backend. backend='auto' picks the closed form when one applies.
     """
     if backend == "auto":

@@ -499,6 +499,7 @@ def run_kepler_grid(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
         z = (_point(pair[0], path + "[0]"), _point(pair[1], path + "[1]"))
         _require(min(np.linalg.norm(z[0]), np.linalg.norm(z[1])) > 0, path,
                  "two points off the center at the origin")
+        _require(np.any(z[0] != z[1]), path, "two distinct points")
         try:
             kpmod.split_feasible_interval(ks[0], z, a1, a2, E)
         except kpmod.FeasibilityError as exc:

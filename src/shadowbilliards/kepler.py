@@ -12,17 +12,13 @@ reduces every elliptic arc to that normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 
 class FeasibilityError(ValueError):
     """Endpoints unreachable by an elliptic arc with the requested energy."""
-
-
-class AmbiguousArcError(ValueError):
-    """Several simple arcs exist and no discriminator was given."""
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +104,7 @@ def _ellipses_through(xm: np.ndarray, xp: np.ndarray) -> List[EllipseGeometry]:
     if c > rho_m + rho_p + 1e-14:
         raise FeasibilityError("endpoints too far apart: semiperimeter exceeds 2a")
     if c < _DEGENERATE_CHORD:
-        raise FeasibilityError("degenerate chord: use the trivial arc explicitly")
+        raise FeasibilityError("degenerate chord: coincident endpoints have no simple arc")
     along = (c**2 + rho_m**2 - rho_p**2) / (2 * c)
     h2 = rho_m**2 - along**2
     h = np.sqrt(max(0.0, h2))
@@ -151,17 +147,14 @@ def simple_arc_candidates(xm, xp) -> List[SimpleArc]:
     return arcs
 
 
-def select_arc(arcs: Sequence[SimpleArc], arc: Union[str, int, None]) -> SimpleArc:
-    if arc is None:
-        if len(arcs) > 1:
-            raise AmbiguousArcError(
-                f"{len(arcs)} simple arcs available; pass 'short', 'long' or an index")
-        return arcs[0]
+def select_arc(arcs: Sequence[SimpleArc], arc: str) -> SimpleArc:
+    """The least-action ("short") or the greatest-action ("long") arc of arcs,
+    which simple_arc_candidates sorts by action."""
     if arc == "short":
         return arcs[0]
     if arc == "long":
         return arcs[-1]
-    return arcs[int(arc)]
+    raise ValueError(f"arc must be 'short' or 'long', got {arc!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -180,80 +173,47 @@ def _scaled_endpoints(h: float, z) -> Tuple[np.ndarray, np.ndarray]:
     return zm, zp
 
 
-def J_n(h: float, z, n: int, arc: Union[str, int, None] = "short") -> float:
+def J_n(h: float, z, n: int, arc: str = "short") -> float:
     """Maupertuis action of the n-extra-revolution Kepler orbit joining z = (x-, x+).
 
-    Equals (-2h)^{-1/2} (2 pi |n| + sgn(n) f) where f is the chosen simple-arc
-    action after scaling the endpoints by -2h. Positive n traverses the arc's
-    own sense plus n full loops; negative n runs the complementary way.
+    Equals (-2h)^{-1/2} (2 pi |n| + sgn(n) f) where f is the action of the
+    simple arc chosen by select_arc ("short" or "long") after scaling the
+    endpoints by -2h. Positive n traverses the arc's own sense plus n full
+    loops; negative n runs the complementary way. n = 0 and coincident
+    endpoints are refused.
     """
     if n == 0:
         raise ValueError("n = 0 is the simple arc; take "
                          "select_arc(simple_arc_candidates(...)).action")
     zm, zp = _scaled_endpoints(h, z)
-    if np.linalg.norm(zp - zm) < _DEGENERATE_CHORD:
-        f = 0.0
-    else:
-        f = select_arc(simple_arc_candidates(zm, zp), arc).action
+    f = select_arc(simple_arc_candidates(zm, zp), arc).action
     return float((-2.0 * h) ** (-0.5) * (2 * np.pi * abs(n) + np.sign(n) * f))
 
 
-def travel_time(h: float, z, n: int, arc: Union[str, int, None] = "short") -> float:
+def travel_time(h: float, z, n: int, arc: str = "short") -> float:
     """Time of flight of the same orbit: a^{3/2} (2 pi |n| + sgn(n) m_arc)."""
     if n == 0:
         raise ValueError("n = 0 not supported")
     zm, zp = _scaled_endpoints(h, z)
-    if np.linalg.norm(zp - zm) < _DEGENERATE_CHORD:
-        m = 0.0
-    else:
-        m = select_arc(simple_arc_candidates(zm, zp), arc).mean_span
+    m = select_arc(simple_arc_candidates(zm, zp), arc).mean_span
     a = 1.0 / (-2.0 * h)
     return float(a ** 1.5 * (2 * np.pi * abs(n) + np.sign(n) * m))
 
 
-def arc_endpoint_velocities(h: float, z, n: int,
-                            arc: Union[str, int, None] = "short"):
+def arc_endpoint_velocities(h: float, z, n: int, arc: str = "short"):
     """Physical endpoint velocities of the energy-h orbit joining z = (x-, x+)."""
     zm, zp = _scaled_endpoints(h, z)
-    if np.linalg.norm(zp - zm) < _DEGENERATE_CHORD:
-        raise FeasibilityError("degenerate chord has no unique velocity direction")
     chosen = select_arc(simple_arc_candidates(zm, zp), arc)
     scale = np.sqrt(-2.0 * h)  # velocity scales like a^{-1/2}
     sense = 1 if n >= 0 else -1
     return scale * sense * chosen.v_minus, scale * sense * chosen.v_plus
 
 
-def _gauge_ellipse_through(zm: np.ndarray) -> Tuple[EllipseGeometry, float]:
-    """One representative unit-semiaxis ellipse through a point (gauge choice).
-
-    Coincident endpoints leave a one-parameter family of connecting ellipses;
-    full-revolution actions do not depend on the member, so any fixed gauge
-    serves for sampling and velocity directions.
-    """
-    r = float(np.linalg.norm(zm))
-    e = min(abs(1.0 - r) + 0.2, 0.5 * (1.0 + abs(1.0 - r)))
-    u0 = float(np.arccos(np.clip((1.0 - r) / e, -1.0, 1.0)))
-    A = np.cos(u0) - e
-    Bc = np.sqrt(1.0 - e * e) * np.sin(u0)
-    phi = np.arctan2(Bc, A)
-
-    def rot(t):
-        return np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
-
-    pdir = rot(-phi) @ (zm / r)
-    rot90 = np.array([[0.0, -1.0], [1.0, 0.0]])
-    el = EllipseGeometry(-2 * e * pdir, e, pdir, rot90 @ pdir)
-    return el, u0
-
-
-def sample_orbit(h: float, z, n: int, arc: Union[str, int, None] = "short",
+def sample_orbit(h: float, z, n: int, arc: str = "short",
                  num: int = 513) -> np.ndarray:
     """Sampled path of the energy-h orbit (for quadrature cross-checks)."""
     zm, zp = _scaled_endpoints(h, z)
     a = 1.0 / (-2.0 * h)
-    if np.linalg.norm(zp - zm) < _DEGENERATE_CHORD:
-        el, u0 = _gauge_ellipse_through(zm)
-        return a * el.point(u0 + np.sign(n) * np.linspace(0, 2 * np.pi * abs(n), num))
     chosen = select_arc(simple_arc_candidates(zm, zp), arc)
     if n > 0:
         return a * chosen.sample(num, extra_revolutions=n)

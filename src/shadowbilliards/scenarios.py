@@ -18,28 +18,6 @@ from .dynamics import ClassicalHamiltonian, euclidean, flat_torus
 from .scatterer import DiagonalScatterer, PointScatterer
 
 
-# ---------------------------------------------------------------------------
-# Straight chords between points of a zero-dimensional scatterer
-# ---------------------------------------------------------------------------
-
-def _straight_chords(links, QM, QP, windings) -> bvp.Chords:
-    """The straight chords from QM[r] to QP[r] (n, d), each displaced by its
-    row's torus winding, with the action speed * mass_norm(chord). Every row
-    rounds as bvp.connect rounds it; the rows share one ambient space, and
-    each link carries its Hamiltonian h and speed sqrt(2E)."""
-    space = links[0].h.space
-    D = QP - QM
-    if space.is_torus:
-        D = space.centered(D) + np.array(windings, dtype=float) * space.periods
-    mass = np.array([link.h.mass for link in links])
-    ell = np.sqrt(D[:, None, :] @ mass @ D[:, :, None])[:, 0, 0]
-    if np.any(ell == 0):
-        raise bvp.ConnectError("coincident endpoints with zero winding")
-    speed = np.array([link._speed for link in links])
-    p = (mass @ (speed[:, None] * D / ell[:, None])[:, :, None])[..., 0]
-    return bvp.Chords(speed * ell, p, p, D, np.ones_like(D), mass, speed)
-
-
 class ChordLink(dlsmod.LinkEvaluator):
     """Straight collision orbit from a scatterer point along a fixed displacement.
 
@@ -83,9 +61,22 @@ class ChordLink(dlsmod.LinkEvaluator):
 
     @classmethod
     def tube_chords(cls, links, QM, QP, eps):
-        """Stacked form of ambient_connect: _straight_chords winding by each
-        row's label."""
-        return _straight_chords(links, QM, QP, [link.label for link in links])
+        """Stacked form of ambient_connect: the straight chords from QM[r] to
+        QP[r] (n, d), each displaced by its row's torus winding (the label),
+        with the action speed * mass_norm(chord). Every row rounds as
+        bvp.connect rounds it; the rows share one ambient space."""
+        space = links[0].h.space
+        D = QP - QM
+        if space.is_torus:
+            D = space.centered(D) + np.array([link.label for link in links],
+                                             dtype=float) * space.periods
+        mass = np.array([link.h.mass for link in links])
+        ell = np.sqrt(D[:, None, :] @ mass @ D[:, :, None])[:, 0, 0]
+        if np.any(ell == 0):
+            raise bvp.ConnectError("coincident endpoints with zero winding")
+        speed = np.array([link._speed for link in links])
+        p = (mass @ (speed[:, None] * D / ell[:, None])[:, :, None])[..., 0]
+        return bvp.Chords(speed * ell, p, p, D, np.ones_like(D), mass, speed)
 
     def reference_path(self, xm, xp):
         ts = np.linspace(0.0, 1.0, 33)
@@ -144,8 +135,12 @@ def torus_point_scenario(dim: int = 2, periods: Optional[Sequence[float]] = None
 class TwoBallTorusLink(dlsmod.LinkEvaluator):
     """Pair passage on the circle: each ball winds n_i times between collisions.
 
-    The Hessian is difference_hessians of the exact gradients, with which the
-    two_balls_torus outputs were recorded; the closed form rounds differently.
+    The branch Lagrangian only: no shipped run solves a two-ball torus shadow
+    chain, so the family has no ambient momenta (momenta_rows), connecting
+    orbit or stacked chord form (tube_chords), and billiard.TwoPointLink
+    refuses it. The Hessian is difference_hessians of the exact gradients,
+    with which the two_balls_torus outputs were recorded; the closed form
+    rounds differently.
     """
 
     def __init__(self, h: ClassicalHamiltonian, E: float, masses, period: float,
@@ -183,28 +178,6 @@ class TwoBallTorusLink(dlsmod.LinkEvaluator):
     @classmethod
     def hessians(cls, links, XM, XP):
         return dlsmod.difference_hessians(cls, links, XM, XP)
-
-    @classmethod
-    def momenta_rows(cls, links, XM, XP):
-        speed, m, ell, g = cls._passages(links, XM, XP)
-        p = speed[:, None] * m * ell / g[:, None]
-        return p, p.copy()
-
-    def ambient_connect(self, qm, qp, eps):
-        return bvp.connect(self.h, qm, qp, self.E,
-                           label=(int(self.n[0]), int(self.n[1])))
-
-    @classmethod
-    def tube_chords(cls, links, QM, QP, eps):
-        """Stacked form of ambient_connect: _straight_chords winding each
-        ball n_i times."""
-        return _straight_chords(links, QM, QP, [link.n for link in links])
-
-    def reference_path(self, xm, xp):
-        ell = self._passages([self], xm[None], xp[None])[2][0]
-        start = np.array([xm[0], xm[0]])
-        ts = np.linspace(0.0, 1.0, 33)
-        return start[None, :] + ts[:, None] * ell[None, :]
 
 
 @dataclass
@@ -397,10 +370,6 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
         return bvp.CollisionOrbit(self.h, self.E, qm, qp, float(action), float(tau),
                                   p_minus, p_plus, path, label=self.pattern,
                                   chord=ell, parity=par)
-
-    def reference_path(self, xm, xp):
-        YM, YP = self._ends([self], xm.reshape(1, -1), xp.reshape(1, -1))
-        return self._connect_ambient(YM[0], YP[0], 0.0).path
 
 
 @dataclass

@@ -29,13 +29,16 @@ class TestConnect:
         orb = bvp.connect(torus_h(), np.zeros(2), np.zeros(2), 0.5, label=(3, 4))
         assert orb.action == pytest.approx(5.0, abs=1e-12)
 
-    def test_kepler_full_revolution(self):
-        # circular-orbit quadrature oracle: at E = -1/2 the action of one
-        # revolution is int v^2 dt = 1 * 2 pi
+    def test_kepler_refuses_coincident_endpoints(self):
         h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
-        orb = bvp.connect(h, [1.0, 0.0], [1.0, 0.0], -0.5, label=(1, "short"))
-        assert orb.action == pytest.approx(2 * np.pi, rel=1e-12)
-        assert orb.tau == pytest.approx(2 * np.pi, rel=1e-12)
+        with pytest.raises(kepler.FeasibilityError, match="degenerate chord"):
+            bvp.connect(h, [1.0, 0.0], [1.0, 0.0], -0.5, label=(1, "short"))
+
+    def test_kepler_refuses_zero_revolutions(self):
+        # n = 0 is the simple arc, which no connect takes
+        h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
+        with pytest.raises(ValueError, match="n = 0"):
+            bvp.connect(h, [0.8, 0.0], [0.0, 0.9], -0.6, label=(0, "short"))
 
     def test_energy_on_boundary(self):
         for orb in (bvp.connect(free_h(), [0, 0], [0.3, 0.4], 2.0),
@@ -237,7 +240,7 @@ class TestBoundaryMomenta:
 
     def test_kepler_arc(self):
         h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
-        orb = bvp.connect(h, [0.8, 0.0], [0.0, 0.9], -0.6, label=(0, "short"))
+        orb = bvp.connect(h, [0.8, 0.0], [0.0, 0.9], -0.6, label=(1, "short"))
         assert momenta_deviation(orb) < 1e-5
 
 
@@ -257,7 +260,7 @@ class TestTwist:
     def test_degeneracy_directions(self):
         orb = bvp.connect(free_h(mass=[1.0, 4.0]), [0.0, 0.0], [1.0, 0.5], 0.8)
         B = bvp.chord_hessian(orb.h.mass, orb.chord, np.sqrt(2 * orb.E))
-        vm, vp = orb.v_minus, orb.v_plus
+        vm, vp = orb.h.velocity(orb.q_minus, orb.p_minus), orb.h.velocity(orb.q_plus, orb.p_plus)
         Bn = np.linalg.norm(B)
         assert np.linalg.norm(B @ vm) <= 1e-12 * Bn * np.linalg.norm(vm)
         assert np.linalg.norm(B.T @ vp) <= 1e-12 * Bn * np.linalg.norm(vp)
@@ -289,13 +292,6 @@ class TestConjugate:
         h = ClassicalHamiltonian(euclidean(2), HarmonicPotential())
         orb = bvp.connect(h, [0.5, 0.0], [-0.5, 0.0], 1.0, backend="shooting",
                           guess={"direction": np.array([0.0, 1.0]), "tau0": np.pi})
-        monkeypatch.setattr(bvp, "_CONJ_TOL", 1e-4)
-        rep = bvp.conjugate_test(orb)
-        assert not rep.nondegenerate
-
-    def test_kepler_revolution_degenerate(self, monkeypatch):
-        h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
-        orb = bvp.connect(h, [1.0, 0.0], [1.0, 0.0], -0.5, label=(1, "short"))
         monkeypatch.setattr(bvp, "_CONJ_TOL", 1e-4)
         rep = bvp.conjugate_test(orb)
         assert not rep.nondegenerate

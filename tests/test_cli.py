@@ -201,6 +201,8 @@ class TestValidation:
         ("kepler_grid", "params.energy", 0.1, "energy: expected a negative number"),
         ("kepler_grid", "params.endpoints", [[[0.0, 0.0], [0.0, 0.35]]],
          "endpoints[0]: expected two points off the center at the origin"),
+        ("kepler_grid", "params.endpoints", [[[0.3, 0.0], [0.0, 0.35]], [[0.3, 0.0], [0.3, 0.0]]],
+         "endpoints[1]: expected two distinct points"),
         ("kepler_grid", "params.endpoints", [[[3.0, 0.0], [0.0, 0.35]]],
          "endpoints[0]: expected a pair reachable at energy -0.9"),
         ("ncenter_square", "params.centers", [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0]],
@@ -238,7 +240,7 @@ class TestValidation:
          "code[1]: expected two different windings"),
     ], ids=["kepler_one_point_pair", "kepler_string_coordinate", "kepler_alpha_sum",
             "kepler_zero_revolutions", "kepler_positive_energy", "kepler_endpoint_at_origin",
-            "kepler_endpoint_out_of_reach", "ncenter_center_length",
+            "kepler_coincident_endpoints", "kepler_endpoint_out_of_reach", "ncenter_center_length",
             "ncenter_spatial_centers", "ncenter_alphas_length", "ncenter_negative_alpha", "ncenter_zero_mu",
             "ncenter_center_index", "ncenter_not_concatenating", "ncenter_zero_energy",
             "torus_negative_energy", "torus_periods_length", "torus_zero_eps",

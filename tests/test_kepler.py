@@ -19,25 +19,21 @@ def trapezoid_action(path, h):
 
 
 class TestArcAction:
-    def test_degenerate_chord(self):
-        # coincident endpoints: the simple arc has zero action and zero time, so
-        # one revolution either way is one period, of action and time 2 pi at a = 1
+    def test_coincident_endpoints_refused(self):
+        # a point joined to itself has no simple arc and no unique velocity
         x = np.array([0.7, 0.1])
-        assert kp.J_n(-0.5, (x, x), 1) == kp.J_n(-0.5, (x, x), -1) == pytest.approx(2 * np.pi)
-        assert kp.travel_time(-0.5, (x, x), -1) == pytest.approx(2 * np.pi)
+        for fn in (kp.J_n, kp.travel_time, kp.sample_orbit, kp.arc_endpoint_velocities):
+            with pytest.raises(kp.FeasibilityError, match="degenerate chord"):
+                fn(-0.5, (x, x.copy()), 1)
 
     def test_full_revolution_increment(self):
-        # circular-orbit quadrature oracle: one revolution adds 2 pi at a = 1
-        x = np.array([0.8, 0.0])
-        J1 = kp.J_n(-0.5, (x, x), 1)
-        J2 = kp.J_n(-0.5, (x, x), 2)
+        # one more revolution adds one period of action, 2 pi at a = 1, and
+        # J_1 matches the quadrature of its sampled path
+        z = (np.array([0.8, 0.0]), np.array([0.0, 0.7]))
+        J1 = kp.J_n(-0.5, z, 1)
+        J2 = kp.J_n(-0.5, z, 2)
         assert J2 - J1 == pytest.approx(2 * np.pi, rel=1e-13)
-        path = kp.sample_orbit(-0.5, (x, x), 1, num=400_001)
-        r = np.linalg.norm(path, axis=1)
-        seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
-        integ = np.sqrt(2.0 / r - 1.0)
-        q = np.sum(0.5 * (integ[1:] + integ[:-1]) * seg)
-        assert J1 == pytest.approx(q, rel=1e-8)
+        assert J1 == pytest.approx(quad_action(-0.5, z, 1, "short", num=400_001), rel=1e-8)
 
     def test_swap_symmetry(self):
         xm = np.array([0.9, 0.1])
@@ -47,12 +43,20 @@ class TestArcAction:
         assert np.allclose(arcs_fwd, arcs_bwd, rtol=1e-11)
 
     def test_ambiguous_without_discriminator(self):
+        # the arc is named "short" or "long"; no choice is refused
         xm = np.array([0.9, 0.0])
         xp = np.array([0.0, 1.0])
         arcs = kp.simple_arc_candidates(xm, xp)
-        with pytest.raises(kp.AmbiguousArcError):
+        with pytest.raises(ValueError, match="'short' or 'long', got None"):
             kp.select_arc(arcs, None)
         assert kp.select_arc(arcs, "short").action <= kp.select_arc(arcs, "long").action
+
+    @pytest.mark.parametrize("arc, named", [("Short", "'Short'"), (7, "7"), (0, "0")])
+    def test_unknown_arc_named(self, arc, named):
+        z = (np.array([0.22, 0.0]), np.array([0.0, 0.28]))
+        for fn in (kp.J_n, kp.travel_time, kp.sample_orbit, kp.arc_endpoint_velocities):
+            with pytest.raises(ValueError, match=f"'short' or 'long', got {named}$"):
+                fn(-0.9, z, 1, arc)
 
     def test_infeasible_geometry(self):
         with pytest.raises(kp.FeasibilityError):
@@ -60,13 +64,6 @@ class TestArcAction:
 
 
 class TestJn:
-    def test_degenerate_two_revolutions(self):
-        x = np.array([0.5, 0.3])
-        J = kp.J_n(-0.5, (x, x), 2)
-        assert J == pytest.approx(4 * np.pi, rel=1e-13)
-        assert J == pytest.approx(quad_action(-0.5, (x, x), 2, "short", num=400_001),
-                                  rel=1e-6)
-
     def test_scaling_consistency(self):
         xm = np.array([0.22, 0.0])
         xp = np.array([0.0, 0.28])
@@ -259,10 +256,6 @@ def scalar_arc_sample(arc, num, extra_revolutions=0):
 def scalar_sample_orbit(h, z, n, arc="short", num=513):
     zm, zp = kp._scaled_endpoints(h, z)
     a = 1.0 / (-2.0 * h)
-    if np.linalg.norm(zp - zm) < kp._DEGENERATE_CHORD:
-        el, u0 = kp._gauge_ellipse_through(zm)
-        us = u0 + np.sign(n) * np.linspace(0, 2 * np.pi * abs(n), num)
-        return a * np.array([scalar_point(el, u) for u in us])
     chosen = kp.select_arc(kp.simple_arc_candidates(zm, zp), arc)
     if n > 0:
         return a * scalar_arc_sample(chosen, num, n)
@@ -286,9 +279,9 @@ class TestVectorizedSampling:
     @seed(20161103)
     @settings(max_examples=60, deadline=None, database=None)
     @given(POINT, POINT, st.floats(-2.0, -0.1), st.sampled_from([-3, -1, 1, 2]),
-           st.sampled_from(["short", "long"]), st.booleans())
-    def test_sample_orbit_equals_the_scalar_loop(self, xm, xp, h, n, arc, degenerate):
-        z = (xm, xm.copy() if degenerate else xp)
+           st.sampled_from(["short", "long"]))
+    def test_sample_orbit_equals_the_scalar_loop(self, xm, xp, h, n, arc):
+        z = (xm, xp)
         try:
             ref = scalar_sample_orbit(h, z, n, arc, num=97)
         except kp.FeasibilityError:

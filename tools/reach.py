@@ -11,7 +11,11 @@ prints, per module of the package, the executable lines inside functions
 that none of them reached, with their text, and the counts. A line is
 executable when the compiled function has an instruction on it (its
 prologue up to RESUME, which fires no line event, not counted); module and
-class bodies run at import and are not counted. Everything written goes to
+class bodies run at import and are not counted. A listed line marked E is an
+error path or a gate-failure line: it lies in a raise statement, an except
+handler or a failures.append(...) call, found by AST so that a statement's
+continuation lines count with it. Each module's count and the total also
+give the unreached lines that are not. Everything written goes to
 a temporary directory, and what the runs print goes to standard error. The
 tracer makes the runs several times slower, and the acceptance tests'
 runtime budgets may fail under it; the reach is counted either way.
@@ -19,6 +23,7 @@ runtime budgets may fail under it; the reach is counted either way.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import dis
 import json
@@ -48,6 +53,20 @@ def executable_lines(path: Path) -> set:
             if body and ins.positions.lineno is not None:
                 lines.add(ins.positions.lineno)
             body = body or ins.opname == "RESUME"
+    return lines
+
+
+def error_lines(path: Path) -> set:
+    """Line numbers of a module's error paths and gate-failure lines: every
+    line of a raise statement, of an except handler (its clause and body) and
+    of a failures.append(...) call."""
+    lines = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        gate = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "append" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "failures")
+        if gate or isinstance(node, (ast.Raise, ast.ExceptHandler)):
+            lines.update(range(node.lineno, node.end_lineno + 1))
     return lines
 
 
@@ -112,17 +131,22 @@ def main() -> int:
             threading.settrace(None)
             os.chdir(cwd)
 
-    total = unreached_total = 0
+    total = unreached_total = plain_total = 0
     for path in sorted(PACKAGE.glob("*.py")):
         lines = executable_lines(path)
+        errors = error_lines(path)
         missed = sorted(n for n in lines if (str(path), n) not in hits)
+        plain = len([n for n in missed if n not in errors])
         text = path.read_text().splitlines()
-        print(f"{path.name}: {len(missed)} of {len(lines)} in-function lines unreached")
+        print(f"{path.name}: {len(missed)} of {len(lines)} in-function lines unreached, "
+              f"{plain} not an error path")
         for n in missed:
-            print(f"  {n:5d}  {text[n - 1].strip()}")
+            print(f"  {n:5d} {'E' if n in errors else ' '} {text[n - 1].strip()}")
         total += len(lines)
         unreached_total += len(missed)
-    print(f"total: {unreached_total} of {total} in-function lines unreached")
+        plain_total += plain
+    print(f"total: {unreached_total} of {total} in-function lines unreached, "
+          f"{plain_total} not an error path")
     return 0
 
 
