@@ -33,8 +33,8 @@ class GrazingEventError(RuntimeError):
 
 
 class EventSearchError(RuntimeError):
-    """No tube event within the drift budget, or a section map of the
-    Lyapunov estimate failed (unreachable energy shell, unclosed orbit)."""
+    """No tube event within the drift budget, or a bounce of the Lyapunov
+    estimate's shadow orbit does not close."""
 
 
 class ShadowSolveError(RuntimeError):
@@ -661,28 +661,6 @@ def replay(sc: ShadowChain, dom: BilliardDomain) -> BilliardRun:
     return billiard_trajectory(dom, PhaseState(q0, p0, 0.0), len(sc.orbits))
 
 
-def _section_lift(dom: BilliardDomain, chart: _SiteChart, xi: np.ndarray,
-                  y: np.ndarray, E: float) -> PhaseState:
-    q = chart.ambient(xi)
-    J = chart.jacobian(xi)
-    s_dir = chart.direction(xi)
-    _, nor = dom.scatterer.frames(chart.base_point(xi))
-    n_amb = nor @ s_dir
-    G = J.T @ J
-    coef = np.linalg.solve(G, y)
-    p0 = J @ coef
-    h = dom.h
-    minv = h.mass_inv
-    a = 0.5 * float(n_amb @ minv @ n_amb)
-    b = float(n_amb @ minv @ p0)
-    c0 = 0.5 * float(p0 @ minv @ p0) + h.potential.value(q) - E
-    disc = b * b - 4 * a * c0
-    if disc < 0:
-        raise EventSearchError("section lift infeasible: energy shell unreachable")
-    beta = (-b + np.sqrt(disc)) / (2 * a)
-    return PhaseState(q, p0 + beta * n_amb, 0.0)
-
-
 def _section_project(dom: BilliardDomain, chart: _SiteChart, q: np.ndarray,
                      p: np.ndarray):
     base = chart.base_ref
@@ -697,91 +675,50 @@ def _section_project(dom: BilliardDomain, chart: _SiteChart, q: np.ndarray,
 def lyapunov_estimate(sc: ShadowChain, dom: BilliardDomain) -> np.ndarray:
     """Per-bounce Lyapunov exponents of a periodic shadow orbit.
 
-    Assembles the monodromy of the period map from finite differences of the
-    event-to-event map in boundary-section coordinates (chart of the boundary
-    plus the conjugate momenta of that chart), in which the billiard map is
-    symplectic, and returns sorted log-moduli of its eigenvalues divided by
-    the number of bounces.
+    In section coordinates (u, y = J^T p) of the tube boundary the billiard
+    map is the twist map generated by the link action, so its exact tangent
+    map follows from the action's second derivatives (MacKay & Meiss 1983):
+    with (A, B, C) = (D--, D-+, D++) of the link from bounce i to bounce i+1
+    at the converged joint chain, dy = -(A du + B du') and dy' = B^T du + C du'
+    give D_i = [[-B^-1 A, -B^-1], [B^T - C B^-1 A, -C B^-1]]. Each bounce is
+    also flown once, from the chain's own tube point and outgoing momentum,
+    and its hit must project onto the next section state to within 1e-6
+    (EventSearchError naming the bounce and its defect). Returns the sorted
+    log-moduli of the period map's eigenvalues divided by the number of
+    bounces.
     """
     if sc.bc != "periodic":
         raise ValueError("Lyapunov estimate needs a periodic shadow chain")
-    h = dom.h
     n = len(sc.boundary)
-    E = h.energy(sc.boundary[0].ambient, sc.orbits[0].p_minus)
-    charts = []
-    for i, bp in enumerate(sc.boundary):
-        base = bp.x
-        charts.append(_SiteChart(dom.scatterer, base, SphereChart(bp.s), sc.eps))
+    charts = [_SiteChart(dom.scatterer, bp.x, SphereChart(bp.s), sc.eps) for bp in sc.boundary]
+    states = [_section_project(dom, charts[i], sc.boundary[i].ambient, sc.orbits[i].p_minus)
+              for i in range(n)]
 
-    # reference section coordinates (post-reflection states)
-    xs, ys = [], []
+    # per-bounce closure: the multiple-shooting defect of the flown orbit
     for i in range(n):
-        xi, y = _section_project(dom, charts[i], sc.boundary[i].ambient,
-                                 sc.orbits[i].p_minus)
-        xs.append(xi)
-        ys.append(y)
+        ev = billiard_trajectory(dom, PhaseState(sc.boundary[i].ambient, sc.orbits[i].p_minus,
+                                                 0.0), 1).events[-1]
+        xi, y = _section_project(dom, charts[(i + 1) % n], ev.q, ev.p_after)
+        xi0, y0 = states[(i + 1) % n]
+        defect = np.linalg.norm(xi - xi0) + np.linalg.norm(y - y0) / max(1.0, np.linalg.norm(y0))
+        if defect > 1e-6:
+            raise EventSearchError(f"bounce {i} does not close: defect {defect:.2e}")
 
-    def bounce_map(i, xi, y):
-        state = _section_lift(dom, charts[i], xi, y, E)
-        ev = billiard_trajectory(dom, state, 1).events[-1]
-        return _section_project(dom, charts[(i + 1) % n], ev.q, ev.p_after)
-
-    dim = charts[0].dim
-    # closure check of the periodic orbit through the dynamical map
-    xi_c, y_c = xs[0].copy(), ys[0].copy()
-    for i in range(n):
-        xi_c, y_c = bounce_map(i, xi_c, y_c)
-    closure = np.linalg.norm(xi_c - xs[0]) + np.linalg.norm(y_c - ys[0]) / max(
-        1.0, np.linalg.norm(ys[0]))
-    if closure > 1e-6:
-        raise EventSearchError(f"periodic orbit does not close: defect {closure:.2e}")
-
-    # work in similarity-scaled coordinates (xi, y/eps) so both blocks are O(1)
-    yscale = max(sc.eps, 1e-12)
-    links: List[np.ndarray] = []
-    out_target = 1e-3  # output displacement (chart units) the stencil aims for
-    for i in range(n):
-        D = np.empty((2 * dim, 2 * dim))
-        z0 = np.concatenate([xs[i], ys[i] / yscale])
-
-        def evaluate(z):
-            xi1, y1 = bounce_map(i, z[:dim], z[dim:] * yscale)
-            return np.concatenate([xi1, y1 / yscale])
-
-        for a in range(2 * dim):
-            # calibrate the step so the map's expansion stays in the linear range
-            h = 3e-3 * yscale
-            delta = None
-            for _ in range(60):
-                e = np.zeros(2 * dim)
-                e[a] = h
-                try:
-                    delta = np.linalg.norm(evaluate(z0 + 2 * e) - evaluate(z0 - 2 * e))
-                except (ValueError, EventSearchError, GrazingEventError):
-                    h *= 0.25
-                    continue
-                if delta > 4 * out_target:
-                    h *= 0.5
-                    continue
-                break
-            if delta is None:
-                raise EventSearchError("could not calibrate a finite-difference step")
-            if delta > 0:
-                h = min(h, h * (4 * out_target / delta))
-            e = np.zeros(2 * dim)
-            e[a] = h
-            vals = [evaluate(z0 + fac * e) for fac in (-2, -1, 1, 2)]
-            D[:, a] = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
-        links.append(D)
+    A, B, C = (np.array(blocks) for blocks in
+               zip(*dlsmod._per_link(sc.joint_dl, sc.joint_chain, "hessians")))
+    Bi = np.linalg.inv(B)
+    BiA = Bi @ A
+    links = np.concatenate([np.concatenate([-BiA, -Bi], axis=2),
+                            np.concatenate([np.swapaxes(B, 1, 2) - C @ BiA, -C @ Bi], axis=2)],
+                           axis=1)
 
     # eigen-moduli of the period map via the cyclic block-companion matrix:
     # its spectrum consists of n-th roots of the monodromy eigenvalues, so the
     # ill-conditioned product is never formed and small moduli stay accurate
-    m = 2 * dim
-    C = np.zeros((n * m, n * m))
+    m = links.shape[1]
+    Cm = np.zeros((n * m, n * m))
     for i in range(n):
         j = (i + 1) % n
-        C[j * m:(j + 1) * m, i * m:(i + 1) * m] = links[i]
-    mods = np.sort(np.log(np.abs(np.linalg.eigvals(C))))[::-1]
-    exps = np.array([np.mean(mods[k * n:(k + 1) * n]) for k in range(m)])
-    return exps
+        Cm[j * m:(j + 1) * m, i * m:(i + 1) * m] = links[i]
+    mods = np.sort(np.log(np.abs(np.linalg.eigvals(Cm))))[::-1]
+    return np.array([np.mean(mods[k * n:(k + 1) * n]) for k in range(m)])

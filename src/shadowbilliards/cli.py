@@ -22,7 +22,9 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from . import billiard, dls as dlsmod, kepler as kpmod, scenarios, singular, symbolic
-from .billiard import BilliardDomain, lyapunov_estimate, shadow_error, shadow_solve
+from .billiard import (BilliardDomain, EventSearchError, GrazingEventError, ShadowSolveError,
+                       lyapunov_estimate, shadow_error, shadow_solve)
+from .bvp import ConnectError
 
 
 class ScenarioError(ValueError):
@@ -217,14 +219,23 @@ def run_torus_point(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
         raise ScenarioError("params.code: inadmissible chain (parallel consecutive windings)")
 
     def one_eps(eps):
-        sc = shadow_solve(scn.dl, chain, eps)
-        err = shadow_error(scn.dl, chain, sc)
-        dom = BilliardDomain(scn.h, scn.scatterer, eps)
-        exps = lyapunov_estimate(sc, dom)
+        """(eps, error, exponents, shadow chain), or the failure's report line."""
+        try:
+            sc = shadow_solve(scn.dl, chain, eps)
+            err = shadow_error(scn.dl, chain, sc)
+            exps = lyapunov_estimate(sc, BilliardDomain(scn.h, scn.scatterer, eps))
+        except (EventSearchError, GrazingEventError, ShadowSolveError, ConnectError) as exc:
+            return f"eps={eps:.3e}: {type(exc).__name__}: {exc}"
         return eps, err, exps, sc
 
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        results = list(pool.map(one_eps, eps_list))
+        outcomes = list(pool.map(one_eps, eps_list))
+    # a failed eps is left out of the tables and fits
+    failures = [r for r in outcomes if isinstance(r, str)]
+    results = [r for r in outcomes if not isinstance(r, str)]
+    if not results:
+        return {"failures": failures}
+    eps_list = [r[0] for r in results]
 
     rows = [(eps, err) for eps, err, _, _ in results]
     write_csv(out / "shadow_errors.csv",
@@ -270,7 +281,6 @@ def run_torus_point(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
                         "stabilized": cert.stabilized, "rel_change": cert.rel_change},
         "green": {"lambda": green.lam, "r2": green.r_squared},
     }
-    failures = []
     if not (slope_gate[0] <= slope <= slope_gate[1]):
         failures.append(f"error slope {slope:.3f} outside {slope_gate}")
     if lyap_gate and not (b_fit > 0 and lyap_r2 >= lyap_r2_gate):
@@ -499,7 +509,8 @@ def run_kepler_grid(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
         z = (_point(pair[0], path + "[0]"), _point(pair[1], path + "[1]"))
         _require(min(np.linalg.norm(z[0]), np.linalg.norm(z[1])) > 0, path,
                  "two points off the center at the origin")
-        _require(np.any(z[0] != z[1]), path, "two distinct points")
+        _require(np.linalg.norm(z[1] - z[0]) > 1e-12 * max(map(np.linalg.norm, z)), path,
+                 "two distinct points, more than 1e-12 of their radius apart")
         try:
             kpmod.split_feasible_interval(ks[0], z, a1, a2, E)
         except kpmod.FeasibilityError as exc:

@@ -212,6 +212,8 @@ def arc_endpoint_velocities(h: float, z, n: int, arc: str = "short"):
 def sample_orbit(h: float, z, n: int, arc: str = "short",
                  num: int = 513) -> np.ndarray:
     """Sampled path of the energy-h orbit (for quadrature cross-checks)."""
+    if n == 0:
+        raise ValueError("n = 0 not supported")
     zm, zp = _scaled_endpoints(h, z)
     a = 1.0 / (-2.0 * h)
     chosen = select_arc(simple_arc_candidates(zm, zp), arc)

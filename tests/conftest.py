@@ -7,7 +7,9 @@ pytest collects the test modules, makes the suite run on the pinned OpenBLAS.
 The potentials and the link below are models that only tests build: the
 shipped runs fly free or Kepler flights and use the scenarios' own links.
 central_diff is the tests' finite-difference helper. Test modules import
-them with `from conftest import ...`.
+them with `from conftest import ...`. stencil_lyapunov is the flown
+finite-difference monodromy that billiard.lyapunov_estimate replaced, kept
+as the tests' reference for its exponents.
 """
 
 import sys
@@ -19,8 +21,11 @@ _NUMPY_BEFORE_PIN = "numpy" in sys.modules
 import shadowbilliards  # noqa: E402,F401
 import numpy as np  # noqa: E402
 
+from shadowbilliards.billiard import (EventSearchError, GrazingEventError,  # noqa: E402
+                                      _section_project, _SiteChart, billiard_trajectory)
 from shadowbilliards.dls import LinkEvaluator, difference_hessians  # noqa: E402
-from shadowbilliards.dynamics import Potential  # noqa: E402
+from shadowbilliards.dynamics import PhaseState, Potential  # noqa: E402
+from shadowbilliards.scatterer import SphereChart  # noqa: E402
 
 
 def central_diff(f, x, h: float) -> np.ndarray:
@@ -108,3 +113,80 @@ class FunctionLink(LinkEvaluator):
     @classmethod
     def hessians(cls, links, XM, XP):
         return difference_hessians(cls, links, XM, XP)
+
+
+def _section_lift(dom, chart, xi, y, E):
+    """Phase state on the energy shell at section coordinates (xi, y): the
+    momentum J (J^T J)^-1 y plus the outward-normal part that reaches E."""
+    q = chart.ambient(xi)
+    J = chart.jacobian(xi)
+    _, nor = dom.scatterer.frames(chart.base_point(xi))
+    n_amb = nor @ chart.direction(xi)
+    p0 = J @ np.linalg.solve(J.T @ J, y)
+    minv = dom.h.mass_inv
+    a = 0.5 * float(n_amb @ minv @ n_amb)
+    b = float(n_amb @ minv @ p0)
+    c0 = 0.5 * float(p0 @ minv @ p0) + dom.h.potential.value(q) - E
+    disc = b * b - 4 * a * c0
+    if disc < 0:
+        raise EventSearchError("section lift infeasible: energy shell unreachable")
+    return PhaseState(q, p0 + (-b + np.sqrt(disc)) / (2 * a) * n_amb, 0.0)
+
+
+def stencil_lyapunov(sc, dom, out_target=1e-3):
+    """Lyapunov exponents from a flown 4-point stencil of each bounce map.
+
+    Each column of each bounce's tangent map is a fourth-order central
+    difference in the similarity-scaled section coordinates (xi, y/eps), its
+    step calibrated so the output moves by about out_target; the exponents
+    come from the cyclic block-companion matrix, as in lyapunov_estimate.
+    Its error is measured by rerunning it at half the out_target.
+    """
+    n = len(sc.boundary)
+    E = dom.h.energy(sc.boundary[0].ambient, sc.orbits[0].p_minus)
+    charts = [_SiteChart(dom.scatterer, bp.x, SphereChart(bp.s), sc.eps) for bp in sc.boundary]
+    states = [_section_project(dom, charts[i], sc.boundary[i].ambient, sc.orbits[i].p_minus)
+              for i in range(n)]
+    dim = charts[0].dim
+    yscale = sc.eps
+    links = []
+    for i in range(n):
+        def evaluate(z):
+            state = _section_lift(dom, charts[i], z[:dim], z[dim:] * yscale, E)
+            ev = billiard_trajectory(dom, state, 1).events[-1]
+            xi1, y1 = _section_project(dom, charts[(i + 1) % n], ev.q, ev.p_after)
+            return np.concatenate([xi1, y1 / yscale])
+
+        z0 = np.concatenate([states[i][0], states[i][1] / yscale])
+        D = np.empty((2 * dim, 2 * dim))
+        for a in range(2 * dim):
+            h = 3e-3 * yscale
+            delta = None
+            for _ in range(60):
+                e = np.zeros(2 * dim)
+                e[a] = h
+                try:
+                    delta = np.linalg.norm(evaluate(z0 + 2 * e) - evaluate(z0 - 2 * e))
+                except (ValueError, EventSearchError, GrazingEventError):
+                    h *= 0.25
+                    continue
+                if delta > 4 * out_target:
+                    h *= 0.5
+                    continue
+                break
+            if delta is None:
+                raise EventSearchError("could not calibrate a finite-difference step")
+            if delta > 0:
+                h = min(h, h * (4 * out_target / delta))
+            e = np.zeros(2 * dim)
+            e[a] = h
+            vals = [evaluate(z0 + fac * e) for fac in (-2, -1, 1, 2)]
+            D[:, a] = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
+        links.append(D)
+    m = 2 * dim
+    C = np.zeros((n * m, n * m))
+    for i in range(n):
+        j = (i + 1) % n
+        C[j * m:(j + 1) * m, i * m:(i + 1) * m] = links[i]
+    mods = np.sort(np.log(np.abs(np.linalg.eigvals(C))))[::-1]
+    return np.array([np.mean(mods[k * n:(k + 1) * n]) for k in range(m)])

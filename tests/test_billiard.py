@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, seed, settings, strategies as st
 
-from conftest import HarmonicPotential
+from conftest import HarmonicPotential, stencil_lyapunov
 from shadowbilliards import billiard, bvp, dls, dynamics, scenarios
 from shadowbilliards.billiard import (BilliardDomain, GrazingEventError, ShadowSolveError,
                                       billiard_trajectory, expansion_residual,
@@ -679,4 +679,82 @@ class TestLyapunov:
 
     def test_plus_minus_pairs(self):
         exps = self.solve_at(1e-2)
-        assert abs(exps[0] + exps[-1]) <= 1e-6
+        assert abs(exps[0] + exps[-1]) <= 1e-10
+
+
+THREE_LINK = [(1, 0), (0, 1), (1, 1)]
+HALF_DECADES = [10**(-2.0 - 0.5 * i) for i in range(5)]     # 1e-2 .. 1e-4
+
+
+def _exponents(code, eps, periods=None, energy=0.5):
+    """Shadow chain of a torus_point code at eps and its Lyapunov exponents."""
+    dim = len(code[0])
+    scn = scenarios.torus_point_scenario(dim, periods or [1.0] * dim, energy)
+    sc = shadow_solve(scn.dl, scn.chain(list(code)), eps, tol_factor=1e-13)
+    dom = BilliardDomain(scn.h, scn.scatterer, eps)
+    return sc, dom, lyapunov_estimate(sc, dom)
+
+
+def _leading_order_exponent(code, eps):
+    """(1/n) sum_i ln(2 l_i / (eps cos phi_i)) over the chords of a planar code
+    on the unit torus at speed 1: l_i is the chord after bounce i, and
+    cos phi_i = sin(theta_i / 2) for the turn theta_i between the chords."""
+    chords = [np.array(k, dtype=float) for k in code]
+    total = 0.0
+    for before, after in zip(chords[-1:] + chords[:-1], chords):
+        cos_turn = before @ after / (np.linalg.norm(before) * np.linalg.norm(after))
+        cos_phi = np.sin(0.5 * np.arccos(np.clip(cos_turn, -1.0, 1.0)))
+        total += np.log(2 * np.linalg.norm(after) / (eps * cos_phi))
+    return total / len(code)
+
+
+class TestExactMonodromy:
+    @pytest.mark.parametrize("code", [((1, 0), (0, 1)), THREE_LINK])
+    def test_agrees_with_the_stencil_within_its_error(self, code):
+        # the stencil's own error: the move of its exponents when its output
+        # target is halved
+        for eps in HALF_DECADES:
+            sc, dom, exps = _exponents(code, eps)
+            ref = stencil_lyapunov(sc, dom)
+            own = np.max(np.abs(ref - stencil_lyapunov(sc, dom, out_target=5e-4)))
+            assert np.max(np.abs(exps - ref)) <= 2 * own, eps
+            assert abs(exps[0] + exps[-1]) <= 1e-7, eps
+
+    @pytest.mark.parametrize("code", [((1, 0), (0, 1)), THREE_LINK, ((1, 0, 0), (0, 1, 0))])
+    def test_log_eps_growth_down_to_1e_6(self, code):
+        eps_list = [10**(-2.0 - 0.5 * i) for i in range(9)]
+        lams = []
+        for eps in eps_list:
+            _, dom, exps = _exponents(code, eps)
+            assert np.sum(np.abs(exps) >= 0.5 * np.max(np.abs(exps))) \
+                == 2 * (dom.scatterer.codim - 1), eps
+            lams.append(float(np.max(exps)))
+        x = np.log(1.0 / np.asarray(eps_list))
+        (a, b), r2 = dls.linear_fit(np.vstack([np.ones_like(x), x]).T, np.asarray(lams))
+        assert b > 0 and r2 >= 0.98
+
+    @pytest.mark.parametrize("code", [((1, 0), (0, 1)), THREE_LINK])
+    def test_leading_order_oracle_falls_like_eps(self, code):
+        diffs = [abs(float(np.max(_exponents(code, eps)[2])) - _leading_order_exponent(code, eps))
+                 for eps in HALF_DECADES]
+        x = np.log(np.asarray(HALF_DECADES))
+        (slope, _), _ = dls.linear_fit(np.vstack([x, np.ones_like(x)]).T, np.log(diffs))
+        assert 0.8 <= slope <= 1.2
+
+    def test_eight_link_code(self):
+        code = [(1, 0), (0, 1), (1, 1), (0, 1), (1, 0), (1, -1), (0, 1), (1, 1)]
+        exps = _exponents(code, 1e-2)[2]
+        assert abs(exps[0] + exps[-1]) <= 1e-10
+
+    def test_non_unit_torus_closes_at_1e_4(self):
+        exps = _exponents(((1, 0), (0, 1)), 1e-4,
+                          periods=[0.9540973523936195, 0.9516527635528529])[2]
+        assert abs(exps[0] + exps[-1]) <= 1e-7
+
+    def test_unclosed_bounce_is_named(self):
+        scn, chain = torus_setup()
+        sc = shadow_solve(scn.dl, chain, 1e-2)
+        p = sc.orbits[0].p_minus     # turned by 1e-6: the next hit moves by about 1e-4 / eps
+        sc.orbits[0].p_minus = p + 1e-6 * np.array([-p[1], p[0]])
+        with pytest.raises(billiard.EventSearchError, match="bounce 0 does not close: defect"):
+            lyapunov_estimate(sc, BilliardDomain(scn.h, scn.scatterer, 1e-2))

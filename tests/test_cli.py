@@ -203,6 +203,8 @@ class TestValidation:
          "endpoints[0]: expected two points off the center at the origin"),
         ("kepler_grid", "params.endpoints", [[[0.3, 0.0], [0.0, 0.35]], [[0.3, 0.0], [0.3, 0.0]]],
          "endpoints[1]: expected two distinct points"),
+        ("kepler_grid", "params.endpoints", [[[0.3, 0.0], [0.3, 1e-15]]],
+         "endpoints[0]: expected two distinct points, more than 1e-12 of their radius"),
         ("kepler_grid", "params.endpoints", [[[3.0, 0.0], [0.0, 0.35]]],
          "endpoints[0]: expected a pair reachable at energy -0.9"),
         ("ncenter_square", "params.centers", [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0]],
@@ -240,7 +242,8 @@ class TestValidation:
          "code[1]: expected two different windings"),
     ], ids=["kepler_one_point_pair", "kepler_string_coordinate", "kepler_alpha_sum",
             "kepler_zero_revolutions", "kepler_positive_energy", "kepler_endpoint_at_origin",
-            "kepler_coincident_endpoints", "kepler_endpoint_out_of_reach", "ncenter_center_length",
+            "kepler_coincident_endpoints", "kepler_nearly_coincident_endpoints",
+            "kepler_endpoint_out_of_reach", "ncenter_center_length",
             "ncenter_spatial_centers", "ncenter_alphas_length", "ncenter_negative_alpha", "ncenter_zero_mu",
             "ncenter_center_index", "ncenter_not_concatenating", "ncenter_zero_energy",
             "torus_negative_energy", "torus_periods_length", "torus_zero_eps",
@@ -357,6 +360,44 @@ class TestRuns:
         cli.main(["scenario", "run", "--scenario", src, "--out", str(out2)])
         for name in ("shadow_errors.csv", "lyapunov.csv", "certificate.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_torus_point_failed_eps_reaches_the_report(self, tmp_path, monkeypatch, capsys):
+        real = cli.lyapunov_estimate
+
+        def fail_at_1e_3(sc, dom):
+            if sc.eps == 1e-3:
+                raise cli.EventSearchError("bounce 1 does not close: defect 1.00e-05")
+            return real(sc, dom)
+
+        monkeypatch.setattr(cli, "lyapunov_estimate", fail_at_1e_3)
+        cfg = json.loads((SCENARIOS / "torus_point.json").read_text())
+        cfg["sweeps"]["eps"] = [1e-2, 10**-2.5, 1e-3]
+        out = tmp_path / "tp"
+        rc = cli.main(["scenario", "run", "--scenario", write(tmp_path, "tp.json", cfg),
+                       "--out", str(out)])
+        assert rc == 1
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["failures"] == [
+            "eps=1.000e-03: EventSearchError: bounce 1 does not close: defect 1.00e-05"]
+        assert len(report["large_exponent_counts"]) == 2
+        for name in ("shadow_errors.csv", "lyapunov.csv"):
+            rows = (out / name).read_text().splitlines()[1:]
+            assert [float(r.split(",")[0]) for r in rows] == [1e-2, 10**-2.5]
+
+    def test_torus_point_every_eps_failed(self, tmp_path, monkeypatch):
+        def fail(sc, dom):
+            raise cli.EventSearchError("bounce 0 does not close: defect 1.00e-05")
+
+        monkeypatch.setattr(cli, "lyapunov_estimate", fail)
+        cfg = json.loads((SCENARIOS / "torus_point.json").read_text())
+        cfg["sweeps"]["eps"] = [1e-2, 1e-3]
+        out = tmp_path / "tp"
+        rc = cli.main(["scenario", "run", "--scenario", write(tmp_path, "tp.json", cfg),
+                       "--out", str(out)])
+        assert rc == 1
+        failures = json.loads((out / "report.json").read_text())["failures"]
+        assert [f.split(":")[0] for f in failures] == ["eps=1.000e-02", "eps=1.000e-03"]
 
     def test_ncenter_failure_reason_in_report(self, tmp_path, monkeypatch):
         from shadowbilliards import singular

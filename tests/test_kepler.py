@@ -131,6 +131,11 @@ class TestJn:
         with pytest.raises(ValueError):
             kp.J_n(-0.5, (np.array([0.5, 0]), np.array([0, 0.5])), 0)
 
+    @pytest.mark.parametrize("fn", [kp.travel_time, kp.sample_orbit])
+    def test_n_zero_rejected_like_J_n(self, fn):
+        with pytest.raises(ValueError, match="n = 0"):
+            fn(-0.9, (np.array([0.22, 0.0]), np.array([0.0, 0.28])), 0)
+
     def test_travel_time_is_action_energy_derivative(self):
         # dJ/dh = time of flight (finite differences in h)
         xm = np.array([0.22, 0.0])
