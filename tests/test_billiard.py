@@ -754,7 +754,7 @@ class TestExactMonodromy:
     def test_unclosed_bounce_is_named(self):
         scn, chain = torus_setup()
         sc = shadow_solve(scn.dl, chain, 1e-2)
-        p = sc.orbits[0].p_minus     # turned by 1e-6: the next hit moves by about 1e-4 / eps
+        p = sc.orbits[0].p_minus     # turned by 1e-6: the next hit's chart angle moves ~1e-6 / eps
         sc.orbits[0].p_minus = p + 1e-6 * np.array([-p[1], p[0]])
         with pytest.raises(billiard.EventSearchError, match="bounce 0 does not close: defect"):
             lyapunov_estimate(sc, BilliardDomain(scn.h, scn.scatterer, 1e-2))
