@@ -570,9 +570,8 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
     while rn > tol:
         if it == _SHADOW_ITERS:
             raise ShadowSolveError(f"shadow Newton did not converge: |r| = {rn:.3e}")
-        H = dlsmod.hessian(jdl, jc)
         try:
-            step = H.solve([-r for r in res])
+            step = dlsmod.hessian(jdl, jc).solve([-r for r in res])
         except np.linalg.LinAlgError as exc:
             raise ShadowSolveError("singular joint Hessian") from exc
         lam = 1.0
@@ -682,7 +681,8 @@ def lyapunov_estimate(sc: ShadowChain, dom: BilliardDomain) -> np.ndarray:
     at the converged joint chain, dy = -(A du + B du') and dy' = B^T du + C du'
     give D_i = [[-B^-1 A, -B^-1], [B^T - C B^-1 A, -C B^-1]]. Each bounce is
     also flown once, from the chain's own tube point and outgoing momentum,
-    and its hit must project onto the next section state to within 1e-6
+    and its hit must project onto the next section state to within 1e-6: the
+    chart angle absolutely, the momentum y relative to eps |p|, its size
     (EventSearchError naming the bounce and its defect). Returns the sorted
     log-moduli of the period map's eigenvalues divided by the number of
     bounces.
@@ -700,7 +700,8 @@ def lyapunov_estimate(sc: ShadowChain, dom: BilliardDomain) -> np.ndarray:
                                                  0.0), 1).events[-1]
         xi, y = _section_project(dom, charts[(i + 1) % n], ev.q, ev.p_after)
         xi0, y0 = states[(i + 1) % n]
-        defect = np.linalg.norm(xi - xi0) + np.linalg.norm(y - y0) / max(1.0, np.linalg.norm(y0))
+        y_size = sc.eps * np.linalg.norm(sc.orbits[(i + 1) % n].p_minus)
+        defect = np.linalg.norm(xi - xi0) + np.linalg.norm(y - y0) / y_size
         if defect > 1e-6:
             raise EventSearchError(f"bounce {i} does not close: defect {defect:.2e}")
 

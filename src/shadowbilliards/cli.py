@@ -311,11 +311,9 @@ def run_two_ball_torus(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
     # translation symmetry makes the Hessian singular: take minimal-norm steps
     res = dlsmod.newton_chain(scn.dl, chain, allow_singular=True)
     cert = dlsmod.hyperbolicity_certificate(scn.dl, res.chain, windows)
-    H = dlsmod.hessian(scn.dl, res.chain)
-    u_field = dlsmod.symmetry_field(res.chain, scn.generator)
-    Hu = H.apply(u_field)
-    hnorm = max(np.max(np.abs(H.dense())), 1e-300)
-    kernel_defect = max(np.max(np.abs(v)) for v in Hu) / hnorm
+    H = dlsmod.hessian(scn.dl, res.chain).matrix
+    Hu = H @ np.concatenate(dlsmod.symmetry_field(res.chain, scn.generator))
+    kernel_defect = np.max(np.abs(Hu)) / max(np.max(np.abs(H)), 1e-300)
     noe = dlsmod.noether_values(scn.dl, res.chain, scn.generator)
     green = dlsmod.green_decay(scn.dl, res.chain, 0, half_width=16)
 

@@ -3,10 +3,12 @@
 A multivalued Lagrangian assigns to each symbol k a two-point function L_k on
 chart coordinates of the scatterer. Chains of symbols and points carry the
 discrete action; its gradient vanishes exactly when the tangential part of
-the momentum jump vanishes at every collision, and its Hessian is
-block-tridiagonal (cyclic for periodic chains). Every evaluation of the
-branches runs by link family: the links of a chain that share a class and
-slot dimensions are evaluated together, their endpoints stacked row by row.
+the momentum jump vanishes at every collision. Its Hessian, and the Hessian
+of every Dirichlet window of a periodic chain, is the chain matrix that
+blocktri assembles from the links' second-derivative blocks (block
+tridiagonal, cyclic for periodic chains). Every evaluation of the branches
+runs by link family: the links of a chain that share a class and slot
+dimensions are evaluated together, their endpoints stacked row by row.
 Hyperbolicity is certified through uniform sup-norm bounds on inverses of
 centered Dirichlet windows, with the Green-function decay rate fitted as a
 cross-check.
@@ -19,8 +21,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocktri import (BlockTridiagonalFactor, assemble_dense, inverse_inf_norm,
-                       solve_window, split_blocks)
+from .blocktri import BlockTridiagonalFactor, inverse_inf_norm, solve_window, split_blocks
 
 
 class ChainDomainError(ValueError):
@@ -146,7 +147,7 @@ class ChainConfiguration:
     periodic: points[j] for j in 0..n-1, link j joins x_j to x_{j+1 mod n}.
     fixed: len(code) = len(points) + 1; the outermost slots have no chart
     coordinates, since the boundary branches close over their ambient
-    endpoints.
+    endpoints. Every point has the same chart dimension.
     """
 
     code: List[object]
@@ -163,6 +164,8 @@ class ChainConfiguration:
                 raise ValueError("fixed chain needs len(code) = len(points) + 1")
         else:
             raise ValueError("bc must be 'periodic' or 'fixed'")
+        if len({x.size for x in self.points}) > 1:
+            raise ValueError("chain points must share one chart dimension")
 
     @property
     def n_links(self) -> int:
@@ -257,78 +260,10 @@ def residual_norm(res: Sequence[np.ndarray]) -> float:
     return float(np.max(np.abs(np.concatenate(res)), initial=0.0))
 
 
-@dataclass
-class BlockTridiagonalHessian:
-    """Second variation of the chain action in block form.
-
-    diag[i] couples site i with itself; offdiag[i] couples sites i and i+1.
-    Periodic chains of three or more sites carry the cyclic corner block
-    (n-1, 0); with two sites both links fold into the single offdiagonal.
-    """
-
-    diag: List[np.ndarray]
-    offdiag: List[np.ndarray]
-    corner: Optional[np.ndarray] = None
-
-    @property
-    def dims(self) -> List[int]:
-        return [a.shape[0] for a in self.diag]
-
-    def dense(self) -> np.ndarray:
-        return assemble_dense(self.diag, self.offdiag, self.corner)
-
-    def apply(self, u: Sequence[np.ndarray]) -> List[np.ndarray]:
-        n = len(self.diag)
-        out = []
-        for i in range(n):
-            v = self.diag[i] @ u[i]
-            if i > 0:
-                v = v + self.offdiag[i - 1].T @ u[i - 1]
-            if i < n - 1:
-                v = v + self.offdiag[i] @ u[i + 1]
-            if self.corner is not None:
-                if i == 0:
-                    v = v + self.corner.T @ u[n - 1]
-                elif i == n - 1:
-                    v = v + self.corner @ u[0]
-            out.append(v)
-        return out
-
-    def solve(self, rhs: Sequence[np.ndarray]) -> List[np.ndarray]:
-        return BlockTridiagonalFactor(self.diag, self.offdiag, self.corner).solve(rhs)
-
-    def smallest_singular_value(self) -> float:
-        M = self.dense()
-        if M.size == 0:
-            return np.inf
-        return float(np.linalg.svd(M, compute_uv=False)[-1])
-
-
-def hessian(dl: DiscreteLagrangian, c: ChainConfiguration) -> BlockTridiagonalHessian:
-    """Assemble the block-tridiagonal second variation at the chain."""
-    n = c.n_free
-    if n == 0:
-        return BlockTridiagonalHessian([], [])
-    H = _per_link(dl, c, "hessians")  # (d11, d12, d22) per link
-
-    diag = []
-    for i in range(n):
-        jin, jout = _site_links(c, i)
-        if c.bc == "periodic" and n == 1:
-            d11, d12, d22 = H[0]
-            diag.append(d11 + d22 + d12 + d12.T)
-            return BlockTridiagonalHessian(diag, [])
-        diag.append(H[jin][2] + H[jout][0])
-
-    if c.bc == "periodic":
-        if n == 2:
-            off = [H[0][1] + H[1][1].T]
-            return BlockTridiagonalHessian(diag, off)
-        off = [H[j][1] for j in range(n - 1)]
-        corner = H[n - 1][1]
-        return BlockTridiagonalHessian(diag, off, corner)
-    off = [H[j + 1][1] for j in range(n - 1)]
-    return BlockTridiagonalHessian(diag, off)
+def hessian(dl: DiscreteLagrangian, c: ChainConfiguration) -> BlockTridiagonalFactor:
+    """The second variation of the chain action: the chain matrix of its link
+    Hessians, periodic or fixed as the chain is."""
+    return BlockTridiagonalFactor(_per_link(dl, c, "hessians"), c.bc == "periodic")
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +285,7 @@ _NEWTON_TOL = 1e-10        # sup-norm residual of a converged chain
 
 def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
                  allow_singular: bool = False) -> NewtonResult:
-    """Damped Newton on the chain residual using the block structure.
+    """Damped Newton on the chain residual, each step one solve of the chain matrix.
 
     Runs to a sup-norm residual of 1e-10 in at most 60 iterations; the step
     is halved until the sup-norm of the residual decreases, at most 40 times
@@ -360,7 +295,8 @@ def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
     critical and is returned unchanged.
     A singular Hessian raises unless allow_singular is set, in which case the
     minimal-norm step is taken (useful on unreduced symmetric systems, whose
-    critical chains come in group orbits).
+    critical chains come in group orbits). A non-finite Hessian raises
+    LinAlgError.
     """
     c = c0
     if c.n_free == 0 or all(x.size == 0 for x in c.points):
@@ -376,8 +312,7 @@ def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
         except np.linalg.LinAlgError as exc:
             if not allow_singular:
                 raise NewtonError(f"singular chain Hessian at iteration {it}") from exc
-            flat, *_ = np.linalg.lstsq(H.dense(),
-                                       -np.concatenate([r for r in res]), rcond=None)
+            flat, *_ = np.linalg.lstsq(H.matrix, -np.concatenate(res), rcond=None)
             step = split_blocks(flat, H.dims)
         lam = 1.0
         for _ in range(_NEWTON_HALVINGS + 1):
@@ -392,7 +327,7 @@ def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
         c, res, rn = trial, res_t, rn_t
         it += 1
     _check_domains(dl, c)
-    sigma = hessian(dl, c).smallest_singular_value()
+    sigma = float(np.linalg.svd(hessian(dl, c).matrix, compute_uv=False)[-1])
     return NewtonResult(c, rn, sigma, it, rn <= _NEWTON_TOL)
 
 
@@ -400,17 +335,16 @@ def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
 # Window certificates (sup-norm hyperbolicity) and Green-function decay
 # ---------------------------------------------------------------------------
 
-def _periodic_window_blocks(dl: DiscreteLagrangian, c: ChainConfiguration,
-                            center: int, half_width: int):
-    """Blocks of the Dirichlet window of the periodic extension of the chain."""
+def _windows(dl: DiscreteLagrangian, c: ChainConfiguration, center: int,
+             half_widths: Sequence[int]) -> List[list]:
+    """Link blocks of the Dirichlet windows of the periodic extension of the
+    chain centered at site `center`: for half-width W, the open chain of links
+    center-W-1 ... center+W, taken mod n."""
     if c.bc != "periodic":
         raise ValueError("window certificates act on periodic chains")
-    n = c.n_free
     H = _per_link(dl, c, "hessians")
-    sites = range(center - half_width, center + half_width + 1)
-    diag = [H[(i - 1) % n][2] + H[i % n][0] for i in sites]
-    off = [H[i % n][1] for i in list(sites)[:-1]]
-    return diag, off
+    n = len(H)
+    return [[H[i % n] for i in range(center - W - 1, center + W + 1)] for W in half_widths]
 
 
 @dataclass
@@ -431,13 +365,11 @@ def hyperbolicity_certificate(dl: DiscreteLagrangian, c: ChainConfiguration,
     stabilization signals a kernel direction (an unreduced symmetry) or
     non-hyperbolicity.
     """
-    norms = []
-    for W in windows:
-        diag, off = _periodic_window_blocks(dl, c, 0, int(W))
-        norms.append(inverse_inf_norm(diag, off))
+    windows = tuple(int(W) for W in windows)
+    norms = [inverse_inf_norm(links) for links in _windows(dl, c, 0, windows)]
     rel = abs(norms[-1] - norms[-2]) / max(norms[-2], 1e-300) if len(norms) > 1 else np.inf
     stab = rel <= 0.05
-    return CertificateResult(tuple(int(w) for w in windows), tuple(norms), stab,
+    return CertificateResult(windows, tuple(norms), stab,
                              norms[-1] if stab else None, float(rel))
 
 
@@ -469,13 +401,13 @@ def green_decay(dl: DiscreteLagrangian, c: ChainConfiguration, j: int = 0,
     responses at or below 1e-14 of the largest (round-off). lam > 0 with a
     good fit supports the hyperbolic verdict.
     """
-    diag, off = _periodic_window_blocks(dl, c, j, half_width)
-    nwin = len(diag)
+    links, = _windows(dl, c, j, [half_width])
+    nwin = 2 * half_width + 1
     centre = half_width
-    m = diag[centre].shape[0]
-    rhs = [np.zeros((a.shape[0], m)) for a in diag]
+    m = links[0][2].shape[0]
+    rhs = np.zeros((nwin, m, m))
     rhs[centre] = np.eye(m)
-    x = solve_window(diag, off, rhs)
+    x = solve_window(links, rhs)
     responses = np.array([np.linalg.norm(xi, axis=0).max(initial=0.0) for xi in x])
     offsets = np.abs(np.arange(nwin) - centre)
     inner = offsets <= half_width // 2
@@ -563,7 +495,8 @@ def variational_consistency(dl: DiscreteLagrangian, c: ChainConfiguration) -> Di
     """Compare residual and Hessian against finite differences of chain_action.
 
     Steps are 1e-6 for the gradient and 4e-5 for the Hessian. Returns
-    relative errors and structural checks; used by scenario gates.
+    relative errors and structural checks; criterion 2 of the acceptance gate
+    checks them.
     """
     fd_step = 1e-6
     res = residual(dl, c)
@@ -584,8 +517,7 @@ def variational_consistency(dl: DiscreteLagrangian, c: ChainConfiguration) -> Di
     grad_err = max((np.max(np.abs(g - r)) if g.size else 0.0)
                    for g, r in zip(grad_fd, res)) / gnorm
 
-    H = hessian(dl, c)
-    M = H.dense()
+    M = hessian(dl, c).matrix
     N = M.shape[0]
     offs = np.concatenate([[0], np.cumsum(dims)])
     Mfd = np.zeros_like(M)

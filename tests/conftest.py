@@ -6,8 +6,9 @@ pytest collects the test modules, makes the suite run on the pinned OpenBLAS.
 
 The potentials and the link below are models that only tests build: the
 shipped runs fly free or Kepler flights and use the scenarios' own links.
-central_diff is the tests' finite-difference helper. Test modules import
-them with `from conftest import ...`. stencil_lyapunov is the flown
+central_diff is the tests' finite-difference helper, and dense_chain_matrix
+their reference for the chain matrix. Test modules import them with
+`from conftest import ...`. stencil_lyapunov is the flown
 finite-difference monodromy that billiard.lyapunov_estimate replaced, kept
 as the tests' reference for its exponents.
 """
@@ -44,6 +45,25 @@ def central_diff(f, x, h: float) -> np.ndarray:
             out = np.empty(np.shape(col) + (x.size,))
         out[..., i] = col
     return out
+
+
+def dense_chain_matrix(blocks, periodic: bool) -> np.ndarray:
+    """Reference chain matrix of per-link blocks (D--, D-+, D++), one link at a time.
+
+    Each link's joint block [[D--, D-+], [D-+^T, D++]] is summed onto its
+    (minus, plus) sites. Link j of a periodic chain of n links joins sites j
+    and j+1 mod n; link j of an open chain of n+1 links joins sites j-1 and j,
+    and slots outside the sites 0..n-1 are dropped.
+    """
+    n = len(blocks) if periodic else len(blocks) - 1
+    d = blocks[0][2].shape[0]
+    M = np.zeros((n * d, n * d))
+    for j, (mm, mp, pp) in enumerate(blocks):
+        a, b = (j, (j + 1) % n) if periodic else (j - 1, j)
+        for r, c, blk in ((a, a, mm), (a, b, mp), (b, a, mp.T), (b, b, pp)):
+            if 0 <= r < n and 0 <= c < n:
+                M[r * d:(r + 1) * d, c * d:(c + 1) * d] += blk
+    return M
 
 
 @pytest.fixture

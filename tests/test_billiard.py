@@ -752,9 +752,12 @@ class TestExactMonodromy:
         assert abs(exps[0] + exps[-1]) <= 1e-7
 
     def test_unclosed_bounce_is_named(self):
+        # turned by 1e-6: the next hit's chart angle moves ~1e-6 / eps;
+        # 1e-4 longer: y = J^T p, of size eps |p|, moves by 1e-4 relative
         scn, chain = torus_setup()
-        sc = shadow_solve(scn.dl, chain, 1e-2)
-        p = sc.orbits[0].p_minus     # turned by 1e-6: the next hit's chart angle moves ~1e-6 / eps
-        sc.orbits[0].p_minus = p + 1e-6 * np.array([-p[1], p[0]])
-        with pytest.raises(billiard.EventSearchError, match="bounce 0 does not close: defect"):
-            lyapunov_estimate(sc, BilliardDomain(scn.h, scn.scatterer, 1e-2))
+        for perturb in (lambda p: p + 1e-6 * np.array([-p[1], p[0]]), lambda p: (1 + 1e-4) * p):
+            sc = shadow_solve(scn.dl, chain, 1e-2)
+            sc.orbits[0].p_minus = perturb(sc.orbits[0].p_minus)
+            with pytest.raises(billiard.EventSearchError,
+                               match="bounce 0 does not close: defect"):
+                lyapunov_estimate(sc, BilliardDomain(scn.h, scn.scatterer, 1e-2))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, seed, settings, strategies as st
 
-from conftest import FunctionLink, central_diff
+from conftest import FunctionLink, central_diff, dense_chain_matrix
 from shadowbilliards import dls, scenarios
 from shadowbilliards.dls import (ChainConfiguration, DiscreteLagrangian, NewtonError,
                                  admissible, chain_action, green_decay, hessian,
@@ -95,26 +95,31 @@ class TestHessian:
         dl = scenarios.box_fixed_lagrangian(scn, [0.3, 0.7], [0.6, 0.2], code)
         chain = scenarios.box_fixed_chain(code, [np.array([0.5])])
         H = hessian(dl, chain)
-        assert len(H.diag) == 1
-        assert not H.offdiag
-        M = H.dense()
-        assert M.shape == (1, 1)
+        assert H.dims == [1]
+        (_, _, pp), (mm, _, _) = dls._per_link(dl, chain, "hessians")
+        assert H.matrix.tobytes() == (pp + mm).tobytes()
 
     def test_symmetry_vector_in_kernel(self):
         scn, chain = two_ball_critical()
-        H = hessian(scn.dl, chain)
-        u = symmetry_field(chain, scn.generator)
-        Hu = H.apply(u)
-        hnorm = np.max(np.abs(H.dense()))
-        assert max(np.max(np.abs(v)) for v in Hu) <= 1e-8 * hnorm
+        M = hessian(scn.dl, chain).matrix
+        Hu = M @ np.concatenate(symmetry_field(chain, scn.generator))
+        assert np.max(np.abs(Hu)) <= 1e-8 * np.max(np.abs(M))
 
     def test_periodic_corner_blocks(self):
+        # link 4 closes the cycle: it couples the last site with the first
         dl, chain = synthetic_quadratic(n=5)
-        H = hessian(dl, chain)
-        assert H.corner is not None
-        M = H.dense()
+        M = hessian(dl, chain).matrix
         assert M[4, 0] == pytest.approx(-0.3)
+        assert M[0, 4] == M[4, 0]
         assert np.allclose(M, M.T)
+
+    def test_mixed_chart_dimensions_are_refused(self):
+        # the chain matrix has one chart dimension per chain
+        with pytest.raises(ValueError, match="share one chart dimension"):
+            ChainConfiguration(["q"] * 2, [np.zeros(1), np.zeros(2)], "periodic")
+        chain = ChainConfiguration(["q"] * 3, [np.zeros(2), np.zeros(2)], "fixed")
+        with pytest.raises(ValueError, match="share one chart dimension"):
+            chain.with_points([np.zeros(2), np.zeros(1)])
 
 
 class TestBoxHessian:
@@ -298,17 +303,22 @@ class TestNewton:
         assert res.chain is chain
 
 
+def window_matrix(dl, chain, center, W):
+    """Dense matrix of the Dirichlet window of half-width W at site `center`
+    of a periodic chain: the open chain of its links center-W-1 ... center+W."""
+    H = dls._per_link(dl, chain, "hessians")
+    return dense_chain_matrix([H[i % len(H)] for i in range(center - W - 1, center + W + 1)],
+                              False)
+
+
 class TestCertificate:
     def test_hyperbolic_chain_stabilizes(self):
         # dense-inverse oracle on small windows, then stabilization
         dl, chain = synthetic_quadratic(n=4, coupling=-0.3, diag=2.0)
         cert = hyperbolicity_certificate(dl, chain, windows=(1, 2, 4, 8, 16))
         assert cert.stabilized
-        from shadowbilliards.blocktri import assemble_dense
-        from shadowbilliards.dls import _periodic_window_blocks
         for W, cw in zip(cert.windows, cert.norms):
-            diag, off = _periodic_window_blocks(dl, chain, 0, W)
-            M = assemble_dense(diag, off)
+            M = window_matrix(dl, chain, 0, W)
             dense = np.max(np.sum(np.abs(np.linalg.inv(M)), axis=1))
             assert cw == pytest.approx(dense, rel=1e-10)
 
@@ -322,17 +332,14 @@ class TestCertificate:
         dl, chain = synthetic_quadratic(n=1)
         cert = hyperbolicity_certificate(dl, chain, windows=(1,))
         # W = 1 window of the uniform quadratic chain: dense oracle
-        from shadowbilliards.blocktri import assemble_dense
-        from shadowbilliards.dls import _periodic_window_blocks
-        diag, off = _periodic_window_blocks(dl, chain, 0, 1)
-        M = assemble_dense(diag, off)
+        M = window_matrix(dl, chain, 0, 1)
         assert cert.norms[0] == pytest.approx(
             np.max(np.sum(np.abs(np.linalg.inv(M)), axis=1)), rel=1e-12)
         # zero-width window: certificate is the inverse norm of the lone block
         cert0 = hyperbolicity_certificate(dl, chain, windows=(0,))
-        diag0, _ = _periodic_window_blocks(dl, chain, 0, 0)
+        (d11, _, d22), = dls._per_link(dl, chain, "hessians")
         assert cert0.norms[0] == pytest.approx(
-            np.max(np.sum(np.abs(np.linalg.inv(diag0[0])), axis=1)), rel=1e-12)
+            np.max(np.sum(np.abs(np.linalg.inv(d22 + d11)), axis=1)), rel=1e-12)
 
 
 class TestGreenDecay:
@@ -342,10 +349,7 @@ class TestGreenDecay:
         assert fit.lam > 0.5
         assert fit.r_squared >= 0.95
         # dense solve oracle at one offset
-        from shadowbilliards.blocktri import assemble_dense
-        from shadowbilliards.dls import _periodic_window_blocks
-        diag, off = _periodic_window_blocks(dl, chain, 0, 20)
-        M = assemble_dense(diag, off)
+        M = window_matrix(dl, chain, 0, 20)
         rhs = np.zeros(M.shape[0])
         rhs[20] = 1.0
         v = np.linalg.solve(M, rhs)
@@ -361,15 +365,12 @@ class TestGreenDecay:
         dl = DiscreteLagrangian({"q": link}, energy=0.5)
         chain = ChainConfiguration(["q"] * 3, [np.zeros(2) for _ in range(3)], "periodic")
         fit = green_decay(dl, chain, 0, half_width=8)
-        from shadowbilliards.blocktri import assemble_dense, split_blocks
-        from shadowbilliards.dls import _periodic_window_blocks
-        diag, off = _periodic_window_blocks(dl, chain, 0, 8)
-        M = assemble_dense(diag, off)
-        ref = np.zeros(len(diag))
+        M = window_matrix(dl, chain, 0, 8)
+        ref = np.zeros(17)
         for a in range(2):
             rhs = np.zeros(M.shape[0])
             rhs[2 * 8 + a] = 1.0
-            x = split_blocks(np.linalg.solve(M, rhs), [2] * len(diag))
+            x = np.linalg.solve(M, rhs).reshape(17, 2)
             ref = np.maximum(ref, [np.linalg.norm(xi) for xi in x])
         assert np.allclose(fit.norms, ref, rtol=1e-12, atol=0.0)
 
