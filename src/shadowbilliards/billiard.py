@@ -45,36 +45,21 @@ class ShadowSolveError(RuntimeError):
 # Elastic reflection
 # ---------------------------------------------------------------------------
 
-_TANGENCY_FLOOR = 1e-12     # |<H_p, n>| at or below this (relative) is a grazing row
-
-
-def reflect(h: ClassicalHamiltonian, q, p, normal):
+def reflect(h: ClassicalHamiltonian, p, normal):
     """Elastic reflection of the momentum at a surface with conormal `normal`.
 
     p' = p - 2 <p, n> n / ||n||^2 with inner products of the inverse-mass
-    metric; conserves H exactly and jumps the momentum parallel to n.
-    Supports batched inputs broadcast along the leading axis; a grazing row
-    raises GrazingEventError in either form.
+    metric; conserves H exactly and jumps the momentum parallel to n. One
+    momentum (d,) or a stack (B, d) with one conormal per row, each row
+    rounding as it does alone. Incidence is not checked: billiard_trajectory
+    refuses grazing events before it reflects.
     """
     p = np.asarray(p, dtype=float)
     n = np.asarray(normal, dtype=float)
     minv = h.mass_inv
-    if p.ndim == 1:
-        nn = float(n @ minv @ n)
-        pn = float(p @ minv @ n)
-        v = minv @ p
-        vnorm = np.linalg.norm(v)
-        if abs(v @ n) <= _TANGENCY_FLOOR * max(1.0, vnorm * np.linalg.norm(n)):
-            raise GrazingEventError("tangential incidence: <H_p, n> = 0")
-        return p - (2.0 * pn / nn) * n
-    v = p @ minv.T                            # H_p of each row
-    pn = np.einsum("bi,bi->b", v, n)
-    graze = np.abs(pn) <= _TANGENCY_FLOOR * np.maximum(
-        1.0, np.linalg.norm(v, axis=1) * np.linalg.norm(n, axis=1))
-    if graze.any():
-        raise GrazingEventError(f"tangential incidence at row {np.argmax(graze)}: <H_p, n> = 0")
-    nn = np.einsum("bi,ij,bj->b", n, minv, n)
-    return p - (2.0 * pn / nn)[:, None] * n
+    pn = (p[..., None, :] @ minv @ n[..., :, None])[..., 0, 0]
+    nn = (n[..., None, :] @ minv @ n[..., :, None])[..., 0, 0]
+    return p - (2.0 * pn / nn)[..., None] * n
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +228,7 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int) -> 
         v = h.velocity(hit.q, hit.p)
         if abs(v @ normal) < 1e-4 * np.linalg.norm(v) * np.linalg.norm(normal):
             raise GrazingEventError(f"grazing event at t = {hit.t:.6f}")
-        p_new = reflect(h, hit.q, hit.p, normal)
+        p_new = reflect(h, hit.p, normal)
         events.append(BilliardEvent(hit.t, hit.q.copy(), hit.p.copy(), p_new.copy()))
         state = PhaseState(hit.q, p_new, hit.t)
 
@@ -295,7 +280,8 @@ class _SiteChart:
     Q(u) is the ambient tube point and columns of DQ(u) pair with momenta.
     Both scatterers are flat (a point set, or the linear diagonal chart with
     constant frames), so DQ and the second derivatives of Q are exact, and
-    one frames() and jacobian() call serves a whole stack of charts.
+    one frames() and jacobian() call serves a whole stack of charts. rows()
+    is the one evaluation of the chart geometry.
     """
 
     def __init__(self, scat: Scatterer, base_ref, sphere: SphereChart, eps: float):
@@ -307,42 +293,14 @@ class _SiteChart:
         self.s_dim = self.sphere.dim
         self.dim = self.x_dim + self.s_dim
 
-    def split(self, u: np.ndarray):
-        u = np.asarray(u, dtype=float)
-        return u[:self.x_dim], u[self.x_dim:]
-
-    def base_point(self, u):
-        dx, _ = self.split(u)
-        if self.x_dim == 0:
-            return self.base_ref
-        return np.asarray(self.base_ref, dtype=float) + dx
-
-    def direction(self, u):
-        _, sigma = self.split(u)
-        return self.sphere.value(sigma)
-
-    def ambient(self, u) -> np.ndarray:
-        return self.scat.tube_point(self.base_point(u), self.direction(u), self.eps)
-
-    def jacobian(self, u) -> np.ndarray:
-        d = self.scat.space.dim
-        J = np.empty((d, self.dim))
-        _, sigma = self.split(u)
-        x = self.base_point(u)
-        _, nor = self.scat.frames(x)
-        if self.x_dim:
-            J[:, :self.x_dim] = self.scat.jacobian(x)
-        J[:, self.x_dim:] = self.eps * nor @ self.sphere.jacobian(sigma)
-        return J
-
     @staticmethod
     def rows(charts: List["_SiteChart"], U: np.ndarray):
         """Tube points (n, d) and chart Jacobians (n, d, dim) of a stack of
         charts of one scatterer and eps at chart coordinates U (n, dim), and
         the map from momenta P (n, d) to the curvature blocks (n, dim, dim),
-        sum_k P_k d^2 Q_k / du du. Each row rounds as ambient() and jacobian()
-        of its chart: the dot products are batched matmuls (see
-        AmbientSpace.sup_segment_distance).
+        sum_k P_k d^2 Q_k / du du. Each row rounds as the one-chart formulas
+        (Scatterer.tube_point; eps nor (T - s s^T T) / |v| for the sphere
+        columns): the dot products are batched matmuls.
 
         A flat chart's curvature is its sphere block: with s = v / n,
         v = c + T sigma, n = |v|, beta = T^T s and w = T^T (y - s (s.y)) for
@@ -393,9 +351,6 @@ class _FrozenChart:
         self.x_dim = 0
         self.s_dim = 0
 
-    def ambient(self, u) -> np.ndarray:
-        return self.point
-
     @staticmethod
     def rows(charts: List["_FrozenChart"], U: np.ndarray):
         """The rows of _SiteChart.rows for frozen slots: the fixed points, and
@@ -420,8 +375,8 @@ class TwoPointLink(dlsmod.LinkEvaluator):
     connector's CollisionOrbit and the one-chart formulas round it. The rows
     of a family share eps and the class of their base links. A base link
     without tube_chords raises ShadowSolveError here, before any evaluation;
-    ambient_connect builds the sampled orbit (_orbit) only where its path is
-    read.
+    tube_points gives the ends from which the base link's ambient_connect
+    builds a sampled orbit, only where its path is read.
     """
 
     def __init__(self, base: dlsmod.LinkEvaluator, left, right, eps: float):
@@ -435,10 +390,6 @@ class TwoPointLink(dlsmod.LinkEvaluator):
         self.dim_minus = left.dim
         self.dim_plus = right.dim
 
-    def _orbit(self, um, up) -> CollisionOrbit:
-        return self.base.ambient_connect(self.left.ambient(um), self.right.ambient(up),
-                                         self.eps)
-
     @staticmethod
     def _rows(links, XM, XP):
         """The rows() of both slots' charts (a slot's charts share their class,
@@ -448,6 +399,12 @@ class TwoPointLink(dlsmod.LinkEvaluator):
         right = type(links[0].right).rows([link.right for link in links], XP)
         return left, right, type(links[0].base).tube_chords(
             [link.base for link in links], left[0], right[0], links[0].eps)
+
+    @classmethod
+    def tube_points(cls, links, XM, XP):
+        """Tube points (QM, QP), (n, d) each, of both slots of every row."""
+        (QM, _, _), (QP, _, _), _ = cls._rows(links, XM, XP)
+        return QM, QP
 
     @classmethod
     def values(cls, links, XM, XP):
@@ -492,8 +449,7 @@ def _predictor_directions(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfigur
     out = []
     for i, p_minus, p_plus in dlsmod.momentum_jumps(dl, c):
         dp = p_minus - p_plus
-        x = c.points[i] if scat.dim > 0 else _site_base(dl, c, i)
-        s = scat.normal_coordinates(x, dp)
+        s = scat.normal_coordinates(_site_base(dl, c, i), dp)
         nrm = np.linalg.norm(s)
         if nrm == 0:
             raise ShadowSolveError(f"zero momentum jump at site {i}: inadmissible code")
@@ -502,10 +458,9 @@ def _predictor_directions(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfigur
 
 
 def _site_base(dl, c, i):
-    """Base reference of a site for zero-dimensional scatterers (point id)."""
-    if dl.site_bases is not None:
-        return dl.site_bases(c, i)
-    return 0
+    """Base reference of free site i: a copy of its chart point, or on a point
+    scatterer the point id that the Lagrangian's site_bases names."""
+    return c.points[i].copy() if dl.scatterer.dim else dl.site_bases(c, i)
 
 
 _SHADOW_ITERS = 60      # Newton steps of shadow_solve before ShadowSolveError
@@ -521,25 +476,30 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
     direction), re-centering the sphere charts at every step. The joint
     chain's links are TwoPointLink families, so residuals
     and Hessians are array expressions over the rows; the connectors'
-    sampled orbits are built once, for the returned chain. A base link
+    sampled orbits are built once, for the returned chain, from one
+    tube_points evaluation per family. A base link
     without a stacked chord form raises ShadowSolveError before any joint
     evaluation. Terminal sup-norm residual is tol_factor * sqrt(2E), reached
-    within 60 Newton steps.
+    within 60 Newton steps. The Lagrangian must carry its scatterer, energy and
+    (on a point scatterer) site_bases: a ValueError names the one missing.
     """
     scat = dl.scatterer
     if scat is None:
         raise ValueError("the Lagrangian must carry its scatterer")
+    if dl.energy is None:
+        raise ValueError("the Lagrangian must carry its energy")
+    if scat.dim == 0 and dl.site_bases is None:
+        raise ValueError("a point scatterer's Lagrangian must carry its site_bases")
     reports = dlsmod.admissible(dl, c)
     bad = [r.site for r in reports if not r.admissible]
     if bad:
         raise ShadowSolveError(f"inadmissible code at sites {bad}: momentum jump below tolerance")
 
-    E = dl.energy if dl.energy is not None else 0.5
+    E = dl.energy
     tol = tol_factor * np.sqrt(2.0 * E)
 
     s_list = _predictor_directions(dl, c)
-    x_list = [c.points[i].copy() if scat.dim > 0 else _site_base(dl, c, i)
-              for i in range(c.n_free)]
+    x_list = [_site_base(dl, c, i) for i in range(c.n_free)]
     if c.bc == "fixed":
         ends = [_FrozenChart(_ambient_endpoint(dl, c, side)) for side in ("left", "right")]
 
@@ -602,12 +562,8 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
         it += 1
 
     boundary = [scat.boundary_point(x, s, eps) for x, s in zip(x_list, s_list)]
-    orbits = []
-    for j in range(c.n_links):
-        key = ("eps", j)
-        um, up = jc.link_endpoints(j)
-        link = jdl.links[key]
-        orbits.append(link._orbit(um, up))
+    orbits = [jdl.links[key].base.ambient_connect(qm, qp, eps)
+              for key, (qm, qp) in zip(jc.code, dlsmod._per_link(jdl, jc, "tube_points"))]
     return ShadowChain(list(c.code), boundary, orbits, eps, c.bc, rn, jdl, jc,
                        diagnostics={"iterations": it, "tolerance": tol})
 
@@ -635,7 +591,7 @@ def shadow_error(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
     space = scat.space
     base_err = 0.0
     for i in range(c.n_free):
-        xc = c.points[i] if scat.dim > 0 else _site_base(dl, c, i)
+        xc = _site_base(dl, c, i)
         xs = sc.boundary[i].x
         base_err = max(base_err, float(np.linalg.norm(
             space.centered(scat.embed(xs) - scat.embed(xc)))))
@@ -660,15 +616,20 @@ def replay(sc: ShadowChain, dom: BilliardDomain) -> BilliardRun:
     return billiard_trajectory(dom, PhaseState(q0, p0, 0.0), len(sc.orbits))
 
 
-def _section_project(dom: BilliardDomain, chart: _SiteChart, q: np.ndarray,
-                     p: np.ndarray):
-    base = chart.base_ref
-    n = dom.h.space.centered(q - dom.scatterer.embed(base))
-    s = dom.scatterer.normal_coordinates(base, n / np.linalg.norm(n))
-    xi = chart.sphere.invert(s / np.linalg.norm(s))
-    J = chart.jacobian(xi)
-    y = J.T @ p
-    return xi, y
+def _section_project(dom: BilliardDomain, charts: List[_SiteChart], Q: np.ndarray,
+                     P: np.ndarray):
+    """Section coordinates (XI, Y) of tube points Q with momenta P (n, d), row r
+    on charts[r]: the sphere-chart coordinates of the direction from the base
+    point to Q[r], and y = J^T p with the Jacobian J of _SiteChart.rows there."""
+    XI = []
+    for chart, q in zip(charts, Q):
+        base = chart.base_ref
+        n = dom.h.space.centered(q - dom.scatterer.embed(base))
+        s = dom.scatterer.normal_coordinates(base, n / np.linalg.norm(n))
+        XI.append(chart.sphere.invert(s / np.linalg.norm(s)))
+    XI = np.array(XI)
+    _, J, _ = _SiteChart.rows(charts, XI)
+    return XI, (np.swapaxes(J, 1, 2) @ np.asarray(P)[:, :, None])[..., 0]
 
 
 def lyapunov_estimate(sc: ShadowChain, dom: BilliardDomain) -> np.ndarray:
@@ -683,27 +644,29 @@ def lyapunov_estimate(sc: ShadowChain, dom: BilliardDomain) -> np.ndarray:
     also flown once, from the chain's own tube point and outgoing momentum,
     and its hit must project onto the next section state to within 1e-6: the
     chart angle absolutely, the momentum y relative to eps |p|, its size
-    (EventSearchError naming the bounce and its defect). Returns the sorted
-    log-moduli of the period map's eigenvalues divided by the number of
-    bounces.
+    (EventSearchError naming the first bounce that does not close and its
+    defect). Returns the sorted log-moduli of the period map's eigenvalues
+    divided by the number of bounces.
     """
     if sc.bc != "periodic":
         raise ValueError("Lyapunov estimate needs a periodic shadow chain")
     n = len(sc.boundary)
     charts = [_SiteChart(dom.scatterer, bp.x, SphereChart(bp.s), sc.eps) for bp in sc.boundary]
-    states = [_section_project(dom, charts[i], sc.boundary[i].ambient, sc.orbits[i].p_minus)
-              for i in range(n)]
+    P = np.array([orbit.p_minus for orbit in sc.orbits])
+    XI, Y = _section_project(dom, charts, [bp.ambient for bp in sc.boundary], P)
 
     # per-bounce closure: the multiple-shooting defect of the flown orbit
-    for i in range(n):
-        ev = billiard_trajectory(dom, PhaseState(sc.boundary[i].ambient, sc.orbits[i].p_minus,
-                                                 0.0), 1).events[-1]
-        xi, y = _section_project(dom, charts[(i + 1) % n], ev.q, ev.p_after)
-        xi0, y0 = states[(i + 1) % n]
-        y_size = sc.eps * np.linalg.norm(sc.orbits[(i + 1) % n].p_minus)
-        defect = np.linalg.norm(xi - xi0) + np.linalg.norm(y - y0) / y_size
-        if defect > 1e-6:
-            raise EventSearchError(f"bounce {i} does not close: defect {defect:.2e}")
+    hits = [billiard_trajectory(dom, PhaseState(sc.boundary[i].ambient, P[i], 0.0),
+                                1).events[-1] for i in range(n)]
+    nxt = [(i + 1) % n for i in range(n)]
+    XI1, Y1 = _section_project(dom, [charts[j] for j in nxt], [ev.q for ev in hits],
+                               np.array([ev.p_after for ev in hits]))
+    y_size = sc.eps * np.linalg.norm(P[nxt], axis=1)
+    defect = (np.linalg.norm(XI1 - XI[nxt], axis=1)
+              + np.linalg.norm(Y1 - Y[nxt], axis=1) / y_size)
+    bad = np.flatnonzero(defect > 1e-6)
+    if bad.size:
+        raise EventSearchError(f"bounce {bad[0]} does not close: defect {defect[bad[0]]:.2e}")
 
     A, B, C = (np.array(blocks) for blocks in
                zip(*dlsmod._per_link(sc.joint_dl, sc.joint_chain, "hessians")))

@@ -4,12 +4,13 @@ connect() returns a collision orbit between two configuration points at a
 prescribed energy: its Maupertuis action, boundary momenta, travel time and
 sampled path. Closed-form backends are authoritative where they apply:
 straight chords for free flight (no potential W; the backend checks) and
-planar Kepler arcs. Everything else goes through a shooting Newton solve on
-the composed Verlet flight. Multiple connecting orbits between the same
+planar Kepler arcs. The shooting backend, a Newton solve on the composed
+Verlet flight, is named explicitly and starts from a guess of the initial
+momentum and travel time. Multiple connecting orbits between the same
 endpoints are never searched for: the caller disambiguates with an explicit
 label. A torus winding names a free-flight chord; a Kepler arc is named by
-a nonzero revolution count n, or by (n, arc) with arc "short" or "long"
-(kepler.J_n). The Kepler backend refuses n = 0 and coincident endpoints.
+a nonzero revolution count n, or by (n, "short") (kepler.J_n). The Kepler
+backend refuses n = 0 and coincident endpoints.
 """
 
 from __future__ import annotations
@@ -203,33 +204,19 @@ _SHOOT_STEPS_PER_UNIT = 800.0   # Verlet steps per unit time of each flight
 def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess,
                       label=None) -> CollisionOrbit:
     """Newton on (p-, tau) to the endpoint on the energy shell, at most 60
-    steps; path, p+ and action are the accepted Newton flight's. The guess is
-    None or a dict of any of p0, tau0 and direction. At 800 steps per unit
-    time p+ meets the energy to 1e-9, a tenth of the CollisionOrbit check, on
-    180 kepler_xcheck arcs (6.4e-9 at 500)."""
+    steps, from the guess {"p0": initial momentum, "tau0": travel time}
+    (ValueError without both); path, p+ and action are the accepted Newton
+    flight's. At 800 steps per unit time p+ meets the energy to 1e-9, a tenth
+    of the CollisionOrbit check, on 180 kepler_xcheck arcs (6.4e-9 at 500)."""
     qm = np.asarray(qm, dtype=float)
     qp = np.asarray(qp, dtype=float)
     d = h.dim
     if not (h.potential.value(qm) < E and h.potential.value(qp) < E):
         raise DomainError("endpoints outside the domain of possible motion")
+    if guess is None or "p0" not in guess or "tau0" not in guess:
+        raise ValueError("the shooting backend starts from a guess with p0 and tau0")
     target = qm + h.space.displacement(qm, qp)
-    guess = {} if guess is None else guess
-    p0, tau0, direction = guess.get("p0"), guess.get("tau0"), guess.get("direction")
-    if p0 is None:
-        if direction is None:
-            direction = target - qm
-        direction = np.asarray(direction, dtype=float)
-        vnorm = h.mass_norm(direction)
-        if vnorm == 0:
-            raise ConnectError("guess direction must be nonzero")
-        speed = np.sqrt(2.0 * max(E - h.potential.value(qm), 1e-12))
-        v0 = speed * direction / vnorm
-        p0 = h.mass @ v0
-    p0 = np.asarray(p0, dtype=float)
-    if tau0 is None:
-        tau0 = np.linalg.norm(target - qm) / max(np.sqrt(p0 @ h.mass_inv @ p0), 1e-12)
-
-    p, tau = p0.copy(), float(tau0)
+    p, tau = np.array(guess["p0"], dtype=float), float(guess["tau0"])
     scale = max(1.0, np.linalg.norm(target - qm))
 
     def residual(p, tau):
@@ -277,7 +264,8 @@ def connect(h: ClassicalHamiltonian, q_minus, q_plus, E: float, guess=None,
     """Energy-E orbit from q_minus to q_plus for the branch named by the label.
 
     Labels: torus winding vector for free flight; n or (n, arc) for the
-    Kepler backend. backend='auto' picks the closed form when one applies.
+    Kepler backend. backend='auto' picks the closed form that applies (ValueError
+    where none does); 'shooting' needs a guess with p0 and tau0.
     """
     if backend == "auto":
         if h.potential.is_zero:
@@ -286,7 +274,8 @@ def connect(h: ClassicalHamiltonian, q_minus, q_plus, E: float, guess=None,
                 and not h.space.is_torus:
             backend = "kepler"
         else:
-            backend = "shooting"
+            raise ValueError("no closed-form backend applies: name backend='shooting' "
+                             "with a guess")
     if backend == "straight":
         winding = np.asarray(label, dtype=int) if (label is not None and h.space.is_torus) else None
         return _straight_connect(h, q_minus, q_plus, E, winding, label)

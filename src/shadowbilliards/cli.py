@@ -64,10 +64,9 @@ def _get(obj, path: str, typ, required: bool = True, default=None):
     return cur
 
 
-def _num_list(obj, path: str, required: bool = True, default=None) -> Optional[List[float]]:
-    v = _get(obj, path, list, required, default)
-    if v is None:
-        return default
+def _num_list(obj, path: str, default: List[float]) -> List[float]:
+    """An optional nonempty list of JSON numbers, as floats; default when absent."""
+    v = _get(obj, path, list, False, default)
     if not v and v is not default:
         raise ScenarioError(f"scenario.{path}: expected a nonempty list")
     return _numbers(v, path)
@@ -117,17 +116,20 @@ def _point(v, path: str) -> np.ndarray:
 
 
 def _two_masses(cfg) -> List[float]:
-    masses = _num_list(cfg, "params.masses", False, [1.0, 1.0])
+    masses = _num_list(cfg, "params.masses", [1.0, 1.0])
     _require(len(masses) == 2, "params.masses", "2 entries, one per ball")
     _positive(masses, "params.masses")
     return masses
 
 
 def _windows(cfg) -> List[int]:
-    """sweeps.windows: certificate half-widths, nonnegative integers."""
-    windows = _num_list(cfg, "sweeps.windows", False, [1, 2, 4, 8, 16])
+    """sweeps.windows: certificate half-widths, two or more increasing integers >= 0."""
+    windows = _num_list(cfg, "sweeps.windows", [1, 2, 4, 8, 16])
+    _require(len(windows) >= 2, "sweeps.windows", "at least two half-widths")
     for i, w in enumerate(windows):
         _require(w >= 0 and w == int(w), f"sweeps.windows[{i}]", "a nonnegative integer")
+        _require(i == 0 or w > windows[i - 1], f"sweeps.windows[{i}]",
+                 f"a half-width above sweeps.windows[{i - 1}] = {windows[i - 1]:g}")
     return [int(w) for w in windows]
 
 
@@ -191,7 +193,7 @@ def loglog_slope(xs, ys):
 def run_torus_point(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
     dim = int(_get(cfg, "params.dim", int, False, 2))
     _require(dim >= 1, "params.dim", "a positive integer")
-    periods = _num_list(cfg, "params.periods", False, [1.0] * dim)
+    periods = _num_list(cfg, "params.periods", [1.0] * dim)
     _require(len(periods) == dim, "params.periods", f"{dim} entries, one per dimension")
     _positive(periods, "params.periods")
     E = _get(cfg, "params.energy", float, False, 0.5)
@@ -199,13 +201,13 @@ def run_torus_point(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
     code = _int_lists(cfg, "params.code", dim)
     for i, k in enumerate(code):
         _require(any(k), f"params.code[{i}]", "a nonzero winding")
-    eps_list = _num_list(cfg, "sweeps.eps", False, [1e-2, 10**-2.5, 1e-3, 10**-3.5])
+    eps_list = _num_list(cfg, "sweeps.eps", [1e-2, 10**-2.5, 1e-3, 10**-3.5])
     tube = min(periods) / 2
     for i, eps in enumerate(eps_list):
         _require(0 < eps < tube, f"sweeps.eps[{i}]",
                  f"a positive number below the tube radius min(periods)/2 = {tube:g}")
     windows = _windows(cfg)
-    slope_gate = _num_list(cfg, "gates.error_slope", False, [0.9, 1.1])
+    slope_gate = _num_list(cfg, "gates.error_slope", [0.9, 1.1])
     if len(slope_gate) != 2:
         raise ScenarioError("scenario.gates.error_slope: expected [low, high]")
     lyap_gate = _get(cfg, "gates.lyapunov", bool, False, True)
@@ -300,7 +302,7 @@ def run_two_ball_torus(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
     code = _int_lists(cfg, "params.code", 2)
     for i, k in enumerate(code):
         _require(k[0] != k[1], f"params.code[{i}]", "two different windings")
-    pts = _num_list(cfg, "params.points", False, [0.0] * len(code))
+    pts = _num_list(cfg, "params.points", [0.0] * len(code))
     _require(len(pts) == len(code), "params.points",
              f"{len(code)} entries, one per code entry")
     windows = _windows(cfg)
@@ -435,7 +437,7 @@ def run_ncenter(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
     _require(bool(raw), "params.centers", "a nonempty list")
     centers = np.array([_point(c, f"params.centers[{i}]") for i, c in enumerate(raw)])
     n = len(centers)
-    alphas = _num_list(cfg, "params.alphas", False, [1.0] * n)
+    alphas = _num_list(cfg, "params.alphas", [1.0] * n)
     _require(len(alphas) == n, "params.alphas", f"{n} entries, one per center")
     _positive(alphas, "params.alphas")
     E = _get(cfg, "params.energy", float, False, 0.5)
@@ -448,7 +450,7 @@ def run_ncenter(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
         end = code[i - 1][1]
         _require(k[0] == end, f"params.code[{i}][0]",
                  f"{end}, the center where the previous link ends")
-    mu_list = _num_list(cfg, "sweeps.mu", False, [1e-3, 10**-3.5, 1e-4])
+    mu_list = _num_list(cfg, "sweeps.mu", [1e-3, 10**-3.5, 1e-4])
     _positive(mu_list, "sweeps.mu")
     min_slope = _get(cfg, "gates.min_slope", float, False, 0.8)
 
@@ -510,7 +512,7 @@ def run_kepler_grid(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
         _require(np.linalg.norm(z[1] - z[0]) > 1e-12 * max(map(np.linalg.norm, z)), path,
                  "two distinct points, more than 1e-12 of their radius apart")
         try:
-            kpmod.split_feasible_interval(ks[0], z, a1, a2, E)
+            kpmod.split_feasible_interval(z, a1, a2, E)
         except kpmod.FeasibilityError as exc:
             raise ScenarioError(f"scenario.{path}: expected a pair reachable at energy "
                                 f"{E:g} ({exc})") from exc

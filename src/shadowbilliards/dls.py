@@ -50,6 +50,9 @@ class LinkEvaluator:
       without a closed form returns difference_hessians() of its gradients;
     - momenta_rows(), where the branch knows its ambient boundary momenta;
     - in_domain(), where its domain is smaller than its chart.
+
+    A branch with no chart coordinates on either slot has no gradient or
+    Hessian rows and may leave grads and hessians out.
     """
 
     dim_minus: int

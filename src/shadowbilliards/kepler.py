@@ -148,13 +148,11 @@ def simple_arc_candidates(xm, xp) -> List[SimpleArc]:
 
 
 def select_arc(arcs: Sequence[SimpleArc], arc: str) -> SimpleArc:
-    """The least-action ("short") or the greatest-action ("long") arc of arcs,
-    which simple_arc_candidates sorts by action."""
-    if arc == "short":
-        return arcs[0]
-    if arc == "long":
-        return arcs[-1]
-    raise ValueError(f"arc must be 'short' or 'long', got {arc!r}")
+    """The least-action ("short") arc of arcs, which simple_arc_candidates
+    sorts by action; "short" is the one arc name."""
+    if arc != "short":
+        raise ValueError(f"arc must be 'short', got {arc!r}")
+    return arcs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +175,7 @@ def J_n(h: float, z, n: int, arc: str = "short") -> float:
     """Maupertuis action of the n-extra-revolution Kepler orbit joining z = (x-, x+).
 
     Equals (-2h)^{-1/2} (2 pi |n| + sgn(n) f) where f is the action of the
-    simple arc chosen by select_arc ("short" or "long") after scaling the
+    simple arc chosen by select_arc ("short") after scaling the
     endpoints by -2h. Positive n traverses the arc's own sense plus n full
     loops; negative n runs the complementary way. n = 0 and coincident
     endpoints are refused.
@@ -253,8 +251,7 @@ class ThreeBodyLagrangianResult:
     d_xp: np.ndarray
 
 
-def split_feasible_interval(k: Tuple[int, int], z, alpha1: float, alpha2: float,
-                            E: float) -> Tuple[float, float]:
+def split_feasible_interval(z, alpha1: float, alpha2: float, E: float) -> Tuple[float, float]:
     """Open interval of h1 for which both scaled endpoint problems are elliptic."""
     xm = np.asarray(z[0], dtype=float)
     xp = np.asarray(z[1], dtype=float)
@@ -282,7 +279,7 @@ def three_body_lagrangian(k: Tuple[int, int], z, alpha1: float, alpha2: float,
     k1, k2 = k
     if k1 == 0 or k2 == 0:
         raise ValueError("revolution counts must be nonzero")
-    lo, hi = split_feasible_interval(k, z, alpha1, alpha2, E)
+    lo, hi = split_feasible_interval(z, alpha1, alpha2, E)
     pad = 1e-9 * (hi - lo)
     lo, hi = lo + pad, hi - pad
 

@@ -60,13 +60,6 @@ class SphereChart:
         v = self.center + self.basis @ np.asarray(sigma, dtype=float)
         return v / np.linalg.norm(v)
 
-    def jacobian(self, sigma: np.ndarray) -> np.ndarray:
-        sigma = np.asarray(sigma, dtype=float)
-        v = self.center + self.basis @ sigma
-        n = np.linalg.norm(v)
-        s = v / n
-        return (self.basis - np.outer(s, s @ self.basis)) / n
-
     def invert(self, s: np.ndarray) -> np.ndarray:
         """Chart coordinates of a sphere point in the chart's hemisphere."""
         s = np.asarray(s, dtype=float)

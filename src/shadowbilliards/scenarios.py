@@ -21,8 +21,9 @@ from .scatterer import DiagonalScatterer, PointScatterer
 class ChordLink(dlsmod.LinkEvaluator):
     """Straight collision orbit from a scatterer point along a fixed displacement.
 
-    Zero-dimensional on both slots: constant action and momenta. The label
-    (torus winding, or None) selects the branch in bvp.connect.
+    Zero-dimensional on both slots: constant action and momenta, and no
+    gradient or Hessian rows (the tube link differentiates its tube chords).
+    The label (torus winding, or None) selects the branch in bvp.connect.
     """
 
     def __init__(self, h: ClassicalHamiltonian, E: float, start: np.ndarray,
@@ -41,15 +42,6 @@ class ChordLink(dlsmod.LinkEvaluator):
     @classmethod
     def values(cls, links, XM, XP):
         return np.array([link._action for link in links])
-
-    @classmethod
-    def grads(cls, links, XM, XP):
-        return np.zeros((len(links), 0)), np.zeros((len(links), 0))
-
-    @classmethod
-    def hessians(cls, links, XM, XP):
-        z = np.zeros((len(links), 0, 0))
-        return z, z, z
 
     @classmethod
     def momenta_rows(cls, links, XM, XP):

@@ -24,7 +24,7 @@ bisection per flight. The flights run on Euclidean space only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -56,7 +56,7 @@ class SingularPerturbation:
     base: ClassicalHamiltonian
     scatterer: PointScatterer
     mu: float
-    alphas: Optional[np.ndarray] = None
+    alphas: np.ndarray
 
     def __post_init__(self):
         if not isinstance(self.scatterer, PointScatterer):
@@ -64,8 +64,6 @@ class SingularPerturbation:
         if self.base.space.is_torus:
             raise ValueError("the singular flow runs on Euclidean space")
         n = len(self.scatterer)
-        if self.alphas is None:
-            self.alphas = np.ones(n)
         self.alphas = np.asarray(self.alphas, dtype=float)
         if self.alphas.shape != (n,):
             raise ValueError("one coefficient per center required")
@@ -597,14 +595,14 @@ def _lockstep(runs) -> list:
 
 def shadow_experiment(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
                       mu_list: Sequence[float],
-                      alphas: Optional[np.ndarray] = None) -> List[SingularShadowRow]:
+                      alphas: np.ndarray) -> List[SingularShadowRow]:
     """Near-collision shadowing of a polygon chain under a mu-sweep.
 
     For each mu, a multiple-shooting Newton matches the local two-body
     deflections to the chain's momentum jumps; the Newtons of all mu run in
     lockstep, and a failure ends only its own row. Rows report convergence,
-    the sup distance to the chain and the minimum approach distance. Not a
-    proof-grade certificate.
+    the sup distance to the chain and the minimum approach distance. alphas
+    holds one force coefficient per center. Not a proof-grade certificate.
     """
     scat = dl.scatterer
     if not isinstance(scat, PointScatterer):

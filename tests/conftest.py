@@ -10,7 +10,9 @@ central_diff is the tests' finite-difference helper, and dense_chain_matrix
 their reference for the chain matrix. Test modules import them with
 `from conftest import ...`. stencil_lyapunov is the flown
 finite-difference monodromy that billiard.lyapunov_estimate replaced, kept
-as the tests' reference for its exponents.
+as the tests' reference for its exponents. chart_point, chart_jacobian and
+link_orbit are the one-chart forms of the tube-chart geometry that
+billiard._SiteChart.rows replaced, kept as the tests' reference for its rows.
 """
 
 import sys
@@ -23,7 +25,8 @@ import shadowbilliards  # noqa: E402,F401
 import numpy as np  # noqa: E402
 
 from shadowbilliards.billiard import (EventSearchError, GrazingEventError,  # noqa: E402
-                                      _section_project, _SiteChart, billiard_trajectory)
+                                      _FrozenChart, _section_project, _SiteChart,
+                                      billiard_trajectory)
 from shadowbilliards.dls import LinkEvaluator, difference_hessians  # noqa: E402
 from shadowbilliards.dynamics import PhaseState, Potential  # noqa: E402
 from shadowbilliards.scatterer import SphereChart  # noqa: E402
@@ -135,13 +138,56 @@ class FunctionLink(LinkEvaluator):
         return difference_hessians(cls, links, XM, XP)
 
 
+def chart_base(chart, u):
+    """Base point of a site chart at u = (dx, sigma): its reference point
+    moved by dx, or a point scatterer's point id."""
+    if not chart.x_dim:
+        return chart.base_ref
+    return np.asarray(chart.base_ref, dtype=float) + np.asarray(u, dtype=float)[:chart.x_dim]
+
+
+def chart_point(chart, u):
+    """One-chart tube point Q(u): the scatterer's tube_point at the base
+    point and the sphere chart's value, or a frozen slot's point."""
+    if isinstance(chart, _FrozenChart):
+        return chart.point
+    sigma = np.asarray(u, dtype=float)[chart.x_dim:]
+    return chart.scat.tube_point(chart_base(chart, u), chart.sphere.value(sigma), chart.eps)
+
+
+def chart_jacobian(chart, u):
+    """One-chart DQ(u), (d, dim): the scatterer Jacobian beside eps times the
+    normal frame times the sphere chart's Jacobian (T - s s^T T) / |v|; a
+    frozen slot has no columns."""
+    if isinstance(chart, _FrozenChart):
+        return np.zeros((chart.point.size, 0))
+    sigma = np.asarray(u, dtype=float)[chart.x_dim:]
+    x = chart_base(chart, u)
+    T = chart.sphere.basis
+    v = chart.sphere.center + T @ sigma
+    n = np.linalg.norm(v)
+    s = v / n
+    _, nor = chart.scat.frames(x)
+    J = np.empty((chart.scat.space.dim, chart.dim))
+    if chart.x_dim:
+        J[:, :chart.x_dim] = chart.scat.jacobian(x)
+    J[:, chart.x_dim:] = chart.eps * nor @ ((T - np.outer(s, s @ T)) / n)
+    return J
+
+
+def link_orbit(link, um, up):
+    """A tube link's connecting orbit between its slots' one-chart tube points."""
+    return link.base.ambient_connect(chart_point(link.left, um), chart_point(link.right, up),
+                                     link.eps)
+
+
 def _section_lift(dom, chart, xi, y, E):
     """Phase state on the energy shell at section coordinates (xi, y): the
     momentum J (J^T J)^-1 y plus the outward-normal part that reaches E."""
-    q = chart.ambient(xi)
-    J = chart.jacobian(xi)
-    _, nor = dom.scatterer.frames(chart.base_point(xi))
-    n_amb = nor @ chart.direction(xi)
+    q = chart_point(chart, xi)
+    J = chart_jacobian(chart, xi)
+    _, nor = dom.scatterer.frames(chart_base(chart, xi))
+    n_amb = nor @ chart.sphere.value(xi)
     p0 = J @ np.linalg.solve(J.T @ J, y)
     minv = dom.h.mass_inv
     a = 0.5 * float(n_amb @ minv @ n_amb)
@@ -165,8 +211,9 @@ def stencil_lyapunov(sc, dom, out_target=1e-3):
     n = len(sc.boundary)
     E = dom.h.energy(sc.boundary[0].ambient, sc.orbits[0].p_minus)
     charts = [_SiteChart(dom.scatterer, bp.x, SphereChart(bp.s), sc.eps) for bp in sc.boundary]
-    states = [_section_project(dom, charts[i], sc.boundary[i].ambient, sc.orbits[i].p_minus)
-              for i in range(n)]
+    XI, Y = _section_project(dom, charts, [bp.ambient for bp in sc.boundary],
+                             np.array([orbit.p_minus for orbit in sc.orbits]))
+    states = list(zip(XI, Y))
     dim = charts[0].dim
     yscale = sc.eps
     links = []
@@ -174,7 +221,8 @@ def stencil_lyapunov(sc, dom, out_target=1e-3):
         def evaluate(z):
             state = _section_lift(dom, charts[i], z[:dim], z[dim:] * yscale, E)
             ev = billiard_trajectory(dom, state, 1).events[-1]
-            xi1, y1 = _section_project(dom, charts[(i + 1) % n], ev.q, ev.p_after)
+            (xi1,), (y1,) = _section_project(dom, [charts[(i + 1) % n]], [ev.q],
+                                             ev.p_after[None])
             return np.concatenate([xi1, y1 / yscale])
 
         z0 = np.concatenate([states[i][0], states[i][1] / yscale])

@@ -83,7 +83,7 @@ def test_03_reflection_law():
     rng = np.random.default_rng(42)
     n_samples = 100_000
     h = ClassicalHamiltonian(euclidean(3), mass=[1.0, 2.0, 0.5])
-    q = rng.normal(size=(4 * n_samples, 3))
+    rng.normal(size=(4 * n_samples, 3))     # discarded: keeps the gate's recorded p and n draws
     p = rng.normal(size=(4 * n_samples, 3))
     n = rng.normal(size=(4 * n_samples, 3))
     # respect the transversal-incidence precondition (grazing draws excluded)
@@ -92,8 +92,8 @@ def test_03_reflection_law():
         np.linalg.norm(v, axis=1) * np.linalg.norm(n, axis=1))
     keep = np.where(cosang > 1e-4)[0][:n_samples]
     assert keep.size == n_samples
-    q, p, n = q[keep], p[keep], n[keep]
-    p1 = reflect(h, q, p, n)
+    p, n = p[keep], n[keep]
+    p1 = reflect(h, p, n)
     minv = h.mass_inv
     e0 = 0.5 * np.einsum("bi,ij,bj->b", p, minv, p)
     e1 = 0.5 * np.einsum("bi,ij,bj->b", p1, minv, p1)
@@ -243,7 +243,7 @@ def test_09_kepler_cross_checks():
     for (k, a1, a2, E) in (((2, 2), 0.5, 0.5, -0.8), ((1, 2), 0.4, 0.6, -1.0)):
         z = z_grid[0]
         res = kp.three_body_lagrangian(k, z, a1, a2, E)
-        lo, hi = kp.split_feasible_interval(k, z, a1, a2, E)
+        lo, hi = kp.split_feasible_interval(z, a1, a2, E)
         pad = 1e-9 * (hi - lo)
         ts = np.linspace(lo + pad, hi - pad, 3001)
         vals = [a1 * kp.J_n(t, z, k[0], "short")

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, seed, settings, strategies as st
 
-from conftest import HarmonicPotential, stencil_lyapunov
+from conftest import (HarmonicPotential, chart_base, chart_jacobian, chart_point, link_orbit,
+                      stencil_lyapunov)
 from shadowbilliards import billiard, bvp, dls, dynamics, scenarios
 from shadowbilliards.billiard import (BilliardDomain, GrazingEventError, ShadowSolveError,
                                       billiard_trajectory, expansion_residual,
@@ -21,13 +22,13 @@ def torus_setup(code=((1, 0), (0, 1))):
 class TestReflect:
     def test_head_on(self):
         h = ClassicalHamiltonian(euclidean(2))
-        p = reflect(h, np.zeros(2), np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
+        p = reflect(h, np.array([1.0, 0.0]), np.array([-1.0, 0.0]))
         assert np.allclose(p, [-1.0, 0.0])
 
     def test_mirror(self):
         h = ClassicalHamiltonian(euclidean(2))
         p0 = np.array([1.0, 1.0]) / np.sqrt(2)
-        p = reflect(h, np.zeros(2), p0, np.array([-1.0, 0.0]))
+        p = reflect(h, p0, np.array([-1.0, 0.0]))
         assert np.allclose(p, [-p0[0], p0[1]])
 
     def test_mass_metric_conserves_energy(self):
@@ -35,7 +36,7 @@ class TestReflect:
         q = np.array([0.3, 0.1])
         p0 = np.array([0.7, -1.3])
         n = np.array([0.6, 0.8])
-        p1 = reflect(h, q, p0, n)
+        p1 = reflect(h, p0, n)
         assert abs(h.energy(q, p1) - h.energy(q, p0)) <= 1e-12
         dp = p1 - p0
         assert np.linalg.norm(dp - (dp @ n) * n / (n @ n)) <= 1e-12 * np.linalg.norm(dp)
@@ -44,10 +45,9 @@ class TestReflect:
         rng = np.random.default_rng(0)
         h = ClassicalHamiltonian(euclidean(3), mass=[1.0, 2.0, 0.5])
         B = 10_000
-        q = rng.normal(size=(B, 3))
         p = rng.normal(size=(B, 3))
         n = rng.normal(size=(B, 3))
-        p1 = reflect(h, q, p, n)
+        p1 = reflect(h, p, n)
         minv = h.mass_inv
         e0 = 0.5 * np.einsum("bi,ij,bj->b", p, minv, p)
         e1 = 0.5 * np.einsum("bi,ij,bj->b", p1, minv, p1)
@@ -56,27 +56,37 @@ class TestReflect:
         cross = dp[:, 0] * n[:, 1] - dp[:, 1] * n[:, 0]
         assert np.max(np.abs(cross) / np.linalg.norm(dp, axis=1)) <= 1e-10
 
-    def test_tangential_incidence_raises(self):
-        h = ClassicalHamiltonian(euclidean(2))
-        with pytest.raises(GrazingEventError):
-            reflect(h, np.zeros(2), np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+    def test_tangential_momentum_is_unchanged(self):
+        # <H_p, n> = 0: nothing to reflect (billiard_trajectory refuses such
+        # grazing events before it reflects, see TestTrajectory)
+        h = ClassicalHamiltonian(euclidean(2), mass=[1.0, 4.0])
+        p = np.array([0.0, 1.0])
+        assert reflect(h, p, np.array([1.0, 0.0])).tobytes() == p.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_one_row_rounds_as_the_row_formula(self, dim, diagonal):
+        # the one-row form that reflect once kept beside its batched one:
+        # p - (2 <p, n> / <n, n>) n with <a, b> = a @ M^-1 @ b
+        rng = np.random.default_rng(20161018 + dim + 2 * diagonal)
+        mass = rng.uniform(0.25, 4.0, dim) if diagonal else None
+        h = ClassicalHamiltonian(euclidean(dim), mass=mass)
+        minv = h.mass_inv
+        for p, n in rng.normal(size=(5_000, 2, dim)):
+            ref = p - (2.0 * float(p @ minv @ n) / float(n @ minv @ n)) * n
+            assert reflect(h, p, n).tobytes() == ref.tobytes()
 
 
 @st.composite
 def reflection_rows(draw):
-    """Random SPD mass (eigenvalues in [1/4, 4]), rows (q, p, n), and one row
-    index with a grazing momentum: M^{-1} p orthogonal to n."""
+    """Random SPD mass (eigenvalues in [1/4, 4]) and momentum and conormal rows."""
     d = draw(st.integers(2, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     Qm, _ = np.linalg.qr(rng.normal(size=(d, d)))
     M = (Qm * rng.uniform(0.25, 4.0, d)) @ Qm.T
     M = 0.5 * (M + M.T)
-    q, p, n = rng.normal(size=(3, draw(st.integers(1, 8)), d))
-    k = draw(st.integers(0, len(p) - 1))
-    t = rng.normal(size=d)
-    p_graze = p.copy()
-    p_graze[k] = M @ (t - (t @ n[k]) / (n[k] @ n[k]) * n[k])
-    return M, q, p, n, k, p_graze
+    p, n = rng.normal(size=(2, draw(st.integers(1, 8)), d))
+    return M, p, n
 
 
 class TestReflectRows:
@@ -84,23 +94,18 @@ class TestReflectRows:
     @settings(max_examples=60, deadline=None, database=None)
     @given(reflection_rows())
     def test_batched_rows_match_one_row(self, case):
-        M, q, p, n, k, p_graze = case
+        M, p, n = case
         h = ClassicalHamiltonian(euclidean(len(M)), mass=M)
         minv = h.mass_inv
-        p1 = reflect(h, q, p, n)
+        p1 = reflect(h, p, n)
         e0 = 0.5 * np.einsum("bi,ij,bj->b", p, minv, p)
         e1 = 0.5 * np.einsum("bi,ij,bj->b", p1, minv, p1)
         assert np.max(np.abs(e1 - e0) / e0) <= 1e-12
         for i in range(len(p)):
-            one = reflect(h, q[i], p[i], n[i])
-            assert np.linalg.norm(p1[i] - one) <= 1e-14 * np.linalg.norm(one)
+            assert p1[i].tobytes() == reflect(h, p[i], n[i]).tobytes()
             dp = p1[i] - p[i]
             nn = n[i] / np.linalg.norm(n[i])
             assert np.linalg.norm(dp - (dp @ nn) * nn) <= 1e-10 * np.linalg.norm(dp)
-        with pytest.raises(GrazingEventError, match=f"at row {k}"):
-            reflect(h, q, p_graze, n)
-        with pytest.raises(GrazingEventError):
-            reflect(h, q[k], p_graze[k], n[k])
 
 
 class TestTrajectory:
@@ -190,8 +195,7 @@ class TestTrajectory:
         space = euclidean(2)
         v0 = np.array([0.5, -0.3])
         _, nor = DiagonalScatterer(space).frames(np.zeros(1))
-        p_after = reflect(ClassicalHamiltonian(space, mass=np.diag(m)), np.array([0.2, 0.8]),
-                          m * v0, nor[:, 0])
+        p_after = reflect(ClassicalHamiltonian(space, mass=np.diag(m)), m * v0, nor[:, 0])
         v1 = ((m[0] - m[1]) * v0[0] + 2 * m[1] * v0[1]) / m.sum()
         v2 = ((m[1] - m[0]) * v0[1] + 2 * m[0] * v0[0]) / m.sum()
         assert np.allclose(p_after, m * [v1, v2], atol=1e-12)
@@ -258,6 +262,67 @@ class TestMultiPointEntries:
         assert np.abs(ev.p_after - mirror).max() <= 1e-12 * np.linalg.norm(v)
 
 
+@st.composite
+def chart_stacks(draw):
+    """1 to 6 site charts of one scatterer (3 points on a 2- or 3-torus, or
+    the two-body diagonal of 2, 4 or 6 dimensions) at random sphere centers
+    and one eps, with chart coordinates U (n, dim) and momenta P (n, d)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 6))
+    eps = draw(st.sampled_from([1e-3, 1e-2, 0.05]))
+    if draw(st.booleans()):
+        d = draw(st.sampled_from([2, 3]))
+        scat = PointScatterer(flat_torus([1.0] * d), rng.uniform(0.0, 1.0, (3, d)))
+        refs = [int(i) for i in rng.integers(0, 3, n)]
+    else:
+        d = draw(st.sampled_from([2, 4, 6]))
+        scat = DiagonalScatterer(euclidean(d))
+        refs = list(rng.uniform(0.2, 0.8, (n, d // 2)))
+    charts = [billiard._SiteChart(scat, ref, SphereChart(rng.normal(size=scat.codim)), eps)
+              for ref in refs]
+    return charts, 0.3 * rng.normal(size=(n, charts[0].dim)), rng.normal(size=(n, d))
+
+
+class TestSiteChartRows:
+    """_SiteChart.rows, the one evaluation of the tube-chart geometry, rounds
+    each row as the one-chart forms (conftest.chart_point, chart_jacobian)."""
+
+    @seed(20161018)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(chart_stacks())
+    def test_rows_round_as_one_chart(self, case):
+        charts, U, _ = case
+        Q, J, _ = billiard._SiteChart.rows(charts, U)
+        for chart, u, q, jac in zip(charts, U, Q, J):
+            assert q.tobytes() == chart_point(chart, u).tobytes()
+            assert jac.tobytes() == chart_jacobian(chart, u).tobytes()
+            # the sphere columns are tangent to the sphere at s(sigma)
+            s = chart.sphere.value(u[chart.x_dim:])
+            _, nor = chart.scat.frames(chart_base(chart, u))
+            assert np.max(np.abs(s @ nor.T @ jac[:, chart.x_dim:]), initial=0.0) <= 1e-12
+
+    @seed(20161018)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.sampled_from([2, 3]), st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.sampled_from([1e-3, 1e-2, 0.05]))
+    def test_section_states_invert_the_rows(self, d, n, rng_seed, eps):
+        # section coordinates of tube points Q(xi) on the torus's point: xi
+        # again, and y = J^T p with the one-chart Jacobian there, to the bit
+        rng = np.random.default_rng(rng_seed)
+        scn = scenarios.torus_point_scenario(dim=d)
+        dom = BilliardDomain(scn.h, scn.scatterer, eps)
+        charts = [billiard._SiteChart(scn.scatterer, 0, SphereChart(rng.normal(size=d)), eps)
+                  for _ in range(n)]
+        U = 0.3 * rng.normal(size=(n, d - 1))
+        P = rng.normal(size=(n, d))
+        XI, Y = billiard._section_project(dom, charts, [chart_point(c, u) for c, u in
+                                                        zip(charts, U)], P)
+        assert np.max(np.abs(XI - U)) <= 1e-12
+        for chart, xi, p, y in zip(charts, XI, P, Y):
+            ref = chart_jacobian(chart, xi).T @ p
+            assert y.tobytes() == ref.tobytes()
+
+
 class TestGeneratingFunction:
     def test_exact_chord(self):
         # exact distance oracle between tube points across the winding
@@ -313,7 +378,7 @@ class TestTwoPointHessian:
         right = billiard._SiteChart(scn.scatterer, 0, SphereChart(cp), eps)
         link = billiard.TwoPointLink(scn.dl.link(k), left, right, eps)
         um, up = 0.3 * np.array(r[6:5 + dim]), 0.3 * np.array(r[8:7 + dim])
-        assert link._orbit(um, up).chord is not None   # the closed form applies
+        assert link_orbit(link, um, up).chord is not None   # the closed form applies
         exact, fd = _one_link_hessians(link, um, up)
         for he, hf in zip(exact, fd):
             assert np.allclose(he, hf, rtol=1e-6, atol=1e-10)
@@ -339,7 +404,7 @@ class TestTwoPointHessian:
         link = billiard.TwoPointLink(box, left, right, eps)
         um = np.zeros(0) if frozen_m else np.array([dm])
         up = np.zeros(0) if frozen_p else np.array([dp])
-        orbit = link._orbit(um, up)
+        orbit = link_orbit(link, um, up)
         assume(np.min(np.abs(orbit.chord)) > 1e-3 and orbit.tau > 0.05)
         exact, fd = _one_link_hessians(link, um, up)
         assert [h.shape for h in exact] == [h.shape for h in fd]
@@ -353,8 +418,8 @@ def _curvature_reference(chart, u, p):
     with s = v / n, v = c + T sigma, beta = T^T s, w = T^T (y - s (s.y))."""
     if isinstance(chart, billiard._FrozenChart):
         return np.zeros((0, 0))
-    _, sigma = chart.split(u)
-    _, nor = chart.scat.frames(chart.base_point(u))
+    sigma = np.asarray(u, dtype=float)[chart.x_dim:]
+    _, nor = chart.scat.frames(chart_base(chart, u))
     v = chart.sphere.center + chart.sphere.basis @ sigma
     n = np.linalg.norm(v)
     s = v / n
@@ -372,14 +437,8 @@ def _row_reference(link, um, up):
     """(value, D-, D+, D--, D-+, D++) of one tube link from its connector's
     CollisionOrbit: momenta pulled back through the chart Jacobians, and the
     chord Hessian with the charts' curvatures."""
-    orb = link._orbit(um, up)
-
-    def jac(chart, u):
-        if isinstance(chart, billiard._FrozenChart):
-            return np.zeros((chart.point.size, 0))
-        return chart.jacobian(u)
-
-    Jm, Jp = jac(link.left, um), jac(link.right, up)
+    orb = link_orbit(link, um, up)
+    Jm, Jp = chart_jacobian(link.left, um), chart_jacobian(link.right, up)
     K = bvp.chord_hessian(orb.h.mass, orb.chord, np.sqrt(2.0 * orb.E))
     KP = K * orb.parity
     return (float(orb.action), -Jm.T @ orb.p_minus, Jp.T @ orb.p_plus,
@@ -439,7 +498,7 @@ class TestTwoPointRows:
         jdl = dls.DiscreteLagrangian(links)
         jc = dls.ChainConfiguration(list(range(n + 1)), [np.array([u]) for u in us[:n]], "fixed")
         for j in range(n + 1):
-            orbit = jdl.links[j]._orbit(*jc.link_endpoints(j))
+            orbit = link_orbit(jdl.links[j], *jc.link_endpoints(j))
             assume(np.min(np.abs(orbit.chord)) > 1e-6)
         _assert_rows_match(jdl, jc)
 
@@ -503,8 +562,8 @@ class TestKeplerConnector:
         base = KeplerArcLink()
         left = billiard._SiteChart(scat, 0, SphereChart(np.array([1.0, 0.0])), 1e-3)
         right = billiard._SiteChart(scat, 1, SphereChart(np.array([0.0, 1.0])), 1e-3)
-        assert base.ambient_connect(left.ambient(np.zeros(1)), right.ambient(np.zeros(1)),
-                                    1e-3).chord is None
+        assert base.ambient_connect(chart_point(left, np.zeros(1)),
+                                    chart_point(right, np.zeros(1)), 1e-3).chord is None
         connects.clear()
         with pytest.raises(ShadowSolveError, match="KeplerArcLink.*no stacked chord form"):
             billiard.TwoPointLink(base, left, right, 1e-3)
@@ -542,6 +601,18 @@ class TestHonestConvergence:
         assert dls.residual_norm(dls.residual(sc.joint_dl, sc.joint_chain)) <= tol
 
 
+def _box_shadow_chain():
+    """Shadow chain at eps = 1e-3 of a fixed 4-link box chain (masses 1, 2)."""
+    scn = scenarios.two_ball_box_scenario(masses=(1.0, 2.0))
+    a, b = np.array([0.15, 0.85]), np.array([0.2, 0.8])
+    code = [(0, 0), (-1, 1), (-1, 1), (0, 0)]
+    res = dls.newton_chain(scenarios.box_fixed_lagrangian(scn, a, b, code),
+                           scenarios.box_fixed_chain(code, [np.array([0.55]), np.array([0.7]),
+                                                            np.array([0.6])]))
+    return shadow_solve(scenarios.box_fixed_lagrangian(scn, a, b, code, wall_margin=1e-3),
+                        res.chain, 1e-3)
+
+
 class TestShadowSolve:
     def test_alternating_code_converges_within_5eps(self):
         scn, chain = torus_setup()
@@ -556,6 +627,36 @@ class TestShadowSolve:
         chain = scn.chain([(1, 0), (2, 0)])
         with pytest.raises(ShadowSolveError):
             shadow_solve(scn.dl, chain, 1e-3)
+
+    def test_lagrangian_without_energy_refused(self):
+        # the tolerance is tol_factor * sqrt(2E): without an energy there is
+        # none to scale it by (an energy of 0.5 was once made up)
+        scn, chain = torus_setup()
+        dl = dls.DiscreteLagrangian(scn.dl.links, scatterer=scn.scatterer,
+                                    site_bases=scn.dl.site_bases)
+        with pytest.raises(ValueError, match="must carry its energy"):
+            shadow_solve(dl, chain, 1e-3)
+
+    def test_point_lagrangian_without_site_bases_refused(self):
+        # a point scatterer's sites are named by site_bases (once point 0 by default)
+        scn, chain = torus_setup()
+        dl = dls.DiscreteLagrangian(scn.dl.links, energy=scn.E, scatterer=scn.scatterer)
+        with pytest.raises(ValueError, match="must carry its site_bases"):
+            shadow_solve(dl, chain, 1e-3)
+
+    def test_returned_orbits_join_the_tube_points(self):
+        # one tube_points evaluation per family gives the ends of the orbits:
+        # the one-chart tube points of each link's slots, to the bit
+        scn, chain = torus_setup()
+        for sc in (shadow_solve(scn.dl, chain, 1e-3), _box_shadow_chain()):
+            for j, key in enumerate(sc.joint_chain.code):
+                link = sc.joint_dl.links[key]
+                um, up = sc.joint_chain.link_endpoints(j)
+                ref = link_orbit(link, um, up)
+                got = sc.orbits[j]
+                for a, b in ((got.q_minus, ref.q_minus), (got.q_plus, ref.q_plus),
+                             (got.path, ref.path), (got.p_minus, ref.p_minus)):
+                    assert a.tobytes() == b.tobytes()
 
     def test_critical_predictor_needs_no_iteration(self, monkeypatch):
         # the convex predictor of this chain is already critical, so a budget

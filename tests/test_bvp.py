@@ -17,6 +17,20 @@ def torus_h():
     return ClassicalHamiltonian(flat_torus([1.0, 1.0]))
 
 
+def straight_guess(h, qm, qp, E, direction=None, tau0=None):
+    """The shooting start that the backend once made up itself: the momentum
+    of speed sqrt(2 (E - W(q-))) along direction (the chord to q+ by
+    default), and tau0 or else the chord's length over that speed."""
+    qm, qp = np.asarray(qm, dtype=float), np.asarray(qp, dtype=float)
+    chord = qm + h.space.displacement(qm, qp) - qm      # target - q-, as the backend formed it
+    direction = chord if direction is None else np.asarray(direction, dtype=float)
+    speed = np.sqrt(2.0 * max(E - h.potential.value(qm), 1e-12))
+    p0 = h.mass @ (speed * direction / h.mass_norm(direction))
+    if tau0 is None:
+        tau0 = np.linalg.norm(chord) / max(np.sqrt(p0 @ h.mass_inv @ p0), 1e-12)
+    return {"p0": p0, "tau0": tau0}
+
+
 class TestConnect:
     def test_free_flight_unit(self):
         orb = bvp.connect(free_h(), [0.0, 0.0], [1.0, 0.0], 0.5)
@@ -67,7 +81,8 @@ class TestConnect:
     def test_shooting_harmonic_quarter(self):
         h = ClassicalHamiltonian(euclidean(2), HarmonicPotential())
         orb = bvp.connect(h, [1.0, 0.0], [0.0, 1.0], 1.0, backend="shooting",
-                          guess={"direction": np.array([-0.2, 1.0]), "tau0": np.pi / 2})
+                          guess=straight_guess(h, [1.0, 0.0], [0.0, 1.0], 1.0,
+                                               [-0.2, 1.0], np.pi / 2))
         assert np.linalg.norm(orb.path[-1] - [0.0, 1.0]) < 1e-9
 
     def test_shooting_callable_potential(self):
@@ -75,7 +90,8 @@ class TestConnect:
         pot = CallablePotential(lambda x: 0.5 * float(x @ x), grad=lambda x: x)
         h = ClassicalHamiltonian(euclidean(2), pot)
         orb = bvp.connect(h, [1.0, 0.0], [0.0, 1.0], 1.0, backend="shooting",
-                          guess={"direction": np.array([-0.2, 1.0]), "tau0": np.pi / 2})
+                          guess=straight_guess(h, [1.0, 0.0], [0.0, 1.0], 1.0,
+                                               [-0.2, 1.0], np.pi / 2))
         assert np.linalg.norm(orb.path[-1] - [0.0, 1.0]) < 1e-9
         assert orb.tau == pytest.approx(np.pi / 2, rel=1e-3)
 
@@ -88,6 +104,19 @@ class TestConnect:
         shot = bvp.connect(h, z[0], z[1], -1.0, label=(1, "short"), backend="shooting",
                            guess={"p0": arc.p_minus, "tau0": arc.tau})
         assert repr(shot.action) == "5.5516231957548845"
+
+    def test_shooting_needs_p0_and_tau0(self):
+        h = ClassicalHamiltonian(euclidean(2), HarmonicPotential())
+        guess = straight_guess(h, [1.0, 0.0], [0.0, 1.0], 1.0)
+        for partial in (None, {"p0": guess["p0"]}, {"tau0": guess["tau0"]}):
+            with pytest.raises(ValueError, match="guess with p0 and tau0"):
+                bvp.connect(h, [1.0, 0.0], [0.0, 1.0], 1.0, backend="shooting", guess=partial)
+
+    def test_auto_without_a_closed_form_refused(self):
+        # shooting is named, with its guess; auto picks closed forms only
+        h = ClassicalHamiltonian(euclidean(2), HarmonicPotential())
+        with pytest.raises(ValueError, match="no closed-form backend"):
+            bvp.connect(h, [1.0, 0.0], [0.0, 1.0], 1.0)
 
     def test_action_additivity(self):
         orb = bvp.connect(free_h(), [0, 0], [2.0, 1.0], 0.5)
@@ -105,7 +134,7 @@ class TestConnect:
 
 
 POINT = st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2).map(np.array)
-# distinct endpoints: equal ones have no guess direction and check nothing
+# distinct endpoints: equal ones have no chord to guess along and check nothing
 ENDS = st.tuples(POINT, POINT).filter(lambda e: np.linalg.norm(e[1] - e[0]) > 1e-3)
 
 
@@ -127,7 +156,8 @@ class TestShootingConvergence:
         tol, spu = bvp._SHOOT_TOL, 200.0
         try:
             with mock.patch.object(bvp, "_SHOOT_STEPS_PER_UNIT", spu):
-                orb = bvp.connect(h, qm, qp, E, backend="shooting")
+                orb = bvp.connect(h, qm, qp, E, backend="shooting",
+                                  guess=straight_guess(h, qm, qp, E))
         except bvp.ConnectError as exc:
             if "stalled" in str(exc) or "did not converge" in str(exc):
                 return
@@ -167,7 +197,7 @@ class TestShootingConvergence:
         qm, qp = np.array([-0.125, 0.628]), np.array([0.402, 0.0])
         E = h.potential.value(qm) + 0.05
         try:
-            bvp.connect(h, qm, qp, E, backend="shooting")
+            bvp.connect(h, qm, qp, E, backend="shooting", guess=straight_guess(h, qm, qp, E))
         except bvp.ConnectError:
             pass
         assert len(flown) > 2
@@ -291,7 +321,8 @@ class TestConjugate:
         # all unit-energy orbits from q0 refocus at -q0 after time pi
         h = ClassicalHamiltonian(euclidean(2), HarmonicPotential())
         orb = bvp.connect(h, [0.5, 0.0], [-0.5, 0.0], 1.0, backend="shooting",
-                          guess={"direction": np.array([0.0, 1.0]), "tau0": np.pi})
+                          guess=straight_guess(h, [0.5, 0.0], [-0.5, 0.0], 1.0,
+                                               [0.0, 1.0], np.pi))
         monkeypatch.setattr(bvp, "_CONJ_TOL", 1e-4)
         rep = bvp.conjugate_test(orb)
         assert not rep.nondegenerate

@@ -1,7 +1,8 @@
 """tools/knobs.py: no parameter with a default in src/ goes unset by every caller,
-no public name in src/ goes unnamed, no dataclass field goes unread, and no
-module imports a name it never uses. Callers are src/, perfbench/ and the
-acceptance gate: a setting that only unit tests pass is a module constant."""
+no public name in src/ goes unnamed, no dataclass field goes unread, no
+module imports a name it never uses, and no public parameter goes unread by
+its body. Callers are src/, perfbench/ and the acceptance gate: a setting
+that only unit tests pass is a module constant."""
 
 import importlib.util
 from pathlib import Path
@@ -27,6 +28,65 @@ ALLOWED = {
 # public names that only their own unit tests use: none, every public name
 # has a caller in src/, perfbench/ or the acceptance gate
 UNREFERENCED = {}
+
+
+# public parameters that their body never reads and that stay, each with its reason
+_RUNNER = ("the FAMILIES dispatch signature (cfg, out, jobs, seed) that "
+           "run_scenario calls every family runner with")
+UNREAD = {
+    "cli.run_torus_point(seed)": _RUNNER + "; the family draws nothing at random",
+    "cli.run_two_ball_torus(jobs)": _RUNNER + "; jobs waits for ROADMAP item 8",
+    "cli.run_two_ball_torus(seed)": _RUNNER + "; the family draws nothing at random",
+    "cli.run_two_ball_box(jobs)": _RUNNER + "; jobs waits for ROADMAP item 8",
+    "cli.run_ncenter(jobs)": _RUNNER + "; jobs waits for ROADMAP item 8",
+    "cli.run_ncenter(seed)": _RUNNER + "; the family draws nothing at random",
+    "cli.run_kepler_grid(jobs)": _RUNNER + "; jobs waits for ROADMAP item 8",
+    "cli.run_kepler_grid(seed)": _RUNNER + "; the family draws nothing at random",
+    "dls.LinkEvaluator.in_domain(XM)": "protocol default: every row in the domain",
+    "dls.LinkEvaluator.in_domain(XP)": "protocol default: every row in the domain",
+    "dynamics.ClassicalHamiltonian.velocity(q)": "the H_p(q, p) signature of a Hamiltonian",
+    "scenarios.TwoBallTorusScenario.generator(x)": "symmetry callback of dls.symmetry_field, "
+                                                   "constant on the translation orbit",
+}
+
+
+def test_every_public_parameter_is_read_or_allowed():
+    assert sorted(set(knobs.unread_parameters()) - set(UNREAD)) == []
+
+
+def test_unread_allowlist_names_only_unread_parameters():
+    assert sorted(set(UNREAD) - set(knobs.unread_parameters())) == []
+
+
+def test_unread_parameter_scan_rules(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "m.py").write_text(
+        "def f(a, b, *, c=0):\n"
+        "    return a + (lambda: c)()\n"
+        "def abstract(a):\n"
+        "    \"\"\"doc\"\"\"\n"
+        "    raise NotImplementedError\n"
+        "def _private(a):\n"
+        "    pass\n"
+        "class Base:\n"
+        "    def m(self, x, y):\n"
+        "        y = x\n"
+        "    @staticmethod\n"
+        "    def s(z):\n"
+        "        pass\n"
+        "    @classmethod\n"
+        "    def k(cls, w):\n"
+        "        return cls\n"
+        "    def _hidden(self, v):\n"
+        "        pass\n"
+        "class Sub(Base):\n"
+        "    def m(self, x, y):\n"
+        "        pass\n"
+        "class _Priv:\n"
+        "    def m(self, u):\n"
+        "        pass\n")
+    assert knobs.unread_parameters(tmp_path) == [
+        "m.f(b)", "m.Base.m(y)", "m.Base.s(z)", "m.Base.k(w)"]
 
 
 def test_every_public_name_is_used_or_allowed():

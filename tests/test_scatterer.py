@@ -100,12 +100,6 @@ class TestSphereChart:
         assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-14)
         assert np.allclose(chart.invert(s), sigma, atol=1e-12)
 
-    def test_jacobian_tangency(self):
-        chart = SphereChart(np.array([1.0, 1.0]) / np.sqrt(2))
-        J = chart.jacobian(np.array([0.1]))
-        s = chart.value(np.array([0.1]))
-        assert abs(s @ J[:, 0]) < 1e-12
-
     @seed(20160617)
     @settings(max_examples=200, deadline=None, database=None)
     @given(st.integers(2, 4), st.integers(0, 3), st.sampled_from([-1.0, 1.0]),

@@ -192,7 +192,8 @@ SQUARE_DIRS = [np.array(u, dtype=float) for u in ((1, 0), (0, 1), (-1, 0), (0, -
 def square_perturbation(mu, mass=None):
     space = euclidean(2)
     return SingularPerturbation(ClassicalHamiltonian(space, mass=mass),
-                                PointScatterer(space, scenarios.square_centers()), mu)
+                                PointScatterer(space, scenarios.square_centers()), mu,
+                                np.ones(4))
 
 
 def square_shooter(mu):
@@ -265,7 +266,7 @@ class TestLockstepKernel:
         # off by 1e-6 relative
         space = euclidean(2)
         sp = SingularPerturbation(ClassicalHamiltonian(space, mass=[1.0 + 1e-6, 1.0]),
-                                  PointScatterer(space, [[0.0, 0.0]]), 1e-3)
+                                  PointScatterer(space, [[0.0, 0.0]]), 1e-3, np.ones(1))
         P = np.array([[1.0, 0.5], [-0.3, 2.0]])
         expected = (sp.base.mass_inv @ P[..., None])[..., 0]
         assert np.array_equal(singular._PointCenterKernel(sp).velocity(P), expected)
@@ -274,15 +275,16 @@ class TestLockstepKernel:
         # the kernel has no term for a base potential, and V for point centers only
         space = euclidean(2)
         sp = SingularPerturbation(ClassicalHamiltonian(space, HarmonicPotential(1.0)),
-                                  PointScatterer(space, [[0.5, 0.0]]), 1e-2)
+                                  PointScatterer(space, [[0.5, 0.0]]), 1e-2, np.ones(1))
         with pytest.raises(ValueError, match="free flight"):
             singular._PointCenterKernel(sp)
         with pytest.raises(ValueError, match="point scatterer"):
-            SingularPerturbation(ClassicalHamiltonian(space), DiagonalScatterer(space), 1e-2)
+            SingularPerturbation(ClassicalHamiltonian(space), DiagonalScatterer(space), 1e-2,
+                                 np.ones(1))
         torus = flat_torus([1.0, 1.0])
         with pytest.raises(ValueError, match="Euclidean"):
             SingularPerturbation(ClassicalHamiltonian(torus),
-                                 PointScatterer(torus, [[0.5, 0.0]]), 1e-2)
+                                 PointScatterer(torus, [[0.5, 0.0]]), 1e-2, np.ones(1))
 
     @seed(20161018)
     @settings(max_examples=60, deadline=None, database=None)

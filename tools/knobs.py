@@ -22,7 +22,7 @@ a function are also given to each function it calls with its own `**kw`. A
 call through anything but a name or an attribute, say a dict lookup,
 reaches nothing.
 
-Three more reports follow. Unreferenced names: the public top-level
+Four more reports follow. Unreferenced names: the public top-level
 functions and classes and the public methods of public classes under src/
 that no caller names outside their own definition, so a name that only its
 own unit tests call is unreferenced. A name counts as a variable, an
@@ -32,7 +32,11 @@ definition of that name. Unread fields: the fields of the dataclasses under
 src/ that no code in src/, perfbench/ or tests/ reads, as an attribute or
 through getattr with a constant name; a read counts for every field of that
 name. Unused imports: the names a module under src/ imports and neither
-uses nor lists in its __all__.
+uses nor lists in its __all__. Unread parameters: the parameters (self and
+cls left out) of the public top-level functions and of the public methods
+of public classes under src/ that their body never reads as a name; the
+methods of a class that subclasses a class defined under src/ are skipped
+(they keep their base's signature), and so are bodies that only raise.
 """
 
 from __future__ import annotations
@@ -55,14 +59,18 @@ def _files(root: Path, top: str):
     return sorted((root / top).rglob("*.py"))
 
 
+def _last_name(node) -> Optional[str]:
+    """The name a name or attribute expression ends in, or None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
 def _callee(call: ast.Call):
     """The name a call's target ends in, or None."""
-    f = call.func
-    if isinstance(f, ast.Name):
-        return f.id
-    if isinstance(f, ast.Attribute):
-        return f.attr
-    return None
+    return _last_name(call.func)
 
 
 class _Defs(ast.NodeVisitor):
@@ -307,6 +315,51 @@ def unused_imports(root: Path = ROOT) -> list:
     return out
 
 
+def _only_raises(fn) -> bool:
+    """Is a function's body, its docstring left out, nothing but raise statements?"""
+    body = fn.body
+    if (body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        body = body[1:]
+    return bool(body) and all(isinstance(stmt, ast.Raise) for stmt in body)
+
+
+def _unread(fn, bound: bool) -> list:
+    """The parameters of fn that its body never loads as a name, bound
+    methods' first parameter (self or cls) left out."""
+    a = fn.args
+    params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs][int(bound):]
+    loaded = {n.id for n in ast.walk(fn)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [p for p in params if p not in loaded]
+
+
+def unread_parameters(root: Path = ROOT) -> list:
+    """module.qualname(param) of each parameter that a public function or a
+    public method of a public class under src/ never reads; classes that
+    subclass a src/ class and bodies that only raise are skipped."""
+    trees = [(path.stem, ast.parse(path.read_text())) for path in _files(root, "src")]
+    src_classes = {n.name for _, tree in trees for n in ast.walk(tree)
+                   if isinstance(n, ast.ClassDef)}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = []
+    for module, tree in trees:
+        for node in tree.body:
+            if not isinstance(node, functions + (ast.ClassDef,)) or node.name.startswith("_"):
+                continue
+            if isinstance(node, functions):
+                if not _only_raises(node):
+                    out += [f"{module}.{node.name}({p})" for p in _unread(node, False)]
+            elif not any(_last_name(b) in src_classes for b in node.bases):
+                for m in node.body:
+                    if (isinstance(m, functions) and not m.name.startswith("_")
+                            and not _only_raises(m)):
+                        bound = not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                        for d in m.decorator_list)
+                        out += [f"{module}.{node.name}.{m.name}({p})" for p in _unread(m, bound)]
+    return out
+
+
 def main() -> int:
     rows = scan()
     for qual, param, who in rows:
@@ -325,6 +378,10 @@ def main() -> int:
     for qual in imports:
         print(f"unused import: {qual}")
     print(f"unused imports: {len(imports)}")
+    params = unread_parameters()
+    for qual in params:
+        print(f"unread parameter: {qual}")
+    print(f"unread parameters: {len(params)}")
     return 0
 
 
