@@ -197,6 +197,16 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int) -> 
                 return mid
         return 0.5 * (lo + hi)
 
+    def widen(t, sign):
+        """t moved by -sign * width, 4x wider per step (60 at most), to sign * gap > 0."""
+        width = max(1e-12, 1e-9 * t)
+        for _ in range(60):
+            if sign * gap_at(t) > 0:
+                break
+            t -= sign * width
+            width *= 4
+        return t
+
     steps = 0
     while len(events) < n_bounces:
         steps += 1
@@ -209,21 +219,7 @@ def billiard_trajectory(dom: BilliardDomain, s0: PhaseState, n_bounces: int) -> 
                 raise EventSearchError("ray misses every tube")
             state = flight.advance(state, budget)
             continue
-        lo = t_entry
-        width = max(1e-12, 1e-9 * t_entry)
-        for _ in range(60):
-            if gap_at(lo) > 0:
-                break
-            lo -= width
-            width *= 4
-        hi = t_entry
-        width = max(1e-12, 1e-9 * t_entry)
-        for _ in range(60):
-            if gap_at(hi) < 0:
-                break
-            hi += width
-            width *= 4
-        hit = flight.advance(state, bisect(lo, hi))
+        hit = flight.advance(state, bisect(widen(t_entry, 1.0), widen(t_entry, -1.0)))
         normal = dom.normal(hit.q)
         v = h.velocity(hit.q, hit.p)
         if abs(v @ normal) < 1e-4 * np.linalg.norm(v) * np.linalg.norm(normal):
@@ -471,8 +467,8 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
     """Critical chain of the tube billiard near a critical chain of the limit.
 
     Starts from the convex predictor (tube directions aligned with the
-    momentum jumps of the limit chain, evaluated by family), then runs a
-    damped Newton on the joint residual in the variables (base point, tube
+    momentum jumps of the limit chain, evaluated by family), then runs
+    dls.damped_newton on the joint residual in the variables (base point, tube
     direction), re-centering the sphere charts at every step. The joint
     chain's links are TwoPointLink families, so residuals
     and Hessians are array expressions over the rows; the connectors'
@@ -499,79 +495,58 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
     tol = tol_factor * np.sqrt(2.0 * E)
 
     s_list = _predictor_directions(dl, c)
-    x_list = [_site_base(dl, c, i) for i in range(c.n_free)]
     if c.bc == "fixed":
-        ends = [_FrozenChart(_ambient_endpoint(dl, c, side)) for side in ("left", "right")]
+        if dl.ambient_endpoints is None:
+            raise ShadowSolveError("fixed chains need ambient endpoints on the Lagrangian")
+        ends = [_FrozenChart(q) for q in dl.ambient_endpoints(c)]
 
     def build(charts):
-        links = {}
-        code = []
-        n_sites = len(charts)
-        for j, k in enumerate(c.code):
-            if c.bc == "periodic":
-                lc = charts[j % n_sites]
-                rc = charts[(j + 1) % n_sites]
-            else:
-                lc = ends[0] if j == 0 else charts[j - 1]
-                rc = ends[1] if j == c.n_links - 1 else charts[j]
-            key = ("eps", j)
-            links[key] = TwoPointLink(dl.link(k), lc, rc, eps)
-            code.append(key)
+        """The joint Lagrangian and chain: link j joins sites[j] to sites[j + 1]."""
+        sites = charts + charts[:1] if c.bc == "periodic" else [ends[0], *charts, ends[1]]
+        code = [("eps", j) for j in range(c.n_links)]
+        links = {key: TwoPointLink(dl.link(k), sites[j], sites[j + 1], eps)
+                 for j, (key, k) in enumerate(zip(code, c.code))}
         jdl = dlsmod.DiscreteLagrangian(links, energy=E, scatterer=scat,
                                         name=(dl.name + f"/eps={eps:g}"))
         pts = [np.zeros(ch.dim) for ch in charts]
         return jdl, dlsmod.ChainConfiguration(code, pts, c.bc)
 
-    charts = [_SiteChart(scat, x, SphereChart(s), eps) for x, s in zip(x_list, s_list)]
-    jdl, jc = build(charts)
-    res = dlsmod.residual(jdl, jc)
-    rn = dlsmod.residual_norm(res)
-    it = 0
-    while rn > tol:
-        if it == _SHADOW_ITERS:
-            raise ShadowSolveError(f"shadow Newton did not converge: |r| = {rn:.3e}")
+    def step(state):
+        _, _, jdl, jc, res = state
         try:
-            step = dlsmod.hessian(jdl, jc).solve([-r for r in res])
+            return dlsmod.hessian(jdl, jc).solve([-r for r in res])
         except np.linalg.LinAlgError as exc:
             raise ShadowSolveError("singular joint Hessian") from exc
-        lam = 1.0
-        accepted = False
-        for _ in range(40):
-            trial_x, trial_s, charts_t = [], [], []
-            for i, ch in enumerate(charts):
-                du = lam * step[i]
-                dx, dsig = du[:ch.x_dim], du[ch.x_dim:]
-                trial_x.append(x_list[i] + dx if ch.x_dim else x_list[i])
-                trial_s.append(ch.sphere.value(dsig))
-                charts_t.append(_SiteChart(scat, trial_x[-1], SphereChart(trial_s[-1]), eps))
-            jdl_t, jc_t = build(charts_t)
-            try:
-                res_t = dlsmod.residual(jdl_t, jc_t)
-                rn_t = dlsmod.residual_norm(res_t)
-            except ConnectError:
-                # the trial point has no connecting chord: halve the step
-                rn_t = np.inf
-            if rn_t < rn:
-                charts, jdl, jc, res, rn = charts_t, jdl_t, jc_t, res_t, rn_t
-                x_list, s_list = trial_x, trial_s
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            raise ShadowSolveError(f"shadow Newton stalled at |r| = {rn:.3e}")
-        it += 1
 
-    boundary = [scat.boundary_point(x, s, eps) for x, s in zip(x_list, s_list)]
+    def trial(state, d, lam):
+        s_t, charts_t = [], []
+        for ch, du in zip(state[0], d):
+            du = lam * du
+            x = ch.base_ref + du[:ch.x_dim] if ch.x_dim else ch.base_ref
+            s_t.append(ch.sphere.value(du[ch.x_dim:]))
+            charts_t.append(_SiteChart(scat, x, SphereChart(s_t[-1]), eps))
+        jdl_t, jc_t = build(charts_t)
+        try:
+            res_t = dlsmod.residual(jdl_t, jc_t)
+        except ConnectError:
+            return None     # the trial point has no connecting chord
+        return (charts_t, s_t, jdl_t, jc_t, res_t), dlsmod.residual_norm(res_t)
+
+    charts = [_SiteChart(scat, _site_base(dl, c, i), SphereChart(s), eps)
+              for i, s in enumerate(s_list)]
+    jdl, jc = build(charts)
+    res = dlsmod.residual(jdl, jc)
+    (charts, s_list, jdl, jc, _), rn, it, status = dlsmod.run(dlsmod.damped_newton(
+        (charts, s_list, jdl, jc, res), dlsmod.residual_norm(res), lambda _, rn: rn <= tol,
+        step, trial, _SHADOW_ITERS, 40))
+    if status != "converged":
+        raise ShadowSolveError(f"shadow Newton {status}: |r| = {rn:.3e}")
+
+    boundary = [scat.boundary_point(ch.base_ref, s, eps) for ch, s in zip(charts, s_list)]
     orbits = [jdl.links[key].base.ambient_connect(qm, qp, eps)
               for key, (qm, qp) in zip(jc.code, dlsmod._per_link(jdl, jc, "tube_points"))]
     return ShadowChain(list(c.code), boundary, orbits, eps, c.bc, rn, jdl, jc,
                        diagnostics={"iterations": it, "tolerance": tol})
-
-
-def _ambient_endpoint(dl, c, side):
-    if dl.ambient_endpoints is None:
-        raise ShadowSolveError("fixed chains need ambient endpoints on the Lagrangian")
-    return dl.ambient_endpoints(c)[0 if side == "left" else 1]
 
 
 # ---------------------------------------------------------------------------

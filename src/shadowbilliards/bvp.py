@@ -10,7 +10,7 @@ momentum and travel time. Multiple connecting orbits between the same
 endpoints are never searched for: the caller disambiguates with an explicit
 label. A torus winding names a free-flight chord; a Kepler arc is named by
 a nonzero revolution count n, or by (n, "short") (kepler.J_n). The Kepler
-backend refuses n = 0 and coincident endpoints.
+backend refuses n = 0, any other arc name and coincident endpoints.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import dls as dlsmod
 from . import kepler as kp
 from .dynamics import (ClassicalHamiltonian, DomainError, KeplerPotential,
                        _verlet_steps)
@@ -145,14 +146,16 @@ def _kepler_connect(h: ClassicalHamiltonian, qm, qp, E, label) -> CollisionOrbit
     if E >= 0:
         raise DomainError("elliptic Kepler arcs need E < 0")
     n, arc = label if isinstance(label, tuple) else (label, "short")
+    if arc != "short":
+        raise ValueError(f"arc must be 'short', got {arc!r}")
     n = int(n)
     qm = np.asarray(qm, dtype=float)
     qp = np.asarray(qp, dtype=float)
     z = (qm, qp)
-    action = kp.J_n(E, z, n, arc)
-    tau = kp.travel_time(E, z, n, arc)
-    path = kp.sample_orbit(E, z, n, arc, num=_KEPLER_SAMPLES)
-    vm, vp = kp.arc_endpoint_velocities(E, z, n, arc)
+    action = kp.J_n(E, z, n)
+    tau = kp.travel_time(E, z, n)
+    path = kp.sample_orbit(E, z, n, num=_KEPLER_SAMPLES)
+    vm, vp = kp.arc_endpoint_velocities(E, z, n)
     return CollisionOrbit(h, E, qm, qp, float(action), float(tau), vm, vp, path,
                           label=label)
 
@@ -203,8 +206,8 @@ _SHOOT_STEPS_PER_UNIT = 800.0   # Verlet steps per unit time of each flight
 
 def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess,
                       label=None) -> CollisionOrbit:
-    """Newton on (p-, tau) to the endpoint on the energy shell, at most 60
-    steps, from the guess {"p0": initial momentum, "tau0": travel time}
+    """dls.damped_newton on (p-, tau) to the endpoint on the energy shell, at
+    most 60 steps, from the guess {"p0": initial momentum, "tau0": travel time}
     (ValueError without both); path, p+ and action are the accepted Newton
     flight's. At 800 steps per unit time p+ meets the energy to 1e-9, a tenth
     of the CollisionOrbit check, on 180 kepler_xcheck arcs (6.4e-9 at 500)."""
@@ -223,34 +226,32 @@ def _shooting_connect(h: ClassicalHamiltonian, qm, qp, E, guess,
         q_end, flight = _flow_to(h, qm, p, tau, _SHOOT_STEPS_PER_UNIT)
         return np.concatenate([q_end - target, [h.energy(qm, p) - E]]), flight
 
-    def converged(r):
-        return (np.linalg.norm(r[:d]) <= _SHOOT_TOL * scale
-                and abs(r[d]) <= _SHOOT_TOL * max(1.0, abs(E)))
+    def done(state, rn):
+        return (np.linalg.norm(state[2][:d]) <= _SHOOT_TOL * scale
+                and abs(state[2][d]) <= _SHOOT_TOL * max(1.0, abs(E)))
 
-    r, flight = residual(p, tau)
-    it = 0
-    while not converged(r):
-        if it == _SHOOT_ITERS:
-            raise ConnectError(f"shooting Newton did not converge: |r| = {np.linalg.norm(r):.2e}")
+    def step(state):
+        p, tau, r, _ = state
         J = _shooting_jacobian(h, qm, p, tau, _SHOOT_STEPS_PER_UNIT)
         try:
-            step = np.linalg.solve(J, -r)
+            return np.linalg.solve(J, -r)
         except np.linalg.LinAlgError as exc:
             raise ConjugateError("singular shooting Jacobian (conjugate endpoints)") from exc
-        lam = 1.0
-        for _ in range(30):
-            p_new = p + lam * step[:d]
-            tau_new = tau + lam * step[d]
-            if 0 < tau_new <= 2 * tau:   # no trial flight longer than twice the last
-                r_new, flight_new = residual(p_new, tau_new)
-                if np.linalg.norm(r_new) < np.linalg.norm(r):
-                    break
-            lam *= 0.5
-        else:
-            raise ConnectError("shooting Newton stalled (no descent step)")
-        p, tau, r, flight = p_new, tau_new, r_new, flight_new
-        it += 1
-    p_plus, path, action = flight
+
+    def trial(state, dz, lam):
+        p, tau, _, _ = state
+        p_new = p + lam * dz[:d]
+        tau_new = tau + lam * dz[d]
+        if not 0 < tau_new <= 2 * tau:   # no trial flight longer than twice the last
+            return None
+        r_new, flight_new = residual(p_new, tau_new)
+        return (p_new, tau_new, r_new, flight_new), np.linalg.norm(r_new)
+
+    r, flight = residual(p, tau)
+    (p, tau, _, (p_plus, path, action)), rn, _, status = dlsmod.run(dlsmod.damped_newton(
+        (p, tau, r, flight), np.linalg.norm(r), done, step, trial, _SHOOT_ITERS, 30))
+    if status != "converged":
+        raise ConnectError(f"shooting Newton {status}: |r| = {rn:.2e}")
     return CollisionOrbit(h, E, qm, qp, float(action), float(tau), p, p_plus, path,
                           label=label)
 
@@ -263,7 +264,7 @@ def connect(h: ClassicalHamiltonian, q_minus, q_plus, E: float, guess=None,
             label=None, backend: str = "auto") -> CollisionOrbit:
     """Energy-E orbit from q_minus to q_plus for the branch named by the label.
 
-    Labels: torus winding vector for free flight; n or (n, arc) for the
+    Labels: torus winding vector for free flight; n or (n, "short") for the
     Kepler backend. backend='auto' picks the closed form that applies (ValueError
     where none does); 'shooting' needs a guess with p0 and tau0.
     """

@@ -164,8 +164,6 @@ def load_scenario(path: str) -> dict:
 def _fmt(x) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, float) and (np.isnan(x)):
-        return "nan"
     return format(float(x), ".17g")
 
 

@@ -16,6 +16,7 @@ cross-check.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -270,8 +271,49 @@ def hessian(dl: DiscreteLagrangian, c: ChainConfiguration) -> BlockTridiagonalFa
 
 
 # ---------------------------------------------------------------------------
-# Newton solver
+# Damped Newton: one driver for every solver of the package
 # ---------------------------------------------------------------------------
+
+def damped_newton(state, rn, done, step, trial, iterations: int, trials: int):
+    """Damped Newton from state, of residual norm rn, as a generator.
+
+    Per iteration d = step(state), then trial(state, d, lam) at lam = 1, 1/2,
+    ... (at most `trials`) until one returns (state', rn') with rn' < rn; None
+    is a refused trial. Returns (state, rn, iterations, status): "converged"
+    once done(state, rn), "did not converge" after `iterations` steps, or
+    "stalled". Generator callbacks pass their yields on to the consumer
+    (singular._lockstep); run() drives a Newton whose callbacks do not yield.
+    """
+    it = 0
+    while not done(state, rn):
+        if it == iterations:
+            return state, rn, it, "did not converge"
+        d = step(state)
+        if inspect.isgenerator(d):
+            d = yield from d
+        lam = 1.0
+        for _ in range(trials):
+            out = trial(state, d, lam)
+            if inspect.isgenerator(out):
+                out = yield from out
+            if out is not None and out[1] < rn:
+                break
+            lam *= 0.5
+        else:
+            return state, rn, it, "stalled"
+        state, rn = out
+        it += 1
+    return state, rn, it, "converged"
+
+
+def run(newton):
+    """What a damped_newton whose callbacks do not yield returns."""
+    try:
+        newton.send(None)
+    except StopIteration as stop:
+        return stop.value
+    raise TypeError("a Newton callback yielded: drive it from its consumer")
+
 
 @dataclass
 class NewtonResult:
@@ -290,48 +332,45 @@ def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
                  allow_singular: bool = False) -> NewtonResult:
     """Damped Newton on the chain residual, each step one solve of the chain matrix.
 
-    Runs to a sup-norm residual of 1e-10 in at most 60 iterations; the step
-    is halved until the sup-norm of the residual decreases, at most 40 times
-    per iteration. The start chain and the returned chain must lie in the
-    domains of their branches (else ChainDomainError); the line search does
-    not check the trials. A chain without free coordinates is already
-    critical and is returned unchanged.
+    Runs damped_newton to a sup-norm residual of 1e-10 in at most 60
+    iterations of at most 41 trials (40 halvings). The start chain and the
+    returned chain must lie in the domains of their branches (else
+    ChainDomainError); the line search does not check the trials. A chain
+    without free coordinates is already critical and is returned unchanged.
     A singular Hessian raises unless allow_singular is set, in which case the
     minimal-norm step is taken (useful on unreduced symmetric systems, whose
     critical chains come in group orbits). A non-finite Hessian raises
     LinAlgError.
     """
-    c = c0
-    if c.n_free == 0 or all(x.size == 0 for x in c.points):
-        return NewtonResult(c, 0.0, np.inf, 0, True)
-    _check_domains(dl, c)
-    res = residual(dl, c)
-    rn = residual_norm(res)
-    it = 0
-    while rn > _NEWTON_TOL and it < 60:
+    if c0.n_free == 0 or all(x.size == 0 for x in c0.points):
+        return NewtonResult(c0, 0.0, np.inf, 0, True)
+    _check_domains(dl, c0)
+
+    def step(state):
+        c, res = state
         H = hessian(dl, c)
         try:
-            step = H.solve([-r for r in res])
+            return H.solve([-r for r in res])
         except np.linalg.LinAlgError as exc:
             if not allow_singular:
-                raise NewtonError(f"singular chain Hessian at iteration {it}") from exc
+                raise NewtonError("singular chain Hessian") from exc
             flat, *_ = np.linalg.lstsq(H.matrix, -np.concatenate(res), rcond=None)
-            step = split_blocks(flat, H.dims)
-        lam = 1.0
-        for _ in range(_NEWTON_HALVINGS + 1):
-            trial = c.with_points([x + lam * s for x, s in zip(c.points, step)])
-            res_t = residual(dl, trial)
-            rn_t = residual_norm(res_t)
-            if rn_t < rn:
-                break
-            lam *= 0.5
-        else:
-            raise NewtonError(f"no descent after {_NEWTON_HALVINGS} halvings (|r| = {rn:.2e})")
-        c, res, rn = trial, res_t, rn_t
-        it += 1
+            return split_blocks(flat, H.dims)
+
+    def trial(state, d, lam):
+        c = state[0].with_points([x + lam * s for x, s in zip(state[0].points, d)])
+        res = residual(dl, c)
+        return (c, res), residual_norm(res)
+
+    res = residual(dl, c0)
+    (c, _), rn, it, status = run(damped_newton(
+        (c0, res), residual_norm(res), lambda _, rn: rn <= _NEWTON_TOL, step, trial,
+        60, _NEWTON_HALVINGS + 1))
+    if status == "stalled":
+        raise NewtonError(f"no descent after {_NEWTON_HALVINGS} halvings (|r| = {rn:.2e})")
     _check_domains(dl, c)
     sigma = float(np.linalg.svd(hessian(dl, c).matrix, compute_uv=False)[-1])
-    return NewtonResult(c, rn, sigma, it, rn <= _NEWTON_TOL)
+    return NewtonResult(c, rn, sigma, it, status == "converged")
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +405,17 @@ def hyperbolicity_certificate(dl: DiscreteLagrangian, c: ChainConfiguration,
     The certificate is the stabilized value of C_W over a geometric range of
     half-widths W: the last two bounds agree to 5% relative. Growth without
     stabilization signals a kernel direction (an unreduced symmetry) or
-    non-hyperbolicity.
+    non-hyperbolicity. The half-widths must be strictly increasing integers
+    >= 0 (else ValueError): a repeated or shrinking window certifies nothing.
     """
-    windows = tuple(int(W) for W in windows)
-    norms = [inverse_inf_norm(links) for links in _windows(dl, c, 0, windows)]
+    widths = tuple(int(W) for W in windows)
+    if not widths or widths != tuple(windows) or widths[0] < 0 \
+            or any(b <= a for a, b in zip(widths, widths[1:])):
+        raise ValueError(f"windows must be strictly increasing integers >= 0, got {windows}")
+    norms = [inverse_inf_norm(links) for links in _windows(dl, c, 0, widths)]
     rel = abs(norms[-1] - norms[-2]) / max(norms[-2], 1e-300) if len(norms) > 1 else np.inf
     stab = rel <= 0.05
-    return CertificateResult(windows, tuple(norms), stab,
+    return CertificateResult(widths, tuple(norms), stab,
                              norms[-1] if stab else None, float(rel))
 
 

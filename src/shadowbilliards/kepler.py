@@ -12,7 +12,7 @@ reduces every elliptic arc to that normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -147,14 +147,6 @@ def simple_arc_candidates(xm, xp) -> List[SimpleArc]:
     return arcs
 
 
-def select_arc(arcs: Sequence[SimpleArc], arc: str) -> SimpleArc:
-    """The least-action ("short") arc of arcs, which simple_arc_candidates
-    sorts by action; "short" is the one arc name."""
-    if arc != "short":
-        raise ValueError(f"arc must be 'short', got {arc!r}")
-    return arcs[0]
-
-
 # ---------------------------------------------------------------------------
 # Multi-revolution actions at energy h < 0
 # ---------------------------------------------------------------------------
@@ -171,50 +163,48 @@ def _scaled_endpoints(h: float, z) -> Tuple[np.ndarray, np.ndarray]:
     return zm, zp
 
 
-def J_n(h: float, z, n: int, arc: str = "short") -> float:
+def J_n(h: float, z, n: int) -> float:
     """Maupertuis action of the n-extra-revolution Kepler orbit joining z = (x-, x+).
 
     Equals (-2h)^{-1/2} (2 pi |n| + sgn(n) f) where f is the action of the
-    simple arc chosen by select_arc ("short") after scaling the
-    endpoints by -2h. Positive n traverses the arc's own sense plus n full
-    loops; negative n runs the complementary way. n = 0 and coincident
+    least-action simple arc (simple_arc_candidates(...)[0]) after scaling
+    the endpoints by -2h. Positive n traverses the arc's own sense plus n
+    full loops; negative n runs the complementary way. n = 0 and coincident
     endpoints are refused.
     """
     if n == 0:
-        raise ValueError("n = 0 is the simple arc; take "
-                         "select_arc(simple_arc_candidates(...)).action")
+        raise ValueError("n = 0 is the simple arc; take simple_arc_candidates(...)[0].action")
     zm, zp = _scaled_endpoints(h, z)
-    f = select_arc(simple_arc_candidates(zm, zp), arc).action
+    f = simple_arc_candidates(zm, zp)[0].action
     return float((-2.0 * h) ** (-0.5) * (2 * np.pi * abs(n) + np.sign(n) * f))
 
 
-def travel_time(h: float, z, n: int, arc: str = "short") -> float:
+def travel_time(h: float, z, n: int) -> float:
     """Time of flight of the same orbit: a^{3/2} (2 pi |n| + sgn(n) m_arc)."""
     if n == 0:
         raise ValueError("n = 0 not supported")
     zm, zp = _scaled_endpoints(h, z)
-    m = select_arc(simple_arc_candidates(zm, zp), arc).mean_span
+    m = simple_arc_candidates(zm, zp)[0].mean_span
     a = 1.0 / (-2.0 * h)
     return float(a ** 1.5 * (2 * np.pi * abs(n) + np.sign(n) * m))
 
 
-def arc_endpoint_velocities(h: float, z, n: int, arc: str = "short"):
+def arc_endpoint_velocities(h: float, z, n: int):
     """Physical endpoint velocities of the energy-h orbit joining z = (x-, x+)."""
     zm, zp = _scaled_endpoints(h, z)
-    chosen = select_arc(simple_arc_candidates(zm, zp), arc)
+    chosen = simple_arc_candidates(zm, zp)[0]
     scale = np.sqrt(-2.0 * h)  # velocity scales like a^{-1/2}
     sense = 1 if n >= 0 else -1
     return scale * sense * chosen.v_minus, scale * sense * chosen.v_plus
 
 
-def sample_orbit(h: float, z, n: int, arc: str = "short",
-                 num: int = 513) -> np.ndarray:
+def sample_orbit(h: float, z, n: int, num: int = 513) -> np.ndarray:
     """Sampled path of the energy-h orbit (for quadrature cross-checks)."""
     if n == 0:
         raise ValueError("n = 0 not supported")
     zm, zp = _scaled_endpoints(h, z)
     a = 1.0 / (-2.0 * h)
-    chosen = select_arc(simple_arc_candidates(zm, zp), arc)
+    chosen = simple_arc_candidates(zm, zp)[0]
     if n > 0:
         return a * chosen.sample(num, extra_revolutions=n)
     flipped = SimpleArc(chosen.ellipse, chosen.u_minus, chosen.u_plus,

@@ -509,43 +509,40 @@ class _ChainShooting:
             f"finite differences infeasible at node {pending[0] // per}")
 
     def newton(self):
-        """Newton with a halving line search: (U, |R|, iterations, dmin, paths).
+        """dls.damped_newton over the flights: (U, |R|, iterations, dmin, paths).
 
-        Stops at |R| <= 1e-8 sqrt(2E) or after 30 iterations, and accepts up
-        to 30 times that residual. A full-step trial flies its Jacobian's
-        stencil too, kept if accepted."""
+        Stops at |R| <= 1e-8 sqrt(2E) or after 30 iterations of 25 trials,
+        accepts up to 30 times that residual, and refuses a trial whose flight
+        fails or passes a center inside r_p / 5. A full-step trial flies its
+        Jacobian's stencil too, kept if accepted."""
         tol, scale = 1e-8, self.speed
-        U = self.predictor()
-        R, dmin, paths, stencil = yield from self.residual(U, _FD_REL)
-        rn = np.linalg.norm(R, ord=np.inf)
         dmin_floor = min(dd.r_p for dd in self.defl) / 5.0
-        it = 0
-        while rn > tol * scale and it < 30:
+
+        def step(state):
+            U, R, _, _, stencil = state
             J = yield from self.jacobian(U, _FD_REL, stencil)
             try:
-                step = np.linalg.solve(J, -R)
+                return np.linalg.solve(J, -R)
             except np.linalg.LinAlgError as exc:
                 raise SingularShadowError("singular shooting Jacobian") from exc
-            lam = 1.0
-            for _ in range(25):
-                try:
-                    flown = yield from self.residual(U + lam * step,
-                                                     _FD_REL if lam == 1.0 else None)
-                except (SingularShadowError, ExclusionRadiusError):
-                    lam *= 0.5
-                    continue
-                rn_t = np.linalg.norm(flown[0], ord=np.inf)
-                if rn_t < rn and flown[1] >= dmin_floor:
-                    break
-                lam *= 0.5
-            else:
-                if rn <= 30 * tol * scale:
-                    break  # stalled at the finite-difference noise floor
-                raise SingularShadowError(f"no descent (|R| = {rn:.2e})")
-            U, rn, (R, dmin, paths, stencil) = U + lam * step, rn_t, flown
-            it += 1
-        if rn > 30 * tol * scale:
-            raise SingularShadowError(f"Newton did not converge: |R| = {rn:.2e}")
+
+        def trial(state, dU, lam):
+            U = state[0] + lam * dU
+            try:
+                flown = yield from self.residual(U, _FD_REL if lam == 1.0 else None)
+            except (SingularShadowError, ExclusionRadiusError):
+                return None
+            if flown[1] >= dmin_floor:
+                return (U, *flown), np.linalg.norm(flown[0], ord=np.inf)
+            return None
+
+        U = self.predictor()
+        R, dmin, paths, stencil = yield from self.residual(U, _FD_REL)
+        (U, _, dmin, paths, _), rn, it, status = yield from dlsmod.damped_newton(
+            (U, R, dmin, paths, stencil), np.linalg.norm(R, ord=np.inf),
+            lambda _, rn: rn <= tol * scale, step, trial, 30, 25)
+        if rn > 30 * tol * scale:   # above the finite-difference noise floor
+            raise SingularShadowError(f"Newton {status}: |R| = {rn:.2e}")
         return U, rn, it, dmin, paths
 
     def solve(self):

@@ -230,8 +230,8 @@ def test_09_kepler_cross_checks():
     for h in (-2.0, -1.0, -0.1):
         for n in (1, -2, 3):
             for z in z_grid:
-                J = kp.J_n(h, z, n, "short")
-                path = kp.sample_orbit(h, z, n, "short", num=200_001)
+                J = kp.J_n(h, z, n)
+                path = kp.sample_orbit(h, z, n, num=200_001)
                 r = np.linalg.norm(path, axis=1)
                 seg = np.linalg.norm(np.diff(path, axis=0), axis=1)
                 integ = np.sqrt(2.0 / r + 2.0 * h)
@@ -246,14 +246,14 @@ def test_09_kepler_cross_checks():
         lo, hi = kp.split_feasible_interval(z, a1, a2, E)
         pad = 1e-9 * (hi - lo)
         ts = np.linspace(lo + pad, hi - pad, 3001)
-        vals = [a1 * kp.J_n(t, z, k[0], "short")
-                + a2 * kp.J_n((E - a1 * t) / a2, z, k[1], "short") for t in ts]
+        vals = [a1 * kp.J_n(t, z, k[0])
+                + a2 * kp.J_n((E - a1 * t) / a2, z, k[1]) for t in ts]
         i = int(np.argmin(vals))
         aa, bb = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
 
         def g(t, k=k, a1=a1, a2=a2, E=E, z=z):
-            return a1 * kp.J_n(t, z, k[0], "short") \
-                + a2 * kp.J_n((E - a1 * t) / a2, z, k[1], "short")
+            return a1 * kp.J_n(t, z, k[0]) \
+                + a2 * kp.J_n((E - a1 * t) / a2, z, k[1])
 
         invphi = (np.sqrt(5) - 1) / 2
         c1, c2 = bb - invphi * (bb - aa), aa + invphi * (bb - aa)

@@ -4,6 +4,7 @@ from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from conftest import FunctionLink, central_diff, dense_chain_matrix
 from shadowbilliards import dls, scenarios
+from shadowbilliards.billiard import shadow_solve
 from shadowbilliards.dls import (ChainConfiguration, DiscreteLagrangian, NewtonError,
                                  admissible, chain_action, green_decay, hessian,
                                  hyperbolicity_certificate, newton_chain,
@@ -306,6 +307,92 @@ class TestNewton:
         assert res.chain is chain
 
 
+def atan_newton(x0, a, iterations, trials, tol, refused, digits=None):
+    """dls.damped_newton on f(x) = atan(x - a), |f| as the norm (rounded to
+    `digits`, so that norms tie), with a log of every step and trial; the
+    trials at lam = 2^-k for k in `refused` return None however low their
+    norm. Each state is (x, its log index)."""
+    log = []
+
+    def norm(x):
+        return abs(np.arctan(x - a)) if digits is None else round(abs(np.arctan(x - a)), digits)
+
+    def step(state):
+        log.append(("step", state))
+        return -np.arctan(state[0] - a) * (1.0 + (state[0] - a) ** 2)
+
+    def trial(state, d, lam):
+        x = state[0] + lam * d
+        out = ((x, len(log)), norm(x))
+        log.append(("trial", None if round(-np.log2(lam)) in refused else out, lam))
+        return log[-1][1]
+
+    start = ((x0, -1), norm(x0))
+    return start, log, dls.run(dls.damped_newton(*start, lambda _, rn: rn <= tol, step,
+                                                 trial, iterations, trials))
+
+
+class TestDampedNewton:
+    """The one damped Newton driver of the package, on a toy problem."""
+
+    @seed(20161026)
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.floats(-30.0, 30.0), st.floats(-5.0, 5.0), st.integers(0, 8),
+           st.integers(1, 6), st.sampled_from([1e-12, 1e-6, 1e-2, 0.0]),
+           st.sets(st.integers(0, 5)), st.sampled_from([None, 1, 3]))
+    @example(0.0, 0.0, 3, 2, 1e-12, set(), None)        # converged at the start
+    @example(3.0, 0.0, 20, 6, 1e-12, set(), None)       # full steps overshoot, halvings converge
+    @example(3.0, 0.0, 20, 6, 1e-12, {0, 1, 3}, None)   # lam 1 and 1/2 refused: budget spent
+    @example(3.0, 0.0, 1, 6, 1e-12, set(), None)        # the iteration budget runs out
+    @example(3.0, 0.0, 0, 6, 1e-12, set(), None)        # no iteration allowed
+    @example(3.0, 0.0, 8, 3, 1e-12, {0, 1, 2}, None)    # every trial refused: stalled
+    @example(3.0, 0.0, 8, 1, 1e-12, set(), None)        # one trial, no descent: stalled
+    @example(1.5, 0.0, 8, 6, 1e-12, set(), 1)           # the full step only ties its norm
+    @example(0.5, 0.0, 60, 6, 0.0, set(), None)         # a zero tolerance, met exactly
+    def test_contract(self, x0, a, iterations, trials, tol, refused, digits):
+        (state0, rn0), log, (state, rn, it, status) = atan_newton(
+            x0, a, iterations, trials, tol, refused, digits)
+        assert status in ("converged", "stalled", "did not converge")
+        assert (status == "converged") == (rn <= tol)
+        segments = []       # per step: the state it was taken at, its trials
+        for entry in log:
+            if entry[0] == "step":
+                segments.append((entry[1], []))
+            else:
+                segments[-1][1].append(entry[1:])
+        assert len(segments) <= iterations
+        current, current_rn, accepted = state0, rn0, 0
+        for i, (at, trials_made) in enumerate(segments):
+            assert at is current
+            assert 1 <= len(trials_made) <= trials
+            assert [lam for _, lam in trials_made] == [0.5 ** k for k in range(len(trials_made))]
+            # a refused trial (None) or one not lower never ends the line search
+            assert all(out is None or out[1] >= current_rn for out, _ in trials_made[:-1])
+            last = trials_made[-1][0]
+            if last is not None and last[1] < current_rn:
+                current, current_rn, accepted = last[0], last[1], accepted + 1
+            else:
+                assert (status, i, len(trials_made)) == ("stalled", len(segments) - 1, trials)
+        assert state is current and rn == current_rn and it == accepted
+        if status == "did not converge":
+            assert it == iterations
+
+    def test_yields_pass_through_and_run_refuses_them(self):
+        def step(x):
+            return (yield "jacobian")        # the consumer answers with the step
+
+        def trial(x, d, lam):
+            return x + lam * d, abs(x + lam * d)
+
+        newton = dls.damped_newton(1.0, 1.0, lambda _, rn: rn == 0.0, step, trial, 2, 1)
+        assert newton.send(None) == "jacobian"
+        with pytest.raises(StopIteration) as stop:
+            newton.send(-1.0)
+        assert stop.value.value == (0.0, 0.0, 1, "converged")
+        with pytest.raises(TypeError, match="yielded"):
+            dls.run(dls.damped_newton(1.0, 1.0, lambda _, rn: rn == 0.0, step, trial, 2, 1))
+
+
 def window_matrix(dl, chain, center, W):
     """Dense matrix of the Dirichlet window of half-width W at site `center`
     of a periodic chain: the open chain of its links center-W-1 ... center+W."""
@@ -343,6 +430,16 @@ class TestCertificate:
         (d11, _, d22), = dls._per_link(dl, chain, "hessians")
         assert cert0.norms[0] == pytest.approx(
             np.max(np.sum(np.abs(np.linalg.inv(d22 + d11)), axis=1)), rel=1e-12)
+        assert not cert.stabilized and not cert0.stabilized
+
+    @pytest.mark.parametrize("windows", [(2, 2), (16, 1), (-1, 2), (1, 2.5), ()])
+    def test_windows_that_cannot_certify_refused(self, windows):
+        # on the shipped torus_point shadow chain at eps = 1e-2, (2, 2) once
+        # returned stabilized=True with rel_change 0.0, and (16, 1) with 2.5e-5
+        scn = scenarios.torus_point_scenario()
+        sc = shadow_solve(scn.dl, scn.chain([(1, 0), (0, 1)]), 1e-2)
+        with pytest.raises(ValueError, match="strictly increasing integers >= 0"):
+            hyperbolicity_certificate(sc.joint_dl, sc.joint_chain, windows)
 
 
 class TestGreenDecay:

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from shadowbilliards import kepler as kp
+from shadowbilliards import bvp, kepler as kp
+from shadowbilliards.dynamics import ClassicalHamiltonian, KeplerPotential, euclidean
 
 
-def quad_action(h, z, n, arc, num=200_001):
+def quad_action(h, z, n, num=200_001):
     """Independent oracle: trapezoid quadrature of sqrt(2/|x| + 2h) |dx|."""
-    return trapezoid_action(kp.sample_orbit(h, z, n, arc, num=num), h)
+    return trapezoid_action(kp.sample_orbit(h, z, n, num=num), h)
 
 
 def trapezoid_action(path, h):
@@ -33,7 +34,7 @@ class TestArcAction:
         J1 = kp.J_n(-0.5, z, 1)
         J2 = kp.J_n(-0.5, z, 2)
         assert J2 - J1 == pytest.approx(2 * np.pi, rel=1e-13)
-        assert J1 == pytest.approx(quad_action(-0.5, z, 1, "short", num=400_001), rel=1e-8)
+        assert J1 == pytest.approx(quad_action(-0.5, z, 1, num=400_001), rel=1e-8)
 
     def test_swap_symmetry(self):
         xm = np.array([0.9, 0.1])
@@ -42,21 +43,12 @@ class TestArcAction:
         arcs_bwd = sorted(a.action for a in kp.simple_arc_candidates(xp, xm))
         assert np.allclose(arcs_fwd, arcs_bwd, rtol=1e-11)
 
-    def test_ambiguous_without_discriminator(self):
-        # the arc is named "short", the least-action candidate; no choice is refused
-        xm = np.array([0.9, 0.0])
-        xp = np.array([0.0, 1.0])
-        arcs = kp.simple_arc_candidates(xm, xp)
-        with pytest.raises(ValueError, match="'short', got None"):
-            kp.select_arc(arcs, None)
-        assert kp.select_arc(arcs, "short").action == min(a.action for a in arcs)
-
     @pytest.mark.parametrize("arc, named", [("Short", "'Short'"), (7, "7"), (0, "0")])
     def test_unknown_arc_named(self, arc, named):
-        z = (np.array([0.22, 0.0]), np.array([0.0, 0.28]))
-        for fn in (kp.J_n, kp.travel_time, kp.sample_orbit, kp.arc_endpoint_velocities):
-            with pytest.raises(ValueError, match=f"'short', got {named}$"):
-                fn(-0.9, z, 1, arc)
+        # the least-action arc is the one Kepler arc; a connect label names it "short"
+        h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
+        with pytest.raises(ValueError, match=f"'short', got {named}$"):
+            bvp.connect(h, [0.22, 0.0], [0.0, 0.28], -0.9, label=(1, arc))
 
     def test_infeasible_geometry(self):
         with pytest.raises(kp.FeasibilityError):
@@ -69,23 +61,23 @@ class TestJn:
         xp = np.array([0.0, 0.28])
         h = -0.8
         scale = -2.0 * h
-        J = kp.J_n(h, (xm, xp), 1, "short")
-        J_ref = kp.J_n(-0.5, (scale * xm, scale * xp), 1, "short")
+        J = kp.J_n(h, (xm, xp), 1)
+        J_ref = kp.J_n(-0.5, (scale * xm, scale * xp), 1)
         assert J == pytest.approx(J_ref / np.sqrt(scale), rel=1e-13)
 
     def test_sign_flips_arc_term_only(self):
         xm = np.array([0.22, 0.0])
         xp = np.array([0.0, 0.28])
         h = -0.7
-        Jp = kp.J_n(h, (xm, xp), 1, "short")
-        Jm = kp.J_n(h, (xm, xp), -1, "short")
-        f = kp.select_arc(kp.simple_arc_candidates(-2 * h * xm, -2 * h * xp), "short").action
+        Jp = kp.J_n(h, (xm, xp), 1)
+        Jm = kp.J_n(h, (xm, xp), -1)
+        f = kp.simple_arc_candidates(-2 * h * xm, -2 * h * xp)[0].action
         assert Jp - Jm == pytest.approx(2 * f / np.sqrt(-2 * h), rel=1e-12)
 
     def test_monotone_in_revolutions(self):
         xm = np.array([0.22, 0.0])
         xp = np.array([0.0, 0.28])
-        vals = [kp.J_n(-0.6, (xm, xp), n, "short") for n in (1, 2, 3)]
+        vals = [kp.J_n(-0.6, (xm, xp), n) for n in (1, 2, 3)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_quadrature_grid(self):
@@ -94,8 +86,8 @@ class TestJn:
         xp = np.array([0.0, 0.28])
         for h in (-2.0, -1.0, -0.1):
             for n in (1, -2, 3):
-                J = kp.J_n(h, (xm, xp), n, "short")
-                Q = quad_action(h, (xm, xp), n, "short")
+                J = kp.J_n(h, (xm, xp), n)
+                Q = quad_action(h, (xm, xp), n)
                 assert abs(J - Q) / abs(J) <= 1e-6
 
     @seed(20161103)
@@ -141,9 +133,9 @@ class TestJn:
         xm = np.array([0.22, 0.0])
         xp = np.array([0.0, 0.28])
         h, dh = -0.9, 1e-6
-        tau = kp.travel_time(h, (xm, xp), 2, "short")
-        fd = (kp.J_n(h + dh, (xm, xp), 2, "short")
-              - kp.J_n(h - dh, (xm, xp), 2, "short")) / (2 * dh)
+        tau = kp.travel_time(h, (xm, xp), 2)
+        fd = (kp.J_n(h + dh, (xm, xp), 2)
+              - kp.J_n(h - dh, (xm, xp), 2)) / (2 * dh)
         assert fd == pytest.approx(tau, rel=1e-6)
 
 
@@ -164,16 +156,16 @@ class TestThreeBodyLagrangian:
         lo, hi = kp.split_feasible_interval(self.z, a1, a2, E)
         pad = 1e-9 * (hi - lo)
         ts = np.linspace(lo + pad, hi - pad, 4001)
-        vals = [a1 * kp.J_n(t, self.z, k[0], "short")
-                + a2 * kp.J_n((E - a1 * t) / a2, self.z, k[1], "short") for t in ts]
+        vals = [a1 * kp.J_n(t, self.z, k[0])
+                + a2 * kp.J_n((E - a1 * t) / a2, self.z, k[1]) for t in ts]
         i = int(np.argmin(vals))
         a, b = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
         invphi = (np.sqrt(5) - 1) / 2
         c1, c2 = b - invphi * (b - a), a + invphi * (b - a)
 
         def g(t):
-            return a1 * kp.J_n(t, self.z, k[0], "short") \
-                + a2 * kp.J_n((E - a1 * t) / a2, self.z, k[1], "short")
+            return a1 * kp.J_n(t, self.z, k[0]) \
+                + a2 * kp.J_n((E - a1 * t) / a2, self.z, k[1])
 
         f1, f2 = g(c1), g(c2)
         for _ in range(120):
@@ -190,8 +182,8 @@ class TestThreeBodyLagrangian:
 
     def test_split_synchronizes_travel_times(self):
         res = kp.three_body_lagrangian((1, 2), self.z, 0.35, 0.65, -1.0)
-        t1 = kp.travel_time(res.split.h1, self.z, 1, "short")
-        t2 = kp.travel_time(res.split.h2, self.z, 2, "short")
+        t1 = kp.travel_time(res.split.h1, self.z, 1)
+        t2 = kp.travel_time(res.split.h2, self.z, 2)
         assert t1 == pytest.approx(t2, rel=1e-8)
 
     def test_envelope_energy_derivative(self):
@@ -258,10 +250,10 @@ def scalar_arc_sample(arc, num, extra_revolutions=0):
     return np.array([scalar_point(arc.ellipse, u) for u in us])
 
 
-def scalar_sample_orbit(h, z, n, arc="short", num=513):
+def scalar_sample_orbit(h, z, n, num=513):
     zm, zp = kp._scaled_endpoints(h, z)
     a = 1.0 / (-2.0 * h)
-    chosen = kp.select_arc(kp.simple_arc_candidates(zm, zp), arc)
+    chosen = kp.simple_arc_candidates(zm, zp)[0]
     if n > 0:
         return a * scalar_arc_sample(chosen, num, n)
     flipped = kp.SimpleArc(chosen.ellipse, chosen.u_minus, chosen.u_plus,

@@ -148,6 +148,20 @@ class TestShadowExperiment:
         assert repr(row.residual) == "1.8628276698962054e-09"
         assert row.iterations == 3
 
+    def test_lockstep_rows_bit_for_bit(self):
+        # two mu solved together by the damped Newton of dls; the bits are
+        # those of the hand-written halving loop that preceded it
+        scn = scenarios.ncenter_scenario(scenarios.square_centers(), E=0.5)
+        chain = scn.chain([(0, 1), (1, 2), (2, 3), (3, 0)])
+        rows = shadow_experiment(scn.dl, chain, [10**-2.85, 10**-2.875], alphas=np.ones(4))
+        expected = [("0x1.b121ffa789528p-10", "0x1.32261a8fc4141p-11", "0x1.00066c0000000p-29"),
+                    ("0x1.993e5911a8000p-10", "0x1.212e79d779699p-11", "0x1.7ae1ca0000000p-28")]
+        for row, (sup_error, min_distance, residual) in zip(rows, expected):
+            assert row.converged and row.reason == "" and row.iterations == 3
+            assert row.sup_error.hex() == sup_error
+            assert row.min_distance.hex() == min_distance
+            assert float(row.residual).hex() == residual
+
     def test_failed_row_keeps_reason(self, monkeypatch):
         def fail(self):
             raise singular.SingularShadowError("no descent (|R| = 1.00e-03)")
