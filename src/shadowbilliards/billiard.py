@@ -11,12 +11,13 @@ tube-direction spheres handled in moving local charts, which realizes the
 shadowing construction. The joint chain's links are evaluated by family:
 the tube points and chart Jacobians of all rows, the chords between them
 and their closed-form Hessians are array expressions, each row rounding as
-the per-link evaluation through the connector's orbit; the sampled orbits
-are built only for the returned chain.
+the per-link evaluation through the connector's orbit; each sampled orbit
+is built only for the returned chain, on its first access.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -387,14 +388,20 @@ class TwoPointLink(dlsmod.LinkEvaluator):
         self.dim_plus = right.dim
 
     @staticmethod
-    def _rows(links, XM, XP):
+    def _stack(links):
+        """Both slots' charts of the rows, and their base links as a family."""
+        return ([link.left for link in links], [link.right for link in links],
+                dlsmod.Family(link.base for link in links))
+
+    @classmethod
+    def _rows(cls, links, XM, XP):
         """The rows() of both slots' charts (a slot's charts share their class,
-        as rows are grouped by slot dimension and only frozen slots have none)
-        and the chords between their tube points."""
-        left = type(links[0].left).rows([link.left for link in links], XM)
-        right = type(links[0].right).rows([link.right for link in links], XP)
-        return left, right, type(links[0].base).tube_chords(
-            [link.base for link in links], left[0], right[0], links[0].eps)
+        as rows are grouped by which slots have a site and only frozen slots
+        have none) and the chords between their tube points."""
+        lefts, rights, bases = dlsmod.family_constants(links, cls._stack)
+        left = type(lefts[0]).rows(lefts, XM)
+        right = type(rights[0]).rows(rights, XP)
+        return left, right, type(bases[0]).tube_chords(bases, left[0], right[0], links[0].eps)
 
     @classmethod
     def tube_points(cls, links, XM, XP):
@@ -424,13 +431,34 @@ class TwoPointLink(dlsmod.LinkEvaluator):
                 JpT @ (ch.parity[:, :, None] * KP) @ Jp + curv_p(ch.p_plus))
 
 
+class _Orbits(Sequence):
+    """The connecting orbits of a shadow chain: orbit j is built by base link
+    j's ambient_connect between its tube points ends[j] on first access, and
+    kept, so every later access returns the same object."""
+
+    def __init__(self, bases: List[dlsmod.LinkEvaluator], ends: list, eps: float):
+        self._bases, self._ends, self._eps = bases, ends, eps
+        self._built: List[Optional[CollisionOrbit]] = [None] * len(bases)
+
+    def __len__(self) -> int:
+        return len(self._bases)
+
+    def __getitem__(self, j: int) -> CollisionOrbit:
+        j = range(len(self._bases))[j]
+        if self._built[j] is None:
+            qm, qp = self._ends[j]
+            self._built[j] = self._bases[j].ambient_connect(qm, qp, self._eps)
+        return self._built[j]
+
+
 @dataclass
 class ShadowChain:
-    """Converged critical point of the tube-billiard discrete action."""
+    """Converged critical point of the tube-billiard discrete action. Its
+    orbits are built on first access (the box pipeline reads two of them)."""
 
     code: List[object]
     boundary: List[BoundaryPoint]
-    orbits: List[CollisionOrbit]
+    orbits: Sequence[CollisionOrbit]
     eps: float
     bc: str
     residual_inf: float
@@ -470,10 +498,11 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
     momentum jumps of the limit chain, evaluated by family), then runs
     dls.damped_newton on the joint residual in the variables (base point, tube
     direction), re-centering the sphere charts at every step. The joint
-    chain's links are TwoPointLink families, so residuals
-    and Hessians are array expressions over the rows; the connectors'
-    sampled orbits are built once, for the returned chain, from one
-    tube_points evaluation per family. A base link
+    chain's links are TwoPointLink families, built once per Newton trial,
+    so residuals and Hessians are array expressions over the rows; the
+    connectors' sampled orbits are built for the returned chain between the
+    tube points of one tube_points evaluation per family, each on its first
+    access. A base link
     without a stacked chord form raises ShadowSolveError before any joint
     evaluation. Terminal sup-norm residual is tol_factor * sqrt(2E), reached
     within 60 Newton steps. The Lagrangian must carry its scatterer, energy and
@@ -508,13 +537,13 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
                  for j, (key, k) in enumerate(zip(code, c.code))}
         jdl = dlsmod.DiscreteLagrangian(links, energy=E, scatterer=scat,
                                         name=(dl.name + f"/eps={eps:g}"))
-        pts = [np.zeros(ch.dim) for ch in charts]
+        pts = np.zeros((len(charts), charts[0].dim if charts else 0))
         return jdl, dlsmod.ChainConfiguration(code, pts, c.bc)
 
     def step(state):
         _, _, jdl, jc, res = state
         try:
-            return dlsmod.hessian(jdl, jc).solve([-r for r in res])
+            return dlsmod.hessian(jdl, jc).solve(-res)
         except np.linalg.LinAlgError as exc:
             raise ShadowSolveError("singular joint Hessian") from exc
 
@@ -543,8 +572,8 @@ def shadow_solve(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
         raise ShadowSolveError(f"shadow Newton {status}: |r| = {rn:.3e}")
 
     boundary = [scat.boundary_point(ch.base_ref, s, eps) for ch, s in zip(charts, s_list)]
-    orbits = [jdl.links[key].base.ambient_connect(qm, qp, eps)
-              for key, (qm, qp) in zip(jc.code, dlsmod._per_link(jdl, jc, "tube_points"))]
+    orbits = _Orbits([jdl.links[key].base for key in jc.code],
+                     dlsmod._per_link(jdl, jc, "tube_points"), eps)
     return ShadowChain(list(c.code), boundary, orbits, eps, c.bc, rn, jdl, jc,
                        diagnostics={"iterations": it, "tolerance": tol})
 
@@ -572,8 +601,7 @@ def shadow_error(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguration,
             space.centered(scat.embed(xs) - scat.embed(xc)))))
     dev = 0.0
     for j in range(c.n_links):
-        xm, xp = c.link_endpoints(j)
-        ref = dl.link(c.code[j]).reference_path(xm, xp)
+        ref = dl.link(c.code[j]).reference_path()
         dev = max(dev, space.sup_segment_distance(sc.orbits[j].path, ref[:-1], ref[1:]))
     return float(base_err + dev)
 
@@ -643,8 +671,7 @@ def lyapunov_estimate(sc: ShadowChain, dom: BilliardDomain) -> np.ndarray:
     if bad.size:
         raise EventSearchError(f"bounce {bad[0]} does not close: defect {defect[bad[0]]:.2e}")
 
-    A, B, C = (np.array(blocks) for blocks in
-               zip(*dlsmod._per_link(sc.joint_dl, sc.joint_chain, "hessians")))
+    A, B, C = dlsmod.link_hessians(sc.joint_dl, sc.joint_chain)
     Bi = np.linalg.inv(B)
     BiA = Bi @ A
     links = np.concatenate([np.concatenate([-BiA, -Bi], axis=2),

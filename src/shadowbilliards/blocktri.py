@@ -2,57 +2,53 @@
 matrix, solved by one pivoted LU.
 
 Each link carries the blocks (D--, D-+, D++) of its action's second
-derivative in its (minus slot, plus slot) coordinates. Site i of the chain
-collects D++ of its incoming link and D-- of its outgoing link, and the link
-from site i to site i+1 couples them through D-+ and its transpose. A
-periodic chain of n links joins site j to site j+1 mod n by link j; where
-the blocks of a short cycle land on one place (n = 1 or 2) they are added.
-An open chain of n+1 links over n sites gives its first and last links one
-site each: fixed chains, whose outermost slots have no chart coordinates,
-and Dirichlet windows of a periodic chain alike. Every site has the same
-chart dimension, and the matrix is assembled by whole-array operations.
+derivative in its (minus slot, plus slot) coordinates, and a chain hands
+them over stacked over its links, three (n_links, d, d) arrays. Site i of
+the chain collects D++ of its incoming link and D-- of its outgoing link,
+and the link from site i to site i+1 couples them through D-+ and its
+transpose. A periodic chain of n links joins site j to site j+1 mod n by
+link j; where the blocks of a short cycle land on one place (n = 1 or 2)
+they are added. An open chain of n+1 links over n sites gives its first and
+last links one site each, and the blocks of their other slots are not read:
+fixed chains, whose outermost slots have no chart coordinates, and
+Dirichlet windows of a periodic chain alike. Every site has the same chart
+dimension, and the matrix is assembled by whole-array operations.
 
 Every system is solved by numpy's LAPACK gesv (getrf + getrs), once per
 factor object: every caller solves each factor at most once. No chain here has more
 than a few hundred rows, where this is as fast as a block elimination and
-needs no pivot blocks of its own. A right-hand side block may be a vector
-(d,) or a matrix (d, k), so the sup norm of a window inverse takes one solve
-against the identity.
+needs no pivot blocks of its own. A right-hand side stacks one block per
+site, (n, d), or (n, d, k) for k columns, so the sup norm of a window
+inverse takes one solve against the identity.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-LinkBlocks = Tuple[np.ndarray, np.ndarray, np.ndarray]   # (D--, D-+, D++) of one link
+LinkBlocks = Tuple[np.ndarray, np.ndarray, np.ndarray]   # (D--, D-+, D++), (n_links, d, d) each
 
 
 class BlockTridiagonalFactor:
-    """Dense chain matrix of per-link blocks, periodic or open, for one pivoted LU solve."""
+    """Dense chain matrix of stacked link blocks, periodic or open, for one pivoted LU solve."""
 
-    def __init__(self, blocks: Sequence[LinkBlocks], periodic: bool):
-        links = list(blocks)
+    def __init__(self, blocks: LinkBlocks, periodic: bool):
+        mm, mp, pp = (np.asarray(b, dtype=float) for b in blocks)
+        d = mm.shape[1]
         if periodic:
-            n = len(links)
-            incoming, outgoing, couplings = links[-1:] + links[:-1], links, links
+            n = len(mm)
+            diagonal, coupling = np.roll(pp, 1, axis=0) + mm, mp
             left = np.arange(n)
             right = (left + 1) % n
         else:
-            n = len(links) - 1
-            incoming, outgoing, couplings = links[:-1], links[1:], links[1:-1]
+            n = len(mm) - 1
+            diagonal, coupling = pp[:-1] + mm[1:], mp[1:-1]
             left = np.arange(n - 1)
             right = left + 1
-        d = links[0][2].shape[0]
-
-        def stack(rows):
-            return np.array(rows, dtype=float).reshape(len(rows), d, d)
-
-        coupling = stack([b[1] for b in couplings])
         M = np.zeros((n, d, n, d))
-        M[np.arange(n), :, np.arange(n), :] = (stack([b[2] for b in incoming])
-                                               + stack([b[0] for b in outgoing]))
+        M[np.arange(n), :, np.arange(n), :] = diagonal
         M[left, :, right, :] += coupling
         M[right, :, left, :] += np.swapaxes(coupling, 1, 2)
         self.dims = [d] * n
@@ -60,28 +56,26 @@ class BlockTridiagonalFactor:
         if not np.all(np.isfinite(self.matrix)):
             raise np.linalg.LinAlgError("non-finite entry in the chain matrix")
 
-    def solve(self, rhs_blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
-        rhs = np.concatenate([np.asarray(r, dtype=float) for r in rhs_blocks])
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution of M x = rhs, with one block per site stacked in rhs
+        and x alike: (n, d), or (n, d, k) for k right-hand sides."""
+        rhs = np.asarray(rhs, dtype=float)
         try:
-            x = np.linalg.solve(self.matrix, rhs)
+            x = np.linalg.solve(self.matrix, rhs.reshape((-1,) + rhs.shape[2:]))
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError("singular chain matrix") from exc
-        return split_blocks(x, self.dims)
+        return x.reshape(rhs.shape)
 
 
-def split_blocks(v: np.ndarray, dims: Sequence[int]) -> List[np.ndarray]:
-    offs = np.concatenate([[0], np.cumsum(dims)])
-    return [v[offs[i]:offs[i + 1]] for i in range(len(dims))]
-
-
-def solve_window(blocks: Sequence[LinkBlocks], rhs_blocks) -> List[np.ndarray]:
+def solve_window(blocks: LinkBlocks, rhs: np.ndarray) -> np.ndarray:
     """Solve the Dirichlet window system of an open chain of links."""
-    return BlockTridiagonalFactor(blocks, False).solve(rhs_blocks)
+    return BlockTridiagonalFactor(blocks, False).solve(rhs)
 
 
-def inverse_inf_norm(blocks: Sequence[LinkBlocks]) -> float:
+def inverse_inf_norm(blocks: LinkBlocks) -> float:
     """Exact sup-norm of the inverse of the window matrix of an open chain of
     links: the largest row sum of |M^{-1}|, from one solve against the identity."""
     fac = BlockTridiagonalFactor(blocks, False)
-    X = np.vstack(fac.solve([np.eye(sum(fac.dims))]))
-    return float(np.abs(X).sum(axis=1).max())
+    N = sum(fac.dims)
+    X = fac.solve(np.eye(N).reshape(len(fac.dims), -1, N))
+    return float(np.abs(X).sum(axis=2).max())

@@ -307,7 +307,7 @@ def run_two_ball_torus(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
     expect_divergent = _get(cfg, "gates.expect_divergent_certificate", bool, False, True)
 
     scn = scenarios.two_ball_torus_scenario(masses, E, period)
-    chain = scn.chain(code, [np.array([c]) for c in pts])
+    chain = scn.chain(code, pts)
     # translation symmetry makes the Hessian singular: take minimal-norm steps
     res = dlsmod.newton_chain(scn.dl, chain, allow_singular=True)
     cert = dlsmod.hyperbolicity_certificate(scn.dl, res.chain, windows)
@@ -373,14 +373,12 @@ def run_two_ball_box(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
     solutions = []
     for _ in range(n_starts):
         pts = np.sort(rng.uniform(0.25, 0.75, size=len(code) - 1))
-        chain = scenarios.box_fixed_chain(code, [np.array([c]) for c in pts])
+        chain = scenarios.box_fixed_chain(code, pts[:, None])
         res = dlsmod.newton_chain(dl, chain)
         solutions.append(res)
     spread = 0.0
-    base_pts = np.array([float(x[0]) for x in solutions[0].chain.points])
     for res in solutions[1:]:
-        pts = np.array([float(x[0]) for x in res.chain.points])
-        spread = max(spread, float(np.max(np.abs(pts - base_pts))))
+        spread = max(spread, float(np.max(np.abs(res.chain.points - solutions[0].chain.points))))
 
     dl_eps = scenarios.box_fixed_lagrangian(scn, a, b, code, wall_margin=eps)
     sc = shadow_solve(dl_eps, solutions[0].chain, eps)
@@ -389,9 +387,7 @@ def run_two_ball_box(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
 
     # periodic pair-collision chain: odd collision counts are nondegenerate
     dl_per = scn.lagrangian()
-    per_chain = scn.periodic_chain(per_code,
-                                   [np.array([0.55 + 0.02 * i])
-                                    for i in range(len(per_code))])
+    per_chain = scn.periodic_chain(per_code, [0.55 + 0.02 * i for i in range(len(per_code))])
     per_res = dlsmod.newton_chain(dl_per, per_chain)
     write_csv(out / "periodic_chain.csv",
               ["site[index]", "position[chart]"],
@@ -516,10 +512,14 @@ def run_kepler_grid(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
                                 f"{E:g} ({exc})") from exc
         zs.append(z)
     _require(bool(zs), "params.endpoints", "a nonempty list")
-    rows = []
+    rows, failures = [], []
     for k in ks:
-        for z in zs:
-            res = kpmod.three_body_lagrangian(k, z, a1, a2, E)
+        for i, z in enumerate(zs):
+            try:
+                res = kpmod.three_body_lagrangian(k, z, a1, a2, E)
+            except kpmod.FeasibilityError as exc:
+                failures.append(f"revolutions {list(k)} at params.endpoints[{i}]: {exc}")
+                continue
             com = kpmod.commensurability_check(k, res.split.h1, res.split.h2)
             rows.append((k[0], k[1], z[0][0], z[0][1], z[1][0], z[1][1],
                          res.split.h1, res.split.h2, res.value, res.tau,
@@ -529,7 +529,7 @@ def run_kepler_grid(cfg: dict, out: Path, jobs: int, seed: int) -> Dict:
                "xp_x[length]", "xp_y[length]", "h1[energy]", "h2[energy]",
                "L[action]", "tau[time]", "early_collision_risk[0/1]"],
               rows)
-    return {"rows": len(rows), "failures": []}
+    return {"rows": len(rows), "failures": failures}
 
 
 FAMILIES = {

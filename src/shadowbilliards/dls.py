@@ -6,9 +6,11 @@ discrete action; its gradient vanishes exactly when the tangential part of
 the momentum jump vanishes at every collision. Its Hessian, and the Hessian
 of every Dirichlet window of a periodic chain, is the chain matrix that
 blocktri assembles from the links' second-derivative blocks (block
-tridiagonal, cyclic for periodic chains). Every evaluation of the branches
-runs by link family: the links of a chain that share a class and slot
-dimensions are evaluated together, their endpoints stacked row by row.
+tridiagonal, cyclic for periodic chains). A chain's points are one array,
+and every evaluation of the branches runs by link family: the links of a
+chain that share a class and which of their slots have a site are evaluated
+together, their endpoints gathered row by row from the points. The families
+of a code, its layout, are built once per Lagrangian.
 Hyperbolicity is certified through uniform sup-norm bounds on inverses of
 centered Dirichlet windows, with the Green-function decay rate fitted as a
 cross-check.
@@ -17,12 +19,12 @@ cross-check.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .blocktri import BlockTridiagonalFactor, inverse_inf_norm, solve_window, split_blocks
+from .blocktri import BlockTridiagonalFactor, LinkBlocks, inverse_inf_norm, solve_window
 
 
 class ChainDomainError(ValueError):
@@ -41,8 +43,10 @@ class LinkEvaluator:
     """Two-point Lagrangian branch; chart dimensions may differ per slot.
 
     Links are evaluated by family: the links of one chain that share a class
-    and slot dimensions, their endpoints stacked row by row in XM
-    (n, dim_minus) and XP (n, dim_plus). One link is the one-row family.
+    and which of their slots have a site (so slot dimensions), their
+    endpoints stacked row by row in XM (n, dim_minus) and XP (n, dim_plus).
+    One link is the one-row family; per-link constants that a class stacks
+    through family_constants are kept on a layout's Family.
     Subclasses implement, as classmethods returning one row per link:
 
     - values(links, XM, XP): the branch values, shape (n,);
@@ -114,6 +118,9 @@ class DiscreteLagrangian:
     normal projections in admissibility reports. For zero-dimensional
     scatterers, site_bases(c, i) names the point id a chain visits at site i;
     ambient_endpoints(c) returns the frozen ambient ends of fixed chains.
+    layouts keeps the link families (layout) of every (code, bc) evaluated
+    under this Lagrangian, so its symbol table must not change after a first
+    evaluation.
     """
 
     links: Mapping[object, LinkEvaluator]
@@ -122,6 +129,8 @@ class DiscreteLagrangian:
     name: str = ""
     site_bases: Optional[Callable] = None
     ambient_endpoints: Optional[Callable] = None
+    layouts: Dict[tuple, list] = field(default_factory=dict, init=False, repr=False,
+                                       compare=False)
 
     def link(self, k) -> LinkEvaluator:
         return self.links[k]
@@ -141,25 +150,33 @@ class LazyLinks(dict):
 
 
 # ---------------------------------------------------------------------------
-# Chain configurations
+# Chain configurations and their family layouts
 # ---------------------------------------------------------------------------
 
 @dataclass
 class ChainConfiguration:
     """Symbol code plus scatterer points in chart coordinates.
 
-    periodic: points[j] for j in 0..n-1, link j joins x_j to x_{j+1 mod n}.
-    fixed: len(code) = len(points) + 1; the outermost slots have no chart
-    coordinates, since the boundary branches close over their ambient
-    endpoints. Every point has the same chart dimension.
+    points is one array (n_free, m): row i is the chart point of site i, and
+    every site has the same chart dimension m (a sequence of equal-size points
+    is stacked; unequal sizes raise ValueError). periodic: link j joins x_j to
+    x_{j+1 mod n}. fixed: len(code) = n_free + 1, link j joins x_{j-1} to
+    x_j, and the outermost slots have no chart coordinates, since the boundary
+    branches close over their ambient endpoints.
     """
 
     code: List[object]
-    points: List[np.ndarray]
+    points: np.ndarray
     bc: str = "periodic"
 
     def __post_init__(self):
-        self.points = [np.atleast_1d(np.asarray(x, dtype=float)) for x in self.points]
+        P = self.points
+        if not (isinstance(P, np.ndarray) and P.ndim == 2):
+            rows = [np.ravel(np.asarray(x, dtype=float)) for x in P]
+            if len({x.size for x in rows}) > 1:
+                raise ValueError("chain points must share one chart dimension")
+            P = np.array(rows).reshape(len(rows), rows[0].size if rows else 0)
+        self.points = np.asarray(P, dtype=float)
         if self.bc == "periodic":
             if len(self.code) != len(self.points):
                 raise ValueError("periodic chain needs one point per link")
@@ -168,8 +185,6 @@ class ChainConfiguration:
                 raise ValueError("fixed chain needs len(code) = len(points) + 1")
         else:
             raise ValueError("bc must be 'periodic' or 'fixed'")
-        if len({x.size for x in self.points}) > 1:
-            raise ValueError("chain points must share one chart dimension")
 
     @property
     def n_links(self) -> int:
@@ -179,95 +194,175 @@ class ChainConfiguration:
     def n_free(self) -> int:
         return len(self.points)
 
-    def link_endpoints(self, j: int) -> Tuple[np.ndarray, np.ndarray]:
-        if self.bc == "periodic":
-            n = len(self.points)
-            return self.points[j % n], self.points[(j + 1) % n]
-        left = np.zeros(0) if j == 0 else self.points[j - 1]
-        right = np.zeros(0) if j == self.n_links - 1 else self.points[j]
-        return left, right
-
-    def with_points(self, new_points) -> "ChainConfiguration":
-        return replace(self, points=[np.atleast_1d(np.asarray(x, dtype=float)) for x in new_points])
+    def with_points(self, points: np.ndarray) -> "ChainConfiguration":
+        """The same code at points, an array shaped like self.points."""
+        return ChainConfiguration(self.code, points, self.bc)
 
 
-def _check_domains(dl: DiscreteLagrangian, c: ChainConfiguration):
-    """Raise ChainDomainError at the first link outside its branch's domain."""
-    for j, ok in enumerate(_per_link(dl, c, "in_domain")):
-        if not ok:
-            raise ChainDomainError(f"link {j} (symbol {c.code[j]}) left its domain")
+class Family(tuple):
+    """The links of one family of a chain layout, in chain order.
+
+    To the evaluators any sequence of links is a family; this one also keeps
+    the constants its link class stacks from the links (family_constants),
+    so a layout stacks them once.
+    """
+
+    constants = None
+
+
+def family_constants(links: Sequence[LinkEvaluator], stack: Callable):
+    """stack(links): the per-link constants of a family, as arrays. A Family
+    keeps them, so each layout stacks them once; any other sequence of links
+    (one link, a plain list) stacks them on every call."""
+    if not isinstance(links, Family):
+        return stack(links)
+    if links.constants is None:
+        links.constants = stack(links)
+    return links.constants
+
+
+@dataclass
+class LayoutFamily:
+    """One family of a layout: the links of a chain that share a class and
+    which of their slots have a site. idx holds the links' places in the
+    code; minus and plus the rows of the chain's points at their slots, None
+    where the slot has no site (the outermost slots of a fixed chain)."""
+
+    cls: type
+    links: Family
+    idx: np.ndarray
+    minus: Optional[np.ndarray]
+    plus: Optional[np.ndarray]
+
+
+def layout(dl: DiscreteLagrangian, c: ChainConfiguration) -> List[LayoutFamily]:
+    """The families of the chain's links, in order of first appearance: built
+    on its Lagrangian's first evaluation of its (code, bc) and kept there.
+    Site i is the plus slot of its incoming link and the minus slot of its
+    outgoing link."""
+    key = (tuple(c.code), c.bc)
+    if key not in dl.layouts:
+        n = c.n_links
+        groups: Dict[tuple, list] = {}
+        for j, k in enumerate(c.code):
+            link = dl.link(k)
+            lo, hi = (j, (j + 1) % n) if c.bc == "periodic" else (j - 1, j if j < n - 1 else -1)
+            groups.setdefault((type(link), lo >= 0, hi >= 0), []).append((j, link, lo, hi))
+        families = []
+        for (cls, has_minus, has_plus), rows in groups.items():
+            idx, links, lo, hi = zip(*rows)
+            families.append(LayoutFamily(cls, Family(links), np.array(idx),
+                                         np.array(lo) if has_minus else None,
+                                         np.array(hi) if has_plus else None))
+        dl.layouts[key] = families
+    return dl.layouts[key]
 
 
 def _families(dl: DiscreteLagrangian, c: ChainConfiguration):
-    """The chain's links grouped by evaluator class and slot dimensions.
+    """(family, XM, XP) per family of the chain's layout: the minus and plus
+    endpoints of its rows, each slot gathered by one fancy index (no
+    columns where the slot has no site)."""
+    P = c.points
+    for fam in layout(dl, c):
+        empty = np.zeros((len(fam.links), 0))
+        yield (fam, empty if fam.minus is None else P[fam.minus],
+               empty if fam.plus is None else P[fam.plus])
 
-    Yields (class, link indices, links, stacked minus endpoints, stacked
-    plus endpoints) per group, in order of first appearance.
-    """
-    groups: Dict[tuple, list] = {}
-    for j, k in enumerate(c.code):
-        link = dl.link(k)
-        xm, xp = c.link_endpoints(j)
-        groups.setdefault((type(link), xm.size, xp.size), []).append((j, link, xm, xp))
-    for (cls, _, _), rows in groups.items():
-        idx, links, xms, xps = zip(*rows)
-        yield cls, idx, links, np.array(xms, dtype=float), np.array(xps, dtype=float)
+
+def _evaluate(fam: LayoutFamily, method: str, XM: np.ndarray, XP: np.ndarray):
+    """The family's class method `method` on its rows. A family without chart
+    coordinates on either slot has empty gradient and Hessian rows."""
+    if method in ("grads", "hessians") and not (XM.shape[1] or XP.shape[1]):
+        k = len(fam.links)
+        return (np.zeros((k, 0)),) * 2 if method == "grads" else (np.zeros((k, 0, 0)),) * 3
+    return getattr(fam.cls, method)(fam.links, XM, XP)
 
 
 def _per_link(dl: DiscreteLagrangian, c: ChainConfiguration, method: str) -> list:
     """Family method `method` over the chain, scattered to one entry per link."""
     out: list = [None] * c.n_links
-    for cls, idx, links, XM, XP in _families(dl, c):
-        res = getattr(cls, method)(links, XM, XP)
+    for fam, XM, XP in _families(dl, c):
+        res = _evaluate(fam, method, XM, XP)
         rows = zip(*res) if isinstance(res, tuple) else res
-        for j, row in zip(idx, rows):
+        for j, row in zip(fam.idx.tolist(), rows):
             out[j] = row
     return out
 
 
+def _per_site(dl: DiscreteLagrangian, c: ChainConfiguration, method: str):
+    """The rows (minus, plus) of the pair-valued family method `method`
+    scattered to the sites: row i of the first holds the minus row of site
+    i's outgoing link, row i of the second the plus row of its incoming link."""
+    at: list = [np.zeros((c.n_free, 0)), np.zeros((c.n_free, 0))]
+    for fam, XM, XP in _families(dl, c):
+        for side, sites, rows in zip((0, 1), (fam.minus, fam.plus),
+                                     _evaluate(fam, method, XM, XP)):
+            if sites is not None:
+                if at[side].shape[1:] != rows.shape[1:]:
+                    at[side] = np.empty((c.n_free,) + rows.shape[1:])
+                at[side][sites] = rows
+    return at
+
+
+def _check_domains(dl: DiscreteLagrangian, c: ChainConfiguration):
+    """Raise ChainDomainError at the first link outside its branch's domain."""
+    ok = np.empty(c.n_links, dtype=bool)
+    for fam, XM, XP in _families(dl, c):
+        ok[fam.idx] = fam.cls.in_domain(fam.links, XM, XP)
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        j = int(bad[0])
+        raise ChainDomainError(f"link {j} (symbol {c.code[j]}) left its domain")
+
+
 def chain_action(dl: DiscreteLagrangian, c: ChainConfiguration) -> float:
-    """Sum of branch Lagrangians over the chain with the boundary wrap applied."""
+    """Sum of branch Lagrangians over the chain with the boundary wrap applied,
+    added in link order."""
     _check_domains(dl, c)
+    values = np.empty(c.n_links)
+    for fam, XM, XP in _families(dl, c):
+        values[fam.idx] = fam.cls.values(fam.links, XM, XP)
     total = 0.0
-    for v in _per_link(dl, c, "values"):
+    for v in values.tolist():
         total += v
     return float(total)
 
 
-def _site_links(c: ChainConfiguration, i: int) -> Tuple[int, int]:
-    """(incoming link, outgoing link) indices of free site i."""
-    if c.bc == "periodic":
-        n = c.n_free
-        return (i - 1) % n, i
-    return i, i + 1
-
-
-def residual(dl: DiscreteLagrangian, c: ChainConfiguration) -> List[np.ndarray]:
-    """Gradient of the discrete action at each free site.
+def residual(dl: DiscreteLagrangian, c: ChainConfiguration) -> np.ndarray:
+    """Gradient of the discrete action at each free site, shaped like c.points.
 
     Site i collects D+ of its incoming branch and D- of its outgoing branch,
     i.e. the tangential projection of (p_i^+ - p_i^-); it vanishes exactly at
     the elastic-reflection (tangential momentum conservation) condition.
     """
-    grads = _per_link(dl, c, "grads")
-    out = []
-    for i in range(c.n_free):
-        jin, jout = _site_links(c, i)
-        out.append(grads[jin][1] + grads[jout][0])
-    return out
+    d_minus, d_plus = _per_site(dl, c, "grads")
+    return d_plus + d_minus
 
 
-def residual_norm(res: Sequence[np.ndarray]) -> float:
-    """Sup-norm over every block; NaN if any entry is NaN."""
-    if not res:
-        return 0.0
-    return float(np.max(np.abs(np.concatenate(res)), initial=0.0))
+def residual_norm(res: np.ndarray) -> float:
+    """Sup-norm over every entry; NaN if any entry is NaN."""
+    return float(np.max(np.abs(res), initial=0.0))
+
+
+def link_hessians(dl: DiscreteLagrangian, c: ChainConfiguration) -> LinkBlocks:
+    """(D--, D-+, D++) of every link, stacked over the links, (n_links, m, m)
+    each; the blocks of a slot without a site are zero."""
+    blocks = np.zeros((3, c.n_links) + c.points.shape[1:] * 2)
+    for fam, XM, XP in _families(dl, c):
+        mm, mp, pp = _evaluate(fam, "hessians", XM, XP)
+        if fam.minus is not None:
+            blocks[0][fam.idx] = mm
+        if fam.minus is not None and fam.plus is not None:
+            blocks[1][fam.idx] = mp
+        if fam.plus is not None:
+            blocks[2][fam.idx] = pp
+    return blocks[0], blocks[1], blocks[2]
 
 
 def hessian(dl: DiscreteLagrangian, c: ChainConfiguration) -> BlockTridiagonalFactor:
     """The second variation of the chain action: the chain matrix of its link
     Hessians, periodic or fixed as the chain is."""
-    return BlockTridiagonalFactor(_per_link(dl, c, "hessians"), c.bc == "periodic")
+    return BlockTridiagonalFactor(link_hessians(dl, c), c.bc == "periodic")
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +437,7 @@ def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
     critical chains come in group orbits). A non-finite Hessian raises
     LinAlgError.
     """
-    if c0.n_free == 0 or all(x.size == 0 for x in c0.points):
+    if c0.points.size == 0:
         return NewtonResult(c0, 0.0, np.inf, 0, True)
     _check_domains(dl, c0)
 
@@ -350,15 +445,15 @@ def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
         c, res = state
         H = hessian(dl, c)
         try:
-            return H.solve([-r for r in res])
+            return H.solve(-res)
         except np.linalg.LinAlgError as exc:
             if not allow_singular:
                 raise NewtonError("singular chain Hessian") from exc
-            flat, *_ = np.linalg.lstsq(H.matrix, -np.concatenate(res), rcond=None)
-            return split_blocks(flat, H.dims)
+            flat, *_ = np.linalg.lstsq(H.matrix, -res.ravel(), rcond=None)
+            return flat.reshape(res.shape)
 
     def trial(state, d, lam):
-        c = state[0].with_points([x + lam * s for x, s in zip(state[0].points, d)])
+        c = state[0].with_points(state[0].points + lam * d)
         res = residual(dl, c)
         return (c, res), residual_norm(res)
 
@@ -378,15 +473,15 @@ def newton_chain(dl: DiscreteLagrangian, c0: ChainConfiguration,
 # ---------------------------------------------------------------------------
 
 def _windows(dl: DiscreteLagrangian, c: ChainConfiguration, center: int,
-             half_widths: Sequence[int]) -> List[list]:
-    """Link blocks of the Dirichlet windows of the periodic extension of the
-    chain centered at site `center`: for half-width W, the open chain of links
-    center-W-1 ... center+W, taken mod n."""
+             half_widths: Sequence[int]) -> List[LinkBlocks]:
+    """Stacked link blocks of the Dirichlet windows of the periodic extension
+    of the chain centered at site `center`: for half-width W, the open chain
+    of links center-W-1 ... center+W, taken mod n."""
     if c.bc != "periodic":
         raise ValueError("window certificates act on periodic chains")
-    H = _per_link(dl, c, "hessians")
-    n = len(H)
-    return [[H[i % n] for i in range(center - W - 1, center + W + 1)] for W in half_widths]
+    H = link_hessians(dl, c)
+    links = [np.arange(center - W - 1, center + W + 1) % c.n_links for W in half_widths]
+    return [tuple(b[idx] for b in H) for idx in links]
 
 
 @dataclass
@@ -450,7 +545,7 @@ def green_decay(dl: DiscreteLagrangian, c: ChainConfiguration, j: int = 0,
     links, = _windows(dl, c, j, [half_width])
     nwin = 2 * half_width + 1
     centre = half_width
-    m = links[0][2].shape[0]
+    m = c.points.shape[1]
     rhs = np.zeros((nwin, m, m))
     rhs[centre] = np.eye(m)
     x = solve_window(links, rhs)
@@ -478,14 +573,11 @@ class CollisionReport:
 
 
 def momentum_jumps(dl: DiscreteLagrangian, c: ChainConfiguration) -> List[Tuple[int, np.ndarray, np.ndarray]]:
-    """(site, p^-, p^+) ambient momenta around each free site, from one
-    momenta_rows() call per family."""
-    moms = _per_link(dl, c, "momenta_rows")
-    out = []
-    for i in range(c.n_free):
-        jin, jout = _site_links(c, i)
-        out.append((i, moms[jout][0], moms[jin][1]))
-    return out
+    """(site, p^-, p^+) ambient momenta around each free site: p^- of its
+    outgoing link and p^+ of its incoming one, from one momenta_rows() call
+    per family."""
+    p_minus, p_plus = _per_site(dl, c, "momenta_rows")
+    return [(i, p_minus[i], p_plus[i]) for i in range(c.n_free)]
 
 
 def admissible(dl: DiscreteLagrangian, c: ChainConfiguration,
@@ -519,10 +611,10 @@ def admissible(dl: DiscreteLagrangian, c: ChainConfiguration,
     return reports
 
 
-def tangent_momenta(dl: DiscreteLagrangian, c: ChainConfiguration) -> List[np.ndarray]:
-    """y_i = D+ L at the incoming slot of each site (chart covectors)."""
-    grads = _per_link(dl, c, "grads")
-    return [grads[_site_links(c, i)[0]][1] for i in range(c.n_free)]
+def tangent_momenta(dl: DiscreteLagrangian, c: ChainConfiguration) -> np.ndarray:
+    """y_i = D+ L at the incoming slot of each site (chart covectors), shaped
+    like c.points."""
+    return _per_site(dl, c, "grads")[1]
 
 
 def noether_values(dl: DiscreteLagrangian, c: ChainConfiguration,
@@ -533,8 +625,9 @@ def noether_values(dl: DiscreteLagrangian, c: ChainConfiguration,
 
 
 def symmetry_field(c: ChainConfiguration,
-                   generator: Callable[[np.ndarray], np.ndarray]) -> List[np.ndarray]:
-    return [np.asarray(generator(x), dtype=float) for x in c.points]
+                   generator: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The generator at every site, shaped like c.points."""
+    return np.array([np.asarray(generator(x), dtype=float) for x in c.points])
 
 
 def variational_consistency(dl: DiscreteLagrangian, c: ChainConfiguration) -> Dict[str, float]:
@@ -546,32 +639,27 @@ def variational_consistency(dl: DiscreteLagrangian, c: ChainConfiguration) -> Di
     """
     fd_step = 1e-6
     res = residual(dl, c)
-    n = c.n_free
-    dims = [x.size for x in c.points]
-    grad_fd = []
+    P = c.points
+    n, m = P.shape
+    grad_fd = np.zeros_like(P)
     for i in range(n):
-        g = np.zeros(dims[i])
-        for a in range(dims[i]):
-            pts = [x.copy() for x in c.points]
-            pts[i][a] += fd_step
+        for a in range(m):
+            pts = P.copy()
+            pts[i, a] += fd_step
             fp = chain_action(dl, c.with_points(pts))
-            pts[i][a] -= 2 * fd_step
+            pts[i, a] -= 2 * fd_step
             fm = chain_action(dl, c.with_points(pts))
-            g[a] = (fp - fm) / (2 * fd_step)
-        grad_fd.append(g)
-    gnorm = max(1e-12, max((np.max(np.abs(g)) if g.size else 0.0) for g in grad_fd))
-    grad_err = max((np.max(np.abs(g - r)) if g.size else 0.0)
-                   for g, r in zip(grad_fd, res)) / gnorm
+            grad_fd[i, a] = (fp - fm) / (2 * fd_step)
+    gnorm = max(1e-12, np.max(np.abs(grad_fd), initial=0.0))
+    grad_err = np.max(np.abs(grad_fd - res), initial=0.0) / gnorm
 
     M = hessian(dl, c).matrix
     N = M.shape[0]
-    offs = np.concatenate([[0], np.cumsum(dims)])
     Mfd = np.zeros_like(M)
-    flat = np.concatenate([x for x in c.points]) if N else np.zeros(0)
+    flat = P.ravel()
 
     def act(v):
-        pts = split_blocks(v, dims)
-        return chain_action(dl, c.with_points(pts))
+        return chain_action(dl, c.with_points(v.reshape(P.shape)))
 
     h2 = fd_step * 40
     for a in range(N):
@@ -587,14 +675,11 @@ def variational_consistency(dl: DiscreteLagrangian, c: ChainConfiguration) -> Di
     hess_err = float(np.max(np.abs(M - Mfd)) / hnorm)
 
     sym_err = float(np.max(np.abs(M - M.T))) if N else 0.0
-    sparsity_ok = True
-    ndiag = len(dims)
-    for i in range(ndiag):
-        for j in range(ndiag):
-            gap = min(abs(i - j), ndiag - abs(i - j)) if c.bc == "periodic" else abs(i - j)
-            if gap > 1:
-                blk = M[offs[i]:offs[i + 1], offs[j]:offs[j + 1]]
-                if blk.size and np.max(np.abs(blk)) > 0:
-                    sparsity_ok = False
+    # largest entry of each site block, and the sites' distance along the chain
+    block_max = np.abs(M).reshape(n, m, n, m).max(axis=(1, 3), initial=0.0)
+    gap = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    if c.bc == "periodic":
+        gap = np.minimum(gap, n - gap)
+    sparsity_ok = not np.any(block_max[gap > 1] > 0)
     return {"grad_rel_error": float(grad_err), "hess_rel_error": hess_err,
             "symmetry_error": sym_err, "tridiagonal": float(sparsity_ok)}

@@ -263,8 +263,10 @@ def three_body_lagrangian(k: Tuple[int, int], z, alpha1: float, alpha2: float,
     L_k(z) = min over alpha1 h1 + alpha2 h2 = E of alpha1 J_{k1}(h1, z)
     + alpha2 J_{k2}(h2, z), both on short arcs. Golden-section bracketing
     followed by a Newton polish on the synchronization equation tau1 = tau2,
-    to a step of 1e-11. Endpoint derivatives come from the envelope theorem:
-    weighted endpoint velocities.
+    to a step of 1e-11; a polish that takes all of its 60 steps raises
+    FeasibilityError naming |tau1 - tau2|, since the value and derivatives
+    of an unsynchronized split are not the Lagrangian's. Endpoint
+    derivatives come from the envelope theorem: weighted endpoint velocities.
     """
     k1, k2 = k
     if k1 == 0 or k2 == 0:
@@ -314,6 +316,9 @@ def three_body_lagrangian(k: Tuple[int, int], z, alpha1: float, alpha2: float,
             t = t_new
             break
         t = t_new
+    else:
+        raise FeasibilityError(f"energy-split polish did not converge in 60 steps: "
+                               f"|tau1 - tau2| = {abs(sync(t)):.3e}")
     if not (lo <= t <= hi):
         raise FeasibilityError("energy-split minimization left the feasible interval")
 

@@ -9,7 +9,7 @@ exercised by the verification suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,14 +39,24 @@ class ChordLink(dlsmod.LinkEvaluator):
         self._p = h.mass @ (self._speed * disp / ell)
         self._action = self._speed * ell
 
+    @staticmethod
+    def _stack(links):
+        """Actions, momenta, masses and speeds of the rows, and on a torus
+        their windings as floats."""
+        space = links[0].h.space
+        return (np.array([link._action for link in links]), np.array([link._p for link in links]),
+                np.array([link.h.mass for link in links]),
+                np.array([link._speed for link in links]),
+                np.array([link.label for link in links], dtype=float) if space.is_torus else None)
+
     @classmethod
     def values(cls, links, XM, XP):
-        return np.array([link._action for link in links])
+        return dlsmod.family_constants(links, cls._stack)[0].copy()
 
     @classmethod
     def momenta_rows(cls, links, XM, XP):
-        p = np.array([link._p for link in links])
-        return p, p.copy()
+        p = dlsmod.family_constants(links, cls._stack)[1]
+        return p.copy(), p.copy()
 
     def ambient_connect(self, qm, qp, eps):
         return bvp.connect(self.h, qm, qp, self.E, label=self.label)
@@ -58,19 +68,17 @@ class ChordLink(dlsmod.LinkEvaluator):
         with the action speed * mass_norm(chord). Every row rounds as
         bvp.connect rounds it; the rows share one ambient space."""
         space = links[0].h.space
+        _, _, mass, speed, windings = dlsmod.family_constants(links, cls._stack)
         D = QP - QM
         if space.is_torus:
-            D = space.centered(D) + np.array([link.label for link in links],
-                                             dtype=float) * space.periods
-        mass = np.array([link.h.mass for link in links])
+            D = space.centered(D) + windings * space.periods
         ell = np.sqrt(D[:, None, :] @ mass @ D[:, :, None])[:, 0, 0]
         if np.any(ell == 0):
             raise bvp.ConnectError("coincident endpoints with zero winding")
-        speed = np.array([link._speed for link in links])
         p = (mass @ (speed[:, None] * D / ell[:, None])[:, :, None])[..., 0]
         return bvp.Chords(speed * ell, p, p, D, np.ones_like(D), mass, speed)
 
-    def reference_path(self, xm, xp):
+    def reference_path(self):
         ts = np.linspace(0.0, 1.0, 33)
         return self._start[None, :] + ts[:, None] * self._disp[None, :]
 
@@ -103,7 +111,7 @@ class TorusPointScenario:
 
     def chain(self, code: Sequence[Tuple[int, ...]], bc: str = "periodic"):
         code = [tuple(int(v) for v in k) for k in code]
-        pts = [np.zeros(0) for _ in range(len(code) if bc == "periodic" else len(code) - 1)]
+        pts = np.zeros((len(code) if bc == "periodic" else len(code) - 1, 0))
         return dlsmod.ChainConfiguration(code, pts, bc)
 
 
@@ -148,13 +156,18 @@ class TwoBallTorusLink(dlsmod.LinkEvaluator):
         self._speed = np.sqrt(2.0 * E)
 
     @staticmethod
-    def _passages(links, XM, XP):
+    def _stack(links):
+        """Speeds (n,), masses (n, 2) and winding lengths n_i L (n, 2) of the rows."""
+        return (np.array([link._speed for link in links]), np.array([link.m for link in links]),
+                np.array([link.n * link.L for link in links]))
+
+    @classmethod
+    def _passages(cls, links, XM, XP):
         """Speeds (n,), masses (n, 2), ball path lengths (n, 2) and kinetic
         lengths (n,) of the rows: ball i travels x+ - x- plus n_i periods."""
-        m = np.array([link.m for link in links])
-        ell = (XP[:, :1] - XM[:, :1]) + np.array([link.n * link.L for link in links])
-        return (np.array([link._speed for link in links]), m, ell,
-                np.sqrt(np.sum(m * ell**2, axis=1)))
+        speed, m, wound = dlsmod.family_constants(links, cls._stack)
+        ell = (XP[:, :1] - XM[:, :1]) + wound
+        return speed, m, ell, np.sqrt(np.sum(m * ell**2, axis=1))
 
     @classmethod
     def values(cls, links, XM, XP):
@@ -181,8 +194,7 @@ class TwoBallTorusScenario:
 
     def chain(self, code, points):
         code = [tuple(int(v) for v in k) for k in code]
-        return dlsmod.ChainConfiguration(code, [np.atleast_1d(p) for p in points],
-                                         "periodic")
+        return dlsmod.ChainConfiguration(code, points, "periodic")
 
     @staticmethod
     def generator(x) -> np.ndarray:
@@ -205,6 +217,20 @@ def two_ball_torus_scenario(masses=(1.0, 1.0), E: float = 0.5,
 # ---------------------------------------------------------------------------
 # Two balls in a box (interval factor), wall reflections folded into branches
 # ---------------------------------------------------------------------------
+
+class _BoxRows(NamedTuple):
+    """The per-link constants of a family of box links (TwoBallBoxLink._stack)."""
+
+    pattern: np.ndarray
+    box: np.ndarray
+    m: np.ndarray
+    speed: np.ndarray
+    margin: np.ndarray
+    left: np.ndarray
+    left_at: np.ndarray
+    right: np.ndarray
+    right_at: np.ndarray
+
 
 class TwoBallBoxLink(dlsmod.LinkEvaluator):
     """Pair passage on the interval with a per-ball wall-bounce pattern.
@@ -238,31 +264,49 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
         self._speed = np.sqrt(2.0 * E)
 
     @staticmethod
-    def _fold(links, YM, YP, margin):
+    def _stack(links):
+        """The rows' patterns, boxes and masses (n, 2), speeds and margins
+        (n,), and per slot whether each row is anchored and its anchor (n, 2),
+        zero where it has none."""
+        def anchors(points):
+            return (np.array([a is not None for a in points]),
+                    np.array([np.zeros(2) if a is None else a for a in points]))
+
+        return _BoxRows(np.array([link.pattern for link in links]),
+                        np.array([link.box for link in links], dtype=float),
+                        np.array([link.m for link in links]),
+                        np.array([link._speed for link in links]),
+                        np.array([link.margin for link in links]),
+                        *anchors([link.left for link in links]),
+                        *anchors([link.right for link in links]))
+
+    @classmethod
+    def _fold(cls, links, YM, YP, margin):
         """Unfolded displacements and wall parities, (n, 2) each, of the chords
         from pair positions YM to YP under each row's wall-bounce pattern, the
         walls moved in by margin (a number or one per row)."""
-        pattern = np.array([link.pattern for link in links])
-        box = np.array([link.box for link in links], dtype=float)
-        lo = (box[:, 0] + margin)[:, None]
-        width = (box[:, 1] - margin)[:, None] - lo
+        rows = dlsmod.family_constants(links, cls._stack)
+        lo = (rows.box[:, 0] + margin)[:, None]
+        width = (rows.box[:, 1] - margin)[:, None] - lo
         xi = YP - lo
-        odd = pattern % 2 == 1
-        image = np.where(odd, lo + (pattern + 1) * width - xi, lo + pattern * width + xi)
+        odd = rows.pattern % 2 == 1
+        image = np.where(odd, lo + (rows.pattern + 1) * width - xi,
+                         lo + rows.pattern * width + xi)
         return image - YM, np.where(odd, -1.0, 1.0)
 
     @staticmethod
-    def _anchored(Y, anchors):
+    def _anchored(Y, anchored, at):
         """Pair positions Y (n, 2), each row replaced by its anchor where it has one."""
-        if all(a is None for a in anchors):
+        if not anchored.any():
             return Y
-        return np.array([y if a is None else a for y, a in zip(Y, anchors)])
+        return at if anchored.all() else np.where(anchored[:, None], at, Y)
 
     @classmethod
     def _ends(cls, links, XM, XP):
         """Ambient pair positions (n, 2) of both slots, anchors taking precedence."""
-        return (cls._anchored(np.repeat(XM[:, :1], 2, axis=1), [link.left for link in links]),
-                cls._anchored(np.repeat(XP[:, :1], 2, axis=1), [link.right for link in links]))
+        rows = dlsmod.family_constants(links, cls._stack)
+        return (cls._anchored(np.repeat(XM[:, :1], 2, axis=1), rows.left, rows.left_at),
+                cls._anchored(np.repeat(XP[:, :1], 2, axis=1), rows.right, rows.right_at))
 
     @classmethod
     def _ambient_chords(cls, links, YM, YP, margin):
@@ -270,16 +314,16 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
         (n, 2) and kinetic lengths (n,) of the rows' chords from pair
         positions YM to YP, the walls moved in by margin."""
         ell, par = cls._fold(links, YM, YP, margin)
-        m = np.array([link.m for link in links])
-        g = np.sqrt(np.sum(m * ell**2, axis=1))
-        return np.array([link._speed for link in links]), m, ell, par, g
+        rows = dlsmod.family_constants(links, cls._stack)
+        g = np.sqrt(np.sum(rows.m * ell**2, axis=1))
+        return rows.speed, rows.m, ell, par, g
 
     @classmethod
     def _chords(cls, links, XM, XP):
         """_ambient_chords of the rows at chart coordinates, each at its own
         wall margin."""
         return cls._ambient_chords(links, *cls._ends(links, XM, XP),
-                                   np.array([link.margin for link in links]))
+                                   dlsmod.family_constants(links, cls._stack).margin)
 
     @staticmethod
     def _momenta(speed, m, ell, par, g):
@@ -322,8 +366,8 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
     def in_domain(cls, links, XM, XP):
         """Both pair positions strictly inside the walls, and every ball moving."""
         YM, YP = cls._ends(links, XM, XP)
-        margin = np.array([link.margin for link in links])
-        box = np.array([link.box for link in links], dtype=float)
+        rows = dlsmod.family_constants(links, cls._stack)
+        margin, box = rows.margin, rows.box
         lo, hi = box[:, :1] + margin[:, None], box[:, 1:] - margin[:, None]
         inside = np.all((lo < YM) & (YM < hi) & (lo < YP) & (YP < hi), axis=1)
         ell, _ = cls._fold(links, YM, YP, margin)
@@ -340,9 +384,10 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
         QP[r] (n, 2), anchors taking precedence, the walls moved in by eps,
         with the action speed * g of the kinetic length g. Every row rounds
         as _connect_ambient rounds it."""
+        rows = dlsmod.family_constants(links, cls._stack)
         speed, m, ell, par, g = cls._ambient_chords(
-            links, cls._anchored(QM, [link.left for link in links]),
-            cls._anchored(QP, [link.right for link in links]), eps)
+            links, cls._anchored(QM, rows.left, rows.left_at),
+            cls._anchored(QP, rows.right, rows.right_at), eps)
         p_minus, p_plus = cls._momenta(speed, m, ell, par, g)
         return bvp.Chords(speed * g, p_minus, p_plus, ell, par, m[:, :, None] * np.eye(2), speed)
 
@@ -381,8 +426,7 @@ class TwoBallBoxScenario:
 
     def periodic_chain(self, code, points):
         code = [tuple(int(v) for v in k) for k in code]
-        return dlsmod.ChainConfiguration(code, [np.atleast_1d(p) for p in points],
-                                         "periodic")
+        return dlsmod.ChainConfiguration(code, points, "periodic")
 
 
 def two_ball_box_scenario(masses=(1.0, 1.0), E: float = 0.5,
@@ -424,7 +468,7 @@ def box_fixed_chain(code, points) -> dlsmod.ChainConfiguration:
             keys.append(("end", j, k))
         else:
             keys.append(("mid", j, k))
-    return dlsmod.ChainConfiguration(keys, [np.atleast_1d(p) for p in points], "fixed")
+    return dlsmod.ChainConfiguration(keys, points, "fixed")
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +488,7 @@ class NCenterScenario:
         for j in range(len(code)):
             if code[j][1] != code[(j + 1) % len(code)][0]:
                 raise ValueError(f"code does not concatenate at position {j}")
-        pts = [np.zeros(0) for _ in code]
-        return dlsmod.ChainConfiguration(code, pts, "periodic")
+        return dlsmod.ChainConfiguration(code, np.zeros((len(code), 0)), "periodic")
 
     def graph_vertices(self) -> List[symbolic.OrbitVertex]:
         out = []

@@ -7,7 +7,9 @@ pytest collects the test modules, makes the suite run on the pinned OpenBLAS.
 The potentials and the link below are models that only tests build: the
 shipped runs fly free or Kepler flights and use the scenarios' own links.
 central_diff is the tests' finite-difference helper, and dense_chain_matrix
-their reference for the chain matrix. Test modules import them with
+their reference for the chain matrix (link_stacks stacks such blocks as
+the chain matrix takes them), and link_endpoints the one-link
+reference for the endpoints of a chain's links. Test modules import them with
 `from conftest import ...`. stencil_lyapunov is the flown
 finite-difference monodromy that billiard.lyapunov_estimate replaced, kept
 as the tests' reference for its exponents. chart_point, chart_jacobian and
@@ -67,6 +69,19 @@ def dense_chain_matrix(blocks, periodic: bool) -> np.ndarray:
             if 0 <= r < n and 0 <= c < n:
                 M[r * d:(r + 1) * d, c * d:(c + 1) * d] += blk
     return M
+
+
+def link_stacks(blocks):
+    """Per-link blocks (D--, D-+, D++) stacked over the links, as the chain
+    matrix takes them: (n, d, d) each, a slot without chart coordinates (an
+    outermost slot of a fixed chain) in zero blocks."""
+    d = max(b[2].shape[0] for b in blocks)
+    out = np.zeros((3, len(blocks), d, d))
+    for j, link in enumerate(blocks):
+        for k, blk in enumerate(link):
+            if blk.size:
+                out[k, j] = blk
+    return out[0], out[1], out[2]
 
 
 @pytest.fixture
@@ -136,6 +151,18 @@ class FunctionLink(LinkEvaluator):
     @classmethod
     def hessians(cls, links, XM, XP):
         return difference_hessians(cls, links, XM, XP)
+
+
+def link_endpoints(c, j):
+    """Chart points (minus, plus) of link j of chain c, one link at a time:
+    link j of a periodic chain joins points j and j+1 mod n; link j of a
+    fixed chain joins points j-1 and j, and its outermost slots are empty."""
+    if c.bc == "periodic":
+        n = c.n_free
+        return c.points[j % n], c.points[(j + 1) % n]
+    left = np.zeros(0) if j == 0 else c.points[j - 1]
+    right = np.zeros(0) if j == c.n_links - 1 else c.points[j]
+    return left, right
 
 
 def chart_base(chart, u):

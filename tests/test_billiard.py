@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, seed, settings, strategies as st
 
-from conftest import (HarmonicPotential, chart_base, chart_jacobian, chart_point, link_orbit,
-                      stencil_lyapunov)
+from conftest import (HarmonicPotential, chart_base, chart_jacobian, chart_point,
+                      link_endpoints, link_orbit, stencil_lyapunov)
 from shadowbilliards import billiard, bvp, dls, dynamics, scenarios
 from shadowbilliards.billiard import (BilliardDomain, GrazingEventError, ShadowSolveError,
                                       billiard_trajectory, expansion_residual,
@@ -455,7 +455,7 @@ def _assert_rows_match(jdl, jc):
     hess = dls._per_link(jdl, jc, "hessians")
     for j, key in enumerate(jc.code):
         got = [np.float64(vals[j]), *grads[j], *hess[j]]
-        ref = _row_reference(jdl.links[key], *jc.link_endpoints(j))
+        ref = _row_reference(jdl.links[key], *link_endpoints(jc, j))
         for g, r in zip(got, ref):
             r = np.asarray(r, dtype=float)
             assert g.shape == r.shape and g.tobytes() == r.tobytes(), (j, g, r)
@@ -498,7 +498,7 @@ class TestTwoPointRows:
         jdl = dls.DiscreteLagrangian(links)
         jc = dls.ChainConfiguration(list(range(n + 1)), [np.array([u]) for u in us[:n]], "fixed")
         for j in range(n + 1):
-            orbit = link_orbit(jdl.links[j], *jc.link_endpoints(j))
+            orbit = link_orbit(jdl.links[j], *link_endpoints(jc, j))
             assume(np.min(np.abs(orbit.chord)) > 1e-6)
         _assert_rows_match(jdl, jc)
 
@@ -651,7 +651,7 @@ class TestShadowSolve:
         for sc in (shadow_solve(scn.dl, chain, 1e-3), _box_shadow_chain()):
             for j, key in enumerate(sc.joint_chain.code):
                 link = sc.joint_dl.links[key]
-                um, up = sc.joint_chain.link_endpoints(j)
+                um, up = link_endpoints(sc.joint_chain, j)
                 ref = link_orbit(link, um, up)
                 got = sc.orbits[j]
                 for a, b in ((got.q_minus, ref.q_minus), (got.q_plus, ref.q_plus),

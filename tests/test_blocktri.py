@@ -1,5 +1,5 @@
-"""The chain matrix of per-link blocks, periodic or open: LU solves and window
-inverse norms against a dense reference summed one link at a time."""
+"""The chain matrix of stacked link blocks, periodic or open: LU solves and
+window inverse norms against a dense reference summed one link at a time."""
 
 from unittest import mock
 
@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import dense_chain_matrix
-from shadowbilliards.blocktri import (BlockTridiagonalFactor, inverse_inf_norm, solve_window,
-                                      split_blocks)
+from conftest import dense_chain_matrix, link_stacks
+from shadowbilliards.blocktri import BlockTridiagonalFactor, inverse_inf_norm, solve_window
 
 
 @st.composite
@@ -46,6 +45,11 @@ def loads(rng, n, k):
     return rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, (n, k))
 
 
+def site_blocks(rhs, sites):
+    """A right-hand side of the chain matrix as one block per site: (sites, d, ...)."""
+    return rhs.reshape((sites, -1) + rhs.shape[1:])
+
+
 def assert_matches_reference(fac, M):
     # equal to rounding: the blocks of a one-link cycle are summed in another order
     assert fac.matrix.shape == M.shape
@@ -60,11 +64,10 @@ class TestBlockTridiagonal:
     def test_solve_matches_dense(self, chain, k):
         blocks, rng = chain
         M = dense_chain_matrix(blocks, False)
-        assert_matches_reference(BlockTridiagonalFactor(blocks, False), M)
+        assert_matches_reference(BlockTridiagonalFactor(link_stacks(blocks), False), M)
         tol = lu_tolerance(M)
-        dims = [blocks[0][2].shape[0]] * (len(blocks) - 1)
         for rhs in loads(rng, M.shape[0], k):
-            x = np.concatenate(solve_window(blocks, split_blocks(rhs, dims)))
+            x = np.concatenate(solve_window(link_stacks(blocks), site_blocks(rhs, len(blocks) - 1)))
             ref = np.linalg.solve(M, rhs)
             assert x.shape == ref.shape
             assert np.max(np.abs(x - ref)) <= tol * np.max(np.abs(ref))
@@ -75,11 +78,11 @@ class TestBlockTridiagonal:
     def test_cyclic_solve_matches_dense(self, chain, k):
         blocks, rng = chain
         M = dense_chain_matrix(blocks, True)
-        fac = BlockTridiagonalFactor(blocks, True)
+        fac = BlockTridiagonalFactor(link_stacks(blocks), True)
         assert_matches_reference(fac, M)
         tol = lu_tolerance(M)
         for rhs in loads(rng, M.shape[0], k):
-            x = np.concatenate(fac.solve(split_blocks(rhs, fac.dims)))
+            x = np.concatenate(fac.solve(site_blocks(rhs, len(fac.dims))))
             ref = np.linalg.solve(M, rhs)
             assert x.shape == ref.shape
             assert np.max(np.abs(x - ref)) <= tol * np.max(np.abs(ref))
@@ -100,7 +103,7 @@ class TestBlockTridiagonal:
             return orig(self, rhs_blocks)
 
         with mock.patch.object(BlockTridiagonalFactor, "solve", counted):
-            got = inverse_inf_norm(blocks)
+            got = inverse_inf_norm(link_stacks(blocks))
         assert abs(got - dense) <= tol * dense
         assert len(calls) == 1
 
@@ -111,9 +114,9 @@ class TestBlockTridiagonal:
     def test_pivot_solves_equal_numpy_gesv(self, chain, k):
         # the same LAPACK LU as np.linalg.solve of the dense matrix, bit for bit
         periodic, (blocks, rng) = chain
-        fac = BlockTridiagonalFactor(blocks, periodic)
+        fac = BlockTridiagonalFactor(link_stacks(blocks), periodic)
         for rhs in loads(rng, sum(fac.dims), k):
-            x = np.concatenate(fac.solve(split_blocks(rhs, fac.dims)))
+            x = np.concatenate(fac.solve(site_blocks(rhs, len(fac.dims))))
             assert x.tobytes() == np.linalg.solve(fac.matrix, rhs).tobytes()
 
     def test_singular_leading_block_is_solved(self):
@@ -126,7 +129,7 @@ class TestBlockTridiagonal:
         rhs = [np.ones((2, 2)), np.arange(4.0).reshape(2, 2), np.zeros((2, 2))]
         M = dense_chain_matrix(blocks, False)
         assert np.all(M[:2, :2] == 0.0)
-        x = np.concatenate(solve_window(blocks, rhs))
+        x = np.concatenate(solve_window(link_stacks(blocks), rhs))
         assert np.allclose(M @ x, np.concatenate(rhs), atol=1e-14)
 
     def test_singular_matrix_raises(self):
@@ -135,9 +138,9 @@ class TestBlockTridiagonal:
         blocks = [(zero, zero, one), (zero, one, one), (zero, zero, zero)]
         assert np.all(dense_chain_matrix(blocks, False) == 1.0)
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            solve_window(blocks, [np.ones(1)] * 2)
+            solve_window(link_stacks(blocks), [np.ones(1)] * 2)
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            inverse_inf_norm(blocks)
+            inverse_inf_norm(link_stacks(blocks))
 
     def test_nan_block_is_singular(self):
         eye = np.eye(2)
@@ -145,7 +148,7 @@ class TestBlockTridiagonal:
                                                  0.1 * eye, eye)]
         for periodic in (False, True):
             with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
-                BlockTridiagonalFactor(blocks, periodic)
+                BlockTridiagonalFactor(link_stacks(blocks), periodic)
 
 
 class TestShortChains:
@@ -159,12 +162,12 @@ class TestShortChains:
 
     def test_one_link_cycle(self):
         (d11, d12, d22), = blocks = self.links(1)
-        M = BlockTridiagonalFactor(blocks, True).matrix
+        M = BlockTridiagonalFactor(link_stacks(blocks), True).matrix
         assert M.tobytes() == (d11 + d22 + d12 + d12.T).tobytes()
 
     def test_two_link_cycle(self):
         H = self.links(2)
-        M = BlockTridiagonalFactor(H, True).matrix
+        M = BlockTridiagonalFactor(link_stacks(H), True).matrix
         off = H[0][1] + H[1][1].T
         assert M[:2, 2:].tobytes() == off.tobytes()
         assert M[2:, :2].tobytes() == off.T.tobytes()
@@ -176,6 +179,6 @@ class TestShortChains:
         (_, _, pp), (mm, _, _) = self.links(2)
         blocks = [(np.zeros((0, 0)), np.zeros((0, 2)), pp),
                   (mm, np.zeros((2, 0)), np.zeros((0, 0)))]
-        fac = BlockTridiagonalFactor(blocks, False)
+        fac = BlockTridiagonalFactor(link_stacks(blocks), False)
         assert fac.dims == [2]
         assert fac.matrix.tobytes() == (pp + mm).tobytes()

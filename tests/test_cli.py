@@ -425,6 +425,26 @@ class TestRuns:
                                "(mu=1.000e-03: SingularShadowError: no descent "
                                "(|R| = 1.00e-03))")
 
+    def test_kepler_grid_unsynchronized_split_is_a_failure(self, tmp_path, capsys):
+        # the (1, 3) polish runs out of steps at tau1 - tau2 = -0.685 (see
+        # test_kepler); the (1, 1) row still lands in the table
+        cfg = json.loads((SCENARIOS / "kepler_grid.json").read_text())
+        cfg["params"].update({"energy": -1.2, "alpha1": 0.7, "alpha2": 0.3,
+                              "revolutions": [[1, 3], [1, 1]],
+                              "endpoints": [[[0.3, 0.0], [0.0, 0.35]]]})
+        out = tmp_path / "kg"
+        rc = cli.main(["scenario", "run", "--scenario", write(tmp_path, "kg.json", cfg),
+                       "--out", str(out)])
+        assert rc == 1
+        assert "Traceback" not in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        assert report["rows"] == 1
+        assert report["failures"] == [
+            "revolutions [1, 3] at params.endpoints[0]: energy-split polish did not "
+            "converge in 60 steps: |tau1 - tau2| = 6.854e-01"]
+        rows = (out / "kepler_table.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[:2] for r in rows] == [["1", "1"]]
+
 
 # sha256 of every file that `scenario run --seed 0` writes for four shipped
 # scenarios, recorded at commit 52a3028. ncenter_square (about 30 s) is left

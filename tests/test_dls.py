@@ -1,10 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, seed, settings, strategies as st
 
-from conftest import FunctionLink, central_diff, dense_chain_matrix
+from conftest import FunctionLink, central_diff, dense_chain_matrix, link_endpoints, link_stacks
 from shadowbilliards import dls, scenarios
 from shadowbilliards.billiard import shadow_solve
+from shadowbilliards.blocktri import BlockTridiagonalFactor
 from shadowbilliards.dls import (ChainConfiguration, DiscreteLagrangian, NewtonError,
                                  admissible, chain_action, green_decay, hessian,
                                  hyperbolicity_certificate, newton_chain,
@@ -78,9 +81,10 @@ class TestResidual:
 
     def test_nan_block_is_not_hidden(self):
         # a NaN trial residual must not read as a finite norm (and so as descent)
-        assert np.isnan(residual_norm([np.ones(1), np.array([np.nan])]))
-        assert np.isnan(residual_norm([np.array([np.nan]), np.ones(1)]))
-        assert residual_norm([np.array([1.0, -3.0]), np.zeros(0), np.array([2.0])]) == 3.0
+        assert np.isnan(residual_norm(np.array([[1.0], [np.nan]])))
+        assert np.isnan(residual_norm(np.array([[np.nan], [1.0]])))
+        assert residual_norm(np.array([[1.0, -3.0], [2.0, 0.5]])) == 3.0
+        assert residual_norm(np.zeros((3, 0))) == 0.0
 
 
 class TestHessian:
@@ -600,3 +604,136 @@ class TestBoxPathFold:
             for t, got in zip(np.linspace(0.0, 1.0, 129), path[:, i]):
                 z = (qm[i] + t * ell[i] - lo) % (2 * width)
                 assert got == lo + (z if z <= width else 2 * width - z)
+
+
+def one_link_reference(dl, c):
+    """(residual, chain matrix, action, momentum jumps) of chain c one link at
+    a time: every link its own one-row family, its rows summed per site as
+    the per-link evaluation summed them and the action added in link order.
+    The jumps are None where the links have no ambient momenta."""
+    rows = []
+    for j, k in enumerate(c.code):
+        link = dl.link(k)
+        one = ([link],) + tuple(x[None] for x in link_endpoints(c, j))
+        cls = type(link)
+        if one[1].shape[1] or one[2].shape[1]:
+            grads, hess = cls.grads(*one), cls.hessians(*one)
+        else:       # no chart coordinates on either slot: empty rows
+            grads, hess = (np.zeros((1, 0)),) * 2, (np.zeros((1, 0, 0)),) * 3
+        try:
+            moms = [p[0] for p in cls.momenta_rows(*one)]
+        except NotImplementedError:
+            moms = None
+        rows.append((cls.values(*one)[0], [g[0] for g in grads], [h[0] for h in hess], moms))
+    n = c.n_free
+    sites = [((i - 1) % n, i) if c.bc == "periodic" else (i, i + 1) for i in range(n)]
+    res = np.array([rows[jin][1][1] + rows[jout][1][0] for jin, jout in sites])
+    matrix = BlockTridiagonalFactor(link_stacks([r[2] for r in rows]), c.bc == "periodic").matrix
+    action = 0.0
+    for r in rows:
+        action += r[0]
+    jumps = None if rows[0][3] is None else [(i, rows[jout][3][0], rows[jin][3][1])
+                                             for i, (jin, jout) in enumerate(sites)]
+    return res.reshape(c.points.shape), matrix, float(action), jumps
+
+
+def assert_equals_one_link_reference(dl, c):
+    """The array path's residual, chain matrix, action and momentum jumps have
+    the bytes of one_link_reference."""
+    res, matrix, action, jumps = one_link_reference(dl, c)
+    got = residual(dl, c)
+    assert got.shape == res.shape and got.tobytes() == res.tobytes()
+    got = hessian(dl, c).matrix
+    assert got.shape == matrix.shape and got.tobytes() == matrix.tobytes()
+    assert chain_action(dl, c) == action
+    if jumps is not None:
+        for (i, pm, pp), (i1, pm1, pp1) in zip(dls.momentum_jumps(dl, c), jumps, strict=True):
+            assert i == i1 and pm.tobytes() == pm1.tobytes() and pp.tobytes() == pp1.tobytes()
+
+
+class TestArrayPath:
+    """The family layout's gathers and per-site scatters round every row as
+    the one-link-at-a-time evaluation does."""
+
+    @seed(20161018)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(st.sampled_from(["periodic", "fixed", "point"]), st.integers(1, 5),
+           st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), min_size=6, max_size=6),
+           st.lists(st.floats(0.05, 0.95), min_size=5, max_size=5),
+           st.lists(st.floats(0.1, 0.9), min_size=4, max_size=4),
+           st.floats(0.5, 3.0), st.sampled_from([0.0, 0.01]))
+    @example("periodic", 1, [(-1, 1)] * 6, [0.6] * 5, [0.5] * 4, 2.0, 0.0)
+    @example("periodic", 2, [(-1, 1), (1, -2)] + [(0, 0)] * 4, [0.3, 0.7, 0.5, 0.5, 0.5],
+             [0.5] * 4, 1.0, 0.0)
+    @example("fixed", 1, [(0, 0), (-1, 1)] + [(0, 0)] * 4, [0.4] * 5, [0.15, 0.85, 0.2, 0.8],
+             2.0, 0.01)
+    @example("point", 3, [(1, 0), (0, 1), (1, 1)] + [(0, 0)] * 3, [0.5] * 5, [0.5] * 4, 1.0,
+             0.0)
+    def test_box_and_point_chains(self, kind, n, patterns, xs, ends, mass, margin):
+        # box chains of one free coordinate per site, periodic (one family)
+        # or fixed (two anchored end families and a middle one), and a chain
+        # of a point scatterer, whose points have no coordinates at all
+        if kind == "point":
+            scn = scenarios.torus_point_scenario()
+            dl, c = scn.dl, scn.chain([k if k != (0, 0) else (1, 0) for k in patterns[:n]])
+        else:
+            scn = scenarios.two_ball_box_scenario(masses=(1.0, mass))
+            if kind == "periodic":
+                dl, c = scn.lagrangian(), scn.periodic_chain(patterns[:n], xs[:n])
+            else:
+                code = patterns[:n + 1]
+                dl = scenarios.box_fixed_lagrangian(scn, ends[:2], ends[2:], code, margin)
+                c = scenarios.box_fixed_chain(code, xs[:n])
+        try:
+            chain_action(dl, c)
+        except dls.ChainDomainError:
+            assume(False)       # a chord of zero length: the rows are 0/0
+        assert_equals_one_link_reference(dl, c)
+
+    @seed(20161018)
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(st.booleans(), st.lists(st.floats(-0.05, 0.05), min_size=6, max_size=6))
+    def test_tube_joint_chains(self, box, offsets):
+        # joint chains of shadow_solve moved off their critical point: a fixed
+        # box chain with frozen ends, and a periodic torus chain. The tube
+        # links have no ambient momenta, so there are no jumps to compare.
+        sc = _shadow_chains()[box]
+        P = sc.joint_chain.points
+        c = sc.joint_chain.with_points(P + np.reshape(offsets[:P.size], P.shape))
+        assert_equals_one_link_reference(sc.joint_dl, c)
+
+    def test_lagrangians_never_share_a_layout(self):
+        # the same code under the box Lagrangian at margin 0 and then at
+        # 1e-2: each evaluation is its own Lagrangian's, as fresh ones give
+        scn = scenarios.two_ball_box_scenario(masses=(1.0, 2.0))
+        a, b = [0.15, 0.85], [0.2, 0.8]
+        code = [(0, 0), (-1, 1), (-1, 1), (0, 0)]
+        chain = scenarios.box_fixed_chain(code, [0.55, 0.7, 0.6])
+        results = []
+        for margin in (0.0, 1e-2):
+            dl = scenarios.box_fixed_lagrangian(scn, a, b, code, wall_margin=margin)
+            got = (residual(dl, chain), hessian(dl, chain).matrix, chain_action(dl, chain))
+            fresh = scenarios.box_fixed_lagrangian(scn, a, b, code, wall_margin=margin)
+            for x, y in zip(got, (residual(fresh, chain), hessian(fresh, chain).matrix,
+                                  chain_action(fresh, chain))):
+                assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+            assert_equals_one_link_reference(dl, chain)
+            assert dl.layouts is not fresh.layouts
+            results.append(got)
+        assert results[0][0].tobytes() != results[1][0].tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _shadow_chains():
+    """Shadow chains at eps = 1e-3, built once: {True: a fixed 4-link box
+    chain (masses 1, 2), False: the periodic torus_point chain (1, 0), (0, 1),
+    (1, 1)}."""
+    scn = scenarios.two_ball_box_scenario(masses=(1.0, 2.0))
+    a, b = np.array([0.15, 0.85]), np.array([0.2, 0.8])
+    code = [(0, 0), (-1, 1), (-1, 1), (0, 0)]
+    res = newton_chain(scenarios.box_fixed_lagrangian(scn, a, b, code),
+                       scenarios.box_fixed_chain(code, [0.55, 0.7, 0.6]))
+    tp = scenarios.torus_point_scenario()
+    return {True: shadow_solve(scenarios.box_fixed_lagrangian(scn, a, b, code, wall_margin=1e-3),
+                               res.chain, 1e-3),
+            False: shadow_solve(tp.dl, tp.chain([(1, 0), (0, 1), (1, 1)]), 1e-3)}

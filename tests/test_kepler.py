@@ -213,6 +213,19 @@ class TestThreeBodyLagrangian:
         with pytest.raises(ValueError):
             kp.three_body_lagrangian((0, 1), self.z, 0.5, 0.5, -1.0)
 
+    @pytest.mark.parametrize("k, a1, gap", [((1, 3), 0.7, "6.854e-01"), ((3, 1), 0.3, "6.854e-01"),
+                                            ((3, -1), 0.3, "9.957e-01"),
+                                            ((-1, 3), 0.7, "9.957e-01")])
+    def test_unsynchronized_split_refused(self, k, a1, gap):
+        # the polish spends all 60 steps inside the feasible interval
+        # (-1.714, -0.943) without reaching tau1 = tau2: the split is not
+        # stationary, so its value and envelope derivatives are refused
+        lo, hi = kp.split_feasible_interval(self.z, a1, 1.0 - a1, -1.2)
+        assert lo < hi
+        with pytest.raises(kp.FeasibilityError,
+                           match=rf"60 steps: \|tau1 - tau2\| = {gap}"):
+            kp.three_body_lagrangian(k, self.z, a1, 1.0 - a1, -1.2)
+
 
 class TestCommensurability:
     def test_equal_periods_hit(self):
