@@ -67,7 +67,8 @@ class TestBlockTridiagonal:
         assert_matches_reference(BlockTridiagonalFactor(link_stacks(blocks), False), M)
         tol = lu_tolerance(M)
         for rhs in loads(rng, M.shape[0], k):
-            x = np.concatenate(solve_window(link_stacks(blocks), site_blocks(rhs, len(blocks) - 1)))
+            x = np.concatenate(solve_window(link_stacks(blocks),
+                                            site_blocks(rhs, len(blocks) - 1)))
             ref = np.linalg.solve(M, rhs)
             assert x.shape == ref.shape
             assert np.max(np.abs(x - ref)) <= tol * np.max(np.abs(ref))
