@@ -256,8 +256,9 @@ def expansion_residual(dl: dlsmod.DiscreteLagrangian, k, xm, sm, xp, sp,
     scat = dl.scatterer
     XM, XP = (np.asarray(x, dtype=float).reshape(1, scat.dim) if scat.dim else np.zeros((1, 0))
               for x in (xm, xp))
-    L0 = float(type(link).values([link], XM, XP)[0])
-    (p_minus,), (p_plus,) = type(link).momenta_rows([link], XM, XP)
+    rows = type(link).stack([link])
+    L0 = float(type(link).values(rows, XM, XP)[0])
+    (p_minus,), (p_plus,) = type(link).momenta_rows(rows, XM, XP)
     _, nor_m = scat.frames(xm)
     _, nor_p = scat.frames(xp)
     corr = -eps * float(p_minus @ (nor_m @ np.asarray(sm, dtype=float))) \
@@ -384,44 +385,44 @@ class TwoPointLink(dlsmod.LinkEvaluator):
         self.left = left
         self.right = right
         self.eps = eps
-        self.dim_minus = left.dim
-        self.dim_plus = right.dim
-
-    @staticmethod
-    def _stack(links):
-        """Both slots' charts of the rows, and their base links as a family."""
-        return ([link.left for link in links], [link.right for link in links],
-                dlsmod.Family(link.base for link in links))
 
     @classmethod
-    def _rows(cls, links, XM, XP):
+    def stack(cls, links):
+        """Both slots' charts of the rows, the class of their base links, the
+        base links' rows and the shared eps."""
+        base = type(links[0].base)
+        return ([link.left for link in links], [link.right for link in links], base,
+                base.stack([link.base for link in links]), links[0].eps)
+
+    @staticmethod
+    def _geometry(rows, XM, XP):
         """The rows() of both slots' charts (a slot's charts share their class,
         as rows are grouped by which slots have a site and only frozen slots
         have none) and the chords between their tube points."""
-        lefts, rights, bases = dlsmod.family_constants(links, cls._stack)
+        lefts, rights, base, base_rows, eps = rows
         left = type(lefts[0]).rows(lefts, XM)
         right = type(rights[0]).rows(rights, XP)
-        return left, right, type(bases[0]).tube_chords(bases, left[0], right[0], links[0].eps)
+        return left, right, base.tube_chords(base_rows, left[0], right[0], eps)
 
     @classmethod
-    def tube_points(cls, links, XM, XP):
+    def tube_points(cls, rows, XM, XP):
         """Tube points (QM, QP), (n, d) each, of both slots of every row."""
-        (QM, _, _), (QP, _, _), _ = cls._rows(links, XM, XP)
+        (QM, _, _), (QP, _, _), _ = cls._geometry(rows, XM, XP)
         return QM, QP
 
     @classmethod
-    def values(cls, links, XM, XP):
-        return cls._rows(links, XM, XP)[2].action
+    def values(cls, rows, XM, XP):
+        return cls._geometry(rows, XM, XP)[2].action
 
     @classmethod
-    def grads(cls, links, XM, XP):
-        (_, Jm, _), (_, Jp, _), ch = cls._rows(links, XM, XP)
+    def grads(cls, rows, XM, XP):
+        (_, Jm, _), (_, Jp, _), ch = cls._geometry(rows, XM, XP)
         return ((-np.swapaxes(Jm, 1, 2) @ ch.p_minus[:, :, None])[..., 0],
                 (np.swapaxes(Jp, 1, 2) @ ch.p_plus[:, :, None])[..., 0])
 
     @classmethod
-    def hessians(cls, links, XM, XP):
-        (_, Jm, curv_m), (_, Jp, curv_p), ch = cls._rows(links, XM, XP)
+    def hessians(cls, rows, XM, XP):
+        (_, Jm, curv_m), (_, Jp, curv_p), ch = cls._geometry(rows, XM, XP)
         # S(q-, q+) = sqrt(2E) |parity * q+ - q- + const|_M
         K = ch.hessian()
         KP = K * ch.parity[:, None, :]

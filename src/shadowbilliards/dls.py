@@ -44,14 +44,14 @@ class LinkEvaluator:
 
     Links are evaluated by family: the links of one chain that share a class
     and which of their slots have a site (so slot dimensions), their
-    endpoints stacked row by row in XM (n, dim_minus) and XP (n, dim_plus).
-    One link is the one-row family; per-link constants that a class stacks
-    through family_constants are kept on a layout's Family.
+    endpoints stacked row by row in XM and XP, (n, .) each. A family's
+    per-link constants are its rows, stack(links), which a layout builds once
+    per family; one link is the one-row family, stack([link]).
     Subclasses implement, as classmethods returning one row per link:
 
-    - values(links, XM, XP): the branch values, shape (n,);
-    - grads(links, XM, XP): (D-, D+), shapes (n, dim_minus) and (n, dim_plus);
-    - hessians(links, XM, XP): (D--, D-+, D++), each (n, ., .); a branch
+    - values(rows, XM, XP): the branch values, shape (n,);
+    - grads(rows, XM, XP): (D-, D+), shaped like XM and XP;
+    - hessians(rows, XM, XP): (D--, D-+, D++), each (n, ., .); a branch
       without a closed form returns difference_hessians() of its gradients;
     - momenta_rows(), where the branch knows its ambient boundary momenta;
     - in_domain(), where its domain is smaller than its chart.
@@ -60,20 +60,21 @@ class LinkEvaluator:
     Hessian rows and may leave grads and hessians out.
     """
 
-    dim_minus: int
-    dim_plus: int
+    @classmethod
+    def stack(cls, links: Sequence["LinkEvaluator"]):
+        """The rows of a family of links: by default the links themselves."""
+        return list(links)
 
     @classmethod
-    def momenta_rows(cls, links: Sequence["LinkEvaluator"], XM: np.ndarray,
+    def momenta_rows(cls, rows, XM: np.ndarray,
                      XP: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Ambient boundary momenta (p-, p+) of every row, each of shape (n, d)."""
         raise NotImplementedError("this branch does not expose ambient momenta")
 
     @classmethod
-    def in_domain(cls, links: Sequence["LinkEvaluator"], XM: np.ndarray,
-                  XP: np.ndarray) -> np.ndarray:
+    def in_domain(cls, rows, XM: np.ndarray, XP: np.ndarray) -> np.ndarray:
         """Whether each row lies in the domain of its branch, shape (n,)."""
-        return np.ones(len(links), dtype=bool)
+        return np.ones(len(XM), dtype=bool)
 
     @staticmethod
     def _blocks(J: np.ndarray, nm: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -86,7 +87,7 @@ class LinkEvaluator:
 _DIFFERENCE_STEP = 1.6e-5   # h of difference_hessians, which steps h/2 and h
 
 
-def difference_hessians(cls, links: Sequence[LinkEvaluator], XM: np.ndarray,
+def difference_hessians(cls, rows, XM: np.ndarray,
                         XP: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(D--, D-+, D++) of every row from the exact gradients cls.grads.
 
@@ -97,11 +98,11 @@ def difference_hessians(cls, links: Sequence[LinkEvaluator], XM: np.ndarray,
     Z = np.concatenate([XM, XP], axis=1)
 
     def jacobian(h):
-        J = np.empty((len(links), Z.shape[1], Z.shape[1]))
+        J = np.empty((len(Z), Z.shape[1], Z.shape[1]))
         for i in range(Z.shape[1]):
             e = np.zeros(Z.shape[1])
             e[i] = h
-            up, down = (np.concatenate(cls.grads(links, W[:, :nm], W[:, nm:]), axis=1)
+            up, down = (np.concatenate(cls.grads(rows, W[:, :nm], W[:, nm:]), axis=1)
                         for W in (Z + e, Z - e))
             J[:, :, i] = (up - down) / (2 * h)
         return J
@@ -199,37 +200,16 @@ class ChainConfiguration:
         return ChainConfiguration(self.code, points, self.bc)
 
 
-class Family(tuple):
-    """The links of one family of a chain layout, in chain order.
-
-    To the evaluators any sequence of links is a family; this one also keeps
-    the constants its link class stacks from the links (family_constants),
-    so a layout stacks them once.
-    """
-
-    constants = None
-
-
-def family_constants(links: Sequence[LinkEvaluator], stack: Callable):
-    """stack(links): the per-link constants of a family, as arrays. A Family
-    keeps them, so each layout stacks them once; any other sequence of links
-    (one link, a plain list) stacks them on every call."""
-    if not isinstance(links, Family):
-        return stack(links)
-    if links.constants is None:
-        links.constants = stack(links)
-    return links.constants
-
-
 @dataclass
 class LayoutFamily:
     """One family of a layout: the links of a chain that share a class and
-    which of their slots have a site. idx holds the links' places in the
-    code; minus and plus the rows of the chain's points at their slots, None
-    where the slot has no site (the outermost slots of a fixed chain)."""
+    which of their slots have a site. rows holds what cls.stack makes of the
+    links, idx their places in the code; minus and plus the rows of the
+    chain's points at their slots, None where the slot has no site (the
+    outermost slots of a fixed chain)."""
 
     cls: type
-    links: Family
+    rows: object
     idx: np.ndarray
     minus: Optional[np.ndarray]
     plus: Optional[np.ndarray]
@@ -249,9 +229,9 @@ def layout(dl: DiscreteLagrangian, c: ChainConfiguration) -> List[LayoutFamily]:
             lo, hi = (j, (j + 1) % n) if c.bc == "periodic" else (j - 1, j if j < n - 1 else -1)
             groups.setdefault((type(link), lo >= 0, hi >= 0), []).append((j, link, lo, hi))
         families = []
-        for (cls, has_minus, has_plus), rows in groups.items():
-            idx, links, lo, hi = zip(*rows)
-            families.append(LayoutFamily(cls, Family(links), np.array(idx),
+        for (cls, has_minus, has_plus), members in groups.items():
+            idx, links, lo, hi = zip(*members)
+            families.append(LayoutFamily(cls, cls.stack(links), np.array(idx),
                                          np.array(lo) if has_minus else None,
                                          np.array(hi) if has_plus else None))
         dl.layouts[key] = families
@@ -264,7 +244,7 @@ def _families(dl: DiscreteLagrangian, c: ChainConfiguration):
     columns where the slot has no site)."""
     P = c.points
     for fam in layout(dl, c):
-        empty = np.zeros((len(fam.links), 0))
+        empty = np.zeros((len(fam.idx), 0))
         yield (fam, empty if fam.minus is None else P[fam.minus],
                empty if fam.plus is None else P[fam.plus])
 
@@ -273,9 +253,9 @@ def _evaluate(fam: LayoutFamily, method: str, XM: np.ndarray, XP: np.ndarray):
     """The family's class method `method` on its rows. A family without chart
     coordinates on either slot has empty gradient and Hessian rows."""
     if method in ("grads", "hessians") and not (XM.shape[1] or XP.shape[1]):
-        k = len(fam.links)
+        k = len(fam.idx)
         return (np.zeros((k, 0)),) * 2 if method == "grads" else (np.zeros((k, 0, 0)),) * 3
-    return getattr(fam.cls, method)(fam.links, XM, XP)
+    return getattr(fam.cls, method)(fam.rows, XM, XP)
 
 
 def _per_link(dl: DiscreteLagrangian, c: ChainConfiguration, method: str) -> list:
@@ -308,7 +288,7 @@ def _check_domains(dl: DiscreteLagrangian, c: ChainConfiguration):
     """Raise ChainDomainError at the first link outside its branch's domain."""
     ok = np.empty(c.n_links, dtype=bool)
     for fam, XM, XP in _families(dl, c):
-        ok[fam.idx] = fam.cls.in_domain(fam.links, XM, XP)
+        ok[fam.idx] = fam.cls.in_domain(fam.rows, XM, XP)
     bad = np.flatnonzero(~ok)
     if bad.size:
         j = int(bad[0])
@@ -321,7 +301,7 @@ def chain_action(dl: DiscreteLagrangian, c: ChainConfiguration) -> float:
     _check_domains(dl, c)
     values = np.empty(c.n_links)
     for fam, XM, XP in _families(dl, c):
-        values[fam.idx] = fam.cls.values(fam.links, XM, XP)
+        values[fam.idx] = fam.cls.values(fam.rows, XM, XP)
     total = 0.0
     for v in values.tolist():
         total += v

@@ -31,7 +31,6 @@ class ChordLink(dlsmod.LinkEvaluator):
         self.h = h
         self.E = E
         self.label = label
-        self.dim_minus = self.dim_plus = 0
         self._start = start
         self._disp = disp
         ell = h.mass_norm(disp)
@@ -39,36 +38,35 @@ class ChordLink(dlsmod.LinkEvaluator):
         self._p = h.mass @ (self._speed * disp / ell)
         self._action = self._speed * ell
 
-    @staticmethod
-    def _stack(links):
-        """Actions, momenta, masses and speeds of the rows, and on a torus
-        their windings as floats."""
+    @classmethod
+    def stack(cls, links):
+        """Actions, momenta, masses and speeds of the rows, on a torus their
+        windings as floats, and the ambient space they share."""
         space = links[0].h.space
         return (np.array([link._action for link in links]), np.array([link._p for link in links]),
                 np.array([link.h.mass for link in links]),
                 np.array([link._speed for link in links]),
-                np.array([link.label for link in links], dtype=float) if space.is_torus else None)
+                np.array([link.label for link in links], dtype=float) if space.is_torus else None,
+                space)
 
     @classmethod
-    def values(cls, links, XM, XP):
-        return dlsmod.family_constants(links, cls._stack)[0].copy()
+    def values(cls, rows, XM, XP):
+        return rows[0].copy()
 
     @classmethod
-    def momenta_rows(cls, links, XM, XP):
-        p = dlsmod.family_constants(links, cls._stack)[1]
-        return p.copy(), p.copy()
+    def momenta_rows(cls, rows, XM, XP):
+        return rows[1].copy(), rows[1].copy()
 
     def ambient_connect(self, qm, qp, eps):
         return bvp.connect(self.h, qm, qp, self.E, label=self.label)
 
     @classmethod
-    def tube_chords(cls, links, QM, QP, eps):
+    def tube_chords(cls, rows, QM, QP, eps):
         """Stacked form of ambient_connect: the straight chords from QM[r] to
         QP[r] (n, d), each displaced by its row's torus winding (the label),
         with the action speed * mass_norm(chord). Every row rounds as
-        bvp.connect rounds it; the rows share one ambient space."""
-        space = links[0].h.space
-        _, _, mass, speed, windings = dlsmod.family_constants(links, cls._stack)
+        bvp.connect rounds it."""
+        _, _, mass, speed, windings, space = rows
         D = QP - QM
         if space.is_torus:
             D = space.centered(D) + windings * space.periods
@@ -152,37 +150,36 @@ class TwoBallTorusLink(dlsmod.LinkEvaluator):
         self.n = np.asarray(windings, dtype=int)
         if self.n[0] == self.n[1]:
             raise ValueError("equal windings give a straight passage (no jump)")
-        self.dim_minus = self.dim_plus = 1
         self._speed = np.sqrt(2.0 * E)
 
-    @staticmethod
-    def _stack(links):
+    @classmethod
+    def stack(cls, links):
         """Speeds (n,), masses (n, 2) and winding lengths n_i L (n, 2) of the rows."""
         return (np.array([link._speed for link in links]), np.array([link.m for link in links]),
                 np.array([link.n * link.L for link in links]))
 
-    @classmethod
-    def _passages(cls, links, XM, XP):
+    @staticmethod
+    def _passages(rows, XM, XP):
         """Speeds (n,), masses (n, 2), ball path lengths (n, 2) and kinetic
         lengths (n,) of the rows: ball i travels x+ - x- plus n_i periods."""
-        speed, m, wound = dlsmod.family_constants(links, cls._stack)
+        speed, m, wound = rows
         ell = (XP[:, :1] - XM[:, :1]) + wound
         return speed, m, ell, np.sqrt(np.sum(m * ell**2, axis=1))
 
     @classmethod
-    def values(cls, links, XM, XP):
-        speed, _, _, g = cls._passages(links, XM, XP)
+    def values(cls, rows, XM, XP):
+        speed, _, _, g = cls._passages(rows, XM, XP)
         return speed * g
 
     @classmethod
-    def grads(cls, links, XM, XP):
-        speed, m, ell, g = cls._passages(links, XM, XP)
+    def grads(cls, rows, XM, XP):
+        speed, m, ell, g = cls._passages(rows, XM, XP)
         gm = (-speed * np.sum(m * ell, axis=1) / g)[:, None]
         return gm, -gm
 
     @classmethod
-    def hessians(cls, links, XM, XP):
-        return dlsmod.difference_hessians(cls, links, XM, XP)
+    def hessians(cls, rows, XM, XP):
+        return dlsmod.difference_hessians(cls, rows, XM, XP)
 
 
 @dataclass
@@ -219,17 +216,18 @@ def two_ball_torus_scenario(masses=(1.0, 1.0), E: float = 0.5,
 # ---------------------------------------------------------------------------
 
 class _BoxRows(NamedTuple):
-    """The per-link constants of a family of box links (TwoBallBoxLink._stack)."""
+    """The per-link constants of a family of box links (TwoBallBoxLink.stack):
+    patterns, boxes and masses (n, 2), speeds (n,), the walls and their fold
+    at the links' own margins (TwoBallBoxLink._walls), and per slot the
+    anchors (n, 2), None where the slot has none."""
 
     pattern: np.ndarray
     box: np.ndarray
     m: np.ndarray
     speed: np.ndarray
-    margin: np.ndarray
-    left: np.ndarray
-    left_at: np.ndarray
-    right: np.ndarray
-    right_at: np.ndarray
+    walls: tuple
+    left: Optional[np.ndarray]
+    right: Optional[np.ndarray]
 
 
 class TwoBallBoxLink(dlsmod.LinkEvaluator):
@@ -242,8 +240,8 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
     chain freeze a slot at an ambient pair position (left or right anchor);
     that slot then has no chart coordinates.
 
-    The family methods take rows with one slot dimension each, so an anchored
-    slot is anchored in every row; patterns, anchors, masses and walls are
+    The rows of a family anchor the same slots (stack refuses a family that
+    mixes anchored and free rows); patterns, anchors, masses and walls are
     read per row.
     """
 
@@ -259,71 +257,68 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
         self.margin = float(wall_margin)
         self.left = None if left is None else np.asarray(left, dtype=float)
         self.right = None if right is None else np.asarray(right, dtype=float)
-        self.dim_minus = 0 if left is not None else 1
-        self.dim_plus = 0 if right is not None else 1
         self._speed = np.sqrt(2.0 * E)
 
-    @staticmethod
-    def _stack(links):
-        """The rows' patterns, boxes and masses (n, 2), speeds and margins
-        (n,), and per slot whether each row is anchored and its anchor (n, 2),
-        zero where it has none."""
+    @classmethod
+    def stack(cls, links):
+        """The rows of a family, a _BoxRows; ValueError if the family mixes
+        anchored and free rows at a slot."""
         def anchors(points):
-            return (np.array([a is not None for a in points]),
-                    np.array([np.zeros(2) if a is None else a for a in points]))
+            if len({a is None for a in points}) > 1:
+                raise ValueError("a family of box links mixes anchored and free rows")
+            return None if points[0] is None else np.array(points)
 
-        return _BoxRows(np.array([link.pattern for link in links]),
-                        np.array([link.box for link in links], dtype=float),
-                        np.array([link.m for link in links]),
+        pattern = np.array([link.pattern for link in links])
+        box = np.array([link.box for link in links], dtype=float)
+        return _BoxRows(pattern, box, np.array([link.m for link in links]),
                         np.array([link._speed for link in links]),
-                        np.array([link.margin for link in links]),
-                        *anchors([link.left for link in links]),
-                        *anchors([link.right for link in links]))
-
-    @classmethod
-    def _fold(cls, links, YM, YP, margin):
-        """Unfolded displacements and wall parities, (n, 2) each, of the chords
-        from pair positions YM to YP under each row's wall-bounce pattern, the
-        walls moved in by margin (a number or one per row)."""
-        rows = dlsmod.family_constants(links, cls._stack)
-        lo = (rows.box[:, 0] + margin)[:, None]
-        width = (rows.box[:, 1] - margin)[:, None] - lo
-        xi = YP - lo
-        odd = rows.pattern % 2 == 1
-        image = np.where(odd, lo + (rows.pattern + 1) * width - xi,
-                         lo + rows.pattern * width + xi)
-        return image - YM, np.where(odd, -1.0, 1.0)
+                        cls._walls(pattern, box, np.array([link.margin for link in links])),
+                        anchors([link.left for link in links]),
+                        anchors([link.right for link in links]))
 
     @staticmethod
-    def _anchored(Y, anchored, at):
-        """Pair positions Y (n, 2), each row replaced by its anchor where it has one."""
-        if not anchored.any():
-            return Y
-        return at if anchored.all() else np.where(anchored[:, None], at, Y)
+    def _walls(pattern, box, margin):
+        """The walls (lo, hi), (n, 1) each, of boxes (n, 2) moved in by margin
+        (a number or one per row), and what folding a chord between them
+        takes of each row's wall-bounce pattern (n, 2): which balls end
+        mirrored, the images lo + (k + 1) w and lo + k w of the lower wall
+        (w = hi - lo) and the wall parities."""
+        margin = np.reshape(margin, (-1, 1))
+        lo, hi = box[:, :1] + margin, box[:, 1:] - margin
+        odd = pattern % 2 == 1
+        return (lo, hi, odd, lo + (pattern + 1) * (hi - lo), lo + pattern * (hi - lo),
+                np.where(odd, -1.0, 1.0))
+
+    @staticmethod
+    def _fold(walls, YM, YP):
+        """Unfolded displacements and wall parities, (n, 2) each, of the chords
+        from pair positions YM to YP between the walls of _walls; the
+        parities are the walls' own array, which no caller writes."""
+        lo, _, odd, mirrored, shifted, parity = walls
+        xi = YP - lo
+        return np.where(odd, mirrored - xi, shifted + xi) - YM, parity
+
+    @staticmethod
+    def _ends(rows, XM, XP):
+        """Ambient pair positions (n, 2) of both slots: a slot's anchors, or
+        its chart coordinate for both balls."""
+        return (np.repeat(XM[:, :1], 2, axis=1) if rows.left is None else rows.left,
+                np.repeat(XP[:, :1], 2, axis=1) if rows.right is None else rows.right)
 
     @classmethod
-    def _ends(cls, links, XM, XP):
-        """Ambient pair positions (n, 2) of both slots, anchors taking precedence."""
-        rows = dlsmod.family_constants(links, cls._stack)
-        return (cls._anchored(np.repeat(XM[:, :1], 2, axis=1), rows.left, rows.left_at),
-                cls._anchored(np.repeat(XP[:, :1], 2, axis=1), rows.right, rows.right_at))
-
-    @classmethod
-    def _ambient_chords(cls, links, YM, YP, margin):
+    def _ambient_chords(cls, rows, YM, YP, walls):
         """Speeds (n,), masses (n, 2), unfolded displacements and parities
         (n, 2) and kinetic lengths (n,) of the rows' chords from pair
-        positions YM to YP, the walls moved in by margin."""
-        ell, par = cls._fold(links, YM, YP, margin)
-        rows = dlsmod.family_constants(links, cls._stack)
+        positions YM to YP between the walls."""
+        ell, par = cls._fold(walls, YM, YP)
         g = np.sqrt(np.sum(rows.m * ell**2, axis=1))
         return rows.speed, rows.m, ell, par, g
 
     @classmethod
-    def _chords(cls, links, XM, XP):
-        """_ambient_chords of the rows at chart coordinates, each at its own
-        wall margin."""
-        return cls._ambient_chords(links, *cls._ends(links, XM, XP),
-                                   dlsmod.family_constants(links, cls._stack).margin)
+    def _chords(cls, rows, XM, XP):
+        """_ambient_chords of the rows at chart coordinates, each between its
+        own walls."""
+        return cls._ambient_chords(rows, *cls._ends(rows, XM, XP), rows.walls)
 
     @staticmethod
     def _momenta(speed, m, ell, par, g):
@@ -332,81 +327,74 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
         return p / g[:, None], p * par / g[:, None]
 
     @classmethod
-    def values(cls, links, XM, XP):
-        speed, _, _, _, g = cls._chords(links, XM, XP)
+    def values(cls, rows, XM, XP):
+        speed, _, _, _, g = cls._chords(rows, XM, XP)
         return speed * g
 
     @classmethod
-    def grads(cls, links, XM, XP):
+    def grads(cls, rows, XM, XP):
         """A slot has as many gradient entries as chart coordinates: one, or
         none when anchored."""
-        speed, m, ell, par, g = cls._chords(links, XM, XP)
+        speed, m, ell, par, g = cls._chords(rows, XM, XP)
         gm = (-speed * np.sum(m * ell, axis=1) / g)[:, None]
         gp = (speed * np.sum(m * ell * par, axis=1) / g)[:, None]
         return gm[:, :XM.shape[1]], gp[:, :XP.shape[1]]
 
     @classmethod
-    def hessians(cls, links, XM, XP):
+    def hessians(cls, rows, XM, XP):
         """Closed form: the chord is affine in the free slots, so the Hessian
         is D^T K D with K the chord Hessian and D = d(chord)/d(free slots),
         whose columns are -(1, 1) for the minus slot and the parities for the
         plus slot."""
-        speed, m, ell, par, _ = cls._chords(links, XM, XP)
+        speed, m, ell, par, _ = cls._chords(rows, XM, XP)
         cols = ([np.full_like(ell, -1.0)] if XM.shape[1] else []) \
             + ([par] if XP.shape[1] else [])
-        Dt = np.stack(cols, axis=1) if cols else np.empty((len(links), 0, 2))
+        Dt = np.stack(cols, axis=1) if cols else np.empty((len(XM), 0, 2))
         K = bvp.chord_hessian(m[:, :, None] * np.eye(2), ell, speed)
         return cls._blocks(Dt @ K @ np.swapaxes(Dt, -1, -2), XM.shape[1])
 
     @classmethod
-    def momenta_rows(cls, links, XM, XP):
-        return cls._momenta(*cls._chords(links, XM, XP))
+    def momenta_rows(cls, rows, XM, XP):
+        return cls._momenta(*cls._chords(rows, XM, XP))
 
     @classmethod
-    def in_domain(cls, links, XM, XP):
+    def in_domain(cls, rows, XM, XP):
         """Both pair positions strictly inside the walls, and every ball moving."""
-        YM, YP = cls._ends(links, XM, XP)
-        rows = dlsmod.family_constants(links, cls._stack)
-        margin, box = rows.margin, rows.box
-        lo, hi = box[:, :1] + margin[:, None], box[:, 1:] - margin[:, None]
+        YM, YP = cls._ends(rows, XM, XP)
+        lo, hi = rows.walls[:2]
         inside = np.all((lo < YM) & (YM < hi) & (lo < YP) & (YP < hi), axis=1)
-        ell, _ = cls._fold(links, YM, YP, margin)
+        ell, _ = cls._fold(rows.walls, YM, YP)
         return inside & np.all(np.abs(ell) > 1e-12, axis=1)
 
     def ambient_connect(self, qm, qp, eps):
+        """The collision orbit of the one-row tube_chords from qm to qp
+        (anchors taking precedence), its path the chord folded at the walls
+        moved in by eps, in 129 samples."""
         qm = self.left if self.left is not None else np.asarray(qm, dtype=float)
         qp = self.right if self.right is not None else np.asarray(qp, dtype=float)
-        return self._connect_ambient(qm, qp, eps)
-
-    @classmethod
-    def tube_chords(cls, links, QM, QP, eps):
-        """Stacked form of ambient_connect: the unfolded chords from QM[r] to
-        QP[r] (n, 2), anchors taking precedence, the walls moved in by eps,
-        with the action speed * g of the kinetic length g. Every row rounds
-        as _connect_ambient rounds it."""
-        rows = dlsmod.family_constants(links, cls._stack)
-        speed, m, ell, par, g = cls._ambient_chords(
-            links, cls._anchored(QM, rows.left, rows.left_at),
-            cls._anchored(QP, rows.right, rows.right_at), eps)
-        p_minus, p_plus = cls._momenta(speed, m, ell, par, g)
-        return bvp.Chords(speed * g, p_minus, p_plus, ell, par, m[:, :, None] * np.eye(2), speed)
-
-    def _connect_ambient(self, qm, qp, eps):
-        lo, hi = self.box[0] + eps, self.box[1] - eps
-        ell, par = (a[0] for a in self._fold([self], qm[None], qp[None], eps))
-        g = np.sqrt(np.sum(self.m * ell**2))
-        action = self._speed * g
-        tau = g / self._speed
-        p_minus = self._speed * self.m * ell / g
-        p_plus = self._speed * self.m * ell * par / g
-        ts = np.linspace(0.0, 1.0, 129)
-        unfolded = qm + ts[:, None] * ell
+        rows = self.stack([self])
+        ch = self.tube_chords(rows, qm[None], qp[None], eps)
+        ell = ch.chord[0]
+        tau = np.sqrt(np.sum(self.m * ell**2)) / self._speed
+        lo, hi = self._walls(rows.pattern, rows.box, eps)[:2]
+        unfolded = qm + np.linspace(0.0, 1.0, 129)[:, None] * ell
         width = hi - lo
         z = np.remainder(unfolded - lo, 2 * width)
         path = lo + np.where(z <= width, z, 2 * width - z)
-        return bvp.CollisionOrbit(self.h, self.E, qm, qp, float(action), float(tau),
-                                  p_minus, p_plus, path, label=self.pattern,
-                                  chord=ell, parity=par)
+        return bvp.CollisionOrbit(self.h, self.E, qm, qp, float(ch.action[0]), float(tau),
+                                  ch.p_minus[0], ch.p_plus[0], path, label=self.pattern,
+                                  chord=ell, parity=ch.parity[0])
+
+    @classmethod
+    def tube_chords(cls, rows, QM, QP, eps):
+        """Stacked form of ambient_connect: the unfolded chords from QM[r] to
+        QP[r] (n, 2), anchors taking precedence, the walls moved in by eps,
+        with the action speed * g of the kinetic length g."""
+        speed, m, ell, par, g = cls._ambient_chords(
+            rows, QM if rows.left is None else rows.left,
+            QP if rows.right is None else rows.right, cls._walls(rows.pattern, rows.box, eps))
+        p_minus, p_plus = cls._momenta(speed, m, ell, par, g)
+        return bvp.Chords(speed * g, p_minus, p_plus, ell, par, m[:, :, None] * np.eye(2), speed)
 
 
 @dataclass

@@ -354,7 +354,7 @@ class TestGeneratingFunction:
 def _one_link_hessians(link, um, up):
     """The closed-form Hessian blocks of one tube link and their
     dls.difference_hessians, from one-row family calls."""
-    one = ([link], um[None], up[None])
+    one = (billiard.TwoPointLink.stack([link]), um[None], up[None])
     return ([b[0] for b in billiard.TwoPointLink.hessians(*one)],
             [b[0] for b in dls.difference_hessians(billiard.TwoPointLink, *one)])
 

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ class TestChainAction:
         # paper value: sqrt(m1 l1^2 + m2 l2^2) with unit masses and legs 3, 4
         scn = scenarios.two_ball_torus_scenario()
         link = scn.dl.link((3, 4))
-        val = type(link).values([link], np.zeros((1, 1)), np.zeros((1, 1)))[0]
+        val = type(link).values(type(link).stack([link]), np.zeros((1, 1)), np.zeros((1, 1)))[0]
         assert val == pytest.approx(5.0, rel=1e-14)
 
     def test_single_link_equals_orbit_action(self):
@@ -146,11 +147,12 @@ class TestBoxHessian:
                                         right=b if right else None)
         xm = np.zeros(0) if left else np.array([lo + (hi - lo) * u[4]])
         xp = np.zeros(0) if right else np.array([lo + (hi - lo) * u[5]])
-        _, _, ell, _, g = (r[0] for r in link._chords([link], xm[None], xp[None]))
-        assume(np.min(np.abs(ell)) > 1e-3 and g > 0.05)
         cls = scenarios.TwoBallBoxLink
-        exact = [b[0] for b in cls.hessians([link], xm[None], xp[None])]
-        fd = [b[0] for b in dls.difference_hessians(cls, [link], xm[None], xp[None])]
+        one = (cls.stack([link]), xm[None], xp[None])
+        _, _, ell, _, g = (r[0] for r in link._chords(*one))
+        assume(np.min(np.abs(ell)) > 1e-3 and g > 0.05)
+        exact = [b[0] for b in cls.hessians(*one)]
+        fd = [b[0] for b in dls.difference_hessians(cls, *one)]
         assert [h.shape for h in exact] == [h.shape for h in fd]
         for he, hf in zip(exact, fd):
             # equal patterns give an exactly zero Hessian; differences read ~1e-11
@@ -176,12 +178,13 @@ class TestBoxHessian:
             xps.append(np.zeros(0) if right else np.array([lo + (hi - lo) * u[5]]))
         XM, XP = np.array(xms).reshape(len(rows), -1), np.array(xps).reshape(len(rows), -1)
         cls = scenarios.TwoBallBoxLink
-        values, (gm, gp), hess = (cls.values(links, XM, XP), cls.grads(links, XM, XP),
-                                  cls.hessians(links, XM, XP))
+        rows = cls.stack(links)
+        values, (gm, gp), hess = (cls.values(rows, XM, XP), cls.grads(rows, XM, XP),
+                                  cls.hessians(rows, XM, XP))
         for r, (link, xm, xp) in enumerate(zip(links, xms, xps)):
             # the one-row family of each link; coincident chords give 0/0:
             # nan must match nan
-            one = ([link], xm[None], xp[None])
+            one = (cls.stack([link]), xm[None], xp[None])
             gm1, gp1 = cls.grads(*one)
             assert np.array_equal(values[r], cls.values(*one)[0], equal_nan=True)
             assert np.array_equal(gm[r], gm1[0], equal_nan=True)
@@ -189,6 +192,18 @@ class TestBoxHessian:
             for block, block1 in zip(hess, cls.hessians(*one)):
                 assert block[r].shape == block1[0].shape
                 assert np.array_equal(block[r], block1[0], equal_nan=True)
+
+    def test_family_mixing_anchored_and_free_rows_refused(self):
+        # a family's rows anchor the same slots: a mixed family is refused at
+        # either slot, where no chain layout would form it
+        scn = scenarios.two_ball_box_scenario()
+        free = scenarios.TwoBallBoxLink(scn.h, scn.E, scn.masses, scn.box, (1, 0))
+        for side in ("left", "right"):
+            anchored = scenarios.TwoBallBoxLink(scn.h, scn.E, scn.masses, scn.box, (1, 0),
+                                                **{side: np.array([0.2, 0.7])})
+            for links in ([free, anchored], [anchored, free]):
+                with pytest.raises(ValueError, match="mixes anchored and free rows"):
+                    scenarios.TwoBallBoxLink.stack(links)
 
 
 def _torus_scalar_reference(link, xm, xp):
@@ -244,8 +259,9 @@ class TestTwoBallTorusRows:
         XM = np.array([[r[5]] for r in rows])
         XP = np.array([[r[6]] for r in rows])
         cls = scenarios.TwoBallTorusLink
-        got = (cls.values(links, XM, XP), *cls.grads(links, XM, XP),
-               *cls.hessians(links, XM, XP))
+        rows = cls.stack(links)
+        got = (cls.values(rows, XM, XP), *cls.grads(rows, XM, XP),
+               *cls.hessians(rows, XM, XP))
         for r, link in enumerate(links):
             ref = _torus_scalar_reference(link, XM[r], XP[r])
             for g, want in zip(got, ref):
@@ -584,21 +600,54 @@ class TestNoether:
         assert np.ptp(vals) <= 1e-9
 
 
+def _box_scalar_fold(link, qm, qp, eps):
+    """(chord, parity) of one unanchored TwoBallBoxLink orbit from qm to qp,
+    the walls moved in by eps, ball by ball in Python floats."""
+    lo = link.box[0] + eps
+    width = (link.box[1] - eps) - lo
+    chord, parity = [], []
+    for k, a, b in zip(link.pattern, qm.tolist(), qp.tolist()):
+        odd = k % 2 == 1
+        image = lo + (k + 1) * width - (b - lo) if odd else lo + k * width + (b - lo)
+        chord.append(image - a)
+        parity.append(-1.0 if odd else 1.0)
+    return chord, parity
+
+
+def _box_scalar_orbit(link, qm, qp, eps):
+    """(action, tau, p-, p+, chord, parity) of the same orbit by the scalar
+    formulas of _box_scalar_fold's chord."""
+    chord, parity = _box_scalar_fold(link, qm, qp, eps)
+    m = link.m.tolist()
+    speed = math.sqrt(2.0 * link.E)
+    g = math.sqrt(m[0] * (chord[0] * chord[0]) + m[1] * (chord[1] * chord[1]))
+    p_minus = [speed * mi * li / g for mi, li in zip(m, chord)]
+    p_plus = [speed * mi * li * si / g for mi, li, si in zip(m, chord, parity)]
+    return speed * g, g / speed, p_minus, p_plus, chord, parity
+
+
 class TestBoxPathFold:
     @seed(20161018)
     @settings(max_examples=80, deadline=None, database=None)
     @given(st.integers(-3, 3), st.integers(-3, 3), st.floats(0.0, 1.0),
-           st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 0.2))
-    def test_path_matches_scalar_fold(self, m1, m2, fa, fb, fc, eps):
-        # the reflected chord sample by sample with Python's float %, walls included
-        scn = scenarios.two_ball_box_scenario(masses=(1.0, 2.0))
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 0.2), st.floats(0.05, 3.0),
+           st.floats(0.1, 10.0))
+    def test_path_matches_scalar_fold(self, m1, m2, fa, fb, fc, eps, E, mass):
+        # the orbit's action, tau, momenta, chord and parity have the bytes of
+        # the scalar formulas, and its path is the reflected chord sample by
+        # sample with Python's float %, walls included
+        scn = scenarios.two_ball_box_scenario(masses=(1.0, mass), E=E)
         link = scenarios.TwoBallBoxLink(scn.h, scn.E, scn.masses, scn.box, (m1, m2))
         lo, hi = eps, 1.0 - eps
         qm = lo + (hi - lo) * np.array([fa, fb])
         qp = lo + (hi - lo) * np.array([fc, fc])
-        ell = link._fold([link], qm[None], qp[None], eps)[0][0]
-        assume(np.sum(np.abs(ell)) > 1e-6)
-        path = link.ambient_connect(qm, qp, eps).path
+        ell, _ = _box_scalar_fold(link, qm, qp, eps)
+        assume(sum(abs(v) for v in ell) > 1e-6)
+        orbit = link.ambient_connect(qm, qp, eps)
+        got = (orbit.action, orbit.tau, orbit.p_minus, orbit.p_plus, orbit.chord, orbit.parity)
+        for g, want in zip(got, _box_scalar_orbit(link, qm, qp, eps)):
+            assert np.asarray(g).tobytes() == np.asarray(want, dtype=float).tobytes(), (g, want)
+        path = orbit.path
         width = hi - lo
         for i in range(2):
             for t, got in zip(np.linspace(0.0, 1.0, 129), path[:, i]):
@@ -614,8 +663,8 @@ def one_link_reference(dl, c):
     rows = []
     for j, k in enumerate(c.code):
         link = dl.link(k)
-        one = ([link],) + tuple(x[None] for x in link_endpoints(c, j))
         cls = type(link)
+        one = (cls.stack([link]),) + tuple(x[None] for x in link_endpoints(c, j))
         if one[1].shape[1] or one[2].shape[1]:
             grads, hess = cls.grads(*one), cls.hessians(*one)
         else:       # no chart coordinates on either slot: empty rows

@@ -1,8 +1,9 @@
 """tools/knobs.py: no parameter with a default in src/ goes unset by every caller,
-no public name in src/ goes unnamed, no dataclass field goes unread, no
-module imports a name it never uses, and no public parameter goes unread by
-its body. Callers are src/, perfbench/ and the acceptance gate: a setting
-that only unit tests pass is a module constant."""
+no public name in src/ goes unnamed, no field of a src/ class (an annotation
+or an attribute assigned on self) goes unread, no module imports a name it
+never uses, and no public parameter goes unread by its body. Callers are
+src/, perfbench/ and the acceptance gate: a setting that only unit tests
+pass is a module constant."""
 
 import importlib.util
 from pathlib import Path
@@ -42,7 +43,7 @@ UNREAD = {
     "cli.run_ncenter(seed)": _RUNNER + "; the family draws nothing at random",
     "cli.run_kepler_grid(jobs)": _RUNNER + "; jobs waits for ROADMAP item 8",
     "cli.run_kepler_grid(seed)": _RUNNER + "; the family draws nothing at random",
-    "dls.LinkEvaluator.in_domain(XM)": "protocol default: every row in the domain",
+    "dls.LinkEvaluator.in_domain(rows)": "protocol default: every row in the domain",
     "dls.LinkEvaluator.in_domain(XP)": "protocol default: every row in the domain",
     "dynamics.ClassicalHamiltonian.velocity(q)": "the H_p(q, p) signature of a Hamiltonian",
     "scenarios.TwoBallTorusScenario.generator(x)": "symmetry callback of dls.symmetry_field, "
@@ -157,10 +158,16 @@ def test_field_scan_rules(tmp_path):
         "class B:\n"
         "    alone: int\n"
         "class Plain:\n"
-        "    plain: int\n")
+        "    plain: int\n"
+        "    def __init__(self):\n"
+        "        self.kept, self.dropped = 1, 2\n"
+        "        self.by_test: int = 3\n"
+        "        other.elsewhere = self.kept\n")
     (tmp_path / "perfbench" / "p.py").write_text("getattr(a, 'by_getattr')\n")
     (tmp_path / "tests" / "test_m.py").write_text("A(1, 2, 3).by_test\n")
-    assert knobs.unread_fields(tmp_path) == ["m.A.written", "m.A.unread", "m.B.alone"]
+    # written is a field and assigned on self: listed once
+    assert knobs.unread_fields(tmp_path) == ["m.A.written", "m.A.unread", "m.B.alone",
+                                             "m.Plain.plain", "m.Plain.dropped"]
 
 
 def test_every_default_is_passed_somewhere():

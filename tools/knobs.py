@@ -28,15 +28,17 @@ that no caller names outside their own definition, so a name that only its
 own unit tests call is unreferenced. A name counts as a variable, an
 attribute, an imported name, or a string of dotted names (perfbench hooks
 functions by such strings); as with calls, a name counts for every
-definition of that name. Unread fields: the fields of the dataclasses under
-src/ that no code in src/, perfbench/ or tests/ reads, as an attribute or
-through getattr with a constant name; a read counts for every field of that
-name. Unused imports: the names a module under src/ imports and neither
-uses nor lists in its __all__. Unread parameters: the parameters (self and
-cls left out) of the public top-level functions and of the public methods
-of public classes under src/ that their body never reads as a name; the
-methods of a class that subclasses a class defined under src/ are skipped
-(they keep their base's signature), and so are bodies that only raise.
+definition of that name. Unread fields: the class-body annotations of the
+classes under src/ (dataclass fields among them) and the attributes their
+methods assign on self, that no code in src/, perfbench/ or tests/ reads,
+as an attribute or through getattr with a constant name; a read counts for
+every field of that name. Unused imports: the names a module under src/
+imports and neither uses nor lists in its __all__. Unread parameters: the
+parameters (self and cls left out) of the public top-level functions and
+of the public methods of public classes under src/ that their body never
+reads as a name; the methods of a class that subclasses a class defined
+under src/ are skipped (they keep their base's signature), and so are
+bodies that only raise.
 """
 
 from __future__ import annotations
@@ -258,15 +260,6 @@ def unreferenced(root: Path = ROOT) -> list:
     return out
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for d in node.decorator_list:
-        target = d.func if isinstance(d, ast.Call) else d
-        if (isinstance(target, ast.Name) and target.id == "dataclass"
-                or isinstance(target, ast.Attribute) and target.attr == "dataclass"):
-            return True
-    return False
-
-
 def _reads(tree):
     """Every attribute name the code under tree reads."""
     for node in ast.walk(tree):
@@ -277,9 +270,26 @@ def _reads(tree):
             yield node.args[1].value
 
 
+def _fields(node: ast.ClassDef) -> list:
+    """The names a class annotates in its body, then those its methods assign
+    on self, each once."""
+    names = [f.target.id for f in node.body
+             if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+    for fn in node.body:
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for stmt in ast.walk(fn):
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+                for t in targets:
+                    names += [e.attr for e in (t.elts if isinstance(t, ast.Tuple) else [t])
+                              if isinstance(e, ast.Attribute) and isinstance(e.value, ast.Name)
+                              and e.value.id == "self"]
+    return list(dict.fromkeys(names))
+
+
 def unread_fields(root: Path = ROOT) -> list:
-    """module.Class.field of each dataclass field under src/ that no code in
-    READERS reads."""
+    """module.Class.field of each field (_fields) of a class under src/ that
+    no code in READERS reads."""
     read = set()
     for top in READERS:
         for path in _files(root, top):
@@ -287,10 +297,9 @@ def unread_fields(root: Path = ROOT) -> list:
     out = []
     for path in _files(root, "src"):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-                out += [f"{path.stem}.{node.name}.{f.target.id}" for f in node.body
-                        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
-                        and f.target.id not in read]
+            if isinstance(node, ast.ClassDef):
+                out += [f"{path.stem}.{node.name}.{name}" for name in _fields(node)
+                        if name not in read]
     return out
 
 
