@@ -61,7 +61,7 @@ class CollisionOrbit:
         ep = self.h.energy(self.path[-1], self.p_plus)
         miss_m, miss_p = abs(em - self.E), abs(ep - self.E)
         tol = 1e-8 * max(1.0, abs(self.E))
-        if max(miss_m, miss_p) > tol:
+        if not (miss_m <= tol and miss_p <= tol):     # a nan miss fails too
             raise ConnectError(f"boundary momenta violate the energy constraint: "
                                f"|H - E| = {miss_m:.3e} at q-, {miss_p:.3e} at q+, "
                                f"tolerance {tol:.1e}")

@@ -393,6 +393,8 @@ class TwoBallBoxLink(dlsmod.LinkEvaluator):
         speed, m, ell, par, g = cls._ambient_chords(
             rows, QM if rows.left is None else rows.left,
             QP if rows.right is None else rows.right, cls._walls(rows.pattern, rows.box, eps))
+        if np.any(g == 0):
+            raise bvp.ConnectError("coincident endpoints with zero winding")
         p_minus, p_plus = cls._momenta(speed, m, ell, par, g)
         return bvp.Chords(speed * g, p_minus, p_plus, ell, par, m[:, :, None] * np.eye(2), speed)
 

@@ -5,18 +5,22 @@ V = -sum_i alpha_i / |q - a_i| over the centers a_i (attracting for
 alpha_i > 0). Near-collision passages are resolved by shrinking the
 integration step like d^{3/2}; no regularization is performed, and approaches
 inside the exclusion radius mu^2 abort a flight. The shadowing experiment is a
-multiple shooting Newton over the chain with one section plane per collision,
-seeded by the two-body deflection that matches the chain's momentum jumps.
+multiple shooting Newton over the chain with one section per link, the
+chord's perpendicular bisector, so that each flight crosses one whole passage
+from far field to far field. A node's unknowns are its offset on the section
+and its momentum angle, on the energy shell H = E; the predictor is the chain
+corrected at first order in mu (asymptote offsets of the two-body passages
+and the Born deflection by the other centers).
 
 All integration goes through one RK4 kernel on stacked planar states
 [q, p], with a step and center weights mu * alpha per row; a lockstep step
 of any number of rows is a fixed number of whole-array numpy calls. The
 Newton solves of a whole mu sweep run in lockstep, one call per round: it
-flies every row that the unfinished solves ask for (the links of a full-step
-trial with every perturbed link of the central-difference Jacobian there, a
-Jacobian's retried columns, a line-search trial). Each row keeps its own mu,
-section, time budget, minimum distance and outcome, and its numbers are
-bit-equal to the row flown alone. The rows that cross their sections keep
+flies every row that the unfinished solves ask for (the flights of a
+full-step trial with every perturbed flight of the central-difference
+Jacobian there, a Jacobian alone, a line-search trial). Each row keeps its
+own mu, section, time budget, minimum distance and outcome, and its numbers
+are bit-equal to the row flown alone. The rows that cross their sections keep
 the step that crossed and are bisected together after the last step: one
 bisection per flight. The flights run on Euclidean space only.
 """
@@ -24,6 +28,7 @@ bisection per flight. The flights run on Euclidean space only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Sequence
 
 import numpy as np
@@ -42,7 +47,12 @@ class NonPlanarChainError(ValueError):
 
 
 class SingularShadowError(RuntimeError):
-    """Multiple-shooting Newton for the singular flow failed."""
+    """Multiple-shooting Newton for the singular flow failed; one that failed
+    past its predictor keeps its last |R| and iteration count."""
+
+    def __init__(self, message, residual=np.nan, iterations=0):
+        super().__init__(message)
+        self.residual, self.iterations = residual, iterations
 
 
 @dataclass
@@ -147,46 +157,34 @@ class _PointCenterKernel:
 
 
 # ---------------------------------------------------------------------------
-# Two-body deflection predictor
+# Two-body deflection
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class DeflectionData:
-    periapsis: np.ndarray       # predicted closest-approach point
-    momentum: np.ndarray        # momentum at periapsis
-    r_p: float
-    impact_parameter: float
+    r_p: float                  # periapsis distance
+    impact_parameter: float     # asymptote offset from the center
     chi: float                  # turning angle between asymptotes
 
 
-def rutherford_deflection(center: np.ndarray, kappa: float, E: float,
-                          u_in: np.ndarray, u_out: np.ndarray) -> DeflectionData:
+def rutherford_deflection(kappa: float, E: float, u_in: np.ndarray,
+                          u_out: np.ndarray) -> DeflectionData:
     """Attracting two-body hyperbola matching the given asymptote turn.
 
     kappa = mu * alpha is the gravitational parameter of the local passage;
     the turn chi between unit asymptote directions fixes the impact parameter
-    b = kappa / (v^2 tan(chi/2)) and periapsis r_p = (kappa/v^2)(1/sin(chi/2) - 1),
-    with the periapsis on the -(u_out - u_in) side.
+    b = kappa / (v^2 tan(chi/2)) and periapsis r_p = (kappa/v^2)(1/sin(chi/2) - 1).
+    Both asymptotes pass the center on the outer side of the turn.
     """
-    u_in = np.asarray(u_in, dtype=float)
-    u_out = np.asarray(u_out, dtype=float)
     v2 = 2.0 * E
-    cosc = float(np.clip(u_in @ u_out, -1.0, 1.0))
-    chi = float(np.arccos(cosc))
+    chi = float(np.arccos(np.clip(np.asarray(u_in, dtype=float) @ u_out, -1.0, 1.0)))
     if chi < 1e-12:
         raise SingularShadowError("straight continuation: no deflection to match")
     if np.pi - chi < 1e-12:
         raise SingularShadowError("head-on reversal: collision orbit required")
-    shalf = np.sin(chi / 2.0)
     b = kappa / (v2 * np.tan(chi / 2.0))
-    r_p = (kappa / v2) * (1.0 / shalf - 1.0)
-    apse = (u_in - u_out)
-    apse = apse / np.linalg.norm(apse)
-    tdir = (u_in + u_out)
-    tdir = tdir / np.linalg.norm(tdir)
-    v_p = np.sqrt(v2 + 2.0 * kappa / r_p)
-    return DeflectionData(np.asarray(center) + r_p * apse, v_p * tdir,
-                          float(r_p), float(b), chi)
+    r_p = (kappa / v2) * (1.0 / np.sin(chi / 2.0) - 1.0)
+    return DeflectionData(float(r_p), float(b), chi)
 
 
 # ---------------------------------------------------------------------------
@@ -200,25 +198,42 @@ class SingularShadowRow:
     sup_error: float
     min_distance: float
     predicted_r_p: float
-    residual: float
+    residual: float             # the Newton's last |R|; nan if the predictor failed
     iterations: int
     reason: str = ""            # why the row failed; empty when it converged
 
 
-def _plane_basis(normal: np.ndarray) -> np.ndarray:
-    d = normal.size
-    M = np.eye(d) - np.outer(normal, normal)
-    q, r = np.linalg.qr(M)
-    cols = [q[:, i] for i in range(d) if abs(r[i, i]) > 1e-10]
-    return np.column_stack(cols[:d - 1])
+_FD_STEP = 1e-7     # central-difference step of every shooting unknown (offset, angle)
 
 
-_FD_REL = 1e-7      # central-difference step of the shooting Jacobian, relative to
-                    # the norm of each node's unknowns
+@lru_cache(maxsize=None)
+def _gauss_legendre():
+    """Nodes and weights of the Born quadrature on [0, 1], made on first use
+    (numpy.polynomial is not imported with the package)."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
+def _cross(a, b):
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _turn(p, p2):
+    """Signed angle from the direction of p to that of p2."""
+    return float(np.arctan2(_cross(p, p2), p @ p2))
 
 
 class _ChainShooting:
-    """One mu-value multiple-shooting problem over a periodic polygon chain."""
+    """One mu-value multiple-shooting problem over a periodic polygon chain.
+
+    Node j sits on section j, the perpendicular bisector of link j: anchored
+    at the chord's midpoint, normal along the chord. Its unknowns are the
+    offset xi along the chord's left normal and the momentum angle theta,
+    with |p| from the energy shell H = E. Flight j runs from node j through
+    the passage at center j+1 to section j+1, far field to far field, and its
+    residual is the offset mismatch there and the turn from node j+1's
+    direction to the arrival's. Planar chains, unit mass.
+    """
 
     def __init__(self, sp: SingularPerturbation, centers: List[int],
                  directions: List[np.ndarray], E: float):
@@ -227,111 +242,81 @@ class _ChainShooting:
                                       "shooting and its predictor are planar")
         self.sp = sp
         self.centers = centers          # point ids, one per collision
-        self.dirs = directions          # unit outgoing directions, one per link
         self.E = E
         self.n = len(centers)
         self.points = [sp.scatterer.embed(i) for i in centers]
         self.speed = np.sqrt(2.0 * E)
-        self.normals = []
-        self.bases = []
-        self.defl = []
-        link_lengths = []
-        for j in range(self.n):
-            u_in = self.dirs[(j - 1) % self.n]
-            u_out = self.dirs[j]
-            kappa = sp.mu * sp.alphas[centers[j]]
-            defl = rutherford_deflection(self.points[j], kappa, E, u_in, u_out)
-            self.defl.append(defl)
-            tdir = (u_in + u_out)
-            tdir /= np.linalg.norm(tdir)
-            self.normals.append(tdir)
-            self.bases.append(_plane_basis(tdir))
-            link_lengths.append(np.linalg.norm(self.points[(j + 1) % self.n] - self.points[j]))
-        self.budgets = [4.0 * (L / self.speed + 1.0) for L in link_lengths]  # time per link
-        self.r_detect = 0.45 * min(link_lengths)
-        self.h_far = 0.02 * min(link_lengths) / self.speed
+        self.dirs = np.array(directions, dtype=float)   # unit chord directions, one per link
+        self.lefts = self.dirs[:, ::-1] * [-1.0, 1.0]   # their left normals
+        ends = np.array(self.points)
+        self.mids = 0.5 * (ends + np.roll(ends, -1, axis=0))    # section anchors
+        self.lengths = np.linalg.norm(np.roll(ends, -1, axis=0) - ends, axis=1)
         self.weights = sp.mu * sp.alphas
+        self.defl = [rutherford_deflection(self.weights[c], E, self.dirs[j - 1], self.dirs[j])
+                     for j, c in enumerate(centers)]
+        flown = 0.5 * (self.lengths + np.roll(self.lengths, -1))
+        self.budgets = 4.0 * (flown / self.speed + 1.0)     # time per flight
+        self.r_detect = 0.45 * self.lengths.min()
+        self.h_far = 0.02 * self.lengths.min() / self.speed
         self.kernel = _PointCenterKernel(sp)
 
-    # --- unknown packing: per node, d-1 plane coordinates and d momentum ---
+    def node_state(self, j, x):
+        """[q, p] of node j at its unknowns x = (xi, theta)."""
+        q = self.mids[j] + x[0] * self.lefts[j]
+        r = np.linalg.norm(self.sp.scatterer.points - q, axis=1)
+        speed = np.sqrt(2.0 * (self.E + self.weights @ (1.0 / r)))
+        return np.array([q, speed * np.array([np.cos(x[1]), np.sin(x[1])])])
 
-    def pack(self, xi_list, p_list):
-        return np.concatenate([np.concatenate([xi, p]) for xi, p in zip(xi_list, p_list)])
+    def first_order_offsets(self, t):
+        """Offset along each chord's left normal of the first-order chain at
+        the chord fractions t, and its slope, (n, len(t)) each (Bolotin &
+        MacKay's anti-integrable limit, corrected at first order in mu).
 
-    def unpack(self, U):
-        d = self.sp.base.dim
-        blocks = U.reshape(self.n, 2 * d - 1)
-        return list(blocks[:, :d - 1]), list(blocks[:, d - 1:])
-
-    def node_state(self, j, xi):
-        return self.defl[j].periapsis + self.bases[j] @ xi
-
-    def _ballistic_correction(self):
-        """First-order mean-field correction of the two-body predictor.
-
-        Far centers bend each link by an angle comparable to the local impact
-        parameter over inverse energy, so the raw two-body periapsis states sit
-        at the edge of the Newton basin. Integrating the background force along
-        the straight links gives the asymptote-offset defect of every passage;
-        rotating each local hyperbola about its focus cancels it. Planar
-        chains only.
+        Between the signed asymptote offsets of the passages at its two ends
+        (each on the outer side of its turn), a link is the straight line plus
+        the Born deflection y'' = F_perp / v^2 by the other centers, pinned at
+        both ends: the quadrature of F_perp against the chord's Green's
+        function s_<(L - s_>)/L, on each side of s.
         """
+        x, w = _gauss_legendre()
         pts = self.sp.scatterer.points
-        rot90 = np.array([[0.0, -1.0], [1.0, 0.0]])
-        angles = []
+        beta = [-d.impact_parameter * np.sign(_cross(self.dirs[j - 1], self.dirs[j]))
+                for j, d in enumerate(self.defl)]
+        offsets, slopes = [], []
         for j in range(self.n):
-            cj, cn = self.centers[j], self.centers[(j + 1) % self.n]
-            a0 = self.points[j]
-            disp = self.points[(j + 1) % self.n] - a0
-            L = np.linalg.norm(disp)
-            tau = L / self.speed
-            others = [i for i in range(len(pts)) if i not in (cj, cn)]
-            ts = np.linspace(0.0, 1.0, 256)
-            F = np.zeros((ts.size, 2))
-            for i in others:
-                rel = a0[None, :] + ts[:, None] * disp[None, :] - pts[i]
-                r2 = np.einsum("kj,kj->k", rel, rel)
-                F -= self.sp.mu * self.sp.alphas[i] * rel / (r2 * np.sqrt(r2))[:, None]
-            dxe = np.trapezoid((1.0 - ts)[:, None] * F, ts, axis=0) * tau**2
-
-            n_hat = rot90 @ (disp / L)
-            u_out = self.dirs[j]
-            u_in_next = self.dirs[j]
-            d_out = self.defl[j]
-            d_in = self.defl[(j + 1) % self.n]
-            p_out = d_out.periapsis - self.points[j]
-            p_in = d_in.periapsis - self.points[(j + 1) % self.n]
-            off_out = p_out - (p_out @ u_out) * u_out
-            off_in = p_in - (p_in @ u_in_next) * u_in_next
-            b_out = self.defl[j].impact_parameter * np.sign(off_out @ n_hat) \
-                if np.linalg.norm(off_out) else 0.0
-            b_in = d_in.impact_parameter * np.sign(off_in @ n_hat) \
-                if np.linalg.norm(off_in) else 0.0
-            angles.append(float((b_in - b_out - dxe @ n_hat) / L))
-        return angles
+            L, u = self.lengths[j], self.dirs[j]
+            ids = [i for i in range(len(pts))
+                   if i not in (self.centers[j], self.centers[(j + 1) % self.n])]
+            s = np.asarray(t, dtype=float)[:, None] * L
+            sig = np.array([s * x, s + (L - s) * x])    # chord nodes below and above s
+            rel = pts[ids] - (self.points[j] + sig[..., None, None] * u)
+            pull = np.sum(self.weights[ids] * (rel @ self.lefts[j])     # F_perp / v^2
+                          / np.sum(rel * rel, axis=-1)**1.5, axis=-1) / (2.0 * self.E)
+            below = np.sum(s * w * sig[0] * pull[0], axis=1)
+            above = np.sum((L - s) * w * (L - sig[1]) * pull[1], axis=1)
+            s = s[:, 0]
+            rise = beta[(j + 1) % self.n] - beta[j]
+            offsets.append(beta[j] + rise * s / L - ((L - s) * below + s * above) / L)
+            slopes.append((rise + below - above) / L)
+        return np.array(offsets), np.array(slopes)
 
     def predictor(self):
-        xi = [np.zeros(self.sp.base.dim - 1) for _ in range(self.n)]
-        p = [self.defl[j].momentum.copy() for j in range(self.n)]
-        angles = self._ballistic_correction()
-        for j in range(self.n):
-            ca, sa = np.cos(angles[j]), np.sin(angles[j])
-            R = np.array([[ca, -sa], [sa, ca]])
-            p[j] = R @ p[j]
-            peri = self.defl[j].periapsis - self.points[j]
-            xi[j] = self.bases[j].T @ (R @ peri - peri)
-        return self.pack(xi, p)
+        """The first-order chain at each section: the mid-chord offset, and
+        the chord direction turned by the mid-chord slope."""
+        y, dy = self.first_order_offsets([0.5])
+        theta = np.arctan2(self.dirs[:, 1], self.dirs[:, 0]) + dy[:, 0]
+        return np.column_stack([y[:, 0], theta]).ravel()
 
     def _section(self, Q, A, N):
         """Signed offset of each row past its section plane (A, N), and its
-        distance to the section's center A."""
+        distance to the section's anchor A."""
         rel = Q - A
         phi = (rel[:, None, :] @ N[:, :, None])[:, 0, 0]
         return phi, np.sqrt((rel[:, None, :] @ rel[:, :, None])[:, 0, 0])
 
     def fly_link(self, rows, collect=()):
-        """Flow each row (shooter, start node j, xi, p) from node j of its
-        shooter until it crosses that shooter's section j+1 near its center;
+        """Flow each row (shooter, start node j, its unknowns x) from node j of
+        its shooter until it crosses that shooter's section j+1 near its anchor;
         all rows step in lockstep, each under its shooter's mu, exclusion
         radius, far-field step, detection radius and time budget. The
         shooters of one call share this one's space, centers and mass.
@@ -342,13 +327,12 @@ class _ChainShooting:
         ended the row.
         """
         kernel = self.kernel
-        shooters = [s for s, _, _, _ in rows]
-        starts = [j for _, j, _, _ in rows]
+        shooters = [s for s, _, _ in rows]
+        starts = [j for _, j, _ in rows]
         targets = [(j + 1) % s.n for s, j in zip(shooters, starts)]
-        Y = np.array([[s.node_state(j, xi) for s, j, xi, _ in rows],
-                      [p for _, _, _, p in rows]], dtype=float)
-        A = np.array([s.points[jn] for s, jn in zip(shooters, targets)])
-        N = np.array([s.normals[jn] for s, jn in zip(shooters, targets)])
+        Y = np.array([s.node_state(j, x) for s, j, x in rows]).transpose(1, 0, 2)
+        A = np.array([s.mids[jn] for s, jn in zip(shooters, targets)])
+        N = np.array([s.dirs[jn] for s, jn in zip(shooters, targets)])
         W = np.array([s.weights for s in shooters])
         budget = np.array([s.budgets[j] for s, j in zip(shooters, starts)])
         r_min = np.array([s.sp.r_min for s in shooters])
@@ -434,93 +418,76 @@ class _ChainShooting:
     # (rows, k), the rows they need flown with the paths of the first k, and
     # receive those rows' outcomes from _lockstep ---
 
-    def residual(self, U, fd_rel):
-        """Residual at U, least distance to N and each link's path, from one
-        flight. With fd_rel the stencil rows of the Jacobian at U fly in the
-        same flight; their outcomes come fourth (None without fd_rel)."""
-        xi_list, p_list = self.unpack(U)
-        stencil = self._stencil_rows(U, self._fd_steps(U, fd_rel)) if fd_rel else []
-        flights = yield [(self, j, xi_list[j], p_list[j]) for j in range(self.n)] + stencil, self.n
+    def _arrival(self, j, flight):
+        """Offset of flight j's hit on section j+1, and its momentum."""
+        q, p = flight[:2]
+        jn = (j + 1) % self.n
+        return (q - self.mids[jn]) @ self.lefts[jn], p
+
+    def residual(self, U, stencil):
+        """Residual at U, least distance to N and each flight's path, from one
+        flight: per flight, its arrival's offset minus node j+1's and the turn
+        from node j+1's direction to the arrival's. With stencil set, the
+        perturbed flights of the Jacobian at U fly in the same flight; their
+        outcomes come fourth (None without)."""
+        X = U.reshape(self.n, 2)
+        extra = self._stencil_rows(U) if stencil else []
+        flights = yield [(self, j, X[j]) for j in range(self.n)] + extra, self.n
         res = []
-        dmin = np.inf
         for j, flight in enumerate(flights[:self.n]):
             if isinstance(flight, Exception):
                 raise flight
-            q_hit, p_hit, dm, _ = flight
-            jn = (j + 1) % self.n
-            dmin = min(dmin, dm)
-            res.append(self.bases[jn].T @ (q_hit - self.defl[jn].periapsis) - xi_list[jn])
-            res.append(p_hit - p_list[jn])
-        return (np.concatenate(res), float(dmin), [flight[3] for flight in flights[:self.n]],
-                flights[self.n:] if fd_rel else None)
+            xi, p = self._arrival(j, flight)
+            xi_next, theta = X[(j + 1) % self.n]
+            res += [xi - xi_next, _turn(np.array([np.cos(theta), np.sin(theta)]), p)]
+        return (np.array(res), float(min(flight[2] for flight in flights[:self.n])),
+                [flight[3] for flight in flights[:self.n]], flights[self.n:] if stencil else None)
 
-    def _fd_steps(self, U, fd_rel):
-        """Central-difference step of every unknown, scaled by its node's block."""
-        per = 2 * self.sp.base.dim - 1
-        return [fd_rel * max(1.0, np.linalg.norm(U[j * per:(j + 1) * per]))
-                for j in range(self.n) for _ in range(per)]
-
-    def _stencil_rows(self, U, hs, cols=None):
-        """The (+h, -h) perturbed link of each column (all columns by default)."""
-        d = self.sp.base.dim
-        per = 2 * d - 1
+    def _stencil_rows(self, U):
+        """The (+h, -h) perturbed node of each unknown, as flight rows."""
+        X = U.reshape(self.n, 2)
         rows = []
-        for c in range(per * self.n) if cols is None else cols:
-            j = c // per
+        for c in range(U.size):
             for sign in (1.0, -1.0):
-                blk = U[j * per:(j + 1) * per].copy()
-                blk[c % per] += sign * hs[c]
-                rows.append((self, j, blk[:d - 1], blk[d - 1:]))
+                x = X[c // 2].copy()
+                x[c % 2] += sign * _FD_STEP
+                rows.append((self, c // 2, x))
         return rows
 
-    def jacobian(self, U, fd_rel, flights):
-        """Shooting Jacobian at U: -I couplings plus central differences.
-
-        All 2 (2d - 1) n perturbed links fly in one flight, unless their
-        outcomes are given as flights (flown with the residual at U). A
-        column with a failed flight is flown again at a quarter of its step,
-        at most four times in all.
-        """
-        per = 2 * self.sp.base.dim - 1
-        size = per * self.n  # analytic coupling of residual block j to node j+1: -I
-        J = np.zeros((size, size)) - np.roll(np.eye(size), per, axis=1)
-        hs = self._fd_steps(U, fd_rel)
-        pending = list(range(size))
-        for _ in range(4):
-            if flights is None:
-                flights = yield self._stencil_rows(U, hs, pending), 0
-            failed = []
-            for m, c in enumerate(pending):
-                plus, minus = flights[2 * m], flights[2 * m + 1]
-                if isinstance(plus, Exception) or isinstance(minus, Exception):
-                    hs[c] *= 0.25
-                    failed.append(c)
-                    continue
-                j = c // per
-                jn = (j + 1) % self.n
-                h = hs[c]
-                drel = (plus[0] - minus[0]) / (2 * h)
-                dcol = np.concatenate([self.bases[jn].T @ drel, (plus[1] - minus[1]) / (2 * h)])
-                J[j * per:(j + 1) * per, c] += dcol
-            pending, flights = failed, None
-            if not pending:
-                return J
-        raise SingularShadowError(
-            f"finite differences infeasible at node {pending[0] // per}")
+    def jacobian(self, U, flights):
+        """Shooting Jacobian at U: -I couplings plus central differences of
+        each flight's arrival. All 4n perturbed flights fly in one flight,
+        unless their outcomes are given as flights (flown with the residual at
+        U); a failed one fails the Jacobian."""
+        J = -np.roll(np.eye(U.size), 2, axis=1)     # residual block j against node j+1
+        if flights is None:
+            flights = yield self._stencil_rows(U), 0
+        for c in range(U.size):
+            j = c // 2
+            plus, minus = flights[2 * c], flights[2 * c + 1]
+            if isinstance(plus, Exception) or isinstance(minus, Exception):
+                raise SingularShadowError(f"finite differences infeasible at node {j}")
+            (xi_p, p_p), (xi_m, p_m) = self._arrival(j, plus), self._arrival(j, minus)
+            J[2 * j:2 * j + 2, c] += np.array([xi_p - xi_m, _turn(p_m, p_p)]) / (2 * _FD_STEP)
+        return J
 
     def newton(self):
-        """dls.damped_newton over the flights: (U, |R|, iterations, dmin, paths).
+        """dls.damped_newton over the flights from the predictor: (U, |R|,
+        iterations, dmin, paths).
 
-        Stops at |R| <= 1e-8 sqrt(2E) or after 30 iterations of 25 trials,
-        accepts up to 30 times that residual, and refuses a trial whose flight
-        fails or passes a center inside r_p / 5. A full-step trial flies its
-        Jacobian's stencil too, kept if accepted."""
+        Converged at |R| <= 1e-8 sqrt(2E); after 30 iterations of 25 trials
+        it fails. A trial whose flight fails or passes a center inside r_p / 5
+        is refused. A full-step trial flies its Jacobian's stencil too, kept
+        if accepted. A failure after the predictor's flight keeps the last |R|
+        and iteration count in its SingularShadowError."""
         tol, scale = 1e-8, self.speed
         dmin_floor = min(dd.r_p for dd in self.defl) / 5.0
+        started = []            # |R| at the start of each iteration
 
         def step(state):
             U, R, _, _, stencil = state
-            J = yield from self.jacobian(U, _FD_REL, stencil)
+            started.append(np.linalg.norm(R, ord=np.inf))
+            J = yield from self.jacobian(U, stencil)
             try:
                 return np.linalg.solve(J, -R)
             except np.linalg.LinAlgError as exc:
@@ -529,7 +496,7 @@ class _ChainShooting:
         def trial(state, dU, lam):
             U = state[0] + lam * dU
             try:
-                flown = yield from self.residual(U, _FD_REL if lam == 1.0 else None)
+                flown = yield from self.residual(U, lam == 1.0)
             except (SingularShadowError, ExclusionRadiusError):
                 return None
             if flown[1] >= dmin_floor:
@@ -537,12 +504,15 @@ class _ChainShooting:
             return None
 
         U = self.predictor()
-        R, dmin, paths, stencil = yield from self.residual(U, _FD_REL)
-        (U, _, dmin, paths, _), rn, it, status = yield from dlsmod.damped_newton(
-            (U, R, dmin, paths, stencil), np.linalg.norm(R, ord=np.inf),
-            lambda _, rn: rn <= tol * scale, step, trial, 30, 25)
-        if rn > 30 * tol * scale:   # above the finite-difference noise floor
-            raise SingularShadowError(f"Newton {status}: |R| = {rn:.2e}")
+        R, dmin, paths, stencil = yield from self.residual(U, True)
+        try:
+            (U, _, dmin, paths, _), rn, it, status = yield from dlsmod.damped_newton(
+                (U, R, dmin, paths, stencil), np.linalg.norm(R, ord=np.inf),
+                lambda _, rn: rn <= tol * scale, step, trial, 30, 25)
+        except SingularShadowError as exc:
+            raise SingularShadowError(str(exc), started[-1], len(started) - 1) from exc
+        if status != "converged":
+            raise SingularShadowError(f"Newton {status}: |R| = {rn:.2e}", rn, it)
         return U, rn, it, dmin, paths
 
     def solve(self):
@@ -595,11 +565,13 @@ def shadow_experiment(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguratio
                       alphas: np.ndarray) -> List[SingularShadowRow]:
     """Near-collision shadowing of a polygon chain under a mu-sweep.
 
-    For each mu, a multiple-shooting Newton matches the local two-body
-    deflections to the chain's momentum jumps; the Newtons of all mu run in
-    lockstep, and a failure ends only its own row. Rows report convergence,
-    the sup distance to the chain and the minimum approach distance. alphas
-    holds one force coefficient per center. Not a proof-grade certificate.
+    For each mu, a multiple-shooting Newton from the first-order chain finds
+    the periodic orbit of energy E through the chords' perpendicular
+    bisectors; the Newtons of all mu run in lockstep, and a failure ends only
+    its own row, which keeps its last |R| and iteration count. Rows report
+    convergence, the sup distance to the chain and the minimum approach
+    distance. alphas holds one force coefficient per center. Not a
+    proof-grade certificate.
     """
     scat = dl.scatterer
     if not isinstance(scat, PointScatterer):
@@ -624,7 +596,9 @@ def shadow_experiment(dl: dlsmod.DiscreteLagrangian, c: dlsmod.ChainConfiguratio
         mu = shooter.sp.mu
         predicted = min(d.r_p for d in shooter.defl)
         if isinstance(out, Exception):
-            rows.append(SingularShadowRow(mu, False, np.nan, np.nan, predicted, np.nan, 0,
+            rows.append(SingularShadowRow(mu, False, np.nan, np.nan, predicted,
+                                          getattr(out, "residual", np.nan),
+                                          getattr(out, "iterations", 0),
                                           f"{type(out).__name__}: {out}"))
         else:
             _, rn, it, dmin, paths = out

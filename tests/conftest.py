@@ -131,10 +131,8 @@ class FunctionLink(LinkEvaluator):
     row; Hessians are difference_hessians of those gradients.
     """
 
-    def __init__(self, fn, dim_minus: int, dim_plus: int):
+    def __init__(self, fn):
         self.fn = fn
-        self.dim_minus = dim_minus
-        self.dim_plus = dim_plus
 
     @classmethod
     def values(cls, links, XM, XP):

@@ -404,7 +404,10 @@ class TestTwoPointHessian:
         link = billiard.TwoPointLink(box, left, right, eps)
         um = np.zeros(0) if frozen_m else np.array([dm])
         up = np.zeros(0) if frozen_p else np.array([dp])
-        orbit = link_orbit(link, um, up)
+        try:
+            orbit = link_orbit(link, um, up)
+        except bvp.ConnectError:        # a zero chord, which the assumption excludes
+            assume(False)
         assume(np.min(np.abs(orbit.chord)) > 1e-3 and orbit.tau > 0.05)
         exact, fd = _one_link_hessians(link, um, up)
         assert [h.shape for h in exact] == [h.shape for h in fd]
@@ -553,8 +556,6 @@ class TestKeplerConnector:
         connects = []
 
         class KeplerArcLink(dls.LinkEvaluator):
-            dim_minus = dim_plus = 0
-
             def ambient_connect(self, qm, qp, eps):
                 connects.append((qm, qp))
                 return bvp.connect(h, qm, qp, -0.9, label=1)

@@ -69,6 +69,14 @@ class TestConnect:
             bvp.CollisionOrbit(free_h(), 0.5, [0.0, 0.0], [1.0, 0.0], 1.0, 1.0,
                                [1.0, 0.0], [1.1, 0.0], [[0.0, 0.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("p_minus, p_plus", [([np.nan, np.nan], [1.0, 0.0]),
+                                                 ([1.0, 0.0], [np.nan, 0.0])])
+    def test_nan_momentum_is_off_shell(self, p_minus, p_plus):
+        # a nan energy miss at either end is refused, not passed as within tol
+        with pytest.raises(bvp.ConnectError, match="violate the energy constraint"):
+            bvp.CollisionOrbit(free_h(), 0.5, [0.0, 0.0], [1.0, 0.0], 1.0, 1.0,
+                               p_minus, p_plus, [[0.0, 0.0], [1.0, 0.0]])
+
     def test_straight_backend_refuses_a_potential_before_any_flight(self, monkeypatch):
         def no_flight(*args, **kwargs):
             raise AssertionError("flew a straight chord")

@@ -446,14 +446,19 @@ class TestRuns:
         assert [r.split(",")[:2] for r in rows] == [["1", "1"]]
 
 
-# sha256 of every file that `scenario run --seed 0` writes for four shipped
-# scenarios, recorded at commit 52a3028. ncenter_square (about 30 s) is left
-# to tools/compare_outputs.py. A change that moves an output updates the
-# digest here and lists the moved values in CHANGES.md.
+# sha256 of every file that `scenario run --seed 0` writes for the five
+# shipped scenarios, recorded at commit 52a3028 (ncenter_square when its
+# shooting moved to mid-chord sections). A change that moves an output
+# updates the digest here and lists the moved values in CHANGES.md.
 SHIPPED_DIGESTS = {
     "kepler_grid": {
         "kepler_table.csv": "55d5b12435805f17e9581689c7f33848601155abec4f5059268c3c1e0abd059b",
         "report.json": "2ced4d0e233f20a5392a4d57c8d7eca34ff49d72bd168662e73d683ee93f4557",
+    },
+    "ncenter_square": {
+        "graph.txt": "a9ef89ef99ba4c3e14349cacd22c1b97c799ea7d00c7928091ceab66d354c094",
+        "mu_table.csv": "6e897b44df574f0b426c1dab1446110aac5c6865bf738deed4083f01d89ceb4d",
+        "report.json": "3b047f550b75ffb02c2e45b5694664fd60b75be93c12c2cfbd75941298af547b",
     },
     "torus_point": {
         "certificate.csv": "2e4640a6d68446a8b01f152446eca70cf30caa81440497c5bb902f73898d4acc",

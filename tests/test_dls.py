@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, seed, settings, strategies as st
 
 from conftest import FunctionLink, central_diff, dense_chain_matrix, link_endpoints, link_stacks
-from shadowbilliards import dls, scenarios
+from shadowbilliards import bvp, dls, scenarios
 from shadowbilliards.billiard import shadow_solve
 from shadowbilliards.blocktri import BlockTridiagonalFactor
 from shadowbilliards.dls import (ChainConfiguration, DiscreteLagrangian, NewtonError,
@@ -33,7 +33,7 @@ def synthetic_quadratic(n=6, coupling=-0.3, diag=2.0):
         return 0.5 * diag * float(xm @ xm) + 0.5 * diag * float(xp @ xp) \
             + coupling * float(xm @ xp)
 
-    link = FunctionLink(fn, 1, 1)
+    link = FunctionLink(fn)
     dl = DiscreteLagrangian({"q": link}, energy=0.5)
     chain = ChainConfiguration(["q"] * n, [np.zeros(1) for _ in range(n)], "periodic")
     return dl, chain
@@ -63,7 +63,7 @@ class TestResidual:
     def test_zero_dimensional_scatterer(self):
         # sites with no chart coordinates (as on a point scatterer) have
         # empty residual blocks
-        dl = DiscreteLagrangian({"k": FunctionLink(lambda xm, xp: 1.0, 0, 0)})
+        dl = DiscreteLagrangian({"k": FunctionLink(lambda xm, xp: 1.0)})
         chain = ChainConfiguration(["k", "k"], [np.zeros(0), np.zeros(0)], "periodic")
         res = residual(dl, chain)
         assert all(r.size == 0 for r in res)
@@ -480,8 +480,7 @@ class TestGreenDecay:
         # over the unit loads at the centre, each solved densely on its own
         Adiag = np.array([[2.0, 0.4], [0.4, 1.5]])
         C = np.array([[-0.3, 0.1], [0.05, -0.2]])
-        link = FunctionLink(lambda x, y: 0.5 * x @ Adiag @ x + 0.5 * y @ Adiag @ y + x @ C @ y,
-                            2, 2)
+        link = FunctionLink(lambda x, y: 0.5 * x @ Adiag @ x + 0.5 * y @ Adiag @ y + x @ C @ y)
         dl = DiscreteLagrangian({"q": link}, energy=0.5)
         chain = ChainConfiguration(["q"] * 3, [np.zeros(2) for _ in range(3)], "periodic")
         fit = green_decay(dl, chain, 0, half_width=8)
@@ -653,6 +652,20 @@ class TestBoxPathFold:
             for t, got in zip(np.linspace(0.0, 1.0, 129), path[:, i]):
                 z = (qm[i] + t * ell[i] - lo) % (2 * width)
                 assert got == lo + (z if z <= width else 2 * width - z)
+
+
+    @pytest.mark.parametrize("anchored", [False, True])
+    def test_zero_chord_refused(self, anchored):
+        # pattern (0, 0) between equal pair positions: no chord to fly, as
+        # for a straight chord of zero winding
+        scn = scenarios.two_ball_box_scenario()
+        q = np.array([0.3, 0.6])
+        link = scenarios.TwoBallBoxLink(scn.h, scn.E, scn.masses, scn.box, (0, 0),
+                                        left=q if anchored else None)
+        with pytest.raises(bvp.ConnectError, match="coincident endpoints with zero winding"):
+            link.ambient_connect(q, q, 0.0)
+        with pytest.raises(bvp.ConnectError, match="coincident endpoints with zero winding"):
+            link.tube_chords(link.stack([link]), q[None], q[None], 0.01)
 
 
 def one_link_reference(dl, c):
