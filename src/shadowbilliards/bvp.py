@@ -1,16 +1,16 @@
-"""Fixed-energy two-point connectors.
+"""Fixed-energy two-point connectors and their conjugate-point test.
 
 connect() returns a collision orbit between two configuration points at a
 prescribed energy: its Maupertuis action, boundary momenta, travel time and
 sampled path. Closed-form backends are authoritative where they apply:
 straight chords for free flight (no potential W; the backend checks) and
 planar Kepler arcs. The shooting backend, a Newton solve on the composed
-Verlet flight, is named explicitly and starts from a guess of the initial
-momentum and travel time. Multiple connecting orbits between the same
-endpoints are never searched for: the caller disambiguates with an explicit
-label. A torus winding names a free-flight chord; a Kepler arc is named by
-a nonzero revolution count n, or by (n, "short") (kepler.J_n). The Kepler
-backend refuses n = 0, any other arc name and coincident endpoints.
+Verlet flight, is named explicitly and starts from a guess of (p-, tau);
+conjugate_test reads the closed-form drift's transition matrix instead.
+Other orbits between the same endpoints are never searched for: a label
+names one. A torus winding names a free-flight chord; a Kepler arc is named
+by n != 0 or by (n, "short") (kepler.J_n), and the Kepler backend refuses
+n = 0, any other arc name and coincident endpoints.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from . import dls as dlsmod
 from . import kepler as kp
 from .dynamics import (ClassicalHamiltonian, DomainError, KeplerPotential,
-                       _verlet_steps)
+                       _verlet_steps, kepler_drift)
 
 
 class ConnectError(RuntimeError):
@@ -82,10 +82,9 @@ def chord_hessian(mass: np.ndarray, disp: np.ndarray, speed) -> np.ndarray:
     disp = np.asarray(disp, dtype=float)
     g = np.sqrt(disp[..., None, :] @ mass @ disp[..., :, None])
     Md = mass @ disp[..., :, None]
-    # libm pow per chord: np.power of an array rounds differently
-    g3 = np.reshape([v ** 3 for v in g.ravel().tolist()], g.shape)
+    # the C pow per chord, as the one-chord g**3: np.power rounds differently
     speed = np.reshape(speed, np.shape(speed) + (1, 1))
-    return speed * (mass / g - Md * np.swapaxes(Md, -1, -2) / g3)
+    return speed * (mass / g - Md * np.swapaxes(Md, -1, -2) / np.float_power(g, 3))
 
 
 @dataclass
@@ -297,14 +296,17 @@ _CONJ_TOL = 1e-8    # sigma_min / sigma_max at or below this means conjugate end
 
 
 def conjugate_test(orbit: CollisionOrbit) -> ConjugateReport:
-    """Smallest singular value of the shooting sensitivity at the orbit.
-
-    The sensitivity is the Jacobian of (endpoint, energy) with respect to
-    (initial momentum, travel time), flown at 500 steps per unit time (on 180
-    kepler_xcheck arcs sigma_min is within 1e-6 relative of 4x the steps); a
-    small sigma_min signals conjugate endpoints. The flow is re-integrated,
-    so the test is backend independent.
-    """
-    J = _shooting_jacobian(orbit.h, orbit.path[0], orbit.p_minus, orbit.tau, 500.0)
+    """Smallest singular value of the shooting sensitivity [[Phi_qv M^-1, v+],
+    [v-^T, 0]], the Jacobian of (endpoint, energy) in (initial momentum, travel
+    time), from one dynamics.kepler_drift: mu = 0 for a zero potential (any mass),
+    pot.mu about pot.center for a unit-mass KeplerPotential, else ValueError. A
+    small sigma_min signals conjugate endpoints; the test is backend independent."""
+    h, pot, d = orbit.h, orbit.h.potential, orbit.h.dim
+    if not (pot.is_zero or isinstance(pot, KeplerPotential) and h.unit_mass):
+        raise ValueError("conjugate_test needs a zero potential or a unit-mass Kepler one")
+    vm = h.velocity(orbit.q_minus, orbit.p_minus)
+    _, vp, Phi, _ = kepler_drift(pot._rel(orbit.q_minus), vm, orbit.tau,
+                                 0.0 if pot.is_zero else pot.mu)
+    J = np.block([[Phi[0, :d, d:] @ h.mass_inv, vp.T], [vm[None], np.zeros((1, 1))]])
     sig = np.linalg.svd(J, compute_uv=False)
     return ConjugateReport(bool(sig[-1] > _CONJ_TOL * sig[0]), float(sig[-1]))

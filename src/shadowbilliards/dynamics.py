@@ -1,9 +1,10 @@
-"""Flat ambient spaces, classical Hamiltonians, the Verlet flow, Maupertuis action.
+"""Flat ambient spaces, classical Hamiltonians, their flows, Maupertuis action.
 
 The configuration space is flat: Euclidean space or a flat torus. Generality
-enters through the potential and a constant mass matrix. The flow has one
-integrator, fourth-order composed Stormer-Verlet, run in the universal cover,
-so sampled paths carry their winding explicitly and never wrap mid-flight.
+enters through the potential and a constant mass matrix. Any potential flies
+fourth-order composed Stormer-Verlet in the universal cover, so sampled paths
+carry their winding explicitly and never wrap mid-flight; the Kepler flow, free
+flight at mu = 0, also has a closed form with its transition matrix.
 """
 
 from __future__ import annotations
@@ -153,7 +154,7 @@ class KeplerPotential(Potential):
         return -self.mu / r
 
     def grad(self, q):
-        # |rel| as a matmul and r**3 as Python's float power per row: both round
+        # |rel| as a matmul and r**3 as the C pow (np.float_power): both round
         # like the one-row np.linalg.norm and r**3 (np.power does not)
         rel = self._rel(q)
         if rel.ndim == 1:
@@ -162,10 +163,9 @@ class KeplerPotential(Potential):
                 raise DomainError(f"point within {self.r_min} of the Kepler center")
             return self.mu * rel / r**3
         r = np.sqrt((rel[..., None, :] @ rel[..., :, None])[..., 0, 0])
-        rows = r.ravel().tolist()
-        if any(x <= self.r_min for x in rows):
+        if np.any(r <= self.r_min):
             raise DomainError(f"point within {self.r_min} of the Kepler center")
-        return self.mu * rel / np.array([x**3 for x in rows]).reshape(r.shape + (1,))
+        return self.mu * rel / np.float_power(r, 3)[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -271,3 +271,91 @@ def _verlet_steps(h: ClassicalHamiltonian, q, p, dt: float, nsteps: int,
             qs.append(q.copy())
             ps.append(p.copy())
     return q, p, qs, ps, pdq.sum(axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form Kepler drift
+# ---------------------------------------------------------------------------
+
+class DriftError(RuntimeError):
+    """A Kepler drift row missed the residual test of its Kepler equation."""
+
+
+_DRIFT_TOL = 5e-14     # |F| / its terms; the floor on 12k rows, |t| <= 10, was 2.7e-15
+_DRIFT_ITERS = 60       # Newton or bisection steps before DriftError
+_INV_FACT = 1.0 / np.cumprod([1.0, *range(1, 20)])      # 1 / m!, exact products
+
+
+def _universal(s, beta):
+    """G_k(s; beta) = sum_j (-beta)^j s^(k+2j) / (k+2j)!, k = 0..5: a series at
+    s / 2^n, where |beta s^2| / 4^n < 1/8, then n doublings by the addition theorem."""
+    n = np.maximum(0, (np.frexp(beta * s * s)[1] + 4) // 2)
+    a, y = np.ldexp(s, -n), np.ldexp(beta * s * s, -2 * n)
+    G, ak = [], 1.0
+    for k in range(6):
+        c = _INV_FACT[k + 14]
+        for j in range(6, -1, -1):
+            c = _INV_FACT[k + 2 * j] - y * c
+        G.append(ak * c)
+        ak = ak * a
+    for i in range(int(n.max(initial=0))):
+        pw = (1.0, a, a * a / 2, a * a * a / 6)     # G_k(2a) from the G_j(a) and a^j / j!
+        new = [G[0] * G[0] - beta * G[1] * G[1]] + [
+            sum(G[k - j] * pw[j] for j in range(k - 1)) + G[1] * G[k - 1] + G[0] * G[k]
+            for k in range(1, 6)]
+        G = [np.where(i < n, u, w) for u, w in zip(new, G)]
+        a = np.where(i < n, 2 * a, a)
+    return G
+
+
+def kepler_drift(q, v, t, mu):
+    """Kepler flow q'' = -mu q / |q|^3 of rows (q, v) (B, d) about the center for
+    times t, t and mu broadcast over the rows (Danby 1988; Goodyear, AJ 70 (1965)
+    189): Newton steps on F = r0 G1 + eta0 G2 + mu G3 - t in s (F' = r > 0), kept
+    inside the bracket of the signs of F and bisecting where one leaves it or cuts
+    |F| less than fourfold, to |F| <= _DRIFT_TOL times its terms (or DriftError).
+    Returns q and v from f and g, Phi = d(q, v) / d(q0, v0) (B, 2d, 2d) and the
+    action 2 h t + 2 mu s; a mu = 0 row is the line f = 1, g = t, through the
+    origin too. Arithmetic only, row by row: a row rounds as it does alone."""
+    q, v = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (q, v))    # one row: (1, d)
+    t, mu = (np.broadcast_to(np.asarray(x, dtype=float), q.shape[:1]) for x in (t, mu))
+    r0 = np.where(mu == 0, 1.0, np.sqrt((q * q).sum(-1)))   # mu / r0 = 0 at the origin too
+    eta0, beta = (q * v).sum(-1), 2 * mu / r0 - (v * v).sum(-1)
+    # a bound row starts from its mean motion in s, t beta / mu; others from t / r0
+    s = np.where(mu == 0, 0.0, t / np.divide(mu, beta, out=r0.copy(), where=beta > 0))
+    lo, hi = np.where(t < 0, -np.inf, 0.0), np.where(t < 0, 0.0, np.inf)
+    done, F_last = mu == 0, np.inf
+    for _ in range(_DRIFT_ITERS):
+        G = _universal(s, beta)
+        F = r0 * G[1] + eta0 * G[2] + mu * G[3] - t
+        r = r0 * G[0] + eta0 * G[1] + mu * G[2]
+        size = abs(t) + r0 * abs(G[1]) + abs(eta0 * G[2]) + abs(mu * G[3]) + abs(s) * r
+        done = done | np.isfinite(F) & (abs(F) <= _DRIFT_TOL * size)
+        if done.all():
+            break
+        side = np.where(np.isfinite(F), F, t)           # an overflow lies past the root
+        lo, hi = np.where(side < 0, s, lo), np.where(side > 0, s, hi)
+        step = s - F / r
+        newton = (lo < step) & (step < hi) & ((abs(F) <= F_last / 4) | np.isinf(hi - lo))
+        F_last = np.where(newton, abs(F), np.inf)
+        s = np.where(done, s, np.where(newton, step, (lo + hi) / 2))
+    else:
+        raise DriftError(f"{np.count_nonzero(~done)} of {done.size} rows missed |F| <= "
+                         f"{_DRIFT_TOL:.0e} times its terms in {_DRIFT_ITERS} steps")
+    k0, kr = mu / r0, mu / r
+    f, g, fd, gd = 1 - k0 * G[2], t - mu * G[3], -k0 * G[1] / r, 1 - kr * G[2]
+    # e0, e1, e2: (a, b, c) of the gradients (a q + b v, b q + c v) of r0, eta0, beta
+    e0, e1 = np.outer([1, 0, 0], 1 / r0), np.array([[0.0], [1.0], [0.0]])
+    e2 = np.outer([1, 0, 0], -2 * k0 / r0 / r0) - [[0.0], [0.0], [2.0]]
+    Gb = [(k * G[k + 2] - s * G[k + 1]) / 2 for k in range(4)]        # dG_k / dbeta
+    ds = -(G[1] * e0 + G[2] * e1 + (r0 * Gb[1] + eta0 * Gb[2] + mu * Gb[3]) * e2) / r
+    dG = [G[k - 1] * ds + Gb[k] * e2 for k in (1, 2, 3)]              # s moves too
+    dr = (G[0] * e0 + G[1] * e1 + (r0 * Gb[0] + eta0 * Gb[1] + mu * Gb[2]) * e2
+          + (eta0 * G[0] + (mu - beta * r0) * G[1]) * ds)
+    D = [-k0 * (dG[1] - G[2] * e0 / r0), -mu * dG[2],
+         -k0 / r * (dG[0] - G[1] * (dr / r + e0 / r0)), -kr * (dG[1] - G[2] * dr / r)]
+    X = np.kron(np.eye(2), np.stack([q, v], -1))          # Phi = kron(L, I) + X K X^T
+    Phi = (np.kron(np.stack([f, g, fd, gd], -1).reshape(-1, 2, 2), np.eye(q.shape[1]))
+           + X @ np.stack(D)[:, [0, 1, 1, 2]].transpose(2, 0, 1) @ np.swapaxes(X, -1, -2))
+    return (f[:, None] * q + g[:, None] * v, fd[:, None] * q + gd[:, None] * v, Phi,
+            2 * mu * s - beta * t)

@@ -1,8 +1,10 @@
+import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from conftest import CallablePotential, HarmonicPotential, central_diff
 from shadowbilliards import bvp, dynamics, kepler
@@ -240,6 +242,65 @@ class TestShootingFlight:
         assert abs(shot.action - J) <= 1e-6 * J
         assert np.linalg.norm(shot.path[-1] - qp) <= tol * max(1.0, np.linalg.norm(qp - qm))
 
+def kepler_grid_arcs():
+    """(n, h, z) of every arc of the shipped kepler_grid table: both revolution
+    counts of each row at the energies of its split."""
+    cfg = json.loads((Path(__file__).resolve().parent.parent / "scenarios"
+                      / "kepler_grid.json").read_text())["params"]
+    arcs = []
+    for k in cfg["revolutions"]:
+        for z in cfg["endpoints"]:
+            z = tuple(np.array(x) for x in z)
+            res = kepler.three_body_lagrangian(tuple(k), z, cfg["alpha1"], cfg["alpha2"],
+                                               cfg["energy"])
+            arcs += [(k[0], res.split.h1, z), (k[1], res.split.h2, z)]
+    return arcs
+
+
+def drift_arc(qm, qp, E, n):
+    """The closed-form arc of bvp.connect and the unit-mu drift of its (q-, v-)
+    for its travel time: (orbit, q, v, action)."""
+    orb = bvp.connect(ClassicalHamiltonian(euclidean(2), KeplerPotential()), qm, qp, E,
+                      label=(n, "short"))
+    q, v, _, action = dynamics.kepler_drift(orb.q_minus[None], orb.p_minus[None],
+                                            orb.tau, 1.0)
+    return orb, q[0], v[0], action[0]
+
+
+def lands(orb, q, v):
+    return (np.linalg.norm(q - orb.q_plus) <= 1e-10 * np.linalg.norm(orb.q_plus)
+            and np.linalg.norm(v - orb.p_plus) <= 1e-10 * np.linalg.norm(orb.p_plus))
+
+
+class TestKeplerDriftArcs:
+    """dynamics.kepler_drift flies the closed-form arcs of the Kepler backend."""
+
+    def test_lands_on_the_shipped_kepler_grid_arcs(self):
+        arcs = kepler_grid_arcs()
+        assert len(arcs) == 12
+        for n, E, (qm, qp) in arcs:
+            assert lands(*drift_arc(qm, qp, E, n)[:3])
+
+    @seed(20161103)
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(kepler_arcs(), st.sampled_from([1, 2]))
+    def test_lands_on_drawn_arcs(self, arc, n):
+        assert lands(*drift_arc(*arc, n)[:3])
+
+    @seed(20161103)
+    @settings(max_examples=20, deadline=None, database=None)
+    @given(kepler_arcs(), st.sampled_from([1, 2]))
+    @example(arc=(np.array([0.5, 0.0]), np.array([0.0, 0.6]), -1.0), n=1)
+    @example(arc=(np.array([0.5, 0.0]), np.array([0.0, 0.6]), -1.0), n=2)
+    @example(arc=(np.array([0.3, 0.0]), np.array([0.0, 0.35]), -0.9), n=2)
+    def test_action_is_J_n(self, arc, n):
+        # 2 h tau + 2 mu s against the closed form through the vacant focus
+        qm, qp, E = arc
+        action = drift_arc(qm, qp, E, n)[3]
+        J = kepler.J_n(E, (qm, qp), n)
+        assert abs(action - J) <= 1e-12 * J
+
+
 def reconnect(orbit, qm, qp):
     """The orbit's branch from qm to qp: bvp.connect with its Hamiltonian,
     energy and label, on the backend it was connected by (auto)."""
@@ -325,18 +386,44 @@ class TestConjugate:
         rep = bvp.conjugate_test(orb)
         assert rep.nondegenerate
 
-    def test_harmonic_half_period_degenerate(self, monkeypatch):
-        # all unit-energy orbits from q0 refocus at -q0 after time pi
+    def test_kepler_envelope_degenerate(self, monkeypatch):
+        # the energy -1 orbits from q- = (0.5, 0) (a = 1/2) have the envelope
+        # |q| + |q - q-| = 4a - |q-| = 1.5, which meets the y-axis at 2/3:
+        # sigma_min falls like the square root of the gap of q+ to it
+        h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
+        gaps = np.array([1e-1, 1e-2, 1e-3, 1e-4, 1e-6])
+        reps = [bvp.conjugate_test(bvp.connect(h, [0.5, 0.0], [0.0, 2 / 3 - gap], -1.0,
+                                               label=(1, "short"))) for gap in gaps]
+        slope = np.polyfit(np.log(gaps), np.log([rep.sigma_min for rep in reps]), 1)[0]
+        assert 0.45 <= slope <= 0.55
+        monkeypatch.setattr(bvp, "_CONJ_TOL", 1e-3)
+        far, near = (bvp.connect(h, [0.5, 0.0], [0.0, 2 / 3 - gap], -1.0, label=(1, "short"))
+                     for gap in (1e-1, 1e-6))
+        assert bvp.conjugate_test(far).nondegenerate
+        assert not bvp.conjugate_test(near).nondegenerate
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_agrees_with_the_flown_shooting_jacobian(self, n):
+        # the Verlet stencil at 2000 steps per unit time, on a Kepler arc and a
+        # free flight with a mass matrix
+        h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
+        for orb in (bvp.connect(h, [0.5, 0.0], [0.0, 0.6], -1.0, label=(n, "short")),
+                    bvp.connect(free_h(mass=[[2.0, 0.3], [0.3, 1.5]]), [0.1, -0.2],
+                                [0.7 * n, 0.5], 1.3)):
+            J = bvp._shooting_jacobian(orb.h, orb.q_minus, orb.p_minus, orb.tau, 2000.0)
+            flown = np.linalg.svd(J, compute_uv=False)[-1]
+            assert abs(bvp.conjugate_test(orb).sigma_min - flown) <= 1e-6 * flown
+
+    def test_other_potentials_are_refused(self):
         h = ClassicalHamiltonian(euclidean(2), HarmonicPotential())
-        orb = bvp.connect(h, [0.5, 0.0], [-0.5, 0.0], 1.0, backend="shooting",
-                          guess=straight_guess(h, [0.5, 0.0], [-0.5, 0.0], 1.0,
-                                               [0.0, 1.0], np.pi))
-        monkeypatch.setattr(bvp, "_CONJ_TOL", 1e-4)
-        rep = bvp.conjugate_test(orb)
-        assert not rep.nondegenerate
+        orb = bvp.connect(h, [1.0, 0.0], [0.0, 1.0], 1.0, backend="shooting",
+                          guess=straight_guess(h, [1.0, 0.0], [0.0, 1.0], 1.0,
+                                               [-0.2, 1.0], np.pi / 2))
+        with pytest.raises(ValueError, match="zero potential or a unit-mass Kepler"):
+            bvp.conjugate_test(orb)
 
     def test_kepler_sigma_min_golden(self):
-        # repr of the value flown by composed Verlet at 500 steps per unit time
+        # repr of the value of the closed-form drift's transition matrix
         h = ClassicalHamiltonian(euclidean(2), KeplerPotential())
         orb = bvp.connect(h, [0.5, 0.0], [0.0, 0.6], -1.0, label=(1, "short"))
-        assert repr(bvp.conjugate_test(orb).sigma_min) == "0.23331932661619273"
+        assert repr(bvp.conjugate_test(orb).sigma_min) == "0.23331932021900026"

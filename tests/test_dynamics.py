@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from conftest import CallablePotential, HarmonicPotential
+from conftest import CallablePotential, HarmonicPotential, central_diff
+from shadowbilliards import dynamics
 from shadowbilliards.dynamics import (AmbientSpace, ClassicalHamiltonian,
-                                      ConstantPotential, DomainError, KeplerPotential,
-                                      PhaseState, Potential, ZeroPotential,
-                                      _verlet_steps, euclidean, flat_torus)
+                                      ConstantPotential, DomainError, DriftError,
+                                      KeplerPotential, PhaseState, Potential,
+                                      ZeroPotential, _verlet_steps, euclidean, flat_torus,
+                                      kepler_drift)
 
 
 def free_h(dim=2):
@@ -207,11 +209,15 @@ MASSES = [None, [[2.0, 0.3], [0.3, 1.5]]]
 
 @st.composite
 def verlet_batches(draw):
-    """Rows 0.6..2 away from the origin and both Kepler centers, small steps."""
+    """Rows 0.6..2 away from the Kepler center (0.25, -0.5) and at least 0.6
+    from the other, the origin; small steps. (A row drawn 0.08 from the origin
+    once passed 0.0085 from it within 3 steps, a map of condition 4e13.)"""
     B = draw(st.integers(1, 5))
     radius = st.floats(0.6, 2.0)
     angle = st.floats(0.0, 2 * np.pi)
-    polar = draw(st.lists(st.tuples(radius, angle), min_size=B, max_size=B))
+    row = st.tuples(radius, angle).filter(
+        lambda ra: np.hypot(ra[0] * np.cos(ra[1]) + 0.25, ra[0] * np.sin(ra[1]) - 0.5) >= 0.6)
+    polar = draw(st.lists(row, min_size=B, max_size=B))
     Q = np.array([[r * np.cos(t), r * np.sin(t)] for r, t in polar]) + [0.25, -0.5]
     P = np.array(draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
                                min_size=B, max_size=B)))
@@ -412,3 +418,89 @@ class TestBatchedPotentials:
         assert G.shape == Q.shape
         for i, q in enumerate(Q):
             assert same_bits(G[i], pot.grad(q))
+
+
+@st.composite
+def drift_batches(draw):
+    """Rows of dimension 2 or 3 at radius 0.2..2 with speed up to 2, bound and
+    unbound, times of either sign, mu 0 (free flight), 0.3 or 1 per row."""
+    B, d = draw(st.integers(1, 6)), draw(st.sampled_from([2, 3]))
+    coords = st.lists(st.floats(-1.2, 1.2), min_size=d, max_size=d)
+    Q = np.array(draw(st.lists(coords.filter(lambda x: 0.2 <= np.linalg.norm(x) <= 2.0),
+                               min_size=B, max_size=B)))
+    V = np.array(draw(st.lists(coords, min_size=B, max_size=B)))
+    t = np.array(draw(st.lists(st.floats(-4.0, 4.0), min_size=B, max_size=B)))
+    mu = np.array(draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]), min_size=B, max_size=B)))
+    return Q, V, t, mu
+
+
+def symplectic_form(d):
+    return np.block([[np.zeros((d, d)), np.eye(d)], [-np.eye(d), np.zeros((d, d))]])
+
+
+class TestKeplerDrift:
+    """kepler_drift is the Kepler flow in closed form, with its transition matrix."""
+
+    @pytest.mark.parametrize("q0, v0, T", [([1.0, 0.0], [0.0, 1.2], 3.0),      # e = 0.44
+                                           ([1.0, 0.2], [-0.3, 1.6], 2.0)],    # hyperbolic
+                             ids=["elliptic", "hyperbolic"])
+    def test_agrees_with_fine_verlet(self, q0, v0, T):
+        # composed Verlet at 4000 steps misses the drift by 5e-13 here, and
+        # falls 16x per doubling of the steps onto it
+        h = ClassicalHamiltonian(euclidean(2), KeplerPotential(1.0))
+        q, v, _, action = kepler_drift([q0], [v0], T, 1.0)
+        qv, pv, _, _, av = _verlet_steps(h, q0, v0, T / 4000, 4000)
+        assert np.abs(q[0] - qv).max() <= 1e-10 * np.abs(qv).max()
+        assert np.abs(v[0] - pv).max() <= 1e-10 * np.abs(pv).max()
+        assert abs(action[0] - av) <= 1e-10 * av
+
+    def test_mu_zero_is_the_straight_line_through_the_origin(self):
+        # row 0 lands on the origin, row 1 starts there and row 2 passes it
+        Q = np.array([[-1.0, 0.5], [0.0, 0.0], [2.0, -1.0]])
+        V = np.array([[0.5, -0.25], [0.3, 0.7], [-1.0, 0.5]])
+        t = np.array([2.0, 1.5, 3.0])
+        q, v, Phi, action = kepler_drift(Q, V, t, 0.0)
+        assert same_bits(q, Q + t[:, None] * V) and same_bits(v, V)
+        assert same_bits(action, (V * V).sum(-1) * t)
+        for i in range(3):
+            assert np.array_equal(Phi[i], np.block([[np.eye(2), t[i] * np.eye(2)],
+                                                    [np.zeros((2, 2)), np.eye(2)]]))
+
+    @seed(20161103)
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(drift_batches())
+    def test_rows_equal_one_row_calls(self, batch):
+        Q, V, t, mu = batch
+        out = kepler_drift(Q, V, t, mu)
+        for i in range(len(Q)):
+            alone = kepler_drift(Q[i:i + 1], V[i:i + 1], t[i], mu[i])
+            assert all(same_bits(a[i], b[0]) for a, b in zip(out, alone))
+
+    @seed(20161103)
+    @settings(max_examples=25, deadline=None, database=None)
+    @given(drift_batches())
+    def test_transition_matrix_is_symplectic_and_the_drift_derivative(self, batch):
+        Q, V, t, mu = batch
+        d = Q.shape[1]
+        _, _, Phi, _ = kepler_drift(Q, V, t, mu)
+        for i in range(len(Q)):
+            P, size = Phi[i], max(1.0, np.abs(Phi[i]).max())
+            omega = symplectic_form(d)
+            assert np.abs(P.T @ omega @ P - omega).max() <= 1e-12 * size**2
+
+            def flow(x):
+                q, v, _, _ = kepler_drift(x[None, :d], x[None, d:], t[i], mu[i])
+                return np.concatenate([q[0], v[0]])
+
+            fd = central_diff(flow, np.concatenate([Q[i], V[i]]), 1e-6)
+            assert np.abs(fd - P).max() <= 1e-7 * size
+
+    def test_a_row_that_misses_its_residual_test_is_named(self, monkeypatch):
+        # a row on the attracting center has no Kepler equation to solve
+        Q, V = np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.2], [0.5, 0.0]])
+        with np.errstate(all="ignore"), pytest.raises(DriftError, match="1 of 2 rows"):
+            kepler_drift(Q, V, 1.0, 1.0)
+        # one Newton step does not solve a bound row over most of its period
+        monkeypatch.setattr(dynamics, "_DRIFT_ITERS", 1)
+        with pytest.raises(DriftError, match="1 of 1 rows missed"):
+            kepler_drift(Q[:1], V[:1], 3.0, 1.0)
